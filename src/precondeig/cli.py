@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def build_problem(recipe):
     raise RecipeError(f"unknown problem recipe {recipe!r}")
 
 
-def build_precond(recipe, problem, fwd_tol=1e-10):
+def build_precond(recipe, problem):
     """Instantiate a preconditioner for `problem` from its recipe string.
 
     For mass-reduced problems the DDM preconditioner is built on the original
@@ -113,10 +112,10 @@ def build_precond(recipe, problem, fwd_tol=1e-10):
             raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
         hier = problems.mesh_hierarchy(big_h, h, ratio)
         a_coarse = (hier.prolongation.T @ stiffness @ hier.prolongation).tocsc()
-        ddm = precond.make_ddm(hier, stiffness, a_coarse, fwd_tol=fwd_tol)
+        ddm = precond.make_ddm(hier, stiffness, a_coarse)
         return problem.wrap_precond(ddm)
     if kind == "scaled":
-        inner = build_precond(body, problem, fwd_tol=fwd_tol)
+        inner = build_precond(body, problem)
         nu_min, nu_max, _ = diagnostics.kappa_nu(problem, inner)
         return precond.spectral_scale(inner, nu_min, nu_max)
     raise RecipeError(f"unknown preconditioner recipe {recipe!r}")
@@ -145,13 +144,6 @@ def _fmt4(x):
     return f"{x:.4g}"
 
 
-def _worker_count():
-    env = os.environ.get("EIG_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _initial_vector(init, problem, precond_obj, seed):
     rng = Rng(seed)
     if init == "gaussian":
@@ -176,7 +168,7 @@ def cmd_solve(args):
     if policy.kind in ("theory", "constant") or args.method == "pinvit-classic" or args.init == "eigvec":
         ctx = diagnostics.build_rate_context(problem, p)
     u0 = _initial_vector(args.init, problem, p, args.seed)
-    if args.method in ("rsd", "pinvit-variant"):
+    if args.method == "rsd":
         result = solvers.rsd_solve(problem, p, u0, policy, tol=args.tol, maxit=args.maxit, ctx=ctx)
     elif args.method == "pinvit-classic":
         result = solvers.pinvit_classic_solve(problem, p, u0, tol=args.tol, maxit=args.maxit, ctx=ctx)
@@ -273,8 +265,8 @@ def cmd_validate(args):
                 elif kind == "random-spd":
                     b = b_rand
                 else:
-                    factor = precond.make_mp_cholesky(a)
-                    b = factor._l64 @ factor._l64.T
+                    l64 = precond.make_mp_cholesky(a).exact().factor.l
+                    b = l64 @ l64.T
                 label = f"seed={seed},n={n},B={kind}"
                 report = diagnostics.validate_properties(
                     a, b, n_samples=args.samples, seed=spawn_seed(seed, n),
@@ -360,47 +352,35 @@ def cmd_table(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    workers = _worker_count()
-    rows = []
     if args.name == "phi-ddm-fixedH":
         big_h = cfg.get("H", 0.25)
         hs = cfg.get("h", [2.0**-4, 2.0**-5, 2.0**-6])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda h: _phi_cell(h, big_h), hs))
+        rows = [_phi_cell(h, big_h) for h in hs]
         header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi", "runtime_s"]
     elif args.name == "phi-ddm-fixedh":
         h = cfg.get("h", 2.0**-6)
         hs_big = cfg.get("H", [2.0**-2, 2.0**-3])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda H: _phi_cell(h, H), hs_big))
+        rows = [_phi_cell(h, big_h) for big_h in hs_big]
         header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi", "runtime_s"]
     elif args.name == "prob-ddm":
         hs = cfg.get("h", [2.0**-4])
         big_h = cfg.get("H", 0.25)
         trials = cfg.get("trials", args.trials)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda h: _prob_ddm_cell(
-                        h, big_h, trials, spawn_seed(args.seed, hash_label(f"prob-ddm:{h}"))
-                    ),
-                    hs,
-                )
-            )
+        rows = [
+            _prob_ddm_cell(h, big_h, trials, spawn_seed(args.seed, hash_label(f"prob-ddm:{h}")))
+            for h in hs
+        ]
         header = ["h", "H", "successes_new", "successes_classic", "trials", "p_new", "p_classic", "runtime_s"]
     else:  # prob-kernel
         ns = cfg.get("n", [128, 256])
         trials = cfg.get("trials", args.trials)
         kernel_seed = cfg.get("kernel_seed", 7)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda n: _prob_kernel_cell(
-                        n, trials, spawn_seed(args.seed, hash_label(f"prob-kernel:{n}")), kernel_seed
-                    ),
-                    ns,
-                )
+        rows = [
+            _prob_kernel_cell(
+                n, trials, spawn_seed(args.seed, hash_label(f"prob-kernel:{n}")), kernel_seed
             )
+            for n in ns
+        ]
         header = ["n", "successes_new", "successes_classic", "trials", "p_new", "p_classic", "runtime_s"]
 
     lines = [",".join(header)]
@@ -434,7 +414,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="run one eigensolve")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--precond", required=True)
-    sp.add_argument("--method", default="rsd", choices=["rsd", "pinvit-variant", "pinvit-classic"])
+    sp.add_argument("--method", default="rsd", choices=["rsd", "pinvit-classic"])
     sp.add_argument("--step", default="theory", help="theory | const:c | fixed:value")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--maxit", type=int, default=2000)

@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutsideBasin, PropertyViolation, ZeroVector
-from .geometry import sphere_dist, sphere_exp, sphere_log
+from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
 from .linalg import Rng, dense_sym_eig, gaussian_vector, lanczos_extremal, spawn_seed
 from .precond import apply_fwd_iterative, epsilon_l
-
-
-def _clamp(c):
-    return min(1.0, max(-1.0, c))
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +89,25 @@ def theta_shao(u_star, apply_b):
 
 
 def kappa_nu(problem, precond, tol=1e-10, maxit=400, dense_cap=200, rng=None):
-    """(nu_min, nu_max, kappa) of B^{-1} A.
+    """(nu_min, nu_max, kappa) of B^{-1} A, measured on the binary64 twin of B.
 
     Dense route for small problems (Jacobi on A^{1/2} B^{-1} A^{1/2}),
     Lanczos on B^{-1}A in the A-inner product above dense_cap.
     """
     n = problem.dim
+    exact = precond.exact()
     if n <= dense_cap:
         a = problem.dense()
         wa, va = dense_sym_eig(a)
         sqrt_a = (va * np.sqrt(np.maximum(wa, 0.0))) @ va.T
-        binv = np.column_stack([precond.apply_inv_exact(e) for e in np.eye(n)])
+        binv = np.column_stack([exact.apply_inv(e) for e in np.eye(n)])
         s = sqrt_a @ binv @ sqrt_a
         w, _ = dense_sym_eig((s + s.T) / 2.0)
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
 
         def apply_t(v):
-            return precond.apply_inv(problem.apply_a(v))
+            return exact.apply_inv(problem.apply_a(v))
 
         nu_min, nu_max = lanczos_extremal(
             apply_t,
@@ -161,30 +158,32 @@ class RateContext:
         return _clamp(abs(float(np.asarray(u) @ self.w_star)) / (u_b_norm * self.norm_u_b))
 
 
-def build_rate_context(problem, precond, fwd_tol=1e-10, dense_cap=200, kappa_tol=1e-10):
-    """Assemble the RateContext for a (problem, preconditioner) pair.
+def build_rate_context(problem, precond):
+    """Assemble the RateContext for a (problem, preconditioner) pair, measured
+    on the binary64 twin of B.
 
     B u* is computed once: exactly for explicit preconditioners, by nested
-    PCG at fwd_tol for implicit ones.  cos phi takes the norm form of
+    PCG at FWD_TOL for implicit ones.  cos phi takes the norm form of
     cos_phi_variational, ||v||_{B^-1} / ||u||_{B^-1} with v = u - B u* / ||u*||_B^2,
-    at the cost of one more exact B^-1 application; B^-1 B u* is not replaced
-    by u* because B u* carries the nested-PCG error.
+    at the cost of one more B^-1 application; B^-1 B u* is not replaced by u*
+    because B u* carries the nested-PCG error.
     """
     ref = problem.reference()
     u = ref.u_star / np.linalg.norm(ref.u_star)
-    b_inv_u = precond.apply_inv_exact(u)
-    if precond.fwd_mode == "exact":
-        w = precond.apply_fwd_exact(u)
+    exact = precond.exact()
+    b_inv_u = exact.apply_inv(u)
+    if exact.fwd_mode == "exact":
+        w = exact.apply_fwd(u)
     else:
-        w = apply_fwd_iterative(precond, u, apply_a=problem.apply_a, tol=fwd_tol)
+        w = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
     norm_u = 1.0
     norm_u_a = math.sqrt(float(u @ problem.apply_a(u)))
     norm_u_b = math.sqrt(float(u @ w))
     norm_u_binv = math.sqrt(float(u @ b_inv_u))
     sin_phi, _ = cos_phi_direct(u, b_inv_u, w)
     v = u - w / norm_u_b**2
-    cos_phi = _clamp(math.sqrt(float(v @ precond.apply_inv_exact(v))) / norm_u_binv)
-    nu_min, nu_max, _ = kappa_nu(problem, precond, tol=kappa_tol, dense_cap=dense_cap)
+    cos_phi = _clamp(math.sqrt(float(v @ exact.apply_inv(v))) / norm_u_binv)
+    nu_min, nu_max, _ = kappa_nu(problem, precond)
     ctx = RateContext(
         lam1=ref.lam1,
         lam2=ref.lam2,
@@ -333,10 +332,10 @@ class PrecondQuality:
         return out
 
 
-def compute_quality(problem, precond, ctx=None, fwd_tol=1e-10, dense_cap=200):
+def compute_quality(problem, precond, ctx=None):
     """Full diagnostics bundle for a (problem, preconditioner) pair."""
     if ctx is None:
-        ctx = build_rate_context(problem, precond, fwd_tol=fwd_tol, dense_cap=dense_cap)
+        ctx = build_rate_context(problem, precond)
     denom = 1.0 - 1.0 / ctx.kappa
     # kappa == 1 up to numerics makes chi a 0/0; report it as n/a
     chi = (ctx.cos_phi**2 / denom) if denom > 1e-9 else None
@@ -374,17 +373,18 @@ def check_initial(u0, ctx, u0_b_norm_sq=None, c_grid=None):
     """Evaluate both starting conditions and the simplified margin condition.
 
     u0_b_norm_sq may be supplied when u0^T B u0 is known from the sampler
-    identity; otherwise one forward application is spent.
+    identity; otherwise one forward application of the binary64 twin of B is
+    spent.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
         raise ZeroVector("u0 is zero")
     if u0_b_norm_sq is None:
-        p = ctx.precond
-        if p.fwd_mode == "exact":
-            bu0 = p.apply_fwd_exact(u0)
+        exact = ctx.precond.exact()
+        if exact.fwd_mode == "exact":
+            bu0 = exact.apply_fwd(u0)
         else:
-            bu0 = apply_fwd_iterative(p, u0, apply_a=ctx.problem.apply_a, tol=p.fwd_tol or 1e-10)
+            bu0 = apply_fwd_iterative(exact, u0, apply_a=ctx.problem.apply_a)
         u0_b_norm_sq = float(u0 @ bu0)
     cos_dist = ctx.cos_dist_b(u0, math.sqrt(u0_b_norm_sq))
     dist = math.acos(_clamp(cos_dist))
@@ -414,6 +414,7 @@ def success_probability(problem, precond, sampler="gaussian", trials=100, seed=0
     """
     if ctx is None:
         ctx = build_rate_context(problem, precond)
+    exact = precond.exact()
     n = problem.dim
     hits_new = 0
     hits_classic = 0
@@ -421,7 +422,7 @@ def success_probability(problem, precond, sampler="gaussian", trials=100, seed=0
         rng = Rng(spawn_seed(seed, t))
         omega = gaussian_vector(rng, n)
         if sampler == "smooth":
-            u0 = precond.apply_inv_exact(omega)
+            u0 = exact.apply_inv(omega)
             b_norm_sq = float(u0 @ omega)
         elif sampler == "gaussian":
             u0 = omega

@@ -88,8 +88,7 @@ class Rng:
 
     def spawn(self, stream):
         """Independent child stream; deterministic in (seed, stream)."""
-        child = _mix64_int(self.seed ^ _mix64_int((int(stream) + 1) * _GAMMA))
-        return Rng(child)
+        return Rng(spawn_seed(self.seed, stream))
 
 
 def spawn_seed(seed, stream):

@@ -3,29 +3,33 @@ forward application either exact or via a nested PCG solve.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
-binary64 outer iteration.  Diagnostics that need exact operator algebra use
-the *_exact variants, which apply the same stored factor in binary64
-(binary32 values embed exactly in binary64, so both variants realize the
-same SPD matrix).
+binary64 outer iteration, so its applies are a noisy way to realize
+B = Lhat Lhat^T.  Diagnostics measure B itself through exact(), which
+returns a binary64 twin: the same stored factor applied in binary64 (binary32
+values embed exactly in binary64, so both realize the same SPD matrix).
+Every other preconditioner already applies B in binary64 and is its own twin.
 """
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import EmptySubdomain, NotSpd
-from .linalg import chol_matvec, chol_solve, cholesky, make_solver, pcg
+from .linalg import CholFactor, chol_matvec, chol_solve, cholesky, make_solver, pcg
 
 _U32 = 2.0**-24  # IEEE binary32 unit roundoff
+FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forward apply
 
 
 class Preconditioner:
-    """Interface: dim, apply_inv, apply_fwd, fwd_mode ('exact'|'iterative')."""
+    """Interface: dim, apply_inv, apply_fwd, fwd_mode ('exact'|'iterative'),
+    exact()."""
 
     dim = None
     label = "abstract"
     fwd_mode = "exact"
-    fwd_tol = 0.0
+    # set only when the twin is another object: a self-reference would keep
+    # a dropped preconditioner alive until the cyclic garbage collector runs
+    _twin = None
 
     def apply_inv(self, v):
         raise NotImplementedError
@@ -33,12 +37,10 @@ class Preconditioner:
     def apply_fwd(self, v):
         raise NotImplementedError
 
-    # exact-arithmetic variants for diagnostics; same operator by default
-    def apply_inv_exact(self, v):
-        return self.apply_inv(v)
-
-    def apply_fwd_exact(self, v):
-        return self.apply_fwd(v)
+    def exact(self):
+        """Binary64 twin realizing the same B; self when the applies already
+        run in binary64."""
+        return self if self._twin is None else self._twin
 
 
 class IdentityPreconditioner(Preconditioner):
@@ -87,12 +89,11 @@ class OperatorPreconditioner(Preconditioner):
     """Preconditioner from explicit apply callables (e.g. B = A for an
     operator-only problem, where the inverse is the problem's solver)."""
 
-    def __init__(self, dim, apply_inv_fn, apply_fwd_fn, label="operator", fwd_mode="exact"):
+    def __init__(self, dim, apply_inv_fn, apply_fwd_fn, label="operator"):
         self.dim = dim
         self._inv = apply_inv_fn
         self._fwd = apply_fwd_fn
         self.label = label
-        self.fwd_mode = fwd_mode
 
     def apply_inv(self, v):
         return self._inv(np.asarray(v, dtype=np.float64))
@@ -102,14 +103,16 @@ class OperatorPreconditioner(Preconditioner):
 
 
 class MpCholPreconditioner(Preconditioner):
-    """B^{-1} x = Lhat^{-T}(Lhat^{-1} x) with the factor computed in binary32."""
+    """B = Lhat Lhat^T for a stored Cholesky factor Lhat; both applies run in
+    the factor's precision.  make_mp_cholesky computes Lhat in binary32."""
 
-    def __init__(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        self.dim = a.shape[0]
+    def __init__(self, factor):
+        self.dim = factor.n
         self.label = "mp-chol"
-        self.factor = cholesky(a, "binary32")
-        self._l64 = self.factor.l.astype(np.float64)
+        self.factor = factor
+        if factor.precision != "binary64":
+            l64 = factor.l.astype(np.float64)
+            self._twin = MpCholPreconditioner(CholFactor(factor.n, l64, "binary64"))
 
     def apply_inv(self, v):
         return chol_solve(self.factor, v)
@@ -117,16 +120,9 @@ class MpCholPreconditioner(Preconditioner):
     def apply_fwd(self, v):
         return chol_matvec(self.factor, v)
 
-    def apply_inv_exact(self, v):
-        y = scipy.linalg.solve_triangular(self._l64, v, lower=True, check_finite=False)
-        return scipy.linalg.solve_triangular(self._l64.T, y, lower=False, check_finite=False)
-
-    def apply_fwd_exact(self, v):
-        return self._l64 @ (self._l64.T @ np.asarray(v, dtype=np.float64))
-
 
 def make_mp_cholesky(a):
-    return MpCholPreconditioner(a)
+    return MpCholPreconditioner(cholesky(a, "binary32"))
 
 
 def epsilon_l(n, lambda1, lambdan):
@@ -150,12 +146,12 @@ class DdmPreconditioner(Preconditioner):
     A_H the coarse (Galerkin) matrix.  Forward application is iterative.
     """
 
-    def __init__(self, hierarchy, a_fine, a_coarse, fwd_tol=1e-10):
+    fwd_mode = "iterative"
+
+    def __init__(self, hierarchy, a_fine, a_coarse):
         self.dim = a_fine.shape[0]
         self.label = f"ddm:H={hierarchy.coarse_h:g},overlap={hierarchy.overlap_ratio:g}"
         self.hierarchy = hierarchy
-        self.fwd_mode = "iterative"
-        self.fwd_tol = fwd_tol
         self._a_fine = a_fine.tocsr() if scipy.sparse.issparse(a_fine) else np.asarray(a_fine)
         self._i_h = hierarchy.prolongation.tocsr()
         if self._i_h.shape[0] != self.dim:
@@ -191,14 +187,14 @@ class DdmPreconditioner(Preconditioner):
         return out
 
     def apply_fwd(self, v):
-        return apply_fwd_iterative(self, v, apply_a=self._a_matvec, tol=self.fwd_tol)
+        return apply_fwd_iterative(self, v, apply_a=self._a_matvec)
 
     def _a_matvec(self, v):
         return self._a_fine @ v
 
 
-def make_ddm(hierarchy, a_fine, a_coarse, fwd_tol=1e-10):
-    return DdmPreconditioner(hierarchy, a_fine, a_coarse, fwd_tol=fwd_tol)
+def make_ddm(hierarchy, a_fine, a_coarse):
+    return DdmPreconditioner(hierarchy, a_fine, a_coarse)
 
 
 class ScaledPreconditioner(Preconditioner):
@@ -213,19 +209,14 @@ class ScaledPreconditioner(Preconditioner):
         self.dim = inner.dim
         self.label = f"scaled:{inner.label}"
         self.fwd_mode = inner.fwd_mode
-        self.fwd_tol = inner.fwd_tol
+        if inner.exact() is not inner:
+            self._twin = ScaledPreconditioner(inner.exact(), eta, rho_b)
 
     def apply_inv(self, v):
         return self.eta * self.inner.apply_inv(v)
 
     def apply_fwd(self, v):
         return self.inner.apply_fwd(v) / self.eta
-
-    def apply_inv_exact(self, v):
-        return self.eta * self.inner.apply_inv_exact(v)
-
-    def apply_fwd_exact(self, v):
-        return self.inner.apply_fwd_exact(v) / self.eta
 
 
 def spectral_scale(p, nu_min, nu_max):
@@ -248,7 +239,8 @@ class HattedPreconditioner(Preconditioner):
         self.dim = inner.dim
         self.label = f"hatted:{inner.label}"
         self.fwd_mode = inner.fwd_mode
-        self.fwd_tol = inner.fwd_tol
+        if inner.exact() is not inner:
+            self._twin = HattedPreconditioner(inner.exact(), r_factor)
 
     def apply_inv(self, v):
         return self.r.mult(self.inner.apply_inv(self.r.mult_t(v)))
@@ -256,14 +248,8 @@ class HattedPreconditioner(Preconditioner):
     def apply_fwd(self, v):
         return self.r.solve_t(self.inner.apply_fwd(self.r.solve(v)))
 
-    def apply_inv_exact(self, v):
-        return self.r.mult(self.inner.apply_inv_exact(self.r.mult_t(v)))
 
-    def apply_fwd_exact(self, v):
-        return self.r.solve_t(self.inner.apply_fwd_exact(self.r.solve(v)))
-
-
-def apply_fwd_iterative(p, v, apply_a=None, tol=1e-10, maxit=500):
+def apply_fwd_iterative(p, v, apply_a=None, tol=FWD_TOL, maxit=500):
     """Forward application z = B v for a preconditioner exposing only B^{-1}.
 
     Runs PCG on the SPD system B^{-1} z = v.  The preconditioning step
@@ -275,19 +261,3 @@ def apply_fwd_iterative(p, v, apply_a=None, tol=1e-10, maxit=500):
     z, _ = pcg(p.apply_inv, apply_a, v, tol=tol, maxit=maxit, x0=v.copy())
     return z
 
-
-def spd_probe(p, rng, trials=20, exact=False):
-    """Largest symmetry defect and smallest positivity of apply_inv on random
-    probe pairs; used by the test suite."""
-    inv = p.apply_inv_exact if exact else p.apply_inv
-    worst_sym = 0.0
-    worst_pos = np.inf
-    for _ in range(trials):
-        u = rng.normal(p.dim)
-        w = rng.normal(p.dim)
-        iu = inv(u)
-        iw = inv(w)
-        scale = np.linalg.norm(u) * np.linalg.norm(iw) + np.linalg.norm(w) * np.linalg.norm(iu)
-        worst_sym = max(worst_sym, abs(float(iu @ w) - float(u @ iw)) / scale)
-        worst_pos = min(worst_pos, float(u @ iu) / float(u @ u))
-    return worst_sym, worst_pos

@@ -279,7 +279,7 @@ def mesh_hierarchy(H, h, overlap_ratio):
     )
 
 
-def laplace_fem(h, fwd_tol=1e-10):
+def laplace_fem(h):
     """Generalized Laplace eigenvalue problem (stiffness, mass) in reduced form."""
     k, m = fem_p1(h)
     problem = generalized_reduce(k, m)

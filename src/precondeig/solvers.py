@@ -136,14 +136,13 @@ def step_constant(ctx, c):
     return c / (ctx.kappa**2 * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
 
 
-def _b_norm_sq(precond, problem, u):
-    """Measurement-grade u^T B u (exact variant; nested PCG for implicit B)."""
-    if precond.fwd_mode == "exact":
-        bu = precond.apply_fwd_exact(u)
+def _b_norm_sq(exact, problem, u):
+    """Measurement-grade u^T B u from the binary64 twin `exact` of B (nested
+    PCG for implicit B)."""
+    if exact.fwd_mode == "exact":
+        bu = exact.apply_fwd(u)
     else:
-        bu = apply_fwd_iterative(
-            precond, u, apply_a=problem.apply_a, tol=precond.fwd_tol or 1e-10
-        )
+        bu = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
     return float(u @ bu)
 
 
@@ -156,7 +155,6 @@ def rsd_solve(
     maxit=1000,
     ctx=None,
     stagnation_window=30,
-    renorm_every=None,
     callback=None,
 ):
     """Steepest-descent variant in u-space.
@@ -166,17 +164,18 @@ def rsd_solve(
     no new best (by 10%), over `stagnation_window` consecutive steps (None
     disables).  policy "theory" and the trace fields distB/xi need a
     RateContext.  `callback(t, state)` is invoked for every visited iterate,
-    the terminal one included.
+    the terminal one included.  ||u||_B is recomputed every step for exact
+    forward applies and every 25 steps for iterative ones.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
         raise ZeroGradientAtNonEigenvector("u0 is zero")
     if policy.kind in ("theory",) and ctx is None:
         raise OutsideBasin("theory policy needs a RateContext")
-    if renorm_every is None:
-        renorm_every = 1 if precond.fwd_mode == "exact" else 25
+    renorm_every = 1 if precond.fwd_mode == "exact" else 25
+    exact = precond.exact()
 
-    u = u0 / math.sqrt(_b_norm_sq(precond, problem, u0))
+    u = u0 / math.sqrt(_b_norm_sq(exact, problem, u0))
     trace = Trace()
     in_basin = True
     stagnant = 0
@@ -272,8 +271,8 @@ def rsd_solve(
         u_new = state.u - eta_star * state.b_inv_r
         bsq = 1.0 + eta_star**2 * state.r_binv_r  # exact: u^T r = 0
         u = u_new / math.sqrt(bsq)
-        if renorm_every and (t + 1) % renorm_every == 0:
-            u = u / math.sqrt(_b_norm_sq(precond, problem, u))
+        if (t + 1) % renorm_every == 0:
+            u = u / math.sqrt(_b_norm_sq(exact, problem, u))
 
     return SolveResult(u=state.u, lam=state.lam, iterations=iterations, reason=reason, trace=trace)
 
@@ -291,6 +290,7 @@ def pinvit_classic_solve(problem, precond, u0, tol=1e-8, maxit=1000, ctx=None):
     u = u / np.linalg.norm(u)
     trace = Trace()
     can_dist = ctx is not None and precond.fwd_mode == "exact"
+    exact = precond.exact()
     reason = "MaxIters"
     iterations = maxit
     lam = None
@@ -301,7 +301,7 @@ def pinvit_classic_solve(problem, precond, u0, tol=1e-8, maxit=1000, ctx=None):
         res_rel = np.linalg.norm(r) / lam
         dist_b = NAN
         if can_dist:
-            bn = math.sqrt(float(u @ precond.apply_fwd_exact(u)))
+            bn = math.sqrt(float(u @ exact.apply_fwd(u)))
             dist_b = math.acos(ctx.cos_dist_b(u, bn))
         if trace.rows and np.isfinite(dist_b) and np.isfinite(trace.rows[-1]["distB"]):
             prev = trace.rows[-1]["distB"]

@@ -106,11 +106,11 @@ def test_criterion_2_property_suite():
     for seed in range(20):
         for n in (6, 12, 20):
             a, b_rand = random_spd_pair(seed, n)
-            mp = pe.make_mp_cholesky(a)
+            l64 = pe.make_mp_cholesky(a).exact().factor.l
             for kind, b in (
                 ("identity", np.eye(n)),
                 ("random", b_rand),
-                ("mp-chol", mp._l64 @ mp._l64.T),
+                ("mp-chol", l64 @ l64.T),
             ):
                 rep = pe.validate_properties(
                     a, b, n_samples=500, seed=pe.linalg.spawn_seed(seed, n),
@@ -216,8 +216,8 @@ def test_criterion_5_cos_phi_cross_check():
     for seed in range(20):
         for n in (6, 12, 20):
             a, b_rand = random_spd_pair(seed, n)
-            mp = pe.make_mp_cholesky(a)
-            for b in (np.eye(n), b_rand, mp._l64 @ mp._l64.T):
+            l64 = pe.make_mp_cholesky(a).exact().factor.l
+            for b in (np.eye(n), b_rand, l64 @ l64.T):
                 problem = dense_problem(a)
                 ctx = pe.build_rate_context(problem, pe.make_spd(b))
                 var = pe.cos_phi_variational(

@@ -77,7 +77,7 @@ COS_PHI_SEED13_MP = 3.18504419e-8
 
 def seed13_mp_chol_pair():
     a, _ = random_spd_pair(13, 6)
-    l64 = pe.make_mp_cholesky(a)._l64
+    l64 = pe.make_mp_cholesky(a).exact().factor.l
     return a, l64 @ l64.T
 
 
@@ -152,13 +152,14 @@ def test_kappa_identity_diag():
 
 
 def test_kappa_dense_and_lanczos_routes_agree():
+    # mp-chol: both routes must measure B = Lhat Lhat^T, not its binary32 applies
     a, b = random_spd_pair(36, 40)
     problem = dense_problem(a)
-    p = pe.make_spd(b)
-    dense = pe.kappa_nu(problem, p, dense_cap=200)
-    lanczos = pe.kappa_nu(problem, p, dense_cap=0, tol=1e-12)
-    assert abs(dense[0] - lanczos[0]) <= 1e-8 * dense[0]
-    assert abs(dense[1] - lanczos[1]) <= 1e-8 * dense[1]
+    for p in (pe.make_spd(b), pe.make_mp_cholesky(a)):
+        dense = pe.kappa_nu(problem, p, dense_cap=200)
+        lanczos = pe.kappa_nu(problem, p, dense_cap=0, tol=1e-12)
+        assert abs(dense[0] - lanczos[0]) <= 1e-8 * dense[0], p.label
+        assert abs(dense[1] - lanczos[1]) <= 1e-8 * dense[1], p.label
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import precondeig as pe
 from precondeig.errors import InvalidMeshWidth, NotSpdInLowPrecision
-from precondeig.precond import OperatorPreconditioner, spd_probe
+from precondeig.precond import FWD_TOL, OperatorPreconditioner
 from tests.conftest import dense_problem, dense_roots
 
 
@@ -15,12 +18,12 @@ def random_spd(seed, n, shift=1.0):
     return (a + a.T) / 2.0
 
 
-def fem_ddm(h, big_h, ratio=0.5, fwd_tol=1e-10):
+def fem_ddm(h, big_h, ratio=0.5):
     hier = pe.mesh_hierarchy(big_h, h, ratio)
     k, m = pe.fem_p1(h)
     prob = pe.generalized_reduce(k, m)
     a_coarse = (hier.prolongation.T @ k @ hier.prolongation).tocsc()
-    ddm = pe.make_ddm(hier, k, a_coarse, fwd_tol=fwd_tol)
+    ddm = pe.make_ddm(hier, k, a_coarse)
     return prob, ddm, prob.wrap_precond(ddm)
 
 
@@ -40,6 +43,22 @@ def all_preconditioners():
     return out
 
 
+def spd_probe(p, rng, trials=20):
+    """Largest symmetry defect and smallest positivity of p.apply_inv on
+    random probe pairs."""
+    worst_sym = 0.0
+    worst_pos = np.inf
+    for _ in range(trials):
+        u = rng.normal(p.dim)
+        w = rng.normal(p.dim)
+        iu = p.apply_inv(u)
+        iw = p.apply_inv(w)
+        scale = np.linalg.norm(u) * np.linalg.norm(iw) + np.linalg.norm(w) * np.linalg.norm(iu)
+        worst_sym = max(worst_sym, abs(float(iu @ w) - float(u @ iw)) / scale)
+        worst_pos = min(worst_pos, float(u @ iu) / float(u @ u))
+    return worst_sym, worst_pos
+
+
 # ---------------------------------------------------------------------------
 # interface invariants
 # ---------------------------------------------------------------------------
@@ -47,8 +66,8 @@ def all_preconditioners():
 
 @pytest.mark.parametrize("name,p,_", all_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
 def test_spd_probe(name, p, _):
-    # the operator itself (exact arithmetic path) is SPD to 1e-8
-    sym, pos = spd_probe(p, pe.Rng(77), trials=20, exact=True)
+    # the operator itself (its binary64 twin) is SPD to 1e-8
+    sym, pos = spd_probe(p.exact(), pe.Rng(77), trials=20)
     assert sym <= 1e-8
     assert pos > 0.0
     # the production path may add binary32 substitution noise, nothing more
@@ -65,8 +84,30 @@ def test_forward_inverse_consistency(name, p, _):
     if name == "mp-chol" or name == "scaled":
         tol = 1e-4  # binary32 substitutions round at 2^-24
     if p.fwd_mode == "iterative":
-        tol = max(tol, 10 * p.fwd_tol)
+        tol = max(tol, 10 * FWD_TOL)
     assert np.linalg.norm(w - v) <= tol * np.linalg.norm(v)
+
+
+def test_dropped_preconditioners_are_freed_without_the_cycle_collector():
+    # a reference cycle (say, a preconditioner holding itself as its twin)
+    # keeps a dropped set-up alive until the cyclic collector runs
+    gc.disable()
+    try:
+        refs = [weakref.ref(q) for _, p, _ in all_preconditioners() for q in (p, p.exact())]
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name,p,_", all_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
+def test_exact_twin_contract(name, p, _):
+    twin = p.exact()
+    assert twin.exact() is twin
+    # only a binary32 factor needs a separate binary64 twin
+    assert (twin is p) == (name not in ("mp-chol", "scaled"))
+    assert (twin.dim, twin.label, twin.fwd_mode) == (p.dim, p.label, p.fwd_mode)
+    v = pe.Rng(9).normal(p.dim)
+    assert np.linalg.norm(twin.apply_inv(v) - p.apply_inv(v)) <= 1e-4 * np.linalg.norm(p.apply_inv(v))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +168,7 @@ def test_mp_chol_identity_exact():
     # general binary64 input only rounds once, at the input conversion
     w = pe.Rng(3).normal(6)
     assert np.linalg.norm(p.apply_inv(w) - w) <= 2.0**-24 * np.linalg.norm(w)
-    assert np.array_equal(p.apply_inv_exact(w), w)
+    assert np.array_equal(p.exact().apply_inv(w), w)
 
 
 def test_mp_chol_kappa_bound_from_dense_error_chain():
@@ -136,11 +177,24 @@ def test_mp_chol_kappa_bound_from_dense_error_chain():
     prob = dense_problem(a)
     p = pe.make_mp_cholesky(a)
     sqrt_a, _, _ = dense_roots(a)
-    binv = np.column_stack([p.apply_inv_exact(e) for e in np.eye(64)])
+    binv = np.column_stack([p.exact().apply_inv(e) for e in np.eye(64)])
     eps = np.linalg.norm(np.eye(64) - sqrt_a @ binv @ sqrt_a, 2)
     assert eps < 1.0
     _, _, kappa = pe.kappa_nu(prob, p)
     assert kappa <= (1.0 + eps) / (1.0 - eps) + 1e-12
+
+
+def test_mp_chol_twin_applies_the_binary32_factor_in_binary64():
+    a = random_spd(21, 12, shift=4.0)
+    p = pe.make_mp_cholesky(a)
+    twin = p.exact()
+    assert p.factor.precision == "binary32" and twin.factor.precision == "binary64"
+    l64 = twin.factor.l
+    assert np.array_equal(l64, p.factor.l.astype(np.float64))
+    v = pe.Rng(10).normal(12)
+    y = scipy.linalg.solve_triangular(l64, v, lower=True)
+    assert np.array_equal(twin.apply_inv(v), scipy.linalg.solve_triangular(l64.T, y, lower=False))
+    assert np.array_equal(twin.apply_fwd(v), l64 @ (l64.T @ v))
 
 
 def test_mp_chol_rejects_indefinite():
@@ -292,3 +346,15 @@ def test_hatted_wrapper_matches_dense_formula():
     v = pe.Rng(7).normal(prob.dim)
     expected = r.mult(np.linalg.solve(b, r.mult_t(v)))
     assert np.linalg.norm(wrapped.apply_inv(v) - expected) <= 1e-11 * np.linalg.norm(expected)
+
+
+def test_hatted_wrapper_lifts_the_twin():
+    k, m = pe.fem_p1(1.0 / 8.0)
+    prob = pe.generalized_reduce(k, m)
+    mp = pe.make_mp_cholesky(random_spd(22, prob.dim, shift=4.0))
+    twin = prob.wrap_precond(mp).exact()
+    assert twin.inner is mp.exact()
+    assert twin.exact() is twin
+    r = prob.r_factor
+    v = pe.Rng(8).normal(prob.dim)
+    assert np.array_equal(twin.apply_inv(v), r.mult(mp.exact().apply_inv(r.mult_t(v))))
