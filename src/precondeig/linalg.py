@@ -473,69 +473,47 @@ def make_solver(a):
 class SymFactor:
     """R^T R factorization of an SPD matrix with products and solves for R.
 
-    Dense inputs use the binary64 Cholesky above (R = L^T); banded sparse
-    inputs (e.g. lexicographically ordered FEM mass matrices) use LAPACK's
-    banded Cholesky, keeping memory at O(n * bandwidth).
+    R is kept once, as its upper band in LAPACK layout
+    (``rab[bw + i - j, j] = R[i, j]``), so memory is O(n * bw); a dense input
+    is a band of full width.  The factor comes from LAPACK's banded Cholesky
+    on the upper triangle of the input; each product is one BLAS ``tbmv``
+    and each solve one LAPACK ``tbtrs`` on that band.  Lexicographically
+    ordered FEM mass matrices give bw ~ sqrt(n).
     """
 
     def __init__(self, m):
-        if scipy.sparse.issparse(m):
-            coo = m.tocoo()
-            bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-            n = m.shape[0]
-            ab = np.zeros((bw + 1, n))
-            csr = m.tocsr()
-            for i in range(n):
-                for idx in range(csr.indptr[i], csr.indptr[i + 1]):
-                    j = csr.indices[idx]
-                    if j >= i:
-                        ab[bw + i - j, j] = csr.data[idx]
-            try:
-                rab = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise NotSpd(-1, f"banded cholesky failed: {exc}") from exc
-            self.n, self.bw, self.rab = n, bw, rab
-            rows, cols, vals = [], [], []
-            for k in range(bw + 1):
-                j = np.arange(k, n)
-                rows.append(j - k)
-                cols.append(j)
-                vals.append(rab[bw - k, j])
-            self._r = scipy.sparse.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-            )
-            # R^T is lower banded: lab[i - j, j] = R[j, i]
-            lab = np.zeros((bw + 1, n))
-            for k in range(bw + 1):
-                lab[k, : n - k] = rab[bw - k, k:]
-            self._lab = lab
-            self._dense = None
-        else:
-            f = cholesky(m, "binary64")
-            self.n, self.bw = f.n, f.n - 1
-            self._dense = f.l.T.copy()  # R upper
-            self._r = None
+        coo = scipy.sparse.coo_matrix(m if scipy.sparse.issparse(m) else as_dense_sym(m))
+        upper = coo.col >= coo.row
+        row, col = coo.row[upper], coo.col[upper]
+        n = coo.shape[0]
+        bw = int(np.max(col - row)) if row.size else 0
+        ab = np.zeros((bw + 1, n))
+        ab[bw + row - col, col] = coo.data[upper]
+        try:
+            rab = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSpd(-1, f"banded cholesky failed: {exc}") from exc
+        self.n, self.bw, self.rab = n, bw, rab
 
     def mult(self, v):
         """R v"""
-        if self._dense is not None:
-            return self._dense @ v
-        return self._r @ v
+        return scipy.linalg.blas.dtbmv(self.bw, self.rab, v)
 
     def mult_t(self, v):
         """R^T v"""
-        if self._dense is not None:
-            return self._dense.T @ v
-        return self._r.T @ v
+        return scipy.linalg.blas.dtbmv(self.bw, self.rab, v, trans=1)
 
     def solve(self, v):
         """R x = v"""
-        if self._dense is not None:
-            return scipy.linalg.solve_triangular(self._dense, v, lower=False, check_finite=False)
-        return scipy.linalg.solve_banded((0, self.bw), self.rab, v, check_finite=False)
+        return self._tbtrs(v, "N")
 
     def solve_t(self, v):
         """R^T x = v"""
-        if self._dense is not None:
-            return scipy.linalg.solve_triangular(self._dense.T, v, lower=True, check_finite=False)
-        return scipy.linalg.solve_banded((self.bw, 0), self._lab, v, check_finite=False)
+        return self._tbtrs(v, "T")
+
+    def _tbtrs(self, v, trans):
+        b = np.asarray(v, dtype=np.float64)[:, None]
+        x, info = scipy.linalg.lapack.dtbtrs(self.rab, b, trans=trans)
+        if info != 0:
+            raise NotSpd(-1, f"banded triangular solve failed: tbtrs info {info}")
+        return x[:, 0]

@@ -369,6 +369,8 @@ def generalized_reduce(a, m):
     The reduced operator is R^{-T} A R^{-1}; its eigenvalues are the pencil
     eigenvalues and eigenvectors map as w = R u.  Preconditioners for A are
     lifted with wrap_precond so that Bhat^{-1} v = R (B^{-1} (R^T v)).
+    Every apply goes through the banded products and solves of SymFactor;
+    raises NotSpd when M is not SPD or its size differs from A's.
     """
     n = a.shape[0]
     if m.shape[0] != n:

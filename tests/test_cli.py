@@ -90,6 +90,25 @@ def test_solve_step_cap_violated():
     assert code == 1
 
 
+@pytest.mark.parametrize("h, seed", [("2^-4", 1), ("2^-4", 2), ("2^-5", 2)])
+def test_solve_fem_ddm_converges_without_stagnating(tmp_path, h, seed):
+    # lambda is flat to 1e-15 long before the zig-zagging residual reaches
+    # tol; a guard that wants a new best residual on every step ended these
+    # converging runs as StagnatedStep (exit 2)
+    result = tmp_path / "result.json"
+    code = main(
+        [
+            "solve",
+            "--problem", f"laplace-fem:h={h}",
+            "--precond", "ddm:H=2^-2",
+            "--seed", str(seed),
+            "--result", str(result),
+        ]
+    )
+    assert code == 0
+    assert json.loads(result.read_text())["reason"] == "ResidualTol"
+
+
 def test_solve_mtx_roundtrip(tmp_path):
     prob = pe.laplace_fd(1.0 / 8.0)
     path = tmp_path / "fd.mtx"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 import precondeig as pe
 from precondeig.errors import (
@@ -312,20 +314,41 @@ def test_jacobi_orthonormality_n100():
 
 
 # ---------------------------------------------------------------------------
-# SymFactor (R^T R with banded sparse path)
+# SymFactor (R^T R on one LAPACK band)
 # ---------------------------------------------------------------------------
+
+
+def check_symfactor_against_oracle(m):
+    """Products and solves of SymFactor(m) against R = L^T from the binary64
+    Cholesky and scipy's dense triangular solves; R^T R reconstructs m."""
+    dense = m.toarray() if scipy.sparse.issparse(m) else m
+    f = SymFactor(m)
+    r = pe.cholesky(dense).l.T
+    v = pe.gaussian_vector(pe.Rng(6), dense.shape[0])
+    expected = {
+        "mult": r @ v,
+        "mult_t": r.T @ v,
+        "solve": scipy.linalg.solve_triangular(r, v, lower=False),
+        "solve_t": scipy.linalg.solve_triangular(r, v, trans="T", lower=False),
+    }
+    for op, want in expected.items():
+        got = getattr(f, op)(v)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want), op
+    recon = np.column_stack([f.mult_t(f.mult(e)) for e in np.eye(dense.shape[0])])
+    assert np.linalg.norm(recon - dense) <= 1e-12 * np.linalg.norm(dense)
+    return f
 
 
 def test_symfactor_banded_matches_dense():
     _, mass = pe.fem_p1(1.0 / 8.0)
-    fb = SymFactor(mass)
-    fd = SymFactor(mass.toarray())
-    v = pe.gaussian_vector(pe.Rng(6), mass.shape[0])
-    for op in ("mult", "mult_t", "solve", "solve_t"):
-        xb = getattr(fb, op)(v)
-        xd = getattr(fd, op)(v)
-        assert np.linalg.norm(xb - xd) <= 1e-11 * np.linalg.norm(xd)
-    # R^T R reconstructs the matrix
-    n = mass.shape[0]
-    recon = np.column_stack([fb.mult_t(fb.mult(e)) for e in np.eye(n)])
-    assert np.linalg.norm(recon - mass.toarray()) <= 1e-12 * np.linalg.norm(mass.toarray())
+    f = check_symfactor_against_oracle(mass)
+    assert f.bw == 8 and f.rab.shape == (9, 49)
+
+
+@pytest.mark.parametrize(
+    "m, bw",
+    [(random_spd(21, 12), 11), (np.diag(np.arange(1.0, 8.0)), 0)],
+    ids=["dense-full-band", "diagonal"],
+)
+def test_symfactor_full_and_zero_bandwidth(m, bw):
+    assert check_symfactor_against_oracle(m).bw == bw

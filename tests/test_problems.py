@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import precondeig as pe
 from precondeig.errors import (
@@ -241,6 +242,13 @@ def test_reduce_fem_matches_dense_pencil_oracle():
 def test_reduce_rejects_mismatched_sizes():
     with pytest.raises(NotSpd):
         pe.generalized_reduce(np.eye(3), np.eye(4))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_reduce_rejects_indefinite_mass(sparse):
+    m = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalues -1, 1, 3
+    with pytest.raises(NotSpd):
+        pe.generalized_reduce(np.eye(3), scipy.sparse.csr_matrix(m) if sparse else m)
 
 
 def test_hatted_distortion_matches_msqrt_oracle():
