@@ -245,36 +245,89 @@ def pcg(apply_a, apply_m_inv, rhs, tol=1e-10, maxit=None, x0=None, callback=None
 
 
 # ---------------------------------------------------------------------------
-# Lanczos with a caller-supplied inner product
+# Lanczos with full reorthogonalization on a block-stored basis
 # ---------------------------------------------------------------------------
 
-
-def _euclidean(u, v):
-    return float(u @ v)
+_BLOCK = 64  # basis vectors per block
 
 
-def _lanczos_tridiag(apply_t, inner, dim, tol, maxit, start, watch, inner_map=None):
+class _BlockBasis:
+    """Vectors of length n stored as the rows of fixed (_BLOCK, n) blocks.
+
+    A block is allocated when the previous one is full, so memory follows the
+    number of steps taken rather than the step budget, and every product with
+    the basis is one BLAS-2 call per block.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.blocks = []
+        self.count = 0
+
+    def append(self, v):
+        row = self.count % _BLOCK
+        if row == 0:
+            self.blocks.append(np.empty((_BLOCK, self.n)))
+        self.blocks[-1][row] = v
+        self.count += 1
+
+    def __getitem__(self, i):
+        i %= self.count
+        return self.blocks[i // _BLOCK][i % _BLOCK]
+
+    def filled(self):
+        """The filled rows of each block, as views."""
+        return [b[: min(_BLOCK, self.count - i * _BLOCK)] for i, b in enumerate(self.blocks)]
+
+    def combine(self, coeffs):
+        """sum_i coeffs[i, :] q_i over the first len(coeffs) vectors, as columns."""
+        out = 0.0
+        for i, b in enumerate(self.blocks):
+            c = coeffs[i * _BLOCK : (i + 1) * _BLOCK]
+            if len(c):
+                out = out + c.T @ b[: len(c)]
+        return out.T
+
+
+def _ritz(d, e, j, vector):
+    """j-th smallest eigenvalue of the tridiagonal (d, e) and, if `vector`,
+    the last component of its unit eigenvector: bisection plus inverse
+    iteration for this one pair, O(len(d))."""
+    out = scipy.linalg.eigh_tridiagonal(
+        d, e, eigvals_only=not vector, select="i", select_range=(j, j), check_finite=False
+    )
+    if not vector:
+        return out[0], None
+    theta, s = out
+    return theta[0], s[-1, 0]
+
+
+def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
     """Shared Lanczos loop with full reorthogonalization.
 
-    `watch` lists indices into the ascending Ritz values (negative allowed)
-    that must pass the residual-plus-stabilization test before the loop
-    stops.  When the inner product is u^T C v, passing C as `inner_map`
-    caches C q_i alongside the basis so reorthogonalization costs dots, not
-    operator applications.  Returns (alphas, betas, basis, converged).
+    The inner product is u^T C v with C = inner_map (Euclidean when None).
+    The basis, and C applied to it when C is given, are kept in blocks of
+    _BLOCK rows (_BlockBasis), so each of the two reorthogonalization passes
+    is classical Gram-Schmidt (CGS2): one BLAS-2 product per block for all
+    coefficients, then one per block to subtract them.  `watch` lists
+    indices into the ascending Ritz values (negative allowed) that must pass
+    the residual-plus-stabilization test before the loop stops; each step
+    computes only the Ritz pairs that test needs (both ends for the scale,
+    the watched ones with the last component of their eigenvector).
+    Returns (alphas, betas, basis, converged).
     """
-    q = np.asarray(start, dtype=np.float64).copy()
-    if inner_map is not None:
-        inner = None
-        cq = inner_map(q)
-        qq = float(q @ cq)
-    else:
-        qq = inner(q, q)
+    q = np.asarray(start, dtype=np.float64)
+    cq = inner_map(q) if inner_map is not None else q
+    qq = float(q @ cq)
     if qq <= 0.0:
         raise InnerProductNotPositive("inner(q0, q0) <= 0")
     nrm = np.sqrt(qq)
-    q = q / nrm
-    basis = [q]
-    mapped = [cq / nrm] if inner_map is not None else basis
+    basis = _BlockBasis(len(q))
+    basis.append(q / nrm)
+    mapped = basis
+    if inner_map is not None:
+        mapped = _BlockBasis(len(q))
+        mapped.append(cq / nrm)
     alphas, betas = [], []
     prev = None
     converged = False
@@ -282,33 +335,29 @@ def _lanczos_tridiag(apply_t, inner, dim, tol, maxit, start, watch, inner_map=No
     span = max(abs(i) for i in watch) + 1
     for k in range(steps):
         w = apply_t(basis[-1])
-        alpha = float(mapped[-1] @ w) if inner_map is not None else inner(basis[-1], w)
+        alpha = float(mapped[-1] @ w)
         alphas.append(alpha)
         w = w - alpha * basis[-1]
         if k > 0:
-            w = w - betas[-1] * basis[-2]
-        for _ in range(2):  # full reorthogonalization, two passes
-            for qi, ci in zip(basis, mapped):
-                coeff = float(ci @ w) if inner_map is not None else inner(qi, w)
-                w = w - coeff * qi
-        if inner_map is not None:
-            cw = inner_map(w)
-            ww = float(w @ cw)
-        else:
-            ww = inner(w, w)
+            w -= betas[-1] * basis[-2]
+        for _ in range(2):  # full reorthogonalization, two CGS passes
+            coeffs = [c @ w for c in mapped.filled()]
+            for b, c in zip(basis.filled(), coeffs):
+                w -= c @ b
+        cw = inner_map(w) if inner_map is not None else w
+        ww = float(w @ cw)
         if ww < 0.0:
             raise InnerProductNotPositive("inner(w, w) < 0 during Lanczos")
         beta = np.sqrt(ww)
-        if len(alphas) >= 2:
-            theta, svecs = scipy.linalg.eigh_tridiagonal(
-                np.array(alphas), np.array(betas), check_finite=False
-            )
-        else:
-            theta, svecs = np.array([alphas[0]]), np.array([[1.0]])
-        scale = max(abs(theta[0]), abs(theta[-1]))
-        if len(theta) >= span:
-            res_ok = all(beta * abs(svecs[-1, i]) <= tol * scale for i in watch)
-            vals = tuple(theta[i] for i in watch)
+        m = len(alphas)
+        if m >= span:
+            need = {0: False, m - 1: False}
+            need.update((i % m, True) for i in watch)
+            d, e = np.array(alphas), np.array(betas)
+            ritz = {j: _ritz(d, e, j, vec) for j, vec in need.items()}
+            scale = max(abs(ritz[0][0]), abs(ritz[m - 1][0]))
+            res_ok = all(beta * abs(ritz[i % m][1]) <= tol * scale for i in watch)
+            vals = tuple(ritz[i % m][0] for i in watch)
             stable = prev is not None and all(
                 abs(v - p) <= tol * scale for v, p in zip(vals, prev)
             )
@@ -329,24 +378,19 @@ def _lanczos_tridiag(apply_t, inner, dim, tol, maxit, start, watch, inner_map=No
     return alphas, betas, basis, converged
 
 
-def lanczos_extremal(
-    apply_t, inner=None, dim=None, tol=1e-10, maxit=None, start=None, rng=None, inner_map=None
-):
-    """Extremal eigenvalues of an operator self-adjoint w.r.t. `inner`.
+def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, start=None, rng=None, inner_map=None):
+    """Extremal eigenvalues of an operator self-adjoint w.r.t. u^T C v.
 
-    Full reorthogonalization against the stored basis; convergence is judged
-    by the Ritz residual bound beta*|s_k| plus value stabilization.  For an
-    inner product u^T C v, pass C as inner_map to get the cached fast path.
+    C is `inner_map` (the Euclidean inner product when None).  Full
+    reorthogonalization against the stored basis; convergence is judged by
+    the Ritz residual bound beta*|s_k| plus value stabilization.
     """
-    if dim is None:
-        raise DimensionMismatch("dim is required")
-    inner = inner or _euclidean
     if maxit is None:
         maxit = min(dim, max(60, dim // 2 + 40))
     if start is None:
         start = (rng or Rng(2024)).normal(dim)
     alphas, betas, _, converged = _lanczos_tridiag(
-        apply_t, inner, dim, tol, maxit, start, (0, -1), inner_map=inner_map
+        apply_t, dim, tol, maxit, start, (0, -1), inner_map=inner_map
     )
     if len(alphas) >= 2:
         theta = scipy.linalg.eigh_tridiagonal(
@@ -366,17 +410,16 @@ def lanczos_extremal(
 def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, start=None, rng=None):
     """Largest-k Ritz pairs of a Euclidean-self-adjoint operator.
 
-    Used by the reference eigensolver on A^{-1}, where the top of the spectrum
-    is well separated.  Returns (values descending, vectors as columns).
+    Used by the reference eigensolver on A^{-1}, where the top of the
+    spectrum is well separated, and on A for lambda_n alone.  Returns
+    (values descending, vectors as columns).
     """
     if maxit is None:
         maxit = min(dim, max(80, dim // 2 + 60))
     if start is None:
         start = (rng or Rng(2024)).normal(dim)
     watch = tuple(-(i + 1) for i in range(min(k, dim)))
-    alphas, betas, basis, converged = _lanczos_tridiag(
-        apply_t, _euclidean, dim, tol, maxit, start, watch
-    )
+    alphas, betas, basis, converged = _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch)
     if len(alphas) >= 2:
         theta, svecs = scipy.linalg.eigh_tridiagonal(
             np.array(alphas), np.array(betas)[: len(alphas) - 1], check_finite=False
@@ -389,10 +432,9 @@ def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, start=None, rng=
             best=float(theta[-1]),
             iterations=maxit,
         )
-    q = np.column_stack(basis[: len(alphas)])
     order = np.argsort(theta)[::-1][: min(k, len(theta))]
     vals = theta[order]
-    vecs = q @ svecs[:, order]
+    vecs = basis.combine(svecs[:, order])
     vecs /= np.linalg.norm(vecs, axis=0)
     return vals, vecs
 

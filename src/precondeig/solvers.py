@@ -76,7 +76,8 @@ class StepPolicy:
 
 
 class Trace:
-    """Per-iteration records plus out-of-band events (e.g. BasinExit)."""
+    """Per-iteration records plus out-of-band events: (t, name), or
+    (t, name, values) for an event that carries values (StagnatedStep)."""
 
     def __init__(self):
         self.rows = []
@@ -87,8 +88,8 @@ class Trace:
         row = {k: kw.get("lam" if k == "lambda" else k, NAN) for k in TRACE_COLUMNS}
         self.rows.append(row)
 
-    def event(self, t, name):
-        self.events.append((t, name))
+    def event(self, t, name, **values):
+        self.events.append((t, name, values) if values else (t, name))
 
     def write_csv(self, fh):
         fh.write(",".join(TRACE_COLUMNS) + "\n")
@@ -166,7 +167,9 @@ def rsd_solve(
     window is not below 0.9 times the best one before it (None disables).
     lambda flattens long before the residual reaches tol (its error scales
     as the residual squared), and the residual zig-zags at about 0.9 per
-    step, so the window's best, not each step, has to beat the past.
+    step, so the window's best, not each step, has to beat the past.  That
+    exit records its trigger values (flat_steps, window_best, best_before)
+    as a StagnatedStep event in the trace.
     policy "theory" and the trace fields distB/xi need a RateContext.
     `callback(t, state)` is invoked for every visited iterate, the terminal
     one included.  ||u||_B is recomputed every step for exact forward
@@ -216,6 +219,9 @@ def rsd_solve(
             window.append(res_rel)
             if flat >= stagnation_window and min(window) >= 0.9 * best_before:
                 trace.append(t=t, lam=state.lam, f=state.f, resnorm=np.linalg.norm(state.r), distB=dist_b)
+                trace.event(
+                    t, "StagnatedStep", flat_steps=flat, window_best=min(window), best_before=best_before
+                )
                 reason, iterations = "StagnatedStep", t
                 break
         if t == maxit:

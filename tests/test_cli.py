@@ -109,6 +109,28 @@ def test_solve_fem_ddm_converges_without_stagnating(tmp_path, h, seed):
     assert json.loads(result.read_text())["reason"] == "ResidualTol"
 
 
+def test_solve_stagnation_trigger_in_json(tmp_path):
+    result = tmp_path / "result.json"
+    code = main(
+        [
+            "solve",
+            "--problem", "laplace-fd:h=2^-3",
+            "--precond", "ddm:H=2^-1,overlap=0.5",
+            "--tol", "0",
+            "--seed", "1",
+            "--result", str(result),
+        ]
+    )
+    assert code == 2
+    payload = json.loads(result.read_text())
+    assert payload["reason"] == "StagnatedStep"
+    t, name, trigger = payload["events"][-1]
+    assert (t, name) == (payload["iterations"], "StagnatedStep")
+    assert trigger["flat_steps"] >= 30
+    assert trigger["window_best"] >= 0.9 * trigger["best_before"]
+    assert all(len(e) == 2 for e in payload["events"][:-1])  # [t, "BasinExit"]
+
+
 def test_solve_mtx_roundtrip(tmp_path):
     prob = pe.laplace_fd(1.0 / 8.0)
     path = tmp_path / "fd.mtx"

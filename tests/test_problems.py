@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import precondeig as pe
+from precondeig.cli import build_problem
 from precondeig.errors import (
     DegenerateSmallestEigenvalue,
     InvalidMeshWidth,
@@ -310,6 +312,17 @@ def test_reference_kernel_matches_jacobi():
     assert abs(ref.lam1 - w[0]) <= 1e-10 * abs(w[0])
     assert abs(ref.lam2 - w[1]) <= 1e-9 * abs(w[1])
     assert abs(ref.lamn - w[-1]) <= 1e-9 * abs(w[-1])
+
+
+def test_reference_fem_matches_scipy_pencil():
+    # lambdan comes from a Lanczos that watches only the top Ritz pair
+    prob = build_problem("laplace-fem:h=2^-4")
+    k, m = prob.meta["stiffness"], prob.meta["mass"]
+    w = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)
+    ref = pe.reference_eigs(prob)
+    assert abs(ref.lam1 - w[0]) <= 1e-10 * w[0]
+    assert abs(ref.lam2 - w[1]) <= 1e-10 * w[1]
+    assert abs(ref.lamn - w[-1]) <= 1e-10 * w[-1]
 
 
 def test_reference_degenerate_smallest():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import precondeig as pe
-from precondeig.errors import InvalidC, OutsideBasin, StepCapViolated
+from precondeig import cli, precond, solvers
+from precondeig.errors import InvalidC, MaxIterations, OutsideBasin, StepCapViolated
 from precondeig.solvers import TRACE_COLUMNS, step_constant, step_theory
 from tests.conftest import dense_problem, dense_roots
 
@@ -76,6 +77,52 @@ def test_rsd_stagnation_guard():
     res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=0.0, maxit=100000, ctx=ctx)
     assert res.reason == "StagnatedStep"
     assert abs(res.lam - ctx.lam1) <= 1e-12 * ctx.lam1
+    t, name, trigger = res.trace.events[-1]
+    assert (t, name) == (res.iterations, "StagnatedStep")
+    assert trigger["flat_steps"] >= 30
+    assert trigger["window_best"] >= 0.9 * trigger["best_before"]
+
+
+def fail_nested_pcg_in_loop(monkeypatch):
+    """Make the nested PCG behind apply_fwd_iterative raise MaxIterations once
+    rsd_solve has visited an iterate, so only the periodic B-norm
+    renormalisation hits it.  Returns the list of visited steps."""
+    visited = []
+    real_make_state, real_pcg = solvers.make_state, precond.pcg
+
+    def make_state(*args, **kwargs):
+        visited.append(len(visited))
+        return real_make_state(*args, **kwargs)
+
+    def pcg(*args, **kwargs):
+        if visited:
+            raise MaxIterations("nested pcg budget exhausted", iterations=0)
+        return real_pcg(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "make_state", make_state)
+    monkeypatch.setattr(precond, "pcg", pcg)
+    return visited
+
+
+DDM_RECIPE = ("laplace-fd:h=2^-3", "ddm:H=2^-1,overlap=0.5")
+
+
+def test_rsd_renormalisation_max_iterations_is_typed(monkeypatch):
+    problem = cli.build_problem(DDM_RECIPE[0])
+    p = cli.build_precond(DDM_RECIPE[1], problem)
+    ctx = pe.build_rate_context(problem, p)
+    u0 = p.apply_inv(pe.Rng(1).normal(problem.dim))
+    visited = fail_nested_pcg_in_loop(monkeypatch)
+    with pytest.raises(MaxIterations):
+        pe.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
+    assert len(visited) == 25  # the first renormalisation, after step t=24
+
+
+def test_cli_solve_renormalisation_max_iterations_exits_2(monkeypatch):
+    visited = fail_nested_pcg_in_loop(monkeypatch)
+    code = cli.main(["solve", "--problem", DDM_RECIPE[0], "--precond", DDM_RECIPE[1], "--seed", "1"])
+    assert code == 2
+    assert len(visited) == 25
 
 
 # ---------------------------------------------------------------------------
