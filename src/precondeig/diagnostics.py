@@ -10,8 +10,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .errors import OutsideBasin, PropertyViolation, ZeroVector
+from .errors import NotSpd, OutsideBasin, PropertyViolation, ZeroVector
 from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
 from .linalg import Rng, dense_sym_eig, gaussian_vector, lanczos_extremal, spawn_seed
 from .precond import apply_fwd_iterative, epsilon_l
@@ -91,26 +92,26 @@ def theta_shao(u_star, apply_b):
 def kappa_nu(problem, precond, tol=1e-10, maxit=400, dense_cap=200, rng=None):
     """(nu_min, nu_max, kappa) of B^{-1} A, measured on the binary64 twin of B.
 
-    Dense route for small problems (Jacobi on A^{1/2} B^{-1} A^{1/2}),
-    Lanczos on B^{-1}A in the A-inner product above dense_cap.
+    Dense route up to dense_cap: B^{-1} from n column applies of the twin,
+    A = L L^T by LAPACK Cholesky, and the extreme eigenvalues of the
+    symmetric S = L^T B^{-1} L (similar to B^{-1} A) by LAPACK.  Above
+    dense_cap, Lanczos on B^{-1} A in the A-inner product, which hands
+    apply_t the A q it already holds, so each step applies A once.
     """
     n = problem.dim
     exact = precond.exact()
     if n <= dense_cap:
-        a = problem.dense()
-        wa, va = dense_sym_eig(a)
-        sqrt_a = (va * np.sqrt(np.maximum(wa, 0.0))) @ va.T
+        try:
+            l_a = scipy.linalg.cholesky(problem.dense(), lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSpd(-1, f"A is not positive definite: {exc}") from exc
         binv = np.column_stack([exact.apply_inv(e) for e in np.eye(n)])
-        s = sqrt_a @ binv @ sqrt_a
-        w, _ = dense_sym_eig((s + s.T) / 2.0)
+        s = l_a.T @ binv @ l_a
+        w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
-
-        def apply_t(v):
-            return exact.apply_inv(problem.apply_a(v))
-
         nu_min, nu_max = lanczos_extremal(
-            apply_t,
+            exact.apply_inv,
             dim=n,
             tol=tol,
             maxit=maxit,
@@ -523,34 +524,36 @@ class _DenseOracle:
         self.phi = math.atan2(self.sin_phi, self.cos_phi)
         self.f_star = -1.0 / self.lam1
 
-    def f(self, x):
-        return -float(x @ self.b_inv @ x) / float(x @ self.c @ x)
+    def f_grad(self, x):
+        """f, the Riemannian gradient and x^T C x for each row x of a block."""
+        cx = x @ self.c  # C is exactly symmetric
+        bx = x @ self.b_inv.T
+        xcx = np.einsum("ij,ij->i", x, cx)
+        f = -np.einsum("ij,ij->i", x, bx) / xcx
+        g = -2.0 * (bx + f[:, None] * cx) / xcx[:, None]
+        g -= np.einsum("ij,ij->i", x, g)[:, None] * x
+        return f, g, xcx
 
-    def grad(self, x):
-        xcx = float(x @ self.c @ x)
-        g = -2.0 * (self.b_inv @ x + self.f(x) * (self.c @ x)) / xcx
-        return g - float(x @ g) * x
-
-    def gamma(self, x):
+    def gamma(self, xcx):
         # sharp smoothness constant: factor 2, see gamma_x
-        return 2.0 * self.nu_max * (1.0 / self.lam1 - 1.0 / self.lamn) / float(x @ self.c @ x)
+        return 2.0 * self.nu_max * (1.0 / self.lam1 - 1.0 / self.lamn) / xcx
 
-    def mu(self, x):
+    def mu(self, xcx):
         return (
             8.0
             * self.nu_min
             * (1.0 / self.lam1 - 1.0 / self.lam2)
             * self.norm_u_b
-            / (math.pi**2 * math.sqrt(float(x @ self.c @ x)) * self.norm_u_a)
+            / (math.pi**2 * np.sqrt(xcx) * self.norm_u_a)
         )
 
-    def a_factor(self, x, dist, phi_sign=1.0):
+    def a_factor(self, xcx, dist, phi_sign=1.0):
         # phi_sign = -1 is the validator's planted-bug hook
         return (
             self.lam1
             * self.norm_u_binv**2
-            * (math.cos(dist) - phi_sign * self.cos_phi)
-            / (float(x @ self.c @ x) * self.norm_u**2)
+            * (np.cos(dist) - phi_sign * self.cos_phi)
+            / (xcx * self.norm_u**2)
         )
 
 
@@ -561,6 +564,14 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     (iv) weak-quasi-strong-convexity, (v) the basin projection bound,
     (vi) chi <= 1, (vii) per-step contraction along a short locally-stepped
     run.  Returns a PropertyReport carrying any counterexamples.
+
+    Sample k draws a direction x and then a direction xi from one stream;
+    all n_samples pairs are drawn as one block (Rng.normal_rows) and checks
+    (i)-(v) are evaluated on (n_samples, n) row blocks.  (i) and (ii) run at
+    every x; (iii)-(v) at the in-basin point exp_{x*}(0.999 (k + 1/2)/S phi xi),
+    skipped when xi is numerically parallel to x* or the point is not inside
+    the basin, and (iv) only where a(x) > 1e-13.  Violations are reported in
+    sample order, (i) to (v) within a sample.
     """
     oracle = _DenseOracle(a, b)
     n = oracle.a.shape[0]
@@ -580,64 +591,80 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     chi_ok = oracle.cos_phi**2 <= (1.0 - 1.0 / oracle.kappa) + 1e-10
     record("vi", chi_ok, oracle.u_star, f"cos^2 phi = {oracle.cos_phi ** 2:.3e}")
 
-    for k in range(n_samples):
-        x = rng.normal(n)
-        x /= np.linalg.norm(x)
-        xs = oracle.x_star if float(x @ oracle.x_star) >= 0 else -oracle.x_star
-        dist = sphere_dist(x, xs)
-        fx = oracle.f(x)
-        g = oracle.grad(x)
-        record(
-            "i",
-            fx - oracle.f_star + slack >= float(g @ g) / (2.0 * oracle.gamma(x)),
-            x,
-            f"f-f*={fx - oracle.f_star:.3e} vs |g|^2/2gamma",
-        )
-        record(
-            "ii",
-            fx - oracle.f_star + slack >= 0.5 * oracle.mu(x) * dist**2,
-            x,
-            f"f-f*={fx - oracle.f_star:.3e} vs mu/2 dist^2",
-        )
+    failed = []  # (sample, check, point, detail), put in order below
 
-        # in-basin sample for the basin-conditioned inequalities
-        t_frac = (k + 0.5) / n_samples
-        xi_dir = rng.normal(n)
-        xi_dir -= float(xi_dir @ oracle.x_star) * oracle.x_star
-        nd = np.linalg.norm(xi_dir)
-        if nd < 1e-12:
-            continue
-        xi_dir /= nd
-        xb = sphere_exp(oracle.x_star, (0.999 * t_frac * oracle.phi) * xi_dir)
-        xbs = oracle.x_star if float(xb @ oracle.x_star) >= 0 else -oracle.x_star
-        dist_b = sphere_dist(xb, xbs)
-        if dist_b >= oracle.phi:
-            continue
-        fb = oracle.f(xb)
-        gb = oracle.grad(xb)
-        a_val = oracle.a_factor(xb, dist_b, phi_sign=bug_sign)
-        log_term = float(gb @ -sphere_log(xb, xbs))
-        record(
-            "iii",
-            log_term + slack >= 2.0 * a_val * (fb - oracle.f_star),
-            xb,
-            f"<g,-log>={log_term:.3e} vs 2a(f-f*)={2 * a_val * (fb - oracle.f_star):.3e}",
-        )
-        if a_val > 1e-13:
-            record(
-                "iv",
-                fb - oracle.f_star
-                <= log_term / a_val - 0.5 * oracle.mu(xb) * dist_b**2 + slack,
-                xb,
-                "weak-quasi-strong-convexity",
-            )
-        record(
-            "v",
-            float(xb @ oracle.b_inv @ xbs) + slack
-            >= (oracle.norm_u_binv**2 / oracle.norm_u**2) * (math.cos(dist_b) - oracle.cos_phi),
-            xb,
-            "basin projection bound",
-        )
+    def check_rows(key, ok, samples, points, detail):
+        counts[key] += len(ok)
+        failed.extend((samples[j], key, points[j], detail(j)) for j in np.flatnonzero(~ok))
+
+    x_star, f_star = oracle.x_star, oracle.f_star
+    draws = rng.normal_rows(2 * n_samples, n)
+    x = draws[0::2] / np.linalg.norm(draws[0::2], axis=1, keepdims=True)
+    xs = np.where((x @ x_star)[:, None] >= 0, x_star, -x_star)
+    dist = sphere_dist(x, xs)
+    fx, g, xcx = oracle.f_grad(x)
+    every = np.arange(n_samples)
+    check_rows(
+        "i",
+        fx - f_star + slack >= np.einsum("ij,ij->i", g, g) / (2.0 * oracle.gamma(xcx)),
+        every,
+        x,
+        lambda j: f"f-f*={fx[j] - f_star:.3e} vs |g|^2/2gamma",
+    )
+    check_rows(
+        "ii",
+        fx - f_star + slack >= 0.5 * oracle.mu(xcx) * dist**2,
+        every,
+        x,
+        lambda j: f"f-f*={fx[j] - f_star:.3e} vs mu/2 dist^2",
+    )
+
+    # in-basin samples for the basin-conditioned inequalities
+    xi_dir = draws[1::2] - np.outer(draws[1::2] @ x_star, x_star)
+    nd = np.linalg.norm(xi_dir, axis=1)
+    kept = np.flatnonzero(nd >= 1e-12)
+    t_frac = (kept + 0.5) / n_samples
+    xi_dir = xi_dir[kept] / nd[kept, None]
+    xb = sphere_exp(x_star, (0.999 * t_frac * oracle.phi)[:, None] * xi_dir)
+    xbs = np.where((xb @ x_star)[:, None] >= 0, x_star, -x_star)
+    dist_b = sphere_dist(xb, xbs)
+    inside = dist_b < oracle.phi
+    kept, xb, xbs, dist_b = kept[inside], xb[inside], xbs[inside], dist_b[inside]
+    fb, gb, xcxb = oracle.f_grad(xb)
+    a_val = oracle.a_factor(xcxb, dist_b, phi_sign=bug_sign)
+    log_term = np.einsum("ij,ij->i", gb, -sphere_log(xb, xbs))
+    check_rows(
+        "iii",
+        log_term + slack >= 2.0 * a_val * (fb - f_star),
+        kept,
+        xb,
+        lambda j: (
+            f"<g,-log>={log_term[j]:.3e} vs 2a(f-f*)={2 * a_val[j] * (fb[j] - f_star):.3e}"
+        ),
+    )
+    pos = a_val > 1e-13
+    check_rows(
+        "iv",
+        fb[pos] - f_star
+        <= log_term[pos] / a_val[pos] - 0.5 * oracle.mu(xcxb[pos]) * dist_b[pos] ** 2 + slack,
+        kept[pos],
+        xb[pos],
+        lambda j: "weak-quasi-strong-convexity",
+    )
+    check_rows(
+        "v",
+        np.einsum("ij,ij->i", xb @ oracle.b_inv, xbs) + slack
+        >= (oracle.norm_u_binv**2 / oracle.norm_u**2) * (np.cos(dist_b) - oracle.cos_phi),
+        kept,
+        xb,
+        lambda j: "basin projection bound",
+    )
+    order = {key: i for i, key in enumerate(("i", "ii", "iii", "iv", "v"))}
+    failed.sort(key=lambda item: (item[0], order[item[1]]))
+    report.violations.extend(
+        {"check": key, "label": report.label, "detail": detail, "x": point.copy()}
+        for _, key, point, detail in failed
+    )
 
     # (vii): short locally-stepped run in u-space, checked in x-space
     from . import solvers  # local import: solvers depends on this module

@@ -106,41 +106,54 @@ def dist_b(u, v, apply_b_fwd):
     return float(np.arccos(_clamp(c)))
 
 
+def _rowdot(x, y):
+    """x^T y along the last axis: a scalar for vectors, one value per row of
+    an (S, n) block."""
+    return np.einsum("...i,...i->...", x, y)
+
+
 def sphere_dist(x, y):
-    """Geodesic angle arccos(x^T y), computed stably via atan2."""
+    """Geodesic angle arccos(x^T y), computed stably via atan2.
+
+    x and y are vectors, or (S, n) blocks of rows compared row by row (either
+    may be a single vector broadcast against the other's rows).
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    c = float(x @ y)
-    s = float(np.linalg.norm(y - c * x))
-    return float(np.arctan2(s, c))
+    c = _rowdot(x, y)
+    s = np.linalg.norm(y - c[..., None] * x, axis=-1)
+    return np.arctan2(s, c)
 
 
 def sphere_exp(x, tangent):
-    """Exponential map cos(||t||) x + sin(||t||) t/||t||; t = 0 returns x."""
+    """Exponential map cos(||t||) x + sin(||t||) t/||t||; t = 0 returns x.
+
+    tangent is a vector or an (S, n) block of tangent rows, each mapped from
+    the base point x.  Raises NotTangent if any of them is not orthogonal to x.
+    """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(tangent, dtype=np.float64)
-    nt = float(np.linalg.norm(t))
-    if nt == 0.0:
-        return x.copy()
-    if abs(float(x @ t)) > 1e-10 * nt:
+    nt = np.linalg.norm(t, axis=-1, keepdims=True)
+    if np.any(np.abs(_rowdot(x, t))[..., None] > 1e-10 * nt):
         raise NotTangent("tangent vector is not orthogonal to the base point")
-    y = np.cos(nt) * x + np.sin(nt) * (t / nt)
-    return y / np.linalg.norm(y)
+    zero = nt == 0.0
+    y = np.cos(nt) * x + np.sin(nt) * (t / np.where(zero, 1.0, nt))
+    return np.where(zero, x, y / np.linalg.norm(y, axis=-1, keepdims=True))
 
 
 def sphere_log(x, y):
     """Logarithmic map dist(x,y) * P_x y / ||P_x y||, inverse of sphere_exp.
 
-    Equal points return the zero tangent; an undefined direction (projection
-    numerically zero at nonzero distance) raises AntipodalOrEqual.
+    x and y are vectors, or (S, n) blocks of rows mapped row by row.  Equal
+    points return the zero tangent; an undefined direction (projection
+    numerically zero at nonzero distance) in any row raises AntipodalOrEqual.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    p = y - float(x @ y) * x
-    npx = float(np.linalg.norm(p))
-    d = sphere_dist(x, y)
-    if npx <= 1e-14:
-        if d < 1e-7:
-            return np.zeros_like(x)
+    p = y - _rowdot(x, y)[..., None] * x
+    npx = np.linalg.norm(p, axis=-1, keepdims=True)
+    d = sphere_dist(x, y)[..., None]
+    flat = npx <= 1e-14
+    if np.any(flat & (d >= 1e-7)):
         raise AntipodalOrEqual("log direction undefined (antipodal points)")
-    return d * (p / npx)
+    return np.where(flat, 0.0, d * (p / np.where(flat, 1.0, npx)))

@@ -1,5 +1,9 @@
 """Dense/sparse SPD primitives: Cholesky at two precisions, PCG, Lanczos,
-a Jacobi eigensolver used as reference oracle, and a deterministic RNG.
+a deterministic RNG, and a pure-Python Jacobi eigensolver.
+
+The Jacobi solver is the independent oracle only (tests and the explicit
+x-space evaluation inside validate_properties); production eigenvalue paths
+use Lanczos or LAPACK.
 
 Everything here is deterministic given its inputs; the only stateful object
 is :class:`Rng`, which is single-owner by convention.
@@ -76,15 +80,26 @@ class Rng:
 
     def normal(self, count):
         """count standard normals via Box-Muller on consecutive uniform pairs."""
+        return self.normal_rows(1, count)[0]
+
+    def normal_rows(self, rows, count):
+        """rows consecutive normal(count) draws as the rows of a (rows, count)
+        array, bit-identical to that many calls and leaving the counter where
+        they would.
+
+        Each row takes ceil(count/2) raw draws for u1, then as many for u2.
+        """
         pairs = (count + 1) // 2
+        raw = (self.raw(2 * rows * pairs) >> np.uint64(11)).astype(np.float64)
+        raw = raw.reshape(rows, 2, pairs)
         # u1 shifted into (0, 1] so log(u1) is finite
-        u1 = ((self.raw(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = self.uniform(pairs)
+        u1 = (raw[:, 0] + 1.0) * 2.0**-53
+        u2 = raw[:, 1] * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
-        return out[:count]
+        out = np.empty((rows, 2 * pairs))
+        out[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
+        out[:, 1::2] = r * np.sin(2.0 * np.pi * u2)
+        return out[:, :count]
 
     def spawn(self, stream):
         """Independent child stream; deterministic in (seed, stream)."""
@@ -306,6 +321,8 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
     """Shared Lanczos loop with full reorthogonalization.
 
     The inner product is u^T C v with C = inner_map (Euclidean when None).
+    apply_t receives the mapped vector C q_k, which the loop already holds,
+    and must return T q_k (with no inner_map, C = I and it receives q_k).
     The basis, and C applied to it when C is given, are kept in blocks of
     _BLOCK rows (_BlockBasis), so each of the two reorthogonalization passes
     is classical Gram-Schmidt (CGS2): one BLAS-2 product per block for all
@@ -334,7 +351,7 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
     steps = min(maxit, dim)
     span = max(abs(i) for i in watch) + 1
     for k in range(steps):
-        w = apply_t(basis[-1])
+        w = apply_t(mapped[-1])
         alpha = float(mapped[-1] @ w)
         alphas.append(alpha)
         w = w - alpha * basis[-1]
@@ -381,9 +398,12 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
 def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, start=None, rng=None, inner_map=None):
     """Extremal eigenvalues of an operator self-adjoint w.r.t. u^T C v.
 
-    C is `inner_map` (the Euclidean inner product when None).  Full
-    reorthogonalization against the stored basis; convergence is judged by
-    the Ritz residual bound beta*|s_k| plus value stabilization.
+    C is `inner_map` (the Euclidean inner product when None).  With
+    inner_map, apply_t is called on C q rather than q and must return T q:
+    for T = B^{-1} A in the A-inner product, apply_t is B^{-1} alone, so A is
+    applied once per step.  Full reorthogonalization against the stored
+    basis; convergence is judged by the Ritz residual bound beta*|s_k| plus
+    value stabilization.
     """
     if maxit is None:
         maxit = min(dim, max(60, dim // 2 + 40))

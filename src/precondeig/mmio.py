@@ -4,6 +4,8 @@ Disk format uses 1-based indices; everything in memory is 0-based.
 Coordinate files come back as CSR, array files as dense ndarrays.
 """
 
+import itertools
+
 import numpy as np
 import scipy.sparse
 
@@ -26,13 +28,13 @@ def read_matrix(path):
             line = fh.readline()
         sizes = line.split()
         if fmt == "coordinate":
-            nrow, ncol, nnz = int(sizes[0]), int(sizes[1]), int(sizes[2])
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            vals = np.empty(nnz)
-            for k in range(nnz):
-                i, j, v = fh.readline().split()
-                rows[k], cols[k], vals[k] = int(i) - 1, int(j) - 1, float(v)
+            nrow, ncol, nnz = _sizes(path, sizes, 3)
+            entries = _entries(path, fh, nnz, 3)
+            index = entries[:, :2]
+            if np.any((index != np.floor(index)) | (index < 1) | (index > (nrow, ncol))):
+                raise RecipeError(f"{path}: an entry index is not an integer in range")
+            rows, cols = (index - 1).astype(np.int64).T
+            vals = entries[:, 2]
             if symmetry == "symmetric":
                 off = rows != cols
                 rows, cols, vals = (
@@ -45,20 +47,44 @@ def read_matrix(path):
             m.sort_indices()
             return m
         if fmt == "array":
-            nrow, ncol = int(sizes[0]), int(sizes[1])
-            a = np.zeros((nrow, ncol))
+            nrow, ncol = _sizes(path, sizes, 2)
             if symmetry == "symmetric":
                 # lower triangle, column-major
-                for j in range(ncol):
-                    for i in range(j, nrow):
-                        a[i, j] = float(fh.readline())
-                        a[j, i] = a[i, j]
-            else:
-                for j in range(ncol):
-                    for i in range(nrow):
-                        a[i, j] = float(fh.readline())
-            return a
+                cols, rows = np.triu_indices(ncol, m=nrow)
+                vals = _entries(path, fh, len(rows), 1)[:, 0]
+                a = np.zeros((nrow, ncol))
+                a[rows, cols] = vals
+                a[cols, rows] = vals
+                return a
+            return _entries(path, fh, nrow * ncol, 1)[:, 0].reshape(ncol, nrow).T.copy()
         raise RecipeError(f"{path}: unsupported format {fmt}")
+
+
+def _sizes(path, fields, count):
+    """The `count` integers of the size line."""
+    try:
+        sizes = tuple(int(f) for f in fields[:count])
+    except ValueError:
+        sizes = ()
+    if len(sizes) != count:
+        raise RecipeError(f"{path}: malformed size line {' '.join(fields)!r}")
+    return sizes
+
+
+def _entries(path, fh, count, width):
+    """The next `count` entry lines as a (count, width) array, parsed in one
+    call; a truncated or malformed body raises RecipeError."""
+    if count == 0:
+        return np.empty((0, width))
+    try:
+        data = np.loadtxt(itertools.islice(fh, count), ndmin=2, comments=None)
+    except ValueError as exc:
+        raise RecipeError(f"{path}: malformed entry line: {exc}") from exc
+    if data.shape != (count, width):
+        raise RecipeError(
+            f"{path}: expected {count} entry lines of {width} fields, got shape {data.shape}"
+        )
+    return data
 
 
 def write_sparse(path, m, comment=None):

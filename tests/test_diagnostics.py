@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import precondeig as pe
+from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import random_spd_pair
 from precondeig.errors import PropertyViolation
 from tests.conftest import dense_problem, dense_roots
@@ -160,6 +161,38 @@ def test_kappa_dense_and_lanczos_routes_agree():
         lanczos = pe.kappa_nu(problem, p, dense_cap=0, tol=1e-12)
         assert abs(dense[0] - lanczos[0]) <= 1e-8 * dense[0], p.label
         assert abs(dense[1] - lanczos[1]) <= 1e-8 * dense[1], p.label
+
+
+def test_kappa_dense_route_matches_extended_precision_pencil():
+    # near-exact mixed precision (kappa - 1 ~ 1.6e-7); the reference is the
+    # 40-digit spectrum of Lhat^{-1} A Lhat^{-T}, where B = Lhat Lhat^T and
+    # Lhat is the binary32 Cholesky factor held in binary64
+    mpmath = pytest.importorskip("mpmath")
+    problem = build_problem("kernel-laplace:n=24,seed=7")
+    a = problem.dense()
+    p = pe.make_mp_cholesky(a)
+    lhat = p.exact().factor.l
+    with mpmath.workdps(40):
+        linv = mpmath.inverse(mpmath.matrix(lhat.tolist()))
+        w = sorted(mpmath.eigsy(linv * mpmath.matrix(a.tolist()) * linv.T, eigvals_only=True))
+        ref = float(w[-1] / w[0] - 1)
+    _, _, kappa = pe.kappa_nu(problem, p)
+    assert abs((kappa - 1.0) - ref) <= 1e-7 * ref
+
+
+def test_kappa_lanczos_route_applies_a_once_per_step():
+    problem = build_problem("laplace-fem:h=2^-4")
+    p = build_precond("ddm:H=2^-2", problem)
+    apply_a, calls = problem.apply_a, []
+
+    def counted(v):
+        calls.append(1)
+        return apply_a(v)
+
+    problem.apply_a = counted
+    assert problem.dim > 200  # the Lanczos route
+    pe.kappa_nu(problem, p)
+    assert len(calls) <= 54
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,33 @@ def test_rng_counter_mode_is_batch_independent():
     assert np.array_equal(a, pe.Rng(42).uniform(8))
 
 
+def _box_muller(rng, count):
+    # one normal(count) draw written out on the raw stream: u1 from the first
+    # ceil(count/2) draws, u2 from the next as many
+    pairs = (count + 1) // 2
+    u1 = ((rng.raw(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = rng.uniform(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(2.0 * np.pi * u2)
+    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return out[:count]
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 20])
+def test_rng_normal_rows_equals_consecutive_normal_calls(n):
+    rows = 2 * 500  # the x and xi draws of 500 validation samples
+    block_rng, call_rng, ref_rng = pe.Rng(77), pe.Rng(77), pe.Rng(77)
+    block = block_rng.normal_rows(rows, n)
+    calls = np.stack([call_rng.normal(n) for _ in range(rows)])
+    ref = np.stack([_box_muller(ref_rng, n) for _ in range(rows)])
+    assert block.shape == (rows, n)
+    assert np.array_equal(block, calls) and np.array_equal(block, ref)
+    assert block_rng.counter == call_rng.counter == ref_rng.counter
+    # the stream continues in the same place
+    assert np.array_equal(block_rng.normal(n), call_rng.normal(n))
+
+
 def test_gaussian_moments_seed5():
     # law-of-large-numbers bounds at n = 1e5
     n = 100_000
@@ -231,8 +258,9 @@ def test_lanczos_pencil_matches_dense_oracle(seed, n):
     a = random_spd(seed, n)
     b = random_spd(seed + 100, n)
     b_inv = np.linalg.inv(b)
+    # with inner_map = A, apply_t receives A q and returns B^{-1} A q
     lo, hi = pe.lanczos_extremal(
-        lambda v: b_inv @ (a @ v),
+        lambda aq: b_inv @ aq,
         dim=n,
         tol=1e-12,
         inner_map=lambda v: a @ v,
@@ -249,7 +277,7 @@ def test_lanczos_inner_map_matches_euclidean_on_similar_operator():
     b = random_spd(9, 25)
     b_inv = np.linalg.inv(b)
     lo1, hi1 = pe.lanczos_extremal(
-        lambda v: b_inv @ (a @ v), dim=25, tol=1e-12, inner_map=lambda v: a @ v
+        lambda aq: b_inv @ aq, dim=25, tol=1e-12, inner_map=lambda v: a @ v
     )
     l = np.linalg.cholesky(b)  # noqa: E741
     c = scipy.linalg.solve_triangular(l, scipy.linalg.solve_triangular(l, a, lower=True).T, lower=True)

@@ -68,3 +68,36 @@ def test_reject_non_mm_file(tmp_path):
     path.write_text("not a matrix\n")
     with pytest.raises(RecipeError):
         pe.read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # coordinate: the size line promises 3 entries, 2 follow
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 4.0\n2 1 1.0\n",
+        # coordinate: the last entry line is cut short
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 4.0\n2 1 1.0\n2 2\n",
+        # array: a symmetric 2x2 holds 3 values, 2 follow
+        "%%MatrixMarket matrix array real symmetric\n2 2\n4.0\n1.0\n",
+        # array: an empty line where the last value should be
+        "%%MatrixMarket matrix array real general\n2 2\n4.0\n1.0\n1.0\n\n",
+    ],
+)
+def test_truncated_file_raises_recipe_error(tmp_path, body):
+    path = tmp_path / "cut.mtx"
+    path.write_text(body)
+    with pytest.raises(RecipeError):
+        pe.read_matrix(path)
+
+
+def test_entry_index_out_of_range_raises_recipe_error(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 4.0\n")
+    with pytest.raises(RecipeError):
+        pe.read_matrix(path)
+
+
+def test_general_array_is_column_major(tmp_path):
+    path = tmp_path / "general.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n")
+    assert np.array_equal(pe.read_matrix(path), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
