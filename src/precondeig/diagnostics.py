@@ -346,9 +346,7 @@ def compute_quality(problem, precond, ctx=None):
     if getattr(precond, "label", "") == "mp-chol":
         eps, eps_ok = epsilon_l(problem.dim, ctx.lam1, ctx.lamn)
     # theta at u* needs only the cached forward application w* = B u*
-    theta = math.asin(
-        _clamp(ctx.norm_u_b**2 / (np.linalg.norm(ctx.w_star) * ctx.norm_u))
-    )
+    theta = theta_shao(ctx.u_star, lambda _: ctx.w_star)
     return PrecondQuality(
         nu_min=ctx.nu_min,
         nu_max=ctx.nu_max,

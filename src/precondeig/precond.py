@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import EmptySubdomain, NotSpd
-from .linalg import CholFactor, chol_matvec, chol_solve, cholesky, make_solver, pcg
+from .linalg import CholFactor, SymFactor, chol_matvec, chol_solve, cholesky, make_solver, pcg
 
 _U32 = 2.0**-24  # IEEE binary32 unit roundoff
 FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forward apply
@@ -143,7 +143,12 @@ class DdmPreconditioner(Preconditioner):
         B^{-1} v = I_H A_H^{-1} I_H^T v + sum_j I_j A_j^{-1} I_j^T v
 
     with A_j the principal submatrix of the fine matrix on subdomain j and
-    A_H the coarse (Galerkin) matrix.  Forward application is iterative.
+    A_H the coarse (Galerkin) matrix.  The local solves run as one: the A_j,
+    each in its natural grid ordering, are stacked block-diagonally and
+    factored once by banded Cholesky, so the sum is a gather of v onto the
+    concatenated subdomain nodes, one pair of banded triangular solves and a
+    scatter-add through the sparse stacked restriction.  Forward application
+    is iterative.
     """
 
     fwd_mode = "iterative"
@@ -158,33 +163,32 @@ class DdmPreconditioner(Preconditioner):
             raise NotSpd(-1, "prolongation does not match the fine matrix")
         # an empty coarse space (single-cell coarse grid) drops the first term
         self._coarse_solve = make_solver(a_coarse) if self._i_h.shape[1] > 0 else None
-        self._locals = []
         csr = scipy.sparse.csr_matrix(self._a_fine)
+        blocks = []
         for j, idx in enumerate(hierarchy.subdomains):
             if len(idx) == 0:
                 raise EmptySubdomain(f"subdomain {j} contains no fine nodes")
-            sub = csr[np.ix_(idx, idx)].tocsc()
-            self._locals.append((idx, make_solver(sub)))
+            blocks.append(csr[np.ix_(idx, idx)])
+        self._local = SymFactor(scipy.sparse.block_diag(blocks))
+        self._cat = np.concatenate(hierarchy.subdomains)
+        m = len(self._cat)
+        # transpose of the stacked restriction v -> v[cat]
+        self._r_t = scipy.sparse.csr_matrix(
+            (np.ones(m), (self._cat, np.arange(m))), shape=(self.dim, m)
+        )
 
     def apply_inv(self, v):
         v = np.asarray(v, dtype=np.float64)
-        out = self.coarse_part(v)
-        # summation in ascending subdomain order for bit-reproducibility
-        for idx, solve in self._locals:
-            out[idx] += solve(v[idx])
-        return out
+        local = self._local.solve(self._local.solve_t(v[self._cat]))
+        # a fixed CSR product: each node sums its local values in one fixed
+        # order, so applies are bit-reproducible
+        return self.coarse_part(v) + self._r_t @ local
 
     def coarse_part(self, v):
         v = np.asarray(v, dtype=np.float64)
         if self._coarse_solve is None:
             return np.zeros_like(v)
         return self._i_h @ self._coarse_solve(self._i_h.T @ v)
-
-    def local_part(self, v, j):
-        idx, solve = self._locals[j]
-        out = np.zeros(self.dim)
-        out[idx] = solve(np.asarray(v, dtype=np.float64)[idx])
-        return out
 
     def apply_fwd(self, v):
         return apply_fwd_iterative(self, v, apply_a=self._a_matvec)

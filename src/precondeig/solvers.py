@@ -8,8 +8,10 @@ The u-space recurrence is
 
 with g_t the Riemannian gradient norm and beta chosen so ||u||_B = 1; the
 B-norm is maintained through the exact identity ||u - s B^{-1}r||_B^2 =
-||u||_B^2 + s^2 r^T B^{-1} r (u^T r = 0), with periodic recomputation to
-control roundoff drift.
+||u||_B^2 + s^2 r^T B^{-1} r (u^T r = 0), so a step costs one A apply and
+one B^{-1} apply.  Only a preconditioner whose applies are not binary64
+(mixed-precision Cholesky) has ||u||_B recomputed each step from its binary64
+twin, because its B^{-1} r does not realize the B being normalized against.
 """
 
 import math
@@ -139,13 +141,13 @@ def step_constant(ctx, c):
 
 
 def _b_norm_sq(exact, problem, u):
-    """Measurement-grade u^T B u from the binary64 twin `exact` of B (nested
-    PCG for implicit B)."""
+    """Measurement-grade u^T B u from the binary64 twin `exact` of B.  For
+    implicit B a nested PCG gives z ~ B u; 2 u^T z - z^T B^{-1} z peaks at
+    z = B u with value u^T B u, so its error is quadratic in that of z."""
     if exact.fwd_mode == "exact":
-        bu = exact.apply_fwd(u)
-    else:
-        bu = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
-    return float(u @ bu)
+        return float(u @ exact.apply_fwd(u))
+    z = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
+    return float(2.0 * (u @ z) - z @ exact.apply_inv(z))
 
 
 def rsd_solve(
@@ -172,16 +174,18 @@ def rsd_solve(
     as a StagnatedStep event in the trace.
     policy "theory" and the trace fields distB/xi need a RateContext.
     `callback(t, state)` is invoked for every visited iterate, the terminal
-    one included.  ||u||_B is recomputed every step for exact forward
-    applies and every 25 steps for iterative ones.
+    one included.  ||u0||_B is measured once (a nested PCG for an
+    iterative forward apply); after that the scalar identity carries
+    ||u||_B = 1, and it is recomputed each step only when precond.exact() is
+    another object (binary32 applies).
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
         raise ZeroGradientAtNonEigenvector("u0 is zero")
     if policy.kind in ("theory",) and ctx is None:
         raise OutsideBasin("theory policy needs a RateContext")
-    renorm_every = 1 if precond.fwd_mode == "exact" else 25
     exact = precond.exact()
+    renorm = exact is not precond
 
     u = u0 / math.sqrt(_b_norm_sq(exact, problem, u0))
     trace = Trace()
@@ -281,7 +285,7 @@ def rsd_solve(
         u_new = state.u - eta_star * state.b_inv_r
         bsq = 1.0 + eta_star**2 * state.r_binv_r  # exact: u^T r = 0
         u = u_new / math.sqrt(bsq)
-        if (t + 1) % renorm_every == 0:
+        if renorm:
             u = u / math.sqrt(_b_norm_sq(exact, problem, u))
 
     return SolveResult(u=state.u, lam=state.lam, iterations=iterations, reason=reason, trace=trace)

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import precondeig as pe
 from precondeig.errors import InvalidMeshWidth, NotSpdInLowPrecision
@@ -244,12 +245,15 @@ def test_ddm_single_subdomain_no_coarse_is_exact():
     assert abs(kappa - 1.0) <= 1e-9
 
 
-def test_ddm_additivity():
-    prob, ddm, _ = fem_ddm(1.0 / 16.0, 1.0 / 4.0)
+@pytest.mark.parametrize("h, big_h", [(2.0**-4, 2.0**-2), (2.0**-4, 2.0**-1), (2.0**-5, 2.0**-3)])
+def test_ddm_additivity(h, big_h):
+    # oracle: the coarse part plus one sparse LU solve per subdomain
+    _, ddm, _ = fem_ddm(h, big_h)
+    k = pe.fem_p1(h)[0].tocsr()
     v = pe.Rng(4).normal(ddm.dim)
     total = ddm.coarse_part(v)
-    for j in range(ddm.hierarchy.subdomain_count):
-        total = total + ddm.local_part(v, j)
+    for idx in ddm.hierarchy.subdomains:
+        total[idx] += scipy.sparse.linalg.splu(k[np.ix_(idx, idx)].tocsc()).solve(v[idx])
     assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-14 * np.linalg.norm(total)
 
 

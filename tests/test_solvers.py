@@ -83,22 +83,33 @@ def test_rsd_stagnation_guard():
     assert trigger["window_best"] >= 0.9 * trigger["best_before"]
 
 
-def fail_nested_pcg_in_loop(monkeypatch):
-    """Make the nested PCG behind apply_fwd_iterative raise MaxIterations once
-    rsd_solve has visited an iterate, so only the periodic B-norm
-    renormalisation hits it.  Returns the list of visited steps."""
-    visited = []
-    real_make_state, real_pcg = solvers.make_state, precond.pcg
+def fail_nested_pcg(monkeypatch, in_loop_only):
+    """Make the nested PCG behind apply_fwd_iterative raise MaxIterations
+    inside solvers.rsd_solve: from its first call there, which is u0's
+    B-normalisation, or, with in_loop_only, once an iterate has been visited,
+    so a solve raises only if its loop runs a nested PCG.  The rate context
+    is built outside rsd_solve and is unaffected.  Returns the list of
+    visited steps."""
+    visited, inside = [], []
+    real_rsd_solve, real_make_state, real_pcg = solvers.rsd_solve, solvers.make_state, precond.pcg
+
+    def rsd_solve(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_rsd_solve(*args, **kwargs)
+        finally:
+            inside.pop()
 
     def make_state(*args, **kwargs):
         visited.append(len(visited))
         return real_make_state(*args, **kwargs)
 
     def pcg(*args, **kwargs):
-        if visited:
+        if inside and (visited or not in_loop_only):
             raise MaxIterations("nested pcg budget exhausted", iterations=0)
         return real_pcg(*args, **kwargs)
 
+    monkeypatch.setattr(solvers, "rsd_solve", rsd_solve)
     monkeypatch.setattr(solvers, "make_state", make_state)
     monkeypatch.setattr(precond, "pcg", pcg)
     return visited
@@ -107,22 +118,34 @@ def fail_nested_pcg_in_loop(monkeypatch):
 DDM_RECIPE = ("laplace-fd:h=2^-3", "ddm:H=2^-1,overlap=0.5")
 
 
-def test_rsd_renormalisation_max_iterations_is_typed(monkeypatch):
+def ddm_instance():
     problem = cli.build_problem(DDM_RECIPE[0])
     p = cli.build_precond(DDM_RECIPE[1], problem)
     ctx = pe.build_rate_context(problem, p)
-    u0 = p.apply_inv(pe.Rng(1).normal(problem.dim))
-    visited = fail_nested_pcg_in_loop(monkeypatch)
+    return problem, p, ctx, p.apply_inv(pe.Rng(1).normal(problem.dim))
+
+
+def test_rsd_u0_normalisation_max_iterations_is_typed(monkeypatch):
+    problem, p, ctx, u0 = ddm_instance()
+    visited = fail_nested_pcg(monkeypatch, in_loop_only=False)
     with pytest.raises(MaxIterations):
-        pe.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
-    assert len(visited) == 25  # the first renormalisation, after step t=24
+        solvers.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
+    assert visited == []  # raised by u0's normalisation, before the first iterate
 
 
-def test_cli_solve_renormalisation_max_iterations_exits_2(monkeypatch):
-    visited = fail_nested_pcg_in_loop(monkeypatch)
+def test_cli_solve_u0_normalisation_max_iterations_exits_2(monkeypatch):
+    visited = fail_nested_pcg(monkeypatch, in_loop_only=False)
     code = cli.main(["solve", "--problem", DDM_RECIPE[0], "--precond", DDM_RECIPE[1], "--seed", "1"])
     assert code == 2
-    assert len(visited) == 25
+    assert visited == []
+
+
+def test_rsd_ddm_loop_runs_no_nested_pcg(monkeypatch):
+    problem, p, ctx, u0 = ddm_instance()
+    visited = fail_nested_pcg(monkeypatch, in_loop_only=True)
+    res = solvers.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
+    assert res.reason == "ResidualTol"
+    assert len(visited) == res.iterations + 1
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +258,55 @@ def test_rsd_fd_ddm_converges_to_reference():
     assert abs(res.lam - ctx.lam1) <= 1e-8 * ctx.lam1
 
 
-def test_rsd_b_normalization_invariant():
-    problem, precond, ctx, _, b_inv_sqrt, x_star = setup_instance(7)
-    b = precond._a
-    u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.8, 400)
+@pytest.mark.parametrize(
+    "recipe, seed",
+    [
+        (None, 400),
+        (("laplace-fem:h=2^-5", "ddm:H=2^-2"), 0),
+        (("laplace-fem:h=2^-5", "ddm:H=2^-2"), 1),
+        (("laplace-fem:h=2^-5", "ddm:H=2^-2"), 2),
+        (("kernel-laplace:n=40,seed=3", "mp-chol"), 0),
+    ],
+    ids=["dense", "fem-ddm-0", "fem-ddm-1", "fem-ddm-2", "kernel-mp-chol"],
+)
+def test_rsd_b_normalization_invariant(recipe, seed):
+    """||u||_B = 1 holds along the solve: at every iterate for an explicit
+    dense B, and at exit, measured by a tight nested PCG, for the rest."""
     drifts = []
-    pe.rsd_solve(
-        problem,
-        precond,
-        u0,
-        pe.StepPolicy.theory(),
-        tol=1e-11,
-        maxit=2000,
-        ctx=ctx,
-        callback=lambda t, st: drifts.append(abs(math.sqrt(st.u @ b @ st.u) - 1.0)),
+    if recipe is None:
+        problem, p, ctx, _, b_inv_sqrt, x_star = setup_instance(7)
+        b = p._a
+        u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.8, seed)
+        tol, bound = 1e-11, 1e-10
+
+        def callback(t, st):
+            drifts.append(abs(math.sqrt(st.u @ b @ st.u) - 1.0))
+
+    else:
+        problem = cli.build_problem(recipe[0])
+        p = cli.build_precond(recipe[1], problem)
+        ctx = pe.build_rate_context(problem, p)
+        u0 = p.apply_inv(pe.Rng(seed).normal(problem.dim))
+        tol, bound, callback = 1e-8, precond.FWD_TOL, None
+    res = pe.rsd_solve(
+        problem, p, u0, pe.StepPolicy.theory(), tol=tol, maxit=2000, ctx=ctx, callback=callback
     )
-    assert max(drifts) <= 1e-10
+    if recipe is not None:
+        assert res.reason == "ResidualTol"
+        bu = pe.apply_fwd_iterative(p.exact(), res.u, apply_a=problem.apply_a, tol=1e-13)
+        drifts.append(abs(float(res.u @ bu) - 1.0))
+    assert max(drifts) <= bound
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_u0_b_norm_is_second_order_in_the_nested_pcg(seed):
+    # u^T z alone, z from a FWD_TOL nested PCG, is off by about 2e-13
+    # relative here, and the scalar identity carries that to a solve's end
+    problem = cli.build_problem("laplace-fem:h=2^-5")
+    p = cli.build_precond("ddm:H=2^-2", problem)
+    u = p.apply_inv(pe.Rng(seed).normal(problem.dim))
+    tight = float(u @ pe.apply_fwd_iterative(p, u, apply_a=problem.apply_a, tol=1e-13))
+    assert abs(solvers._b_norm_sq(p, problem, u) - tight) <= 1e-14 * tight
 
 
 def test_rsd_monotone_distance_in_basin():
