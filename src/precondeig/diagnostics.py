@@ -1,9 +1,11 @@
 """Scalar diagnostics of preconditioner quality and convergence rates.
 
-Two independent formulas for the distortion angle, spectral-equivalence
-bounds, the local rate functions gamma/mu/a and the per-step and asymptotic
-contraction amounts, plus validators that test every inequality of the
-convergence analysis numerically on dense instances.
+The distortion angle, spectral-equivalence bounds, the local rate functions
+gamma/mu/a and the per-step and asymptotic contraction amounts, plus a
+validator that tests every inequality of the convergence analysis
+numerically on dense instances.  Each quantity has one implementation: the
+validator evaluates the same distortion_angle and rate functions that the
+solver runs, on a context built from explicit dense B.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NotSpd, OutsideBasin, PropertyViolation, ZeroVector
+from .errors import NotSpd, PropertyViolation, ZeroVector
 from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
 from .linalg import Rng, dense_sym_eig, gaussian_vector, lanczos_extremal, spawn_seed
 from .precond import apply_fwd_iterative, epsilon_l
@@ -23,53 +25,35 @@ from .precond import apply_fwd_iterative, epsilon_l
 # ---------------------------------------------------------------------------
 
 
-def cos_phi_direct(u_star, b_inv_u, b_fwd_u):
-    """(sin phi, cos phi) from sin phi = ||u||^2 / (||u||_B ||u||_{B^-1}).
+def distortion_angle(u, b_u, b_inv_u, apply_b_inv):
+    """(sin phi, cos phi) of the distortion angle at a unit vector u, from
+    b_u = B u, b_inv_u = B^{-1} u and one more B^{-1} apply.
 
-    sin phi is accurate to relative precision.  The cos phi returned is
-    sqrt(1 - sin^2 phi), which is accurate only to about 1e-8 in absolute
-    terms and is 0 whenever sin phi rounds to 1; build_rate_context does not
-    use it for cos phi (see cos_phi_variational).
+    sin phi = ||u||^2 / (||u||_B ||u||_{B^-1}), to relative precision.
+    cos phi is the supremum of v^T B^{-1} u / (||v||_{B^-1} ||u||_{B^-1})
+    over v orthogonal to u, attained at the B^{-1}-orthogonal projection
+    v = u - B u / ||u||_B^2, where it equals ||v||_{B^-1} / ||u||_{B^-1}.
+    That quadratic form of the small v has no cancellation, so cos phi near
+    1e-8 keeps its relative precision (sqrt(1 - sin^2 phi) floors at about
+    1e-8 absolute).  cos phi is 0 when u is (numerically) an eigenvector of
+    B, where the maximizer degenerates.
     """
-    u = np.asarray(u_star, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
     nrm2 = float(u @ u)
     if nrm2 == 0.0:
         raise ZeroVector("u_star is zero")
-    nb2 = float(u @ b_fwd_u)
+    if abs(nrm2 - 1.0) > 1e-12:
+        raise ValueError(f"u must be a unit vector, got ||u||^2 = {nrm2!r}")
+    nb2 = float(u @ b_u)
     nbi2 = float(u @ b_inv_u)
     if nb2 <= 0.0 or nbi2 <= 0.0:
         raise ZeroVector("u_star has non-positive B- or B^-1-norm")
     sin_phi = _clamp(nrm2 / math.sqrt(nb2 * nbi2))
-    cos_phi = math.sqrt(max(0.0, 1.0 - sin_phi * sin_phi))
-    return sin_phi, cos_phi
-
-
-def cos_phi_variational(u_star, apply_b, apply_b_inv):
-    """cos phi as the supremum of v^T B^{-1} u / (||v||_{B^-1} ||u||_{B^-1})
-    over v orthogonal to u, evaluated in closed form via the maximizer
-    v = u - (||u||^2 / ||u||_B^2) B u.
-
-    v is the B^{-1}-orthogonal projection of u onto the orthogonal complement
-    of u, so v^T B^{-1} u = v^T B^{-1} v and the supremum is
-    ||v||_{B^-1} / ||u||_{B^-1}.  That quadratic form of the small vector v
-    has no cancellation, where
-    v^T B^{-1} u, formed from O(1) terms, loses most of its digits once
-    cos phi is near 1e-8.
-
-    Returns 0 when u is (numerically) an eigenvector of B, where the
-    maximizing direction degenerates.
-    """
-    u = np.asarray(u_star, dtype=np.float64)
-    bu = apply_b(u)
-    nrm2 = float(u @ u)
-    nb2 = float(u @ bu)
-    if nrm2 == 0.0 or nb2 <= 0.0:
-        raise ZeroVector("u_star is zero or has non-positive B-norm")
-    v = u - (nrm2 / nb2) * bu
+    norm_b = math.sqrt(nb2)
+    v = u - b_u / norm_b**2
     if np.linalg.norm(v) <= 1e-14 * np.linalg.norm(u):
-        return 0.0
-    nbi2 = float(u @ apply_b_inv(u))
-    return _clamp(math.sqrt(float(v @ apply_b_inv(v)) / nbi2))
+        return sin_phi, 0.0
+    return sin_phi, _clamp(math.sqrt(float(v @ apply_b_inv(v))) / math.sqrt(nbi2))
 
 
 def theta_shao(u_star, apply_b):
@@ -159,15 +143,43 @@ class RateContext:
         return _clamp(abs(float(np.asarray(u) @ self.w_star)) / (u_b_norm * self.norm_u_b))
 
 
+def _context(
+    lam1, lam2, lamn, u, a_u, b_u, b_inv_u, apply_b_inv, nu_min, nu_max,
+    problem=None, precond=None,
+):
+    """RateContext at the unit vector u* from its images A u*, B u* and
+    B^-1 u*: the one place the norms of u* and the distortion angle are
+    formed, for the solver's context and the dense validation oracle alike."""
+    sin_phi, cos_phi = distortion_angle(u, b_u, b_inv_u, apply_b_inv)
+    return RateContext(
+        lam1=lam1,
+        lam2=lam2,
+        lamn=lamn,
+        u_star=u,
+        w_star=b_u,
+        b_inv_u=b_inv_u,
+        norm_u=1.0,
+        norm_u_a=math.sqrt(float(u @ a_u)),
+        norm_u_b=math.sqrt(float(u @ b_u)),
+        norm_u_binv=math.sqrt(float(u @ b_inv_u)),
+        sin_phi=sin_phi,
+        cos_phi=cos_phi,
+        nu_min=nu_min,
+        nu_max=nu_max,
+        problem=problem,
+        precond=precond,
+    )
+
+
 def build_rate_context(problem, precond):
     """Assemble the RateContext for a (problem, preconditioner) pair, measured
-    on the binary64 twin of B.
+    on the binary64 twin of B: the problem's reference eigenpair, kappa_nu's
+    spectral bounds and distortion_angle at u*.
 
     B u* is computed once: exactly for explicit preconditioners, by nested
-    PCG at FWD_TOL for implicit ones.  cos phi takes the norm form of
-    cos_phi_variational, ||v||_{B^-1} / ||u||_{B^-1} with v = u - B u* / ||u*||_B^2,
-    at the cost of one more B^-1 application; B^-1 B u* is not replaced by u*
-    because B u* carries the nested-PCG error.
+    PCG at FWD_TOL for implicit ones.  cos phi costs one more B^-1
+    application; B^-1 B u* is not replaced by u* because B u* carries the
+    nested-PCG error.
     """
     ref = problem.reference()
     u = ref.u_star / np.linalg.norm(ref.u_star)
@@ -177,33 +189,13 @@ def build_rate_context(problem, precond):
         w = exact.apply_fwd(u)
     else:
         w = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
-    norm_u = 1.0
-    norm_u_a = math.sqrt(float(u @ problem.apply_a(u)))
-    norm_u_b = math.sqrt(float(u @ w))
-    norm_u_binv = math.sqrt(float(u @ b_inv_u))
-    sin_phi, _ = cos_phi_direct(u, b_inv_u, w)
-    v = u - w / norm_u_b**2
-    cos_phi = _clamp(math.sqrt(float(v @ exact.apply_inv(v))) / norm_u_binv)
+    a_u = problem.apply_a(u)
     nu_min, nu_max, _ = kappa_nu(problem, precond)
-    ctx = RateContext(
-        lam1=ref.lam1,
-        lam2=ref.lam2,
-        lamn=ref.lamn,
-        u_star=u,
-        w_star=w,
-        b_inv_u=b_inv_u,
-        norm_u=norm_u,
-        norm_u_a=norm_u_a,
-        norm_u_b=norm_u_b,
-        norm_u_binv=norm_u_binv,
-        sin_phi=sin_phi,
-        cos_phi=cos_phi,
-        nu_min=nu_min,
-        nu_max=nu_max,
-        problem=problem,
-        precond=precond,
+    ctx = _context(
+        ref.lam1, ref.lam2, ref.lamn, u, a_u, w, b_inv_u, exact.apply_inv, nu_min, nu_max,
+        problem=problem, precond=precond,
     )
-    if abs(norm_u_a**2 - ref.lam1 * norm_u**2) > 1e-10 * max(1.0, ref.lam1):
+    if abs(ctx.norm_u_a**2 - ref.lam1) > 1e-10 * max(1.0, ref.lam1):
         raise PropertyViolation("||u*||_A^2 != lambda1 ||u*||^2: u* is not converged")
     return ctx
 
@@ -213,57 +205,60 @@ def build_rate_context(problem, precond):
 # ---------------------------------------------------------------------------
 
 
-def gamma_x(state, ctx):
-    """Smoothness parameter 2 nu_max (1/l1 - 1/ln) / ||A^{1/2}B^{-1/2}x||^2.
+def gamma_x(uau, ctx):
+    """Smoothness parameter 2 nu_max (1/l1 - 1/ln) / ||A^{1/2}B^{-1/2}x||^2,
+    with ||A^{1/2}B^{-1/2}x||^2 = u^T A u for x = B^{1/2} u.
 
-    The sharp geodesic smoothness constant of the sphere Rayleigh quotient of
-    A^{-1} is 2(1/l1 - 1/ln): a two-component vector near the minimizer
-    attains it, so the factor 2 is required for the smoothness-type bound
+    uau is a scalar or an array of values, one per sample.  The sharp
+    geodesic smoothness constant of the sphere Rayleigh quotient of A^{-1} is
+    2(1/l1 - 1/ln): a two-component vector near the minimizer attains it, so
+    the factor 2 is required for the smoothness-type bound
     f - f* >= ||grad f||^2 / (2 gamma) to hold.
     """
-    return 2.0 * ctx.nu_max * (1.0 / ctx.lam1 - 1.0 / ctx.lamn) / state.uau
+    return 2.0 * ctx.nu_max * (1.0 / ctx.lam1 - 1.0 / ctx.lamn) / uau
 
 
-def mu_x(state, ctx):
-    """Quadratic-growth parameter; bounded below by 8(1/l1-1/l2)/(pi^2 kappa)."""
+def mu_x(uau, ctx):
+    """Quadratic-growth parameter at u^T A u = uau (scalar or array); bounded
+    below by 8(1/l1-1/l2)/(pi^2 kappa)."""
     return (
         8.0
         * ctx.nu_min
         * (1.0 / ctx.lam1 - 1.0 / ctx.lam2)
         * ctx.norm_u_b
-        / (math.pi**2 * math.sqrt(state.uau) * ctx.norm_u_a)
+        / (math.pi**2 * np.sqrt(uau) * ctx.norm_u_a)
     )
 
 
-def a_x(state, ctx):
-    """Weak-quasi-convexity factor; positive inside the basin, sign reported."""
-    cos_dist = ctx.cos_dist_b(state.u, state.b_norm)
+def a_x(cos_dist, uau, ctx):
+    """Weak-quasi-convexity factor at cos dist_B(u, u*) = cos_dist and
+    u^T A u = uau (scalars or arrays); positive inside the basin, sign
+    reported."""
     margin = cos_dist - ctx.cos_phi
-    return ctx.lam1 * ctx.norm_u_binv**2 * margin / (state.uau * ctx.norm_u**2)
+    return ctx.lam1 * ctx.norm_u_binv**2 * margin / (uau * ctx.norm_u**2)
 
 
-def xi_t(state, ctx):
-    """Per-step contraction amount for the locally optimal step eta = a/gamma.
+def xi_t(cos_dist, uau, ctx):
+    """Per-step contraction amount for the locally optimal step eta = a/gamma,
+    at cos dist_B(u, u*) = cos_dist and u^T A u = uau.
 
     Equals a(x)^2 mu(x) / gamma(x) in closed form; reported with the sign of
     the basin margin so out-of-basin states yield xi <= 0 (no contraction
     claimed).  The prefactor is 4 rather than 8 because gamma carries the
     sharp factor 2 (see gamma_x).
     """
-    cos_dist = ctx.cos_dist_b(state.u, state.b_norm)
     margin = cos_dist - ctx.cos_phi
-    value = (
+    return (
         4.0
         * ctx.lam1**2
         * ctx.norm_u_b
         * ctx.norm_u_binv**4
         / (math.pi**2 * ctx.norm_u**4 * ctx.norm_u_a)
         * (margin * abs(margin))
-        / state.uau**1.5
+        / uau**1.5
         * (1.0 / ctx.lam1 - 1.0 / ctx.lam2)
         / (ctx.kappa * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
     )
-    return value
 
 
 def xi_inf(ctx, check_identity=True):
@@ -480,12 +475,15 @@ class PropertyReport:
 
 
 class _DenseOracle:
-    """Explicit x-space evaluation with dense B^{1/2}; test-side only."""
+    """Explicit x-space evaluation with dense B^{1/2}, on which
+    validate_properties checks the inequalities.  Built on the Jacobi solver,
+    apart from the LAPACK and Lanczos routes of build_rate_context; ctx comes
+    from the Jacobi spectra of A, B and C = B^{-1/2} A B^{-1/2} and explicit
+    B and B^{-1}, through the same _context."""
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        n = self.a.shape[0]
         wb, vb = dense_sym_eig(self.b)
         if wb[0] <= 0:
             raise PropertyViolation("B is not positive definite")
@@ -495,32 +493,17 @@ class _DenseOracle:
         wa, va = dense_sym_eig(self.a)
         if wa[0] <= 0:
             raise PropertyViolation("A is not positive definite")
-        self.lam1, self.lam2, self.lamn = float(wa[0]), float(wa[1]), float(wa[-1])
-        self.u_star = va[:, 0]
+        u = va[:, 0]
         c = self.b_inv_sqrt @ self.a @ self.b_inv_sqrt
         self.c = (c + c.T) / 2.0
         wc, _ = dense_sym_eig(self.c)
-        self.nu_min, self.nu_max = float(wc[0]), float(wc[-1])
-        self.kappa = self.nu_max / self.nu_min
-        x = self.b_sqrt @ self.u_star
-        self.x_star = x / np.linalg.norm(x)
-        nrm2 = float(self.u_star @ self.u_star)
-        nb = math.sqrt(float(self.u_star @ self.b @ self.u_star))
-        nbi = math.sqrt(float(self.u_star @ self.b_inv @ self.u_star))
-        self.norm_u = math.sqrt(nrm2)
-        self.norm_u_b = nb
-        self.norm_u_binv = nbi
-        self.norm_u_a = math.sqrt(float(self.u_star @ self.a @ self.u_star))
-        self.sin_phi = _clamp(nrm2 / (nb * nbi))
-        # the norm form of cos_phi_variational is a quadratic form of the
-        # small projected vector, so nothing cancels and small angles keep
-        # their relative precision; sqrt(1 - sin^2) floors at ~1e-8 absolute
-        self.cos_phi = cos_phi_variational(
-            self.u_star, lambda v: self.b @ v, lambda v: self.b_inv @ v
+        self.ctx = _context(
+            float(wa[0]), float(wa[1]), float(wa[-1]), u, self.a @ u, self.b @ u,
+            self.b_inv @ u, lambda v: self.b_inv @ v, float(wc[0]), float(wc[-1]),
         )
-        # asin(sin phi) is exactly pi/2 once sin phi rounds to 1
-        self.phi = math.atan2(self.sin_phi, self.cos_phi)
-        self.f_star = -1.0 / self.lam1
+        x = self.b_sqrt @ u
+        self.x_star = x / np.linalg.norm(x)
+        self.f_star = -1.0 / self.ctx.lam1
 
     def f_grad(self, x):
         """f, the Riemannian gradient and x^T C x for each row x of a block."""
@@ -531,28 +514,6 @@ class _DenseOracle:
         g = -2.0 * (bx + f[:, None] * cx) / xcx[:, None]
         g -= np.einsum("ij,ij->i", x, g)[:, None] * x
         return f, g, xcx
-
-    def gamma(self, xcx):
-        # sharp smoothness constant: factor 2, see gamma_x
-        return 2.0 * self.nu_max * (1.0 / self.lam1 - 1.0 / self.lamn) / xcx
-
-    def mu(self, xcx):
-        return (
-            8.0
-            * self.nu_min
-            * (1.0 / self.lam1 - 1.0 / self.lam2)
-            * self.norm_u_b
-            / (math.pi**2 * np.sqrt(xcx) * self.norm_u_a)
-        )
-
-    def a_factor(self, xcx, dist, phi_sign=1.0):
-        # phi_sign = -1 is the validator's planted-bug hook
-        return (
-            self.lam1
-            * self.norm_u_binv**2
-            * (np.cos(dist) - phi_sign * self.cos_phi)
-            / (xcx * self.norm_u**2)
-        )
 
 
 def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inject_bug=None):
@@ -569,7 +530,9 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     every x; (iii)-(v) at the in-basin point exp_{x*}(0.999 (k + 1/2)/S phi xi),
     skipped when xi is numerically parallel to x* or the point is not inside
     the basin, and (iv) only where a(x) > 1e-13.  Violations are reported in
-    sample order, (i) to (v) within a sample.
+    sample order, (i) to (v) within a sample.  gamma, mu and a are the
+    solver's gamma_x, mu_x and a_x on the oracle's context, evaluated at
+    x^T C x = u^T A u (x = B^{1/2} u).
     """
     oracle = _DenseOracle(a, b)
     n = oracle.a.shape[0]
@@ -584,10 +547,12 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
                 {"check": key, "label": report.label, "detail": detail, "x": x.copy()}
             )
 
+    ctx = oracle.ctx
+    # the planted bug flips the sign of cos phi inside a(x)
     bug_sign = -1.0 if inject_bug == "a_x_sign" else 1.0
 
-    chi_ok = oracle.cos_phi**2 <= (1.0 - 1.0 / oracle.kappa) + 1e-10
-    record("vi", chi_ok, oracle.u_star, f"cos^2 phi = {oracle.cos_phi ** 2:.3e}")
+    chi_ok = ctx.cos_phi**2 <= (1.0 - 1.0 / ctx.kappa) + 1e-10
+    record("vi", chi_ok, ctx.u_star, f"cos^2 phi = {ctx.cos_phi ** 2:.3e}")
 
     failed = []  # (sample, check, point, detail), put in order below
 
@@ -604,14 +569,14 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     every = np.arange(n_samples)
     check_rows(
         "i",
-        fx - f_star + slack >= np.einsum("ij,ij->i", g, g) / (2.0 * oracle.gamma(xcx)),
+        fx - f_star + slack >= np.einsum("ij,ij->i", g, g) / (2.0 * gamma_x(xcx, ctx)),
         every,
         x,
         lambda j: f"f-f*={fx[j] - f_star:.3e} vs |g|^2/2gamma",
     )
     check_rows(
         "ii",
-        fx - f_star + slack >= 0.5 * oracle.mu(xcx) * dist**2,
+        fx - f_star + slack >= 0.5 * mu_x(xcx, ctx) * dist**2,
         every,
         x,
         lambda j: f"f-f*={fx[j] - f_star:.3e} vs mu/2 dist^2",
@@ -623,13 +588,13 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     kept = np.flatnonzero(nd >= 1e-12)
     t_frac = (kept + 0.5) / n_samples
     xi_dir = xi_dir[kept] / nd[kept, None]
-    xb = sphere_exp(x_star, (0.999 * t_frac * oracle.phi)[:, None] * xi_dir)
+    xb = sphere_exp(x_star, (0.999 * t_frac * ctx.phi)[:, None] * xi_dir)
     xbs = np.where((xb @ x_star)[:, None] >= 0, x_star, -x_star)
     dist_b = sphere_dist(xb, xbs)
-    inside = dist_b < oracle.phi
+    inside = dist_b < ctx.phi
     kept, xb, xbs, dist_b = kept[inside], xb[inside], xbs[inside], dist_b[inside]
     fb, gb, xcxb = oracle.f_grad(xb)
-    a_val = oracle.a_factor(xcxb, dist_b, phi_sign=bug_sign)
+    a_val = a_x(np.cos(dist_b) + (1.0 - bug_sign) * ctx.cos_phi, xcxb, ctx)
     log_term = np.einsum("ij,ij->i", gb, -sphere_log(xb, xbs))
     check_rows(
         "iii",
@@ -644,7 +609,7 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     check_rows(
         "iv",
         fb[pos] - f_star
-        <= log_term[pos] / a_val[pos] - 0.5 * oracle.mu(xcxb[pos]) * dist_b[pos] ** 2 + slack,
+        <= log_term[pos] / a_val[pos] - 0.5 * mu_x(xcxb[pos], ctx) * dist_b[pos] ** 2 + slack,
         kept[pos],
         xb[pos],
         lambda j: "weak-quasi-strong-convexity",
@@ -652,7 +617,7 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     check_rows(
         "v",
         np.einsum("ij,ij->i", xb @ oracle.b_inv, xbs) + slack
-        >= (oracle.norm_u_binv**2 / oracle.norm_u**2) * (np.cos(dist_b) - oracle.cos_phi),
+        >= (ctx.norm_u_binv**2 / ctx.norm_u**2) * (np.cos(dist_b) - ctx.cos_phi),
         kept,
         xb,
         lambda j: "basin projection bound",
@@ -673,11 +638,10 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
         dim=n, apply_a=lambda v: oracle.a @ v, matrix=oracle.a, label=report.label
     )
     precond = make_spd(oracle.b)
-    ctx = build_rate_context(problem, precond)
     start_dir = rng.normal(n)
     start_dir -= float(start_dir @ oracle.x_star) * oracle.x_star
     start_dir /= np.linalg.norm(start_dir)
-    x0 = sphere_exp(oracle.x_star, (0.6 * oracle.phi) * start_dir)
+    x0 = sphere_exp(oracle.x_star, (0.6 * ctx.phi) * start_dir)
     u0 = oracle.b_inv_sqrt @ x0
     result = solvers.rsd_solve(
         problem,
@@ -686,7 +650,7 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
         solvers.StepPolicy.theory(),
         tol=1e-13,
         maxit=25,
-        ctx=ctx,
+        ctx=build_rate_context(problem, precond),
         stagnation_window=None,
     )
     rows = result.trace.rows

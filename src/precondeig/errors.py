@@ -86,10 +86,6 @@ class ZeroGradientAtNonEigenvector(PrecondEigError):
     """Defensive: gradient vanished although the residual is not negligible."""
 
 
-class UnknownTable(PrecondEigError):
-    pass
-
-
 class RecipeError(PrecondEigError):
     """A problem/preconditioner recipe string failed to parse."""
 

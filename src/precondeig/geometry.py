@@ -5,7 +5,7 @@ preconditioner applications only.  Square roots of the preconditioner are
 never formed here; the dense-oracle tests form them independently.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +50,10 @@ class IterateState:
     b_inv_r: np.ndarray
     r_binv_r: float
     g2: float
-    b_norm: float = 1.0
-    extras: dict = field(default_factory=dict)
 
 
-def make_state(u, apply_a, apply_b_inv, b_norm=1.0):
-    """Build the cached state for an iterate with known B-norm."""
+def make_state(u, apply_a, apply_b_inv):
+    """Build the cached state for an iterate with ||u||_B = 1."""
     u = np.asarray(u, dtype=np.float64)
     uu = float(u @ u)
     if uu == 0.0:

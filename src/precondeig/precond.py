@@ -204,17 +204,16 @@ def make_ddm(hierarchy, a_fine, a_coarse):
 class ScaledPreconditioner(Preconditioner):
     """Wraps an inner preconditioner as B/eta, i.e. applies eta * B^{-1}."""
 
-    def __init__(self, inner, eta, rho_b=None):
+    def __init__(self, inner, eta):
         if eta <= 0:
             raise ValueError("eta must be positive")
         self.inner = inner
         self.eta = float(eta)
-        self.rho_b = rho_b
         self.dim = inner.dim
         self.label = f"scaled:{inner.label}"
         self.fwd_mode = inner.fwd_mode
         if inner.exact() is not inner:
-            self._twin = ScaledPreconditioner(inner.exact(), eta, rho_b)
+            self._twin = ScaledPreconditioner(inner.exact(), eta)
 
     def apply_inv(self, v):
         return self.eta * self.inner.apply_inv(v)
@@ -228,9 +227,7 @@ def spectral_scale(p, nu_min, nu_max):
     (kappa - 1)/(kappa + 1) with kappa = nu_max/nu_min."""
     if not 0 < nu_min <= nu_max:
         raise ValueError("need 0 < nu_min <= nu_max")
-    eta = 2.0 / (nu_max + nu_min)
-    rho_b = max(abs(1.0 - eta * nu_min), abs(1.0 - eta * nu_max))
-    return ScaledPreconditioner(p, eta, rho_b=rho_b)
+    return ScaledPreconditioner(p, 2.0 / (nu_max + nu_min))
 
 
 class HattedPreconditioner(Preconditioner):

@@ -103,6 +103,14 @@ class Trace:
     def column(self, name):
         return np.array([row[name] for row in self.rows], dtype=np.float64)
 
+    def fill_contraction(self):
+        """contraction of row t = (distB_{t+1} / distB_t)^2 wherever both are
+        finite and distB_t > 0; called once when a run ends."""
+        for row, nxt in zip(self.rows, self.rows[1:]):
+            d0, d1 = row["distB"], nxt["distB"]
+            if np.isfinite(d0) and np.isfinite(d1) and d0 > 0:
+                row["contraction"] = (d1 / d0) ** 2
+
 
 @dataclass
 class SolveResult:
@@ -119,7 +127,7 @@ def step_theory(state, ctx):
     gamma carries the sharp smoothness factor 2 (see diagnostics.gamma_x),
     so the closed form has 2 nu_max in the denominator.
     """
-    cos_dist = ctx.cos_dist_b(state.u, state.b_norm)
+    cos_dist = ctx.cos_dist_b(state.u)
     margin = cos_dist - ctx.cos_phi
     if margin <= 0.0:
         raise OutsideBasin(
@@ -205,11 +213,8 @@ def rsd_solve(
         res_rel = np.linalg.norm(state.r) / (state.lam * math.sqrt(state.uu))
         dist_b = NAN
         if ctx is not None:
-            dist_b = math.acos(ctx.cos_dist_b(state.u, state.b_norm))
-        if trace.rows and np.isfinite(dist_b) and np.isfinite(trace.rows[-1]["distB"]):
-            prev = trace.rows[-1]["distB"]
-            if prev > 0:
-                trace.rows[-1]["contraction"] = (dist_b / prev) ** 2
+            cos_dist = ctx.cos_dist_b(state.u)
+            dist_b = math.acos(cos_dist)
         if res_rel <= tol:
             trace.append(t=t, lam=state.lam, f=state.f, resnorm=np.linalg.norm(state.r), distB=dist_b)
             reason, iterations = "ResidualTol", t
@@ -239,7 +244,7 @@ def rsd_solve(
                 f"gradient vanished at t={t} with residual {res_rel:.3e}"
             )
         if ctx is not None:
-            margin = ctx.cos_dist_b(state.u, state.b_norm) - ctx.cos_phi
+            margin = cos_dist - ctx.cos_phi
             if margin <= 0.0 and in_basin:
                 trace.event(t, "BasinExit")
                 in_basin = False
@@ -268,8 +273,7 @@ def rsd_solve(
         beta = math.cos(eta * g)
         xi = NAN
         if ctx is not None:
-            a_val = a_x(state, ctx)
-            xi = eta * mu_x(state, ctx) * a_val
+            xi = eta * mu_x(state.uau, ctx) * a_x(cos_dist, state.uau, ctx)
         trace.append(
             t=t,
             lam=state.lam,
@@ -288,6 +292,7 @@ def rsd_solve(
         if renorm:
             u = u / math.sqrt(_b_norm_sq(exact, problem, u))
 
+    trace.fill_contraction()
     return SolveResult(u=state.u, lam=state.lam, iterations=iterations, reason=reason, trace=trace)
 
 
@@ -317,10 +322,6 @@ def pinvit_classic_solve(problem, precond, u0, tol=1e-8, maxit=1000, ctx=None):
         if can_dist:
             bn = math.sqrt(float(u @ exact.apply_fwd(u)))
             dist_b = math.acos(ctx.cos_dist_b(u, bn))
-        if trace.rows and np.isfinite(dist_b) and np.isfinite(trace.rows[-1]["distB"]):
-            prev = trace.rows[-1]["distB"]
-            if prev > 0:
-                trace.rows[-1]["contraction"] = (dist_b / prev) ** 2
         trace.append(t=t, lam=lam, f=-1.0 / lam, resnorm=np.linalg.norm(r), distB=dist_b)
         if res_rel <= tol:
             reason, iterations = "ResidualTol", t
@@ -330,4 +331,5 @@ def pinvit_classic_solve(problem, precond, u0, tol=1e-8, maxit=1000, ctx=None):
             break
         u = u - precond.apply_inv(r)
         u = u / np.linalg.norm(u)
+    trace.fill_contraction()
     return SolveResult(u=u, lam=lam, iterations=iterations, reason=reason, trace=trace)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import precondeig as pe
+from precondeig.diagnostics import random_spd_pair
 
 
 def dense_roots(b):
@@ -14,6 +15,18 @@ def dense_roots(b):
 def dense_problem(a, label="dense"):
     a = np.asarray(a, dtype=np.float64)
     return pe.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a, label=label)
+
+
+def dense_pencil(seed, n, kind):
+    """Dense (A, B) with B the identity, a random SPD matrix or the binary64
+    product Lhat Lhat^T of A's binary32 Cholesky factor (mp-chol)."""
+    a, b_rand = random_spd_pair(seed, n)
+    if kind == "identity":
+        return a, np.eye(n)
+    if kind == "random-spd":
+        return a, b_rand
+    l64 = pe.make_mp_cholesky(a).exact().factor.l
+    return a, l64 @ l64.T
 
 
 @pytest.fixture

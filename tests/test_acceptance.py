@@ -210,7 +210,9 @@ def test_criterion_4_corollary_rate():
 
 
 def test_criterion_5_cos_phi_cross_check():
-    """Two distortion-angle formulas agree; Monte-Carlo never beats them."""
+    """The production cos phi (build_rate_context: LAPACK reference eigenpair,
+    B applied through make_spd) agrees with distortion_angle on explicit
+    dense B; a Monte-Carlo probe never beats the closed form."""
     t0 = time.time()
     worst = 0.0
     for seed in range(20):
@@ -220,8 +222,9 @@ def test_criterion_5_cos_phi_cross_check():
             for b in (np.eye(n), b_rand, l64 @ l64.T):
                 problem = dense_problem(a)
                 ctx = pe.build_rate_context(problem, pe.make_spd(b))
-                var = pe.cos_phi_variational(
-                    ctx.u_star, lambda v: b @ v, lambda v: np.linalg.solve(b, v)
+                u = ctx.u_star
+                _, var = pe.distortion_angle(
+                    u, b @ u, np.linalg.solve(b, u), lambda v: np.linalg.solve(b, v)
                 )
                 worst = max(worst, abs(var - ctx.cos_phi))
     # Monte-Carlo supremum probe at n = 6
@@ -229,7 +232,8 @@ def test_criterion_5_cos_phi_cross_check():
     problem = dense_problem(a)
     ctx = pe.build_rate_context(problem, pe.make_spd(b))
     b_inv = np.linalg.inv(b)
-    closed = pe.cos_phi_variational(ctx.u_star, lambda v: b @ v, lambda v: b_inv @ v)
+    u = ctx.u_star
+    _, closed = pe.distortion_angle(u, b @ u, b_inv @ u, lambda v: b_inv @ v)
     nbi = math.sqrt(ctx.u_star @ b_inv @ ctx.u_star)
     rng = pe.Rng(123)
     best = 0.0
@@ -241,7 +245,7 @@ def test_criterion_5_cos_phi_cross_check():
     report(
         5,
         worst <= 1e-8 and best <= closed + 1e-6,
-        f"cross-formula gap {worst:.2e} over 180 instances (tol 1e-8); "
+        f"production vs dense-B gap {worst:.2e} over 180 instances (tol 1e-8); "
         f"MC supremum {best:.8f} vs closed form {closed:.8f}, {elapsed:.1f}s",
     )
 
@@ -334,7 +338,8 @@ def test_criterion_9_classical_pinvit_bound():
     nu_min, nu_max, kappa = pe.kappa_nu(problem, ddm, dense_cap=0)
     scaled = pe.spectral_scale(ddm, nu_min, nu_max)
     ref = problem.reference()
-    rho = 1.0 - (1.0 - scaled.rho_b) * (1.0 - ref.lam1 / ref.lam2)
+    rho_b = max(abs(1.0 - scaled.eta * nu_min), abs(1.0 - scaled.eta * nu_max))
+    rho = 1.0 - (1.0 - rho_b) * (1.0 - ref.lam1 / ref.lam2)
     u0 = ref.u_star + 0.1 * pe.gaussian_vector(pe.Rng(5), problem.dim) / math.sqrt(problem.dim)
     assert pe.rayleigh(u0, problem.apply_a) < ref.lam2
     res = pe.pinvit_classic_solve(problem, scaled, u0, tol=1e-10, maxit=300)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import precondeig as pe
+from precondeig import diagnostics
 from precondeig.cli import build_precond, build_problem
-from precondeig.diagnostics import random_spd_pair
+from precondeig.diagnostics import _DenseOracle, random_spd_pair
 from precondeig.errors import PropertyViolation
-from tests.conftest import dense_problem, dense_roots
+from tests.conftest import dense_pencil, dense_problem, dense_roots
 
 DIAG = np.diag([1.0, 2.0, 4.0])
 
@@ -18,6 +19,11 @@ def diag_ctx(precond_factory):
     return problem, p, pe.build_rate_context(problem, p)
 
 
+def dense_distortion_angle(u, b):
+    """distortion_angle with B applied and inverted by explicit dense products."""
+    return pe.distortion_angle(u, b @ u, np.linalg.solve(b, u), lambda v: np.linalg.solve(b, v))
+
+
 def random_ctx(seed, n=10):
     a, b = random_spd_pair(seed, n)
     problem = dense_problem(a)
@@ -26,13 +32,13 @@ def random_ctx(seed, n=10):
 
 
 # ---------------------------------------------------------------------------
-# distortion angle, two formulas
+# distortion angle
 # ---------------------------------------------------------------------------
 
 
 def test_cos_phi_identity_preconditioner():
     u = np.array([1.0, 0.0, 0.0])
-    sin_phi, cos_phi = pe.cos_phi_direct(u, u, u)
+    sin_phi, cos_phi = pe.distortion_angle(u, u, u, lambda v: v)
     assert sin_phi == 1.0 and cos_phi == 0.0
 
 
@@ -41,7 +47,7 @@ def test_cos_phi_exact_preconditioner_is_zero():
     u = np.array([1.0, 0.0, 0.0])
     bu = DIAG @ u
     binv_u = np.linalg.solve(DIAG, u)
-    _, cos_phi = pe.cos_phi_direct(u, binv_u, bu)
+    _, cos_phi = pe.distortion_angle(u, bu, binv_u, lambda v: np.linalg.solve(DIAG, v))
     assert cos_phi <= 1e-8
 
 
@@ -58,16 +64,20 @@ def test_cos_phi_direct_matches_dense_formula():
 
 def test_variational_degenerate_branch():
     u = np.array([1.0, 0.0, 0.0])
-    got = pe.cos_phi_variational(u, lambda v: DIAG @ v, lambda v: np.linalg.solve(DIAG, v))
+    _, got = dense_distortion_angle(u, DIAG)
     assert got == 0.0
+
+
+def test_distortion_angle_needs_unit_vector():
+    # the projection u - B u / ||u||_B^2 is orthogonal to u only for ||u|| = 1
+    with pytest.raises(ValueError):
+        dense_distortion_angle(np.array([2.0, 0.0, 0.0]), DIAG)
 
 
 @pytest.mark.parametrize("seed", [30, 31, 32, 33])
 def test_cross_formula_agreement(seed):
     _, _, ctx, a, b = random_ctx(seed)
-    got = pe.cos_phi_variational(
-        ctx.u_star, lambda v: b @ v, lambda v: np.linalg.solve(b, v)
-    )
+    _, got = dense_distortion_angle(ctx.u_star, b)
     assert abs(got - ctx.cos_phi) <= 1e-8
 
 
@@ -85,9 +95,7 @@ def seed13_mp_chol_pair():
 def test_seed13_mp_chol_cos_phi_to_relative_precision():
     a, b = seed13_mp_chol_pair()
     ctx = pe.build_rate_context(dense_problem(a), pe.make_spd(b))
-    var = pe.cos_phi_variational(
-        ctx.u_star, lambda v: b @ v, lambda v: np.linalg.solve(b, v)
-    )
+    _, var = dense_distortion_angle(ctx.u_star, b)
     assert abs(var - COS_PHI_SEED13_MP) <= 1e-6 * COS_PHI_SEED13_MP
     assert abs(ctx.cos_phi - COS_PHI_SEED13_MP) <= 1e-6 * COS_PHI_SEED13_MP
     assert ctx.phi < math.pi / 2.0
@@ -105,7 +113,7 @@ def test_variational_monte_carlo_supremum():
     u = ctx.u_star
     b_inv = np.linalg.inv(b)
     nbi = math.sqrt(u @ b_inv @ u)
-    closed = pe.cos_phi_variational(u, lambda v: b @ v, lambda v: b_inv @ v)
+    _, closed = pe.distortion_angle(u, b @ u, b_inv @ u, lambda v: b_inv @ v)
     rng = pe.Rng(99)
     best = 0.0
     for _ in range(10_000):
@@ -114,6 +122,31 @@ def test_variational_monte_carlo_supremum():
         val = abs(float(v @ b_inv @ u)) / (math.sqrt(v @ b_inv @ v) * nbi)
         best = max(best, val)
     assert best <= closed + 1e-6
+
+
+@pytest.mark.parametrize("kind", ["identity", "random-spd", "mp-chol"])
+def test_distortion_angle_matches_extended_precision(kind):
+    # 40-digit reference: u* from mp.eigsy of A, sin phi from the norms of
+    # u*, cos phi = sqrt(1 - sin^2 phi) with no binary64 floor
+    mpmath = pytest.importorskip("mpmath")
+    for seed in range(3):
+        for n in (6, 12):
+            a, b = dense_pencil(seed, n, kind)
+            ctx = pe.build_rate_context(dense_problem(a), pe.make_spd(b))
+            with mpmath.workdps(40):
+                b_mp = mpmath.matrix(b.tolist())
+                w, q = mpmath.eigsy(mpmath.matrix(a.tolist()))
+                u = q[:, min(range(n), key=lambda k: w[k])]
+                nb2 = (u.T * b_mp * u)[0]
+                nbi2 = (u.T * mpmath.lu_solve(b_mp, u))[0]
+                sin_mp = (u.T * u)[0] / mpmath.sqrt(nb2 * nbi2)
+                sin_ref, cos_ref = float(sin_mp), float(mpmath.sqrt(1 - sin_mp**2))
+            label = f"seed={seed},n={n},B={kind}"
+            assert abs(ctx.sin_phi - sin_ref) <= 1e-13 * sin_ref, label
+            if kind == "identity":
+                assert ctx.cos_phi == 0.0, label
+            else:
+                assert abs(ctx.cos_phi - cos_ref) <= 1e-6 * cos_ref, label
 
 
 def test_theta_shao_identity():
@@ -204,7 +237,7 @@ def test_gamma_diag_identity_at_x_star():
     problem, p, ctx = diag_ctx(lambda pr: pe.make_identity(3))
     state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv)
     # 2 * numax * (1/l1 - 1/ln) / (u^T A u) = 2*4*(3/4)/1
-    assert abs(pe.gamma_x(state, ctx) - 6.0) <= 1e-9
+    assert abs(pe.gamma_x(state.uau, ctx) - 6.0) <= 1e-9
 
 
 def test_gamma_global_bound():
@@ -215,13 +248,13 @@ def test_gamma_global_bound():
         u = rng.normal(10)
         u /= math.sqrt(u @ b @ u)
         state = pe.make_state(u, problem.apply_a, p.apply_inv)
-        assert pe.gamma_x(state, ctx) <= bound + 1e-12
+        assert pe.gamma_x(state.uau, ctx) <= bound + 1e-12
 
 
 def test_mu_diag_identity_at_x_star():
     problem, p, ctx = diag_ctx(lambda pr: pe.make_identity(3))
     state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv)
-    assert abs(pe.mu_x(state, ctx) - 4.0 / math.pi**2) <= 1e-10
+    assert abs(pe.mu_x(state.uau, ctx) - 4.0 / math.pi**2) <= 1e-10
 
 
 def test_mu_lower_bound():
@@ -232,7 +265,7 @@ def test_mu_lower_bound():
         u = rng.normal(10)
         u /= math.sqrt(u @ b @ u)
         state = pe.make_state(u, problem.apply_a, p.apply_inv)
-        assert pe.mu_x(state, ctx) >= mu0 - 1e-12
+        assert pe.mu_x(state.uau, ctx) >= mu0 - 1e-12
 
 
 def test_mu_matches_dense_x_space_formula():
@@ -251,7 +284,7 @@ def test_mu_matches_dense_x_space_formula():
         * ctx.norm_u_b
         / (math.pi**2 * math.sqrt(float(x @ c @ x)) * ctx.norm_u_a)
     )
-    assert abs(pe.mu_x(state, ctx) - expected) <= 1e-12 * expected
+    assert abs(pe.mu_x(state.uau, ctx) - expected) <= 1e-12 * expected
 
 
 def test_a_positive_at_x_star_zero_at_phi():
@@ -259,7 +292,7 @@ def test_a_positive_at_x_star_zero_at_phi():
     b_sqrt, b_inv_sqrt, _ = dense_roots(b)
     u_at = ctx.u_star / math.sqrt(ctx.u_star @ b @ ctx.u_star)
     state = pe.make_state(u_at, problem.apply_a, p.apply_inv)
-    assert pe.a_x(state, ctx) > 0.0
+    assert pe.a_x(ctx.cos_dist_b(state.u), state.uau, ctx) > 0.0
     # construct a state at distance exactly phi
     x_star = b_sqrt @ ctx.u_star
     x_star /= np.linalg.norm(x_star)
@@ -269,7 +302,7 @@ def test_a_positive_at_x_star_zero_at_phi():
     x_phi = pe.sphere_exp(x_star, ctx.phi * d)
     u_phi = b_inv_sqrt @ x_phi
     state_phi = pe.make_state(u_phi, problem.apply_a, p.apply_inv)
-    assert abs(pe.a_x(state_phi, ctx)) <= 1e-8
+    assert abs(pe.a_x(ctx.cos_dist_b(state_phi.u), state_phi.uau, ctx)) <= 1e-8
 
 
 def test_a_lower_bound_under_margin():
@@ -289,7 +322,7 @@ def test_a_lower_bound_under_margin():
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
         state = pe.make_state(u, problem.apply_a, p.apply_inv)
-        assert pe.a_x(state, ctx) >= c / ctx.kappa - 1e-10
+        assert pe.a_x(ctx.cos_dist_b(state.u), state.uau, ctx) >= c / ctx.kappa - 1e-10
 
 
 def test_xi_consistency_with_parts():
@@ -306,9 +339,9 @@ def test_xi_consistency_with_parts():
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
         state = pe.make_state(u, problem.apply_a, p.apply_inv)
-        a_val = pe.a_x(state, ctx)
-        parts = a_val**2 * pe.mu_x(state, ctx) / pe.gamma_x(state, ctx)
-        assert abs(pe.xi_t(state, ctx) - parts) <= 1e-12 * max(1.0, abs(parts))
+        a_val = pe.a_x(ctx.cos_dist_b(state.u), state.uau, ctx)
+        parts = a_val**2 * pe.mu_x(state.uau, ctx) / pe.gamma_x(state.uau, ctx)
+        assert abs(pe.xi_t(ctx.cos_dist_b(state.u), state.uau, ctx) - parts) <= 1e-12 * max(1.0, abs(parts))
 
 
 def test_xi_nonpositive_outside_basin():
@@ -323,7 +356,7 @@ def test_xi_nonpositive_outside_basin():
     u = b_inv_sqrt @ x
     u /= math.sqrt(u @ b @ u)
     state = pe.make_state(u, problem.apply_a, p.apply_inv)
-    assert pe.xi_t(state, ctx) <= 0.0
+    assert pe.xi_t(ctx.cos_dist_b(state.u), state.uau, ctx) <= 0.0
 
 
 def test_xi_approaches_xi_inf():
@@ -339,7 +372,7 @@ def test_xi_approaches_xi_inf():
     u = b_inv_sqrt @ x
     u /= math.sqrt(u @ b @ u)
     state = pe.make_state(u, problem.apply_a, p.apply_inv)
-    assert abs(pe.xi_t(state, ctx) - pe.xi_inf(ctx)) <= 1e-6
+    assert abs(pe.xi_t(ctx.cos_dist_b(state.u), state.uau, ctx) - pe.xi_inf(ctx)) <= 1e-6
 
 
 def test_xi_inf_exact_preconditioner_closed_form():
@@ -481,6 +514,41 @@ def test_validate_bug_injection_fails_at_iii():
     assert any(v["check"] == "iii" for v in rep.violations)
     # counterexample vector is carried with the violation
     assert all("x" in v for v in rep.violations)
+
+
+def test_validate_evaluates_the_solver_rate_functions(monkeypatch):
+    # a 100x mu in diagnostics.mu_x must surface as (ii) violations
+    a, b = random_spd_pair(0, 6)
+    assert pe.validate_properties(a, b, n_samples=100, seed=0).passed
+    mu_x = diagnostics.mu_x
+    monkeypatch.setattr(diagnostics, "mu_x", lambda uau, ctx: 100.0 * mu_x(uau, ctx))
+    rep = pe.validate_properties(a, b, n_samples=100, seed=0)
+    assert any(v["check"] == "ii" for v in rep.violations)
+
+
+RATE_CONTEXT_SCALARS = (
+    "lam1", "lam2", "lamn", "nu_min", "nu_max",
+    "norm_u", "norm_u_a", "norm_u_b", "norm_u_binv", "sin_phi",
+)
+
+
+@pytest.mark.parametrize("kind", ["identity", "random-spd", "mp-chol"])
+def test_dense_oracle_context_matches_build_rate_context(kind):
+    # the Jacobi/explicit-B route against the LAPACK/make_spd route
+    for seed in range(5):
+        for n in (6, 12, 20):
+            a, b = dense_pencil(seed, n, kind)
+            got = _DenseOracle(a, b).ctx
+            ref = pe.build_rate_context(dense_problem(a), pe.make_spd(b))
+            label = f"seed={seed},n={n},B={kind}"
+            for name in RATE_CONTEXT_SCALARS:
+                x, y = getattr(got, name), getattr(ref, name)
+                assert abs(x - y) <= 1e-12 * abs(y), (label, name)
+            assert abs(got.cos_phi - ref.cos_phi) <= 1e-6 * ref.cos_phi, label
+            sign = 1.0 if float(got.u_star @ ref.u_star) > 0 else -1.0
+            for name in ("u_star", "w_star", "b_inv_u"):
+                x, y = sign * getattr(got, name), getattr(ref, name)
+                assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y), (label, name)
 
 
 def test_validate_rejects_indefinite():

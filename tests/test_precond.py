@@ -291,12 +291,13 @@ def test_apply_fwd_iterative_identity_and_exact():
 
 
 def test_spectral_scale_trivial_arithmetic():
+    # rho_B = max |1 - eta nu| over the spectral bounds = (kappa - 1)/(kappa + 1)
     p = pe.spectral_scale(pe.make_identity(3), 2.0, 2.0)
     assert abs(p.eta - 0.5) <= 1e-16
-    assert p.rho_b == 0.0
+    assert abs(1.0 - p.eta * 2.0) == 0.0
     p = pe.spectral_scale(pe.make_identity(3), 1.0, 3.0)
     assert abs(p.eta - 0.5) <= 1e-16
-    assert abs(p.rho_b - 0.5) <= 1e-16
+    assert abs(max(abs(1.0 - p.eta * 1.0), abs(1.0 - p.eta * 3.0)) - 0.5) <= 1e-16
 
 
 def test_spectral_scale_dense_a_norm_oracle():

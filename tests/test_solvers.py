@@ -351,7 +351,8 @@ def test_classic_convresult_bound_scaled_identity():
     nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_identity(4))
     scaled = pe.spectral_scale(pe.make_identity(4), nu_min, nu_max)
     ctx = pe.build_rate_context(problem, scaled)
-    rho = 1.0 - (1.0 - scaled.rho_b) * (1.0 - ctx.lam1 / ctx.lam2)
+    rho_b = max(abs(1.0 - scaled.eta * nu_min), abs(1.0 - scaled.eta * nu_max))
+    rho = 1.0 - (1.0 - rho_b) * (1.0 - ctx.lam1 / ctx.lam2)
     u0 = np.array([1.0, 0.3, 0.2, 0.1])
     assert pe.rayleigh(u0, problem.apply_a) < ctx.lam2
     res = pe.pinvit_classic_solve(problem, scaled, u0, tol=1e-12, maxit=500, ctx=ctx)

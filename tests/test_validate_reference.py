@@ -4,7 +4,7 @@
 xi with one Rng.normal call each per sample and evaluates f, grad, gamma,
 mu, a(x), dist, exp and log on single vectors, with its own copies of the
 vector formulas and sphere maps.  It shares only the explicit dense oracle
-(the Jacobi-built B^{-1}, C and spectral data) and the (vii) solve with the
+(the Jacobi-built B^{-1}, C and RateContext) and the (vii) solve with the
 library.
 """
 
@@ -15,9 +15,10 @@ import pytest
 
 import precondeig as pe
 from precondeig import solvers
-from precondeig.diagnostics import PropertyReport, _DenseOracle, random_spd_pair
+from precondeig.diagnostics import PropertyReport, _DenseOracle
 from precondeig.errors import AntipodalOrEqual, NotTangent
 from precondeig.linalg import spawn_seed
+from tests.conftest import dense_pencil
 
 
 def _dist(x, y):
@@ -56,20 +57,20 @@ def _grad(o, x):
 
 
 def _gamma(o, x):
-    return 2.0 * o.nu_max * (1.0 / o.lam1 - 1.0 / o.lamn) / float(x @ o.c @ x)
+    return 2.0 * o.ctx.nu_max * (1.0 / o.ctx.lam1 - 1.0 / o.ctx.lamn) / float(x @ o.c @ x)
 
 
 def _mu(o, x):
     return (
-        8.0 * o.nu_min * (1.0 / o.lam1 - 1.0 / o.lam2) * o.norm_u_b
-        / (math.pi**2 * math.sqrt(float(x @ o.c @ x)) * o.norm_u_a)
+        8.0 * o.ctx.nu_min * (1.0 / o.ctx.lam1 - 1.0 / o.ctx.lam2) * o.ctx.norm_u_b
+        / (math.pi**2 * math.sqrt(float(x @ o.c @ x)) * o.ctx.norm_u_a)
     )
 
 
 def _a_factor(o, x, dist, phi_sign):
     return (
-        o.lam1 * o.norm_u_binv**2 * (math.cos(dist) - phi_sign * o.cos_phi)
-        / (float(x @ o.c @ x) * o.norm_u**2)
+        o.ctx.lam1 * o.ctx.norm_u_binv**2 * (math.cos(dist) - phi_sign * o.ctx.cos_phi)
+        / (float(x @ o.c @ x) * o.ctx.norm_u**2)
     )
 
 
@@ -88,8 +89,8 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
             )
 
     bug_sign = -1.0 if inject_bug == "a_x_sign" else 1.0
-    record("vi", oracle.cos_phi**2 <= (1.0 - 1.0 / oracle.kappa) + 1e-10, oracle.u_star, "")
     o = oracle
+    record("vi", o.ctx.cos_phi**2 <= (1.0 - 1.0 / o.ctx.kappa) + 1e-10, o.ctx.u_star, "")
     for k in range(n_samples):
         x = rng.normal(n)
         x /= np.linalg.norm(x)
@@ -106,10 +107,10 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
         if nd < 1e-12:
             continue
         xi_dir /= nd
-        xb = _exp(o.x_star, (0.999 * t_frac * o.phi) * xi_dir)
+        xb = _exp(o.x_star, (0.999 * t_frac * o.ctx.phi) * xi_dir)
         xbs = o.x_star if float(xb @ o.x_star) >= 0 else -o.x_star
         dist_b = _dist(xb, xbs)
-        if dist_b >= o.phi:
+        if dist_b >= o.ctx.phi:
             continue
         fb = _f(o, xb)
         gb = _grad(o, xb)
@@ -126,7 +127,7 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
         record(
             "v",
             float(xb @ o.b_inv @ xbs) + slack
-            >= (o.norm_u_binv**2 / o.norm_u**2) * (math.cos(dist_b) - o.cos_phi),
+            >= (o.ctx.norm_u_binv**2 / o.ctx.norm_u**2) * (math.cos(dist_b) - o.ctx.cos_phi),
             xb,
             "",
         )
@@ -137,7 +138,7 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
     start_dir = rng.normal(n)
     start_dir -= float(start_dir @ o.x_star) * o.x_star
     start_dir /= np.linalg.norm(start_dir)
-    u0 = o.b_inv_sqrt @ _exp(o.x_star, (0.6 * o.phi) * start_dir)
+    u0 = o.b_inv_sqrt @ _exp(o.x_star, (0.6 * o.ctx.phi) * start_dir)
     result = solvers.rsd_solve(
         problem, precond, u0, solvers.StepPolicy.theory(), tol=1e-13, maxit=25, ctx=ctx,
         stagnation_window=None,
@@ -149,16 +150,6 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
             record("vii", d1**2 <= (1.0 - xi) * d0**2 + 1e-12, o.x_star, "")
     report.checked = counts
     return report
-
-
-def _instance(seed, n, kind):
-    a, b_rand = random_spd_pair(seed, n)
-    if kind == "identity":
-        return a, np.eye(n)
-    if kind == "random-spd":
-        return a, b_rand
-    l64 = pe.make_mp_cholesky(a).exact().factor.l
-    return a, l64 @ l64.T
 
 
 def _assert_same_reports(a, b, **kwargs):
@@ -178,7 +169,7 @@ def _assert_same_reports(a, b, **kwargs):
 @pytest.mark.parametrize("n", [6, 12, 20])
 def test_blocked_validator_matches_reference_loop(n, kind, inject_bug):
     for seed in range(6):
-        a, b = _instance(seed, n, kind)
+        a, b = dense_pencil(seed, n, kind)
         _assert_same_reports(
             a, b, n_samples=500, seed=spawn_seed(seed, n), label=f"seed={seed},n={n},B={kind}",
             inject_bug=inject_bug,
@@ -191,7 +182,7 @@ def test_blocked_validator_matches_reference_points(n, kind):
     # slack = -0.3 makes each of (i)-(v) fail at many samples, so the reports
     # carry the sample points of every check, in order
     for seed in range(2):
-        a, b = _instance(seed, n, kind)
+        a, b = dense_pencil(seed, n, kind)
         _assert_same_reports(
             a, b, n_samples=500, seed=spawn_seed(seed, n), slack=-0.3,
             label=f"seed={seed},n={n},B={kind}",
