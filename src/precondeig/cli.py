@@ -95,8 +95,6 @@ def build_precond(recipe, problem):
     if kind == "identity":
         return precond.make_identity(problem.dim)
     if kind == "exact":
-        if problem.matrix is not None:
-            return precond.make_exact(problem.matrix)
         return precond.OperatorPreconditioner(
             problem.dim, problem.solver(), problem.apply_a, label="exact"
         )
@@ -112,8 +110,7 @@ def build_precond(recipe, problem):
             raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
         hier = problems.mesh_hierarchy(big_h, h, ratio)
         a_coarse = (hier.prolongation.T @ stiffness @ hier.prolongation).tocsc()
-        ddm = precond.make_ddm(hier, stiffness, a_coarse)
-        return problem.wrap_precond(ddm)
+        return problem.wrap_precond(precond.DdmPreconditioner(hier, stiffness, a_coarse))
     if kind == "scaled":
         inner = build_precond(body, problem)
         nu_min, nu_max, _ = diagnostics.kappa_nu(problem, inner)
@@ -253,8 +250,7 @@ _VALIDATE_KINDS = ("identity", "random-spd", "mp-chol")
 
 def cmd_validate(args):
     sizes = [int(s) for s in args.sizes.split(",")]
-    all_violations = []
-    checked = {}
+    total = diagnostics.PropertyReport(label="validate", n_samples=args.samples)
     t0 = time.time()
     for seed in range(args.seeds):
         for n in sizes:
@@ -272,19 +268,17 @@ def cmd_validate(args):
                     a, b, n_samples=args.samples, seed=spawn_seed(seed, n),
                     label=label, inject_bug=args.inject_bug,
                 )
-                for key, cnt in report.checked.items():
-                    checked[key] = checked.get(key, 0) + cnt
-                all_violations.extend(report.violations)
+                total.merge(report)
     payload = {
         "seeds": args.seeds,
         "sizes": sizes,
         "samples": args.samples,
-        "checked": checked,
+        "checked": total.checked,
         "violations": [
             {"check": v["check"], "label": v["label"], "detail": v["detail"]}
-            for v in all_violations[:50]
+            for v in total.violations[:50]
         ],
-        "violation_count": len(all_violations),
+        "violation_count": len(total.violations),
         "runtime_s": time.time() - t0,
     }
     text = json.dumps(payload, indent=2)
@@ -292,10 +286,10 @@ def cmd_validate(args):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    if all_violations:
-        print(f"FAIL: {len(all_violations)} violations", file=sys.stderr)
+    if total.violations:
+        print(f"FAIL: {len(total.violations)} violations", file=sys.stderr)
         return 3
-    print(f"OK: zero violations across {sum(checked.values())} checks")
+    print(f"OK: zero violations across {sum(total.checked.values())} checks")
     return 0
 
 

@@ -117,8 +117,6 @@ class RateContext:
     lamn: float
     u_star: np.ndarray
     w_star: np.ndarray  # B u*, forward-applied once
-    b_inv_u: np.ndarray  # B^{-1} u*
-    norm_u: float
     norm_u_a: float
     norm_u_b: float
     norm_u_binv: float
@@ -157,8 +155,6 @@ def _context(
         lamn=lamn,
         u_star=u,
         w_star=b_u,
-        b_inv_u=b_inv_u,
-        norm_u=1.0,
         norm_u_a=math.sqrt(float(u @ a_u)),
         norm_u_b=math.sqrt(float(u @ b_u)),
         norm_u_binv=math.sqrt(float(u @ b_inv_u)),
@@ -235,7 +231,7 @@ def a_x(cos_dist, uau, ctx):
     u^T A u = uau (scalars or arrays); positive inside the basin, sign
     reported."""
     margin = cos_dist - ctx.cos_phi
-    return ctx.lam1 * ctx.norm_u_binv**2 * margin / (uau * ctx.norm_u**2)
+    return ctx.lam1 * ctx.norm_u_binv**2 * margin / uau
 
 
 def xi_t(cos_dist, uau, ctx):
@@ -253,7 +249,7 @@ def xi_t(cos_dist, uau, ctx):
         * ctx.lam1**2
         * ctx.norm_u_b
         * ctx.norm_u_binv**4
-        / (math.pi**2 * ctx.norm_u**4 * ctx.norm_u_a)
+        / (math.pi**2 * ctx.norm_u_a)
         * (margin * abs(margin))
         / uau**1.5
         * (1.0 / ctx.lam1 - 1.0 / ctx.lam2)
@@ -363,8 +359,8 @@ def compute_quality(problem, precond, ctx=None):
 # ---------------------------------------------------------------------------
 
 
-def check_initial(u0, ctx, u0_b_norm_sq=None, c_grid=None):
-    """Evaluate both starting conditions and the simplified margin condition.
+def check_initial(u0, ctx, u0_b_norm_sq=None):
+    """Evaluate both starting conditions.
 
     u0_b_norm_sq may be supplied when u0^T B u0 is known from the sampler
     identity; otherwise one forward application of the binary64 twin of B is
@@ -384,11 +380,6 @@ def check_initial(u0, ctx, u0_b_norm_sq=None, c_grid=None):
     dist = math.acos(_clamp(cos_dist))
     phi = ctx.phi
     lam_u0 = float(u0 @ ctx.problem.apply_a(u0)) / float(u0 @ u0)
-    if c_grid is None:
-        c_grid = [round(0.05 * k, 2) for k in range(1, 10)]
-    lemma = {
-        c: cos_dist**2 >= 1.0 - (1.0 - 2.0 * c) / ctx.kappa for c in c_grid
-    }
     return {
         "dist_b": dist,
         "phi": phi,
@@ -396,7 +387,6 @@ def check_initial(u0, ctx, u0_b_norm_sq=None, c_grid=None):
         "lambda_u0": lam_u0,
         "lambda2": ctx.lam2,
         "condition_classic": lam_u0 < ctx.lam2,
-        "lemma_margin": lemma,
     }
 
 
@@ -617,7 +607,7 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     check_rows(
         "v",
         np.einsum("ij,ij->i", xb @ oracle.b_inv, xbs) + slack
-        >= (ctx.norm_u_binv**2 / ctx.norm_u**2) * (np.cos(dist_b) - ctx.cos_phi),
+        >= ctx.norm_u_binv**2 * (np.cos(dist_b) - ctx.cos_phi),
         kept,
         xb,
         lambda j: "basin projection bound",

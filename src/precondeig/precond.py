@@ -1,5 +1,8 @@
-"""SPD preconditioners behind one interface: inverse application always,
-forward application either exact or via a nested PCG solve.
+"""SPD preconditioners behind one interface.  Every preconditioner applies
+B^{-1}.  An explicit B (OperatorPreconditioner, mp-chol, and the scaled and
+hatted wrappers of either) also applies B itself through apply_fwd.  An
+implicit B (DDM) has fwd_mode 'iterative' and no apply_fwd: its forward
+apply is apply_fwd_iterative, a nested PCG preconditioned by the problem's A.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
@@ -21,8 +24,11 @@ FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forwa
 
 
 class Preconditioner:
-    """Interface: dim, apply_inv, apply_fwd, fwd_mode ('exact'|'iterative'),
-    exact()."""
+    """Interface: dim, label, apply_inv, apply_fwd, fwd_mode, exact().
+
+    apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
+    is implicit and B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a).
+    """
 
     dim = None
     label = "abstract"
@@ -43,51 +49,8 @@ class Preconditioner:
         return self if self._twin is None else self._twin
 
 
-class IdentityPreconditioner(Preconditioner):
-    def __init__(self, n):
-        self.dim = n
-        self.label = "identity"
-
-    def apply_inv(self, v):
-        return np.asarray(v, dtype=np.float64).copy()
-
-    apply_fwd = apply_inv
-
-
-def make_identity(n):
-    return IdentityPreconditioner(n)
-
-
-class ExactPreconditioner(Preconditioner):
-    """B = A: inverse iteration.  One binary64 factorization, cached."""
-
-    def __init__(self, a):
-        self.dim = a.shape[0]
-        self.label = "exact"
-        self._a = a
-        self._solve = make_solver(a)
-
-    def apply_inv(self, v):
-        return self._solve(np.asarray(v, dtype=np.float64))
-
-    def apply_fwd(self, v):
-        return self._a @ np.asarray(v, dtype=np.float64)
-
-
-def make_exact(a):
-    return ExactPreconditioner(a)
-
-
-def make_spd(b, label="dense-spd"):
-    """Preconditioner from an arbitrary explicit SPD matrix B (tests, demos)."""
-    p = ExactPreconditioner(b)
-    p.label = label
-    return p
-
-
 class OperatorPreconditioner(Preconditioner):
-    """Preconditioner from explicit apply callables (e.g. B = A for an
-    operator-only problem, where the inverse is the problem's solver)."""
+    """B given directly by binary64 callables for B^{-1} v and B v."""
 
     def __init__(self, dim, apply_inv_fn, apply_fwd_fn, label="operator"):
         self.dim = dim
@@ -100,6 +63,15 @@ class OperatorPreconditioner(Preconditioner):
 
     def apply_fwd(self, v):
         return self._fwd(np.asarray(v, dtype=np.float64))
+
+
+def make_identity(n):
+    return OperatorPreconditioner(n, np.copy, np.copy, label="identity")
+
+
+def make_spd(b, label="dense-spd"):
+    """Preconditioner from an explicit SPD matrix B, factored once."""
+    return OperatorPreconditioner(b.shape[0], make_solver(b), lambda v: b @ v, label)
 
 
 class MpCholPreconditioner(Preconditioner):
@@ -147,8 +119,9 @@ class DdmPreconditioner(Preconditioner):
     each in its natural grid ordering, are stacked block-diagonally and
     factored once by banded Cholesky, so the sum is a gather of v onto the
     concatenated subdomain nodes, one pair of banded triangular solves and a
-    scatter-add through the sparse stacked restriction.  Forward application
-    is iterative.
+    scatter-add through the sparse stacked restriction.  B itself is
+    implicit (fwd_mode 'iterative', no apply_fwd): B v is
+    apply_fwd_iterative with the problem's A.
     """
 
     fwd_mode = "iterative"
@@ -157,13 +130,12 @@ class DdmPreconditioner(Preconditioner):
         self.dim = a_fine.shape[0]
         self.label = f"ddm:H={hierarchy.coarse_h:g},overlap={hierarchy.overlap_ratio:g}"
         self.hierarchy = hierarchy
-        self._a_fine = a_fine.tocsr() if scipy.sparse.issparse(a_fine) else np.asarray(a_fine)
         self._i_h = hierarchy.prolongation.tocsr()
         if self._i_h.shape[0] != self.dim:
             raise NotSpd(-1, "prolongation does not match the fine matrix")
         # an empty coarse space (single-cell coarse grid) drops the first term
         self._coarse_solve = make_solver(a_coarse) if self._i_h.shape[1] > 0 else None
-        csr = scipy.sparse.csr_matrix(self._a_fine)
+        csr = scipy.sparse.csr_matrix(a_fine)
         blocks = []
         for j, idx in enumerate(hierarchy.subdomains):
             if len(idx) == 0:
@@ -189,16 +161,6 @@ class DdmPreconditioner(Preconditioner):
         if self._coarse_solve is None:
             return np.zeros_like(v)
         return self._i_h @ self._coarse_solve(self._i_h.T @ v)
-
-    def apply_fwd(self, v):
-        return apply_fwd_iterative(self, v, apply_a=self._a_matvec)
-
-    def _a_matvec(self, v):
-        return self._a_fine @ v
-
-
-def make_ddm(hierarchy, a_fine, a_coarse):
-    return DdmPreconditioner(hierarchy, a_fine, a_coarse)
 
 
 class ScaledPreconditioner(Preconditioner):

@@ -22,6 +22,7 @@ from .geometry import rayleigh
 from .linalg import (
     Rng,
     SymFactor,
+    chol_solve,
     cholesky,
     lanczos_extremal,  # noqa: F401 - not called here; perfbench/spans.py patches this name
     lanczos_top_pairs,
@@ -225,29 +226,22 @@ def mesh_hierarchy(H, h, overlap_ratio):
     nf = inv_h - 1
     n_coarse = inv_H - 1  # interior coarse nodes per side
 
-    # P1 interpolation weights of the coarse hat functions at fine nodes
-    rows, cols, vals = [], [], []
-    for node, (i, j) in enumerate(ij):
-        ci, xi_u = divmod(int(i), mult)
-        cj, eta_u = divmod(int(j), mult)
-        if ci == inv_H:  # right/top boundary nodes of the coarse grid
-            ci, xi_u = ci - 1, mult
-        if cj == inv_H:
-            cj, eta_u = cj - 1, mult
-        xi = xi_u / mult
-        eta = eta_u / mult
-        if eta <= xi:
-            weights = [((ci, cj), 1.0 - xi), ((ci + 1, cj), xi - eta), ((ci + 1, cj + 1), eta)]
-        else:
-            weights = [((ci, cj), 1.0 - eta), ((ci, cj + 1), eta - xi), ((ci + 1, cj + 1), xi)]
-        for (I, J), w in weights:
-            if w != 0.0 and 1 <= I <= n_coarse and 1 <= J <= n_coarse:
-                rows.append(node)
-                cols.append((J - 1) * n_coarse + (I - 1))
-                vals.append(w)
+    # P1 interpolation weights of the coarse hat functions at fine nodes: the
+    # hat of coarse vertex (I, J) is 1 - max(|xi|, |eta|, |xi - eta|) at
+    # offset (xi, eta) in coarse units, nonzero only on the four corners of
+    # the coarse cell holding the node; in fine units xi = di / mult
+    vi = ij[:, :1] // mult + np.array([0, 1, 0, 1])  # coarse vertex (I, J) of
+    vj = ij[:, 1:] // mult + np.array([0, 0, 1, 1])  # [fine node, corner]
+    di = ij[:, :1] - vi * mult
+    dj = ij[:, 1:] - vj * mult
+    w = (mult - np.maximum(np.maximum(np.abs(di), np.abs(dj)), np.abs(di - dj))) / mult
+    keep = (w > 0.0) & (vi >= 1) & (vi <= n_coarse) & (vj >= 1) & (vj <= n_coarse)
+    node, _ = np.nonzero(keep)
     prol = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(nf * nf, n_coarse * n_coarse)
+        (w[keep], (node, (vj[keep] - 1) * n_coarse + vi[keep] - 1)),
+        shape=(nf * nf, n_coarse * n_coarse),
     )
+    prol.sort_indices()
 
     # Node set of a subdomain: fine nodes strictly inside the enlarged open
     # box, i.e. nodes whose basis functions are supported in its closure.
@@ -325,7 +319,7 @@ def kernel_matrix(spec, points=None):
                   is identically zero (it is still evaluated and recorded).
 
     A diagonal shift tau * I is added; positive definiteness is verified by a
-    binary64 Cholesky.
+    binary64 Cholesky, whose factor is kept as the problem's solver.
     """
     rng = Rng(spec.seed)
     meta = {"kind": spec.kind, "n": spec.n, "d": spec.d, "seed": spec.seed, "tau": spec.tau}
@@ -346,13 +340,14 @@ def kernel_matrix(spec, points=None):
     if spec.tau:
         a = a + spec.tau * np.eye(spec.n)
     try:
-        cholesky(a, "binary64")
+        factor = cholesky(a, "binary64")
     except NotSpd as exc:
         raise NotSpd(exc.pivot, "kernel matrix is not SPD; increase tau") from exc
     return EigenProblem(
         dim=spec.n,
         apply_a=lambda v: a @ v,
         matrix=a,
+        solve_a=lambda v: chol_solve(factor, v),
         label=f"kernel-{'laplace' if spec.kind == 'laplacian' else 'poly'}:n={spec.n},seed={spec.seed}",
         meta=meta,
     )

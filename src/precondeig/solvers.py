@@ -137,7 +137,7 @@ def step_theory(state, ctx):
         ctx.lam1
         * ctx.norm_u_binv**2
         * margin
-        / (2.0 * ctx.nu_max * ctx.norm_u**2 * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
+        / (2.0 * ctx.nu_max * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
     )
 
 

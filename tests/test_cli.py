@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import precondeig as pe
+from precondeig import linalg, precond, problems
 from precondeig.cli import build_problem, build_precond, main, parse_dyadic
 from precondeig.errors import RecipeError
 
@@ -159,6 +162,37 @@ def test_phi_exact_preconditioner(tmp_path, capsys):
     assert payload["chi"] is None  # reported as n/a in the text table
     text = capsys.readouterr().out
     assert "n/a" in text
+
+
+@pytest.mark.parametrize(
+    "problem, recipe, counts",
+    [
+        ("kernel-laplace:n=40,seed=3", "exact", {"binary64": 1}),
+        ("laplace-fd:h=2^-4", "exact", {"splu": 1}),
+        ("kernel-laplace:n=40,seed=3", "mp-chol", {"binary64": 1, "binary32": 1}),
+    ],
+)
+def test_phi_factors_each_matrix_once(monkeypatch, capsys, problem, recipe, counts):
+    # B = A reuses the problem's own factor, which the reference eigensolve
+    # also uses; kernel_matrix keeps the factor of its SPD check
+    seen = Counter()
+    for module in (linalg, precond, problems):
+
+        def cholesky(m, precision="binary64", orig=module.cholesky):
+            seen[precision] += 1
+            return orig(m, precision)
+
+        monkeypatch.setattr(module, "cholesky", cholesky)
+    splu = scipy.sparse.linalg.splu
+
+    def counted_splu(a):
+        seen["splu"] += 1
+        return splu(a)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    assert main(["phi", "--problem", problem, "--precond", recipe]) == 0
+    capsys.readouterr()
+    assert dict(seen) == counts
 
 
 def test_phi_mp_chol_reports_epsilon(capsys):

@@ -175,7 +175,7 @@ def test_theta_shao_is_complement_of_euclidean_angle():
 
 def test_kappa_exact_is_one():
     problem = dense_problem(DIAG)
-    nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_exact(DIAG))
+    nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_spd(DIAG, "exact"))
     assert abs(nu_min - 1.0) <= 1e-10 and abs(nu_max - 1.0) <= 1e-10 and abs(kappa - 1.0) <= 1e-10
 
 
@@ -377,7 +377,7 @@ def test_xi_approaches_xi_inf():
 
 def test_xi_inf_exact_preconditioner_closed_form():
     problem = dense_problem(DIAG)
-    ctx = pe.build_rate_context(problem, pe.make_exact(DIAG))
+    ctx = pe.build_rate_context(problem, pe.make_spd(DIAG, "exact"))
     # kappa = 1, cos phi = 0: 4/pi^2 * (1 - 1/2)/(1 - 1/4) = 8/(3 pi^2)
     assert abs(pe.xi_inf(ctx) - 8.0 / (3.0 * math.pi**2)) <= 1e-9
 
@@ -431,7 +431,7 @@ def test_quality_mp_chol_includes_epsilon():
 
 def test_quality_chi_na_for_exact():
     problem = dense_problem(DIAG)
-    q = pe.compute_quality(problem, pe.make_exact(DIAG))
+    q = pe.compute_quality(problem, pe.make_spd(DIAG, "exact"))
     assert q.chi is None
     assert q.cos_phi <= 1e-6
 
@@ -466,18 +466,10 @@ def test_check_initial_b_orthogonal():
     assert abs(report["dist_b"] - math.pi / 2.0) <= 1e-10
 
 
-def test_check_initial_lemma_grid_keys():
-    _, _, ctx, _, _ = random_ctx(52)
-    report = pe.check_initial(ctx.u_star, ctx)
-    assert list(report["lemma_margin"]) == [round(0.05 * k, 2) for k in range(1, 10)]
-    # at u0 = u* the margin condition holds whenever it is satisfiable
-    assert report["lemma_margin"][0.05] == (1.0 >= 1.0 - (1.0 - 0.1) / ctx.kappa)
-
-
 def test_success_probability_exact_preconditioner():
     a, _ = random_spd_pair(53, 12)
     problem = dense_problem(a)
-    p = pe.make_exact(a)
+    p = pe.make_spd(a, "exact")
     ctx = pe.build_rate_context(problem, p)
     rep = pe.success_probability(problem, p, sampler="gaussian", trials=50, seed=1, ctx=ctx)
     assert rep["p_new"] == 1.0  # cos phi = 0: almost surely inside
@@ -528,7 +520,7 @@ def test_validate_evaluates_the_solver_rate_functions(monkeypatch):
 
 RATE_CONTEXT_SCALARS = (
     "lam1", "lam2", "lamn", "nu_min", "nu_max",
-    "norm_u", "norm_u_a", "norm_u_b", "norm_u_binv", "sin_phi",
+    "norm_u_a", "norm_u_b", "norm_u_binv", "sin_phi",
 )
 
 
@@ -546,7 +538,7 @@ def test_dense_oracle_context_matches_build_rate_context(kind):
                 assert abs(x - y) <= 1e-12 * abs(y), (label, name)
             assert abs(got.cos_phi - ref.cos_phi) <= 1e-6 * ref.cos_phi, label
             sign = 1.0 if float(got.u_star @ ref.u_star) > 0 else -1.0
-            for name in ("u_star", "w_star", "b_inv_u"):
+            for name in ("u_star", "w_star"):
                 x, y = sign * getattr(got, name), getattr(ref, name)
                 assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y), (label, name)
 

@@ -142,6 +142,54 @@ def test_hierarchy_prolongation_partition_of_unity():
     assert np.abs(rows[inside] - 1.0).max() <= 1e-12
 
 
+def loop_prolongation(big_h, h):
+    """Reference: the per-node P1 interpolation loop, one triangle at a time."""
+    inv_h, inv_big_h = round(1.0 / h), round(1.0 / big_h)
+    mult = inv_h // inv_big_h
+    nf, n_coarse = inv_h - 1, inv_big_h - 1
+    _, ij = interior_coords(h)
+    rows, cols, vals = [], [], []
+    for node, (i, j) in enumerate(ij):
+        ci, xi_u = divmod(int(i), mult)
+        cj, eta_u = divmod(int(j), mult)
+        if ci == inv_big_h:  # right/top boundary nodes of the coarse grid
+            ci, xi_u = ci - 1, mult
+        if cj == inv_big_h:
+            cj, eta_u = cj - 1, mult
+        xi = xi_u / mult
+        eta = eta_u / mult
+        if eta <= xi:
+            weights = [((ci, cj), 1.0 - xi), ((ci + 1, cj), xi - eta), ((ci + 1, cj + 1), eta)]
+        else:
+            weights = [((ci, cj), 1.0 - eta), ((ci, cj + 1), eta - xi), ((ci + 1, cj + 1), xi)]
+        for (big_i, big_j), w in weights:
+            if w != 0.0 and 1 <= big_i <= n_coarse and 1 <= big_j <= n_coarse:
+                rows.append(node)
+                cols.append((big_j - 1) * n_coarse + (big_i - 1))
+                vals.append(w)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(nf * nf, n_coarse * n_coarse))
+
+
+@pytest.mark.parametrize("h", [2.0**-4, 2.0**-5, 2.0**-6])
+@pytest.mark.parametrize("big_h", [2.0**-1, 2.0**-2, 2.0**-3])
+def test_hierarchy_prolongation_matches_per_node_loop(h, big_h):
+    got = pe.mesh_hierarchy(big_h, h, 0.5).prolongation
+    ref = loop_prolongation(big_h, h)
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("inv_h, inv_big_h", [(6, 2), (15, 5), (18, 3), (21, 7)])
+def test_hierarchy_prolongation_non_dyadic_within_an_ulp_of_per_node_loop(inv_h, inv_big_h):
+    # with H/h not a power of two the loop's 1 - xi rounds twice and the
+    # closed form (H/h - k)/(H/h) once; weights lie in [0, 1]
+    got = pe.mesh_hierarchy(1.0 / inv_big_h, 1.0 / inv_h, 1.0).prolongation
+    ref = loop_prolongation(1.0 / inv_big_h, 1.0 / inv_h)
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert np.abs(got.data - ref.data).max() <= np.finfo(np.float64).eps
+
+
 def test_hierarchy_misaligned_overlap():
     with pytest.raises(MisalignedOverlap):
         pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 8.0, 0.3)

@@ -70,7 +70,7 @@ def _mu(o, x):
 def _a_factor(o, x, dist, phi_sign):
     return (
         o.ctx.lam1 * o.ctx.norm_u_binv**2 * (math.cos(dist) - phi_sign * o.ctx.cos_phi)
-        / (float(x @ o.c @ x) * o.ctx.norm_u**2)
+        / float(x @ o.c @ x)
     )
 
 
@@ -127,7 +127,7 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
         record(
             "v",
             float(xb @ o.b_inv @ xbs) + slack
-            >= (o.ctx.norm_u_binv**2 / o.ctx.norm_u**2) * (math.cos(dist_b) - o.ctx.cos_phi),
+            >= o.ctx.norm_u_binv**2 * (math.cos(dist_b) - o.ctx.cos_phi),
             xb,
             "",
         )
