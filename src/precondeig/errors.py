@@ -42,6 +42,11 @@ class NoConvergence(PrecondEigError):
     pass
 
 
+class NoForwardApply(PrecondEigError):
+    """B is implicit (fwd_mode 'iterative'): it has no apply_fwd, and B v
+    goes through apply_fwd_iterative."""
+
+
 class ZeroVector(PrecondEigError):
     pass
 

@@ -151,24 +151,27 @@ class CholFactor:
 def cholesky(m, precision="binary64"):
     """Cholesky factorization m = L L^T carried out entirely at `precision`.
 
-    For binary32 the input is converted to binary32 first and every operation
-    of the factorization (inner products, subtraction, sqrt, division) runs in
-    binary32; the stored factor values are exactly representable in binary32.
+    binary64 runs LAPACK's dpotrf.  For binary32 the input is converted to
+    binary32 first and every operation of the factorization (inner products,
+    subtraction, sqrt, division) runs in binary32; the stored factor values
+    are exactly representable in binary32.
     """
     a = as_dense_sym(m)
     n = a.shape[0]
-    if precision == "binary32":
-        a = a.astype(np.float32)
-    elif precision != "binary64":
+    if precision == "binary64":
+        l, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)  # noqa: E741
+        if info > 0:  # the leading minor of order info is not positive definite
+            raise NotSpd(info - 1)
+        return CholFactor(n=n, l=l, precision=precision)
+    if precision != "binary32":
         raise ValueError(f"unknown precision {precision!r}")
+    a = a.astype(np.float32)
     l = np.zeros_like(a)  # noqa: E741
     for j in range(n):
         c = a[j:, j] - l[j:, :j] @ l[j, :j]
         d = c[0]
         if not d > 0:
-            if precision == "binary32":
-                raise NotSpdInLowPrecision(j)
-            raise NotSpd(j)
+            raise NotSpdInLowPrecision(j)
         ljj = np.sqrt(d)
         l[j, j] = ljj
         l[j + 1 :, j] = c[1:] / ljj
@@ -306,15 +309,20 @@ class _BlockBasis:
 
 def _ritz(d, e, j, vector):
     """j-th smallest eigenvalue of the tridiagonal (d, e) and, if `vector`,
-    the last component of its unit eigenvector: bisection plus inverse
-    iteration for this one pair, O(len(d))."""
-    out = scipy.linalg.eigh_tridiagonal(
-        d, e, eigvals_only=not vector, select="i", select_range=(j, j), check_finite=False
+    the last component of its unit eigenvector: bisection (LAPACK stebz)
+    plus inverse iteration (stein) for this one pair, O(len(d))."""
+    # stebz range 2 selects by index; il = iu = j + 1 (one-based), tol 0
+    _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
+        d, e, 2, 0.0, 1.0, j + 1, j + 1, 0.0, "B" if vector else "E"
     )
+    if info != 0:
+        raise NoConvergence(f"stebz info {info} at Ritz index {j}")
     if not vector:
-        return out[0], None
-    theta, s = out
-    return theta[0], s[-1, 0]
+        return w[0], None
+    s, info = scipy.linalg.lapack.dstein(d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise NoConvergence(f"stein info {info} at Ritz index {j}")
+    return w[0], s[-1, 0]
 
 
 def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
@@ -460,15 +468,47 @@ def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, start=None, rng=
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric eigendecomposition (cyclic Jacobi), reference oracle
+# dense symmetric eigendecomposition (parallel-ordered Jacobi), reference oracle
 # ---------------------------------------------------------------------------
 
 
+def _round_robin(n):
+    """Brent-Luk parallel ordering of one Jacobi sweep, by the circle method.
+
+    Index 0 stays in its seat while the others rotate one seat per round; the
+    seats are paired outside-in.  Odd n adds a dummy index n, whose partner
+    sits the round out.  Returns n - 1 rounds for even n and n for odd n,
+    each a pair of index arrays (p, q) with p < q; the pairs of a round are
+    disjoint and every pair p < q comes up once per sweep.
+    """
+    m = n + n % 2
+    ring = np.arange(1, m)
+    rounds = []
+    for r in range(m - 1):
+        seats = np.concatenate(([0], np.roll(ring, r)))
+        left, right = seats[: m // 2], seats[::-1][: m // 2]
+        p, q = np.minimum(left, right), np.maximum(left, right)
+        keep = q < n
+        rounds.append((p[keep], q[keep]))
+    return rounds
+
+
 def dense_sym_eig(m, max_sweeps=60):
-    """All eigenpairs of a dense symmetric matrix by cyclic Jacobi sweeps.
+    """All eigenpairs of a dense symmetric matrix by parallel-ordered Jacobi.
+
+    Each sweep runs the round-robin rounds of _round_robin: the pairs of a
+    round are disjoint, so their rotations commute and are applied together
+    as one orthogonal J (the identity with c on the (p, p) and (q, q)
+    entries, s at (p, q) and -s at (q, p)): a <- J^T a J and V <- V J.  A
+    pair whose a[p, q] is negligible this sweep (below 1e-3 * off / n or
+    1e-20 * ||a||) is skipped: t = 0, so J is the identity there.  A rotated
+    pair gets the t-formula diagonal entries and exact zeros at (p, q) and
+    (q, p).  Every pair still comes up once per sweep, so the quadratic
+    convergence of cyclic Jacobi is kept (Brent & Luk, 1985).
 
     Returns (w ascending, V with orthonormal columns).  Self-contained on
-    purpose: it is the oracle the rest of the library is tested against.
+    purpose, with no LAPACK eigensolver: it is the oracle the rest of the
+    library is tested against.
     """
     a = as_dense_sym(m)
     n = a.shape[0]
@@ -478,39 +518,36 @@ def dense_sym_eig(m, max_sweeps=60):
     norm = np.linalg.norm(a)
     if norm == 0.0:
         return np.zeros(n), v
+    rounds = _round_robin(n)
     for _ in range(max_sweeps):
         off = np.linalg.norm(a - np.diag(np.diag(a)))
         if off <= 1e-15 * norm:
             break
         thresh = off / n  # rotate only entries that still matter this sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-20 * norm or abs(apq) < 1e-3 * thresh:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                # t-formula diagonal entries are more accurate than the rotation
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vkp = v[:, p].copy()
-                v[:, p] = c * vkp - s * v[:, q]
-                v[:, q] = s * vkp + c * v[:, q]
+        for p, q in rounds:
+            apq = a[p, q]
+            live = (np.abs(apq) >= 1e-20 * norm) & (np.abs(apq) >= 1e-3 * thresh)
+            if not live.any():
+                continue
+            p, q, apq = p[live], q[live], apq[live]
+            app, aqq = a[p, p], a[q, q]
+            theta = (aqq - app) / (2.0 * apq)
+            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t[theta == 0.0] = 1.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            j = np.eye(n)
+            j[p, p] = c
+            j[q, q] = c
+            j[p, q] = s
+            j[q, p] = -s
+            a = j.T @ a @ j
+            v = v @ j
+            # t-formula diagonal entries are more accurate than the rotation
+            a[p, p] = app - t * apq
+            a[q, q] = aqq + t * apq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
     else:
         raise NoConvergence(f"jacobi did not converge in {max_sweeps} sweeps")
     w = np.diag(a).copy()
@@ -539,7 +576,7 @@ class SymFactor:
     (``rab[bw + i - j, j] = R[i, j]``), so memory is O(n * bw); a dense input
     is a band of full width.  The factor comes from LAPACK's banded Cholesky
     on the upper triangle of the input; each product is one BLAS ``tbmv``
-    and each solve one LAPACK ``tbtrs`` on that band.  Lexicographically
+    and each solve one BLAS ``tbsv`` on that band.  Lexicographically
     ordered FEM mass matrices give bw ~ sqrt(n).
     """
 
@@ -555,6 +592,10 @@ class SymFactor:
             rab = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NotSpd(-1, f"banded cholesky failed: {exc}") from exc
+        # the solves run tbsv, which does not test for a zero pivot
+        bad = np.flatnonzero(~(rab[bw] > 0))
+        if bad.size:
+            raise NotSpd(int(bad[0]), f"banded cholesky pivot {bad[0]} is not positive")
         self.n, self.bw, self.rab = n, bw, rab
 
     def mult(self, v):
@@ -567,15 +608,10 @@ class SymFactor:
 
     def solve(self, v):
         """R x = v"""
-        return self._tbtrs(v, "N")
+        return scipy.linalg.blas.dtbsv(self.bw, self.rab, np.asarray(v, dtype=np.float64))
 
     def solve_t(self, v):
         """R^T x = v"""
-        return self._tbtrs(v, "T")
-
-    def _tbtrs(self, v, trans):
-        b = np.asarray(v, dtype=np.float64)[:, None]
-        x, info = scipy.linalg.lapack.dtbtrs(self.rab, b, trans=trans)
-        if info != 0:
-            raise NotSpd(-1, f"banded triangular solve failed: tbtrs info {info}")
-        return x[:, 0]
+        return scipy.linalg.blas.dtbsv(
+            self.bw, self.rab, np.asarray(v, dtype=np.float64), trans=1
+        )

@@ -1,8 +1,9 @@
 """SPD preconditioners behind one interface.  Every preconditioner applies
 B^{-1}.  An explicit B (OperatorPreconditioner, mp-chol, and the scaled and
 hatted wrappers of either) also applies B itself through apply_fwd.  An
-implicit B (DDM) has fwd_mode 'iterative' and no apply_fwd: its forward
-apply is apply_fwd_iterative, a nested PCG preconditioned by the problem's A.
+implicit B (DDM) has fwd_mode 'iterative' and its apply_fwd raises
+NoForwardApply: its forward apply is apply_fwd_iterative, a nested PCG
+preconditioned by the problem's A.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
@@ -16,7 +17,7 @@ Every other preconditioner already applies B in binary64 and is its own twin.
 import numpy as np
 import scipy.sparse
 
-from .errors import EmptySubdomain, NotSpd
+from .errors import EmptySubdomain, NoForwardApply, NotSpd
 from .linalg import CholFactor, SymFactor, chol_matvec, chol_solve, cholesky, make_solver, pcg
 
 _U32 = 2.0**-24  # IEEE binary32 unit roundoff
@@ -27,7 +28,8 @@ class Preconditioner:
     """Interface: dim, label, apply_inv, apply_fwd, fwd_mode, exact().
 
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
-    is implicit and B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a).
+    is implicit, apply_fwd raises NoForwardApply and B v is
+    apply_fwd_iterative(p, v, apply_a=problem.apply_a).
     """
 
     dim = None
@@ -41,7 +43,10 @@ class Preconditioner:
         raise NotImplementedError
 
     def apply_fwd(self, v):
-        raise NotImplementedError
+        raise NoForwardApply(
+            f"{self.label} has no forward apply (fwd_mode {self.fwd_mode!r}); "
+            "apply B through apply_fwd_iterative"
+        )
 
     def exact(self):
         """Binary64 twin realizing the same B; self when the applies already
@@ -120,8 +125,8 @@ class DdmPreconditioner(Preconditioner):
     factored once by banded Cholesky, so the sum is a gather of v onto the
     concatenated subdomain nodes, one pair of banded triangular solves and a
     scatter-add through the sparse stacked restriction.  B itself is
-    implicit (fwd_mode 'iterative', no apply_fwd): B v is
-    apply_fwd_iterative with the problem's A.
+    implicit (fwd_mode 'iterative', apply_fwd raises NoForwardApply): B v
+    is apply_fwd_iterative with the problem's A.
     """
 
     fwd_mode = "iterative"
@@ -131,6 +136,7 @@ class DdmPreconditioner(Preconditioner):
         self.label = f"ddm:H={hierarchy.coarse_h:g},overlap={hierarchy.overlap_ratio:g}"
         self.hierarchy = hierarchy
         self._i_h = hierarchy.prolongation.tocsr()
+        self._i_h_t = self._i_h.T.tocsr()
         if self._i_h.shape[0] != self.dim:
             raise NotSpd(-1, "prolongation does not match the fine matrix")
         # an empty coarse space (single-cell coarse grid) drops the first term
@@ -160,7 +166,7 @@ class DdmPreconditioner(Preconditioner):
         v = np.asarray(v, dtype=np.float64)
         if self._coarse_solve is None:
             return np.zeros_like(v)
-        return self._i_h @ self._coarse_solve(self._i_h.T @ v)
+        return self._i_h @ self._coarse_solve(self._i_h_t @ v)
 
 
 class ScaledPreconditioner(Preconditioner):

@@ -543,6 +543,28 @@ def test_dense_oracle_context_matches_build_rate_context(kind):
                 assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y), (label, name)
 
 
+@pytest.mark.parametrize("seed, n", [(13, 6), (2025, 12), (0, 20)])
+def test_dense_oracle_mp_chol_matches_extended_precision(seed, n):
+    # near-exact mixed precision, where kappa - 1 and cos phi are ~1e-7 and
+    # ~1e-8: the Jacobi oracle's values against 40-digit ones, kappa - 1
+    # from the pencil spectrum of (A, B) and cos phi as in
+    # test_distortion_angle_matches_extended_precision
+    mpmath = pytest.importorskip("mpmath")
+    a, b = dense_pencil(seed, n, "mp-chol")
+    ctx = _DenseOracle(a, b).ctx
+    with mpmath.workdps(40):
+        a_mp, b_mp = mpmath.matrix(a.tolist()), mpmath.matrix(b.tolist())
+        linv = mpmath.inverse(mpmath.cholesky(b_mp))
+        nu = sorted(mpmath.eigsy(linv * a_mp * linv.T, eigvals_only=True))
+        kappa_ref = float(nu[-1] / nu[0] - 1)
+        w, q = mpmath.eigsy(a_mp)
+        u = q[:, min(range(n), key=lambda k: w[k])]
+        sin_mp = (u.T * u)[0] / mpmath.sqrt((u.T * b_mp * u)[0] * (u.T * mpmath.lu_solve(b_mp, u))[0])
+        cos_ref = float(mpmath.sqrt(1 - sin_mp**2))
+    assert abs((ctx.kappa - 1.0) - kappa_ref) <= 1e-7 * kappa_ref
+    assert abs(ctx.cos_phi - cos_ref) <= 1e-7 * cos_ref
+
+
 def test_validate_rejects_indefinite():
     with pytest.raises(PropertyViolation):
         pe.validate_properties(np.diag([1.0, -1.0]), np.eye(2), n_samples=10, seed=0)

@@ -9,10 +9,11 @@ from precondeig.errors import (
     DimensionMismatch,
     InnerProductNotPositive,
     MaxIterations,
+    NoConvergence,
     NotSpd,
     NotSpdInLowPrecision,
 )
-from precondeig.linalg import SymFactor, lanczos_top_pairs, spawn_seed
+from precondeig.linalg import SymFactor, _ritz, _round_robin, lanczos_top_pairs, spawn_seed
 
 
 def random_spd(seed, n, shift=None):
@@ -124,6 +125,43 @@ def test_cholesky_not_spd_reports_pivot():
     assert err.value.pivot == 1
     with pytest.raises(NotSpdInLowPrecision):
         pe.cholesky(m, "binary32")
+
+
+def cholesky_column_loop(m):
+    """The binary64 column loop that dpotrf replaced, kept as the reference."""
+    a = np.array(m, dtype=np.float64)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    l = np.zeros_like(a)  # noqa: E741
+    for j in range(n):
+        c = a[j:, j] - l[j:, :j] @ l[j, :j]
+        d = c[0]
+        if not d > 0:
+            raise NotSpd(j)
+        l[j, j] = np.sqrt(d)
+        l[j + 1 :, j] = c[1:] / l[j, j]
+    return l
+
+
+@pytest.mark.parametrize("n", [1, 6, 20, 128])
+def test_cholesky_binary64_matches_column_loop(n):
+    a = random_spd(n + 50, n, shift=0.1)
+    got = pe.cholesky(a).l
+    want = cholesky_column_loop(a)
+    assert got.dtype == np.float64 and np.array_equal(got, np.tril(got))
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("pivot", [0, 3, 7])
+def test_cholesky_binary64_not_spd_pivot_matches_column_loop(pivot):
+    m = random_spd(pivot, 9)
+    m[pivot, pivot] = -1.0
+    with pytest.raises(NotSpd) as want:
+        cholesky_column_loop(m)
+    with pytest.raises(NotSpd) as got:
+        pe.cholesky(m)
+    assert not isinstance(got.value, NotSpdInLowPrecision)
+    assert got.value.pivot == want.value.pivot == pivot
 
 
 def test_chol_solve_identity_and_diag():
@@ -369,6 +407,86 @@ def test_jacobi_orthonormality_n100():
     assert np.linalg.norm(v.T @ v - np.eye(100)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    seen = []
+    for p, q in rounds:
+        assert np.all(p < q) and np.all(q < n)
+        idx = np.concatenate([p, q])
+        assert len(np.unique(idx)) == len(idx)  # disjoint within the round
+        assert len(p) == n // 2
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def jacobi_rotation_loop(m, max_sweeps=60):
+    """Cyclic Jacobi one rotation at a time, row by row: the loop the
+    round-robin rounds replaced, kept as the reference."""
+    a = np.array(m, dtype=np.float64)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    v = np.eye(n)
+    norm = np.linalg.norm(a)
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(a - np.diag(np.diag(a)))
+        if off <= 1e-15 * norm:
+            break
+        thresh = off / n
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) < 1e-20 * norm or abs(apq) < 1e-3 * thresh:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p, p], a[q, q]
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                a[:, p] = c * colp - s * colq
+                a[:, q] = s * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[q, :].copy()
+                a[p, :] = c * rowp - s * rowq
+                a[q, :] = s * rowp + c * rowq
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vkp = v[:, p].copy()
+                v[:, p] = c * vkp - s * v[:, q]
+                v[:, q] = s * vkp + c * v[:, q]
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+@pytest.mark.parametrize("n", [3, 6, 12, 20, 33])
+def test_jacobi_round_robin_matches_rotation_loop(n):
+    g = pe.Rng(40 + n).normal(n * n).reshape(n, n)
+    a = g @ g.T / n + np.diag(np.arange(n, dtype=np.float64))
+    w, v = pe.dense_sym_eig(a)
+    w_ref, v_ref = jacobi_rotation_loop(a)
+    scale = np.linalg.norm(a)
+    assert np.max(np.abs(w - w_ref)) <= 1e-14 * scale
+    assert np.linalg.norm(a @ v - v * w) <= 1e-14 * n * scale
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-14 * n
+    # simple eigenvalues: the same vectors up to sign
+    signs = np.sign(np.sum(v * v_ref, axis=0))
+    assert np.linalg.norm(v * signs - v_ref) <= 1e-12 * n
+
+
+def test_jacobi_raises_no_convergence_after_max_sweeps():
+    a = random_spd(2, 8)
+    with pytest.raises(NoConvergence):
+        pe.dense_sym_eig(a, max_sweeps=1)
+
+
 # ---------------------------------------------------------------------------
 # SymFactor (R^T R on one LAPACK band)
 # ---------------------------------------------------------------------------
@@ -408,3 +526,41 @@ def test_symfactor_banded_matches_dense():
 )
 def test_symfactor_full_and_zero_bandwidth(m, bw):
     assert check_symfactor_against_oracle(m).bw == bw
+
+
+def test_symfactor_solves_equal_tbtrs():
+    # tbsv is the substitution tbtrs runs after its zero-pivot test
+    _, mass = pe.fem_p1(1.0 / 16.0)
+    for m in (mass, random_spd(22, 12)):
+        f = SymFactor(m)
+        v = pe.gaussian_vector(pe.Rng(7), f.n)
+        for op, trans in (("solve", "N"), ("solve_t", "T")):
+            x, info = scipy.linalg.lapack.dtbtrs(f.rab, v[:, None], trans=trans)
+            assert info == 0
+            assert np.array_equal(getattr(f, op)(v), x[:, 0]), op
+
+
+def test_symfactor_rejects_a_pivot_that_is_not_positive():
+    # banded Cholesky passes a NaN pivot through; the check in __init__ stops it
+    with pytest.raises(NotSpd) as err:
+        SymFactor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    assert err.value.pivot == 1
+    with pytest.raises(NotSpd):
+        SymFactor(np.diag([1.0, -1.0]))
+
+
+def test_ritz_equals_eigh_tridiagonal():
+    rng = pe.Rng(17)
+    for k in range(200):
+        m = 2 + k % 60
+        d = rng.normal(m) * 10.0 ** (6 * rng.uniform(1)[0] - 3)
+        e = np.abs(rng.normal(m - 1)) + 1e-3
+        j = (7 * k) % m
+        theta = scipy.linalg.eigh_tridiagonal(
+            d, e, eigvals_only=True, select="i", select_range=(j, j), check_finite=False
+        )
+        assert _ritz(d, e, j, False) == (theta[0], None)
+        theta, s = scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(j, j), check_finite=False
+        )
+        assert _ritz(d, e, j, True) == (theta[0], s[-1, 0])

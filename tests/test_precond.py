@@ -8,7 +8,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import precondeig as pe
-from precondeig.errors import InvalidMeshWidth, NotSpdInLowPrecision
+from precondeig.cli import build_precond, build_problem
+from precondeig.errors import InvalidMeshWidth, NoForwardApply, NotSpdInLowPrecision
 from precondeig.precond import FWD_TOL, OperatorPreconditioner
 from tests.conftest import dense_problem, dense_roots
 
@@ -258,6 +259,28 @@ def test_ddm_additivity(h, big_h):
     for idx in ddm.hierarchy.subdomains:
         total[idx] += scipy.sparse.linalg.splu(k[np.ix_(idx, idx)].tocsc()).solve(v[idx])
     assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-14 * np.linalg.norm(total)
+
+
+@pytest.mark.parametrize("h, big_h", [(2.0**-4, 2.0**-2), (2.0**-6, 2.0**-2)])
+def test_ddm_coarse_part_equals_transpose_product(h, big_h):
+    # the kept CSR transpose sums each coarse entry in the order i_h.T @ v does
+    _, ddm, _ = fem_ddm(h, big_h)
+    i_h = ddm.hierarchy.prolongation.tocsr()
+    a_coarse = (i_h.T @ pe.fem_p1(h)[0] @ i_h).tocsc()
+    solve = scipy.sparse.linalg.splu(a_coarse).solve
+    for seed in range(3):
+        v = pe.Rng(seed).normal(ddm.dim)
+        assert np.array_equal(ddm.coarse_part(v), i_h @ solve(i_h.T @ v))
+
+
+@pytest.mark.parametrize("recipe", ["scaled:ddm:H=2^-2", "ddm:H=2^-2"])
+def test_implicit_b_apply_fwd_raises_typed_error(recipe):
+    # laplace-fem is mass-reduced, so ddm is lifted (hatted) onto it
+    p = build_precond(recipe, build_problem("laplace-fem:h=2^-4"))
+    assert p.fwd_mode == "iterative"
+    with pytest.raises(NoForwardApply) as err:
+        p.apply_fwd(np.ones(p.dim))
+    assert "ddm:H=0.25" in str(err.value) and "apply_fwd_iterative" in str(err.value)
 
 
 def test_ddm_fwd_iterative_residual_and_stability():
