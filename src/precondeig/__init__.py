@@ -21,13 +21,9 @@ from .diagnostics import (
     theta_shao,
     validate_properties,
     xi_inf,
-    xi_t,
 )
 from .geometry import (
     IterateState,
-    dist_b,
-    f_value,
-    grad_norm_sq,
     make_state,
     rayleigh,
     sphere_dist,
@@ -44,7 +40,7 @@ from .linalg import (
     lanczos_extremal,
     pcg,
 )
-from .mmio import read_matrix, write_dense, write_sparse
+from .mmio import read_matrix
 from .precond import (
     DdmPreconditioner,
     Preconditioner,
@@ -59,7 +55,6 @@ from .problems import (
     EigenProblem,
     KernelSpec,
     MeshHierarchy,
-    fd_eigenvalue,
     fem_p1,
     generalized_reduce,
     kernel_matrix,
@@ -94,17 +89,13 @@ __all__ = [
     "cholesky",
     "compute_quality",
     "dense_sym_eig",
-    "dist_b",
     "distortion_angle",
     "epsilon_l",
     "errors",
-    "f_value",
-    "fd_eigenvalue",
     "fem_p1",
     "gamma_x",
     "gaussian_vector",
     "generalized_reduce",
-    "grad_norm_sq",
     "kappa_nu",
     "kernel_matrix",
     "lanczos_extremal",
@@ -129,8 +120,5 @@ __all__ = [
     "success_probability",
     "theta_shao",
     "validate_properties",
-    "write_dense",
-    "write_sparse",
     "xi_inf",
-    "xi_t",
 ]

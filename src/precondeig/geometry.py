@@ -1,8 +1,9 @@
-"""Sphere geometry and the u-space identities used by the solvers.
+"""Sphere geometry and the u-space iterate state used by the solvers.
 
-All solver-facing quantities are evaluated from A-matvecs and inverse
-preconditioner applications only.  Square roots of the preconditioner are
-never formed here; the dense-oracle tests form them independently.
+make_state evaluates the objective f = -u^T u / u^T A u and the squared
+Riemannian gradient norm g2 from A-matvecs and inverse preconditioner
+applications only.  Square roots of the preconditioner are never formed
+here; the dense-oracle tests form them independently.
 """
 
 from dataclasses import dataclass
@@ -23,11 +24,6 @@ def rayleigh(u, apply_a):
     if uu == 0.0:
         raise ZeroVector("rayleigh of the zero vector")
     return float(u @ apply_a(u)) / uu
-
-
-def f_value(u, apply_a):
-    """Objective value -u^T u / u^T A u (= -1/rayleigh); minimum is -1/lambda1."""
-    return -1.0 / rayleigh(u, apply_a)
 
 
 @dataclass
@@ -77,31 +73,6 @@ def make_state(u, apply_a, apply_b_inv):
         r_binv_r=r_binv_r,
         g2=coeff**2 * r_binv_r,
     )
-
-
-def grad_norm_sq(state):
-    """Squared gradient norm from the cached u-space identity.
-
-    Zero exactly when the residual is zero (B^{-1} is SPD).
-    """
-    return state.g2
-
-
-def dist_b(u, v, apply_b_fwd):
-    """B-metric angle arccos(|u^T B v| / (||u||_B ||v||_B)) in [0, pi/2].
-
-    The sign of v is chosen so the cosine is nonnegative.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    bu = apply_b_fwd(u)
-    bv = apply_b_fwd(v)
-    nu = float(u @ bu)
-    nv = float(v @ bv)
-    if nu <= 0.0 or nv <= 0.0:
-        raise ZeroVector("dist_b of a vector with non-positive B-norm")
-    c = abs(float(u @ bv)) / np.sqrt(nu * nv)
-    return float(np.arccos(_clamp(c)))
 
 
 def _rowdot(x, y):

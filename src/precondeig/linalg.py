@@ -403,7 +403,7 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
     return alphas, betas, basis, converged
 
 
-def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, start=None, rng=None, inner_map=None):
+def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, rng=None, inner_map=None):
     """Extremal eigenvalues of an operator self-adjoint w.r.t. u^T C v.
 
     C is `inner_map` (the Euclidean inner product when None).  With
@@ -415,8 +415,7 @@ def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, start=None, rng=None, 
     """
     if maxit is None:
         maxit = min(dim, max(60, dim // 2 + 40))
-    if start is None:
-        start = (rng or Rng(2024)).normal(dim)
+    start = (rng or Rng(2024)).normal(dim)
     alphas, betas, _, converged = _lanczos_tridiag(
         apply_t, dim, tol, maxit, start, (0, -1), inner_map=inner_map
     )
@@ -435,7 +434,7 @@ def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, start=None, rng=None, 
     return float(theta[0]), float(theta[-1])
 
 
-def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, start=None, rng=None):
+def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, rng=None):
     """Largest-k Ritz pairs of a Euclidean-self-adjoint operator.
 
     Used by the reference eigensolver on A^{-1}, where the top of the
@@ -444,8 +443,7 @@ def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, start=None, rng=
     """
     if maxit is None:
         maxit = min(dim, max(80, dim // 2 + 60))
-    if start is None:
-        start = (rng or Rng(2024)).normal(dim)
+    start = (rng or Rng(2024)).normal(dim)
     watch = tuple(-(i + 1) for i in range(min(k, dim)))
     alphas, betas, basis, converged = _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch)
     if len(alphas) >= 2:

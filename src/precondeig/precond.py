@@ -218,15 +218,16 @@ class HattedPreconditioner(Preconditioner):
         return self.r.solve_t(self.inner.apply_fwd(self.r.solve(v)))
 
 
-def apply_fwd_iterative(p, v, apply_a=None, tol=FWD_TOL, maxit=500):
+def apply_fwd_iterative(p, v, apply_a=None, tol=FWD_TOL):
     """Forward application z = B v for a preconditioner exposing only B^{-1}.
 
-    Runs PCG on the SPD system B^{-1} z = v.  The preconditioning step
-    multiplies by A (A approximates B, hence A^{-1} approximates the system
-    operator), so convergence is governed by the spectral equivalence of A
-    and B rather than by the conditioning of either matrix alone.
+    Runs PCG (at most 500 iterations) on the SPD system B^{-1} z = v.  The
+    preconditioning step multiplies by A (A approximates B, hence A^{-1}
+    approximates the system operator), so convergence is governed by the
+    spectral equivalence of A and B rather than by the conditioning of
+    either matrix alone.
     """
     v = np.asarray(v, dtype=np.float64)
-    z, _ = pcg(p.apply_inv, apply_a, v, tol=tol, maxit=maxit, x0=v.copy())
+    z, _ = pcg(p.apply_inv, apply_a, v, tol=tol, maxit=500, x0=v.copy())
     return z
 

@@ -67,13 +67,14 @@ class EigenProblem:
             self._solve_a = make_solver(self.matrix)
         return self._solve_a
 
-    def dense(self, cap=5000):
-        """Dense binary64 form of the operator (assembled columnwise if needed)."""
+    def dense(self):
+        """Dense binary64 form of the operator (assembled columnwise if needed,
+        up to 5000 rows)."""
         if self.matrix is not None:
             if scipy.sparse.issparse(self.matrix):
                 return self.matrix.toarray()
             return np.asarray(self.matrix, dtype=np.float64)
-        if self.dim > cap:
+        if self.dim > 5000:
             raise NotSpd(-1, f"refusing to assemble a dense {self.dim}x{self.dim} operator")
         cols = [self.apply_a(e) for e in np.eye(self.dim)]
         a = np.column_stack(cols)
@@ -85,20 +86,15 @@ class EigenProblem:
             return p
         return HattedPreconditioner(p, self.r_factor)
 
-    def reference(self, tol=1e-11):
+    def reference(self):
         if self._reference is None:
-            self._reference = reference_eigs(self, tol=tol)
+            self._reference = reference_eigs(self)
         return self._reference
 
 
 # ---------------------------------------------------------------------------
 # finite differences / finite elements on the unit square
 # ---------------------------------------------------------------------------
-
-
-def fd_eigenvalue(h, k, l):  # noqa: E741 - (k, l) are the classical mode indices
-    """Analytic eigenvalue of the 5-point Laplacian on the unit square."""
-    return (4.0 / h**2) * (np.sin(k * np.pi * h / 2.0) ** 2 + np.sin(l * np.pi * h / 2.0) ** 2)
 
 
 def laplace_fd(h):
@@ -389,22 +385,24 @@ def generalized_reduce(a, m):
     )
 
 
-def reference_eigs(problem, tol=1e-11, maxit=600, rng=None):
+def reference_eigs(problem):
     """High-accuracy (lambda1, lambda2, lambdan, u*) for an EigenProblem.
 
     lambda1, lambda2 and u* come from Lanczos on A^{-1} (top of the spectrum
-    of the inverse is well separated) refined by inverse iteration; lambdan
-    from a Lanczos on A that watches only the top Ritz pair, since the bottom
-    of A is already known.  Raises DegenerateSmallestEigenvalue when lambda2
-    - lambda1 falls below resolution.
+    of the inverse is well separated) at tol 1e-12, refined by inverse
+    iteration; lambdan from a Lanczos on A at tol 1e-11 that watches only the
+    top Ritz pair, since the bottom of A is already known.  Each Lanczos runs
+    at most min(n, 600) steps from a start drawn from Rng(777) (its spawn(1)
+    for lambdan).  Raises DegenerateSmallestEigenvalue when lambda2 - lambda1
+    falls below resolution.
     """
     n = problem.dim
-    rng = rng or Rng(777)
+    rng = Rng(777)
     if n == 1:
         raise DegenerateSmallestEigenvalue("dimension 1: lambda2 does not exist")
     solve = problem.solver()
-    budget = min(n, maxit)
-    vals, vecs = lanczos_top_pairs(solve, n, k=2, tol=min(1e-12, tol), maxit=budget, rng=rng)
+    budget = min(n, 600)
+    vals, vecs = lanczos_top_pairs(solve, n, k=2, tol=1e-12, maxit=budget, rng=rng)
     u = vecs[:, 0]
     lam1 = rayleigh(u, problem.apply_a)
     for _ in range(100):
@@ -430,7 +428,7 @@ def reference_eigs(problem, tol=1e-11, maxit=600, rng=None):
         v -= float(u @ v) * u
         v /= np.linalg.norm(v)
         lam2 = rayleigh(v, problem.apply_a)
-    top, _ = lanczos_top_pairs(problem.apply_a, n, k=1, tol=tol, maxit=budget, rng=rng.spawn(1))
+    top, _ = lanczos_top_pairs(problem.apply_a, n, k=1, tol=1e-11, maxit=budget, rng=rng.spawn(1))
     lamn = top[0]
     if lam2 - lam1 <= 1e-9 * lamn:
         raise DegenerateSmallestEigenvalue(

@@ -180,7 +180,8 @@ def rsd_solve(
     step, so the window's best, not each step, has to beat the past.  That
     exit records its trigger values (flat_steps, window_best, best_before)
     as a StagnatedStep event in the trace.
-    policy "theory" and the trace fields distB/xi need a RateContext.
+    policies "theory" and "constant" and the trace fields distB/xi need a
+    RateContext.
     `callback(t, state)` is invoked for every visited iterate, the terminal
     one included.  ||u0||_B is measured once (a nested PCG for an
     iterative forward apply); after that the scalar identity carries
@@ -190,8 +191,8 @@ def rsd_solve(
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
         raise ZeroGradientAtNonEigenvector("u0 is zero")
-    if policy.kind in ("theory",) and ctx is None:
-        raise OutsideBasin("theory policy needs a RateContext")
+    if policy.kind in ("theory", "constant") and ctx is None:
+        raise OutsideBasin(f"{policy.kind} policy needs a RateContext")
     exact = precond.exact()
     renorm = exact is not precond
 

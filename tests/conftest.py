@@ -5,6 +5,11 @@ import precondeig as pe
 from precondeig.diagnostics import random_spd_pair
 
 
+def fd_eigenvalue(h, k, l):  # noqa: E741 - (k, l) are the classical mode indices
+    """Analytic eigenvalue of the 5-point Laplacian on the unit square."""
+    return (4.0 / h**2) * (np.sin(k * np.pi * h / 2.0) ** 2 + np.sin(l * np.pi * h / 2.0) ** 2)
+
+
 def dense_roots(b):
     """Dense (B^{1/2}, B^{-1/2}, B^{-1}) oracle via the Jacobi eigensolver."""
     w, v = pe.dense_sym_eig(b)

@@ -128,7 +128,7 @@ def test_criterion_2_property_suite():
 
 
 def test_criterion_3_theorem_contraction():
-    """dist^2 contracts by at least (1 - xi_t) per step until dist <= 1e-8."""
+    """dist^2 contracts by at least (1 - xi) per step, xi as traced, until dist <= 1e-8."""
     t0 = time.time()
     bad = 0
     steps = 0

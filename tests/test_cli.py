@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse.linalg
 
 import precondeig as pe
@@ -137,7 +138,7 @@ def test_solve_stagnation_trigger_in_json(tmp_path):
 def test_solve_mtx_roundtrip(tmp_path):
     prob = pe.laplace_fd(1.0 / 8.0)
     path = tmp_path / "fd.mtx"
-    pe.write_sparse(path, prob.matrix)
+    scipy.io.mmwrite(str(path), prob.matrix, symmetry="symmetric", precision=17)
     code = main(
         [
             "solve",

@@ -24,6 +24,17 @@ def dense_distortion_angle(u, b):
     return pe.distortion_angle(u, b @ u, np.linalg.solve(b, u), lambda v: np.linalg.solve(b, v))
 
 
+def traced_xi(problem, p, ctx, u):
+    """The contraction amount xi that rsd_solve traces for one theory step
+    from u, and the state that step starts from."""
+    states = []
+    res = pe.rsd_solve(
+        problem, p, u, pe.StepPolicy.theory(), tol=0.0, maxit=1, ctx=ctx,
+        callback=lambda t, state: states.append(state),
+    )
+    return res.trace.column("xi")[0], states[0]
+
+
 def random_ctx(seed, n=10):
     a, b = random_spd_pair(seed, n)
     problem = dense_problem(a)
@@ -338,10 +349,10 @@ def test_xi_consistency_with_parts():
         x = pe.sphere_exp(x_star, ((k + 0.5) / 100.0) * 0.99 * ctx.phi * d)
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, p.apply_inv)
+        xi, state = traced_xi(problem, p, ctx, u)
         a_val = pe.a_x(ctx.cos_dist_b(state.u), state.uau, ctx)
         parts = a_val**2 * pe.mu_x(state.uau, ctx) / pe.gamma_x(state.uau, ctx)
-        assert abs(pe.xi_t(ctx.cos_dist_b(state.u), state.uau, ctx) - parts) <= 1e-12 * max(1.0, abs(parts))
+        assert abs(xi - parts) <= 1e-12 * max(1.0, abs(parts))
 
 
 def test_xi_nonpositive_outside_basin():
@@ -355,8 +366,7 @@ def test_xi_nonpositive_outside_basin():
     x = pe.sphere_exp(x_star, min(math.pi / 2.05, 1.15 * ctx.phi) * d)
     u = b_inv_sqrt @ x
     u /= math.sqrt(u @ b @ u)
-    state = pe.make_state(u, problem.apply_a, p.apply_inv)
-    assert pe.xi_t(ctx.cos_dist_b(state.u), state.uau, ctx) <= 0.0
+    assert traced_xi(problem, p, ctx, u)[0] <= 0.0
 
 
 def test_xi_approaches_xi_inf():
@@ -371,8 +381,7 @@ def test_xi_approaches_xi_inf():
     x = pe.sphere_exp(x_star, 1e-6 * d)
     u = b_inv_sqrt @ x
     u /= math.sqrt(u @ b @ u)
-    state = pe.make_state(u, problem.apply_a, p.apply_inv)
-    assert abs(pe.xi_t(ctx.cos_dist_b(state.u), state.uau, ctx) - pe.xi_inf(ctx)) <= 1e-6
+    assert abs(traced_xi(problem, p, ctx, u)[0] - pe.xi_inf(ctx)) <= 1e-6
 
 
 def test_xi_inf_exact_preconditioner_closed_form():
@@ -385,7 +394,7 @@ def test_xi_inf_exact_preconditioner_closed_form():
 @pytest.mark.parametrize("seed", [45, 46, 47])
 def test_xi_inf_comparison_identity(seed):
     _, _, ctx, _, _ = random_ctx(seed)
-    value = pe.xi_inf(ctx, check_identity=True)  # raises on mismatch
+    value = pe.xi_inf(ctx)
     rho_b = (ctx.kappa - 1.0) / (ctx.kappa + 1.0)
     rho = 1.0 - (1.0 - rho_b) * (1.0 - ctx.lam1 / ctx.lam2)
     via = (

@@ -1,10 +1,14 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, every public name
+has a caller inside the package, and importing the package stays light.
 
-Checked with the standard-library ast module.  A name counts as used when it
-is read anywhere in the module or listed in its __all__.
+Checked with the standard-library ast module.  An imported name counts as
+used when it is read anywhere in the module or listed in its __all__.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,63 @@ def test_no_unused_imports(path):
     assert unused - allowed == set()
     # an allowance whose import is gone or now used is stale
     assert allowed <= unused
+
+
+def public_names():
+    """(name, home module) for every name in precondeig.__all__, read from the
+    relative imports of __init__.py; a public module is its own home."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    homes, exported = {}, []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                homes[alias.asname or alias.name] = node.module or alias.name
+        elif isinstance(node, ast.Assign) and node.targets[0].id == "__all__":
+            exported = [elt.value for elt in node.value.elts]
+    return [(name, homes[name]) for name in exported]
+
+
+def reads_outside_own_definition(tree, name):
+    """Whether a module reads `name` outside the def or class that defines it."""
+    return any(
+        isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        for stmt in tree.body
+        if not (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == name)
+        for node in ast.walk(stmt)
+    )
+
+
+def has_caller_in_src(name, home, trees):
+    if name == home:  # a public module: used when another module imports it
+        return any(
+            isinstance(node, ast.ImportFrom)
+            and node.level == 1
+            and (node.module == name or node.module is None and any(a.name == name for a in node.names))
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        )
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if module != home and isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == home and any(a.name == name for a in node.names):
+                    return True
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                if isinstance(node.value, ast.Name) and node.value.id == home:
+                    return True
+    return reads_outside_own_definition(trees[home], name)
+
+
+def test_every_public_name_has_a_caller_in_src():
+    trees = {
+        path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py") if path.stem != "__init__"
+    }
+    uncalled = [name for name, home in public_names() if not has_caller_in_src(name, home, trees)]
+    assert uncalled == []
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # scipy.io is imported by the first read_matrix call, not by the package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, precondeig; print('scipy.io' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

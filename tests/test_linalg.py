@@ -14,6 +14,7 @@ from precondeig.errors import (
     NotSpdInLowPrecision,
 )
 from precondeig.linalg import SymFactor, _ritz, _round_robin, lanczos_top_pairs, spawn_seed
+from tests.conftest import fd_eigenvalue
 
 
 def random_spd(seed, n, shift=None):
@@ -329,8 +330,8 @@ def test_lanczos_fd_identity_preconditioner_ratio_analytic():
     prob = pe.laplace_fd(1.0 / 8.0)
     lo, hi = pe.lanczos_extremal(lambda v: prob.matrix @ v, dim=prob.dim, tol=1e-12)
     h = 1.0 / 8.0
-    lam1 = pe.fd_eigenvalue(h, 1, 1)
-    lamn = pe.fd_eigenvalue(h, 7, 7)
+    lam1 = fd_eigenvalue(h, 1, 1)
+    lamn = fd_eigenvalue(h, 7, 7)
     assert abs(hi / lo - lamn / lam1) <= 1e-6 * (lamn / lam1)
 
 

@@ -14,7 +14,7 @@ from precondeig.errors import (
     NotSpd,
 )
 from precondeig.problems import interior_coords
-from tests.conftest import dense_problem, dense_roots
+from tests.conftest import dense_problem, dense_roots, fd_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_fd_single_interior_node():
     assert prob.dim == 1
     assert np.array_equal(prob.matrix.toarray(), [[16.0]])
     # 16 = (8/h^2) sin^2(pi/4) = 4/h^2
-    assert abs(pe.fd_eigenvalue(0.5, 1, 1) - 16.0) <= 1e-12
+    assert abs(fd_eigenvalue(0.5, 1, 1) - 16.0) <= 1e-12
 
 
 def test_fd_lambda1_analytic_h4():
@@ -35,7 +35,7 @@ def test_fd_lambda1_analytic_h4():
     w, _ = pe.dense_sym_eig(prob.matrix.toarray())
     expected = 128.0 * math.sin(math.pi / 8.0) ** 2
     assert abs(w[0] - expected) <= 1e-10
-    assert abs(pe.fd_eigenvalue(0.25, 1, 1) - expected) <= 1e-12
+    assert abs(fd_eigenvalue(0.25, 1, 1) - expected) <= 1e-12
 
 
 def test_fd_eigenvector_is_sine_product():
@@ -346,9 +346,9 @@ def test_reference_fd_analytic():
     h = 1.0 / 8.0
     prob = pe.laplace_fd(h)
     ref = prob.reference()
-    assert abs(ref.lam1 - pe.fd_eigenvalue(h, 1, 1)) <= 1e-10 * pe.fd_eigenvalue(h, 1, 1)
-    assert abs(ref.lam2 - pe.fd_eigenvalue(h, 1, 2)) <= 1e-10 * pe.fd_eigenvalue(h, 1, 2)
-    assert abs(ref.lamn - pe.fd_eigenvalue(h, 7, 7)) <= 1e-10 * pe.fd_eigenvalue(h, 7, 7)
+    assert abs(ref.lam1 - fd_eigenvalue(h, 1, 1)) <= 1e-10 * fd_eigenvalue(h, 1, 1)
+    assert abs(ref.lam2 - fd_eigenvalue(h, 1, 2)) <= 1e-10 * fd_eigenvalue(h, 1, 2)
+    assert abs(ref.lamn - fd_eigenvalue(h, 7, 7)) <= 1e-10 * fd_eigenvalue(h, 7, 7)
     r = prob.matrix @ ref.u_star - ref.lam1 * ref.u_star
     assert np.linalg.norm(r) <= 1e-10 * ref.lam1
 

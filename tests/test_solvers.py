@@ -440,6 +440,15 @@ def test_step_constant_rejects_bad_c():
         pe.StepPolicy.constant(0.0)
 
 
+@pytest.mark.parametrize(
+    "policy", [pe.StepPolicy.theory(), pe.StepPolicy.constant(0.25)], ids=["theory", "constant"]
+)
+def test_rsd_policy_without_context_is_typed(policy):
+    a, b = dense_pair(13, 6)
+    with pytest.raises(OutsideBasin, match=f"{policy.kind} policy needs a RateContext"):
+        pe.rsd_solve(dense_problem(a), pe.make_spd(b), np.ones(6), policy)
+
+
 def test_fixed_step_cap_violation():
     problem, precond, ctx, _, b_inv_sqrt, x_star = setup_instance(12)
     u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.5, 800)
