@@ -1,5 +1,7 @@
-"""Dense/sparse SPD primitives: Cholesky at two precisions, PCG, Lanczos,
-a deterministic RNG, and a pure-Python Jacobi eigensolver.
+"""Dense/sparse SPD primitives: Cholesky at two precisions, PCG, Lanczos
+(fully reorthogonalized where Ritz vectors or both ends are wanted,
+three-term for a lone top value), a deterministic RNG, and a pure-Python
+Jacobi eigensolver.
 
 The Jacobi solver is the independent oracle only (tests and the explicit
 x-space evaluation inside validate_properties); production eigenvalue paths
@@ -263,48 +265,8 @@ def pcg(apply_a, apply_m_inv, rhs, tol=1e-10, maxit=None, x0=None, callback=None
 
 
 # ---------------------------------------------------------------------------
-# Lanczos with full reorthogonalization on a block-stored basis
+# Lanczos: one loop, with full reorthogonalization or three-term only
 # ---------------------------------------------------------------------------
-
-_BLOCK = 64  # basis vectors per block
-
-
-class _BlockBasis:
-    """Vectors of length n stored as the rows of fixed (_BLOCK, n) blocks.
-
-    A block is allocated when the previous one is full, so memory follows the
-    number of steps taken rather than the step budget, and every product with
-    the basis is one BLAS-2 call per block.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.blocks = []
-        self.count = 0
-
-    def append(self, v):
-        row = self.count % _BLOCK
-        if row == 0:
-            self.blocks.append(np.empty((_BLOCK, self.n)))
-        self.blocks[-1][row] = v
-        self.count += 1
-
-    def __getitem__(self, i):
-        i %= self.count
-        return self.blocks[i // _BLOCK][i % _BLOCK]
-
-    def filled(self):
-        """The filled rows of each block, as views."""
-        return [b[: min(_BLOCK, self.count - i * _BLOCK)] for i, b in enumerate(self.blocks)]
-
-    def combine(self, coeffs):
-        """sum_i coeffs[i, :] q_i over the first len(coeffs) vectors, as columns."""
-        out = 0.0
-        for i, b in enumerate(self.blocks):
-            c = coeffs[i * _BLOCK : (i + 1) * _BLOCK]
-            if len(c):
-                out = out + c.T @ b[: len(c)]
-        return out.T
 
 
 def _ritz(d, e, j, vector):
@@ -325,60 +287,72 @@ def _ritz(d, e, j, vector):
     return w[0], s[-1, 0]
 
 
-def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
-    """Shared Lanczos loop with full reorthogonalization.
+def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reorth=True):
+    """Shared Lanczos loop from a start drawn from rng (Rng(2024) when None).
 
     The inner product is u^T C v with C = inner_map (Euclidean when None).
     apply_t receives the mapped vector C q_k, which the loop already holds,
     and must return T q_k (with no inner_map, C = I and it receives q_k).
-    The basis, and C applied to it when C is given, are kept in blocks of
-    _BLOCK rows (_BlockBasis), so each of the two reorthogonalization passes
-    is classical Gram-Schmidt (CGS2): one BLAS-2 product per block for all
-    coefficients, then one per block to subtract them.  `watch` lists
-    indices into the ascending Ritz values (negative allowed) that must pass
-    the residual-plus-stabilization test before the loop stops; each step
-    computes only the Ritz pairs that test needs (both ends for the scale,
-    the watched ones with the last component of their eigenvector).
-    Returns (alphas, betas, basis, converged).
+    With `reorth` the basis (and C times it) fills the rows of a (steps + 1,
+    n) array, and each of the two reorthogonalization passes is classical
+    Gram-Schmidt (CGS2): one BLAS-2 product for the coefficients, one to
+    subtract them.  Without it the three-term recurrence runs on two rows.
+    `watch` lists indices into the ascending Ritz values (negative allowed)
+    that must pass the residual-plus-stabilization test before the loop
+    stops; each step computes only the Ritz pairs that test needs (both ends
+    for the scale, the watched ones with the last component of their
+    eigenvector).  beta = 0 stops the loop at any step, before it is divided
+    by: the Krylov space is invariant and its Ritz values exact.  beta below
+    1e-14 * scale stops it only once the watched values exist; before, the
+    reorthogonalization restarts from the roundoff left in w, which is how a
+    repeated eigenvalue yields two Ritz values.
+    Returns (theta ascending, S, Q), with S the tridiagonal's eigenvectors
+    and Q the basis rows, so the Ritz vectors are (S^T Q)^T; S and Q are
+    None without reorth.  Raises MaxIterations carrying the watched Ritz
+    values when maxit steps do not converge.
     """
-    q = np.asarray(start, dtype=np.float64)
+    q = (rng or Rng(2024)).normal(dim)
     cq = inner_map(q) if inner_map is not None else q
     qq = float(q @ cq)
     if qq <= 0.0:
         raise InnerProductNotPositive("inner(q0, q0) <= 0")
     nrm = np.sqrt(qq)
-    basis = _BlockBasis(len(q))
-    basis.append(q / nrm)
+    steps = min(maxit, dim)
+    rows = steps + 1 if reorth else 2  # row k % rows holds q_k
+    basis = np.empty((rows, dim))
+    basis[0] = q / nrm
     mapped = basis
     if inner_map is not None:
-        mapped = _BlockBasis(len(q))
-        mapped.append(cq / nrm)
-    alphas, betas = [], []
+        mapped = np.empty((rows, dim))
+        mapped[0] = cq / nrm
+    alphas, betas = np.empty(steps), np.empty(steps)
     prev = None
     converged = False
-    steps = min(maxit, dim)
     span = max(abs(i) for i in watch) + 1
     for k in range(steps):
-        w = apply_t(mapped[-1])
-        alpha = float(mapped[-1] @ w)
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
+        cur = k % rows
+        w = apply_t(mapped[cur])
+        alpha = float(mapped[cur] @ w)
+        alphas[k] = alpha
+        w = w - alpha * basis[cur]
         if k > 0:
-            w -= betas[-1] * basis[-2]
-        for _ in range(2):  # full reorthogonalization, two CGS passes
-            coeffs = [c @ w for c in mapped.filled()]
-            for b, c in zip(basis.filled(), coeffs):
-                w -= c @ b
+            w -= betas[k - 1] * basis[(k - 1) % rows]
+        if reorth:
+            for _ in range(2):  # full reorthogonalization, two CGS passes
+                w -= (mapped[: k + 1] @ w) @ basis[: k + 1]
         cw = inner_map(w) if inner_map is not None else w
         ww = float(w @ cw)
         if ww < 0.0:
             raise InnerProductNotPositive("inner(w, w) < 0 during Lanczos")
         beta = np.sqrt(ww)
-        m = len(alphas)
+        m = k + 1
+        if beta == 0.0 or m == dim:  # invariant Krylov space: the Ritz values are exact
+            converged = True
+            break
         if m >= span:
             need = {0: False, m - 1: False}
             need.update((i % m, True) for i in watch)
-            d, e = np.array(alphas), np.array(betas)
+            d, e = alphas[:m], betas[:k]
             ritz = {j: _ritz(d, e, j, vec) for j, vec in need.items()}
             scale = max(abs(ritz[0][0]), abs(ritz[m - 1][0]))
             res_ok = all(beta * abs(ritz[i % m][1]) <= tol * scale for i in watch)
@@ -387,20 +361,26 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch, inner_map=None):
                 abs(v - p) <= tol * scale for v, p in zip(vals, prev)
             )
             prev = vals
-            if (res_ok and stable) or k + 1 == dim:
+            if (res_ok and stable) or beta <= 1e-14 * scale:  # invariant to roundoff
                 converged = True
                 break
-            if beta <= 1e-14 * scale:
-                converged = True  # invariant subspace found
-                break
-        elif k + 1 == dim:
-            converged = True
-            break
-        betas.append(beta)
-        basis.append(w / beta)
+        betas[k] = beta
+        basis[m % rows] = w / beta
         if inner_map is not None:
-            mapped.append(cw / beta)
-    return alphas, betas, basis, converged
+            mapped[m % rows] = cw / beta
+    d, e = alphas[:m], betas[: m - 1]
+    if reorth:
+        theta, svecs = scipy.linalg.eigh_tridiagonal(d, e, check_finite=False)
+    else:
+        theta = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, check_finite=False)
+        svecs = basis = None
+    if not converged:
+        raise MaxIterations(
+            f"lanczos did not converge to tol={tol:g} within {maxit} steps",
+            best=tuple(float(theta[i]) for i in watch if -m <= i < m),
+            iterations=maxit,
+        )
+    return theta, svecs, basis
 
 
 def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, rng=None, inner_map=None):
@@ -415,54 +395,36 @@ def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, rng=None, inner_map=No
     """
     if maxit is None:
         maxit = min(dim, max(60, dim // 2 + 40))
-    start = (rng or Rng(2024)).normal(dim)
-    alphas, betas, _, converged = _lanczos_tridiag(
-        apply_t, dim, tol, maxit, start, (0, -1), inner_map=inner_map
-    )
-    if len(alphas) >= 2:
-        theta = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas)[: len(alphas) - 1], check_finite=False
-        )[0]
-    else:
-        theta = np.array([alphas[0]])
-    if not converged:
-        raise MaxIterations(
-            f"lanczos did not converge to tol={tol:g} within {maxit} steps",
-            best=(float(theta[0]), float(theta[-1])),
-            iterations=maxit,
-        )
+    theta, _, _ = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (0, -1), inner_map=inner_map)
     return float(theta[0]), float(theta[-1])
 
 
 def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, rng=None):
-    """Largest-k Ritz pairs of a Euclidean-self-adjoint operator.
+    """Largest-k Ritz pairs of a Euclidean-self-adjoint operator, with full
+    reorthogonalization so the Ritz vectors stay accurate.
 
     Used by the reference eigensolver on A^{-1}, where the top of the
-    spectrum is well separated, and on A for lambda_n alone.  Returns
-    (values descending, vectors as columns).
+    spectrum is well separated.  Returns (values descending, vectors as
+    columns); fewer than k pairs when the start spans an invariant subspace
+    of smaller dimension.
     """
     if maxit is None:
         maxit = min(dim, max(80, dim // 2 + 60))
-    start = (rng or Rng(2024)).normal(dim)
     watch = tuple(-(i + 1) for i in range(min(k, dim)))
-    alphas, betas, basis, converged = _lanczos_tridiag(apply_t, dim, tol, maxit, start, watch)
-    if len(alphas) >= 2:
-        theta, svecs = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas)[: len(alphas) - 1], check_finite=False
-        )
-    else:
-        theta, svecs = np.array([alphas[0]]), np.array([[1.0]])
-    if not converged:
-        raise MaxIterations(
-            f"lanczos did not converge to tol={tol:g} within {maxit} steps",
-            best=float(theta[-1]),
-            iterations=maxit,
-        )
-    order = np.argsort(theta)[::-1][: min(k, len(theta))]
-    vals = theta[order]
-    vecs = basis.combine(svecs[:, order])
+    theta, svecs, basis = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch)
+    order = np.argsort(theta)[::-1][:k]
+    vecs = (svecs[:, order].T @ basis[: len(theta)]).T
     vecs /= np.linalg.norm(vecs, axis=0)
-    return vals, vecs
+    return theta[order], vecs
+
+
+def _lanczos_top_value(apply_t, dim, tol, maxit, rng):
+    """Largest eigenvalue of a Euclidean-self-adjoint operator by the
+    three-term recurrence with no stored basis.  Lost orthogonality only
+    adds copies of Ritz values that have converged (Paige 1980), so the top
+    value still converges and the beta*|s| bound stays valid."""
+    theta, _, _ = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (-1,), reorth=False)
+    return float(theta[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .geometry import rayleigh
 from .linalg import (
     Rng,
     SymFactor,
+    _lanczos_top_value,
     chol_solve,
     cholesky,
     lanczos_extremal,  # noqa: F401 - not called here; perfbench/spans.py patches this name
@@ -388,13 +389,15 @@ def generalized_reduce(a, m):
 def reference_eigs(problem):
     """High-accuracy (lambda1, lambda2, lambdan, u*) for an EigenProblem.
 
-    lambda1, lambda2 and u* come from Lanczos on A^{-1} (top of the spectrum
-    of the inverse is well separated) at tol 1e-12, refined by inverse
-    iteration; lambdan from a Lanczos on A at tol 1e-11 that watches only the
-    top Ritz pair, since the bottom of A is already known.  Each Lanczos runs
+    lambda1, lambda2 and u* come from a reorthogonalized Lanczos on A^{-1}
+    (top of the spectrum of the inverse is well separated) at tol 1e-12,
+    refined by inverse iteration.  lambdan comes from a Lanczos on A at tol
+    1e-11 that watches only the top Ritz value; it needs no vector, so it
+    runs the three-term recurrence with no stored basis.  Each Lanczos runs
     at most min(n, 600) steps from a start drawn from Rng(777) (its spawn(1)
-    for lambdan).  Raises DegenerateSmallestEigenvalue when lambda2 - lambda1
-    falls below resolution.
+    for lambdan).  Raises DegenerateSmallestEigenvalue when the start spans
+    an invariant subspace of one eigenpair or lambda2 - lambda1 falls below
+    resolution.
     """
     n = problem.dim
     rng = Rng(777)
@@ -403,6 +406,8 @@ def reference_eigs(problem):
     solve = problem.solver()
     budget = min(n, 600)
     vals, vecs = lanczos_top_pairs(solve, n, k=2, tol=1e-12, maxit=budget, rng=rng)
+    if len(vals) < 2:
+        raise DegenerateSmallestEigenvalue("the start spans an invariant subspace of one eigenpair")
     u = vecs[:, 0]
     lam1 = rayleigh(u, problem.apply_a)
     for _ in range(100):
@@ -428,8 +433,7 @@ def reference_eigs(problem):
         v -= float(u @ v) * u
         v /= np.linalg.norm(v)
         lam2 = rayleigh(v, problem.apply_a)
-    top, _ = lanczos_top_pairs(problem.apply_a, n, k=1, tol=1e-11, maxit=budget, rng=rng.spawn(1))
-    lamn = top[0]
+    lamn = _lanczos_top_value(problem.apply_a, n, tol=1e-11, maxit=budget, rng=rng.spawn(1))
     if lam2 - lam1 <= 1e-9 * lamn:
         raise DegenerateSmallestEigenvalue(
             f"lambda2 - lambda1 = {lam2 - lam1:.3e} <= 1e-9 * lambdan"

@@ -211,13 +211,14 @@ def rsd_solve(
         state = make_state(u, problem.apply_a, precond.apply_inv)
         if callback is not None:
             callback(t, state)
-        res_rel = np.linalg.norm(state.r) / (state.lam * math.sqrt(state.uu))
+        resnorm = np.linalg.norm(state.r)
+        res_rel = resnorm / (state.lam * math.sqrt(state.uu))
         dist_b = NAN
         if ctx is not None:
             cos_dist = ctx.cos_dist_b(state.u)
             dist_b = math.acos(cos_dist)
+        trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=dist_b)
         if res_rel <= tol:
-            trace.append(t=t, lam=state.lam, f=state.f, resnorm=np.linalg.norm(state.r), distB=dist_b)
             reason, iterations = "ResidualTol", t
             break
         lam_flat = prev_lam is not None and abs(state.lam - prev_lam) <= 1e-15 * abs(state.lam)
@@ -228,15 +229,12 @@ def rsd_solve(
                 best_before = min(best_before, window[0])
             window.append(res_rel)
             if flat >= stagnation_window and min(window) >= 0.9 * best_before:
-                trace.append(t=t, lam=state.lam, f=state.f, resnorm=np.linalg.norm(state.r), distB=dist_b)
                 trace.event(
                     t, "StagnatedStep", flat_steps=flat, window_best=min(window), best_before=best_before
                 )
                 reason, iterations = "StagnatedStep", t
                 break
         if t == maxit:
-            trace.append(t=t, lam=state.lam, f=state.f, resnorm=np.linalg.norm(state.r), distB=dist_b)
-            reason, iterations = "MaxIters", t
             break
 
         g = math.sqrt(state.g2)
@@ -275,17 +273,7 @@ def rsd_solve(
         xi = NAN
         if ctx is not None:
             xi = eta * mu_x(state.uau, ctx) * a_x(cos_dist, state.uau, ctx)
-        trace.append(
-            t=t,
-            lam=state.lam,
-            f=state.f,
-            resnorm=np.linalg.norm(state.r),
-            distB=dist_b,
-            eta=eta,
-            eta_star=eta_star,
-            beta=beta,
-            xi=xi,
-        )
+        trace.rows[-1].update(eta=eta, eta_star=eta_star, beta=beta, xi=xi)
 
         u_new = state.u - eta_star * state.b_inv_r
         bsq = 1.0 + eta_star**2 * state.r_binv_r  # exact: u^T r = 0

@@ -6,6 +6,7 @@ import scipy.sparse
 import precondeig as pe
 from precondeig.errors import (
     BreakdownNonSpd,
+    DegenerateSmallestEigenvalue,
     DimensionMismatch,
     InnerProductNotPositive,
     MaxIterations,
@@ -13,7 +14,14 @@ from precondeig.errors import (
     NotSpd,
     NotSpdInLowPrecision,
 )
-from precondeig.linalg import SymFactor, _ritz, _round_robin, lanczos_top_pairs, spawn_seed
+from precondeig.linalg import (
+    SymFactor,
+    _lanczos_top_value,
+    _ritz,
+    _round_robin,
+    lanczos_top_pairs,
+    spawn_seed,
+)
 from tests.conftest import fd_eigenvalue
 
 
@@ -350,9 +358,9 @@ def test_lanczos_top_pairs_inverse_operator():
 
 def test_lanczos_top_pairs_across_basis_blocks():
     # lambda_max = 3 converges early; lambda_2 = 1 sits in a cluster of three
-    # (within 2e-4) just above a bulk in [0, 0.99], so the basis grows past
-    # one 64-row block first.  Skipping an earlier block in the
-    # reorthogonalization lets a ghost copy of 3 take the second place.
+    # (within 2e-4) just above a bulk in [0, 0.99], so the run takes more
+    # than 64 steps.  Reorthogonalizing against only part of that basis lets
+    # a ghost copy of 3 take the second place.
     n = 150
     rng = pe.Rng(5)
     w = np.concatenate([0.99 * np.sort(rng.uniform(n - 4)), [1.0 - 2e-4, 1.0 - 1e-4, 1.0, 3.0]])
@@ -372,6 +380,48 @@ def test_lanczos_top_pairs_across_basis_blocks():
         v = vecs[:, j]
         assert np.linalg.norm(a @ v - vals[j] * v) <= 1e-8 * vals[j]
     assert abs(float(vecs[:, 0] @ vecs[:, 1])) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: pe.lanczos_extremal(lambda v: 2.0 * v, 5), (2.0, 2.0)),
+        (
+            lambda: pe.kappa_nu(
+                pe.EigenProblem(dim=300, apply_a=lambda v: 2.0 * v, matrix=2.0 * np.eye(300)),
+                pe.make_identity(300),
+            ),
+            (2.0, 2.0, 1.0),
+        ),
+        (
+            lambda: pe.EigenProblem(dim=5, apply_a=lambda v: 2.0 * v, solve_a=lambda v: 0.5 * v).reference(),
+            DegenerateSmallestEigenvalue,
+        ),
+    ],
+    ids=["lanczos_extremal", "kappa_nu", "reference"],
+)
+def test_lanczos_stops_when_the_start_is_an_eigenvector(call, expected):
+    # beta is exactly 0 after the first step, before any watched Ritz value
+    # beyond the first exists; dividing by it would fill the basis with NaN
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == pytest.approx(expected, rel=1e-14)
+
+
+def test_lanczos_runs_raise_max_iterations():
+    a = np.diag(np.geomspace(1.0, 1e4, 50))
+    runs = (
+        lambda: pe.lanczos_extremal(lambda v: a @ v, 50, maxit=3),
+        lambda: lanczos_top_pairs(lambda v: a @ v, 50, maxit=3),
+        lambda: _lanczos_top_value(lambda v: a @ v, 50, 1e-11, 3, None),
+    )
+    for run in runs:
+        with pytest.raises(MaxIterations) as err:
+            run()
+        assert err.value.iterations == 3
+        assert len(err.value.best) > 0 and np.all(np.isfinite(err.value.best))
 
 
 # ---------------------------------------------------------------------------

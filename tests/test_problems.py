@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from precondeig.errors import (
     MisalignedOverlap,
     NotSpd,
 )
+from precondeig.diagnostics import random_spd_pair
+from precondeig.linalg import _lanczos_top_value
 from precondeig.problems import interior_coords
 from tests.conftest import dense_problem, dense_roots, fd_eigenvalue
 
@@ -362,15 +365,50 @@ def test_reference_kernel_matches_jacobi():
     assert abs(ref.lamn - w[-1]) <= 1e-9 * abs(w[-1])
 
 
-def test_reference_fem_matches_scipy_pencil():
-    # lambdan comes from a Lanczos that watches only the top Ritz pair
-    prob = build_problem("laplace-fem:h=2^-4")
+@pytest.mark.parametrize("h", ["2^-4", "2^-5"], ids=lambda h: f"h={h}")
+def test_reference_fem_matches_scipy_pencil(h):
+    # lambdan comes from a three-term Lanczos that watches only the top Ritz
+    # value: 86 steps at h=2^-4, 157 at h=2^-5, with no stored basis
+    prob = build_problem(f"laplace-fem:h={h}")
     k, m = prob.meta["stiffness"], prob.meta["mass"]
     w = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)
     ref = pe.reference_eigs(prob)
     assert abs(ref.lam1 - w[0]) <= 1e-10 * w[0]
     assert abs(ref.lam2 - w[1]) <= 1e-10 * w[1]
     assert abs(ref.lamn - w[-1]) <= 1e-10 * w[-1]
+
+
+@pytest.mark.parametrize("n", [6, 12, 20])
+def test_reference_lamn_matches_eigvalsh_on_random_pairs(n):
+    # at these sizes the three-term run for lambdan can run to k + 1 == dim,
+    # where its Lanczos vectors need not be orthogonal any more
+    for seed in range(20):
+        a, _ = random_spd_pair(seed, n)
+        lamn = dense_problem(a).reference().lamn
+        top = scipy.linalg.eigvalsh(a)[-1]
+        assert abs(lamn - top) <= 1e-13 * top, seed
+
+
+def test_reference_lamn_run_holds_no_basis():
+    # the lambdan run at h=2^-5 takes 157 steps; a stored basis would be
+    # 157 vectors, while the three-term recurrence, the start draw and the
+    # pencil apply's temporaries peak near 10
+    prob = build_problem("laplace-fem:h=2^-5")
+    n, steps = prob.dim, []
+
+    def apply_a(v):
+        steps.append(1)
+        return prob.apply_a(v)
+
+    tracemalloc.start()
+    try:
+        lamn = _lanczos_top_value(apply_a, n, tol=1e-11, maxit=600, rng=pe.Rng(777).spawn(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) > 100
+    assert peak <= 16 * 8 * n
+    assert abs(lamn - prob.reference().lamn) <= 1e-14 * lamn
 
 
 def test_reference_degenerate_smallest():
