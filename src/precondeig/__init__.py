@@ -63,7 +63,7 @@ from .problems import (
     mesh_hierarchy,
     reference_eigs,
 )
-from .solvers import SolveResult, StepPolicy, Trace, pinvit_classic_solve, rsd_solve
+from .solvers import SolveResult, StepPolicy, Trace, rsd_solve
 
 __version__ = "0.1.0"
 
@@ -108,7 +108,6 @@ __all__ = [
     "mesh_hierarchy",
     "mu_x",
     "pcg",
-    "pinvit_classic_solve",
     "rayleigh",
     "read_matrix",
     "reference_eigs",

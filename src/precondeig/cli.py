@@ -126,6 +126,8 @@ def _parse_step(text):
         return solvers.StepPolicy.constant(float(arg or 0.25))
     if kind == "fixed":
         return solvers.StepPolicy.fixed(float(arg))
+    if kind == "pinvit":
+        return solvers.StepPolicy.pinvit()
     raise RecipeError(f"unknown step policy {text!r}")
 
 
@@ -162,19 +164,13 @@ def cmd_solve(args):
     p = build_precond(args.precond, problem)
     policy = _parse_step(args.step)
     ctx = None
-    if policy.kind in ("theory", "constant") or args.method == "pinvit-classic" or args.init == "eigvec":
+    if policy.kind in ("theory", "constant", "pinvit") or args.init == "eigvec":
         ctx = diagnostics.build_rate_context(problem, p)
     u0 = _initial_vector(args.init, problem, p, args.seed)
-    if args.method == "rsd":
-        result = solvers.rsd_solve(problem, p, u0, policy, tol=args.tol, maxit=args.maxit, ctx=ctx)
-    elif args.method == "pinvit-classic":
-        result = solvers.pinvit_classic_solve(problem, p, u0, tol=args.tol, maxit=args.maxit, ctx=ctx)
-    else:
-        raise RecipeError(f"unknown method {args.method!r}")
+    result = solvers.rsd_solve(problem, p, u0, policy, tol=args.tol, maxit=args.maxit, ctx=ctx)
     out = {
         "problem": args.problem,
         "precond": args.precond,
-        "method": args.method,
         "step": args.step,
         "seed": args.seed,
         "lambda": result.lam,
@@ -408,8 +404,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="run one eigensolve")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--precond", required=True)
-    sp.add_argument("--method", default="rsd", choices=["rsd", "pinvit-classic"])
-    sp.add_argument("--step", default="theory", help="theory | const:c | fixed:value")
+    sp.add_argument("--step", default="theory", help="theory | const:c | fixed:value | pinvit")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--maxit", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)

@@ -209,14 +209,13 @@ def chol_matvec(f, v):
 # ---------------------------------------------------------------------------
 
 
-def pcg(apply_a, apply_m_inv, rhs, tol=1e-10, maxit=None, x0=None, callback=None):
+def pcg(apply_a, apply_m_inv, rhs, tol=1e-10, maxit=None, x0=None):
     """PCG for A x = rhs; stops when the Euclidean residual drops below
     tol * ||rhs||.  Returns (x, iterations).
 
     apply_m_inv applies the inverse of the preconditioner (None = plain CG).
     Raises BreakdownNonSpd on negative curvature and MaxIterations (carrying
-    the best iterate) when the budget runs out.  callback(x) is invoked after
-    every update.
+    the best iterate) when the budget runs out.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = rhs.shape[0]
@@ -246,8 +245,6 @@ def pcg(apply_a, apply_m_inv, rhs, tol=1e-10, maxit=None, x0=None, callback=None
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if callback is not None:
-            callback(x.copy())
         if np.linalg.norm(r) <= tol * b_norm:
             r_true = rhs - apply_a(x)
             if np.linalg.norm(r_true) <= tol * b_norm:

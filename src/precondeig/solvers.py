@@ -1,5 +1,5 @@
-"""The three iterations: classical PINVIT, the steepest-descent variant run
-entirely in u-space, and the step-size policies of the convergence theory.
+"""One iteration, the steepest-descent variant of PINVIT run entirely in
+u-space, and the step-size policies that drive it.
 
 The u-space recurrence is
 
@@ -12,6 +12,10 @@ B-norm is maintained through the exact identity ||u - s B^{-1}r||_B^2 =
 one B^{-1} apply.  Only a preconditioner whose applies are not binary64
 (mixed-precision Cholesky) has ||u||_B recomputed each step from its binary64
 twin, because its B^{-1} r does not realize the B being normalized against.
+
+Classical PINVIT, u <- u - B^{-1} r up to scale, is this recurrence at
+eta* = 1, i.e. the Riemannian step eta = atan(g (u^T A u)^2 / (2 u^T u)) / g,
+which always lies below the cap pi / (2 g); StepPolicy.pinvit() runs it.
 """
 
 import math
@@ -48,8 +52,10 @@ NAN = float("nan")
 
 @dataclass
 class StepPolicy:
-    """Step-size policy: theory-local a(x)/gamma(x), the constant step
-    c / (kappa^2 (1/l1 - 1/ln)), a fixed user value, or a custom callable."""
+    """Step-size policy of rsd_solve: theory-local a(x)/gamma(x), the
+    constant step c / (kappa^2 (1/l1 - 1/ln)), a fixed user value, a custom
+    callable fn(state, t), or classical PINVIT (eta* = 1, needs no
+    RateContext)."""
 
     kind: str
     c: float = None
@@ -75,6 +81,10 @@ class StepPolicy:
     @classmethod
     def custom(cls, fn):
         return cls(kind="custom", fn=fn)
+
+    @classmethod
+    def pinvit(cls):
+        return cls(kind="pinvit")
 
 
 class Trace:
@@ -250,25 +260,29 @@ def rsd_solve(
             elif margin > 0.0:
                 in_basin = True
 
-        if policy.kind == "theory":
-            if in_basin:
-                eta = step_theory(state, ctx)
-            else:
-                # outside the basin the theory step is non-positive; fall back
-                # to the capped constant step (no contraction claimed there)
-                eta = min(step_constant(ctx, 0.25), math.pi / (4.0 * g))
-        elif policy.kind == "constant":
-            eta = step_constant(ctx, policy.c)
-        elif policy.kind == "fixed":
-            eta = policy.value
+        if policy.kind == "pinvit":
+            # u - B^{-1} r exactly; eta is its Riemannian step, below the cap
+            eta_star = 1.0
+            eta = math.atan(g * state.uau**2 / (2.0 * state.uu)) / g
         else:
-            eta = float(policy.fn(state, t))
-        if eta * g >= math.pi / 2.0:
-            raise StepCapViolated(
-                f"eta = {eta:.3e} exceeds pi/(2 ||grad f||) = {math.pi / (2 * g):.3e} at t={t}"
-            )
-
-        eta_star = 2.0 * math.tan(eta * g) * state.uu / (g * state.uau**2)
+            if policy.kind == "theory":
+                if in_basin:
+                    eta = step_theory(state, ctx)
+                else:
+                    # outside the basin the theory step is non-positive; fall
+                    # back to the capped constant step (no contraction claimed)
+                    eta = min(step_constant(ctx, 0.25), math.pi / (4.0 * g))
+            elif policy.kind == "constant":
+                eta = step_constant(ctx, policy.c)
+            elif policy.kind == "fixed":
+                eta = policy.value
+            else:
+                eta = float(policy.fn(state, t))
+            if eta * g >= math.pi / 2.0:
+                raise StepCapViolated(
+                    f"eta = {eta:.3e} exceeds pi/(2 ||grad f||) = {math.pi / (2 * g):.3e} at t={t}"
+                )
+            eta_star = 2.0 * math.tan(eta * g) * state.uu / (g * state.uau**2)
         beta = math.cos(eta * g)
         xi = NAN
         if ctx is not None:
@@ -284,41 +298,3 @@ def rsd_solve(
     trace.fill_contraction()
     return SolveResult(u=state.u, lam=state.lam, iterations=iterations, reason=reason, trace=trace)
 
-
-def pinvit_classic_solve(problem, precond, u0, tol=1e-8, maxit=1000, ctx=None):
-    """Classical preconditioned inverse iteration u <- u - B^{-1} r with
-    Euclidean renormalization; same termination rule as rsd_solve.
-
-    The preconditioner should be spectrally scaled so ||I - B^{-1}A||_A < 1;
-    this is not enforced, only reflected in the convergence behavior.
-    """
-    u = np.asarray(u0, dtype=np.float64)
-    if not np.any(u):
-        raise ZeroGradientAtNonEigenvector("u0 is zero")
-    u = u / np.linalg.norm(u)
-    trace = Trace()
-    can_dist = ctx is not None and precond.fwd_mode == "exact"
-    exact = precond.exact()
-    reason = "MaxIters"
-    iterations = maxit
-    lam = None
-    for t in range(maxit + 1):
-        au = problem.apply_a(u)
-        lam = float(u @ au)  # ||u|| = 1
-        r = au - lam * u
-        res_rel = np.linalg.norm(r) / lam
-        dist_b = NAN
-        if can_dist:
-            bn = math.sqrt(float(u @ exact.apply_fwd(u)))
-            dist_b = math.acos(ctx.cos_dist_b(u, bn))
-        trace.append(t=t, lam=lam, f=-1.0 / lam, resnorm=np.linalg.norm(r), distB=dist_b)
-        if res_rel <= tol:
-            reason, iterations = "ResidualTol", t
-            break
-        if t == maxit:
-            reason, iterations = "MaxIters", t
-            break
-        u = u - precond.apply_inv(r)
-        u = u / np.linalg.norm(u)
-    trace.fill_contraction()
-    return SolveResult(u=u, lam=lam, iterations=iterations, reason=reason, trace=trace)

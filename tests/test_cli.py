@@ -45,7 +45,6 @@ def test_solve_happy_path(tmp_path):
             "solve",
             "--problem", "laplace-fd:h=2^-3",
             "--precond", "ddm:H=2^-1,overlap=0.5",
-            "--method", "rsd",
             "--step", "theory",
             "--tol", "1e-8",
             "--seed", "1",
@@ -66,8 +65,7 @@ def test_solve_trace_bit_stable(tmp_path):
         "solve",
         "--problem", "laplace-fd:h=2^-3",
         "--precond", "exact",
-        "--method", "pinvit-classic",
-        "--step", "fixed:1.0",
+        "--step", "pinvit",
         "--tol", "1e-10",
         "--seed", "3",
     ]
@@ -75,6 +73,28 @@ def test_solve_trace_bit_stable(tmp_path):
     assert main(args + ["--trace", str(t1)]) == 0
     assert main(args + ["--trace", str(t2)]) == 0
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_solve_pinvit_implicit_b_traces_dist_b(tmp_path):
+    trace, result = tmp_path / "trace.csv", tmp_path / "result.json"
+    code = main(
+        [
+            "solve",
+            "--problem", "laplace-fem:h=2^-4",
+            "--precond", "scaled:ddm:H=2^-2",
+            "--step", "pinvit",
+            "--trace", str(trace),
+            "--result", str(result),
+        ]
+    )
+    assert code == 0
+    payload = json.loads(result.read_text())
+    assert payload["reason"] == "ResidualTol"
+    assert "method" not in payload and payload["lambda_rel_err"] <= 1e-8
+    rows = trace.read_text().splitlines()
+    dist_b = np.array([float(line.split(",")[4]) for line in rows[1:]])
+    assert len(dist_b) == payload["iterations"] + 1
+    assert np.all(np.isfinite(dist_b))
 
 
 def test_solve_missing_matrix_file():
@@ -144,7 +164,7 @@ def test_solve_mtx_roundtrip(tmp_path):
             "solve",
             "--problem", f"mtx:{path}",
             "--precond", "exact",
-            "--method", "pinvit-classic",
+            "--step", "pinvit",
             "--tol", "1e-9",
         ]
     )

@@ -138,21 +138,30 @@ def test_variational_monte_carlo_supremum():
 @pytest.mark.parametrize("kind", ["identity", "random-spd", "mp-chol"])
 def test_distortion_angle_matches_extended_precision(kind):
     # 40-digit reference: u* from mp.eigsy of A, sin phi from the norms of
-    # u*, cos phi = sqrt(1 - sin^2 phi) with no binary64 floor
+    # u*, cos phi = sqrt(1 - sin^2 phi) with no binary64 floor; xi_inf from
+    # lambda1, lambda2, lambdan of A, kappa from the spectrum of
+    # L^{-1} A L^{-T} with B = L L^T, and that cos phi
     mpmath = pytest.importorskip("mpmath")
     for seed in range(3):
         for n in (6, 12):
             a, b = dense_pencil(seed, n, kind)
             ctx = pe.build_rate_context(dense_problem(a), pe.make_spd(b))
             with mpmath.workdps(40):
-                b_mp = mpmath.matrix(b.tolist())
-                w, q = mpmath.eigsy(mpmath.matrix(a.tolist()))
+                a_mp, b_mp = mpmath.matrix(a.tolist()), mpmath.matrix(b.tolist())
+                w, q = mpmath.eigsy(a_mp)
                 u = q[:, min(range(n), key=lambda k: w[k])]
                 nb2 = (u.T * b_mp * u)[0]
                 nbi2 = (u.T * mpmath.lu_solve(b_mp, u))[0]
                 sin_mp = (u.T * u)[0] / mpmath.sqrt(nb2 * nbi2)
-                sin_ref, cos_ref = float(sin_mp), float(mpmath.sqrt(1 - sin_mp**2))
+                cos_mp = mpmath.sqrt(1 - sin_mp**2)
+                sin_ref, cos_ref = float(sin_mp), float(cos_mp)
+                lam = sorted(w)
+                linv = mpmath.inverse(mpmath.cholesky(b_mp))
+                nu = sorted(mpmath.eigsy(linv * a_mp * linv.T, eigvals_only=True))
+                gap_ratio = (1 / lam[0] - 1 / lam[1]) / (1 / lam[0] - 1 / lam[-1])
+                xi_ref = float(4 / (mpmath.pi**2 * (1 + cos_mp) ** 2) * gap_ratio * nu[0] / nu[-1])
             label = f"seed={seed},n={n},B={kind}"
+            assert abs(pe.xi_inf(ctx) - xi_ref) <= 1e-13 * xi_ref, label
             assert abs(ctx.sin_phi - sin_ref) <= 1e-13 * sin_ref, label
             if kind == "identity":
                 assert ctx.cos_phi == 0.0, label

@@ -58,7 +58,7 @@ def test_rsd_terminates_at_eigenvector():
 
 def test_classic_terminates_at_eigenvector():
     problem, precond, ctx, _, _, _ = setup_instance(1)
-    res = pe.pinvit_classic_solve(problem, precond, ctx.u_star, tol=1e-8, ctx=ctx)
+    res = pe.rsd_solve(problem, precond, ctx.u_star, pe.StepPolicy.pinvit(), tol=1e-8, ctx=ctx)
     assert res.reason == "ResidualTol"
     assert res.iterations == 0
 
@@ -323,8 +323,72 @@ def test_rsd_monotone_distance_in_basin():
 
 
 # ---------------------------------------------------------------------------
-# classical PINVIT
+# classical PINVIT: the RSD loop at eta* = 1
 # ---------------------------------------------------------------------------
+
+
+def pinvit_reference(problem, precond, u0, tol, maxit):
+    """Classical PINVIT as a loop of its own: u <- u - B^{-1} r with Euclidean
+    renormalisation, stopping on ||r|| / lambda <= tol.  Returns the lambda of
+    every visited iterate, the iteration count and the stop reason."""
+    u = u0 / np.linalg.norm(u0)
+    lams = []
+    for t in range(maxit + 1):
+        au = problem.apply_a(u)
+        lam = float(u @ au)  # ||u|| = 1
+        lams.append(lam)
+        r = au - lam * u
+        if np.linalg.norm(r) / lam <= tol:
+            return np.array(lams), t, "ResidualTol"
+        if t < maxit:
+            u = u - precond.apply_inv(r)
+            u = u / np.linalg.norm(u)
+    return np.array(lams), maxit, "MaxIters"
+
+
+def criterion_9_instance():
+    problem = cli.build_problem("laplace-fd:h=2^-4")
+    p = cli.build_precond("scaled:ddm:H=2^-2", problem)
+    noise = pe.gaussian_vector(pe.Rng(5), problem.dim) / math.sqrt(problem.dim)
+    return problem, p, problem.reference().u_star + 0.1 * noise, 1e-10, 300
+
+
+def scaled_identity_instance():
+    problem = dense_problem(np.diag([1.0, 2.0, 4.0, 7.0]))
+    p = cli.build_precond("scaled:identity", problem)
+    return problem, p, np.array([1.0, 0.3, 0.2, 0.1]), 1e-12, 500
+
+
+def cli_instance(problem_recipe, precond_recipe):
+    def build():
+        problem = cli.build_problem(problem_recipe)
+        p = cli.build_precond(precond_recipe, problem)
+        return problem, p, p.apply_inv(pe.gaussian_vector(pe.Rng(3), problem.dim)), 1e-8, 2000
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, iterations",
+    [
+        (criterion_9_instance, 69),
+        (scaled_identity_instance, 92),
+        (cli_instance("laplace-fem:h=2^-5", "scaled:ddm:H=2^-2"), 73),
+        (cli_instance("laplace-fd:h=2^-3", "exact"), 21),
+        (cli_instance("kernel-laplace:n=40,seed=3", "scaled:mp-chol"), 1918),
+    ],
+    ids=["fd-scaled-ddm", "diag-scaled-identity", "fem-scaled-ddm", "fd-exact", "kernel-scaled-mp-chol"],
+)
+def test_pinvit_policy_matches_classical_loop(build, iterations):
+    problem, p, u0, tol, maxit = build()
+    lams, ref_iterations, ref_reason = pinvit_reference(problem, p, u0, tol, maxit)
+    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.pinvit(), tol=tol, maxit=maxit)
+    assert (res.iterations, res.reason) == (ref_iterations, ref_reason) == (iterations, "ResidualTol")
+    assert abs(res.lam - lams[-1]) <= 1e-12 * lams[-1]
+    if p.exact() is p:  # binary64 applies: the same iterates up to roundoff
+        got = res.trace.column("lambda")
+        assert np.all(np.abs(got - lams) <= 1e-13 * lams)
+    assert np.all(res.trace.column("eta_star")[:-1] == 1.0)
 
 
 def test_classic_exact_preconditioner_is_inverse_iteration():
@@ -332,7 +396,7 @@ def test_classic_exact_preconditioner_is_inverse_iteration():
     problem = dense_problem(a)
     p = pe.make_spd(a, "exact")
     u0 = np.array([0.3, 0.5, 0.9])
-    res = pe.pinvit_classic_solve(problem, p, u0, tol=1e-30, maxit=1)
+    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.pinvit(), tol=1e-30, maxit=1)
     lam0 = pe.rayleigh(u0, problem.apply_a)
     # one step lands on the (normalized) inverse-iteration update
     expected = np.linalg.solve(a, u0)
@@ -355,7 +419,7 @@ def test_classic_convresult_bound_scaled_identity():
     rho = 1.0 - (1.0 - rho_b) * (1.0 - ctx.lam1 / ctx.lam2)
     u0 = np.array([1.0, 0.3, 0.2, 0.1])
     assert pe.rayleigh(u0, problem.apply_a) < ctx.lam2
-    res = pe.pinvit_classic_solve(problem, scaled, u0, tol=1e-12, maxit=500, ctx=ctx)
+    res = pe.rsd_solve(problem, scaled, u0, pe.StepPolicy.pinvit(), tol=1e-12, maxit=500, ctx=ctx)
     lams = res.trace.column("lambda")
     ratios = (lams - ctx.lam1) / (ctx.lam2 - lams)
     for t in range(len(lams) - 1):
