@@ -1,12 +1,21 @@
-"""Sphere geometry and the u-space iterate state used by the solvers.
+"""Sphere geometry and the iterate state used by the solvers.
 
 make_state evaluates the objective f = -u^T u / u^T A u and the squared
 Riemannian gradient norm g2 from A-matvecs and inverse preconditioner
 applications only.  Square roots of the preconditioner are never formed
 here; the dense-oracle tests form them independently.
+
+It runs in one of two coordinate systems.  In u-space it takes u, A and
+B^{-1}; a mass-reduced problem's u-space operators are Ahat = R^{-T} K R^{-1}
+and Bhat^{-1} = R B^{-1} R^T, where M = R^T R and B preconditions K.  In
+pencil coordinates it takes x = R^{-1} u with K, B^{-1} and M.  The scalars
+are the u-space ones there too, since u^T u = x^T M x, u^T Ahat u = x^T K x
+and r^T Bhat^{-1} r = s^T B^{-1} s with s = K x - lambda M x = R^T r, so a
+pencil state needs no R product or solve.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,15 +37,22 @@ def rayleigh(u, apply_a):
 
 @dataclass
 class IterateState:
-    """Iterate u with ||u||_B = 1 and the derived quantities the solvers reuse.
+    """Iterate with ||u||_B = 1 and the derived quantities the solvers reuse.
+
+    x is the iterate in the coordinates make_state ran in: u itself, or the
+    pencil iterate R^{-1} u.  The scalars uu, uau, lam, f, r_binv_r and g2
+    are u-space values in both.  The vectors au, r and b_inv_r are in x's
+    coordinates: A u, r = A u - lam u and B^{-1} r in u-space; K x,
+    s = K x - lam M x and B^{-1} s in pencil coordinates.  u is the u-space
+    iterate, formed on first read (one R product for a pencil state).
 
     g2 is the squared Riemannian gradient norm of the sphere objective at the
-    point x = B^{1/2} u, computed without ever forming B^{1/2}:
+    point B^{1/2} u, computed without ever forming B^{1/2}:
 
-        ||grad f(x)||^2 = (2 u^T u / (u^T A u)^2)^2 * r^T B^{-1} r.
+        ||grad f||^2 = (2 u^T u / (u^T A u)^2)^2 * r^T B^{-1} r.
     """
 
-    u: np.ndarray
+    x: np.ndarray
     au: np.ndarray
     uu: float
     uau: float
@@ -46,23 +62,39 @@ class IterateState:
     b_inv_r: np.ndarray
     r_binv_r: float
     g2: float
+    to_u: object = None  # x -> u; None when x is u
+
+    @cached_property
+    def u(self):
+        return self.x if self.to_u is None else self.to_u(self.x)
 
 
-def make_state(u, apply_a, apply_b_inv):
-    """Build the cached state for an iterate with ||u||_B = 1."""
-    u = np.asarray(u, dtype=np.float64)
-    uu = float(u @ u)
+def make_state(x, apply_a, apply_b_inv, apply_m=None, to_u=None):
+    """Build the cached state for an iterate with ||u||_B = 1.
+
+    With apply_m None, x is u and apply_a, apply_b_inv are A and B^{-1}:
+    one A apply and one B^{-1} apply.  rsd_solve calls it so for a standard
+    problem, and for a mass-reduced one whose B acts on Ahat (identity,
+    exact, mp-chol), where the Ahat apply costs two banded R solves.
+    With apply_m given, x is the pencil iterate and apply_a, apply_b_inv,
+    apply_m are K, B^{-1} and M; to_u maps x to u (R x) for state.u.
+    rsd_solve calls it so for a B lifted by wrap_precond (ddm, scaled:ddm):
+    a K matvec, an M matvec, one B^{-1} apply and no R work.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    mx = x if apply_m is None else apply_m(x)
+    uu = float(x @ mx)
     if uu == 0.0:
         raise ZeroVector("iterate is the zero vector")
-    au = apply_a(u)
-    uau = float(u @ au)
+    au = apply_a(x)
+    uau = float(x @ au)
     lam = uau / uu
-    r = au - lam * u
+    r = au - lam * mx
     b_inv_r = apply_b_inv(r)
     r_binv_r = max(0.0, float(r @ b_inv_r))
     coeff = 2.0 * uu / uau**2
     return IterateState(
-        u=u,
+        x=x,
         au=au,
         uu=uu,
         uau=uau,
@@ -72,6 +104,7 @@ def make_state(u, apply_a, apply_b_inv):
         b_inv_r=b_inv_r,
         r_binv_r=r_binv_r,
         g2=coeff**2 * r_binv_r,
+        to_u=to_u,
     )
 
 

@@ -25,7 +25,7 @@ FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forwa
 
 
 class Preconditioner:
-    """Interface: dim, label, apply_inv, apply_fwd, fwd_mode, exact().
+    """Interface: dim, label, apply_inv, apply_fwd, fwd_mode, exact(), pencil().
 
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
     is implicit, apply_fwd raises NoForwardApply and B v is
@@ -52,6 +52,11 @@ class Preconditioner:
         """Binary64 twin realizing the same B; self when the applies already
         run in binary64."""
         return self if self._twin is None else self._twin
+
+    def pencil(self):
+        """B in the coordinates of the original pencil (K, M) when this B was
+        lifted to a mass-reduced problem by HattedPreconditioner, else None."""
+        return None
 
 
 class OperatorPreconditioner(Preconditioner):
@@ -189,6 +194,10 @@ class ScaledPreconditioner(Preconditioner):
     def apply_fwd(self, v):
         return self.inner.apply_fwd(v) / self.eta
 
+    def pencil(self):
+        inner = self.inner.pencil()
+        return None if inner is None else ScaledPreconditioner(inner, self.eta)
+
 
 def spectral_scale(p, nu_min, nu_max):
     """Scale p by eta = 2/(nu_max + nu_min) so ||I - eta B^{-1} A||_A equals
@@ -200,7 +209,15 @@ def spectral_scale(p, nu_min, nu_max):
 
 class HattedPreconditioner(Preconditioner):
     """Preconditioner for the mass-reduced pencil: Bhat^{-1} v = R B^{-1} R^T v
-    and Bhat v = R^{-T} B (R^{-1} v), where M = R^T R."""
+    and Bhat v = R^{-T} B (R^{-1} v), where M = R^T R.
+
+    rsd_solve does not apply Bhat: through pencil() it runs the inner B in
+    pencil coordinates, one B^{-1} apply and one banded R^T solve (for the
+    residual norm) per step.  These applies serve the set-up and the
+    diagnostics, which measure Bhat in u-space; each costs two banded R
+    products (apply_inv) or two banded R solves (apply_fwd) around the
+    inner apply.
+    """
 
     def __init__(self, inner, r_factor):
         self.inner = inner
@@ -216,6 +233,9 @@ class HattedPreconditioner(Preconditioner):
 
     def apply_fwd(self, v):
         return self.r.solve_t(self.inner.apply_fwd(self.r.solve(v)))
+
+    def pencil(self):
+        return self.inner
 
 
 def apply_fwd_iterative(p, v, apply_a=None, tol=FWD_TOL):

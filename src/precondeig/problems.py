@@ -49,15 +49,24 @@ class ReferenceSpectrum:
 
 class EigenProblem:
     """Operator A with dimension, matvec access, optional explicit matrix,
-    optional mass reduction data, and a cached reference spectrum."""
+    optional mass reduction data, and a cached reference spectrum.
 
-    def __init__(self, dim, apply_a, matrix=None, solve_a=None, label="", r_factor=None, meta=None):
+    A mass-reduced problem holds the factor R of M = R^T R in r_factor and
+    the matvecs (K v, M v) of its original pencil in pencil; both are None
+    for a standard problem.
+    """
+
+    def __init__(
+        self, dim, apply_a, matrix=None, solve_a=None, label="", r_factor=None, pencil=None,
+        meta=None,
+    ):
         self.dim = dim
         self.apply_a = apply_a
         self.matrix = matrix
         self._solve_a = solve_a
         self.label = label
         self.r_factor = r_factor
+        self.pencil = pencil
         self.meta = meta or {}
         self._reference = None
 
@@ -361,8 +370,14 @@ def generalized_reduce(a, m):
     The reduced operator is R^{-T} A R^{-1}; its eigenvalues are the pencil
     eigenvalues and eigenvectors map as w = R u.  Preconditioners for A are
     lifted with wrap_precond so that Bhat^{-1} v = R (B^{-1} (R^T v)).
-    Every apply goes through the banded products and solves of SymFactor;
-    raises NotSpd when M is not SPD or its size differs from A's.
+    The reduced apply_a costs a banded R solve, an A matvec and a banded
+    R^T solve; the set-up and the diagnostics run on it, and so does a
+    rsd_solve step with a preconditioner built on the reduced operator
+    (identity, exact, mp-chol).  With a lifted preconditioner (ddm,
+    scaled:ddm) rsd_solve runs in pencil coordinates on the matvecs kept in
+    `pencil`: an A and an M matvec, the inner B^{-1} and one banded R^T
+    solve per step.  Raises NotSpd when M is not SPD or its size differs
+    from A's.
     """
     n = a.shape[0]
     if m.shape[0] != n:
@@ -382,7 +397,8 @@ def generalized_reduce(a, m):
         solve_a=solve_hat,
         label="generalized",
         r_factor=r,
-        meta={"base_matrix": a, "mass": m},
+        pencil=(lambda v: a @ v, lambda v: m @ v),
+        meta={"mass": m},
     )
 
 

@@ -1,5 +1,5 @@
-"""One iteration, the steepest-descent variant of PINVIT run entirely in
-u-space, and the step-size policies that drive it.
+"""One iteration, the steepest-descent variant of PINVIT, and the step-size
+policies that drive it.
 
 The u-space recurrence is
 
@@ -8,10 +8,25 @@ The u-space recurrence is
 
 with g_t the Riemannian gradient norm and beta chosen so ||u||_B = 1; the
 B-norm is maintained through the exact identity ||u - s B^{-1}r||_B^2 =
-||u||_B^2 + s^2 r^T B^{-1} r (u^T r = 0), so a step costs one A apply and
-one B^{-1} apply.  Only a preconditioner whose applies are not binary64
-(mixed-precision Cholesky) has ||u||_B recomputed each step from its binary64
-twin, because its B^{-1} r does not realize the B being normalized against.
+||u||_B^2 + s^2 r^T B^{-1} r (u^T r = 0).  Only a preconditioner whose
+applies are not binary64 (mixed-precision Cholesky) has ||u||_B recomputed
+each step from its binary64 twin, because its B^{-1} r does not realize the
+B being normalized against.
+
+rsd_solve runs one loop on one of two routes, chosen by precond.pencil():
+- u-space, for a standard problem and for a mass-reduced problem with a
+  preconditioner built on the reduced operator (identity, exact, mp-chol):
+  a step costs one A apply and one B^{-1} apply.  On a mass-reduced problem
+  the A apply is a banded R solve, a K matvec and a banded R^T solve.
+- pencil coordinates, for a mass-reduced problem (K, M), M = R^T R, with a
+  preconditioner lifted by wrap_precond (ddm, and scaled:ddm), whose u-space
+  B^{-1} is R P^{-1} R^T for the pencil's preconditioner P: the loop carries
+  x = R^{-1} u, and a step costs a K matvec, an M matvec, one P^{-1} apply
+  and one banded R^T solve for the Euclidean residual norm ||R^{-T} s||.
+  The recurrence is the same, x_{t+1} = beta_{t+1} (x_t - eta*_t P^{-1} s_t)
+  with s = K x - lambda M x = R^T r, and every scalar it uses is the u-space
+  one (geometry.make_state).  u = R x is formed at exit, and in a callback
+  only when state.u is read.
 
 Classical PINVIT, u <- u - B^{-1} r up to scale, is this recurrence at
 eta* = 1, i.e. the Riemannian step eta = atan(g (u^T A u)^2 / (2 u^T u)) / g,
@@ -31,7 +46,7 @@ from .errors import (
     StepCapViolated,
     ZeroGradientAtNonEigenvector,
 )
-from .geometry import make_state
+from .geometry import _clamp, make_state
 from .precond import apply_fwd_iterative
 
 TRACE_COLUMNS = (
@@ -131,13 +146,13 @@ class SolveResult:
     trace: Trace = field(default_factory=Trace)
 
 
-def step_theory(state, ctx):
-    """Locally optimal step a(x)/gamma(x); requires dist(x, x*) < phi.
+def step_theory(cos_dist, ctx):
+    """Locally optimal step a(x)/gamma(x) at cos dist_B(u, u*) = cos_dist;
+    requires dist(x, x*) < phi.
 
     gamma carries the sharp smoothness factor 2 (see diagnostics.gamma_x),
     so the closed form has 2 nu_max in the denominator.
     """
-    cos_dist = ctx.cos_dist_b(state.u)
     margin = cos_dist - ctx.cos_phi
     if margin <= 0.0:
         raise OutsideBasin(
@@ -158,13 +173,14 @@ def step_constant(ctx, c):
     return c / (ctx.kappa**2 * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
 
 
-def _b_norm_sq(exact, problem, u):
+def _b_norm_sq(exact, apply_a, u):
     """Measurement-grade u^T B u from the binary64 twin `exact` of B.  For
-    implicit B a nested PCG gives z ~ B u; 2 u^T z - z^T B^{-1} z peaks at
-    z = B u with value u^T B u, so its error is quadratic in that of z."""
+    implicit B a nested PCG, preconditioned by the operator B approximates
+    (apply_a), gives z ~ B u; 2 u^T z - z^T B^{-1} z peaks at z = B u with
+    value u^T B u, so its error is quadratic in that of z."""
     if exact.fwd_mode == "exact":
         return float(u @ exact.apply_fwd(u))
-    z = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
+    z = apply_fwd_iterative(exact, u, apply_a=apply_a)
     return float(2.0 * (u @ z) - z @ exact.apply_inv(z))
 
 
@@ -179,7 +195,9 @@ def rsd_solve(
     stagnation_window=30,
     callback=None,
 ):
-    """Steepest-descent variant in u-space.
+    """Steepest-descent variant on the route precond.pencil() selects: u-space,
+    or pencil coordinates x = R^{-1} u for a preconditioner lifted to a
+    mass-reduced problem (see the module docstring for the cost of each).
 
     Terminates on ||r|| / (lambda ||u||) <= tol, on the iteration budget, or
     on a stagnation guard: lambda has been flat (|dlambda| <= 1e-15 lambda)
@@ -193,20 +211,38 @@ def rsd_solve(
     policies "theory" and "constant" and the trace fields distB/xi need a
     RateContext.
     `callback(t, state)` is invoked for every visited iterate, the terminal
-    one included.  ||u0||_B is measured once (a nested PCG for an
-    iterative forward apply); after that the scalar identity carries
-    ||u||_B = 1, and it is recomputed each step only when precond.exact() is
-    another object (binary32 applies).
+    one included; its state.u is the u-space iterate and its scalars are the
+    u-space values on either route.  ||u0||_B is measured once (a nested PCG
+    for an iterative forward apply; in pencil coordinates as x0^T P x0 =
+    u0^T B u0 with x0 = R^{-1} u0); after that the scalar identity
+    carries ||u||_B = 1, and it is recomputed each step only when the
+    applied preconditioner's twin is another object (binary32 applies).
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
         raise ZeroGradientAtNonEigenvector("u0 is zero")
     if policy.kind in ("theory", "constant") and ctx is None:
         raise OutsideBasin(f"{policy.kind} policy needs a RateContext")
-    exact = precond.exact()
-    renorm = exact is not precond
+    b = precond.pencil()
+    if b is None:
+        b, apply_a, apply_m, to_u, x = precond, problem.apply_a, None, None, u0
+        res_norm = np.linalg.norm
+    else:
+        r_factor = problem.r_factor
+        apply_a, apply_m = problem.pencil
+        to_u, x = r_factor.mult, r_factor.solve(u0)
 
-    u = u0 / math.sqrt(_b_norm_sq(exact, problem, u0))
+        def res_norm(s):
+            return np.linalg.norm(r_factor.solve_t(s))  # ||r|| = ||R^{-T} s||
+
+    exact = b.exact()
+    renorm = exact is not b
+    if ctx is not None:
+        # cos dist_B(u, u*) = |u^T w*| / ||u*||_B, and u^T w* = x^T R^T w*;
+        # R^T w* = M R^{-1} w* keeps the route's R work to solves
+        w_star = ctx.w_star if apply_m is None else apply_m(r_factor.solve(ctx.w_star))
+
+    x = x / math.sqrt(_b_norm_sq(exact, apply_a, x))
     trace = Trace()
     in_basin = True
     flat = 0
@@ -218,14 +254,14 @@ def rsd_solve(
     state = None
 
     for t in range(maxit + 1):
-        state = make_state(u, problem.apply_a, precond.apply_inv)
+        state = make_state(x, apply_a, b.apply_inv, apply_m, to_u)
         if callback is not None:
             callback(t, state)
-        resnorm = np.linalg.norm(state.r)
+        resnorm = res_norm(state.r)
         res_rel = resnorm / (state.lam * math.sqrt(state.uu))
         dist_b = NAN
         if ctx is not None:
-            cos_dist = ctx.cos_dist_b(state.u)
+            cos_dist = _clamp(abs(float(state.x @ w_star)) / ctx.norm_u_b)
             dist_b = math.acos(cos_dist)
         trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=dist_b)
         if res_rel <= tol:
@@ -267,7 +303,7 @@ def rsd_solve(
         else:
             if policy.kind == "theory":
                 if in_basin:
-                    eta = step_theory(state, ctx)
+                    eta = step_theory(cos_dist, ctx)
                 else:
                     # outside the basin the theory step is non-positive; fall
                     # back to the capped constant step (no contraction claimed)
@@ -289,11 +325,11 @@ def rsd_solve(
             xi = eta * mu_x(state.uau, ctx) * a_x(cos_dist, state.uau, ctx)
         trace.rows[-1].update(eta=eta, eta_star=eta_star, beta=beta, xi=xi)
 
-        u_new = state.u - eta_star * state.b_inv_r
+        x_new = state.x - eta_star * state.b_inv_r
         bsq = 1.0 + eta_star**2 * state.r_binv_r  # exact: u^T r = 0
-        u = u_new / math.sqrt(bsq)
+        x = x_new / math.sqrt(bsq)
         if renorm:
-            u = u / math.sqrt(_b_norm_sq(exact, problem, u))
+            x = x / math.sqrt(_b_norm_sq(exact, apply_a, x))
 
     trace.fill_contraction()
     return SolveResult(u=state.u, lam=state.lam, iterations=iterations, reason=reason, trace=trace)

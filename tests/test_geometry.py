@@ -278,3 +278,69 @@ def test_u_x_consistency(seed, n):
         xv /= np.linalg.norm(xv)
         d_x = math.acos(min(1.0, abs(float(x @ xv))))
         assert abs(_dist_b(u, v, lambda w: b @ w) - d_x) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# make_state in pencil coordinates
+# ---------------------------------------------------------------------------
+
+STATE_SCALARS = ("uu", "uau", "lam", "f", "g2", "r_binv_r")
+
+
+def make_state_u_space(u, apply_a, apply_b_inv):
+    """make_state's arithmetic before it took apply_m, field by field."""
+    uu = float(u @ u)
+    au = apply_a(u)
+    uau = float(u @ au)
+    lam = uau / uu
+    r = au - lam * u
+    b_inv_r = apply_b_inv(r)
+    r_binv_r = max(0.0, float(r @ b_inv_r))
+    return {"au": au, "uu": uu, "uau": uau, "lam": lam, "f": -uu / uau, "r": r,
+            "b_inv_r": b_inv_r, "r_binv_r": r_binv_r, "g2": (2.0 * uu / uau**2) ** 2 * r_binv_r}
+
+
+@pytest.mark.parametrize("seed", [60, 61, 62])
+def test_make_state_pencil_matches_u_space(seed):
+    # pencil (K, M) with M = R^T R; u-space runs on Ahat = R^-T K R^-1 and
+    # Bhat^-1 = R B^-1 R^T, pencil coordinates on x = R^-1 u
+    n = 12
+    k, m, b = random_spd(seed, n), random_spd(seed + 1, n), random_spd(seed + 2, n)
+    r = np.linalg.cholesky(m).T
+    r_inv = np.linalg.inv(r)
+    a_hat = r_inv.T @ k @ r_inv
+    b_hat_inv = r @ np.linalg.solve(b, r.T)
+    x = pe.Rng(seed).normal(n)
+    u = r @ x
+    pencil = pe.make_state(
+        x, lambda v: k @ v, lambda v: np.linalg.solve(b, v), apply_m=lambda v: m @ v,
+        to_u=lambda v: r @ v,
+    )
+    reduced = pe.make_state(u, lambda v: a_hat @ v, lambda v: b_hat_inv @ v)
+    for name in STATE_SCALARS:
+        want = getattr(reduced, name)
+        assert abs(getattr(pencil, name) - want) <= 1e-13 * abs(want), name
+    assert np.array_equal(pencil.u, u)
+    # the residual maps as r = R^-T s
+    assert np.linalg.norm(r_inv.T @ pencil.r - reduced.r) <= 1e-13 * np.linalg.norm(reduced.r)
+
+
+def test_make_state_without_apply_m_is_the_u_space_call():
+    n = 12
+    a, b = random_spd(63, n), random_spd(64, n)
+    u = pe.Rng(65).normal(n)
+
+    def apply_a(v):
+        return a @ v
+
+    def apply_b_inv(v):
+        return np.linalg.solve(b, v)
+
+    state = pe.make_state(u, apply_a, apply_b_inv)
+    want = make_state_u_space(u, apply_a, apply_b_inv)
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(state, name), value), name
+        else:
+            assert getattr(state, name) == value, name
+    assert state.u is state.x

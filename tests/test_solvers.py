@@ -1,5 +1,8 @@
+import collections
+import functools
 import io
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -306,7 +309,7 @@ def test_u0_b_norm_is_second_order_in_the_nested_pcg(seed):
     p = cli.build_precond("ddm:H=2^-2", problem)
     u = p.apply_inv(pe.Rng(seed).normal(problem.dim))
     tight = float(u @ pe.apply_fwd_iterative(p, u, apply_a=problem.apply_a, tol=1e-13))
-    assert abs(solvers._b_norm_sq(p, problem, u) - tight) <= 1e-14 * tight
+    assert abs(solvers._b_norm_sq(p, problem.apply_a, u) - tight) <= 1e-14 * tight
 
 
 def test_rsd_monotone_distance_in_basin():
@@ -427,6 +430,203 @@ def test_classic_convresult_bound_scaled_identity():
 
 
 # ---------------------------------------------------------------------------
+# the pencil route against the u-space loop
+# ---------------------------------------------------------------------------
+
+
+def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx, stagnation_window=30):
+    """rsd_solve as it ran before the pencil route: the same loop carried in
+    u-space for every (problem, preconditioner) pair, so a mass-reduced step
+    applies the reduced A (two R solves) and the lifted B^{-1} (two R
+    products).  Returns the trace, the iteration count, the stop reason, the
+    exit lambda and the u^T u of every visited iterate."""
+    exact = precond.exact()
+    renorm = exact is not precond
+    u = u0 / math.sqrt(solvers._b_norm_sq(exact, problem.apply_a, u0))
+    trace = solvers.Trace()
+    uus = []
+    in_basin, flat, prev_lam = True, 0, None
+    window = deque(maxlen=stagnation_window)
+    best_before = math.inf
+    reason, iterations = "MaxIters", maxit
+    for t in range(maxit + 1):
+        state = pe.make_state(u, problem.apply_a, precond.apply_inv)
+        uus.append(state.uu)
+        resnorm = np.linalg.norm(state.r)
+        res_rel = resnorm / (state.lam * math.sqrt(state.uu))
+        cos_dist = ctx.cos_dist_b(state.u)
+        trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=math.acos(cos_dist))
+        if res_rel <= tol:
+            reason, iterations = "ResidualTol", t
+            break
+        lam_flat = prev_lam is not None and abs(state.lam - prev_lam) <= 1e-15 * abs(state.lam)
+        flat = flat + 1 if lam_flat else 0
+        prev_lam = state.lam
+        if len(window) == stagnation_window:
+            best_before = min(best_before, window[0])
+        window.append(res_rel)
+        if flat >= stagnation_window and min(window) >= 0.9 * best_before:
+            trace.event(
+                t, "StagnatedStep", flat_steps=flat, window_best=min(window), best_before=best_before
+            )
+            reason, iterations = "StagnatedStep", t
+            break
+        if t == maxit:
+            break
+        g = math.sqrt(state.g2)
+        margin = cos_dist - ctx.cos_phi
+        if margin <= 0.0 and in_basin:
+            trace.event(t, "BasinExit")
+            in_basin = False
+        elif margin > 0.0:
+            in_basin = True
+        if policy.kind == "pinvit":
+            eta_star = 1.0
+            eta = math.atan(g * state.uau**2 / (2.0 * state.uu)) / g
+        else:
+            if policy.kind == "theory":
+                if in_basin:
+                    eta = step_theory(cos_dist, ctx)
+                else:
+                    eta = min(step_constant(ctx, 0.25), math.pi / (4.0 * g))
+            else:
+                eta = step_constant(ctx, policy.c)
+            eta_star = 2.0 * math.tan(eta * g) * state.uu / (g * state.uau**2)
+        beta = math.cos(eta * g)
+        xi = eta * pe.mu_x(state.uau, ctx) * pe.a_x(cos_dist, state.uau, ctx)
+        trace.rows[-1].update(eta=eta, eta_star=eta_star, beta=beta, xi=xi)
+        u = (state.u - eta_star * state.b_inv_r) / math.sqrt(1.0 + eta_star**2 * state.r_binv_r)
+        if renorm:
+            u = u / math.sqrt(solvers._b_norm_sq(exact, problem.apply_a, u))
+    trace.fill_contraction()
+    return trace, iterations, reason, state.lam, np.array(uus)
+
+
+REFERENCE_POLICIES = {
+    "theory": pe.StepPolicy.theory(),
+    "constant": pe.StepPolicy.constant(0.25),
+    "pinvit": pe.StepPolicy.pinvit(),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_instance(problem_recipe, precond_recipe):
+    problem = cli.build_problem(problem_recipe)
+    p = cli.build_precond(precond_recipe, problem)
+    ctx = pe.build_rate_context(problem, p)
+    return problem, p, ctx, p.apply_inv(pe.gaussian_vector(pe.Rng(0), problem.dim))
+
+
+def csv_text(trace):
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("policy", list(REFERENCE_POLICIES))
+@pytest.mark.parametrize("precond_recipe", ["ddm:H=2^-2", "scaled:ddm:H=2^-2"])
+@pytest.mark.parametrize("problem_recipe", ["laplace-fem:h=2^-4", "laplace-fem:h=2^-5"])
+def test_pencil_route_matches_u_space_loop(problem_recipe, precond_recipe, policy):
+    """A lifted DDM on the FEM pencil runs in pencil coordinates; it visits
+    the u-space loop's iterates up to roundoff.  Two orderings of the same
+    arithmetic differ by roundoff that the outside-basin phase amplifies: a
+    one-ulp change of u0 moves the u-space loop's own lambda by up to 3.3e-13
+    and its resnorm near tol by up to 6.3e-7 relative, as the residual there
+    is a difference of terms 1e8 times larger.  So lambda is compared to
+    1e-12 relative and resnorm on the scale of the tol test, resnorm /
+    (lambda ||u||), to 1e-11."""
+    problem, p, ctx, u0 = reference_instance(problem_recipe, precond_recipe)
+    assert p.pencil() is not None
+    pol = REFERENCE_POLICIES[policy]
+    ref, ref_iterations, ref_reason, ref_lam, uus = u_space_reference(
+        problem, p, u0, pol, 1e-8, 1000, ctx
+    )
+    res = pe.rsd_solve(problem, p, u0, pol, tol=1e-8, maxit=1000, ctx=ctx)
+    assert abs(res.lam - ref_lam) <= 1e-12 * ref_lam
+    if ref_reason == "ResidualTol" or res.reason == "ResidualTol":
+        assert (res.iterations, res.reason) == (ref_iterations, ref_reason)
+    else:
+        # classical PINVIT with the unscaled DDM (nu_max > 2) does not reach
+        # tol; it ends on the stagnation guard or the budget at a step that
+        # roundoff decides (a one-ulp change of u0 moves the u-space loop's
+        # exit by 80 steps and more), so rows are compared where both ran
+        assert {res.reason, ref_reason} <= {"StagnatedStep", "MaxIters"}
+    k = min(res.iterations, ref_iterations) + 1
+    lam, ref_lam_rows = res.trace.column("lambda")[:k], ref.column("lambda")[:k]
+    assert np.all(np.abs(lam - ref_lam_rows) <= 1e-12 * ref_lam_rows)
+    scale = ref_lam_rows * np.sqrt(uus[:k])
+    res_dev = np.abs(res.trace.column("resnorm")[:k] - ref.column("resnorm")[:k]) / scale
+    assert np.all(res_dev <= 1e-11)
+    dist_dev = np.max(np.abs(res.trace.column("distB")[:k] - ref.column("distB")[:k]))
+    print(f"worst distB deviation {dist_dev:.2e} (acos near 0 turns 1e-16 into 1e-8)")
+
+
+@pytest.mark.parametrize("policy", list(REFERENCE_POLICIES))
+def test_standard_problem_trace_is_the_u_space_loop(policy):
+    problem, p, ctx, u0 = reference_instance("laplace-fd:h=2^-4", "ddm:H=2^-2")
+    assert p.pencil() is None
+    pol = REFERENCE_POLICIES[policy]
+    ref, ref_iterations, ref_reason, ref_lam, _ = u_space_reference(
+        problem, p, u0, pol, 1e-8, 1000, ctx
+    )
+    res = pe.rsd_solve(problem, p, u0, pol, tol=1e-8, maxit=1000, ctx=ctx)
+    assert (res.iterations, res.reason, res.lam) == (ref_iterations, ref_reason, ref_lam)
+    assert csv_text(res.trace) == csv_text(ref)
+    assert res.trace.events == ref.events
+
+
+def test_pencil_route_renormalises_a_lifted_binary32_b(monkeypatch):
+    k, m = pe.fem_p1(2.0**-4)
+    problem = pe.generalized_reduce(k, m)
+    p = problem.wrap_precond(pe.make_mp_cholesky(k.toarray()))
+    assert p.pencil().exact() is not p.pencil()
+    ctx = pe.build_rate_context(problem, p)
+    u0 = p.apply_inv(pe.gaussian_vector(pe.Rng(0), problem.dim))
+    ref, ref_iterations, ref_reason, ref_lam, _ = u_space_reference(
+        problem, p, u0, pe.StepPolicy.theory(), 1e-8, 1000, ctx
+    )
+    b_norms = []
+    real_b_norm_sq = solvers._b_norm_sq
+
+    def b_norm_sq(*args):
+        b_norms.append(args)
+        return real_b_norm_sq(*args)
+
+    monkeypatch.setattr(solvers, "_b_norm_sq", b_norm_sq)
+    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=1000, ctx=ctx)
+    assert (res.iterations, res.reason) == (ref_iterations, ref_reason)
+    assert res.reason == "ResidualTol"
+    assert abs(res.lam - ref_lam) <= 1e-12 * ref_lam
+    assert len(b_norms) == res.iterations + 1  # u0, then once per step
+
+
+def test_pencil_route_r_applies(monkeypatch):
+    """On the pencil route a step makes one R^T solve (the residual norm) and
+    no other R work; R^{-1} u0, R^T w* and the exit u = R x are made once."""
+    problem, p, ctx, u0 = reference_instance("laplace-fem:h=2^-4", "ddm:H=2^-2")
+    r = problem.r_factor
+    calls = collections.Counter()
+
+    def counted(name):
+        method = getattr(r, name)
+
+        def wrapper(v):
+            calls[name] += 1
+            return method(v)
+
+        return wrapper
+
+    for name in ("solve", "solve_t", "mult", "mult_t"):
+        monkeypatch.setattr(r, name, counted(name))
+    for maxit in (1000, 10):
+        calls.clear()
+        res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=maxit, ctx=ctx)
+        visited = len(res.trace.rows)
+        assert visited == res.iterations + 1
+        assert calls == {"solve": 2, "solve_t": visited, "mult": 1}, (maxit, calls)
+
+
+# ---------------------------------------------------------------------------
 # step policies
 # ---------------------------------------------------------------------------
 
@@ -438,7 +638,7 @@ def test_step_theory_at_minimizer_diag_identity():
     p = pe.make_identity(3)
     ctx = pe.build_rate_context(problem, p)
     state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv)
-    eta = step_theory(state, ctx)
+    eta = step_theory(ctx.cos_dist_b(state.u), ctx)
     assert abs(eta - 1.0 / 6.0) <= 1e-9
 
 
@@ -449,7 +649,7 @@ def test_step_theory_positive_finite_at_x_star():
         problem.apply_a,
         precond.apply_inv,
     )
-    eta = step_theory(state, ctx)
+    eta = step_theory(ctx.cos_dist_b(state.u), ctx)
     assert eta > 0.0 and np.isfinite(eta)
 
 
@@ -464,7 +664,7 @@ def test_step_theory_outside_basin_raises():
     u_out /= math.sqrt(u_out @ b @ u_out)
     state = pe.make_state(u_out, problem.apply_a, precond.apply_inv)
     with pytest.raises(OutsideBasin):
-        step_theory(state, ctx)
+        step_theory(ctx.cos_dist_b(state.u), ctx)
 
 
 def test_step_theory_cap_monte_carlo():
@@ -484,7 +684,7 @@ def test_step_theory_cap_monte_carlo():
         g = math.sqrt(state.g2)
         if g == 0.0:
             continue
-        eta = step_theory(state, ctx)
+        eta = step_theory(ctx.cos_dist_b(state.u), ctx)
         assert eta * g < math.pi / 2.0
 
 
