@@ -109,8 +109,7 @@ def build_precond(recipe, problem):
         if stiffness is None or h is None:
             raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
         hier = problems.mesh_hierarchy(big_h, h, ratio)
-        a_coarse = (hier.prolongation.T @ stiffness @ hier.prolongation).tocsc()
-        return problem.wrap_precond(precond.DdmPreconditioner(hier, stiffness, a_coarse))
+        return problem.wrap_precond(precond.DdmPreconditioner(hier, stiffness))
     if kind == "scaled":
         inner = build_precond(body, problem)
         nu_min, nu_max, _ = diagnostics.kappa_nu(problem, inner)
@@ -154,6 +153,27 @@ def _initial_vector(init, problem, precond_obj, seed):
     raise RecipeError(f"unknown init {init!r}")
 
 
+def _emit(text, path=None):
+    """Write text to stdout and, when a path is given, to that file."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+
+
+def _phi(problem_recipe, precond_recipe):
+    """PrecondQuality of a (problem, preconditioner) pair given by recipes."""
+    problem = build_problem(problem_recipe)
+    return diagnostics.compute_quality(problem, build_precond(precond_recipe, problem))
+
+
+def _prob(problem_recipe, precond_recipe, sampler, trials, seed):
+    """success_probability report of a pair given by recipes."""
+    problem = build_problem(problem_recipe)
+    p = build_precond(precond_recipe, problem)
+    return diagnostics.success_probability(problem, p, sampler=sampler, trials=trials, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -184,25 +204,16 @@ def cmd_solve(args):
     if args.trace:
         with open(args.trace, "w") as fh:
             result.trace.write_csv(fh)
-    text = json.dumps(out, indent=2)
-    if args.result:
-        with open(args.result, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(json.dumps(out, indent=2) + "\n", args.result)
     return 0 if result.reason == "ResidualTol" else 2
 
 
 def cmd_phi(args):
-    problem = build_problem(args.problem)
-    p = build_precond(args.precond, problem)
-    quality = diagnostics.compute_quality(problem, p)
+    quality = _phi(args.problem, args.precond)
     payload = quality.to_json_dict()
     payload["problem"] = args.problem
     payload["precond"] = args.precond
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     cols = ["cos2_phi", "one_minus_inv_kappa", "chi"]
     header = f"{'quantity':<22}" + "".join(f"{c:>22}" for c in cols)
     values = f"{'value':<22}" + "".join(f"{_fmt4(payload[c]):>22}" for c in cols)
@@ -218,12 +229,7 @@ def cmd_phi(args):
 
 
 def cmd_prob(args):
-    problem = build_problem(args.problem)
-    p = build_precond(args.precond, problem)
-    ctx = diagnostics.build_rate_context(problem, p)
-    report = diagnostics.success_probability(
-        problem, p, sampler=args.sampler, trials=args.trials, seed=args.seed, ctx=ctx
-    )
+    report = _prob(args.problem, args.precond, args.sampler, args.trials, args.seed)
     lines = ["condition,successes,trials,fraction"]
     lines.append(
         f"dist_B(u0;u*) < phi,{report['successes_new']},{report['trials']},"
@@ -233,11 +239,7 @@ def cmd_prob(args):
         f"lambda(u0) < lambda2,{report['successes_classic']},{report['trials']},"
         f"{_fmt(report['p_classic'])}"
     )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -277,11 +279,7 @@ def cmd_validate(args):
         "violation_count": len(total.violations),
         "runtime_s": time.time() - t0,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if total.violations:
         print(f"FAIL: {len(total.violations)} violations", file=sys.stderr)
         return 3
@@ -292,39 +290,29 @@ def cmd_validate(args):
 _TABLES = ("phi-ddm-fixedH", "phi-ddm-fixedh", "prob-ddm", "prob-kernel")
 
 
+def _ddm_recipes(h, big_h):
+    return f"laplace-fem:h={_dyadic_str(h)}", f"ddm:H={_dyadic_str(big_h)},overlap=0.5"
+
+
 def _phi_cell(h, big_h):
     t0 = time.time()
-    problem = build_problem(f"laplace-fem:h={_dyadic_str(h)}")
-    p = build_precond(f"ddm:H={_dyadic_str(big_h)},overlap=0.5", problem)
-    q = diagnostics.compute_quality(problem, p)
-    return {
-        "h": h,
-        "H": big_h,
-        "cos2_phi": q.cos_phi**2,
-        "one_minus_inv_kappa": 1.0 - 1.0 / q.kappa_nu,
-        "chi": q.chi,
-        "runtime_s": time.time() - t0,
-    }
+    row = _phi(*_ddm_recipes(h, big_h)).to_json_dict()
+    row.update({"h": h, "H": big_h, "runtime_s": time.time() - t0})
+    return row
 
 
 def _prob_ddm_cell(h, big_h, trials, seed):
     t0 = time.time()
-    problem = build_problem(f"laplace-fem:h={_dyadic_str(h)}")
-    p = build_precond(f"ddm:H={_dyadic_str(big_h)},overlap=0.5", problem)
-    ctx = diagnostics.build_rate_context(problem, p)
-    rep = diagnostics.success_probability(problem, p, "smooth", trials, seed, ctx=ctx)
-    rep.update({"h": h, "H": big_h, "runtime_s": time.time() - t0})
-    return rep
+    row = _prob(*_ddm_recipes(h, big_h), "smooth", trials, seed)
+    row.update({"h": h, "H": big_h, "runtime_s": time.time() - t0})
+    return row
 
 
 def _prob_kernel_cell(n, trials, seed, kernel_seed):
     t0 = time.time()
-    problem = build_problem(f"kernel-laplace:n={n},seed={kernel_seed}")
-    p = build_precond("mp-chol", problem)
-    ctx = diagnostics.build_rate_context(problem, p)
-    rep = diagnostics.success_probability(problem, p, "gaussian", trials, seed, ctx=ctx)
-    rep.update({"n": n, "runtime_s": time.time() - t0})
-    return rep
+    row = _prob(f"kernel-laplace:n={n},seed={kernel_seed}", "mp-chol", "gaussian", trials, seed)
+    row.update({"n": n, "runtime_s": time.time() - t0})
+    return row
 
 
 def _dyadic_str(h):
@@ -383,11 +371,7 @@ def cmd_table(args):
             else:
                 fields.append(_fmt(val))
         lines.append(",".join(fields))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NotSpd, PropertyViolation, ZeroVector
+from .errors import PropertyViolation, ZeroVector
 from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
-from .linalg import Rng, dense_sym_eig, gaussian_vector, lanczos_extremal, spawn_seed
-from .precond import apply_fwd_iterative, epsilon_l
+from .linalg import Rng, cholesky, dense_sym_eig, gaussian_vector, lanczos_extremal, spawn_seed
+from .precond import MpCholPreconditioner, ScaledPreconditioner, apply_fwd_iterative, epsilon_l, make_spd
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +56,12 @@ def distortion_angle(u, b_u, b_inv_u, apply_b_inv):
     return sin_phi, _clamp(math.sqrt(float(v @ apply_b_inv(v))) / math.sqrt(nbi2))
 
 
-def theta_shao(u_star, apply_b):
-    """Leading angle arcsin(||u||_B^2 / (||B u|| ||u||)) for side-by-side
-    comparison with the distortion angle."""
-    u = np.asarray(u_star, dtype=np.float64)
-    bu = apply_b(u)
-    nb2 = float(u @ bu)
-    den = np.linalg.norm(bu) * np.linalg.norm(u)
+def theta_shao(u, b_u):
+    """Leading angle arcsin(||u||_B^2 / (||B u|| ||u||)) from b_u = B u, for
+    side-by-side comparison with the distortion angle."""
+    u = np.asarray(u, dtype=np.float64)
+    nb2 = float(u @ b_u)
+    den = np.linalg.norm(b_u) * np.linalg.norm(u)
     if den == 0.0:
         raise ZeroVector("u_star is zero")
     return math.asin(_clamp(nb2 / den))
@@ -86,10 +85,7 @@ def kappa_nu(problem, precond, tol=1e-10, dense_cap=200):
     n = problem.dim
     exact = precond.exact()
     if n <= dense_cap:
-        try:
-            l_a = scipy.linalg.cholesky(problem.dense(), lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotSpd(-1, f"A is not positive definite: {exc}") from exc
+        l_a = cholesky(problem.dense()).l
         binv = np.column_stack([exact.apply_inv(e) for e in np.eye(n)])
         s = l_a.T @ binv @ l_a
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
@@ -168,6 +164,14 @@ def _context(
     )
 
 
+def _apply_b(exact, problem, v):
+    """B v from the binary64 twin `exact`: its forward apply, or for an
+    implicit B a nested PCG at FWD_TOL preconditioned by the problem's A."""
+    if exact.fwd_mode == "exact":
+        return exact.apply_fwd(v)
+    return apply_fwd_iterative(exact, v, apply_a=problem.apply_a)
+
+
 def build_rate_context(problem, precond):
     """Assemble the RateContext for a (problem, preconditioner) pair, measured
     on the binary64 twin of B: the problem's reference eigenpair, kappa_nu's
@@ -182,10 +186,7 @@ def build_rate_context(problem, precond):
     u = ref.u_star / np.linalg.norm(ref.u_star)
     exact = precond.exact()
     b_inv_u = exact.apply_inv(u)
-    if exact.fwd_mode == "exact":
-        w = exact.apply_fwd(u)
-    else:
-        w = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
+    w = _apply_b(exact, problem, u)
     a_u = problem.apply_a(u)
     nu_min, nu_max, _ = kappa_nu(problem, precond)
     ctx = _context(
@@ -284,6 +285,15 @@ class PrecondQuality:
         return out
 
 
+def _is_mp_cholesky(precond):
+    """True when B is a Cholesky product Lhat Lhat^T, possibly scaled: scaling
+    B leaves phi, and with it the bound cos phi <= sqrt(2 epsilon_l),
+    unchanged.  A B lifted to a mass-reduced pencil is another matrix."""
+    while isinstance(precond, ScaledPreconditioner):
+        precond = precond.inner
+    return isinstance(precond, MpCholPreconditioner)
+
+
 def compute_quality(problem, precond, ctx=None):
     """Full diagnostics bundle for a (problem, preconditioner) pair."""
     if ctx is None:
@@ -294,17 +304,15 @@ def compute_quality(problem, precond, ctx=None):
     rho_b = (ctx.kappa - 1.0) / (ctx.kappa + 1.0)
     rho = 1.0 - (1.0 - rho_b) * (1.0 - ctx.lam1 / ctx.lam2)
     eps = eps_ok = None
-    if getattr(precond, "label", "") == "mp-chol":
+    if _is_mp_cholesky(precond):
         eps, eps_ok = epsilon_l(problem.dim, ctx.lam1, ctx.lamn)
-    # theta at u* needs only the cached forward application w* = B u*
-    theta = theta_shao(ctx.u_star, lambda _: ctx.w_star)
     return PrecondQuality(
         nu_min=ctx.nu_min,
         nu_max=ctx.nu_max,
         kappa_nu=ctx.kappa,
         sin_phi=ctx.sin_phi,
         cos_phi=ctx.cos_phi,
-        theta_shao=theta,
+        theta_shao=theta_shao(ctx.u_star, ctx.w_star),
         chi=chi,
         rho_b=rho_b,
         rho=rho,
@@ -330,12 +338,7 @@ def check_initial(u0, ctx, u0_b_norm_sq=None):
     if not np.any(u0):
         raise ZeroVector("u0 is zero")
     if u0_b_norm_sq is None:
-        exact = ctx.precond.exact()
-        if exact.fwd_mode == "exact":
-            bu0 = exact.apply_fwd(u0)
-        else:
-            bu0 = apply_fwd_iterative(exact, u0, apply_a=ctx.problem.apply_a)
-        u0_b_norm_sq = float(u0 @ bu0)
+        u0_b_norm_sq = float(u0 @ _apply_b(ctx.precond.exact(), ctx.problem, u0))
     cos_dist = ctx.cos_dist_b(u0, math.sqrt(u0_b_norm_sq))
     dist = math.acos(_clamp(cos_dist))
     phi = ctx.phi
@@ -580,14 +583,12 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
         for _, key, point, detail in failed
     )
 
-    # (vii): short locally-stepped run in u-space, checked in x-space
+    # (vii): short locally-stepped run in u-space on the oracle's context,
+    # checked in x-space
     from . import solvers  # local import: solvers depends on this module
-    from .precond import make_spd
     from .problems import EigenProblem
 
-    problem = EigenProblem(
-        dim=n, apply_a=lambda v: oracle.a @ v, matrix=oracle.a, label=report.label
-    )
+    problem = EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v, label=report.label)
     precond = make_spd(oracle.b)
     start_dir = rng.normal(n)
     start_dir -= float(start_dir @ oracle.x_star) * oracle.x_star
@@ -601,7 +602,7 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
         solvers.StepPolicy.theory(),
         tol=1e-13,
         maxit=25,
-        ctx=build_rate_context(problem, precond),
+        ctx=ctx,
         stagnation_window=None,
     )
     rows = result.trace.rows

@@ -124,19 +124,20 @@ class DdmPreconditioner(Preconditioner):
 
         B^{-1} v = I_H A_H^{-1} I_H^T v + sum_j I_j A_j^{-1} I_j^T v
 
-    with A_j the principal submatrix of the fine matrix on subdomain j and
-    A_H the coarse (Galerkin) matrix.  The local solves run as one: the A_j,
-    each in its natural grid ordering, are stacked block-diagonally and
-    factored once by banded Cholesky, so the sum is a gather of v onto the
-    concatenated subdomain nodes, one pair of banded triangular solves and a
-    scatter-add through the sparse stacked restriction.  B itself is
+    with A_j the principal submatrix of the fine matrix A on subdomain j and
+    A_H = I_H^T A I_H the coarse (Galerkin) matrix, both formed here.  The
+    local solves run as one: the A_j, each in its natural grid ordering, are
+    stacked block-diagonally and factored once by banded Cholesky, so the sum
+    is a gather of v onto the concatenated subdomain nodes, one pair of
+    banded triangular solves and a scatter-add through the sparse stacked
+    restriction.  B itself is
     implicit (fwd_mode 'iterative', apply_fwd raises NoForwardApply): B v
     is apply_fwd_iterative with the problem's A.
     """
 
     fwd_mode = "iterative"
 
-    def __init__(self, hierarchy, a_fine, a_coarse):
+    def __init__(self, hierarchy, a_fine):
         self.dim = a_fine.shape[0]
         self.label = f"ddm:H={hierarchy.coarse_h:g},overlap={hierarchy.overlap_ratio:g}"
         self.hierarchy = hierarchy
@@ -145,7 +146,10 @@ class DdmPreconditioner(Preconditioner):
         if self._i_h.shape[0] != self.dim:
             raise NotSpd(-1, "prolongation does not match the fine matrix")
         # an empty coarse space (single-cell coarse grid) drops the first term
-        self._coarse_solve = make_solver(a_coarse) if self._i_h.shape[1] > 0 else None
+        self._coarse_solve = None
+        if self._i_h.shape[1] > 0:
+            p = hierarchy.prolongation
+            self._coarse_solve = make_solver((p.T @ a_fine @ p).tocsc())
         csr = scipy.sparse.csr_matrix(a_fine)
         blocks = []
         for j, idx in enumerate(hierarchy.subdomains):

@@ -123,7 +123,7 @@ def laplace_fd(h):
         apply_a=lambda v: a @ v,
         matrix=a,
         label=f"laplace-fd:h=1/{inv}",
-        meta={"h": 1.0 / inv, "grid": n1},
+        meta={"h": 1.0 / inv},
     )
 
 
@@ -192,10 +192,8 @@ def interior_coords(h):
 
 @dataclass
 class MeshHierarchy:
-    fine_h: float
     coarse_h: float
     overlap_ratio: float
-    fine_nodes: np.ndarray  # interior node coordinates
     prolongation: scipy.sparse.csr_matrix  # fine interior x coarse interior
     subdomains: list = field(default_factory=list)
 
@@ -228,7 +226,7 @@ def mesh_hierarchy(H, h, overlap_ratio):
         )
     delta_units = int(round(delta_units))
 
-    coords, ij = interior_coords(h)
+    _, ij = interior_coords(h)
     nf = inv_h - 1
     n_coarse = inv_H - 1  # interior coarse nodes per side
 
@@ -270,10 +268,8 @@ def mesh_hierarchy(H, h, overlap_ratio):
         raise MisalignedOverlap("subdomains do not cover all fine nodes")
 
     return MeshHierarchy(
-        fine_h=1.0 / inv_h,
         coarse_h=1.0 / inv_H,
         overlap_ratio=overlap_ratio,
-        fine_nodes=coords,
         prolongation=prol,
         subdomains=subdomains,
     )

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import a_x, mu_x
+from .diagnostics import a_x, gamma_x, mu_x
 from .errors import (
     InvalidC,
     OutsideBasin,
@@ -148,22 +148,14 @@ class SolveResult:
 
 def step_theory(cos_dist, ctx):
     """Locally optimal step a(x)/gamma(x) at cos dist_B(u, u*) = cos_dist;
-    requires dist(x, x*) < phi.
-
-    gamma carries the sharp smoothness factor 2 (see diagnostics.gamma_x),
-    so the closed form has 2 nu_max in the denominator.
+    requires dist(x, x*) < phi.  u^T A u cancels from the ratio, so both are
+    evaluated at 1.
     """
-    margin = cos_dist - ctx.cos_phi
-    if margin <= 0.0:
+    if cos_dist - ctx.cos_phi <= 0.0:
         raise OutsideBasin(
             f"dist_B = {math.acos(min(1.0, cos_dist)):.6f} >= phi = {ctx.phi:.6f}"
         )
-    return (
-        ctx.lam1
-        * ctx.norm_u_binv**2
-        * margin
-        / (2.0 * ctx.nu_max * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
-    )
+    return a_x(cos_dist, 1.0, ctx) / gamma_x(1.0, ctx)
 
 
 def step_constant(ctx, c):

@@ -42,8 +42,7 @@ def fem_ddm_setup(h, big_h):
     problem = pe.laplace_fem(h)
     hier = pe.mesh_hierarchy(big_h, h, 0.5)
     k = problem.meta["stiffness"]
-    a_coarse = (hier.prolongation.T @ k @ hier.prolongation).tocsc()
-    ddm = pe.DdmPreconditioner(hier, k, a_coarse)
+    ddm = pe.DdmPreconditioner(hier, k)
     return problem, problem.wrap_precond(ddm)
 
 
@@ -264,8 +263,7 @@ def test_criterion_6_ddm_table():
     cos2_by_H = {}
     for big_h in (2.0**-2, 2.0**-3):
         hier = pe.mesh_hierarchy(big_h, 2.0**-6, 0.5)
-        a_coarse = (hier.prolongation.T @ k6 @ hier.prolongation).tocsc()
-        bh = problem6.wrap_precond(pe.DdmPreconditioner(hier, k6, a_coarse))
+        bh = problem6.wrap_precond(pe.DdmPreconditioner(hier, k6))
         cos2_by_H[big_h] = pe.compute_quality(problem6, bh).cos_phi**2
     ratio = cos2_by_H[2.0**-2] / cos2_by_H[2.0**-3]
     elapsed = time.time() - t0
@@ -333,8 +331,7 @@ def test_criterion_9_classical_pinvit_bound():
     h, big_h = 2.0**-4, 2.0**-2
     problem = pe.laplace_fd(h)
     hier = pe.mesh_hierarchy(big_h, h, 0.5)
-    a_coarse = (hier.prolongation.T @ problem.matrix @ hier.prolongation).tocsc()
-    ddm = pe.DdmPreconditioner(hier, problem.matrix, a_coarse)
+    ddm = pe.DdmPreconditioner(hier, problem.matrix)
     nu_min, nu_max, kappa = pe.kappa_nu(problem, ddm, dense_cap=0)
     scaled = pe.spectral_scale(ddm, nu_min, nu_max)
     ref = problem.reference()

@@ -223,6 +223,35 @@ def test_phi_mp_chol_reports_epsilon(capsys):
     assert "epsilon_l" in text and "sqrt(2 eps)" in text
 
 
+def phi_json(tmp_path, problem, recipe):
+    out = tmp_path / "phi.json"
+    assert main(["phi", "--problem", problem, "--precond", recipe, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_phi_scaled_mp_chol_reports_epsilon(tmp_path, capsys):
+    # scaling B leaves phi unchanged, and epsilon_l uses only n, lambda1, lambdan
+    plain = phi_json(tmp_path, "kernel-laplace:n=32,seed=4", "mp-chol")
+    scaled = phi_json(tmp_path, "kernel-laplace:n=32,seed=4", "scaled:mp-chol")
+    for key in ("epsilon_l", "epsilon_l_applicable"):
+        assert scaled[key] == plain[key]
+    assert "sqrt(2 eps)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "problem, recipe",
+    [
+        ("kernel-laplace:n=32,seed=4", "identity"),
+        ("kernel-laplace:n=32,seed=4", "exact"),
+        ("laplace-fem:h=2^-3", "ddm:H=2^-1"),
+    ],
+)
+def test_phi_reports_epsilon_only_for_mp_chol(tmp_path, capsys, problem, recipe):
+    payload = phi_json(tmp_path, problem, recipe)
+    assert "epsilon_l" not in payload and "epsilon_l_applicable" not in payload
+    assert "sqrt(2 eps)" not in capsys.readouterr().out
+
+
 def test_prob_deterministic_output(tmp_path):
     args = [
         "prob",
@@ -301,3 +330,17 @@ def test_table_phi_ddm_config(tmp_path):
     assert code == 0
     row = out.read_text().splitlines()[1].split(",")
     assert abs(float(row[2]) - 0.1961) <= 0.06  # cos2_phi at h=2^-4, H=2^-2
+
+
+def test_table_phi_cell_matches_phi(tmp_path, capsys):
+    # the table cell and the phi command make one measurement
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": [0.0625]}))
+    out = tmp_path / "t.csv"
+    assert main(["table", "--name", "phi-ddm-fixedH", "--config", str(cfg), "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    cell = dict(zip(header, row))
+    payload = phi_json(tmp_path, "laplace-fem:h=2^-4", "ddm:H=2^-2,overlap=0.5")
+    for key in ("cos2_phi", "one_minus_inv_kappa", "chi"):
+        assert float(cell[key]) == payload[key]
+    capsys.readouterr()

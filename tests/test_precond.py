@@ -24,8 +24,7 @@ def fem_ddm(h, big_h, ratio=0.5):
     hier = pe.mesh_hierarchy(big_h, h, ratio)
     k, m = pe.fem_p1(h)
     prob = pe.generalized_reduce(k, m)
-    a_coarse = (hier.prolongation.T @ k @ hier.prolongation).tocsc()
-    ddm = pe.DdmPreconditioner(hier, k, a_coarse)
+    ddm = pe.DdmPreconditioner(hier, k)
     return prob, ddm, prob.wrap_precond(ddm)
 
 
@@ -240,8 +239,7 @@ def test_ddm_single_subdomain_no_coarse_is_exact():
     assert hier.prolongation.shape[1] == 0
     prob = pe.laplace_fd(h)
     a = prob.matrix
-    a_coarse = (hier.prolongation.T @ a @ hier.prolongation).tocsc()
-    ddm = pe.DdmPreconditioner(hier, a, a_coarse)
+    ddm = pe.DdmPreconditioner(hier, a)
     v = pe.Rng(3).normal(prob.dim)
     direct = prob.solver()(v)
     assert np.linalg.norm(ddm.apply_inv(v) - direct) <= 1e-11 * np.linalg.norm(direct)
