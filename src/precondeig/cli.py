@@ -3,8 +3,9 @@ success-probability experiments, the property-validation suite, and the
 desk-scale experiment tables.
 
 Recipes are flat key=value strings (dyadic widths written 2^-k) so a run is
-fully reproducible from shell history.  All floating-point output uses 17
-significant digits in CSV/JSON and 4 in the human-readable tables.
+fully reproducible from shell history.  Floating-point output uses 17
+significant digits in CSV, the shortest repr that round-trips in JSON
+(json.dumps), and 4 significant digits in the human-readable tables.
 """
 
 import argparse
@@ -35,7 +36,9 @@ def parse_dyadic(text):
     return float(text)
 
 
-def _parse_params(body):
+def _parse_params(body, kind="", required=()):
+    """key=value pairs of a recipe body; RecipeError names the recipe kind
+    and the first required key that is missing."""
     params = {}
     if body:
         for item in body.split(","):
@@ -43,6 +46,9 @@ def _parse_params(body):
                 raise RecipeError(f"expected key=value, got {item!r}")
             key, value = item.split("=", 1)
             params[key.strip()] = value.strip()
+    for key in required:
+        if key not in params:
+            raise RecipeError(f"{kind} recipe is missing the key {key!r}")
     return params
 
 
@@ -50,13 +56,13 @@ def build_problem(recipe):
     """Instantiate a problem from its recipe string."""
     kind, _, body = recipe.partition(":")
     if kind == "laplace-fd":
-        params = _parse_params(body)
+        params = _parse_params(body, kind, ("h",))
         return problems.laplace_fd(parse_dyadic(params["h"]))
     if kind == "laplace-fem":
-        params = _parse_params(body)
+        params = _parse_params(body, kind, ("h",))
         return problems.laplace_fem(parse_dyadic(params["h"]))
     if kind in ("kernel-laplace", "kernel-poly"):
-        params = _parse_params(body)
+        params = _parse_params(body, kind, ("n",))
         spec = problems.KernelSpec(
             kind="laplacian" if kind == "kernel-laplace" else "poly-complex",
             n=int(params["n"]),
@@ -101,7 +107,7 @@ def build_precond(recipe, problem):
     if kind == "mp-chol":
         return precond.make_mp_cholesky(problem.dense())
     if kind == "ddm":
-        params = _parse_params(body)
+        params = _parse_params(body, kind, ("H",))
         big_h = parse_dyadic(params["H"])
         ratio = float(params.get("overlap", 0.5))
         stiffness = problem.meta.get("stiffness", problem.matrix)

@@ -418,10 +418,6 @@ class PropertyReport:
     checked: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
 
-    @property
-    def passed(self):
-        return not self.violations
-
     def merge(self, other):
         for key, cnt in other.checked.items():
             self.checked[key] = self.checked.get(key, 0) + cnt

@@ -43,8 +43,9 @@ class NoConvergence(PrecondEigError):
 
 
 class NoForwardApply(PrecondEigError):
-    """B is implicit (fwd_mode 'iterative'): it has no apply_fwd, and B v
-    goes through apply_fwd_iterative."""
+    """B is implicit (fwd_mode 'iterative': DDM, or any B lifted to a
+    mass-reduced problem): it has no apply_fwd, and B v goes through
+    apply_fwd_iterative."""
 
 
 class ZeroVector(PrecondEigError):
@@ -96,8 +97,4 @@ class RecipeError(PrecondEigError):
 
 
 class PropertyViolation(PrecondEigError):
-    """A numerically tested inequality failed.  Carries the counterexample."""
-
-    def __init__(self, message, counterexample=None):
-        self.counterexample = counterexample
-        super().__init__(message)
+    """A numerically checked identity or definiteness requirement failed."""

@@ -41,10 +41,10 @@ class IterateState:
 
     x is the iterate in the coordinates make_state ran in: u itself, or the
     pencil iterate R^{-1} u.  The scalars uu, uau, lam, f, r_binv_r and g2
-    are u-space values in both.  The vectors au, r and b_inv_r are in x's
-    coordinates: A u, r = A u - lam u and B^{-1} r in u-space; K x,
-    s = K x - lam M x and B^{-1} s in pencil coordinates.  u is the u-space
-    iterate, formed on first read (one R product for a pencil state).
+    are u-space values in both.  The vectors r and b_inv_r are in x's
+    coordinates: r = A u - lam u and B^{-1} r in u-space; s = K x - lam M x
+    and B^{-1} s in pencil coordinates.  u is the u-space iterate, formed on
+    first read (one R product for a pencil state).
 
     g2 is the squared Riemannian gradient norm of the sphere objective at the
     point B^{1/2} u, computed without ever forming B^{1/2}:
@@ -53,7 +53,6 @@ class IterateState:
     """
 
     x: np.ndarray
-    au: np.ndarray
     uu: float
     uau: float
     lam: float
@@ -95,7 +94,6 @@ def make_state(x, apply_a, apply_b_inv, apply_m=None, to_u=None):
     coeff = 2.0 * uu / uau**2
     return IterateState(
         x=x,
-        au=au,
         uu=uu,
         uau=uau,
         lam=lam,

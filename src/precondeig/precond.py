@@ -1,9 +1,11 @@
 """SPD preconditioners behind one interface.  Every preconditioner applies
-B^{-1}.  An explicit B (OperatorPreconditioner, mp-chol, and the scaled and
-hatted wrappers of either) also applies B itself through apply_fwd.  An
-implicit B (DDM) has fwd_mode 'iterative' and its apply_fwd raises
-NoForwardApply: its forward apply is apply_fwd_iterative, a nested PCG
-preconditioned by the problem's A.
+B^{-1}.  An explicit B (OperatorPreconditioner, mp-chol, and the scaled
+wrapper of either) also applies B itself through apply_fwd.  An implicit B
+(DDM, and every B lifted to a mass-reduced problem by HattedPreconditioner)
+has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply: its
+forward apply is apply_fwd_iterative, a nested PCG preconditioned by the
+problem's A.  The method needs B v only to measure B (the B-norm of u0 and
+B u* for the distortion angle), so an implicit B loses nothing.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
@@ -28,8 +30,8 @@ class Preconditioner:
     """Interface: dim, label, apply_inv, apply_fwd, fwd_mode, exact(), pencil().
 
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
-    is implicit, apply_fwd raises NoForwardApply and B v is
-    apply_fwd_iterative(p, v, apply_a=problem.apply_a).
+    is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
+    B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a).
     """
 
     dim = None
@@ -212,31 +214,30 @@ def spectral_scale(p, nu_min, nu_max):
 
 
 class HattedPreconditioner(Preconditioner):
-    """Preconditioner for the mass-reduced pencil: Bhat^{-1} v = R B^{-1} R^T v
-    and Bhat v = R^{-T} B (R^{-1} v), where M = R^T R.
+    """Preconditioner for the mass-reduced pencil: Bhat^{-1} v = R B^{-1} R^T v,
+    where M = R^T R.  Bhat is implicit whatever the inner B: there is no
+    forward apply through R solves, and Bhat v is apply_fwd_iterative with
+    the reduced problem's A.
 
     rsd_solve does not apply Bhat: through pencil() it runs the inner B in
     pencil coordinates, one B^{-1} apply and one banded R^T solve (for the
-    residual norm) per step.  These applies serve the set-up and the
-    diagnostics, which measure Bhat in u-space; each costs two banded R
-    products (apply_inv) or two banded R solves (apply_fwd) around the
-    inner apply.
+    residual norm) per step.  apply_inv serves the set-up and the
+    diagnostics, which measure Bhat in u-space; it costs two banded R
+    products around the inner apply.
     """
+
+    fwd_mode = "iterative"
 
     def __init__(self, inner, r_factor):
         self.inner = inner
         self.r = r_factor
         self.dim = inner.dim
         self.label = f"hatted:{inner.label}"
-        self.fwd_mode = inner.fwd_mode
         if inner.exact() is not inner:
             self._twin = HattedPreconditioner(inner.exact(), r_factor)
 
     def apply_inv(self, v):
         return self.r.mult(self.inner.apply_inv(self.r.mult_t(v)))
-
-    def apply_fwd(self, v):
-        return self.r.solve_t(self.inner.apply_fwd(self.r.solve(v)))
 
     def pencil(self):
         return self.inner

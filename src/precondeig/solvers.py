@@ -94,10 +94,6 @@ class StepPolicy:
         return cls(kind="fixed", value=float(value))
 
     @classmethod
-    def custom(cls, fn):
-        return cls(kind="custom", fn=fn)
-
-    @classmethod
     def pinvit(cls):
         return cls(kind="pinvit")
 
@@ -124,9 +120,6 @@ class Trace:
             fields = [f"{int(row['t'])}"]
             fields += [f"{float(row[c]):.17g}" for c in TRACE_COLUMNS[1:]]
             fh.write(",".join(fields) + "\n")
-
-    def column(self, name):
-        return np.array([row[name] for row in self.rows], dtype=np.float64)
 
     def fill_contraction(self):
         """contraction of row t = (distB_{t+1} / distB_t)^2 wherever both are

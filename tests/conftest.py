@@ -17,6 +17,11 @@ def dense_roots(b):
     return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T, (v / w) @ v.T
 
 
+def column(trace, name):
+    """One trace column as a float array."""
+    return np.array([row[name] for row in trace.rows], dtype=np.float64)
+
+
 def dense_problem(a, label="dense"):
     a = np.asarray(a, dtype=np.float64)
     return pe.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a, label=label)

@@ -9,7 +9,7 @@ import pytest
 
 import precondeig as pe
 from precondeig.diagnostics import random_spd_pair
-from tests.conftest import dense_problem, dense_roots
+from tests.conftest import column, dense_problem, dense_roots
 
 
 def report(num, ok, detail):
@@ -146,8 +146,8 @@ def test_criterion_3_theorem_contraction():
             ctx=ctx,
             stagnation_window=None,
         )
-        dist = res.trace.column("distB")
-        xi = res.trace.column("xi")
+        dist = column(res.trace, "distB")
+        xi = column(res.trace, "xi")
         if np.any(dist <= 1e-8):
             reached += 1
             upto = int(np.argmax(dist <= 1e-8))
@@ -192,7 +192,7 @@ def test_criterion_4_corollary_rate():
             ctx=ctx,
             stagnation_window=None,
         )
-        dist = res.trace.column("distB")
+        dist = column(res.trace, "distB")
         rate = 1.0 - 8.0 * c**2 * (1.0 / ctx.lam1 - 1.0 / ctx.lam2) / (
             math.pi**2 * ctx.kappa**4 * (1.0 / ctx.lam1 - 1.0 / ctx.lamn)
         )
@@ -340,7 +340,7 @@ def test_criterion_9_classical_pinvit_bound():
     u0 = ref.u_star + 0.1 * pe.gaussian_vector(pe.Rng(5), problem.dim) / math.sqrt(problem.dim)
     assert pe.rayleigh(u0, problem.apply_a) < ref.lam2
     res = pe.rsd_solve(problem, scaled, u0, pe.StepPolicy.pinvit(), tol=1e-10, maxit=300)
-    lams = res.trace.column("lambda")
+    lams = column(res.trace, "lambda")
     ratios = (lams - ref.lam1) / (ref.lam2 - lams)
     bad = sum(
         1

@@ -24,6 +24,14 @@ def test_build_problem_recipes():
     assert build_problem("kernel-laplace:n=16,seed=2").dim == 16
     with pytest.raises(RecipeError):
         build_problem("bogus:h=2^-3")
+    # a missing required key names the recipe kind and the key
+    for recipe, missing in [
+        ("laplace-fd", "laplace-fd recipe is missing the key 'h'"),
+        ("laplace-fem:", "laplace-fem recipe is missing the key 'h'"),
+        ("kernel-laplace:seed=3", "kernel-laplace recipe is missing the key 'n'"),
+    ]:
+        with pytest.raises(RecipeError, match=missing):
+            build_problem(recipe)
 
 
 def test_build_precond_recipes():
@@ -35,6 +43,8 @@ def test_build_precond_recipes():
     assert scaled.label == "scaled:identity"
     with pytest.raises(RecipeError):
         build_precond("nope", prob)
+    with pytest.raises(RecipeError, match="ddm recipe is missing the key 'H'"):
+        build_precond("ddm:overlap=0.5", prob)
 
 
 def test_solve_happy_path(tmp_path):

@@ -8,7 +8,7 @@ from precondeig import diagnostics
 from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import _DenseOracle, random_spd_pair
 from precondeig.errors import PropertyViolation
-from tests.conftest import dense_pencil, dense_problem, dense_roots
+from tests.conftest import column, dense_pencil, dense_problem, dense_roots
 
 DIAG = np.diag([1.0, 2.0, 4.0])
 
@@ -32,7 +32,7 @@ def traced_xi(problem, p, ctx, u):
         problem, p, u, pe.StepPolicy.theory(), tol=0.0, maxit=1, ctx=ctx,
         callback=lambda t, state: states.append(state),
     )
-    return res.trace.column("xi")[0], states[0]
+    return column(res.trace, "xi")[0], states[0]
 
 
 def random_ctx(seed, n=10):
@@ -507,20 +507,20 @@ def test_success_probability_deterministic_per_seed():
 
 def test_validate_diag_identity_passes():
     rep = pe.validate_properties(DIAG, np.eye(3), n_samples=500, seed=0)
-    assert rep.passed, rep.violations[:3]
+    assert not rep.violations, rep.violations[:3]
     assert rep.checked["i"] == 500 and rep.checked["vi"] == 1 and rep.checked["vii"] > 0
 
 
 def test_validate_random_pair_passes():
     a, b = random_spd_pair(9, 12)
     rep = pe.validate_properties(a, b, n_samples=500, seed=9)
-    assert rep.passed, rep.violations[:3]
+    assert not rep.violations, rep.violations[:3]
 
 
 def test_validate_bug_injection_fails_at_iii():
     a, b = random_spd_pair(9, 12)
     rep = pe.validate_properties(a, b, n_samples=200, seed=9, inject_bug="a_x_sign")
-    assert not rep.passed
+    assert rep.violations
     assert any(v["check"] == "iii" for v in rep.violations)
     # counterexample vector is carried with the violation
     assert all("x" in v for v in rep.violations)
@@ -529,7 +529,7 @@ def test_validate_bug_injection_fails_at_iii():
 def test_validate_evaluates_the_solver_rate_functions(monkeypatch):
     # a 100x mu in diagnostics.mu_x must surface as (ii) violations
     a, b = random_spd_pair(0, 6)
-    assert pe.validate_properties(a, b, n_samples=100, seed=0).passed
+    assert not pe.validate_properties(a, b, n_samples=100, seed=0).violations
     mu_x = diagnostics.mu_x
     monkeypatch.setattr(diagnostics, "mu_x", lambda uau, ctx: 100.0 * mu_x(uau, ctx))
     rep = pe.validate_properties(a, b, n_samples=100, seed=0)

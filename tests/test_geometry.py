@@ -296,7 +296,7 @@ def make_state_u_space(u, apply_a, apply_b_inv):
     r = au - lam * u
     b_inv_r = apply_b_inv(r)
     r_binv_r = max(0.0, float(r @ b_inv_r))
-    return {"au": au, "uu": uu, "uau": uau, "lam": lam, "f": -uu / uau, "r": r,
+    return {"uu": uu, "uau": uau, "lam": lam, "f": -uu / uau, "r": r,
             "b_inv_r": b_inv_r, "r_binv_r": r_binv_r, "g2": (2.0 * uu / uau**2) ** 2 * r_binv_r}
 
 

@@ -1,8 +1,13 @@
 """No module of the package imports a name it never uses, every public name
-has a caller inside the package, and importing the package stays light.
+and every public class member has a caller inside the package, and
+importing the package stays light.
 
 Checked with the standard-library ast module.  An imported name counts as
-used when it is read anywhere in the module or listed in its __all__.
+used when it is read anywhere in the module or listed in its __all__.  A
+public method, property or classmethod of a class counts as called when an
+attribute of its name is read somewhere in the package outside its own
+body; the check goes by name, so it cannot tell the classes that define the
+same method apart.
 """
 
 import ast
@@ -97,6 +102,27 @@ def test_every_public_name_has_a_caller_in_src():
         path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py") if path.stem != "__init__"
     }
     uncalled = [name for name, home in public_names() if not has_caller_in_src(name, home, trees)]
+    assert uncalled == []
+
+
+def attribute_reads(node, name):
+    return sum(
+        isinstance(n, ast.Attribute) and n.attr == name and isinstance(n.ctx, ast.Load)
+        for n in ast.walk(node)
+    )
+
+
+def test_every_public_member_has_a_caller_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    uncalled = [
+        f"{module}.{cls.name}.{member.name}"
+        for module, tree in sorted(trees.items())
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        if sum(attribute_reads(t, member.name) for t in trees.values()) == attribute_reads(member, member.name)
+    ]
     assert uncalled == []
 
 

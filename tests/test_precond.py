@@ -40,6 +40,7 @@ def all_preconditioners():
         ("mp-chol", pe.make_mp_cholesky(a), a),
         ("scaled", pe.spectral_scale(pe.make_mp_cholesky(a), 0.9, 1.1), a),
         ("ddm-hatted", bhat, prob.dense()),
+        ("spd-hatted", prob.wrap_precond(pe.make_spd(random_spd(20, prob.dim, shift=4.0))), prob.dense()),
     ]
     return out
 
@@ -235,7 +236,7 @@ def test_ddm_single_subdomain_no_coarse_is_exact():
     # one subdomain covering everything and an empty coarse space: B = A
     h = 1.0 / 8.0
     hier = pe.mesh_hierarchy(1.0, h, 0.5)
-    assert hier.subdomain_count == 1
+    assert len(hier.subdomains) == 1
     assert hier.prolongation.shape[1] == 0
     prob = pe.laplace_fd(h)
     a = prob.matrix
@@ -387,3 +388,15 @@ def test_hatted_wrapper_lifts_the_twin():
     r = prob.r_factor
     v = pe.Rng(8).normal(prob.dim)
     assert np.array_equal(twin.apply_inv(v), r.mult(mp.exact().apply_inv(r.mult_t(v))))
+
+
+def test_lifted_explicit_b_is_implicit():
+    # lifting drops the forward apply: Bhat v is the nested PCG even when the
+    # inner B has one
+    k, m = pe.fem_p1(1.0 / 8.0)
+    prob = pe.generalized_reduce(k, m)
+    inner = pe.make_spd(random_spd(20, prob.dim, shift=4.0))
+    p = prob.wrap_precond(inner)
+    assert inner.fwd_mode == "exact" and p.fwd_mode == "iterative"
+    with pytest.raises(NoForwardApply):
+        p.apply_fwd(np.ones(p.dim))

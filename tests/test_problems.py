@@ -7,11 +7,13 @@ import scipy.linalg
 import scipy.sparse
 
 import precondeig as pe
+from precondeig import problems
 from precondeig.cli import build_problem
 from precondeig.errors import (
     DegenerateSmallestEigenvalue,
     InvalidMeshWidth,
     MisalignedOverlap,
+    NoConvergence,
     NotSpd,
 )
 from precondeig.diagnostics import random_spd_pair
@@ -103,7 +105,7 @@ def test_fd_fem_h2_error_decay():
 
 def test_hierarchy_smallest_case_explicit():
     hier = pe.mesh_hierarchy(1.0 / 2.0, 1.0 / 4.0, 0.5)
-    assert hier.subdomain_count == 4
+    assert len(hier.subdomains) == 4
     _, ij = interior_coords(1.0 / 4.0)
 
     def nodes(pairs):
@@ -124,7 +126,7 @@ def test_hierarchy_smallest_case_explicit():
 
 def test_hierarchy_example_16_subdomains():
     hier = pe.mesh_hierarchy(2.0**-2, 2.0**-4, 0.5)
-    assert hier.subdomain_count == 16
+    assert len(hier.subdomains) == 16
 
 
 @pytest.mark.parametrize("H,h,ratio", [(0.5, 0.25, 0.5), (0.25, 0.0625, 0.5), (0.25, 0.125, 1.0)])
@@ -240,7 +242,6 @@ def test_kernel_symmetric_exactly():
 def test_poly_kernel_matches_entrywise_oracle():
     spec = pe.KernelSpec(kind="poly-complex", n=8, seed=11)
     prob = pe.kernel_matrix(spec)
-    assert prob.meta["imag_term_max"] <= 1e-16
     # rebuild the points exactly as the generator draws them
     rng = pe.Rng(11)
     x = rng.normal(8 * 8).reshape(8, 8)
@@ -415,6 +416,18 @@ def test_reference_degenerate_smallest():
     prob = dense_problem(np.diag([1.0, 1.0, 2.0]))
     with pytest.raises(DegenerateSmallestEigenvalue):
         prob.reference()
+
+
+def test_reference_lambda2_iteration_raises_when_out_of_steps(monkeypatch):
+    # lambda2 = 2 sits 1e-3 below lambda3, so inverse iteration started on
+    # (e2 + e3)/sqrt(2) contracts by 2/2.001 a step and misses its target
+    # within 200 steps; it must not return that lambda2
+    vecs = np.zeros((4, 2))
+    vecs[0, 0] = 1.0
+    vecs[1:3, 1] = math.sqrt(0.5)
+    monkeypatch.setattr(problems, "lanczos_top_pairs", lambda *a, **k: (np.array([1.0, 0.5]), vecs))
+    with pytest.raises(NoConvergence):
+        pe.reference_eigs(dense_problem(np.diag([1.0, 2.0, 2.001, 10.0])))
 
 
 def test_reference_dimension_one():

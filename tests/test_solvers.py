@@ -11,7 +11,7 @@ import precondeig as pe
 from precondeig import cli, precond, solvers
 from precondeig.errors import InvalidC, MaxIterations, OutsideBasin, StepCapViolated
 from precondeig.solvers import TRACE_COLUMNS, step_constant, step_theory
-from tests.conftest import dense_problem, dense_roots
+from tests.conftest import column, dense_problem, dense_roots
 
 
 def random_spd(seed, n, spread=3.0):
@@ -221,7 +221,7 @@ def test_equivalence_any_capped_step_sequence():
         problem,
         precond,
         u0,
-        pe.StepPolicy.custom(policy_fn),
+        pe.StepPolicy(kind="custom", fn=policy_fn),
         tol=0.0,
         maxit=40,
         ctx=ctx,
@@ -315,7 +315,7 @@ def test_rsd_monotone_distance_in_basin():
     problem, precond, ctx, _, b_inv_sqrt, x_star = setup_instance(8)
     u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.9, 500)
     res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-10, maxit=3000, ctx=ctx)
-    dist = res.trace.column("distB")
+    dist = column(res.trace, "distB")
     dist = dist[np.isfinite(dist)]
     # below ~1.5e-8 the arccos-based measurement quantizes; require strict
     # monotonicity only above that floor
@@ -388,9 +388,9 @@ def test_pinvit_policy_matches_classical_loop(build, iterations):
     assert (res.iterations, res.reason) == (ref_iterations, ref_reason) == (iterations, "ResidualTol")
     assert abs(res.lam - lams[-1]) <= 1e-12 * lams[-1]
     if p.exact() is p:  # binary64 applies: the same iterates up to roundoff
-        got = res.trace.column("lambda")
+        got = column(res.trace, "lambda")
         assert np.all(np.abs(got - lams) <= 1e-13 * lams)
-    assert np.all(res.trace.column("eta_star")[:-1] == 1.0)
+    assert np.all(column(res.trace, "eta_star")[:-1] == 1.0)
 
 
 def test_classic_exact_preconditioner_is_inverse_iteration():
@@ -422,7 +422,7 @@ def test_classic_convresult_bound_scaled_identity():
     u0 = np.array([1.0, 0.3, 0.2, 0.1])
     assert pe.rayleigh(u0, problem.apply_a) < ctx.lam2
     res = pe.rsd_solve(problem, scaled, u0, pe.StepPolicy.pinvit(), tol=1e-12, maxit=500, ctx=ctx)
-    lams = res.trace.column("lambda")
+    lams = column(res.trace, "lambda")
     ratios = (lams - ctx.lam1) / (ctx.lam2 - lams)
     for t in range(len(lams) - 1):
         assert ratios[t + 1] <= rho**2 * ratios[t] + 1e-12
@@ -551,12 +551,12 @@ def test_pencil_route_matches_u_space_loop(problem_recipe, precond_recipe, polic
         # exit by 80 steps and more), so rows are compared where both ran
         assert {res.reason, ref_reason} <= {"StagnatedStep", "MaxIters"}
     k = min(res.iterations, ref_iterations) + 1
-    lam, ref_lam_rows = res.trace.column("lambda")[:k], ref.column("lambda")[:k]
+    lam, ref_lam_rows = column(res.trace, "lambda")[:k], column(ref, "lambda")[:k]
     assert np.all(np.abs(lam - ref_lam_rows) <= 1e-12 * ref_lam_rows)
     scale = ref_lam_rows * np.sqrt(uus[:k])
-    res_dev = np.abs(res.trace.column("resnorm")[:k] - ref.column("resnorm")[:k]) / scale
+    res_dev = np.abs(column(res.trace, "resnorm")[:k] - column(ref, "resnorm")[:k]) / scale
     assert np.all(res_dev <= 1e-11)
-    dist_dev = np.max(np.abs(res.trace.column("distB")[:k] - ref.column("distB")[:k]))
+    dist_dev = np.max(np.abs(column(res.trace, "distB")[:k] - column(ref, "distB")[:k]))
     print(f"worst distB deviation {dist_dev:.2e} (acos near 0 turns 1e-16 into 1e-8)")
 
 
