@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import PropertyViolation, ZeroVector
-from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
+from .errors import DimensionMismatch, PropertyViolation, ZeroVector
+from .geometry import _clamp, rayleigh, sphere_dist, sphere_exp, sphere_log
 from .linalg import Rng, cholesky, dense_sym_eig, gaussian_vector, lanczos_extremal, spawn_seed
 from .precond import MpCholPreconditioner, ScaledPreconditioner, apply_fwd_iterative, epsilon_l, make_spd
+
+_DENSE_CAP = 200  # largest dimension for which kappa_nu takes its dense route
+_KAPPA_TOL = 1e-10  # tolerance of kappa_nu's Lanczos route
+_SLACK = 1e-10  # absolute slack of validate_properties' checks (i)-(v) against roundoff
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +76,19 @@ def theta_shao(u, b_u):
 # ---------------------------------------------------------------------------
 
 
-def kappa_nu(problem, precond, tol=1e-10, dense_cap=200):
+def kappa_nu(problem, precond):
     """(nu_min, nu_max, kappa) of B^{-1} A, measured on the binary64 twin of B.
 
-    Dense route up to dense_cap: B^{-1} from n column applies of the twin,
+    Dense route up to _DENSE_CAP: B^{-1} from n column applies of the twin,
     A = L L^T by LAPACK Cholesky, and the extreme eigenvalues of the
     symmetric S = L^T B^{-1} L (similar to B^{-1} A) by LAPACK.  Above
-    dense_cap, Lanczos on B^{-1} A in the A-inner product, which hands
-    apply_t the A q it already holds, so each step applies A once; it runs
-    at most 400 steps from a start drawn from Rng(4242).
+    _DENSE_CAP, Lanczos at tol _KAPPA_TOL on B^{-1} A in the A-inner product,
+    which hands apply_t the A q it already holds, so each step applies A
+    once; it runs at most 400 steps from a start drawn from Rng(4242).
     """
     n = problem.dim
     exact = precond.exact()
-    if n <= dense_cap:
+    if n <= _DENSE_CAP:
         l_a = cholesky(problem.dense()).l
         binv = np.column_stack([exact.apply_inv(e) for e in np.eye(n)])
         s = l_a.T @ binv @ l_a
@@ -94,7 +98,7 @@ def kappa_nu(problem, precond, tol=1e-10, dense_cap=200):
         nu_min, nu_max = lanczos_extremal(
             exact.apply_inv,
             dim=n,
-            tol=tol,
+            tol=_KAPPA_TOL,
             maxit=400,
             rng=Rng(4242),
             inner_map=problem.apply_a,
@@ -294,10 +298,9 @@ def _is_mp_cholesky(precond):
     return isinstance(precond, MpCholPreconditioner)
 
 
-def compute_quality(problem, precond, ctx=None):
+def compute_quality(problem, precond):
     """Full diagnostics bundle for a (problem, preconditioner) pair."""
-    if ctx is None:
-        ctx = build_rate_context(problem, precond)
+    ctx = build_rate_context(problem, precond)
     denom = 1.0 - 1.0 / ctx.kappa
     # kappa == 1 up to numerics makes chi a 0/0; report it as n/a
     chi = (ctx.cos_phi**2 / denom) if denom > 1e-9 else None
@@ -342,7 +345,7 @@ def check_initial(u0, ctx, u0_b_norm_sq=None):
     cos_dist = ctx.cos_dist_b(u0, math.sqrt(u0_b_norm_sq))
     dist = math.acos(_clamp(cos_dist))
     phi = ctx.phi
-    lam_u0 = float(u0 @ ctx.problem.apply_a(u0)) / float(u0 @ u0)
+    lam_u0 = rayleigh(u0, ctx.problem.apply_a)
     return {
         "dist_b": dist,
         "phi": phi,
@@ -357,8 +360,11 @@ def success_probability(problem, precond, sampler="gaussian", trials=100, seed=0
     """Empirical success fractions of the two starting conditions.
 
     gaussian draws u0 = omega; smooth draws u0 = B^{-1} omega, for which
-    ||u0||_B^2 = u0^T omega requires no forward application.
+    ||u0||_B^2 = u0^T omega requires no forward application.  Raises
+    ValueError for trials < 1.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if ctx is None:
         ctx = build_rate_context(problem, precond)
     exact = precond.exact()
@@ -397,8 +403,11 @@ def random_spd_pair(seed, n):
     """Seeded dense SPD pair (A, B) with a guaranteed gap lambda2 > lambda1:
     A has eigenvalues in [1, 4], B in [1, 3].
 
-    Shared by the validation command and the test suite.
+    Shared by the validation command and the test suite.  Raises
+    DimensionMismatch for n < 2, where lambda2 does not exist.
     """
+    if n < 2:
+        raise DimensionMismatch(f"need n >= 2, got {n}")
     rng = Rng(seed)
     qa = np.linalg.qr(rng.normal(n * n).reshape(n, n))[0]
     wa = 1.0 + 3.0 * np.sort(rng.uniform(n))
@@ -466,8 +475,9 @@ class _DenseOracle:
         return f, g, xcx
 
 
-def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inject_bug=None):
-    """Numerically test inequalities (i)-(vii) of the convergence analysis.
+def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
+    """Numerically test inequalities (i)-(vii) of the convergence analysis,
+    (i)-(v) each up to the absolute slack _SLACK.
 
     (i) smoothness, (ii) quadratic growth, (iii) weak-quasi-convexity,
     (iv) weak-quasi-strong-convexity, (v) the basin projection bound,
@@ -519,14 +529,14 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     every = np.arange(n_samples)
     check_rows(
         "i",
-        fx - f_star + slack >= np.einsum("ij,ij->i", g, g) / (2.0 * gamma_x(xcx, ctx)),
+        fx - f_star + _SLACK >= np.einsum("ij,ij->i", g, g) / (2.0 * gamma_x(xcx, ctx)),
         every,
         x,
         lambda j: f"f-f*={fx[j] - f_star:.3e} vs |g|^2/2gamma",
     )
     check_rows(
         "ii",
-        fx - f_star + slack >= 0.5 * mu_x(xcx, ctx) * dist**2,
+        fx - f_star + _SLACK >= 0.5 * mu_x(xcx, ctx) * dist**2,
         every,
         x,
         lambda j: f"f-f*={fx[j] - f_star:.3e} vs mu/2 dist^2",
@@ -548,7 +558,7 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     log_term = np.einsum("ij,ij->i", gb, -sphere_log(xb, xbs))
     check_rows(
         "iii",
-        log_term + slack >= 2.0 * a_val * (fb - f_star),
+        log_term + _SLACK >= 2.0 * a_val * (fb - f_star),
         kept,
         xb,
         lambda j: (
@@ -559,14 +569,14 @@ def validate_properties(a, b, n_samples=500, seed=0, slack=1e-10, label="", inje
     check_rows(
         "iv",
         fb[pos] - f_star
-        <= log_term[pos] / a_val[pos] - 0.5 * mu_x(xcxb[pos], ctx) * dist_b[pos] ** 2 + slack,
+        <= log_term[pos] / a_val[pos] - 0.5 * mu_x(xcxb[pos], ctx) * dist_b[pos] ** 2 + _SLACK,
         kept[pos],
         xb[pos],
         lambda j: "weak-quasi-strong-convexity",
     )
     check_rows(
         "v",
-        np.einsum("ij,ij->i", xb @ oracle.b_inv, xbs) + slack
+        np.einsum("ij,ij->i", xb @ oracle.b_inv, xbs) + _SLACK
         >= ctx.norm_u_binv**2 * (np.cos(dist_b) - ctx.cos_phi),
         kept,
         xb,

@@ -209,30 +209,24 @@ def chol_matvec(f, v):
 # ---------------------------------------------------------------------------
 
 
-def pcg(apply_a, apply_m_inv, rhs, tol=1e-10, maxit=None, x0=None):
-    """PCG for A x = rhs; stops when the Euclidean residual drops below
-    tol * ||rhs||.  Returns (x, iterations).
+def pcg(apply_a, apply_m_inv, rhs, tol, maxit, x0):
+    """PCG for A x = rhs from x0; stops when the Euclidean residual drops
+    below tol * ||rhs||.  Returns (x, iterations).
 
-    apply_m_inv applies the inverse of the preconditioner (None = plain CG).
-    Raises BreakdownNonSpd on negative curvature and MaxIterations (carrying
-    the best iterate) when the budget runs out.
+    apply_m_inv applies the inverse of the preconditioner.  Raises
+    BreakdownNonSpd on negative curvature and MaxIterations (carrying the
+    best iterate) when maxit iterations do not reach tol.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = rhs.shape[0]
-    if maxit is None:
-        maxit = max(20, 10 * n)
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return np.zeros(n), 0
-    if x0 is None:
-        x = np.zeros(n)
-        r = rhs.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        r = rhs - apply_a(x)
+    x = np.array(x0, dtype=np.float64)
+    r = rhs - apply_a(x)
     if np.linalg.norm(r) <= tol * b_norm:
         return x, 0
-    z = apply_m_inv(r) if apply_m_inv is not None else r.copy()
+    z = apply_m_inv(r)
     rz = float(r @ z)
     if rz <= 0.0:
         raise BreakdownNonSpd("preconditioner produced a non-positive inner product")
@@ -250,7 +244,7 @@ def pcg(apply_a, apply_m_inv, rhs, tol=1e-10, maxit=None, x0=None):
             if np.linalg.norm(r_true) <= tol * b_norm:
                 return x, k
             r = r_true  # recurrence residual drifted; continue with the true one
-        z = apply_m_inv(r) if apply_m_inv is not None else r.copy()
+        z = apply_m_inv(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
             raise BreakdownNonSpd("preconditioner produced a non-positive inner product")
@@ -285,7 +279,7 @@ def _ritz(d, e, j, vector):
 
 
 def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reorth=True):
-    """Shared Lanczos loop from a start drawn from rng (Rng(2024) when None).
+    """Shared Lanczos loop from a start drawn from rng.
 
     The inner product is u^T C v with C = inner_map (Euclidean when None).
     apply_t receives the mapped vector C q_k, which the loop already holds,
@@ -308,7 +302,7 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     None without reorth.  Raises MaxIterations carrying the watched Ritz
     values when maxit steps do not converge.
     """
-    q = (rng or Rng(2024)).normal(dim)
+    q = rng.normal(dim)
     cq = inner_map(q) if inner_map is not None else q
     qq = float(q @ cq)
     if qq <= 0.0:
@@ -380,7 +374,7 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     return theta, svecs, basis
 
 
-def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, rng=None, inner_map=None):
+def lanczos_extremal(apply_t, dim, tol, maxit, rng, inner_map):
     """Extremal eigenvalues of an operator self-adjoint w.r.t. u^T C v.
 
     C is `inner_map` (the Euclidean inner product when None).  With
@@ -390,26 +384,21 @@ def lanczos_extremal(apply_t, dim, tol=1e-10, maxit=None, rng=None, inner_map=No
     basis; convergence is judged by the Ritz residual bound beta*|s_k| plus
     value stabilization.
     """
-    if maxit is None:
-        maxit = min(dim, max(60, dim // 2 + 40))
     theta, _, _ = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (0, -1), inner_map=inner_map)
     return float(theta[0]), float(theta[-1])
 
 
-def lanczos_top_pairs(apply_t, dim, k=2, tol=1e-12, maxit=None, rng=None):
-    """Largest-k Ritz pairs of a Euclidean-self-adjoint operator, with full
-    reorthogonalization so the Ritz vectors stay accurate.
+def lanczos_top_pairs(apply_t, dim, tol, maxit, rng):
+    """The two largest Ritz pairs of a Euclidean-self-adjoint operator, with
+    full reorthogonalization so the Ritz vectors stay accurate.
 
     Used by the reference eigensolver on A^{-1}, where the top of the
     spectrum is well separated.  Returns (values descending, vectors as
-    columns); fewer than k pairs when the start spans an invariant subspace
-    of smaller dimension.
+    columns); one pair when the start spans an invariant subspace of
+    dimension one.
     """
-    if maxit is None:
-        maxit = min(dim, max(80, dim // 2 + 60))
-    watch = tuple(-(i + 1) for i in range(min(k, dim)))
-    theta, svecs, basis = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch)
-    order = np.argsort(theta)[::-1][:k]
+    theta, svecs, basis = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (-1, -2))
+    order = np.argsort(theta)[::-1][:2]
     vecs = (svecs[:, order].T @ basis[: len(theta)]).T
     vecs /= np.linalg.norm(vecs, axis=0)
     return theta[order], vecs
@@ -427,6 +416,8 @@ def _lanczos_top_value(apply_t, dim, tol, maxit, rng):
 # ---------------------------------------------------------------------------
 # dense symmetric eigendecomposition (parallel-ordered Jacobi), reference oracle
 # ---------------------------------------------------------------------------
+
+_MAX_SWEEPS = 60  # Jacobi sweeps before NoConvergence
 
 
 def _round_robin(n):
@@ -450,7 +441,7 @@ def _round_robin(n):
     return rounds
 
 
-def dense_sym_eig(m, max_sweeps=60):
+def dense_sym_eig(m):
     """All eigenpairs of a dense symmetric matrix by parallel-ordered Jacobi.
 
     Each sweep runs the round-robin rounds of _round_robin: the pairs of a
@@ -476,7 +467,7 @@ def dense_sym_eig(m, max_sweeps=60):
     if norm == 0.0:
         return np.zeros(n), v
     rounds = _round_robin(n)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = np.linalg.norm(a - np.diag(np.diag(a)))
         if off <= 1e-15 * norm:
             break
@@ -506,7 +497,7 @@ def dense_sym_eig(m, max_sweeps=60):
             a[p, q] = 0.0
             a[q, p] = 0.0
     else:
-        raise NoConvergence(f"jacobi did not converge in {max_sweeps} sweeps")
+        raise NoConvergence(f"jacobi did not converge in {_MAX_SWEEPS} sweeps")
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]

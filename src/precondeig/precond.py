@@ -81,9 +81,9 @@ def make_identity(n):
     return OperatorPreconditioner(n, np.copy, np.copy, label="identity")
 
 
-def make_spd(b, label="dense-spd"):
+def make_spd(b):
     """Preconditioner from an explicit SPD matrix B, factored once."""
-    return OperatorPreconditioner(b.shape[0], make_solver(b), lambda v: b @ v, label)
+    return OperatorPreconditioner(b.shape[0], make_solver(b), lambda v: b @ v, "dense-spd")
 
 
 class MpCholPreconditioner(Preconditioner):
@@ -243,16 +243,16 @@ class HattedPreconditioner(Preconditioner):
         return self.inner
 
 
-def apply_fwd_iterative(p, v, apply_a=None, tol=FWD_TOL):
+def apply_fwd_iterative(p, v, apply_a):
     """Forward application z = B v for a preconditioner exposing only B^{-1}.
 
-    Runs PCG (at most 500 iterations) on the SPD system B^{-1} z = v.  The
-    preconditioning step multiplies by A (A approximates B, hence A^{-1}
-    approximates the system operator), so convergence is governed by the
-    spectral equivalence of A and B rather than by the conditioning of
-    either matrix alone.
+    Runs PCG from z = v on the SPD system B^{-1} z = v, to relative
+    residual FWD_TOL in at most 500 iterations.  The preconditioning step
+    multiplies by A (A approximates B, hence A^{-1} approximates the system
+    operator), so convergence is governed by the spectral equivalence of A
+    and B rather than by the conditioning of either matrix alone.
     """
     v = np.asarray(v, dtype=np.float64)
-    z, _ = pcg(p.apply_inv, apply_a, v, tol=tol, maxit=500, x0=v.copy())
+    z, _ = pcg(p.apply_inv, apply_a, v, tol=FWD_TOL, maxit=500, x0=v)
     return z
 

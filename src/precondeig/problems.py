@@ -182,12 +182,11 @@ def fem_p1(h):
 
 
 def interior_coords(h):
-    """Coordinates of the interior grid nodes in the assembly ordering."""
+    """Integer grid indices (i, j) of the interior nodes, one row per node in
+    the assembly ordering; node (i, j) sits at (i h, j h)."""
     inv = _as_inverse_width(h)
     ii, jj = np.meshgrid(np.arange(1, inv), np.arange(1, inv), indexing="ij")
-    ii = ii.ravel(order="F")
-    jj = jj.ravel(order="F")
-    return np.column_stack([ii * h, jj * h]), np.column_stack([ii, jj])
+    return np.column_stack([ii.ravel(order="F"), jj.ravel(order="F")])
 
 
 @dataclass
@@ -222,7 +221,7 @@ def mesh_hierarchy(H, h, overlap_ratio):
         )
     delta_units = int(round(delta_units))
 
-    _, ij = interior_coords(h)
+    ij = interior_coords(h)
     nf = inv_h - 1
     n_coarse = inv_H - 1  # interior coarse nodes per side
 
@@ -276,7 +275,7 @@ def laplace_fem(h):
     k, m = fem_p1(h)
     problem = generalized_reduce(k, m)
     problem.label = f"laplace-fem:h=1/{_as_inverse_width(h)}"
-    problem.meta.update({"h": h, "stiffness": k, "mass": m})
+    problem.meta.update({"h": h, "stiffness": k})
     return problem
 
 
@@ -308,8 +307,9 @@ def _pairwise_sq(points):
     return np.maximum(sq, 0.0)
 
 
-def kernel_matrix(spec, points=None):
-    """Dense SPD kernel matrix from seeded Gaussian points.
+def kernel_matrix(spec):
+    """Dense SPD kernel matrix of spec.n standard Gaussian points in
+    dimension spec.d, drawn from Rng(spec.seed) as the rows of x (then of y).
 
     laplacian:    A_ij = exp(-||x_i - x_j|| / 2)
     poly-complex: A = K_x + K_y with K(x, y) = (x^T y + 1)^3.  The paper's
@@ -317,17 +317,16 @@ def kernel_matrix(spec, points=None):
                   for the real points drawn here, so it is not formed.
 
     A diagonal shift tau * I is added; positive definiteness is verified by a
-    binary64 Cholesky, whose factor is kept as the problem's solver.
+    binary64 Cholesky, whose factor is kept as the problem's solver; a
+    matrix that is not SPD raises NotSpd.
     """
     rng = Rng(spec.seed)
-    meta = {"kind": spec.kind, "n": spec.n, "d": spec.d, "seed": spec.seed, "tau": spec.tau}
+    x = rng.normal(spec.n * spec.d).reshape(spec.n, spec.d)
     if spec.kind == "laplacian":
-        x = rng.normal(spec.n * spec.d).reshape(spec.n, spec.d) if points is None else points
         a = np.exp(-np.sqrt(_pairwise_sq(x)) / 2.0)
         np.fill_diagonal(a, 1.0)
     else:
-        x = rng.normal(spec.n * spec.d).reshape(spec.n, spec.d) if points is None else points[0]
-        y = rng.normal(spec.n * spec.d).reshape(spec.n, spec.d) if points is None else points[1]
+        y = rng.normal(spec.n * spec.d).reshape(spec.n, spec.d)
         a = (x @ x.T + 1.0) ** 3 + (y @ y.T + 1.0) ** 3
     a = (a + a.T) / 2.0
     if spec.tau:
@@ -342,7 +341,6 @@ def kernel_matrix(spec, points=None):
         matrix=a,
         solve_a=lambda v: chol_solve(factor, v),
         label=f"kernel-{'laplace' if spec.kind == 'laplacian' else 'poly'}:n={spec.n},seed={spec.seed}",
-        meta=meta,
     )
 
 
@@ -385,7 +383,6 @@ def generalized_reduce(a, m):
         label="generalized",
         r_factor=r,
         pencil=(lambda v: a @ v, lambda v: m @ v),
-        meta={"mass": m},
     )
 
 
@@ -409,7 +406,7 @@ def reference_eigs(problem):
         raise DegenerateSmallestEigenvalue("dimension 1: lambda2 does not exist")
     solve = problem.solver()
     budget = min(n, 600)
-    vals, vecs = lanczos_top_pairs(solve, n, k=2, tol=1e-12, maxit=budget, rng=rng)
+    vals, vecs = lanczos_top_pairs(solve, n, tol=1e-12, maxit=budget, rng=rng)
     if len(vals) < 2:
         raise DegenerateSmallestEigenvalue("the start spans an invariant subspace of one eigenpair")
     u = vecs[:, 0]

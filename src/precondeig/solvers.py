@@ -68,14 +68,12 @@ NAN = float("nan")
 @dataclass
 class StepPolicy:
     """Step-size policy of rsd_solve: theory-local a(x)/gamma(x), the
-    constant step c / (kappa^2 (1/l1 - 1/ln)), a fixed user value, a custom
-    callable fn(state, t), or classical PINVIT (eta* = 1, needs no
-    RateContext)."""
+    constant step c / (kappa^2 (1/l1 - 1/ln)), a fixed user value, or
+    classical PINVIT (eta* = 1, needs no RateContext)."""
 
     kind: str
     c: float = None
     value: float = None
-    fn: object = None
 
     @classmethod
     def theory(cls):
@@ -152,9 +150,8 @@ def step_theory(cos_dist, ctx):
 
 
 def step_constant(ctx, c):
-    """Constant step c / (kappa^2 (1/lambda1 - 1/lambdan)) for 0 < c < 1/2."""
-    if not 0.0 < c < 0.5:
-        raise InvalidC(f"need 0 < c < 1/2, got {c}")
+    """Constant step c / (kappa^2 (1/lambda1 - 1/lambdan)) for 0 < c < 1/2
+    (StepPolicy.constant checks c)."""
     return c / (ctx.kappa**2 * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
 
 
@@ -184,10 +181,11 @@ def rsd_solve(
     or pencil coordinates x = R^{-1} u for a preconditioner lifted to a
     mass-reduced problem (see the module docstring for the cost of each).
 
-    Terminates on ||r|| / (lambda ||u||) <= tol, on the iteration budget, or
-    on a stagnation guard: lambda has been flat (|dlambda| <= 1e-15 lambda)
-    for the last `stagnation_window` steps and the best residual inside that
-    window is not below 0.9 times the best one before it (None disables).
+    Terminates on ||r|| / (lambda ||u||) <= tol, on the iteration budget
+    maxit (ValueError when negative), or on a stagnation guard: lambda has
+    been flat (|dlambda| <= 1e-15 lambda) for the last `stagnation_window`
+    steps and the best residual inside that window is not below 0.9 times
+    the best one before it (None disables).
     lambda flattens long before the residual reaches tol (its error scales
     as the residual squared), and the residual zig-zags at about 0.9 per
     step, so the window's best, not each step, has to beat the past.  That
@@ -206,6 +204,8 @@ def rsd_solve(
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
         raise ZeroGradientAtNonEigenvector("u0 is zero")
+    if maxit < 0:
+        raise ValueError(f"maxit must be >= 0, got {maxit}")
     if policy.kind in ("theory", "constant") and ctx is None:
         raise OutsideBasin(f"{policy.kind} policy needs a RateContext")
     b = precond.pencil()
@@ -295,10 +295,8 @@ def rsd_solve(
                     eta = min(step_constant(ctx, 0.25), math.pi / (4.0 * g))
             elif policy.kind == "constant":
                 eta = step_constant(ctx, policy.c)
-            elif policy.kind == "fixed":
-                eta = policy.value
             else:
-                eta = float(policy.fn(state, t))
+                eta = policy.value
             if eta * g >= math.pi / 2.0:
                 raise StepCapViolated(
                     f"eta = {eta:.3e} exceeds pi/(2 ||grad f||) = {math.pi / (2 * g):.3e} at t={t}"

@@ -22,6 +22,14 @@ def column(trace, name):
     return np.array([row[name] for row in trace.rows], dtype=np.float64)
 
 
+def tight_fwd(p, v, apply_a, tol):
+    """B v by the nested PCG behind apply_fwd_iterative, run to a tighter tol
+    than its FWD_TOL: the reference an iterative forward apply is checked
+    against."""
+    z, _ = pe.pcg(p.apply_inv, apply_a, v, tol=tol, maxit=500, x0=v)
+    return z
+
+
 def dense_problem(a, label="dense"):
     a = np.asarray(a, dtype=np.float64)
     return pe.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a, label=label)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import precondeig as pe
+from precondeig import diagnostics
 from precondeig.diagnostics import random_spd_pair
 from tests.conftest import column, dense_problem, dense_roots
 
@@ -325,14 +326,16 @@ def test_criterion_8_success_probabilities():
     )
 
 
-def test_criterion_9_classical_pinvit_bound():
-    """Per-step classical convergence bound with a spectrally scaled DDM."""
+def test_criterion_9_classical_pinvit_bound(monkeypatch):
+    """Per-step classical convergence bound with a spectrally scaled DDM,
+    whose kappa comes from kappa_nu's Lanczos route."""
+    monkeypatch.setattr(diagnostics, "_DENSE_CAP", 0)
     t0 = time.time()
     h, big_h = 2.0**-4, 2.0**-2
     problem = pe.laplace_fd(h)
     hier = pe.mesh_hierarchy(big_h, h, 0.5)
     ddm = pe.DdmPreconditioner(hier, problem.matrix)
-    nu_min, nu_max, kappa = pe.kappa_nu(problem, ddm, dense_cap=0)
+    nu_min, nu_max, kappa = pe.kappa_nu(problem, ddm)
     scaled = pe.spectral_scale(ddm, nu_min, nu_max)
     ref = problem.reference()
     rho_b = max(abs(1.0 - scaled.eta * nu_min), abs(1.0 - scaled.eta * nu_max))

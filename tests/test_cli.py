@@ -319,6 +319,25 @@ def test_table_unknown_name():
     assert main(["table", "--name", "nope"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--problem", "kernel-laplace:n=16,seed=3", "--precond", "mp-chol", "--trials", "0"],
+        ["prob", "--problem", "kernel-laplace:n=16,seed=3", "--precond", "mp-chol", "--trials", "-3"],
+        ["table", "--name", "prob-kernel", "--trials", "0"],
+        ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--maxit", "-1"],
+        ["validate", "--sizes", "1"],
+    ],
+    ids=["prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative", "validate-size-1"],
+)
+def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_table_prob_kernel_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": [24], "trials": 10, "kernel_seed": 3}))

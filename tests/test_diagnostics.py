@@ -195,7 +195,7 @@ def test_theta_shao_is_complement_of_euclidean_angle():
 
 def test_kappa_exact_is_one():
     problem = dense_problem(DIAG)
-    nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_spd(DIAG, "exact"))
+    nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_spd(DIAG))
     assert abs(nu_min - 1.0) <= 1e-10 and abs(nu_max - 1.0) <= 1e-10 and abs(kappa - 1.0) <= 1e-10
 
 
@@ -205,13 +205,16 @@ def test_kappa_identity_diag():
     assert (abs(nu_min - 1.0), abs(nu_max - 4.0), abs(kappa - 4.0)) <= (1e-10, 1e-10, 1e-10)
 
 
-def test_kappa_dense_and_lanczos_routes_agree():
+def test_kappa_dense_and_lanczos_routes_agree(monkeypatch):
     # mp-chol: both routes must measure B = Lhat Lhat^T, not its binary32 applies
     a, b = random_spd_pair(36, 40)
     problem = dense_problem(a)
     for p in (pe.make_spd(b), pe.make_mp_cholesky(a)):
-        dense = pe.kappa_nu(problem, p, dense_cap=200)
-        lanczos = pe.kappa_nu(problem, p, dense_cap=0, tol=1e-12)
+        dense = pe.kappa_nu(problem, p)
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "_DENSE_CAP", 0)
+            m.setattr(diagnostics, "_KAPPA_TOL", 1e-12)
+            lanczos = pe.kappa_nu(problem, p)
         assert abs(dense[0] - lanczos[0]) <= 1e-8 * dense[0], p.label
         assert abs(dense[1] - lanczos[1]) <= 1e-8 * dense[1], p.label
 
@@ -395,7 +398,7 @@ def test_xi_approaches_xi_inf():
 
 def test_xi_inf_exact_preconditioner_closed_form():
     problem = dense_problem(DIAG)
-    ctx = pe.build_rate_context(problem, pe.make_spd(DIAG, "exact"))
+    ctx = pe.build_rate_context(problem, pe.make_spd(DIAG))
     # kappa = 1, cos phi = 0: 4/pi^2 * (1 - 1/2)/(1 - 1/4) = 8/(3 pi^2)
     assert abs(pe.xi_inf(ctx) - 8.0 / (3.0 * math.pi**2)) <= 1e-9
 
@@ -423,8 +426,8 @@ def test_xi_inf_comparison_identity(seed):
 
 
 def test_quality_json_field_names():
-    problem, p, ctx, _, _ = random_ctx(48)
-    q = pe.compute_quality(problem, p, ctx=ctx)
+    problem, p, _, _, _ = random_ctx(48)
+    q = pe.compute_quality(problem, p)
     payload = q.to_json_dict()
     assert set(payload) == {
         "nu_min",
@@ -449,7 +452,7 @@ def test_quality_mp_chol_includes_epsilon():
 
 def test_quality_chi_na_for_exact():
     problem = dense_problem(DIAG)
-    q = pe.compute_quality(problem, pe.make_spd(DIAG, "exact"))
+    q = pe.compute_quality(problem, pe.make_spd(DIAG))
     assert q.chi is None
     assert q.cos_phi <= 1e-6
 
@@ -487,7 +490,7 @@ def test_check_initial_b_orthogonal():
 def test_success_probability_exact_preconditioner():
     a, _ = random_spd_pair(53, 12)
     problem = dense_problem(a)
-    p = pe.make_spd(a, "exact")
+    p = pe.make_spd(a)
     ctx = pe.build_rate_context(problem, p)
     rep = pe.success_probability(problem, p, sampler="gaussian", trials=50, seed=1, ctx=ctx)
     assert rep["p_new"] == 1.0  # cos phi = 0: almost surely inside

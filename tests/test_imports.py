@@ -1,13 +1,15 @@
 """No module of the package imports a name it never uses, every public name
-and every public class member has a caller inside the package, and
-importing the package stays light.
+and every public class member has a caller inside the package, every
+defaulted parameter is passed by some production call, and importing the
+package stays light.
 
 Checked with the standard-library ast module.  An imported name counts as
 used when it is read anywhere in the module or listed in its __all__.  A
 public method, property or classmethod of a class counts as called when an
 attribute of its name is read somewhere in the package outside its own
 body; the check goes by name, so it cannot tell the classes that define the
-same method apart.
+same method apart.  The defaulted-parameter check matches calls by name in
+the same way.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "precondeig"
+WORKLOADS = SRC.parent.parent / "perfbench" / "workloads.py"
 
 # bindings that perfbench/spans.py patches by module name, so they stay
 # although the module itself never calls them
@@ -124,6 +127,66 @@ def test_every_public_member_has_a_caller_in_src():
         if sum(attribute_reads(t, member.name) for t in trees.values()) == attribute_reads(member, member.name)
     ]
     assert uncalled == []
+
+
+def defaulted_params(fn, is_method):
+    """(position among a call's positional arguments, name) of each parameter
+    of fn that has a default; None as the position of a keyword-only one."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    skip = int(is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+    ))
+    out = [(i - skip, arg.arg) for i, arg in enumerate(pos) if i >= len(pos) - len(args.defaults)]
+    out += [(None, arg.arg) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def functions(tree):
+    """(name a call uses, def, is a method) for every function and method; a
+    constructor is called by its class name."""
+    methods = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    methods.add(fn)
+                    yield (cls.name if fn.name == "__init__" else fn.name), fn, True
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn not in methods:
+            yield fn.name, fn, False
+
+
+def passes(call, position, name):
+    """Whether a call may pass the parameter: by keyword, by position, or
+    through a * or ** argument."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # a default that only tests override is a knob no user selects; the
+    # entry point cli.main(argv) is exempt, its callers live outside
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    calls = {}
+    for tree in [*trees.values(), ast.parse(WORKLOADS.read_text())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [
+        f"{module}.{callee}({name})"
+        for module, tree in sorted(trees.items())
+        for callee, fn, is_method in functions(tree)
+        if (module, callee) != ("cli", "main")
+        for position, name in defaulted_params(fn, is_method)
+        if not any(passes(call, position, name) for call in calls.get(callee, []))
+    ]
+    assert unpassed == []
 
 
 def test_import_leaves_scipy_io_unloaded():

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse
 
 import precondeig as pe
+from precondeig import linalg
 from precondeig.errors import (
     BreakdownNonSpd,
     DegenerateSmallestEigenvalue,
@@ -205,14 +206,14 @@ def test_chol_solve_dimension_mismatch():
 
 def test_pcg_identity_converges_immediately():
     v = np.array([1.0, -2.0, 3.0])
-    x, it = pe.pcg(lambda u: u, lambda u: u, v, tol=1e-14)
+    x, it = pe.pcg(lambda u: u, lambda u: u, v, tol=1e-14, maxit=30, x0=np.zeros(3))
     assert np.allclose(x, v, atol=0)
     assert it <= 1
 
 
 def test_pcg_diag_exact_in_n_steps():
     d = np.diag([1.0, 2.0, 4.0])
-    x, it = pe.pcg(lambda u: d @ u, None, np.ones(3), tol=1e-12)
+    x, it = pe.pcg(lambda u: d @ u, np.copy, np.ones(3), tol=1e-12, maxit=30, x0=np.zeros(3))
     assert it <= 3
     assert np.allclose(x, [1.0, 0.5, 0.25], atol=1e-12)
 
@@ -241,7 +242,7 @@ def test_pcg_fd_laplacian_matches_direct_solve_and_oracle_iterations():
     prob = pe.laplace_fd(1.0 / 16.0)
     a = prob.matrix
     rhs = pe.gaussian_vector(pe.Rng(2), prob.dim)
-    x, it = pe.pcg(lambda u: a @ u, None, rhs, tol=1e-10)
+    x, it = pe.pcg(lambda u: a @ u, np.copy, rhs, tol=1e-10, maxit=10 * prob.dim, x0=np.zeros(prob.dim))
     assert np.linalg.norm(rhs - a @ x) <= 1e-10 * np.linalg.norm(rhs)
     x_direct = prob.solver()(rhs)
     assert np.linalg.norm(x - x_direct) <= 1e-8 * np.linalg.norm(x_direct)
@@ -259,7 +260,7 @@ def test_pcg_a_norm_error_monotone():
         # of the first run that converges within its budget
         k += 1
         try:
-            x, _ = pe.pcg(lambda u: a @ u, None, rhs, tol=1e-13, maxit=k)
+            x, _ = pe.pcg(lambda u: a @ u, np.copy, rhs, tol=1e-13, maxit=k, x0=np.zeros(12))
             converged = True
         except MaxIterations as err:
             x = err.best
@@ -272,14 +273,14 @@ def test_pcg_a_norm_error_monotone():
 def test_pcg_negative_curvature_breaks_down():
     m = np.diag([1.0, -1.0])
     with pytest.raises(BreakdownNonSpd):
-        pe.pcg(lambda u: m @ u, None, np.array([1.0, 1.0]), tol=1e-12)
+        pe.pcg(lambda u: m @ u, np.copy, np.array([1.0, 1.0]), tol=1e-12, maxit=20, x0=np.zeros(2))
 
 
 def test_pcg_maxiter_carries_best_iterate():
     prob = pe.laplace_fd(1.0 / 8.0)
     rhs = np.ones(prob.dim)
     with pytest.raises(MaxIterations) as err:
-        pe.pcg(lambda u: prob.matrix @ u, None, rhs, tol=1e-14, maxit=2)
+        pe.pcg(lambda u: prob.matrix @ u, np.copy, rhs, tol=1e-14, maxit=2, x0=np.zeros(prob.dim))
     assert err.value.best is not None and err.value.best.shape == rhs.shape
 
 
@@ -290,7 +291,7 @@ def test_pcg_maxiter_carries_best_iterate():
 
 def test_lanczos_diag_euclidean():
     d = np.diag([1.0, 2.0, 4.0])
-    lo, hi = pe.lanczos_extremal(lambda v: d @ v, dim=3, tol=1e-12)
+    lo, hi = pe.lanczos_extremal(lambda v: d @ v, 3, 1e-12, 3, pe.Rng(2024), None)
     assert abs(lo - 1.0) <= 1e-10 and abs(hi - 4.0) <= 1e-10
 
 
@@ -315,6 +316,8 @@ def test_lanczos_pencil_matches_dense_oracle(seed, n):
         lambda aq: b_inv @ aq,
         dim=n,
         tol=1e-12,
+        maxit=n,
+        rng=pe.Rng(2024),
         inner_map=lambda v: a @ v,
     )
     lo_ref, hi_ref = _dense_pencil_extremes(a, b)
@@ -329,19 +332,21 @@ def test_lanczos_inner_map_matches_euclidean_on_similar_operator():
     b = random_spd(9, 25)
     b_inv = np.linalg.inv(b)
     lo1, hi1 = pe.lanczos_extremal(
-        lambda aq: b_inv @ aq, dim=25, tol=1e-12, inner_map=lambda v: a @ v
+        lambda aq: b_inv @ aq, 25, 1e-12, 25, pe.Rng(2024), inner_map=lambda v: a @ v
     )
     l = np.linalg.cholesky(b)  # noqa: E741
     c = scipy.linalg.solve_triangular(l, scipy.linalg.solve_triangular(l, a, lower=True).T, lower=True)
     c = (c + c.T) / 2.0
-    lo2, hi2 = pe.lanczos_extremal(lambda v: c @ v, dim=25, tol=1e-12)
+    lo2, hi2 = pe.lanczos_extremal(lambda v: c @ v, 25, 1e-12, 25, pe.Rng(2024), None)
     assert abs(lo1 - lo2) <= 1e-9 * abs(lo1)
     assert abs(hi1 - hi2) <= 1e-9 * abs(hi1)
 
 
 def test_lanczos_fd_identity_preconditioner_ratio_analytic():
     prob = pe.laplace_fd(1.0 / 8.0)
-    lo, hi = pe.lanczos_extremal(lambda v: prob.matrix @ v, dim=prob.dim, tol=1e-12)
+    lo, hi = pe.lanczos_extremal(
+        lambda v: prob.matrix @ v, prob.dim, 1e-12, prob.dim, pe.Rng(2024), None
+    )
     h = 1.0 / 8.0
     lam1 = fd_eigenvalue(h, 1, 1)
     lamn = fd_eigenvalue(h, 7, 7)
@@ -351,12 +356,12 @@ def test_lanczos_fd_identity_preconditioner_ratio_analytic():
 def test_lanczos_rejects_indefinite_inner():
     d = np.diag([1.0, 2.0])
     with pytest.raises(InnerProductNotPositive):
-        pe.lanczos_extremal(lambda v: d @ v, dim=2, tol=1e-10, inner_map=lambda v: -v)
+        pe.lanczos_extremal(lambda v: d @ v, 2, 1e-10, 2, pe.Rng(2024), inner_map=lambda v: -v)
 
 
 def test_lanczos_top_pairs_inverse_operator():
     a = np.diag([1.0, 2.0, 4.0, 9.0])
-    vals, vecs = lanczos_top_pairs(lambda v: np.linalg.solve(a, v), 4, k=2, tol=1e-13)
+    vals, vecs = lanczos_top_pairs(lambda v: np.linalg.solve(a, v), 4, 1e-13, 4, pe.Rng(2024))
     assert np.allclose(vals, [1.0, 0.5], atol=1e-10)
     assert abs(abs(vecs[0, 0]) - 1.0) <= 1e-8
 
@@ -378,7 +383,7 @@ def test_lanczos_top_pairs_across_basis_blocks():
         steps.append(1)
         return a @ v
 
-    vals, vecs = lanczos_top_pairs(apply_t, n, k=2, tol=1e-12, maxit=n, rng=pe.Rng(32))
+    vals, vecs = lanczos_top_pairs(apply_t, n, tol=1e-12, maxit=n, rng=pe.Rng(32))
     assert len(steps) > 64
     assert np.allclose(vals, [3.0, 1.0], rtol=0.0, atol=1e-10)
     for j in range(2):
@@ -390,7 +395,7 @@ def test_lanczos_top_pairs_across_basis_blocks():
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda: pe.lanczos_extremal(lambda v: 2.0 * v, 5), (2.0, 2.0)),
+        (lambda: pe.lanczos_extremal(lambda v: 2.0 * v, 5, 1e-10, 5, pe.Rng(2024), None), (2.0, 2.0)),
         (
             lambda: pe.kappa_nu(
                 pe.EigenProblem(dim=300, apply_a=lambda v: 2.0 * v, matrix=2.0 * np.eye(300)),
@@ -418,9 +423,9 @@ def test_lanczos_stops_when_the_start_is_an_eigenvector(call, expected):
 def test_lanczos_runs_raise_max_iterations():
     a = np.diag(np.geomspace(1.0, 1e4, 50))
     runs = (
-        lambda: pe.lanczos_extremal(lambda v: a @ v, 50, maxit=3),
-        lambda: lanczos_top_pairs(lambda v: a @ v, 50, maxit=3),
-        lambda: _lanczos_top_value(lambda v: a @ v, 50, 1e-11, 3, None),
+        lambda: pe.lanczos_extremal(lambda v: a @ v, 50, 1e-10, 3, pe.Rng(2024), None),
+        lambda: lanczos_top_pairs(lambda v: a @ v, 50, 1e-12, 3, pe.Rng(2024)),
+        lambda: _lanczos_top_value(lambda v: a @ v, 50, 1e-11, 3, pe.Rng(2024)),
     )
     for run in runs:
         with pytest.raises(MaxIterations) as err:
@@ -537,10 +542,11 @@ def test_jacobi_round_robin_matches_rotation_loop(n):
     assert np.linalg.norm(v * signs - v_ref) <= 1e-12 * n
 
 
-def test_jacobi_raises_no_convergence_after_max_sweeps():
+def test_jacobi_raises_no_convergence_after_max_sweeps(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     a = random_spd(2, 8)
     with pytest.raises(NoConvergence):
-        pe.dense_sym_eig(a, max_sweeps=1)
+        pe.dense_sym_eig(a)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import scipy.sparse
 
 import precondeig as pe
 from precondeig import problems
-from precondeig.cli import build_problem
+from precondeig.cli import build_problem, parse_dyadic
 from precondeig.errors import (
     DegenerateSmallestEigenvalue,
     InvalidMeshWidth,
@@ -47,7 +47,7 @@ def test_fd_eigenvector_is_sine_product():
     h = 1.0 / 16.0
     prob = pe.laplace_fd(h)
     ref = prob.reference()
-    coords, _ = interior_coords(h)
+    coords = interior_coords(h) * h
     sine = np.sin(math.pi * coords[:, 0]) * np.sin(math.pi * coords[:, 1])
     sine /= np.linalg.norm(sine)
     if float(sine @ ref.u_star) < 0:
@@ -77,7 +77,7 @@ def test_fem_h2_hand_assembled():
 def test_fem_interior_row_sums_vanish():
     k, _ = pe.fem_p1(1.0 / 8.0)
     rows = np.asarray(k.sum(axis=1)).ravel()
-    _, ij = interior_coords(1.0 / 8.0)
+    ij = interior_coords(1.0 / 8.0)
     away = np.all((ij > 1) & (ij < 7), axis=1)
     assert np.abs(rows[away]).max() == 0.0
 
@@ -106,7 +106,7 @@ def test_fd_fem_h2_error_decay():
 def test_hierarchy_smallest_case_explicit():
     hier = pe.mesh_hierarchy(1.0 / 2.0, 1.0 / 4.0, 0.5)
     assert len(hier.subdomains) == 4
-    _, ij = interior_coords(1.0 / 4.0)
+    ij = interior_coords(1.0 / 4.0)
 
     def nodes(pairs):
         return sorted(
@@ -142,7 +142,7 @@ def test_hierarchy_coverage(H, h, ratio):
 def test_hierarchy_prolongation_partition_of_unity():
     hier = pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 16.0, 0.5)
     rows = np.asarray(hier.prolongation.sum(axis=1)).ravel()
-    coords, _ = interior_coords(1.0 / 16.0)
+    coords = interior_coords(1.0 / 16.0) / 16.0
     inside = np.all((coords >= 0.25 - 1e-12) & (coords <= 0.75 + 1e-12), axis=1)
     assert np.abs(rows[inside] - 1.0).max() <= 1e-12
 
@@ -152,7 +152,7 @@ def loop_prolongation(big_h, h):
     inv_h, inv_big_h = round(1.0 / h), round(1.0 / big_h)
     mult = inv_h // inv_big_h
     nf, n_coarse = inv_h - 1, inv_big_h - 1
-    _, ij = interior_coords(h)
+    ij = interior_coords(h)
     rows, cols, vals = [], [], []
     for node, (i, j) in enumerate(ij):
         ci, xi_u = divmod(int(i), mult)
@@ -224,14 +224,13 @@ def test_kernel_diagonal_is_ones():
     assert np.array_equal(np.diag(prob.matrix), np.ones(16))
 
 
-def test_kernel_identical_points_limit():
-    pts = np.zeros((2, 4))
+def test_kernel_tau_shifts_the_diagonal_and_a_non_spd_shift_raises():
+    spec = pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0)
     with pytest.raises(NotSpd):
-        pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=2, d=4, seed=0), points=pts)
-    prob = pe.kernel_matrix(
-        pe.KernelSpec(kind="laplacian", n=2, d=4, seed=0, tau=0.1), points=pts
-    )
-    assert np.array_equal(prob.matrix, np.array([[1.1, 1.0], [1.0, 1.1]]))
+        pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0, tau=-1.5))
+    base = pe.kernel_matrix(spec).matrix
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0, tau=0.1))
+    assert np.array_equal(prob.matrix, base + 0.1 * np.eye(6))
 
 
 def test_kernel_symmetric_exactly():
@@ -371,7 +370,7 @@ def test_reference_fem_matches_scipy_pencil(h):
     # lambdan comes from a three-term Lanczos that watches only the top Ritz
     # value: 86 steps at h=2^-4, 157 at h=2^-5, with no stored basis
     prob = build_problem(f"laplace-fem:h={h}")
-    k, m = prob.meta["stiffness"], prob.meta["mass"]
+    k, m = pe.fem_p1(parse_dyadic(h))
     w = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)
     ref = pe.reference_eigs(prob)
     assert abs(ref.lam1 - w[0]) <= 1e-10 * w[0]

@@ -11,7 +11,7 @@ import precondeig as pe
 from precondeig import cli, precond, solvers
 from precondeig.errors import InvalidC, MaxIterations, OutsideBasin, StepCapViolated
 from precondeig.solvers import TRACE_COLUMNS, step_constant, step_theory
-from tests.conftest import column, dense_problem, dense_roots
+from tests.conftest import column, dense_problem, dense_roots, tight_fwd
 
 
 def random_spd(seed, n, spread=3.0):
@@ -212,22 +212,14 @@ def test_equivalence_any_capped_step_sequence():
     step_rng = pe.Rng(77)
     caps = step_rng.uniform(40)
 
-    def policy_fn(state, t):
-        g = math.sqrt(state.g2)
-        return (0.1 + 0.8 * caps[t]) * math.pi / (2.0 * g)
-
-    iterates = []
-    pe.rsd_solve(
-        problem,
-        precond,
-        u0,
-        pe.StepPolicy(kind="custom", fn=policy_fn),
-        tol=0.0,
-        maxit=40,
-        ctx=ctx,
-        stagnation_window=None,
-        callback=lambda t, st: iterates.append(st.u.copy()),
-    )
+    # one fixed step per solve, each eta_t a fraction of the cap at u_t
+    u = u0 / math.sqrt(u0 @ b @ u0)
+    iterates = [u]
+    for t in range(40):
+        g = math.sqrt(pe.make_state(u, problem.apply_a, precond.apply_inv).g2)
+        eta = (0.1 + 0.8 * caps[t]) * math.pi / (2.0 * g)
+        u = pe.rsd_solve(problem, precond, u, pe.StepPolicy.fixed(eta), tol=0.0, maxit=1).u
+        iterates.append(u)
     x = x0.copy()
     for t, u_t in enumerate(iterates):
         x_u = b_inv_sqrt @ x
@@ -295,7 +287,7 @@ def test_rsd_b_normalization_invariant(recipe, seed):
     )
     if recipe is not None:
         assert res.reason == "ResidualTol"
-        bu = pe.apply_fwd_iterative(p.exact(), res.u, apply_a=problem.apply_a, tol=1e-13)
+        bu = tight_fwd(p.exact(), res.u, problem.apply_a, 1e-13)
         drifts.append(abs(float(res.u @ bu) - 1.0))
     assert max(drifts) <= bound
 
@@ -307,7 +299,7 @@ def test_u0_b_norm_is_second_order_in_the_nested_pcg(seed):
     problem = cli.build_problem("laplace-fem:h=2^-5")
     p = cli.build_precond("ddm:H=2^-2", problem)
     u = p.apply_inv(pe.Rng(seed).normal(problem.dim))
-    tight = float(u @ pe.apply_fwd_iterative(p, u, apply_a=problem.apply_a, tol=1e-13))
+    tight = float(u @ tight_fwd(p, u, problem.apply_a, 1e-13))
     assert abs(solvers._b_norm_sq(p, problem.apply_a, u) - tight) <= 1e-14 * tight
 
 
@@ -396,7 +388,7 @@ def test_pinvit_policy_matches_classical_loop(build, iterations):
 def test_classic_exact_preconditioner_is_inverse_iteration():
     a = np.diag([1.0, 2.0, 4.0])
     problem = dense_problem(a)
-    p = pe.make_spd(a, "exact")
+    p = pe.make_spd(a)
     u0 = np.array([0.3, 0.5, 0.9])
     res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.pinvit(), tol=1e-30, maxit=1)
     lam0 = pe.rayleigh(u0, problem.apply_a)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import precondeig as pe
-from precondeig import solvers
+from precondeig import diagnostics, solvers
 from precondeig.diagnostics import PropertyReport, _DenseOracle
 from precondeig.errors import AntipodalOrEqual, NotTangent
 from precondeig.linalg import spawn_seed
@@ -154,7 +154,7 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
 
 def _assert_same_reports(a, b, **kwargs):
     got = pe.validate_properties(a, b, **kwargs)
-    ref = reference_validate(a, b, **kwargs)
+    ref = reference_validate(a, b, slack=diagnostics._SLACK, **kwargs)
     label = kwargs["label"]
     assert got.checked == ref.checked, label
     assert [(v["check"], v["label"]) for v in got.violations] == [
@@ -178,12 +178,12 @@ def test_blocked_validator_matches_reference_loop(n, kind, inject_bug):
 
 @pytest.mark.parametrize("kind", ["identity", "random-spd", "mp-chol"])
 @pytest.mark.parametrize("n", [6, 20])
-def test_blocked_validator_matches_reference_points(n, kind):
+def test_blocked_validator_matches_reference_points(n, kind, monkeypatch):
     # slack = -0.3 makes each of (i)-(v) fail at many samples, so the reports
     # carry the sample points of every check, in order
+    monkeypatch.setattr(diagnostics, "_SLACK", -0.3)
     for seed in range(2):
         a, b = dense_pencil(seed, n, kind)
         _assert_same_reports(
-            a, b, n_samples=500, seed=spawn_seed(seed, n), slack=-0.3,
-            label=f"seed={seed},n={n},B={kind}",
+            a, b, n_samples=500, seed=spawn_seed(seed, n), label=f"seed={seed},n={n},B={kind}",
         )
