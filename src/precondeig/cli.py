@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -253,8 +254,11 @@ _VALIDATE_KINDS = ("identity", "random-spd", "mp-chol")
 
 
 def cmd_validate(args):
+    if args.seeds < 1:
+        raise ValueError(f"need at least one seed, got {args.seeds}")
     sizes = [int(s) for s in args.sizes.split(",")]
-    total = diagnostics.PropertyReport(label="validate", n_samples=args.samples)
+    checked = Counter()
+    violations = []
     t0 = time.time()
     for seed in range(args.seeds):
         for n in sizes:
@@ -272,24 +276,25 @@ def cmd_validate(args):
                     a, b, n_samples=args.samples, seed=spawn_seed(seed, n),
                     label=label, inject_bug=args.inject_bug,
                 )
-                total.merge(report)
+                checked.update(report.checked)
+                violations.extend(report.violations)
     payload = {
         "seeds": args.seeds,
         "sizes": sizes,
         "samples": args.samples,
-        "checked": total.checked,
+        "checked": checked,
         "violations": [
             {"check": v["check"], "label": v["label"], "detail": v["detail"]}
-            for v in total.violations[:50]
+            for v in violations[:50]
         ],
-        "violation_count": len(total.violations),
+        "violation_count": len(violations),
         "runtime_s": time.time() - t0,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if total.violations:
-        print(f"FAIL: {len(total.violations)} violations", file=sys.stderr)
+    if violations:
+        print(f"FAIL: {len(violations)} violations", file=sys.stderr)
         return 3
-    print(f"OK: zero violations across {sum(total.checked.values())} checks")
+    print(f"OK: zero violations across {sum(checked.values())} checks")
     return 0
 
 
@@ -300,24 +305,12 @@ def _ddm_recipes(h, big_h):
     return f"laplace-fem:h={_dyadic_str(h)}", f"ddm:H={_dyadic_str(big_h)},overlap=0.5"
 
 
-def _phi_cell(h, big_h):
+def _cell(measure, **keys):
+    """Row of one table cell: the dict measure() returns, with the cell's
+    keys and the measurement's runtime_s."""
     t0 = time.time()
-    row = _phi(*_ddm_recipes(h, big_h)).to_json_dict()
-    row.update({"h": h, "H": big_h, "runtime_s": time.time() - t0})
-    return row
-
-
-def _prob_ddm_cell(h, big_h, trials, seed):
-    t0 = time.time()
-    row = _prob(*_ddm_recipes(h, big_h), "smooth", trials, seed)
-    row.update({"h": h, "H": big_h, "runtime_s": time.time() - t0})
-    return row
-
-
-def _prob_kernel_cell(n, trials, seed, kernel_seed):
-    t0 = time.time()
-    row = _prob(f"kernel-laplace:n={n},seed={kernel_seed}", "mp-chol", "gaussian", trials, seed)
-    row.update({"n": n, "runtime_s": time.time() - t0})
+    row = measure()
+    row.update(keys, runtime_s=time.time() - t0)
     return row
 
 
@@ -336,36 +329,40 @@ def cmd_table(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    if args.name == "phi-ddm-fixedH":
-        big_h = cfg.get("H", 0.25)
-        hs = cfg.get("h", [2.0**-4, 2.0**-5, 2.0**-6])
-        rows = [_phi_cell(h, big_h) for h in hs]
-        header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi", "runtime_s"]
-    elif args.name == "phi-ddm-fixedh":
-        h = cfg.get("h", 2.0**-6)
-        hs_big = cfg.get("H", [2.0**-2, 2.0**-3])
-        rows = [_phi_cell(h, big_h) for big_h in hs_big]
-        header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi", "runtime_s"]
-    elif args.name == "prob-ddm":
-        hs = cfg.get("h", [2.0**-4])
-        big_h = cfg.get("H", 0.25)
-        trials = cfg.get("trials", args.trials)
+    if args.name.startswith("phi-"):
+        if args.name == "phi-ddm-fixedH":
+            big_h = cfg.get("H", 0.25)
+            cells = [(h, big_h) for h in cfg.get("h", [2.0**-4, 2.0**-5, 2.0**-6])]
+        else:  # phi-ddm-fixedh
+            h = cfg.get("h", 2.0**-6)
+            cells = [(h, big_h) for big_h in cfg.get("H", [2.0**-2, 2.0**-3])]
         rows = [
-            _prob_ddm_cell(h, big_h, trials, spawn_seed(args.seed, hash_label(f"prob-ddm:{h}")))
-            for h in hs
+            _cell(lambda: _phi(*_ddm_recipes(h, big_h)).to_json_dict(), h=h, H=big_h)
+            for h, big_h in cells
         ]
-        header = ["h", "H", "successes_new", "successes_classic", "trials", "p_new", "p_classic", "runtime_s"]
-    else:  # prob-kernel
-        ns = cfg.get("n", [128, 256])
+        header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi"]
+    else:
         trials = cfg.get("trials", args.trials)
-        kernel_seed = cfg.get("kernel_seed", 7)
-        rows = [
-            _prob_kernel_cell(
-                n, trials, spawn_seed(args.seed, hash_label(f"prob-kernel:{n}")), kernel_seed
-            )
-            for n in ns
-        ]
-        header = ["n", "successes_new", "successes_classic", "trials", "p_new", "p_classic", "runtime_s"]
+
+        def seed(value):
+            return spawn_seed(args.seed, hash_label(f"{args.name}:{value}"))
+
+        if args.name == "prob-ddm":
+            big_h = cfg.get("H", 0.25)
+            rows = [
+                _cell(lambda: _prob(*_ddm_recipes(h, big_h), "smooth", trials, seed(h)), h=h, H=big_h)
+                for h in cfg.get("h", [2.0**-4])
+            ]
+            header = ["h", "H"]
+        else:  # prob-kernel
+            problem = "kernel-laplace:n={},seed=" + str(cfg.get("kernel_seed", 7))
+            rows = [
+                _cell(lambda: _prob(problem.format(n), "mp-chol", "gaussian", trials, seed(n)), n=n)
+                for n in cfg.get("n", [128, 256])
+            ]
+            header = ["n"]
+        header += ["successes_new", "successes_classic", "trials", "p_new", "p_classic"]
+    header.append("runtime_s")
 
     lines = [",".join(header)]
     for row in rows:

@@ -422,15 +422,13 @@ def random_spd_pair(seed, n):
 
 @dataclass
 class PropertyReport:
+    """validate_properties' result on one instance: how often each check "i"
+    to "vii" ran, and one dict (check, label, detail, point x) per violation."""
+
     label: str
     n_samples: int
     checked: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
-
-    def merge(self, other):
-        for key, cnt in other.checked.items():
-            self.checked[key] = self.checked.get(key, 0) + cnt
-        self.violations.extend(other.violations)
 
 
 class _DenseOracle:
@@ -482,43 +480,42 @@ def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
     (i) smoothness, (ii) quadratic growth, (iii) weak-quasi-convexity,
     (iv) weak-quasi-strong-convexity, (v) the basin projection bound,
     (vi) chi <= 1, (vii) per-step contraction along a short locally-stepped
-    run.  Returns a PropertyReport carrying any counterexamples.
+    run.  Returns a PropertyReport carrying any counterexamples.  Raises
+    ValueError for n_samples < 1.
 
     Sample k draws a direction x and then a direction xi from one stream;
     all n_samples pairs are drawn as one block (Rng.normal_rows) and checks
     (i)-(v) are evaluated on (n_samples, n) row blocks.  (i) and (ii) run at
     every x; (iii)-(v) at the in-basin point exp_{x*}(0.999 (k + 1/2)/S phi xi),
     skipped when xi is numerically parallel to x* or the point is not inside
-    the basin, and (iv) only where a(x) > 1e-13.  Violations are reported in
-    sample order, (i) to (v) within a sample.  gamma, mu and a are the
-    solver's gamma_x, mu_x and a_x on the oracle's context, evaluated at
+    the basin, and (iv) only where a(x) > 1e-13.  (vii) runs once per step
+    whose distB before and after and xi are finite.  Violations are reported
+    in this order: (vi); then (i)-(v) in sample order, (i) to (v) within a
+    sample; then (vii) in step order.  gamma, mu and a are the solver's
+    gamma_x, mu_x and a_x on the oracle's context, evaluated at
     x^T C x = u^T A u (x = B^{1/2} u).
     """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     oracle = _DenseOracle(a, b)
     n = oracle.a.shape[0]
     rng = Rng(seed)
     report = PropertyReport(label=label or f"n={n}", n_samples=n_samples)
-    counts = {k: 0 for k in ("i", "ii", "iii", "iv", "v", "vi", "vii")}
+    order = {key: i for i, key in enumerate(("i", "ii", "iii", "iv", "v", "vi", "vii"))}
+    counts = dict.fromkeys(order, 0)
+    failed = []  # (position, check, point, detail), put in report order below
 
-    def record(key, ok, x, detail):
-        counts[key] += 1
-        if not ok:
-            report.violations.append(
-                {"check": key, "label": report.label, "detail": detail, "x": x.copy()}
-            )
+    def check_rows(key, ok, positions, points, detail):
+        counts[key] += len(ok)
+        failed.extend((positions[j], key, points[j], detail(j)) for j in np.flatnonzero(~ok))
 
     ctx = oracle.ctx
     # the planted bug flips the sign of cos phi inside a(x)
     bug_sign = -1.0 if inject_bug == "a_x_sign" else 1.0
 
-    chi_ok = ctx.cos_phi**2 <= (1.0 - 1.0 / ctx.kappa) + 1e-10
-    record("vi", chi_ok, ctx.u_star, f"cos^2 phi = {ctx.cos_phi ** 2:.3e}")
-
-    failed = []  # (sample, check, point, detail), put in order below
-
-    def check_rows(key, ok, samples, points, detail):
-        counts[key] += len(ok)
-        failed.extend((samples[j], key, points[j], detail(j)) for j in np.flatnonzero(~ok))
+    # (vi) sorts at position -1, before sample 0
+    chi_ok = np.array([ctx.cos_phi**2 <= (1.0 - 1.0 / ctx.kappa) + 1e-10])
+    check_rows("vi", chi_ok, [-1], [ctx.u_star], lambda j: f"cos^2 phi = {ctx.cos_phi ** 2:.3e}")
 
     x_star, f_star = oracle.x_star, oracle.f_star
     draws = rng.normal_rows(2 * n_samples, n)
@@ -582,12 +579,6 @@ def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
         xb,
         lambda j: "basin projection bound",
     )
-    order = {key: i for i, key in enumerate(("i", "ii", "iii", "iv", "v"))}
-    failed.sort(key=lambda item: (item[0], order[item[1]]))
-    report.violations.extend(
-        {"check": key, "label": report.label, "detail": detail, "x": point.copy()}
-        for _, key, point, detail in failed
-    )
 
     # (vii): short locally-stepped run in u-space on the oracle's context,
     # checked in x-space
@@ -611,18 +602,25 @@ def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
         ctx=ctx,
         stagnation_window=None,
     )
-    rows = result.trace.rows
-    for t in range(len(rows) - 1):
-        d0, d1 = rows[t]["distB"], rows[t + 1]["distB"]
-        xi = rows[t]["xi"]
-        if not (np.isfinite(d0) and np.isfinite(d1) and np.isfinite(xi)):
-            continue
-        record(
-            "vii",
-            d1**2 <= (1.0 - xi) * d0**2 + 1e-12,
-            oracle.x_star,
-            f"step {t}: dist1^2={d1 ** 2:.3e} vs (1-xi) dist0^2={(1 - xi) * d0 ** 2:.3e}",
-        )
+    trace = np.array([(row["distB"], row["xi"]) for row in result.trace.rows])
+    steps = np.flatnonzero(np.isfinite(trace[:-1]).all(axis=1) & np.isfinite(trace[1:, 0]))
+    d0, xi_t, d1 = trace[steps, 0], trace[steps, 1], trace[steps + 1, 0]
+    # step t sorts at position n_samples + t, after the last sample
+    check_rows(
+        "vii",
+        d1**2 <= (1.0 - xi_t) * d0**2 + 1e-12,
+        n_samples + steps,
+        [oracle.x_star] * len(steps),
+        lambda j: (
+            f"step {steps[j]}: dist1^2={d1[j] ** 2:.3e} vs "
+            f"(1-xi) dist0^2={(1 - xi_t[j]) * d0[j] ** 2:.3e}"
+        ),
+    )
 
+    failed.sort(key=lambda item: (item[0], order[item[1]]))
+    report.violations = [
+        {"check": key, "label": report.label, "detail": detail, "x": point.copy()}
+        for _, key, point, detail in failed
+    ]
     report.checked = counts
     return report

@@ -152,11 +152,14 @@ def fem_p1(h):
     """P1 stiffness and consistent mass matrices on interior nodes.
 
     Regular right-triangle mesh on [0,1]^2, all squares split along the same
-    diagonal.  Returns (stiffness, mass) as CSR, both SPD.
+    diagonal.  Returns (stiffness, mass) as CSR, both SPD, with rows in the
+    node order of interior_coords(h).
     """
     inv = _as_inverse_width(h)
     stride = inv + 1
     lower, upper = _p1_grids(inv)
+    ij = interior_coords(h)
+    interior = ij[:, 1] * stride + ij[:, 0]
 
     def assemble(elem_lower, elem_upper):
         rows, cols, vals = [], [], []
@@ -170,8 +173,6 @@ def fem_p1(h):
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(stride * stride, stride * stride),
         )
-        ii, jj = np.meshgrid(np.arange(1, inv), np.arange(1, inv), indexing="ij")
-        interior = (jj * stride + ii).ravel(order="F")
         sub = full[np.ix_(interior, interior)].tocsr()
         sub.sort_indices()
         return sub
@@ -386,19 +387,36 @@ def generalized_reduce(a, m):
     )
 
 
+def _inverse_iteration(problem, solve, v, project, tol, steps, name):
+    """Inverse iteration from v: `project` is applied to each residual and
+    each new iterate.  Returns (lambda, v) once ||project(A v - lambda v)||
+    <= tol |lambda|, or raises NoConvergence naming eigenvalue `name` after
+    `steps` steps."""
+    lam = rayleigh(v, problem.apply_a)
+    for _ in range(steps):
+        if np.linalg.norm(project(problem.apply_a(v) - lam * v)) <= tol * abs(lam):
+            return lam, v
+        v = project(solve(v))
+        v /= np.linalg.norm(v)
+        lam = rayleigh(v, problem.apply_a)
+    raise NoConvergence(f"inverse iteration failed to reach the {name} residual target")
+
+
 def reference_eigs(problem):
     """High-accuracy (lambda1, lambda2, lambdan, u*) for an EigenProblem.
 
     lambda1, lambda2 and u* come from a reorthogonalized Lanczos on A^{-1}
     (top of the spectrum of the inverse is well separated) at tol 1e-12,
-    refined by inverse iteration.  lambdan comes from a Lanczos on A at tol
-    1e-11 that watches only the top Ritz value; it needs no vector, so it
-    runs the three-term recurrence with no stored basis.  Each Lanczos runs
-    at most min(n, 600) steps from a start drawn from Rng(777) (its spawn(1)
-    for lambdan).  Raises DegenerateSmallestEigenvalue when the start spans
-    an invariant subspace of one eigenpair or lambda2 - lambda1 falls below
-    resolution, and NoConvergence when either inverse iteration (100 steps
-    for lambda1, 200 for lambda2) misses its residual target.
+    refined by _inverse_iteration: lambda1 from the first Ritz vector (100
+    steps, residual 1e-10 lambda1), lambda2 from the second deflated against
+    u* (200 steps, deflated residual 1e-11 lambda2).  lambdan comes from a
+    Lanczos on A at tol 1e-11 that watches only the top Ritz value; it needs
+    no vector, so it runs the three-term recurrence with no stored basis.
+    Each Lanczos runs at most min(n, 600) steps from a start drawn from
+    Rng(777) (its spawn(1) for lambdan).  Raises DegenerateSmallestEigenvalue
+    when the start spans an invariant subspace of one eigenpair or lambda2 -
+    lambda1 falls below resolution, and NoConvergence when either inverse
+    iteration misses its target.
     """
     n = problem.dim
     rng = Rng(777)
@@ -409,33 +427,14 @@ def reference_eigs(problem):
     vals, vecs = lanczos_top_pairs(solve, n, tol=1e-12, maxit=budget, rng=rng)
     if len(vals) < 2:
         raise DegenerateSmallestEigenvalue("the start spans an invariant subspace of one eigenpair")
-    u = vecs[:, 0]
-    lam1 = rayleigh(u, problem.apply_a)
-    for _ in range(100):
-        res = np.linalg.norm(problem.apply_a(u) - lam1 * u)
-        if res <= 1e-10 * abs(lam1):
-            break
-        u = solve(u)
-        u /= np.linalg.norm(u)
-        lam1 = rayleigh(u, problem.apply_a)
-    else:
-        raise NoConvergence("inverse iteration failed to reach the residual target")
-    # deflated inverse iteration for lambda2
-    v = vecs[:, 1] - float(u @ vecs[:, 1]) * u
+    lam1, u = _inverse_iteration(problem, solve, vecs[:, 0], lambda x: x, 1e-10, 100, "lambda1")
+
+    def deflate(x):
+        return x - float(u @ x) * u
+
+    v = deflate(vecs[:, 1])
     v /= np.linalg.norm(v)
-    lam2 = rayleigh(v, problem.apply_a)
-    for _ in range(200):
-        av = problem.apply_a(v)
-        res = av - lam2 * v
-        res -= float(u @ res) * u
-        if np.linalg.norm(res) <= 1e-11 * abs(lam2):
-            break
-        v = solve(v)
-        v -= float(u @ v) * u
-        v /= np.linalg.norm(v)
-        lam2 = rayleigh(v, problem.apply_a)
-    else:
-        raise NoConvergence("deflated inverse iteration failed to reach the lambda2 residual target")
+    lam2, _ = _inverse_iteration(problem, solve, v, deflate, 1e-11, 200, "lambda2")
     lamn = _lanczos_top_value(problem.apply_a, n, tol=1e-11, maxit=budget, rng=rng.spawn(1))
     if lam2 - lam1 <= 1e-9 * lamn:
         raise DegenerateSmallestEigenvalue(

@@ -45,6 +45,7 @@ from .errors import (
     OutsideBasin,
     StepCapViolated,
     ZeroGradientAtNonEigenvector,
+    ZeroVector,
 )
 from .geometry import _clamp, make_state
 from .precond import apply_fwd_iterative
@@ -203,7 +204,7 @@ def rsd_solve(
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
-        raise ZeroGradientAtNonEigenvector("u0 is zero")
+        raise ZeroVector("u0 is zero")
     if maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
     if policy.kind in ("theory", "constant") and ctx is None:

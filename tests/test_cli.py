@@ -327,8 +327,14 @@ def test_table_unknown_name():
         ["table", "--name", "prob-kernel", "--trials", "0"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--maxit", "-1"],
         ["validate", "--sizes", "1"],
+        ["validate", "--seeds", "1", "--sizes", "6", "--samples", "0"],
+        ["validate", "--seeds", "1", "--sizes", "6", "--samples", "-2"],
+        ["validate", "--seeds", "0"],
     ],
-    ids=["prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative", "validate-size-1"],
+    ids=[
+        "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
+        "validate-size-1", "validate-samples-0", "validate-samples-negative", "validate-seeds-0",
+    ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
     assert main(argv) == 1
@@ -361,15 +367,60 @@ def test_table_phi_ddm_config(tmp_path):
     assert abs(float(row[2]) - 0.1961) <= 0.06  # cos2_phi at h=2^-4, H=2^-2
 
 
-def test_table_phi_cell_matches_phi(tmp_path, capsys):
-    # the table cell and the phi command make one measurement
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"h": [0.0625]}))
+def _table_cells(tmp_path, name, cfg, seed):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "t.csv"
-    assert main(["table", "--name", "phi-ddm-fixedH", "--config", str(cfg), "--out", str(out)]) == 0
-    header, row = (line.split(",") for line in out.read_text().splitlines())
-    cell = dict(zip(header, row))
-    payload = phi_json(tmp_path, "laplace-fem:h=2^-4", "ddm:H=2^-2,overlap=0.5")
-    for key in ("cos2_phi", "one_minus_inv_kappa", "chi"):
-        assert float(cell[key]) == payload[key]
+    argv = ["table", "--name", name, "--config", str(path), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _prob_fields(tmp_path, problem, recipe, sampler, trials, seed):
+    """Successes and fractions of both conditions from the prob command."""
+    out = tmp_path / "prob.csv"
+    argv = [
+        "prob", "--problem", problem, "--precond", recipe, "--sampler", sampler,
+        "--trials", str(trials), "--seed", str(seed), "--out", str(out),
+    ]
+    assert main(argv) == 0
+    (_, new, _, p_new), (_, classic, _, p_classic) = (
+        line.split(",") for line in out.read_text().splitlines()[1:]
+    )
+    return {"successes_new": new, "p_new": p_new, "successes_classic": classic, "p_classic": p_classic}
+
+
+def test_table_phi_cell_matches_phi(tmp_path, capsys):
+    # each cell of every table makes the phi or prob command's measurement
+    # for its pair and seed, bit for bit
+    phi_tables = [
+        ("phi-ddm-fixedH", {"h": [0.125, 0.0625]}),
+        ("phi-ddm-fixedh", {"h": 0.125, "H": [0.5, 0.25]}),
+    ]
+    for name, cfg in phi_tables:
+        cells = _table_cells(tmp_path, name, cfg, 0)
+        assert len(cells) == 2
+        for cell in cells:
+            payload = phi_json(
+                tmp_path, f"laplace-fem:h={cell['h']}", f"ddm:H={cell['H']},overlap=0.5"
+            )
+            for key in ("cos2_phi", "one_minus_inv_kappa", "chi"):
+                assert float(cell[key]) == payload[key], (name, cell)
+    seed = 3
+    [cell] = _table_cells(tmp_path, "prob-ddm", {"h": [0.125], "trials": 10}, seed)
+    expected = _prob_fields(
+        tmp_path, "laplace-fem:h=0.125", "ddm:H=0.25,overlap=0.5", "smooth", 10,
+        linalg.spawn_seed(seed, linalg.hash_label("prob-ddm:0.125")),
+    )
+    assert {key: cell[key] for key in expected} == expected
+    assert (cell["h"], cell["H"], cell["trials"]) == ("0.125", "0.25", "10")
+    cfg = {"n": [24], "trials": 10, "kernel_seed": 3}
+    [cell] = _table_cells(tmp_path, "prob-kernel", cfg, seed)
+    expected = _prob_fields(
+        tmp_path, "kernel-laplace:n=24,seed=3", "mp-chol", "gaussian", 10,
+        linalg.spawn_seed(seed, linalg.hash_label("prob-kernel:24")),
+    )
+    assert {key: cell[key] for key in expected} == expected
+    assert (cell["n"], cell["trials"]) == ("24", "10")
     capsys.readouterr()

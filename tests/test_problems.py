@@ -417,6 +417,42 @@ def test_reference_degenerate_smallest():
         prob.reference()
 
 
+def test_reference_lambda1_refinement_recovers_perturbed_start(monkeypatch):
+    # the Lanczos Ritz vector of every production problem already meets the
+    # lambda1 target; a start 1e-3 off u* makes the inverse iteration run
+    # about 20 steps and return the unperturbed reference
+    prob = build_problem("laplace-fem:h=2^-3")
+    ref = problems.reference_eigs(prob)
+    real = problems.lanczos_top_pairs
+    direction = pe.Rng(5).normal(prob.dim)
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        vecs = vecs.copy()
+        vecs[:, 0] += 1e-3 * direction / np.linalg.norm(direction)
+        vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
+        return vals, vecs
+
+    monkeypatch.setattr(problems, "lanczos_top_pairs", perturbed)
+    got = problems.reference_eigs(build_problem("laplace-fem:h=2^-3"))
+    assert abs(got.lam1 - ref.lam1) <= 1e-13 * ref.lam1
+    assert abs(got.lam2 - ref.lam2) <= 1e-12 * ref.lam2
+    assert got.lamn == ref.lamn
+    assert np.linalg.norm(got.u_star - ref.u_star) <= 1e-9
+
+
+def test_reference_lambda1_iteration_raises_when_out_of_steps(monkeypatch):
+    # lambda1 = 1 sits 1e-7 below lambda2, so inverse iteration started on
+    # (e1 + e2)/sqrt(2) barely moves in 100 steps and misses its target; it
+    # must not return that lambda1
+    vecs = np.zeros((3, 2))
+    vecs[0:2, 0] = math.sqrt(0.5)
+    vecs[2, 1] = 1.0
+    monkeypatch.setattr(problems, "lanczos_top_pairs", lambda *a, **k: (np.array([1.0, 0.2]), vecs))
+    with pytest.raises(NoConvergence, match="lambda1"):
+        pe.reference_eigs(dense_problem(np.diag([1.0, 1.0 + 1e-7, 5.0])))
+
+
 def test_reference_lambda2_iteration_raises_when_out_of_steps(monkeypatch):
     # lambda2 = 2 sits 1e-3 below lambda3, so inverse iteration started on
     # (e2 + e3)/sqrt(2) contracts by 2/2.001 a step and misses its target

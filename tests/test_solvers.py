@@ -9,7 +9,7 @@ import pytest
 
 import precondeig as pe
 from precondeig import cli, precond, solvers
-from precondeig.errors import InvalidC, MaxIterations, OutsideBasin, StepCapViolated
+from precondeig.errors import InvalidC, MaxIterations, OutsideBasin, StepCapViolated, ZeroVector
 from precondeig.solvers import TRACE_COLUMNS, step_constant, step_theory
 from tests.conftest import column, dense_problem, dense_roots, tight_fwd
 
@@ -57,6 +57,16 @@ def test_rsd_terminates_at_eigenvector():
     res = pe.rsd_solve(problem, precond, ctx.u_star, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
     assert res.reason == "ResidualTol"
     assert res.iterations == 0
+
+
+def test_rsd_zero_start_raises_zero_vector():
+    # the same typed error as check_initial for the same input
+    problem, precond, ctx, _, _, _ = setup_instance(0)
+    u0 = np.zeros(problem.dim)
+    with pytest.raises(ZeroVector):
+        pe.check_initial(u0, ctx)
+    with pytest.raises(ZeroVector):
+        pe.rsd_solve(problem, precond, u0, pe.StepPolicy.pinvit(), tol=1e-8, maxit=10)
 
 
 def test_classic_terminates_at_eigenvector():

@@ -187,3 +187,31 @@ def test_blocked_validator_matches_reference_points(n, kind, monkeypatch):
         _assert_same_reports(
             a, b, n_samples=500, seed=spawn_seed(seed, n), label=f"seed={seed},n={n},B={kind}",
         )
+
+
+def test_blocked_validator_reports_all_seven_checks_in_order(monkeypatch):
+    # every check fails somewhere: slack = -0.3 fails (i)-(v), nu_max = nu_min
+    # (kappa = 1) fails (vi), and a run whose distB grows fails (vii).  The
+    # report lists (vi), then (i)-(v) by sample, then (vii) by step, as the
+    # reference loop records them
+    monkeypatch.setattr(diagnostics, "_SLACK", -0.3)
+    real_init, real_solve = _DenseOracle.__init__, solvers.rsd_solve
+
+    def kappa_one(self, a, b):
+        real_init(self, a, b)
+        self.ctx.nu_max = self.ctx.nu_min
+
+    def growing(*args, **kwargs):
+        result = real_solve(*args, **kwargs)
+        for t, row in enumerate(result.trace.rows):
+            row["distB"] = 0.1 * (t + 1)
+        return result
+
+    monkeypatch.setattr(_DenseOracle, "__init__", kappa_one)
+    monkeypatch.setattr(solvers, "rsd_solve", growing)
+    a, b = dense_pencil(0, 6, "random-spd")
+    _assert_same_reports(a, b, n_samples=60, seed=spawn_seed(0, 6), label="all-seven")
+    checks = [v["check"] for v in pe.validate_properties(a, b, n_samples=60, seed=1).violations]
+    assert checks[0] == "vi" and checks[-1] == "vii"
+    assert set(checks) == {"i", "ii", "iii", "iv", "v", "vi", "vii"}
+    assert checks.index("vii") > max(i for i, c in enumerate(checks) if c != "vii")
