@@ -28,13 +28,16 @@ _DYADIC = re.compile(r"^2\^(-?\d+)$")
 
 
 def parse_dyadic(text):
-    m = _DYADIC.match(text.strip())
-    if m:
-        return 2.0 ** int(m.group(1))
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    try:
+        m = _DYADIC.match(text.strip())
+        if m:
+            return 2.0 ** int(m.group(1))
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(num) / float(den)
+        return float(text)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise RecipeError(f"{text!r} is not a finite number") from exc
 
 
 def _parse_params(body, kind="", required=()):
@@ -67,7 +70,7 @@ def build_problem(recipe):
         spec = problems.KernelSpec(
             kind="laplacian" if kind == "kernel-laplace" else "poly-complex",
             n=int(params["n"]),
-            d=int(params["d"]) if "d" in params else None,
+            d=int(params.get("d", params["n"])),
             seed=int(params.get("seed", 0)),
             tau=float(params.get("tau", 0.0)),
         )
@@ -160,7 +163,7 @@ def _initial_vector(init, problem, precond_obj, seed):
     raise RecipeError(f"unknown init {init!r}")
 
 
-def _emit(text, path=None):
+def _emit(text, path):
     """Write text to stdout and, when a path is given, to that file."""
     if path:
         with open(path, "w") as fh:
@@ -329,13 +332,22 @@ def cmd_table(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"--config must hold a JSON object, got {cfg!r}")
+
+    def grid(key, default):
+        values = cfg.get(key, default)
+        if not isinstance(values, list):
+            raise ValueError(f"--config key {key!r} of {args.name} must be a list, got {values!r}")
+        return values
+
     if args.name.startswith("phi-"):
         if args.name == "phi-ddm-fixedH":
             big_h = cfg.get("H", 0.25)
-            cells = [(h, big_h) for h in cfg.get("h", [2.0**-4, 2.0**-5, 2.0**-6])]
+            cells = [(h, big_h) for h in grid("h", [2.0**-4, 2.0**-5, 2.0**-6])]
         else:  # phi-ddm-fixedh
             h = cfg.get("h", 2.0**-6)
-            cells = [(h, big_h) for big_h in cfg.get("H", [2.0**-2, 2.0**-3])]
+            cells = [(h, big_h) for big_h in grid("H", [2.0**-2, 2.0**-3])]
         rows = [
             _cell(lambda: _phi(*_ddm_recipes(h, big_h)).to_json_dict(), h=h, H=big_h)
             for h, big_h in cells
@@ -343,6 +355,8 @@ def cmd_table(args):
         header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi"]
     else:
         trials = cfg.get("trials", args.trials)
+        if type(trials) is not int:
+            raise ValueError(f"--config key 'trials' must be an integer, got {trials!r}")
 
         def seed(value):
             return spawn_seed(args.seed, hash_label(f"{args.name}:{value}"))
@@ -351,14 +365,14 @@ def cmd_table(args):
             big_h = cfg.get("H", 0.25)
             rows = [
                 _cell(lambda: _prob(*_ddm_recipes(h, big_h), "smooth", trials, seed(h)), h=h, H=big_h)
-                for h in cfg.get("h", [2.0**-4])
+                for h in grid("h", [2.0**-4])
             ]
             header = ["h", "H"]
         else:  # prob-kernel
             problem = "kernel-laplace:n={},seed=" + str(cfg.get("kernel_seed", 7))
             rows = [
                 _cell(lambda: _prob(problem.format(n), "mp-chol", "gaussian", trials, seed(n)), n=n)
-                for n in cfg.get("n", [128, 256])
+                for n in grid("n", [128, 256])
             ]
             header = ["n"]
         header += ["successes_new", "successes_classic", "trials", "p_new", "p_classic"]
@@ -392,9 +406,9 @@ def build_parser():
     sp.add_argument("--problem", required=True)
     sp.add_argument("--precond", required=True)
     sp.add_argument("--step", default="theory", help="theory | const:c | fixed:value | pinvit")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--maxit", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=float, default=1e-8, help="residual target (default %(default)s)")
+    sp.add_argument("--maxit", type=int, default=2000, help="iterations (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=0, help="start seed (default %(default)s)")
     sp.add_argument("--init", default="smooth", choices=["gaussian", "smooth", "eigvec"])
     sp.add_argument("--trace", help="write per-iteration CSV here")
     sp.add_argument("--result", help="write result JSON here")
@@ -409,16 +423,19 @@ def build_parser():
     sp = sub.add_parser("prob", help="empirical success probabilities")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--precond", required=True)
-    sp.add_argument("--sampler", default="gaussian", choices=["gaussian", "smooth"])
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--sampler", default="gaussian", choices=["gaussian", "smooth"],
+        help="start u0 = omega or B^-1 omega, omega Gaussian (default %(default)s)",
+    )
+    sp.add_argument("--trials", type=int, default=100, help="starts (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the starts (default %(default)s)")
     sp.add_argument("--out", help="write CSV here")
     sp.set_defaults(fn=cmd_prob)
 
     sp = sub.add_parser("validate", help="numerically test every analysis inequality")
-    sp.add_argument("--seeds", type=int, default=20)
-    sp.add_argument("--sizes", default="6,12,20")
-    sp.add_argument("--samples", type=int, default=500)
+    sp.add_argument("--seeds", type=int, default=20, help="seeds 0..N-1 (default %(default)s)")
+    sp.add_argument("--sizes", default="6,12,20", help="instance sizes (default %(default)s)")
+    sp.add_argument("--samples", type=int, default=500, help="per instance (default %(default)s)")
     sp.add_argument("--inject-bug", choices=["a_x_sign"], help="negative control hook")
     sp.add_argument("--out", help="write report JSON here")
     sp.set_defaults(fn=cmd_validate)
@@ -426,8 +443,11 @@ def build_parser():
     sp = sub.add_parser("table", help="reproduce a desk-scale experiment table")
     sp.add_argument("--name", required=True)
     sp.add_argument("--config", help="JSON file overriding the default grid")
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--trials", type=int, default=200,
+        help="starts per prob cell unless the config sets trials (default %(default)s)",
+    )
+    sp.add_argument("--seed", type=int, default=0, help="seed of the starts (default %(default)s)")
     sp.add_argument("--out", help="write CSV here")
     sp.set_defaults(fn=cmd_table)
     return ap

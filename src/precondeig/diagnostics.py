@@ -9,7 +9,7 @@ context built from explicit dense B.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -125,8 +125,8 @@ class RateContext:
     cos_phi: float
     nu_min: float
     nu_max: float
-    problem: object = None
-    precond: object = None
+    problem: object  # problem and precond are None on the dense oracle's context
+    precond: object
 
     @property
     def kappa(self):
@@ -137,8 +137,9 @@ class RateContext:
         # asin(sin phi) is exactly pi/2 once sin phi rounds to 1
         return math.atan2(self.sin_phi, self.cos_phi)
 
-    def cos_dist_b(self, u, u_b_norm=1.0):
-        """cos dist_B(u, u*) using the cached forward application of u*."""
+    def cos_dist_b(self, u, u_b_norm):
+        """cos dist_B(u, u*) for ||u||_B = u_b_norm, using the cached forward
+        application of u*."""
         return _clamp(abs(float(np.asarray(u) @ self.w_star)) / (u_b_norm * self.norm_u_b))
 
 
@@ -267,8 +268,8 @@ class PrecondQuality:
     rho_b: float
     rho: float
     xi_inf: float
-    epsilon_l: float = None
-    epsilon_l_applicable: bool = None
+    epsilon_l: float  # None unless B is a (scaled) mixed-precision Cholesky
+    epsilon_l_applicable: bool
 
     def to_json_dict(self):
         out = {
@@ -330,11 +331,11 @@ def compute_quality(problem, precond):
 # ---------------------------------------------------------------------------
 
 
-def check_initial(u0, ctx, u0_b_norm_sq=None):
+def check_initial(u0, ctx, u0_b_norm_sq):
     """Evaluate both starting conditions.
 
-    u0_b_norm_sq may be supplied when u0^T B u0 is known from the sampler
-    identity; otherwise one forward application of the binary64 twin of B is
+    u0_b_norm_sq is u0^T B u0 when it is known from the sampler identity;
+    when it is None one forward application of the binary64 twin of B is
     spent.
     """
     u0 = np.asarray(u0, dtype=np.float64)
@@ -356,12 +357,13 @@ def check_initial(u0, ctx, u0_b_norm_sq=None):
     }
 
 
-def success_probability(problem, precond, sampler="gaussian", trials=100, seed=0, ctx=None):
-    """Empirical success fractions of the two starting conditions.
+def success_probability(problem, precond, sampler, trials, seed, ctx=None):
+    """Empirical success fractions of the two starting conditions over
+    `trials` starts, start t drawn from Rng(spawn_seed(seed, t)).
 
-    gaussian draws u0 = omega; smooth draws u0 = B^{-1} omega, for which
-    ||u0||_B^2 = u0^T omega requires no forward application.  Raises
-    ValueError for trials < 1.
+    sampler "gaussian" draws u0 = omega; "smooth" draws u0 = B^{-1} omega,
+    for which ||u0||_B^2 = u0^T omega requires no forward application.
+    ctx None builds the RateContext here.  Raises ValueError for trials < 1.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -427,8 +429,8 @@ class PropertyReport:
 
     label: str
     n_samples: int
-    checked: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
+    checked: dict
+    violations: list
 
 
 class _DenseOracle:
@@ -473,9 +475,12 @@ class _DenseOracle:
         return f, g, xcx
 
 
-def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
+def validate_properties(a, b, n_samples, seed, label, inject_bug):
     """Numerically test inequalities (i)-(vii) of the convergence analysis,
-    (i)-(v) each up to the absolute slack _SLACK.
+    (i)-(v) each up to the absolute slack _SLACK, on n_samples samples drawn
+    from Rng(seed).  label names the instance in the report and its
+    violations; inject_bug "a_x_sign" plants a sign error in a(x) as a
+    negative control, None runs the checks as they are.
 
     (i) smoothness, (ii) quadratic growth, (iii) weak-quasi-convexity,
     (iv) weak-quasi-strong-convexity, (v) the basin projection bound,
@@ -500,7 +505,6 @@ def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
     oracle = _DenseOracle(a, b)
     n = oracle.a.shape[0]
     rng = Rng(seed)
-    report = PropertyReport(label=label or f"n={n}", n_samples=n_samples)
     order = {key: i for i, key in enumerate(("i", "ii", "iii", "iv", "v", "vi", "vii"))}
     counts = dict.fromkeys(order, 0)
     failed = []  # (position, check, point, detail), put in report order below
@@ -585,7 +589,7 @@ def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
     from . import solvers  # local import: solvers depends on this module
     from .problems import EigenProblem
 
-    problem = EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v, label=report.label)
+    problem = EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v, label=label)
     precond = make_spd(oracle.b)
     start_dir = rng.normal(n)
     start_dir -= float(start_dir @ oracle.x_star) * oracle.x_star
@@ -618,9 +622,8 @@ def validate_properties(a, b, n_samples=500, seed=0, label="", inject_bug=None):
     )
 
     failed.sort(key=lambda item: (item[0], order[item[1]]))
-    report.violations = [
-        {"check": key, "label": report.label, "detail": detail, "x": point.copy()}
+    violations = [
+        {"check": key, "label": label, "detail": detail, "x": point.copy()}
         for _, key, point, detail in failed
     ]
-    report.checked = counts
-    return report
+    return PropertyReport(label=label, n_samples=n_samples, checked=counts, violations=violations)

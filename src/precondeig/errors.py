@@ -24,7 +24,7 @@ class DimensionMismatch(PrecondEigError):
 class MaxIterations(PrecondEigError):
     """Iteration budget exhausted.  Carries the best iterate seen so far."""
 
-    def __init__(self, message, best=None, iterations=None):
+    def __init__(self, message, best, iterations):
         self.best = best
         self.iterations = iterations
         super().__init__(message)

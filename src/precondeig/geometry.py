@@ -61,20 +61,21 @@ class IterateState:
     b_inv_r: np.ndarray
     r_binv_r: float
     g2: float
-    to_u: object = None  # x -> u; None when x is u
+    to_u: object  # x -> u; None when x is u
 
     @cached_property
     def u(self):
         return self.x if self.to_u is None else self.to_u(self.x)
 
 
-def make_state(x, apply_a, apply_b_inv, apply_m=None, to_u=None):
+def make_state(x, apply_a, apply_b_inv, apply_m, to_u):
     """Build the cached state for an iterate with ||u||_B = 1.
 
-    With apply_m None, x is u and apply_a, apply_b_inv are A and B^{-1}:
-    one A apply and one B^{-1} apply.  rsd_solve calls it so for a standard
-    problem, and for a mass-reduced one whose B acts on Ahat (identity,
-    exact, mp-chol), where the Ahat apply costs two banded R solves.
+    With apply_m and to_u None, x is u and apply_a, apply_b_inv are A and
+    B^{-1}: one A apply and one B^{-1} apply.  rsd_solve calls it so for a
+    standard problem, and for a mass-reduced one whose B acts on Ahat
+    (identity, exact, mp-chol), where the Ahat apply costs two banded R
+    solves.
     With apply_m given, x is the pencil iterate and apply_a, apply_b_inv,
     apply_m are K, B^{-1} and M; to_u maps x to u (R x) for state.u.
     rsd_solve calls it so for a B lifted by wrap_precond (ddm, scaled:ddm):

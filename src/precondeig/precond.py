@@ -64,7 +64,7 @@ class Preconditioner:
 class OperatorPreconditioner(Preconditioner):
     """B given directly by binary64 callables for B^{-1} v and B v."""
 
-    def __init__(self, dim, apply_inv_fn, apply_fwd_fn, label="operator"):
+    def __init__(self, dim, apply_inv_fn, apply_fwd_fn, label):
         self.dim = dim
         self._inv = apply_inv_fn
         self._fwd = apply_fwd_fn
@@ -142,7 +142,6 @@ class DdmPreconditioner(Preconditioner):
     def __init__(self, hierarchy, a_fine):
         self.dim = a_fine.shape[0]
         self.label = f"ddm:H={hierarchy.coarse_h:g},overlap={hierarchy.overlap_ratio:g}"
-        self.hierarchy = hierarchy
         self._i_h = hierarchy.prolongation.tocsr()
         self._i_h_t = self._i_h.T.tocsr()
         if self._i_h.shape[0] != self.dim:

@@ -6,7 +6,7 @@ dense kernel matrices from seeded Gaussian point clouds, and the reduction
 of an SPD pencil (A, M) to standard form through the Cholesky factor of M.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -33,7 +33,10 @@ from .precond import HattedPreconditioner
 
 
 def _as_inverse_width(h, minimum=2):
-    inv = round(1.0 / float(h))
+    try:
+        inv = round(1.0 / float(h))
+    except (ZeroDivisionError, OverflowError, ValueError):  # h = 0, 1/h = inf, or NaN
+        inv = 0
     if inv < minimum or abs(inv * float(h) - 1.0) > 1e-12:
         raise InvalidMeshWidth(f"1/h must be an integer >= {minimum}, got h={h}")
     return inv
@@ -57,8 +60,7 @@ class EigenProblem:
     """
 
     def __init__(
-        self, dim, apply_a, matrix=None, solve_a=None, label="", r_factor=None, pencil=None,
-        meta=None,
+        self, dim, apply_a, label, matrix=None, solve_a=None, r_factor=None, pencil=None, meta=None
     ):
         self.dim = dim
         self.apply_a = apply_a
@@ -195,7 +197,7 @@ class MeshHierarchy:
     coarse_h: float
     overlap_ratio: float
     prolongation: scipy.sparse.csr_matrix  # fine interior x coarse interior
-    subdomains: list = field(default_factory=list)
+    subdomains: list
 
 
 def mesh_hierarchy(H, h, overlap_ratio):
@@ -289,15 +291,15 @@ def laplace_fem(h):
 class KernelSpec:
     kind: str  # "laplacian" | "poly-complex" (real points: no imaginary term)
     n: int
-    d: int = None
-    seed: int = 0
-    tau: float = 0.0
+    d: int  # point dimension
+    seed: int
+    tau: float
 
     def __post_init__(self):
         if self.n < 2:
             raise InvalidMeshWidth("kernel matrices need n >= 2")
-        if self.d is None:
-            self.d = self.n
+        if self.d < 1:
+            raise InvalidMeshWidth(f"kernel points need dimension d >= 1, got d={self.d}")
         if self.kind not in ("laplacian", "poly-complex"):
             raise InvalidMeshWidth(f"unknown kernel kind {self.kind!r}")
 

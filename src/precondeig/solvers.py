@@ -35,7 +35,7 @@ which always lies below the cap pi / (2 g); StepPolicy.pinvit() runs it.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +69,11 @@ NAN = float("nan")
 @dataclass
 class StepPolicy:
     """Step-size policy of rsd_solve: theory-local a(x)/gamma(x), the
-    constant step c / (kappa^2 (1/l1 - 1/ln)), a fixed user value, or
-    classical PINVIT (eta* = 1, needs no RateContext)."""
+    constant step value / (kappa^2 (1/l1 - 1/ln)), a fixed step value, or
+    classical PINVIT (eta* = 1, needs no RateContext).  value is the c of
+    the constant step or the fixed step, None for the other two kinds."""
 
     kind: str
-    c: float = None
     value: float = None
 
     @classmethod
@@ -84,7 +84,7 @@ class StepPolicy:
     def constant(cls, c):
         if not 0.0 < c < 0.5:
             raise InvalidC(f"need 0 < c < 1/2, got {c}")
-        return cls(kind="constant", c=c)
+        return cls(kind="constant", value=c)
 
     @classmethod
     def fixed(cls, value):
@@ -135,7 +135,7 @@ class SolveResult:
     lam: float
     iterations: int
     reason: str  # "ResidualTol" | "MaxIters" | "StagnatedStep"
-    trace: Trace = field(default_factory=Trace)
+    trace: Trace
 
 
 def step_theory(cos_dist, ctx):
@@ -172,9 +172,9 @@ def rsd_solve(
     precond,
     u0,
     policy,
-    tol=1e-8,
-    maxit=1000,
-    ctx=None,
+    tol,
+    maxit,
+    ctx,
     stagnation_window=30,
     callback=None,
 ):
@@ -193,7 +193,7 @@ def rsd_solve(
     exit records its trigger values (flat_steps, window_best, best_before)
     as a StagnatedStep event in the trace.
     policies "theory" and "constant" and the trace fields distB/xi need a
-    RateContext.
+    RateContext ctx; with ctx None distB and xi are NaN.
     `callback(t, state)` is invoked for every visited iterate, the terminal
     one included; its state.u is the u-space iterate and its scalars are the
     u-space values on either route.  ||u0||_B is measured once (a nested PCG
@@ -295,7 +295,7 @@ def rsd_solve(
                     # back to the capped constant step (no contraction claimed)
                     eta = min(step_constant(ctx, 0.25), math.pi / (4.0 * g))
             elif policy.kind == "constant":
-                eta = step_constant(ctx, policy.c)
+                eta = step_constant(ctx, policy.value)
             else:
                 eta = policy.value
             if eta * g >= math.pi / 2.0:

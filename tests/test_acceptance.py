@@ -114,7 +114,7 @@ def test_criterion_2_property_suite():
             ):
                 rep = pe.validate_properties(
                     a, b, n_samples=500, seed=pe.linalg.spawn_seed(seed, n),
-                    label=f"seed={seed},n={n},B={kind}",
+                    label=f"seed={seed},n={n},B={kind}", inject_bug=None,
                 )
                 violations += len(rep.violations)
                 checks += sum(rep.checked.values())
@@ -283,7 +283,7 @@ KERNEL_SEED = 7
 def test_criterion_7_mixed_precision_bound():
     """Distortion of the binary32-Cholesky preconditioner on the kernel matrix."""
     t0 = time.time()
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=256, seed=KERNEL_SEED))
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=256, d=256, seed=KERNEL_SEED, tau=0.0))
     mp = pe.make_mp_cholesky(prob.matrix)
     ctx = pe.build_rate_context(prob, mp)
     eps, applicable = pe.epsilon_l(256, ctx.lam1, ctx.lamn)
@@ -303,7 +303,7 @@ def test_criterion_7_mixed_precision_bound():
 def test_criterion_8_success_probabilities():
     """Desk-scale versions of the empirical probability tables."""
     t0 = time.time()
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=256, seed=KERNEL_SEED))
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=256, d=256, seed=KERNEL_SEED, tau=0.0))
     mp = pe.make_mp_cholesky(prob.matrix)
     ctx = pe.build_rate_context(prob, mp)
     kernel = pe.success_probability(prob, mp, sampler="gaussian", trials=100, seed=3, ctx=ctx)
@@ -342,7 +342,7 @@ def test_criterion_9_classical_pinvit_bound(monkeypatch):
     rho = 1.0 - (1.0 - rho_b) * (1.0 - ref.lam1 / ref.lam2)
     u0 = ref.u_star + 0.1 * pe.gaussian_vector(pe.Rng(5), problem.dim) / math.sqrt(problem.dim)
     assert pe.rayleigh(u0, problem.apply_a) < ref.lam2
-    res = pe.rsd_solve(problem, scaled, u0, pe.StepPolicy.pinvit(), tol=1e-10, maxit=300)
+    res = pe.rsd_solve(problem, scaled, u0, pe.StepPolicy.pinvit(), tol=1e-10, maxit=300, ctx=None)
     lams = column(res.trace, "lambda")
     ratios = (lams - ref.lam1) / (ref.lam2 - lams)
     bad = sum(

@@ -285,7 +285,7 @@ def test_prob_eigvec_init_equivalent(capsys):
     prob = build_problem("laplace-fd:h=2^-3")
     p = build_precond("exact", prob)
     ctx = pe.build_rate_context(prob, p)
-    rep = pe.check_initial(ctx.u_star, ctx)
+    rep = pe.check_initial(ctx.u_star, ctx, u0_b_norm_sq=None)
     assert rep["condition_new"] and rep["condition_classic"]
 
 
@@ -330,14 +330,40 @@ def test_table_unknown_name():
         ["validate", "--seeds", "1", "--sizes", "6", "--samples", "0"],
         ["validate", "--seeds", "1", "--sizes", "6", "--samples", "-2"],
         ["validate", "--seeds", "0"],
+        ["phi", "--problem", "laplace-fd:h=0", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fem:h=0", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fd:h=1/0", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fd:h=2^99999", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=0"],
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
         "validate-size-1", "validate-samples-0", "validate-samples-negative", "validate-seeds-0",
+        "fd-h-0", "fem-h-0", "fd-h-1-over-0", "fd-h-overflow", "ddm-H-0",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
     assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("prob-kernel", [1]),
+        ("prob-kernel", {"n": 24}),
+        ("phi-ddm-fixedH", {"h": 0.3}),
+        ("prob-kernel", {"trials": "x"}),
+    ],
+    ids=["top-level-list", "n-not-a-list", "h-not-a-list", "trials-not-an-integer"],
+)
+def test_badly_typed_table_config_exits_1_with_one_error_line(name, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["table", "--name", name, "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -114,7 +114,9 @@ def test_seed13_mp_chol_cos_phi_to_relative_precision():
 
 def test_seed13_mp_chol_properties_hold():
     a, b = seed13_mp_chol_pair()
-    rep = pe.validate_properties(a, b, n_samples=500, seed=pe.linalg.spawn_seed(13, 6))
+    rep = pe.validate_properties(
+        a, b, n_samples=500, seed=pe.linalg.spawn_seed(13, 6), label="", inject_bug=None
+    )
     assert rep.violations == []
 
 
@@ -258,7 +260,7 @@ def test_kappa_lanczos_route_applies_a_once_per_step():
 
 def test_gamma_diag_identity_at_x_star():
     problem, p, ctx = diag_ctx(lambda pr: pe.make_identity(3))
-    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv)
+    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
     # 2 * numax * (1/l1 - 1/ln) / (u^T A u) = 2*4*(3/4)/1
     assert abs(pe.gamma_x(state.uau, ctx) - 6.0) <= 1e-9
 
@@ -270,13 +272,13 @@ def test_gamma_global_bound():
     for _ in range(100):
         u = rng.normal(10)
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, p.apply_inv)
+        state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
         assert pe.gamma_x(state.uau, ctx) <= bound + 1e-12
 
 
 def test_mu_diag_identity_at_x_star():
     problem, p, ctx = diag_ctx(lambda pr: pe.make_identity(3))
-    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv)
+    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
     assert abs(pe.mu_x(state.uau, ctx) - 4.0 / math.pi**2) <= 1e-10
 
 
@@ -287,7 +289,7 @@ def test_mu_lower_bound():
     for _ in range(100):
         u = rng.normal(10)
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, p.apply_inv)
+        state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
         assert pe.mu_x(state.uau, ctx) >= mu0 - 1e-12
 
 
@@ -298,7 +300,7 @@ def test_mu_matches_dense_x_space_formula():
     rng = pe.Rng(5)
     u = rng.normal(10)
     u /= math.sqrt(u @ b @ u)
-    state = pe.make_state(u, problem.apply_a, p.apply_inv)
+    state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
     x = b_sqrt @ u
     expected = (
         8.0
@@ -314,8 +316,8 @@ def test_a_positive_at_x_star_zero_at_phi():
     problem, p, ctx, a, b = random_ctx(40)
     b_sqrt, b_inv_sqrt, _ = dense_roots(b)
     u_at = ctx.u_star / math.sqrt(ctx.u_star @ b @ ctx.u_star)
-    state = pe.make_state(u_at, problem.apply_a, p.apply_inv)
-    assert pe.a_x(ctx.cos_dist_b(state.u), state.uau, ctx) > 0.0
+    state = pe.make_state(u_at, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    assert pe.a_x(ctx.cos_dist_b(state.u, u_b_norm=1.0), state.uau, ctx) > 0.0
     # construct a state at distance exactly phi
     x_star = b_sqrt @ ctx.u_star
     x_star /= np.linalg.norm(x_star)
@@ -324,8 +326,8 @@ def test_a_positive_at_x_star_zero_at_phi():
     d /= np.linalg.norm(d)
     x_phi = pe.sphere_exp(x_star, ctx.phi * d)
     u_phi = b_inv_sqrt @ x_phi
-    state_phi = pe.make_state(u_phi, problem.apply_a, p.apply_inv)
-    assert abs(pe.a_x(ctx.cos_dist_b(state_phi.u), state_phi.uau, ctx)) <= 1e-8
+    state_phi = pe.make_state(u_phi, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    assert abs(pe.a_x(ctx.cos_dist_b(state_phi.u, u_b_norm=1.0), state_phi.uau, ctx)) <= 1e-8
 
 
 def test_a_lower_bound_under_margin():
@@ -344,8 +346,8 @@ def test_a_lower_bound_under_margin():
         x = pe.sphere_exp(x_star, dist * d)
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, p.apply_inv)
-        assert pe.a_x(ctx.cos_dist_b(state.u), state.uau, ctx) >= c / ctx.kappa - 1e-10
+        state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+        assert pe.a_x(ctx.cos_dist_b(state.u, u_b_norm=1.0), state.uau, ctx) >= c / ctx.kappa - 1e-10
 
 
 def test_xi_consistency_with_parts():
@@ -362,7 +364,7 @@ def test_xi_consistency_with_parts():
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
         xi, state = traced_xi(problem, p, ctx, u)
-        a_val = pe.a_x(ctx.cos_dist_b(state.u), state.uau, ctx)
+        a_val = pe.a_x(ctx.cos_dist_b(state.u, u_b_norm=1.0), state.uau, ctx)
         parts = a_val**2 * pe.mu_x(state.uau, ctx) / pe.gamma_x(state.uau, ctx)
         assert abs(xi - parts) <= 1e-12 * max(1.0, abs(parts))
 
@@ -444,7 +446,7 @@ def test_quality_json_field_names():
 
 
 def test_quality_mp_chol_includes_epsilon():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=48, seed=3))
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=48, d=48, seed=3, tau=0.0))
     q = pe.compute_quality(prob, pe.make_mp_cholesky(prob.matrix))
     payload = q.to_json_dict()
     assert "epsilon_l" in payload and "epsilon_l_applicable" in payload
@@ -472,7 +474,7 @@ def test_rho_b_equals_scaled_pencil_extremes():
 
 def test_check_initial_at_eigenvector():
     problem, p, ctx, _, b = random_ctx(50)
-    report = pe.check_initial(ctx.u_star, ctx)
+    report = pe.check_initial(ctx.u_star, ctx, u0_b_norm_sq=None)
     assert report["condition_new"] and report["condition_classic"]
     assert report["dist_b"] <= 1e-6
 
@@ -482,7 +484,7 @@ def test_check_initial_b_orthogonal():
     w = ctx.w_star
     v = pe.Rng(11).normal(10)
     v -= (float(v @ w) / float(ctx.u_star @ w)) * ctx.u_star  # v^T B u* = 0
-    report = pe.check_initial(v, ctx)
+    report = pe.check_initial(v, ctx, u0_b_norm_sq=None)
     assert not report["condition_new"]
     assert abs(report["dist_b"] - math.pi / 2.0) <= 1e-10
 
@@ -509,20 +511,20 @@ def test_success_probability_deterministic_per_seed():
 
 
 def test_validate_diag_identity_passes():
-    rep = pe.validate_properties(DIAG, np.eye(3), n_samples=500, seed=0)
+    rep = pe.validate_properties(DIAG, np.eye(3), n_samples=500, seed=0, label="", inject_bug=None)
     assert not rep.violations, rep.violations[:3]
     assert rep.checked["i"] == 500 and rep.checked["vi"] == 1 and rep.checked["vii"] > 0
 
 
 def test_validate_random_pair_passes():
     a, b = random_spd_pair(9, 12)
-    rep = pe.validate_properties(a, b, n_samples=500, seed=9)
+    rep = pe.validate_properties(a, b, n_samples=500, seed=9, label="", inject_bug=None)
     assert not rep.violations, rep.violations[:3]
 
 
 def test_validate_bug_injection_fails_at_iii():
     a, b = random_spd_pair(9, 12)
-    rep = pe.validate_properties(a, b, n_samples=200, seed=9, inject_bug="a_x_sign")
+    rep = pe.validate_properties(a, b, n_samples=200, seed=9, label="", inject_bug="a_x_sign")
     assert rep.violations
     assert any(v["check"] == "iii" for v in rep.violations)
     # counterexample vector is carried with the violation
@@ -532,10 +534,10 @@ def test_validate_bug_injection_fails_at_iii():
 def test_validate_evaluates_the_solver_rate_functions(monkeypatch):
     # a 100x mu in diagnostics.mu_x must surface as (ii) violations
     a, b = random_spd_pair(0, 6)
-    assert not pe.validate_properties(a, b, n_samples=100, seed=0).violations
+    assert not pe.validate_properties(a, b, n_samples=100, seed=0, label="", inject_bug=None).violations
     mu_x = diagnostics.mu_x
     monkeypatch.setattr(diagnostics, "mu_x", lambda uau, ctx: 100.0 * mu_x(uau, ctx))
-    rep = pe.validate_properties(a, b, n_samples=100, seed=0)
+    rep = pe.validate_properties(a, b, n_samples=100, seed=0, label="", inject_bug=None)
     assert any(v["check"] == "ii" for v in rep.violations)
 
 
@@ -588,4 +590,6 @@ def test_dense_oracle_mp_chol_matches_extended_precision(seed, n):
 
 def test_validate_rejects_indefinite():
     with pytest.raises(PropertyViolation):
-        pe.validate_properties(np.diag([1.0, -1.0]), np.eye(2), n_samples=10, seed=0)
+        pe.validate_properties(
+            np.diag([1.0, -1.0]), np.eye(2), n_samples=10, seed=0, label="", inject_bug=None
+        )

@@ -49,8 +49,8 @@ def test_rayleigh_zero_vector():
 
 def test_f_value_minimum_and_direct():
     # f does not depend on B
-    assert pe.make_state(np.array([1.0, 0.0, 0.0]), apply_diag, lambda v: v).f == -1.0
-    assert abs(pe.make_state(np.ones(3), apply_diag, lambda v: v).f - (-3.0 / 7.0)) <= 1e-15
+    assert pe.make_state(np.array([1.0, 0.0, 0.0]), apply_diag, lambda v: v, None, None).f == -1.0
+    assert abs(pe.make_state(np.ones(3), apply_diag, lambda v: v, None, None).f - (-3.0 / 7.0)) <= 1e-15
 
 
 def test_f_value_matches_x_space_oracle():
@@ -64,7 +64,7 @@ def test_f_value_matches_x_space_oracle():
         x = b_sqrt @ u
         x /= np.linalg.norm(x)
         expected = -float(x @ b_inv @ x) / float(x @ c @ x)
-        got = pe.make_state(u, lambda v: a @ v, lambda v: v).f
+        got = pe.make_state(u, lambda v: a @ v, lambda v: v, apply_m=None, to_u=None).f
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
@@ -85,13 +85,15 @@ def _xspace_grad(a, b, x):
 
 def test_grad_zero_at_eigenvector():
     b = random_spd(30, 3)
-    state = pe.make_state(np.array([1.0, 0.0, 0.0]), apply_diag, lambda v: np.linalg.solve(b, v))
+    state = pe.make_state(
+        np.array([1.0, 0.0, 0.0]), apply_diag, lambda v: np.linalg.solve(b, v), apply_m=None, to_u=None
+    )
     assert state.g2 <= 1e-24
 
 
 def test_grad_matches_dense_oracle_identity_b():
     u = np.ones(3) / math.sqrt(3.0)
-    state = pe.make_state(u, apply_diag, lambda v: v)
+    state = pe.make_state(u, apply_diag, lambda v: v, apply_m=None, to_u=None)
     x = u.copy()  # B = I: x = u
     g = _xspace_grad(DIAG, np.eye(3), x)
     assert abs(state.g2 - float(g @ g)) <= 1e-12
@@ -105,7 +107,7 @@ def test_grad_matches_dense_oracle_random(seed):
     b_sqrt, b_inv_sqrt, b_inv = dense_roots(b)
     u = pe.Rng(seed).normal(n)
     u /= math.sqrt(u @ b @ u)  # ||u||_B = 1, as the identity requires
-    state = pe.make_state(u, lambda v: a @ v, lambda v: np.linalg.solve(b, v))
+    state = pe.make_state(u, lambda v: a @ v, lambda v: np.linalg.solve(b, v), apply_m=None, to_u=None)
     x = b_sqrt @ u
     g = _xspace_grad(a, b, x / np.linalg.norm(x))
     assert abs(state.g2 - float(g @ g)) <= 1e-10 * max(1.0, float(g @ g))
@@ -114,10 +116,10 @@ def test_grad_matches_dense_oracle_random(seed):
 def test_grad_zero_iff_residual_zero():
     b = random_spd(31, 3)
     b_inv_apply = lambda v: np.linalg.solve(b, v)  # noqa: E731
-    at_eig = pe.make_state(np.array([1.0, 0.0, 0.0]), apply_diag, b_inv_apply)
+    at_eig = pe.make_state(np.array([1.0, 0.0, 0.0]), apply_diag, b_inv_apply, apply_m=None, to_u=None)
     assert np.linalg.norm(at_eig.r) <= 1e-12 * at_eig.lam * math.sqrt(at_eig.uu)
     assert at_eig.g2 <= 1e-24
-    away = pe.make_state(np.ones(3), apply_diag, b_inv_apply)
+    away = pe.make_state(np.ones(3), apply_diag, b_inv_apply, apply_m=None, to_u=None)
     assert np.linalg.norm(away.r) > 1e-6
     assert away.g2 > 1e-12
 
@@ -268,7 +270,9 @@ def test_u_x_consistency(seed, n):
         x = b_sqrt @ u
         x /= np.linalg.norm(x)
         f_x = -float(x @ b_inv @ x) / float(x @ c @ x)
-        state = pe.make_state(u, lambda v: a @ v, lambda v: np.linalg.solve(b, v))
+        state = pe.make_state(
+            u, lambda v: a @ v, lambda v: np.linalg.solve(b, v), apply_m=None, to_u=None
+        )
         assert abs(state.f - f_x) <= 1e-10 * abs(f_x)
         g = _xspace_grad(a, b, x)
         g2 = float(g @ g)
@@ -316,7 +320,7 @@ def test_make_state_pencil_matches_u_space(seed):
         x, lambda v: k @ v, lambda v: np.linalg.solve(b, v), apply_m=lambda v: m @ v,
         to_u=lambda v: r @ v,
     )
-    reduced = pe.make_state(u, lambda v: a_hat @ v, lambda v: b_hat_inv @ v)
+    reduced = pe.make_state(u, lambda v: a_hat @ v, lambda v: b_hat_inv @ v, apply_m=None, to_u=None)
     for name in STATE_SCALARS:
         want = getattr(reduced, name)
         assert abs(getattr(pencil, name) - want) <= 1e-13 * abs(want), name
@@ -336,7 +340,7 @@ def test_make_state_without_apply_m_is_the_u_space_call():
     def apply_b_inv(v):
         return np.linalg.solve(b, v)
 
-    state = pe.make_state(u, apply_a, apply_b_inv)
+    state = pe.make_state(u, apply_a, apply_b_inv, apply_m=None, to_u=None)
     want = make_state_u_space(u, apply_a, apply_b_inv)
     for name, value in want.items():
         if isinstance(value, np.ndarray):

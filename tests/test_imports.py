@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, every public name
 and every public class member has a caller inside the package, every
-defaulted parameter is passed by some production call, and importing the
-package stays light.
+defaulted parameter is both passed and omitted by production calls, every
+defaulted dataclass field is omitted by some production construction, and
+importing the package stays light.
 
 Checked with the standard-library ast module.  An imported name counts as
 used when it is read anywhere in the module or listed in its __all__.  A
@@ -167,10 +168,9 @@ def passes(call, position, name):
     return position is not None and len(call.args) > position
 
 
-def test_every_defaulted_parameter_is_passed_in_src():
-    # a default that only tests override is a knob no user selects; the
-    # entry point cli.main(argv) is exempt, its callers live outside
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+def production_calls(trees):
+    """Calls in the package and in perfbench/workloads.py, keyed by the name
+    they call."""
     calls = {}
     for tree in [*trees.values(), ast.parse(WORKLOADS.read_text())]:
         for node in ast.walk(tree):
@@ -178,6 +178,14 @@ def test_every_defaulted_parameter_is_passed_in_src():
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # a default that only tests override is a knob no user selects; the
+    # entry point cli.main(argv) is exempt, its callers live outside
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    calls = production_calls(trees)
     unpassed = [
         f"{module}.{callee}({name})"
         for module, tree in sorted(trees.items())
@@ -187,6 +195,56 @@ def test_every_defaulted_parameter_is_passed_in_src():
         if not any(passes(call, position, name) for call in calls.get(callee, []))
     ]
     assert unpassed == []
+
+
+def test_every_defaulted_parameter_is_omitted_in_src():
+    # a default that every production call overrides runs only in tests;
+    # cli.main(argv) is omitted by `sys.exit(main())`
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    calls = production_calls(trees)
+    always_passed = [
+        f"{module}.{callee}({name})"
+        for module, tree in sorted(trees.items())
+        for callee, fn, is_method in functions(tree)
+        for position, name in defaulted_params(fn, is_method)
+        if all(passes(call, position, name) for call in calls.get(callee, []))
+    ]
+    assert always_passed == []
+
+
+def defaulted_fields(cls):
+    """(position, name) of each field of a dataclass that has a default."""
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return [(i, s.target.id) for i, s in enumerate(fields) if s.value is not None]
+
+
+def test_every_defaulted_field_is_omitted_in_src():
+    # as for parameters; a cls(...) inside a classmethod constructs its class
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    calls = production_calls(trees)
+    always_passed = []
+    for module, tree in sorted(trees.items()):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list
+            ):
+                continue
+            built = list(calls.get(cls.name, []))
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list
+                ):
+                    built += [
+                        node for node in ast.walk(fn)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "cls"
+                    ]
+            always_passed += [
+                f"{module}.{cls.name}.{name}"
+                for position, name in defaulted_fields(cls)
+                if all(passes(call, position, name) for call in built)
+            ]
+    assert always_passed == []
 
 
 def test_import_leaves_scipy_io_unloaded():

@@ -398,13 +398,15 @@ def test_lanczos_top_pairs_across_basis_blocks():
         (lambda: pe.lanczos_extremal(lambda v: 2.0 * v, 5, 1e-10, 5, pe.Rng(2024), None), (2.0, 2.0)),
         (
             lambda: pe.kappa_nu(
-                pe.EigenProblem(dim=300, apply_a=lambda v: 2.0 * v, matrix=2.0 * np.eye(300)),
+                pe.EigenProblem(dim=300, apply_a=lambda v: 2.0 * v, matrix=2.0 * np.eye(300), label=""),
                 pe.make_identity(300),
             ),
             (2.0, 2.0, 1.0),
         ),
         (
-            lambda: pe.EigenProblem(dim=5, apply_a=lambda v: 2.0 * v, solve_a=lambda v: 0.5 * v).reference(),
+            lambda: pe.EigenProblem(
+                dim=5, apply_a=lambda v: 2.0 * v, solve_a=lambda v: 0.5 * v, label=""
+            ).reference(),
             DegenerateSmallestEigenvalue,
         ),
     ],

@@ -218,7 +218,7 @@ def test_epsilon_l_values():
 
 def test_mp_chol_kernel_distortion_bound():
     # desk-scale version of the kernel experiment (acceptance runs n = 256)
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=96, seed=7))
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=96, d=96, seed=7, tau=0.0))
     p = pe.make_mp_cholesky(prob.matrix)
     ctx = pe.build_rate_context(prob, p)
     eps, ok = pe.epsilon_l(96, ctx.lam1, ctx.lamn)
@@ -255,7 +255,7 @@ def test_ddm_additivity(h, big_h):
     k = pe.fem_p1(h)[0].tocsr()
     v = pe.Rng(4).normal(ddm.dim)
     total = ddm.coarse_part(v)
-    for idx in ddm.hierarchy.subdomains:
+    for idx in pe.mesh_hierarchy(big_h, h, 0.5).subdomains:
         total[idx] += scipy.sparse.linalg.splu(k[np.ix_(idx, idx)].tocsc()).solve(v[idx])
     assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-14 * np.linalg.norm(total)
 
@@ -264,7 +264,7 @@ def test_ddm_additivity(h, big_h):
 def test_ddm_coarse_part_equals_transpose_product(h, big_h):
     # the kept CSR transpose sums each coarse entry in the order i_h.T @ v does
     _, ddm, _ = fem_ddm(h, big_h)
-    i_h = ddm.hierarchy.prolongation.tocsr()
+    i_h = pe.mesh_hierarchy(big_h, h, 0.5).prolongation.tocsr()
     a_coarse = (i_h.T @ pe.fem_p1(h)[0] @ i_h).tocsc()
     solve = scipy.sparse.linalg.splu(a_coarse).solve
     for seed in range(3):
@@ -361,7 +361,7 @@ def test_spectral_scale_preserves_eigvecs_scales_values():
 
 def test_operator_preconditioner_roundtrip():
     a = random_spd(19, 7)
-    p = OperatorPreconditioner(7, lambda v: np.linalg.solve(a, v), lambda v: a @ v)
+    p = OperatorPreconditioner(7, lambda v: np.linalg.solve(a, v), lambda v: a @ v, label="operator")
     v = pe.Rng(6).normal(7)
     assert np.linalg.norm(p.apply_fwd(p.apply_inv(v)) - v) <= 1e-10 * np.linalg.norm(v)
 

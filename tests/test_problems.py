@@ -220,12 +220,12 @@ def test_coarse_galerkin_equals_assembled():
 
 
 def test_kernel_diagonal_is_ones():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=16, seed=3))
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=16, d=16, seed=3, tau=0.0))
     assert np.array_equal(np.diag(prob.matrix), np.ones(16))
 
 
 def test_kernel_tau_shifts_the_diagonal_and_a_non_spd_shift_raises():
-    spec = pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0)
+    spec = pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0, tau=0.0)
     with pytest.raises(NotSpd):
         pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0, tau=-1.5))
     base = pe.kernel_matrix(spec).matrix
@@ -234,12 +234,12 @@ def test_kernel_tau_shifts_the_diagonal_and_a_non_spd_shift_raises():
 
 
 def test_kernel_symmetric_exactly():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=32, seed=5))
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=32, d=32, seed=5, tau=0.0))
     assert np.array_equal(prob.matrix, prob.matrix.T)
 
 
 def test_poly_kernel_matches_entrywise_oracle():
-    spec = pe.KernelSpec(kind="poly-complex", n=8, seed=11)
+    spec = pe.KernelSpec(kind="poly-complex", n=8, d=8, seed=11, tau=0.0)
     prob = pe.kernel_matrix(spec)
     # rebuild the points exactly as the generator draws them
     rng = pe.Rng(11)
@@ -254,7 +254,13 @@ def test_poly_kernel_matches_entrywise_oracle():
 
 def test_kernel_rejects_tiny_n():
     with pytest.raises(InvalidMeshWidth):
-        pe.KernelSpec(kind="laplacian", n=1, seed=0)
+        pe.KernelSpec(kind="laplacian", n=1, d=1, seed=0, tau=0.0)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_kernel_rejects_point_dimension_below_one(d):
+    with pytest.raises(InvalidMeshWidth, match=f"d={d}"):
+        pe.KernelSpec(kind="laplacian", n=8, d=d, seed=0, tau=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +363,7 @@ def test_reference_fd_analytic():
 
 
 def test_reference_kernel_matches_jacobi():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=128, seed=7))
+    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=128, d=128, seed=7, tau=0.0))
     ref = prob.reference()
     w, _ = pe.dense_sym_eig(prob.matrix)
     assert abs(ref.lam1 - w[0]) <= 1e-10 * abs(w[0])

@@ -54,7 +54,9 @@ def in_basin_start(ctx, x_star, b_inv_sqrt, frac, seed):
 
 def test_rsd_terminates_at_eigenvector():
     problem, precond, ctx, _, _, _ = setup_instance(0)
-    res = pe.rsd_solve(problem, precond, ctx.u_star, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
+    res = pe.rsd_solve(
+        problem, precond, ctx.u_star, pe.StepPolicy.theory(), tol=1e-8, maxit=1000, ctx=ctx
+    )
     assert res.reason == "ResidualTol"
     assert res.iterations == 0
 
@@ -64,14 +66,16 @@ def test_rsd_zero_start_raises_zero_vector():
     problem, precond, ctx, _, _, _ = setup_instance(0)
     u0 = np.zeros(problem.dim)
     with pytest.raises(ZeroVector):
-        pe.check_initial(u0, ctx)
+        pe.check_initial(u0, ctx, u0_b_norm_sq=None)
     with pytest.raises(ZeroVector):
-        pe.rsd_solve(problem, precond, u0, pe.StepPolicy.pinvit(), tol=1e-8, maxit=10)
+        pe.rsd_solve(problem, precond, u0, pe.StepPolicy.pinvit(), tol=1e-8, maxit=10, ctx=None)
 
 
 def test_classic_terminates_at_eigenvector():
     problem, precond, ctx, _, _, _ = setup_instance(1)
-    res = pe.rsd_solve(problem, precond, ctx.u_star, pe.StepPolicy.pinvit(), tol=1e-8, ctx=ctx)
+    res = pe.rsd_solve(
+        problem, precond, ctx.u_star, pe.StepPolicy.pinvit(), tol=1e-8, maxit=1000, ctx=ctx
+    )
     assert res.reason == "ResidualTol"
     assert res.iterations == 0
 
@@ -79,7 +83,7 @@ def test_classic_terminates_at_eigenvector():
 def test_rsd_lambda_is_rayleigh_of_returned_u():
     problem, precond, ctx, _, b_inv_sqrt, x_star = setup_instance(2)
     u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.5, 100)
-    res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-6, ctx=ctx)
+    res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-6, maxit=1000, ctx=ctx)
     assert res.reason == "ResidualTol"
     assert abs(res.lam - pe.rayleigh(res.u, problem.apply_a)) <= 1e-12 * res.lam
 
@@ -119,7 +123,7 @@ def fail_nested_pcg(monkeypatch, in_loop_only):
 
     def pcg(*args, **kwargs):
         if inside and (visited or not in_loop_only):
-            raise MaxIterations("nested pcg budget exhausted", iterations=0)
+            raise MaxIterations("nested pcg budget exhausted", best=None, iterations=0)
         return real_pcg(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "rsd_solve", rsd_solve)
@@ -142,7 +146,7 @@ def test_rsd_u0_normalisation_max_iterations_is_typed(monkeypatch):
     problem, p, ctx, u0 = ddm_instance()
     visited = fail_nested_pcg(monkeypatch, in_loop_only=False)
     with pytest.raises(MaxIterations):
-        solvers.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
+        solvers.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=1000, ctx=ctx)
     assert visited == []  # raised by u0's normalisation, before the first iterate
 
 
@@ -156,7 +160,7 @@ def test_cli_solve_u0_normalisation_max_iterations_exits_2(monkeypatch):
 def test_rsd_ddm_loop_runs_no_nested_pcg(monkeypatch):
     problem, p, ctx, u0 = ddm_instance()
     visited = fail_nested_pcg(monkeypatch, in_loop_only=True)
-    res = solvers.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, ctx=ctx)
+    res = solvers.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=1000, ctx=ctx)
     assert res.reason == "ResidualTol"
     assert len(visited) == res.iterations + 1
 
@@ -226,9 +230,9 @@ def test_equivalence_any_capped_step_sequence():
     u = u0 / math.sqrt(u0 @ b @ u0)
     iterates = [u]
     for t in range(40):
-        g = math.sqrt(pe.make_state(u, problem.apply_a, precond.apply_inv).g2)
+        g = math.sqrt(pe.make_state(u, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None).g2)
         eta = (0.1 + 0.8 * caps[t]) * math.pi / (2.0 * g)
-        u = pe.rsd_solve(problem, precond, u, pe.StepPolicy.fixed(eta), tol=0.0, maxit=1).u
+        u = pe.rsd_solve(problem, precond, u, pe.StepPolicy.fixed(eta), tol=0.0, maxit=1, ctx=None).u
         iterates.append(u)
     x = x0.copy()
     for t, u_t in enumerate(iterates):
@@ -386,7 +390,7 @@ def cli_instance(problem_recipe, precond_recipe):
 def test_pinvit_policy_matches_classical_loop(build, iterations):
     problem, p, u0, tol, maxit = build()
     lams, ref_iterations, ref_reason = pinvit_reference(problem, p, u0, tol, maxit)
-    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.pinvit(), tol=tol, maxit=maxit)
+    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.pinvit(), tol=tol, maxit=maxit, ctx=None)
     assert (res.iterations, res.reason) == (ref_iterations, ref_reason) == (iterations, "ResidualTol")
     assert abs(res.lam - lams[-1]) <= 1e-12 * lams[-1]
     if p.exact() is p:  # binary64 applies: the same iterates up to roundoff
@@ -400,7 +404,7 @@ def test_classic_exact_preconditioner_is_inverse_iteration():
     problem = dense_problem(a)
     p = pe.make_spd(a)
     u0 = np.array([0.3, 0.5, 0.9])
-    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.pinvit(), tol=1e-30, maxit=1)
+    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.pinvit(), tol=1e-30, maxit=1, ctx=None)
     lam0 = pe.rayleigh(u0, problem.apply_a)
     # one step lands on the (normalized) inverse-iteration update
     expected = np.linalg.solve(a, u0)
@@ -451,11 +455,11 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx, stagnation_
     best_before = math.inf
     reason, iterations = "MaxIters", maxit
     for t in range(maxit + 1):
-        state = pe.make_state(u, problem.apply_a, precond.apply_inv)
+        state = pe.make_state(u, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None)
         uus.append(state.uu)
         resnorm = np.linalg.norm(state.r)
         res_rel = resnorm / (state.lam * math.sqrt(state.uu))
-        cos_dist = ctx.cos_dist_b(state.u)
+        cos_dist = ctx.cos_dist_b(state.u, u_b_norm=1.0)
         trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=math.acos(cos_dist))
         if res_rel <= tol:
             reason, iterations = "ResidualTol", t
@@ -491,7 +495,7 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx, stagnation_
                 else:
                     eta = min(step_constant(ctx, 0.25), math.pi / (4.0 * g))
             else:
-                eta = step_constant(ctx, policy.c)
+                eta = step_constant(ctx, policy.value)
             eta_star = 2.0 * math.tan(eta * g) * state.uu / (g * state.uau**2)
         beta = math.cos(eta * g)
         xi = eta * pe.mu_x(state.uau, ctx) * pe.a_x(cos_dist, state.uau, ctx)
@@ -638,8 +642,8 @@ def test_step_theory_at_minimizer_diag_identity():
     problem = dense_problem(a)
     p = pe.make_identity(3)
     ctx = pe.build_rate_context(problem, p)
-    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv)
-    eta = step_theory(ctx.cos_dist_b(state.u), ctx)
+    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    eta = step_theory(ctx.cos_dist_b(state.u, u_b_norm=1.0), ctx)
     assert abs(eta - 1.0 / 6.0) <= 1e-9
 
 
@@ -649,8 +653,10 @@ def test_step_theory_positive_finite_at_x_star():
         ctx.u_star / math.sqrt(ctx.u_star @ dense_pair(9)[1] @ ctx.u_star),
         problem.apply_a,
         precond.apply_inv,
+        apply_m=None,
+        to_u=None,
     )
-    eta = step_theory(ctx.cos_dist_b(state.u), ctx)
+    eta = step_theory(ctx.cos_dist_b(state.u, u_b_norm=1.0), ctx)
     assert eta > 0.0 and np.isfinite(eta)
 
 
@@ -663,9 +669,9 @@ def test_step_theory_outside_basin_raises():
     u_out = b_inv_sqrt @ x_out
     _, b = dense_pair(10)
     u_out /= math.sqrt(u_out @ b @ u_out)
-    state = pe.make_state(u_out, problem.apply_a, precond.apply_inv)
+    state = pe.make_state(u_out, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None)
     with pytest.raises(OutsideBasin):
-        step_theory(ctx.cos_dist_b(state.u), ctx)
+        step_theory(ctx.cos_dist_b(state.u, u_b_norm=1.0), ctx)
 
 
 def test_step_theory_cap_monte_carlo():
@@ -681,11 +687,11 @@ def test_step_theory_cap_monte_carlo():
         x = pe.sphere_exp(x_star, frac * 0.999 * ctx.phi * d)
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, precond.apply_inv)
+        state = pe.make_state(u, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None)
         g = math.sqrt(state.g2)
         if g == 0.0:
             continue
-        eta = step_theory(ctx.cos_dist_b(state.u), ctx)
+        eta = step_theory(ctx.cos_dist_b(state.u, u_b_norm=1.0), ctx)
         assert eta * g < math.pi / 2.0
 
 
@@ -693,7 +699,7 @@ def test_step_constant_arithmetic():
     ctx = pe.RateContext(
         lam1=1.0, lam2=1.5, lamn=2.0, u_star=np.array([1.0]), w_star=np.array([1.0]),
         norm_u_a=1.0, norm_u_b=1.0, norm_u_binv=1.0,
-        sin_phi=1.0, cos_phi=0.0, nu_min=1.0, nu_max=1.0,
+        sin_phi=1.0, cos_phi=0.0, nu_min=1.0, nu_max=1.0, problem=None, precond=None,
     )
     assert abs(step_constant(ctx, 0.25) - 0.5) <= 1e-16
 
@@ -711,7 +717,9 @@ def test_step_constant_rejects_bad_c():
 def test_rsd_policy_without_context_is_typed(policy):
     a, b = dense_pair(13, 6)
     with pytest.raises(OutsideBasin, match=f"{policy.kind} policy needs a RateContext"):
-        pe.rsd_solve(dense_problem(a), pe.make_spd(b), np.ones(6), policy)
+        pe.rsd_solve(
+            dense_problem(a), pe.make_spd(b), np.ones(6), policy, tol=1e-8, maxit=1000, ctx=None
+        )
 
 
 def test_fixed_step_cap_violation():
@@ -744,7 +752,7 @@ def test_trace_csv_header_and_determinism():
     u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.5, 1000)
 
     def run():
-        res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-9, ctx=ctx)
+        res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-9, maxit=1000, ctx=ctx)
         buf = io.StringIO()
         res.trace.write_csv(buf)
         return buf.getvalue()
@@ -758,7 +766,7 @@ def test_trace_csv_header_and_determinism():
 def test_trace_contraction_column():
     problem, precond, ctx, _, b_inv_sqrt, x_star = setup_instance(15)
     u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.7, 1100)
-    res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-9, ctx=ctx)
+    res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-9, maxit=1000, ctx=ctx)
     rows = res.trace.rows
     for t in range(len(rows) - 1):
         d0, d1, c = rows[t]["distB"], rows[t + 1]["distB"], rows[t]["contraction"]

@@ -78,7 +78,7 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
     oracle = _DenseOracle(a, b)
     n = oracle.a.shape[0]
     rng = pe.Rng(seed)
-    report = PropertyReport(label=label or f"n={n}", n_samples=n_samples)
+    report = PropertyReport(label=label or f"n={n}", n_samples=n_samples, checked={}, violations=[])
     counts = {k: 0 for k in ("i", "ii", "iii", "iv", "v", "vi", "vii")}
 
     def record(key, ok, x, detail):
@@ -186,6 +186,7 @@ def test_blocked_validator_matches_reference_points(n, kind, monkeypatch):
         a, b = dense_pencil(seed, n, kind)
         _assert_same_reports(
             a, b, n_samples=500, seed=spawn_seed(seed, n), label=f"seed={seed},n={n},B={kind}",
+            inject_bug=None,
         )
 
 
@@ -210,8 +211,9 @@ def test_blocked_validator_reports_all_seven_checks_in_order(monkeypatch):
     monkeypatch.setattr(_DenseOracle, "__init__", kappa_one)
     monkeypatch.setattr(solvers, "rsd_solve", growing)
     a, b = dense_pencil(0, 6, "random-spd")
-    _assert_same_reports(a, b, n_samples=60, seed=spawn_seed(0, 6), label="all-seven")
-    checks = [v["check"] for v in pe.validate_properties(a, b, n_samples=60, seed=1).violations]
+    _assert_same_reports(a, b, n_samples=60, seed=spawn_seed(0, 6), label="all-seven", inject_bug=None)
+    report = pe.validate_properties(a, b, n_samples=60, seed=1, label="", inject_bug=None)
+    checks = [v["check"] for v in report.violations]
     assert checks[0] == "vi" and checks[-1] == "vii"
     assert set(checks) == {"i", "ii", "iii", "iv", "v", "vi", "vii"}
     assert checks.index("vii") > max(i for i, c in enumerate(checks) if c != "vii")
