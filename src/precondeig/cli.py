@@ -301,7 +301,49 @@ def cmd_validate(args):
     return 0
 
 
-_TABLES = ("phi-ddm-fixedH", "phi-ddm-fixedh", "prob-ddm", "prob-kernel")
+def _is_width(value):
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
+    )
+
+
+def _is_int(value):
+    return type(value) is int  # not a bool
+
+
+_WIDTH = (_is_width, "a positive finite number")
+_INT = (_is_int, "an integer")
+# per table, the --config keys it reads: (value test, what it asks), in a list
+# where the key takes a list of such values
+_TABLES = {
+    "phi-ddm-fixedH": {"H": _WIDTH, "h": [_WIDTH]},
+    "phi-ddm-fixedh": {"h": _WIDTH, "H": [_WIDTH]},
+    "prob-ddm": {"H": _WIDTH, "h": [_WIDTH], "trials": _INT},
+    "prob-kernel": {"n": [_INT], "kernel_seed": _INT, "trials": _INT},
+}
+
+
+def _check_config(cfg, name):
+    """Raise ValueError, naming the key and the table, for a --config key the
+    table does not read or a value of the wrong type."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"--config must hold a JSON object, got {cfg!r}")
+    keys = _TABLES[name]
+    for key, value in cfg.items():
+        if key not in keys:
+            raise ValueError(
+                f"--config key {key!r} is not read by {name}; it reads {', '.join(keys)}"
+            )
+        spec, items = keys[key], [value]
+        if isinstance(spec, list):
+            if not isinstance(value, list):
+                raise ValueError(f"--config key {key!r} of {name} must be a list, got {value!r}")
+            spec, items = spec[0], value
+        ok, what = spec
+        for item in items:
+            if not ok(item):
+                raise ValueError(f"--config key {key!r} of {name} must hold {what}, got {item!r}")
 
 
 def _ddm_recipes(h, big_h):
@@ -332,22 +374,15 @@ def cmd_table(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError(f"--config must hold a JSON object, got {cfg!r}")
-
-    def grid(key, default):
-        values = cfg.get(key, default)
-        if not isinstance(values, list):
-            raise ValueError(f"--config key {key!r} of {args.name} must be a list, got {values!r}")
-        return values
+        _check_config(cfg, args.name)
 
     if args.name.startswith("phi-"):
         if args.name == "phi-ddm-fixedH":
             big_h = cfg.get("H", 0.25)
-            cells = [(h, big_h) for h in grid("h", [2.0**-4, 2.0**-5, 2.0**-6])]
+            cells = [(h, big_h) for h in cfg.get("h", [2.0**-4, 2.0**-5, 2.0**-6])]
         else:  # phi-ddm-fixedh
             h = cfg.get("h", 2.0**-6)
-            cells = [(h, big_h) for big_h in grid("H", [2.0**-2, 2.0**-3])]
+            cells = [(h, big_h) for big_h in cfg.get("H", [2.0**-2, 2.0**-3])]
         rows = [
             _cell(lambda: _phi(*_ddm_recipes(h, big_h)).to_json_dict(), h=h, H=big_h)
             for h, big_h in cells
@@ -355,8 +390,6 @@ def cmd_table(args):
         header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi"]
     else:
         trials = cfg.get("trials", args.trials)
-        if type(trials) is not int:
-            raise ValueError(f"--config key 'trials' must be an integer, got {trials!r}")
 
         def seed(value):
             return spawn_seed(args.seed, hash_label(f"{args.name}:{value}"))
@@ -365,14 +398,14 @@ def cmd_table(args):
             big_h = cfg.get("H", 0.25)
             rows = [
                 _cell(lambda: _prob(*_ddm_recipes(h, big_h), "smooth", trials, seed(h)), h=h, H=big_h)
-                for h in grid("h", [2.0**-4])
+                for h in cfg.get("h", [2.0**-4])
             ]
             header = ["h", "H"]
         else:  # prob-kernel
             problem = "kernel-laplace:n={},seed=" + str(cfg.get("kernel_seed", 7))
             rows = [
                 _cell(lambda: _prob(problem.format(n), "mp-chol", "gaussian", trials, seed(n)), n=n)
-                for n in grid("n", [128, 256])
+                for n in cfg.get("n", [128, 256])
             ]
             header = ["n"]
         header += ["successes_new", "successes_classic", "trials", "p_new", "p_classic"]

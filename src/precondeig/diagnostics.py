@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, PropertyViolation, ZeroVector
 from .geometry import _clamp, rayleigh, sphere_dist, sphere_exp, sphere_log
-from .linalg import Rng, cholesky, dense_sym_eig, gaussian_vector, lanczos_extremal, spawn_seed
+from .linalg import Rng, cholesky, dense_sym_eig, lanczos_extremal, spawn_normal_rows
 from .precond import MpCholPreconditioner, ScaledPreconditioner, apply_fwd_iterative, epsilon_l, make_spd
 
 _DENSE_CAP = 200  # largest dimension for which kappa_nu takes its dense route
@@ -361,21 +361,21 @@ def success_probability(problem, precond, sampler, trials, seed, ctx=None):
     """Empirical success fractions of the two starting conditions over
     `trials` starts, start t drawn from Rng(spawn_seed(seed, t)).
 
-    sampler "gaussian" draws u0 = omega; "smooth" draws u0 = B^{-1} omega,
-    for which ||u0||_B^2 = u0^T omega requires no forward application.
-    ctx None builds the RateContext here.  Raises ValueError for trials < 1.
+    All the omega are drawn as one (trials, n) block by spawn_normal_rows,
+    row t bit-identical to Rng(spawn_seed(seed, t)).normal(n); each start is
+    then checked on its own by check_initial.  sampler "gaussian" draws
+    u0 = omega; "smooth" draws u0 = B^{-1} omega, for which
+    ||u0||_B^2 = u0^T omega requires no forward application.  ctx None builds
+    the RateContext here.  Raises ValueError for trials < 1.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if ctx is None:
         ctx = build_rate_context(problem, precond)
     exact = precond.exact()
-    n = problem.dim
     hits_new = 0
     hits_classic = 0
-    for t in range(trials):
-        rng = Rng(spawn_seed(seed, t))
-        omega = gaussian_vector(rng, n)
+    for omega in spawn_normal_rows(seed, trials, problem.dim):
         if sampler == "smooth":
             u0 = exact.apply_inv(omega)
             b_norm_sq = float(u0 @ omega)
@@ -438,7 +438,9 @@ class _DenseOracle:
     validate_properties checks the inequalities.  Built on the Jacobi solver,
     apart from the LAPACK and Lanczos routes of build_rate_context; ctx comes
     from the Jacobi spectra of A, B and C = B^{-1/2} A B^{-1/2} and explicit
-    B and B^{-1}, through the same _context."""
+    B and B^{-1}, through the same _context.  When C equals A bit for bit
+    (every B = I, where B^{-1/2} comes out exactly I), Jacobi on C would
+    repeat the run on A, and A's spectrum is used for C."""
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=np.float64)
@@ -455,7 +457,7 @@ class _DenseOracle:
         u = va[:, 0]
         c = self.b_inv_sqrt @ self.a @ self.b_inv_sqrt
         self.c = (c + c.T) / 2.0
-        wc, _ = dense_sym_eig(self.c)
+        wc = wa if self.c.tobytes() == self.a.tobytes() else dense_sym_eig(self.c)[0]
         self.ctx = _context(
             float(wa[0]), float(wa[1]), float(wa[-1]), u, self.a @ u, self.b @ u,
             self.b_inv @ u, lambda v: self.b_inv @ v, float(wc[0]), float(wc[-1]),

@@ -1,7 +1,9 @@
-"""Dense/sparse SPD primitives: Cholesky at two precisions, PCG, Lanczos
-(fully reorthogonalized where Ritz vectors or both ends are wanted,
-three-term for a lone top value), a deterministic RNG, and a pure-Python
-Jacobi eigensolver.
+"""Dense/sparse SPD primitives: Cholesky at two precisions with triangular
+solves by direct LAPACK trtrs calls, PCG, Lanczos (fully reorthogonalized
+where Ritz vectors or both ends are wanted, three-term for a lone top
+value), a deterministic RNG that can also draw one normal vector per
+spawned seed as a single block, and a pure-Python Jacobi eigensolver that
+reuses a per-size plan of its rounds.
 
 The Jacobi solver is the independent oracle only (tests and the explicit
 x-space evaluation inside validate_properties); production eigenvalue paths
@@ -11,6 +13,7 @@ Everything here is deterministic given its inputs; the only stateful object
 is :class:`Rng`, which is single-owner by convention.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,30 +90,47 @@ class Rng:
     def normal_rows(self, rows, count):
         """rows consecutive normal(count) draws as the rows of a (rows, count)
         array, bit-identical to that many calls and leaving the counter where
-        they would.
-
-        Each row takes ceil(count/2) raw draws for u1, then as many for u2.
-        """
+        they would."""
         pairs = (count + 1) // 2
-        raw = (self.raw(2 * rows * pairs) >> np.uint64(11)).astype(np.float64)
-        raw = raw.reshape(rows, 2, pairs)
-        # u1 shifted into (0, 1] so log(u1) is finite
-        u1 = (raw[:, 0] + 1.0) * 2.0**-53
-        u2 = raw[:, 1] * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty((rows, 2 * pairs))
-        out[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[:, 1::2] = r * np.sin(2.0 * np.pi * u2)
-        return out[:, :count]
+        return _box_muller(self.raw(2 * rows * pairs).reshape(rows, 2 * pairs), count)
 
     def spawn(self, stream):
         """Independent child stream; deterministic in (seed, stream)."""
         return Rng(spawn_seed(self.seed, stream))
 
 
+def _box_muller(raw, count):
+    """Row r of the (rows, count) result is the normal(count) draw made of the
+    raw draws in row r of `raw`, shaped (rows, 2 ceil(count/2)): the first
+    half of the row gives u1, the second half u2."""
+    rows, pairs = raw.shape[0], raw.shape[1] // 2
+    raw = (raw >> np.uint64(11)).astype(np.float64).reshape(rows, 2, pairs)
+    # u1 shifted into (0, 1] so log(u1) is finite
+    u1 = (raw[:, 0] + 1.0) * 2.0**-53
+    u2 = raw[:, 1] * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty((rows, 2 * pairs))
+    out[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
+    out[:, 1::2] = r * np.sin(2.0 * np.pi * u2)
+    return out[:, :count]
+
+
 def spawn_seed(seed, stream):
     """Derived 64-bit seed for a worker identified by an integer stream id."""
     return _mix64_int((int(seed) & _MASK64) ^ _mix64_int((int(stream) + 1) * _GAMMA))
+
+
+def spawn_normal_rows(seed, rows, count):
+    """(rows, count) array whose row t is Rng(spawn_seed(seed, t)).normal(count),
+    bit for bit: the seeds and the raw draws of all rows in one block, then
+    the Box-Muller of Rng.normal_rows."""
+    pairs = (count + 1) // 2
+    with np.errstate(over="ignore"):
+        streams = np.arange(1, rows + 1, dtype=np.uint64)  # stream t enters as t + 1
+        seeds = _mix64(np.uint64(int(seed) & _MASK64) ^ _mix64(streams * np.uint64(_GAMMA)))
+        idx = np.arange(1, 2 * pairs + 1, dtype=np.uint64)  # a fresh Rng's counter
+        raw = _mix64(seeds[:, None] + idx * np.uint64(_GAMMA))
+    return _box_muller(raw, count)
 
 
 def hash_label(text):
@@ -180,19 +200,35 @@ def cholesky(m, precision="binary64"):
     return CholFactor(n=n, l=l, precision=precision)
 
 
+def _trtrs(m, rhs, lower):
+    """m x = rhs for a triangular m by LAPACK ?trtrs, called with the arguments
+    scipy.linalg.solve_triangular(m, rhs, lower=lower, check_finite=False)
+    passes, so the result is the same bit for bit: trtrs reads Fortran
+    order, so a matrix that is not Fortran-ordered goes in as its transpose,
+    with the other triangle and trans set.  Raises NotSpd at a zero pivot."""
+    trtrs = scipy.linalg.lapack.strtrs if m.dtype == np.float32 else scipy.linalg.lapack.dtrtrs
+    if m.flags.f_contiguous:
+        x, info = trtrs(m, rhs, lower=lower, trans=0)
+    else:
+        x, info = trtrs(m.T, rhs, lower=not lower, trans=1)
+    if info > 0:  # one-based index of the first zero diagonal entry
+        raise NotSpd(info - 1, f"zero pivot at index {info - 1} in a triangular solve")
+    return x
+
+
 def chol_solve(f, rhs):
-    """Solve (L L^T) x = rhs by two triangular substitutions.
+    """Solve (L L^T) x = rhs by two triangular substitutions, each one direct
+    LAPACK trtrs call (see _trtrs).
 
     binary32 factors run both substitutions in binary32 (rhs converted first);
-    the result is reported in binary64 either way.
+    the result is reported in binary64 either way.  Raises NotSpd when L has
+    a zero diagonal entry.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != f.n:
         raise DimensionMismatch(f"rhs has dim {rhs.shape[0]}, factor has {f.n}")
-    b = rhs.astype(f.l.dtype)
-    y = scipy.linalg.solve_triangular(f.l, b, lower=True, check_finite=False)
-    x = scipy.linalg.solve_triangular(f.l.T, y, lower=False, check_finite=False)
-    return x.astype(np.float64)
+    y = _trtrs(f.l, rhs.astype(f.l.dtype), lower=True)
+    return _trtrs(f.l.T, y, lower=False).astype(np.float64)
 
 
 def chol_matvec(f, v):
@@ -441,6 +477,23 @@ def _round_robin(n):
     return rounds
 
 
+@functools.lru_cache(maxsize=16)
+def _jacobi_plan(n):
+    """dense_sym_eig's plan for size n, built once: for each round of
+    _round_robin(n) a (4, k) array of flat indices into an n x n matrix, of
+    the (p, p), (q, q), (p, q) and (q, p) entries of its k pairs, and the
+    flattened n x n identity that J is copied from.  Read-only, as it is
+    shared by every call at size n."""
+    rounds = []
+    for p, q in _round_robin(n):
+        idx = np.stack([p * n + p, q * n + q, p * n + q, q * n + p])
+        idx.flags.writeable = False
+        rounds.append(idx)
+    eye = np.eye(n).ravel()
+    eye.flags.writeable = False
+    return tuple(rounds), eye
+
+
 def dense_sym_eig(m):
     """All eigenpairs of a dense symmetric matrix by parallel-ordered Jacobi.
 
@@ -452,7 +505,10 @@ def dense_sym_eig(m):
     1e-20 * ||a||) is skipped: t = 0, so J is the identity there.  A rotated
     pair gets the t-formula diagonal entries and exact zeros at (p, q) and
     (q, p).  Every pair still comes up once per sweep, so the quadratic
-    convergence of cyclic Jacobi is kept (Brent & Luk, 1985).
+    convergence of cyclic Jacobi is kept (Brent & Luk, 1985).  The rounds
+    come from a per-size plan (_jacobi_plan) of flat indices into a and J,
+    so a round reads and writes a.ravel() and builds J from a copy of the
+    plan's identity.
 
     Returns (w ascending, V with orthonormal columns).  Self-contained on
     purpose, with no LAPACK eigensolver: it is the oracle the rest of the
@@ -466,36 +522,43 @@ def dense_sym_eig(m):
     norm = np.linalg.norm(a)
     if norm == 0.0:
         return np.zeros(n), v
-    rounds = _round_robin(n)
+    rounds, eye = _jacobi_plan(n)
     for _ in range(_MAX_SWEEPS):
         off = np.linalg.norm(a - np.diag(np.diag(a)))
         if off <= 1e-15 * norm:
             break
-        thresh = off / n  # rotate only entries that still matter this sweep
-        for p, q in rounds:
-            apq = a[p, q]
-            live = (np.abs(apq) >= 1e-20 * norm) & (np.abs(apq) >= 1e-3 * thresh)
-            if not live.any():
-                continue
-            p, q, apq = p[live], q[live], apq[live]
-            app, aqq = a[p, p], a[q, q]
+        # rotate only entries that still matter this sweep
+        floor_norm, floor_off = 1e-20 * norm, 1e-3 * (off / n)
+        flat = a.ravel()  # a view wherever it is written: J^T a J is C-ordered
+        for idx in rounds:
+            apq = flat[idx[2]]
+            mag = np.abs(apq)
+            live = (mag >= floor_norm) & (mag >= floor_off)
+            if not live.all():
+                if not live.any():
+                    continue
+                idx, apq = idx[:, live], apq[live]
+            pp, qq, pq, qp = idx
+            app, aqq = flat[pp], flat[qq]
             theta = (aqq - app) / (2.0 * apq)
             t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             t[theta == 0.0] = 1.0
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
-            j = np.eye(n)
-            j[p, p] = c
-            j[q, q] = c
-            j[p, q] = s
-            j[q, p] = -s
+            jf = eye.copy()
+            jf[pp] = c
+            jf[qq] = c
+            jf[pq] = s
+            jf[qp] = -s
+            j = jf.reshape(n, n)
             a = j.T @ a @ j
             v = v @ j
             # t-formula diagonal entries are more accurate than the rotation
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
+            flat = a.ravel()
+            flat[pp] = app - t * apq
+            flat[qq] = aqq + t * apq
+            flat[pq] = 0.0
+            flat[qp] = 0.0
     else:
         raise NoConvergence(f"jacobi did not converge in {_MAX_SWEEPS} sweeps")
     w = np.diag(a).copy()

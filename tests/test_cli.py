@@ -357,8 +357,28 @@ def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
         ("prob-kernel", {"n": 24}),
         ("phi-ddm-fixedH", {"h": 0.3}),
         ("prob-kernel", {"trials": "x"}),
+        ("phi-ddm-fixedH", {"H": "x"}),
+        ("prob-ddm", {"H": "x"}),
+        ("phi-ddm-fixedH", {"h": ["x"]}),
+        ("prob-ddm", {"h": ["x"]}),
+        ("phi-ddm-fixedH", {"H": 0}),
+        ("phi-ddm-fixedh", {"H": [-0.25]}),
+        ("phi-ddm-fixedh", {"h": True}),
+        ("prob-ddm", {"h": [float("inf")]}),
+        ("prob-kernel", {"n": [24.0]}),
+        ("prob-kernel", {"n": [True]}),
+        ("prob-kernel", {"kernel_seed": "3"}),
+        ("prob-kernel", {"kernel_seed": False}),
+        ("prob-kernel", {"H": 0.25}),
+        ("phi-ddm-fixedH", {"trials": 10}),
     ],
-    ids=["top-level-list", "n-not-a-list", "h-not-a-list", "trials-not-an-integer"],
+    ids=[
+        "top-level-list", "n-not-a-list", "h-not-a-list", "trials-not-an-integer",
+        "H-a-string", "prob-ddm-H-a-string", "h-entry-a-string", "prob-ddm-h-entry-a-string",
+        "H-zero", "H-entry-negative", "h-a-bool", "h-entry-infinite", "n-entry-a-float",
+        "n-entry-a-bool", "kernel-seed-a-string", "kernel-seed-a-bool",
+        "key-not-read-by-prob-kernel", "key-not-read-by-phi-table",
+    ],
 )
 def test_badly_typed_table_config_exits_1_with_one_error_line(name, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -368,6 +388,9 @@ def test_badly_typed_table_config_exits_1_with_one_error_line(name, config, tmp_
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    if isinstance(config, dict):  # the line names the key and the table
+        [key] = config
+        assert repr(key) in lines[0] and name in lines[0], lines[0]
 
 
 def test_table_prob_kernel_config(tmp_path):

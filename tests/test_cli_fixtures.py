@@ -31,6 +31,12 @@ CASES = {
     ),
     "phi": (["phi", "--problem", "kernel-laplace:n=32,seed=4", "--precond", "mp-chol"], 0),
     "prob": (["prob", "--problem", "kernel-laplace:n=32,seed=4", "--precond", "mp-chol"], 0),
+    "prob-smooth": (
+        ["prob", "--problem", "kernel-laplace:n=32,seed=4", "--precond", "mp-chol",
+         "--sampler", "smooth"],
+        0,
+    ),
+    "validate-n20": (["validate", "--seeds", "1", "--sizes", "20"], 0),
     "table-prob-kernel": (["table", "--name", "prob-kernel", "--config", "{tmp}/cfg.json"], 0),
 }
 

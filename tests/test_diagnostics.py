@@ -8,6 +8,7 @@ from precondeig import diagnostics
 from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import _DenseOracle, random_spd_pair
 from precondeig.errors import PropertyViolation
+from precondeig.linalg import spawn_seed
 from tests.conftest import column, dense_pencil, dense_problem, dense_roots
 
 DIAG = np.diag([1.0, 2.0, 4.0])
@@ -505,6 +506,22 @@ def test_success_probability_deterministic_per_seed():
     assert r1 == r2
 
 
+@pytest.mark.parametrize("sampler", ["gaussian", "smooth"])
+def test_success_probability_checks_one_start_per_spawned_seed(sampler):
+    problem, p, ctx, _, _ = random_ctx(55, n=11)
+    rep = pe.success_probability(problem, p, sampler, 40, 9, ctx=ctx)
+    hits = np.zeros(2, dtype=int)
+    for t in range(40):
+        omega = pe.Rng(spawn_seed(9, t)).normal(11)
+        if sampler == "smooth":
+            u0 = p.exact().apply_inv(omega)
+            report = pe.check_initial(u0, ctx, u0_b_norm_sq=float(u0 @ omega))
+        else:
+            report = pe.check_initial(omega, ctx, u0_b_norm_sq=None)
+        hits += [report["condition_new"], report["condition_classic"]]
+    assert (rep["successes_new"], rep["successes_classic"]) == tuple(hits)
+
+
 # ---------------------------------------------------------------------------
 # property validation
 # ---------------------------------------------------------------------------
@@ -564,6 +581,33 @@ def test_dense_oracle_context_matches_build_rate_context(kind):
             for name in ("u_star", "w_star"):
                 x, y = sign * getattr(got, name), getattr(ref, name)
                 assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y), (label, name)
+
+
+@pytest.mark.parametrize("n", [6, 7, 20])
+def test_identity_b_oracle_equals_one_with_jacobi_on_c(n, monkeypatch):
+    # B = I makes C equal to A bit for bit, so the oracle takes A's spectrum
+    # for C: the same ctx as running dense_sym_eig on C, one Jacobi run fewer
+    a, _ = random_spd_pair(n, n)
+    calls = []
+    monkeypatch.setattr(
+        diagnostics, "dense_sym_eig", lambda m: calls.append(m) or pe.dense_sym_eig(m)
+    )
+    oracle = _DenseOracle(a, np.eye(n))
+    assert len(calls) == 2 and oracle.c.tobytes() == oracle.a.tobytes()
+    wa, va = pe.dense_sym_eig(oracle.a)
+    wc, _ = pe.dense_sym_eig(oracle.c)
+    u = va[:, 0]
+    ref = diagnostics._context(
+        float(wa[0]), float(wa[1]), float(wa[-1]), u, oracle.a @ u, oracle.b @ u,
+        oracle.b_inv @ u, lambda v: oracle.b_inv @ v, float(wc[0]), float(wc[-1]),
+    )
+    for name in RATE_CONTEXT_SCALARS + ("cos_phi",):
+        assert getattr(oracle.ctx, name) == getattr(ref, name), name
+    for name in ("u_star", "w_star"):
+        assert getattr(oracle.ctx, name).tobytes() == getattr(ref, name).tobytes(), name
+    # any other B runs Jacobi on C
+    _DenseOracle(a, random_spd_pair(n, n)[1])
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("seed, n", [(13, 6), (2025, 12), (0, 20)])

@@ -17,10 +17,12 @@ from precondeig.errors import (
 )
 from precondeig.linalg import (
     SymFactor,
+    _jacobi_plan,
     _lanczos_top_value,
     _ritz,
     _round_robin,
     lanczos_top_pairs,
+    spawn_normal_rows,
     spawn_seed,
 )
 from tests.conftest import fd_eigenvalue
@@ -91,6 +93,16 @@ def test_spawn_seed_deterministic_and_distinct():
     assert spawn_seed(7, 0) == spawn_seed(7, 0)
     assert spawn_seed(7, 0) != spawn_seed(7, 1)
     assert spawn_seed(7, 0) != spawn_seed(8, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 5])
+def test_spawn_normal_rows_equals_one_normal_call_per_spawned_seed(seed, n):
+    rows = 9
+    block = spawn_normal_rows(seed, rows, n)
+    calls = np.stack([pe.Rng(spawn_seed(seed, t)).normal(n) for t in range(rows)])
+    assert block.shape == (rows, n)
+    assert block.tobytes() == calls.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +203,41 @@ def test_chol_solve_binary32_vs_binary64():
     assert x32.dtype == np.float64
     rel = np.linalg.norm(x32 - x64) / np.linalg.norm(x64)
     assert rel <= np.linalg.cond(a) * 1e-5
+
+
+def solve_triangular_pair(f, rhs):
+    """chol_solve as two scipy.linalg.solve_triangular calls."""
+    b = np.asarray(rhs, dtype=np.float64).astype(f.l.dtype)
+    y = scipy.linalg.solve_triangular(f.l, b, lower=True, check_finite=False)
+    x = scipy.linalg.solve_triangular(f.l.T, y, lower=False, check_finite=False)
+    return x.astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["binary64", "binary64-twin", "binary32"])
+def test_chol_solve_equals_solve_triangular_pair_bit_for_bit(kind):
+    a = random_spd(5, 40)
+    if kind == "binary64":
+        f = pe.cholesky(a)
+        assert f.l.flags.f_contiguous  # as dpotrf returns it
+    else:
+        f = pe.cholesky(a, "binary32")
+        if kind == "binary64-twin":  # the binary64 copy a mixed-precision B is measured on
+            f = pe.CholFactor(f.n, f.l.astype(np.float64), "binary64")
+        assert f.l.flags.c_contiguous and not f.l.flags.f_contiguous
+    for seed in range(3):
+        rhs = pe.Rng(seed).normal(40)
+        assert pe.chol_solve(f, rhs).tobytes() == solve_triangular_pair(f, rhs).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("precision, dtype", [("binary64", np.float64), ("binary32", np.float32)])
+def test_chol_solve_zero_pivot_raises_not_spd(precision, dtype, order):
+    l = np.tril(np.ones((4, 4), dtype=dtype))  # noqa: E741
+    l[2, 2] = 0.0
+    f = pe.CholFactor(4, np.asarray(l, order=order), precision)
+    with pytest.raises(NotSpd) as err:
+        pe.chol_solve(f, np.ones(4))
+    assert err.value.pivot == 2
 
 
 def test_chol_solve_dimension_mismatch():
@@ -482,6 +529,18 @@ def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
         assert len(p) == n // 2
         seen += list(zip(p.tolist(), q.tolist()))
     assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_jacobi_plan_holds_the_round_robin_pairs(n):
+    rounds, eye = _jacobi_plan(n)
+    assert _jacobi_plan(n) is _jacobi_plan(n)  # built once per size
+    assert np.array_equal(eye.reshape(n, n), np.eye(n)) and not eye.flags.writeable
+    want = _round_robin(n)
+    assert len(rounds) == len(want)
+    for idx, (p, q) in zip(rounds, want):
+        assert np.array_equal(idx, [p * n + p, q * n + q, p * n + q, q * n + p])
+        assert not idx.flags.writeable
 
 
 def jacobi_rotation_loop(m, max_sweeps=60):
