@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import problems
 from .errors import DimensionMismatch, PropertyViolation, ZeroVector
-from .geometry import _clamp, rayleigh, sphere_dist, sphere_exp, sphere_log
-from .linalg import Rng, cholesky, dense_sym_eig, lanczos_extremal, spawn_normal_rows
+from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
+from .linalg import Rng, _by_column, cholesky, dense_sym_eig, lanczos_extremal, spawn_normal_rows
 from .precond import MpCholPreconditioner, ScaledPreconditioner, apply_fwd_iterative, epsilon_l, make_spd
 
-_DENSE_CAP = 200  # largest dimension for which kappa_nu takes its dense route
 _KAPPA_TOL = 1e-10  # tolerance of kappa_nu's Lanczos route
 _SLACK = 1e-10  # absolute slack of validate_properties' checks (i)-(v) against roundoff
 
@@ -79,18 +79,19 @@ def theta_shao(u, b_u):
 def kappa_nu(problem, precond):
     """(nu_min, nu_max, kappa) of B^{-1} A, measured on the binary64 twin of B.
 
-    Dense route up to _DENSE_CAP: B^{-1} from n column applies of the twin,
+    Dense route up to problems._DENSE_CAP: B^{-1} from the twin's inverse
+    apply on the identity block (_apply_b_inv: one apply for an explicit B),
     A = L L^T by LAPACK Cholesky, and the extreme eigenvalues of the
-    symmetric S = L^T B^{-1} L (similar to B^{-1} A) by LAPACK.  Above
-    _DENSE_CAP, Lanczos at tol _KAPPA_TOL on B^{-1} A in the A-inner product,
-    which hands apply_t the A q it already holds, so each step applies A
-    once; it runs at most 400 steps from a start drawn from Rng(4242).
+    symmetric S = L^T B^{-1} L (similar to B^{-1} A) by LAPACK.  Above the
+    cap, Lanczos at tol _KAPPA_TOL on B^{-1} A in the A-inner product, which
+    hands apply_t the A q it already holds, so each step applies A once; it
+    runs at most 400 steps from a start drawn from Rng(4242).
     """
     n = problem.dim
     exact = precond.exact()
-    if n <= _DENSE_CAP:
+    if n <= problems._DENSE_CAP:
         l_a = cholesky(problem.dense()).l
-        binv = np.column_stack([exact.apply_inv(e) for e in np.eye(n)])
+        binv = _apply_b_inv(exact, np.eye(n))
         s = l_a.T @ binv @ l_a
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
@@ -139,8 +140,10 @@ class RateContext:
 
     def cos_dist_b(self, u, u_b_norm):
         """cos dist_B(u, u*) for ||u||_B = u_b_norm, using the cached forward
-        application of u*."""
-        return _clamp(abs(float(np.asarray(u) @ self.w_star)) / (u_b_norm * self.norm_u_b))
+        application of u*; for a (k, n) block u of rows, one value per row
+        with u_b_norm one norm per row."""
+        cos = np.abs(np.asarray(u) @ self.w_star) / (u_b_norm * self.norm_u_b)
+        return np.clip(cos, -1.0, 1.0)
 
 
 def _context(
@@ -170,11 +173,20 @@ def _context(
 
 
 def _apply_b(exact, problem, v):
-    """B v from the binary64 twin `exact`: its forward apply, or for an
-    implicit B a nested PCG at FWD_TOL preconditioned by the problem's A."""
+    """B v from the binary64 twin `exact`, for a vector or an (n, k) block:
+    its forward apply, or for an implicit B a nested PCG at FWD_TOL
+    preconditioned by the problem's A, one column at a time."""
     if exact.fwd_mode == "exact":
         return exact.apply_fwd(v)
-    return apply_fwd_iterative(exact, v, apply_a=problem.apply_a)
+    return _by_column(lambda c: apply_fwd_iterative(exact, c, apply_a=problem.apply_a), v)
+
+
+def _apply_b_inv(exact, v):
+    """B^-1 v from the binary64 twin `exact`, for a vector or an (n, k)
+    block: one apply for an explicit B, one per column for an implicit B."""
+    if exact.fwd_mode == "exact":
+        return exact.apply_inv(v)
+    return _by_column(exact.apply_inv, v)
 
 
 def build_rate_context(problem, precond):
@@ -332,22 +344,27 @@ def compute_quality(problem, precond):
 
 
 def check_initial(u0, ctx, u0_b_norm_sq):
-    """Evaluate both starting conditions.
+    """Evaluate both starting conditions at u0, a vector or a (k, n) block
+    with one start per row; for a block every entry of the result but phi
+    and lambda2 is an array with one value per row.
 
-    u0_b_norm_sq is u0^T B u0 when it is known from the sampler identity;
-    when it is None one forward application of the binary64 twin of B is
-    spent.
+    u0_b_norm_sq is u0^T B u0 (per row) when it is known from the sampler
+    identity; when it is None the binary64 twin of B is applied forward to
+    the whole block (_apply_b).  A u0 is one apply_a on the block.  Raises
+    ZeroVector when a start is zero.
     """
     u0 = np.asarray(u0, dtype=np.float64)
-    if not np.any(u0):
+    rows = np.atleast_2d(u0)
+    if not rows.any(axis=1).all():
         raise ZeroVector("u0 is zero")
     if u0_b_norm_sq is None:
-        u0_b_norm_sq = float(u0 @ _apply_b(ctx.precond.exact(), ctx.problem, u0))
-    cos_dist = ctx.cos_dist_b(u0, math.sqrt(u0_b_norm_sq))
-    dist = math.acos(_clamp(cos_dist))
+        b_rows = _apply_b(ctx.precond.exact(), ctx.problem, rows.T)
+        u0_b_norm_sq = np.einsum("ij,ji->i", rows, b_rows)
+    dist = np.arccos(ctx.cos_dist_b(rows, np.sqrt(u0_b_norm_sq)))
+    uau = np.einsum("ij,ji->i", rows, ctx.problem.apply_a(rows.T))
+    lam_u0 = uau / np.einsum("ij,ij->i", rows, rows)
     phi = ctx.phi
-    lam_u0 = rayleigh(u0, ctx.problem.apply_a)
-    return {
+    report = {
         "dist_b": dist,
         "phi": phi,
         "condition_new": dist < phi,
@@ -355,6 +372,9 @@ def check_initial(u0, ctx, u0_b_norm_sq):
         "lambda2": ctx.lam2,
         "condition_classic": lam_u0 < ctx.lam2,
     }
+    if u0.ndim == 1:  # one start: plain scalars
+        return {key: np.asarray(value).item() for key, value in report.items()}
+    return report
 
 
 def success_probability(problem, precond, sampler, trials, seed, ctx=None):
@@ -362,31 +382,28 @@ def success_probability(problem, precond, sampler, trials, seed, ctx=None):
     `trials` starts, start t drawn from Rng(spawn_seed(seed, t)).
 
     All the omega are drawn as one (trials, n) block by spawn_normal_rows,
-    row t bit-identical to Rng(spawn_seed(seed, t)).normal(n); each start is
-    then checked on its own by check_initial.  sampler "gaussian" draws
-    u0 = omega; "smooth" draws u0 = B^{-1} omega, for which
-    ||u0||_B^2 = u0^T omega requires no forward application.  ctx None builds
-    the RateContext here.  Raises ValueError for trials < 1.
+    row t bit-identical to Rng(spawn_seed(seed, t)).normal(n), and
+    check_initial checks the whole block at once.  sampler "gaussian" draws
+    u0 = omega; "smooth" draws u0 = B^{-1} omega (_apply_b_inv on the
+    block), for which ||u0||_B^2 = u0^T omega requires no forward
+    application.  ctx None builds the RateContext here.  Raises ValueError
+    for trials < 1 or an unknown sampler, before any context is built.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if sampler not in ("gaussian", "smooth"):
+        raise ValueError(f"unknown sampler {sampler!r}")
     if ctx is None:
         ctx = build_rate_context(problem, precond)
-    exact = precond.exact()
-    hits_new = 0
-    hits_classic = 0
-    for omega in spawn_normal_rows(seed, trials, problem.dim):
-        if sampler == "smooth":
-            u0 = exact.apply_inv(omega)
-            b_norm_sq = float(u0 @ omega)
-        elif sampler == "gaussian":
-            u0 = omega
-            b_norm_sq = None
-        else:
-            raise ValueError(f"unknown sampler {sampler!r}")
-        report = check_initial(u0, ctx, u0_b_norm_sq=b_norm_sq)
-        hits_new += bool(report["condition_new"])
-        hits_classic += bool(report["condition_classic"])
+    omega = spawn_normal_rows(seed, trials, problem.dim)
+    if sampler == "smooth":
+        u0 = _apply_b_inv(precond.exact(), omega.T).T
+        b_norm_sq = np.einsum("ij,ij->i", u0, omega)
+    else:
+        u0, b_norm_sq = omega, None
+    report = check_initial(u0, ctx, u0_b_norm_sq=b_norm_sq)
+    hits_new = int(np.count_nonzero(report["condition_new"]))
+    hits_classic = int(np.count_nonzero(report["condition_classic"]))
     return {
         "p_new": hits_new / trials,
         "p_classic": hits_classic / trials,
@@ -440,7 +457,15 @@ class _DenseOracle:
     from the Jacobi spectra of A, B and C = B^{-1/2} A B^{-1/2} and explicit
     B and B^{-1}, through the same _context.  When C equals A bit for bit
     (every B = I, where B^{-1/2} comes out exactly I), Jacobi on C would
-    repeat the run on A, and A's spectrum is used for C."""
+    repeat the run on A, and A's spectrum is used for C.
+
+    A's Jacobi spectrum is kept in a one-entry memo (_a_eig), keyed by the
+    shape and bytes of A, with read-only arrays: the validate grid builds an
+    oracle for every kind of B on the same A, and dense_sym_eig is a pure
+    function of its input bytes, so a repeat gets the same bits without the
+    run."""
+
+    _a_eig = None  # (shape, bytes) of the last A, and its (w, V)
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=np.float64)
@@ -451,7 +476,7 @@ class _DenseOracle:
         self.b_sqrt = (vb * np.sqrt(wb)) @ vb.T
         self.b_inv_sqrt = (vb / np.sqrt(wb)) @ vb.T
         self.b_inv = (vb / wb) @ vb.T
-        wa, va = dense_sym_eig(self.a)
+        wa, va = self._spectrum_of_a()
         if wa[0] <= 0:
             raise PropertyViolation("A is not positive definite")
         u = va[:, 0]
@@ -465,6 +490,15 @@ class _DenseOracle:
         x = self.b_sqrt @ u
         self.x_star = x / np.linalg.norm(x)
         self.f_star = -1.0 / self.ctx.lam1
+
+    def _spectrum_of_a(self):
+        key = (self.a.shape, self.a.tobytes())
+        memo = _DenseOracle._a_eig
+        if memo is None or memo[0] != key:
+            w, v = dense_sym_eig(self.a)
+            w.flags.writeable = v.flags.writeable = False
+            memo = _DenseOracle._a_eig = (key, w, v)
+        return memo[1], memo[2]
 
     def f_grad(self, x):
         """f, the Riemannian gradient and x^T C x for each row x of a block."""
@@ -589,9 +623,8 @@ def validate_properties(a, b, n_samples, seed, label, inject_bug):
     # (vii): short locally-stepped run in u-space on the oracle's context,
     # checked in x-space
     from . import solvers  # local import: solvers depends on this module
-    from .problems import EigenProblem
 
-    problem = EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v, label=label)
+    problem = problems.EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v, label=label)
     precond = make_spd(oracle.b)
     start_dir = rng.normal(n)
     start_dir -= float(start_dir @ oracle.x_star) * oracle.x_star

@@ -3,11 +3,14 @@ solves by direct LAPACK trtrs calls, PCG, Lanczos (fully reorthogonalized
 where Ritz vectors or both ends are wanted, three-term for a lone top
 value), a deterministic RNG that can also draw one normal vector per
 spawned seed as a single block, and a pure-Python Jacobi eigensolver that
-reuses a per-size plan of its rounds.
+reuses a per-size plan of its rounds.  The Cholesky solves and products
+and the banded SymFactor products and solves take an (n, k) block as well
+as a vector.
 
 The Jacobi solver is the independent oracle only (tests and the explicit
 x-space evaluation inside validate_properties); production eigenvalue paths
-use Lanczos or LAPACK.
+use Lanczos or LAPACK (eigh/eigvalsh for the reference spectrum and
+kappa_nu of a small dense problem).
 
 Everything here is deterministic given its inputs; the only stateful object
 is :class:`Rng`, which is single-owner by convention.
@@ -326,9 +329,12 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     subtract them.  Without it the three-term recurrence runs on two rows.
     `watch` lists indices into the ascending Ritz values (negative allowed)
     that must pass the residual-plus-stabilization test before the loop
-    stops; each step computes only the Ritz pairs that test needs (both ends
+    stops; each step computes only the Ritz pairs that test needs (the ends
     for the scale, the watched ones with the last component of their
-    eigenvector).  beta = 0 stops the loop at any step, before it is divided
+    eigenvector).  The scale is max(|theta_0|, |theta_{m-1}|) when theta_0
+    is watched and theta_{m-1} alone otherwise: the callers that watch only
+    the top run on an SPD operator, where |theta_0| <= theta_{m-1}.
+    beta = 0 stops the loop at any step, before it is divided
     by: the Krylov space is invariant and its Ritz values exact.  beta below
     1e-14 * scale stops it only once the watched values exist; before, the
     reorthogonalization restarts from the roundoff left in w, which is how a
@@ -356,6 +362,7 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     prev = None
     converged = False
     span = max(abs(i) for i in watch) + 1
+    low = 0 in watch  # theta_0 enters the scale only where it is watched
     for k in range(steps):
         cur = k % rows
         w = apply_t(mapped[cur])
@@ -377,11 +384,12 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
             converged = True
             break
         if m >= span:
-            need = {0: False, m - 1: False}
+            ends = (0, m - 1) if low else (m - 1,)
+            need = dict.fromkeys(ends, False)
             need.update((i % m, True) for i in watch)
             d, e = alphas[:m], betas[:k]
             ritz = {j: _ritz(d, e, j, vec) for j, vec in need.items()}
-            scale = max(abs(ritz[0][0]), abs(ritz[m - 1][0]))
+            scale = max(abs(ritz[j][0]) for j in ends)
             res_ok = all(beta * abs(ritz[i % m][1]) <= tol * scale for i in watch)
             vals = tuple(ritz[i % m][0] for i in watch)
             stable = prev is not None and all(
@@ -571,6 +579,14 @@ def dense_sym_eig(m):
 # ---------------------------------------------------------------------------
 
 
+def _by_column(apply, v):
+    """apply, which takes one vector, on v or on each column of an (n, k)
+    block v."""
+    if v.ndim == 1:
+        return apply(v)
+    return np.column_stack([apply(c) for c in v.T])
+
+
 def make_solver(a):
     """Exact binary64 solve v -> a^{-1} v for a dense or sparse SPD matrix."""
     if scipy.sparse.issparse(a):
@@ -588,7 +604,8 @@ class SymFactor:
     is a band of full width.  The factor comes from LAPACK's banded Cholesky
     on the upper triangle of the input; each product is one BLAS ``tbmv``
     and each solve one BLAS ``tbsv`` on that band.  Lexicographically
-    ordered FEM mass matrices give bw ~ sqrt(n).
+    ordered FEM mass matrices give bw ~ sqrt(n).  Each method also takes an
+    (n, k) block and runs its BLAS routine on one column at a time.
     """
 
     def __init__(self, m):
@@ -609,20 +626,22 @@ class SymFactor:
             raise NotSpd(int(bad[0]), f"banded cholesky pivot {bad[0]} is not positive")
         self.n, self.bw, self.rab = n, bw, rab
 
+    def _band(self, routine, v, trans):
+        v = np.asarray(v, dtype=np.float64)
+        return _by_column(lambda c: routine(self.bw, self.rab, c, trans=trans), v)
+
     def mult(self, v):
         """R v"""
-        return scipy.linalg.blas.dtbmv(self.bw, self.rab, v)
+        return self._band(scipy.linalg.blas.dtbmv, v, 0)
 
     def mult_t(self, v):
         """R^T v"""
-        return scipy.linalg.blas.dtbmv(self.bw, self.rab, v, trans=1)
+        return self._band(scipy.linalg.blas.dtbmv, v, 1)
 
     def solve(self, v):
         """R x = v"""
-        return scipy.linalg.blas.dtbsv(self.bw, self.rab, np.asarray(v, dtype=np.float64))
+        return self._band(scipy.linalg.blas.dtbsv, v, 0)
 
     def solve_t(self, v):
         """R^T x = v"""
-        return scipy.linalg.blas.dtbsv(
-            self.bw, self.rab, np.asarray(v, dtype=np.float64), trans=1
-        )
+        return self._band(scipy.linalg.blas.dtbsv, v, 1)

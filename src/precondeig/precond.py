@@ -32,6 +32,11 @@ class Preconditioner:
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
     is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
     B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a).
+
+    A B with fwd_mode 'exact' takes an (n, k) block as well as a vector in
+    apply_inv and apply_fwd, and applies B^{-1} or B to each column.  An
+    implicit B is applied to vectors only; the diagnostics that apply B to a
+    block (diagnostics._apply_b and _apply_b_inv) loop over its columns.
     """
 
     dim = None
@@ -62,7 +67,8 @@ class Preconditioner:
 
 
 class OperatorPreconditioner(Preconditioner):
-    """B given directly by binary64 callables for B^{-1} v and B v."""
+    """B given directly by binary64 callables for B^{-1} v and B v, each
+    taking a vector or an (n, k) block."""
 
     def __init__(self, dim, apply_inv_fn, apply_fwd_fn, label):
         self.dim = dim

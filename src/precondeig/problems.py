@@ -9,6 +9,7 @@ of an SPD pencil (A, M) to standard form through the Cholesky factor of M.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .errors import (
@@ -30,6 +31,10 @@ from .linalg import (
     make_solver,
 )
 from .precond import HattedPreconditioner
+
+# largest dimension for which reference_eigs and kappa_nu take their dense
+# LAPACK routes
+_DENSE_CAP = 200
 
 
 def _as_inverse_width(h, minimum=2):
@@ -56,7 +61,8 @@ class EigenProblem:
 
     A mass-reduced problem holds the factor R of M = R^T R in r_factor and
     the matvecs (K v, M v) of its original pencil in pencil; both are None
-    for a standard problem.
+    for a standard problem.  check_initial applies apply_a to an (n, k)
+    block of starts; the generators here build operators that take one.
     """
 
     def __init__(
@@ -407,6 +413,40 @@ def _inverse_iteration(problem, solve, v, project, tol, steps, name):
 def reference_eigs(problem):
     """High-accuracy (lambda1, lambda2, lambdan, u*) for an EigenProblem.
 
+    Dense route, for a problem whose matrix is an np.ndarray of dimension
+    up to _DENSE_CAP: lambda1, lambda2 and u* from LAPACK eigh on the two
+    smallest eigenpairs, lambdan from eigvalsh on the largest eigenvalue.
+    Otherwise the Lanczos route of _lanczos_reference.  Raises
+    DegenerateSmallestEigenvalue for dimension 1 or when lambda2 - lambda1
+    falls below 1e-9 lambdan (on the dense route a repeated lambda1 gives
+    exactly 0), and on the Lanczos route also when its start spans an
+    invariant subspace of one eigenpair; NoConvergence when either of its
+    inverse iterations misses its target.  u* is signed so that its entry
+    of largest magnitude is positive.
+    """
+    n = problem.dim
+    if n == 1:
+        raise DegenerateSmallestEigenvalue("dimension 1: lambda2 does not exist")
+    if isinstance(problem.matrix, np.ndarray) and n <= _DENSE_CAP:
+        a = problem.matrix
+        w, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 1), check_finite=False)
+        lamn = scipy.linalg.eigvalsh(a, subset_by_index=(n - 1, n - 1), check_finite=False)[0]
+        lam1, lam2, u = w[0], w[1], vecs[:, 0]
+    else:
+        lam1, lam2, lamn, u = _lanczos_reference(problem)
+    if lam2 - lam1 <= 1e-9 * lamn:
+        raise DegenerateSmallestEigenvalue(
+            f"lambda2 - lambda1 = {lam2 - lam1:.3e} <= 1e-9 * lambdan"
+        )
+    flip = np.argmax(np.abs(u))
+    if u[flip] < 0:
+        u = -u
+    return ReferenceSpectrum(lam1=float(lam1), lam2=float(lam2), lamn=float(lamn), u_star=u)
+
+
+def _lanczos_reference(problem):
+    """(lambda1, lambda2, lambdan, u*) of reference_eigs' Lanczos route.
+
     lambda1, lambda2 and u* come from a reorthogonalized Lanczos on A^{-1}
     (top of the spectrum of the inverse is well separated) at tol 1e-12,
     refined by _inverse_iteration: lambda1 from the first Ritz vector (100
@@ -415,15 +455,12 @@ def reference_eigs(problem):
     Lanczos on A at tol 1e-11 that watches only the top Ritz value; it needs
     no vector, so it runs the three-term recurrence with no stored basis.
     Each Lanczos runs at most min(n, 600) steps from a start drawn from
-    Rng(777) (its spawn(1) for lambdan).  Raises DegenerateSmallestEigenvalue
-    when the start spans an invariant subspace of one eigenpair or lambda2 -
-    lambda1 falls below resolution, and NoConvergence when either inverse
-    iteration misses its target.
+    Rng(777) (its spawn(1) for lambdan).  A repeated lambda1 shows here only
+    through roundoff, which lets the reorthogonalization restart in the
+    orthogonal complement.
     """
     n = problem.dim
     rng = Rng(777)
-    if n == 1:
-        raise DegenerateSmallestEigenvalue("dimension 1: lambda2 does not exist")
     solve = problem.solver()
     budget = min(n, 600)
     vals, vecs = lanczos_top_pairs(solve, n, tol=1e-12, maxit=budget, rng=rng)
@@ -438,11 +475,4 @@ def reference_eigs(problem):
     v /= np.linalg.norm(v)
     lam2, _ = _inverse_iteration(problem, solve, v, deflate, 1e-11, 200, "lambda2")
     lamn = _lanczos_top_value(problem.apply_a, n, tol=1e-11, maxit=budget, rng=rng.spawn(1))
-    if lam2 - lam1 <= 1e-9 * lamn:
-        raise DegenerateSmallestEigenvalue(
-            f"lambda2 - lambda1 = {lam2 - lam1:.3e} <= 1e-9 * lambdan"
-        )
-    flip = np.argmax(np.abs(u))
-    if u[flip] < 0:
-        u = -u
-    return ReferenceSpectrum(lam1=float(lam1), lam2=float(lam2), lamn=float(lamn), u_star=u)
+    return lam1, lam2, lamn, u

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import precondeig as pe
-from precondeig.diagnostics import random_spd_pair
+from precondeig.diagnostics import _DenseOracle, random_spd_pair
 
 
 def fd_eigenvalue(h, k, l):  # noqa: E741 - (k, l) are the classical mode indices
@@ -50,3 +50,11 @@ def dense_pencil(seed, n, kind):
 @pytest.fixture
 def rng():
     return pe.Rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def empty_oracle_memo():
+    """Start every test with an empty memo of A's spectrum in the validate
+    oracle, so a test that counts Jacobi runs does not depend on the tests
+    that ran before it."""
+    _DenseOracle._a_eig = None

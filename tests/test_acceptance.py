@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import precondeig as pe
-from precondeig import diagnostics
+from precondeig import problems
 from precondeig.diagnostics import random_spd_pair
 from tests.conftest import column, dense_problem, dense_roots
 
@@ -329,7 +329,7 @@ def test_criterion_8_success_probabilities():
 def test_criterion_9_classical_pinvit_bound(monkeypatch):
     """Per-step classical convergence bound with a spectrally scaled DDM,
     whose kappa comes from kappa_nu's Lanczos route."""
-    monkeypatch.setattr(diagnostics, "_DENSE_CAP", 0)
+    monkeypatch.setattr(problems, "_DENSE_CAP", 0)
     t0 = time.time()
     h, big_h = 2.0**-4, 2.0**-2
     problem = pe.laplace_fd(h)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import precondeig as pe
-from precondeig import diagnostics
+from precondeig import diagnostics, problems
 from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import _DenseOracle, random_spd_pair
-from precondeig.errors import PropertyViolation
+from precondeig.errors import PropertyViolation, ZeroVector
 from precondeig.linalg import spawn_seed
 from tests.conftest import column, dense_pencil, dense_problem, dense_roots
 
@@ -215,7 +215,7 @@ def test_kappa_dense_and_lanczos_routes_agree(monkeypatch):
     for p in (pe.make_spd(b), pe.make_mp_cholesky(a)):
         dense = pe.kappa_nu(problem, p)
         with monkeypatch.context() as m:
-            m.setattr(diagnostics, "_DENSE_CAP", 0)
+            m.setattr(problems, "_DENSE_CAP", 0)
             m.setattr(diagnostics, "_KAPPA_TOL", 1e-12)
             lanczos = pe.kappa_nu(problem, p)
         assert abs(dense[0] - lanczos[0]) <= 1e-8 * dense[0], p.label
@@ -490,6 +490,38 @@ def test_check_initial_b_orthogonal():
     assert abs(report["dist_b"] - math.pi / 2.0) <= 1e-10
 
 
+@pytest.mark.parametrize("recipe", ["mp-chol", "ddm:H=2^-1"])
+def test_check_initial_on_a_block_equals_its_rows(recipe):
+    # one forward B apply and one A apply for the whole block; an implicit B
+    # (lifted DDM) runs its nested PCG column by column
+    problem = build_problem("laplace-fem:h=2^-3")
+    ctx = pe.build_rate_context(problem, build_precond(recipe, problem))
+    rows = pe.Rng(12).normal(4 * problem.dim).reshape(4, problem.dim)
+    rows[1] = ctx.u_star
+    block = pe.check_initial(rows, ctx, u0_b_norm_sq=None)
+    for j, row in enumerate(rows):
+        one = pe.check_initial(row, ctx, u0_b_norm_sq=None)
+        assert (one["phi"], one["lambda2"]) == (block["phi"], block["lambda2"])
+        for key in ("condition_new", "condition_classic"):
+            assert one[key] == block[key][j]
+        # a last-bit change of cos dist_B near 1 moves its arccos by ~1e-8
+        assert abs(one["dist_b"] - block["dist_b"][j]) <= 1e-7, j
+        assert abs(one["lambda_u0"] - block["lambda_u0"][j]) <= 1e-12 * one["lambda_u0"], j
+    rows[2] = 0.0
+    with pytest.raises(ZeroVector):
+        pe.check_initial(rows, ctx, u0_b_norm_sq=None)
+
+
+def test_success_probability_rejects_a_sampler_before_the_context(monkeypatch):
+    def no_context(*args):
+        raise AssertionError("built a rate context")
+
+    monkeypatch.setattr(diagnostics, "build_rate_context", no_context)
+    problem = dense_problem(DIAG)
+    with pytest.raises(ValueError, match="unknown sampler"):
+        pe.success_probability(problem, pe.make_identity(3), "uniform", 10, 0, ctx=None)
+
+
 def test_success_probability_exact_preconditioner():
     a, _ = random_spd_pair(53, 12)
     problem = dense_problem(a)
@@ -605,9 +637,9 @@ def test_identity_b_oracle_equals_one_with_jacobi_on_c(n, monkeypatch):
         assert getattr(oracle.ctx, name) == getattr(ref, name), name
     for name in ("u_star", "w_star"):
         assert getattr(oracle.ctx, name).tobytes() == getattr(ref, name).tobytes(), name
-    # any other B runs Jacobi on C
+    # any other B runs Jacobi on C, and takes A's spectrum from the memo
     _DenseOracle(a, random_spd_pair(n, n)[1])
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("seed, n", [(13, 6), (2025, 12), (0, 20)])

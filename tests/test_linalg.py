@@ -663,6 +663,15 @@ def test_symfactor_solves_equal_tbtrs():
             assert np.array_equal(getattr(f, op)(v), x[:, 0]), op
 
 
+def test_symfactor_block_equals_its_columns():
+    _, mass = pe.fem_p1(1.0 / 8.0)
+    f = SymFactor(mass)
+    block = pe.Rng(8).normal(3 * f.n).reshape(f.n, 3)
+    for op in ("mult", "mult_t", "solve", "solve_t"):
+        want = np.column_stack([getattr(f, op)(c) for c in block.T])
+        assert np.array_equal(getattr(f, op)(block), want), op
+
+
 def test_symfactor_rejects_a_pivot_that_is_not_positive():
     # banded Cholesky passes a NaN pivot through; the check in __init__ stops it
     with pytest.raises(NotSpd) as err:

@@ -115,6 +115,28 @@ def test_exact_twin_contract(name, p, _):
     assert np.linalg.norm(twin.apply_inv(v) - p.apply_inv(v)) <= 1e-4 * np.linalg.norm(p.apply_inv(v))
 
 
+def explicit_preconditioners():
+    """Every explicit B of all_preconditioners, and the exact B of a
+    mass-reduced problem, whose applies go through R products and solves."""
+    reduced = build_problem("laplace-fem:h=2^-3")
+    out = [(name, p) for name, p, _ in all_preconditioners() if p.fwd_mode == "exact"]
+    return out + [("exact-reduced", build_precond("exact", reduced))]
+
+
+@pytest.mark.parametrize("name,p", explicit_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
+def test_explicit_b_applies_a_block(name, p):
+    # an explicit B takes an (n, k) block in both applies: the diagnostics
+    # apply it to all trial starts, or to the identity, at once
+    block = pe.Rng(13).normal(3 * p.dim).reshape(p.dim, 3)
+    for q in (p, p.exact()):
+        tol = 1e-14 if q.exact() is q else 1e-6  # binary32 applies round at 2^-24
+        for apply in (q.apply_inv, q.apply_fwd):
+            got = apply(block)
+            want = np.column_stack([apply(c) for c in block.T])
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want), name
+
+
 # ---------------------------------------------------------------------------
 # identity / exact
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -423,6 +424,50 @@ def test_reference_degenerate_smallest():
         prob.reference()
 
 
+def matrix_free(diag):
+    """Problem on diag(d) with no matrix: reference_eigs takes its Lanczos route."""
+    d = np.asarray(diag, dtype=np.float64)
+    return pe.EigenProblem(dim=len(d), apply_a=lambda v: d * v, solve_a=lambda v: v / d, label="")
+
+
+def no_lanczos(*args, **kwargs):
+    raise AssertionError("the dense route ran a Lanczos")
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diag", "rotated"])
+def test_reference_dense_route_sees_a_repeated_lambda1(rotated, monkeypatch):
+    # LAPACK resolves both copies of lambda1 = 1: on diag(1, 1, 2) lambda2 -
+    # lambda1 is exactly 0, where the Lanczos route needs roundoff to see it
+    a = np.diag([1.0, 1.0, 2.0])
+    if rotated:
+        q = np.linalg.qr(pe.Rng(3).normal(9).reshape(3, 3))[0]
+        a = (q * np.diag(a)) @ q.T
+        a = (a + a.T) / 2.0
+    monkeypatch.setattr(problems, "lanczos_top_pairs", no_lanczos)
+    match = "= 0.000e+00" if not rotated else "lambda2 - lambda1"
+    with pytest.raises(DegenerateSmallestEigenvalue, match=re.escape(match)):
+        pe.reference_eigs(dense_problem(a))
+
+
+@pytest.mark.parametrize("seed", [4, 7, 9])
+@pytest.mark.parametrize("n", [32, 128])
+def test_reference_dense_route_agrees_with_lanczos_route(n, seed, monkeypatch):
+    dense = build_problem(f"kernel-laplace:n={n},seed={seed}")
+    twin = pe.EigenProblem(dim=n, apply_a=dense.apply_a, solve_a=dense.solver(), label="")
+    ref = pe.reference_eigs(twin)
+    monkeypatch.setattr(problems, "lanczos_top_pairs", no_lanczos)
+    got = pe.reference_eigs(dense)
+    for name in ("lam1", "lam2", "lamn"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert abs(x - y) <= 1e-12 * y, name
+    # u* is fixed only to its residual over the gap (Davis-Kahan): at n=128
+    # lambda2 - lambda1 is about 1e-4 lambda1, so both vectors are at
+    # roundoff and still differ by about 1e-12
+    a = dense.matrix
+    res = sum(np.linalg.norm(a @ x.u_star - x.lam1 * x.u_star) for x in (got, ref))
+    assert np.linalg.norm(got.u_star - ref.u_star) <= res / (ref.lam2 - ref.lam1)
+
+
 def test_reference_lambda1_refinement_recovers_perturbed_start(monkeypatch):
     # the Lanczos Ritz vector of every production problem already meets the
     # lambda1 target; a start 1e-3 off u* makes the inverse iteration run
@@ -456,7 +501,7 @@ def test_reference_lambda1_iteration_raises_when_out_of_steps(monkeypatch):
     vecs[2, 1] = 1.0
     monkeypatch.setattr(problems, "lanczos_top_pairs", lambda *a, **k: (np.array([1.0, 0.2]), vecs))
     with pytest.raises(NoConvergence, match="lambda1"):
-        pe.reference_eigs(dense_problem(np.diag([1.0, 1.0 + 1e-7, 5.0])))
+        pe.reference_eigs(matrix_free([1.0, 1.0 + 1e-7, 5.0]))
 
 
 def test_reference_lambda2_iteration_raises_when_out_of_steps(monkeypatch):
@@ -468,7 +513,7 @@ def test_reference_lambda2_iteration_raises_when_out_of_steps(monkeypatch):
     vecs[1:3, 1] = math.sqrt(0.5)
     monkeypatch.setattr(problems, "lanczos_top_pairs", lambda *a, **k: (np.array([1.0, 0.5]), vecs))
     with pytest.raises(NoConvergence):
-        pe.reference_eigs(dense_problem(np.diag([1.0, 2.0, 2.001, 10.0])))
+        pe.reference_eigs(matrix_free([1.0, 2.0, 2.001, 10.0]))
 
 
 def test_reference_dimension_one():
