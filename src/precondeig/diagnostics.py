@@ -350,19 +350,22 @@ def check_initial(u0, ctx, u0_b_norm_sq):
 
     u0_b_norm_sq is u0^T B u0 (per row) when it is known from the sampler
     identity; when it is None the binary64 twin of B is applied forward to
-    the whole block (_apply_b).  A u0 is one apply_a on the block.  Raises
-    ZeroVector when a start is zero.
+    u0 (_apply_b), a block in one apply for an explicit B.  A u0 is one
+    apply_a on u0 as given: a vector stays a vector, and a block goes in
+    as its (n, k) transpose.  Raises ZeroVector when a start is zero.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     rows = np.atleast_2d(u0)
     if not rows.any(axis=1).all():
         raise ZeroVector("u0 is zero")
+
+    def dot_rows(apply):  # u^T (apply u) for each start u, applied to u0 as given
+        return np.einsum("ij,ij->i", rows, np.atleast_2d(apply(u0.T).T))
+
     if u0_b_norm_sq is None:
-        b_rows = _apply_b(ctx.precond.exact(), ctx.problem, rows.T)
-        u0_b_norm_sq = np.einsum("ij,ji->i", rows, b_rows)
+        u0_b_norm_sq = dot_rows(lambda v: _apply_b(ctx.precond.exact(), ctx.problem, v))
     dist = np.arccos(ctx.cos_dist_b(rows, np.sqrt(u0_b_norm_sq)))
-    uau = np.einsum("ij,ji->i", rows, ctx.problem.apply_a(rows.T))
-    lam_u0 = uau / np.einsum("ij,ij->i", rows, rows)
+    lam_u0 = dot_rows(ctx.problem.apply_a) / np.einsum("ij,ij->i", rows, rows)
     phi = ctx.phi
     report = {
         "dist_b": dist,
