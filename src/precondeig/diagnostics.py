@@ -79,8 +79,8 @@ def theta_shao(u, b_u):
 def kappa_nu(problem, precond):
     """(nu_min, nu_max, kappa) of B^{-1} A, measured on the binary64 twin of B.
 
-    Dense route up to problems._DENSE_CAP: B^{-1} from the twin's inverse
-    apply on the identity block (_apply_b_inv: one apply for an explicit B),
+    Dense route up to problems._DENSE_CAP: B^{-1} from one apply of the
+    twin's inverse to the identity block (every apply_inv takes a block),
     A = L L^T by LAPACK Cholesky, and the extreme eigenvalues of the
     symmetric S = L^T B^{-1} L (similar to B^{-1} A) by LAPACK.  Above the
     cap, Lanczos at tol _KAPPA_TOL on B^{-1} A in the A-inner product, which
@@ -91,7 +91,7 @@ def kappa_nu(problem, precond):
     exact = precond.exact()
     if n <= problems._DENSE_CAP:
         l_a = cholesky(problem.dense()).l
-        binv = _apply_b_inv(exact, np.eye(n))
+        binv = exact.apply_inv(np.eye(n))
         s = l_a.T @ binv @ l_a
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
@@ -126,8 +126,6 @@ class RateContext:
     cos_phi: float
     nu_min: float
     nu_max: float
-    problem: object  # problem and precond are None on the dense oracle's context
-    precond: object
 
     @property
     def kappa(self):
@@ -146,10 +144,7 @@ class RateContext:
         return np.clip(cos, -1.0, 1.0)
 
 
-def _context(
-    lam1, lam2, lamn, u, a_u, b_u, b_inv_u, apply_b_inv, nu_min, nu_max,
-    problem=None, precond=None,
-):
+def _context(lam1, lam2, lamn, u, a_u, b_u, b_inv_u, apply_b_inv, nu_min, nu_max):
     """RateContext at the unit vector u* from its images A u*, B u* and
     B^-1 u*: the one place the norms of u* and the distortion angle are
     formed, for the solver's context and the dense validation oracle alike."""
@@ -167,8 +162,6 @@ def _context(
         cos_phi=cos_phi,
         nu_min=nu_min,
         nu_max=nu_max,
-        problem=problem,
-        precond=precond,
     )
 
 
@@ -179,14 +172,6 @@ def _apply_b(exact, problem, v):
     if exact.fwd_mode == "exact":
         return exact.apply_fwd(v)
     return _by_column(lambda c: apply_fwd_iterative(exact, c, apply_a=problem.apply_a), v)
-
-
-def _apply_b_inv(exact, v):
-    """B^-1 v from the binary64 twin `exact`, for a vector or an (n, k)
-    block: one apply for an explicit B, one per column for an implicit B."""
-    if exact.fwd_mode == "exact":
-        return exact.apply_inv(v)
-    return _by_column(exact.apply_inv, v)
 
 
 def build_rate_context(problem, precond):
@@ -207,8 +192,7 @@ def build_rate_context(problem, precond):
     a_u = problem.apply_a(u)
     nu_min, nu_max, _ = kappa_nu(problem, precond)
     ctx = _context(
-        ref.lam1, ref.lam2, ref.lamn, u, a_u, w, b_inv_u, exact.apply_inv, nu_min, nu_max,
-        problem=problem, precond=precond,
+        ref.lam1, ref.lam2, ref.lamn, u, a_u, w, b_inv_u, exact.apply_inv, nu_min, nu_max
     )
     if abs(ctx.norm_u_a**2 - ref.lam1) > 1e-10 * max(1.0, ref.lam1):
         raise PropertyViolation("||u*||_A^2 != lambda1 ||u*||^2: u* is not converged")
@@ -343,41 +327,36 @@ def compute_quality(problem, precond):
 # ---------------------------------------------------------------------------
 
 
-def check_initial(u0, ctx, u0_b_norm_sq):
-    """Evaluate both starting conditions at u0, a vector or a (k, n) block
-    with one start per row; for a block every entry of the result but phi
-    and lambda2 is an array with one value per row.
+def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
+    """Evaluate both starting conditions on a (k, n) block u0 with one start
+    per row, for the pair (problem, precond) that ctx was built on.  Every
+    entry of the result but phi and lambda2 is an array with one value per
+    row.
 
-    u0_b_norm_sq is u0^T B u0 (per row) when it is known from the sampler
+    u0_b_norm_sq is u0^T B u0 per row when it is known from the sampler
     identity; when it is None the binary64 twin of B is applied forward to
-    u0 (_apply_b), a block in one apply for an explicit B.  A u0 is one
-    apply_a on u0 as given: a vector stays a vector, and a block goes in
-    as its (n, k) transpose.  Raises ZeroVector when a start is zero.
+    the block (_apply_b: one apply for an explicit B, one nested PCG per
+    start for an implicit B).  A u0 is one apply_a on the (n, k) transpose.
+    Raises DimensionMismatch when u0 is not 2-D and ZeroVector when a start
+    is zero.
     """
     u0 = np.asarray(u0, dtype=np.float64)
-    rows = np.atleast_2d(u0)
-    if not rows.any(axis=1).all():
+    if u0.ndim != 2:
+        raise DimensionMismatch(f"u0 must be a (k, n) block of starts, got shape {u0.shape}")
+    if not u0.any(axis=1).all():
         raise ZeroVector("u0 is zero")
-
-    def dot_rows(apply):  # u^T (apply u) for each start u, applied to u0 as given
-        return np.einsum("ij,ij->i", rows, np.atleast_2d(apply(u0.T).T))
-
     if u0_b_norm_sq is None:
-        u0_b_norm_sq = dot_rows(lambda v: _apply_b(ctx.precond.exact(), ctx.problem, v))
-    dist = np.arccos(ctx.cos_dist_b(rows, np.sqrt(u0_b_norm_sq)))
-    lam_u0 = dot_rows(ctx.problem.apply_a) / np.einsum("ij,ij->i", rows, rows)
-    phi = ctx.phi
-    report = {
+        u0_b_norm_sq = np.einsum("ij,ij->i", u0, _apply_b(precond.exact(), problem, u0.T).T)
+    dist = np.arccos(ctx.cos_dist_b(u0, np.sqrt(u0_b_norm_sq)))
+    lam_u0 = np.einsum("ij,ij->i", u0, problem.apply_a(u0.T).T) / np.einsum("ij,ij->i", u0, u0)
+    return {
         "dist_b": dist,
-        "phi": phi,
-        "condition_new": dist < phi,
+        "phi": ctx.phi,
+        "condition_new": dist < ctx.phi,
         "lambda_u0": lam_u0,
         "lambda2": ctx.lam2,
         "condition_classic": lam_u0 < ctx.lam2,
     }
-    if u0.ndim == 1:  # one start: plain scalars
-        return {key: np.asarray(value).item() for key, value in report.items()}
-    return report
 
 
 def success_probability(problem, precond, sampler, trials, seed, ctx=None):
@@ -387,10 +366,11 @@ def success_probability(problem, precond, sampler, trials, seed, ctx=None):
     All the omega are drawn as one (trials, n) block by spawn_normal_rows,
     row t bit-identical to Rng(spawn_seed(seed, t)).normal(n), and
     check_initial checks the whole block at once.  sampler "gaussian" draws
-    u0 = omega; "smooth" draws u0 = B^{-1} omega (_apply_b_inv on the
-    block), for which ||u0||_B^2 = u0^T omega requires no forward
-    application.  ctx None builds the RateContext here.  Raises ValueError
-    for trials < 1 or an unknown sampler, before any context is built.
+    u0 = omega; "smooth" draws u0 = B^{-1} omega (one apply of the binary64
+    twin's inverse to the block), for which ||u0||_B^2 = u0^T omega requires
+    no forward application.  ctx None builds the RateContext here.  Raises
+    ValueError for trials < 1 or an unknown sampler, before any context is
+    built.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -400,11 +380,11 @@ def success_probability(problem, precond, sampler, trials, seed, ctx=None):
         ctx = build_rate_context(problem, precond)
     omega = spawn_normal_rows(seed, trials, problem.dim)
     if sampler == "smooth":
-        u0 = _apply_b_inv(precond.exact(), omega.T).T
+        u0 = precond.exact().apply_inv(omega.T).T
         b_norm_sq = np.einsum("ij,ij->i", u0, omega)
     else:
         u0, b_norm_sq = omega, None
-    report = check_initial(u0, ctx, u0_b_norm_sq=b_norm_sq)
+    report = check_initial(problem, precond, u0, ctx, u0_b_norm_sq=b_norm_sq)
     hits_new = int(np.count_nonzero(report["condition_new"]))
     hits_classic = int(np.count_nonzero(report["condition_classic"]))
     return {
@@ -642,7 +622,6 @@ def validate_properties(a, b, n_samples, seed, label, inject_bug):
         tol=1e-13,
         maxit=25,
         ctx=ctx,
-        stagnation_window=None,
     )
     trace = np.array([(row["distB"], row["xi"]) for row in result.trace.rows])
     steps = np.flatnonzero(np.isfinite(trace[:-1]).all(axis=1) & np.isfinite(trace[1:, 0]))

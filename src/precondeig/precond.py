@@ -33,10 +33,10 @@ class Preconditioner:
     is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
     B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a).
 
-    A B with fwd_mode 'exact' takes an (n, k) block as well as a vector in
-    apply_inv and apply_fwd, and applies B^{-1} or B to each column.  An
-    implicit B is applied to vectors only; the diagnostics that apply B to a
-    block (diagnostics._apply_b and _apply_b_inv) loop over its columns.
+    apply_inv takes an (n, k) block as well as a vector and applies B^{-1}
+    to each column; so does apply_fwd of a B with fwd_mode 'exact'.  Only the
+    nested PCG of an implicit B's forward apply runs on vectors: a block goes
+    through diagnostics._apply_b one column at a time.
     """
 
     dim = None

@@ -61,8 +61,9 @@ class EigenProblem:
 
     A mass-reduced problem holds the factor R of M = R^T R in r_factor and
     the matvecs (K v, M v) of its original pencil in pencil; both are None
-    for a standard problem.  check_initial applies apply_a to an (n, k)
-    block of starts; the generators here build operators that take one.
+    for a standard problem.  apply_a takes an (n, k) block as well as a
+    vector: check_initial applies it to a block of starts and dense() to the
+    identity; the generators here build operators that take one.
     """
 
     def __init__(
@@ -86,16 +87,15 @@ class EigenProblem:
         return self._solve_a
 
     def dense(self):
-        """Dense binary64 form of the operator (assembled columnwise if needed,
-        up to 5000 rows)."""
+        """Dense binary64 form of the operator: its matrix, or else one apply_a
+        on the identity block, symmetrized (up to 5000 rows)."""
         if self.matrix is not None:
             if scipy.sparse.issparse(self.matrix):
                 return self.matrix.toarray()
             return np.asarray(self.matrix, dtype=np.float64)
         if self.dim > 5000:
             raise NotSpd(-1, f"refusing to assemble a dense {self.dim}x{self.dim} operator")
-        cols = [self.apply_a(e) for e in np.eye(self.dim)]
-        a = np.column_stack(cols)
+        a = self.apply_a(np.eye(self.dim))
         return (a + a.T) / 2.0
 
     def wrap_precond(self, p):

@@ -64,6 +64,7 @@ TRACE_COLUMNS = (
 )
 
 NAN = float("nan")
+_STAGNATION_WINDOW = 30  # steps of rsd_solve's stagnation guard
 
 
 @dataclass
@@ -175,7 +176,6 @@ def rsd_solve(
     tol,
     maxit,
     ctx,
-    stagnation_window=30,
     callback=None,
 ):
     """Steepest-descent variant on the route precond.pencil() selects: u-space,
@@ -184,9 +184,9 @@ def rsd_solve(
 
     Terminates on ||r|| / (lambda ||u||) <= tol, on the iteration budget
     maxit (ValueError when negative), or on a stagnation guard: lambda has
-    been flat (|dlambda| <= 1e-15 lambda) for the last `stagnation_window`
+    been flat (|dlambda| <= 1e-15 lambda) for the last _STAGNATION_WINDOW
     steps and the best residual inside that window is not below 0.9 times
-    the best one before it (None disables).
+    the best one before it.
     lambda flattens long before the residual reaches tol (its error scales
     as the residual squared), and the residual zig-zags at about 0.9 per
     step, so the window's best, not each step, has to beat the past.  That
@@ -233,7 +233,7 @@ def rsd_solve(
     in_basin = True
     flat = 0
     prev_lam = None
-    window = deque(maxlen=stagnation_window)
+    window = deque(maxlen=_STAGNATION_WINDOW)
     best_before = math.inf  # best residual before the window
     reason = "MaxIters"
     iterations = maxit
@@ -256,16 +256,15 @@ def rsd_solve(
         lam_flat = prev_lam is not None and abs(state.lam - prev_lam) <= 1e-15 * abs(state.lam)
         flat = flat + 1 if lam_flat else 0
         prev_lam = state.lam
-        if stagnation_window is not None:
-            if len(window) == stagnation_window:
-                best_before = min(best_before, window[0])
-            window.append(res_rel)
-            if flat >= stagnation_window and min(window) >= 0.9 * best_before:
-                trace.event(
-                    t, "StagnatedStep", flat_steps=flat, window_best=min(window), best_before=best_before
-                )
-                reason, iterations = "StagnatedStep", t
-                break
+        if len(window) == _STAGNATION_WINDOW:
+            best_before = min(best_before, window[0])
+        window.append(res_rel)
+        if flat >= _STAGNATION_WINDOW and min(window) >= 0.9 * best_before:
+            trace.event(
+                t, "StagnatedStep", flat_steps=flat, window_best=min(window), best_before=best_before
+            )
+            reason, iterations = "StagnatedStep", t
+            break
         if t == maxit:
             break
 

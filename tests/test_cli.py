@@ -285,8 +285,8 @@ def test_prob_eigvec_init_equivalent(capsys):
     prob = build_problem("laplace-fd:h=2^-3")
     p = build_precond("exact", prob)
     ctx = pe.build_rate_context(prob, p)
-    rep = pe.check_initial(ctx.u_star, ctx, u0_b_norm_sq=None)
-    assert rep["condition_new"] and rep["condition_classic"]
+    rep = pe.check_initial(prob, p, ctx.u_star[None, :], ctx, u0_b_norm_sq=None)
+    assert rep["condition_new"][0] and rep["condition_classic"][0]
 
 
 def test_validate_quick_pass(tmp_path):

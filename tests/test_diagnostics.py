@@ -7,7 +7,7 @@ import precondeig as pe
 from precondeig import diagnostics, problems
 from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import _DenseOracle, random_spd_pair
-from precondeig.errors import PropertyViolation, ZeroVector
+from precondeig.errors import DimensionMismatch, PropertyViolation, ZeroVector
 from precondeig.linalg import spawn_seed
 from tests.conftest import column, dense_pencil, dense_problem, dense_roots
 
@@ -475,9 +475,9 @@ def test_rho_b_equals_scaled_pencil_extremes():
 
 def test_check_initial_at_eigenvector():
     problem, p, ctx, _, b = random_ctx(50)
-    report = pe.check_initial(ctx.u_star, ctx, u0_b_norm_sq=None)
-    assert report["condition_new"] and report["condition_classic"]
-    assert report["dist_b"] <= 1e-6
+    report = pe.check_initial(problem, p, ctx.u_star[None, :], ctx, u0_b_norm_sq=None)
+    assert report["condition_new"][0] and report["condition_classic"][0]
+    assert report["dist_b"][0] <= 1e-6
 
 
 def test_check_initial_b_orthogonal():
@@ -485,9 +485,16 @@ def test_check_initial_b_orthogonal():
     w = ctx.w_star
     v = pe.Rng(11).normal(10)
     v -= (float(v @ w) / float(ctx.u_star @ w)) * ctx.u_star  # v^T B u* = 0
-    report = pe.check_initial(v, ctx, u0_b_norm_sq=None)
-    assert not report["condition_new"]
-    assert abs(report["dist_b"] - math.pi / 2.0) <= 1e-10
+    report = pe.check_initial(problem, p, v[None, :], ctx, u0_b_norm_sq=None)
+    assert not report["condition_new"][0]
+    assert abs(report["dist_b"][0] - math.pi / 2.0) <= 1e-10
+
+
+def test_check_initial_rejects_a_start_that_is_not_a_block():
+    problem, p, ctx, _, _ = random_ctx(52)
+    for u0 in (ctx.u_star, ctx.u_star[None, None, :]):
+        with pytest.raises(DimensionMismatch):
+            pe.check_initial(problem, p, u0, ctx, u0_b_norm_sq=None)
 
 
 @pytest.mark.parametrize("recipe", ["mp-chol", "ddm:H=2^-1"])
@@ -495,21 +502,22 @@ def test_check_initial_on_a_block_equals_its_rows(recipe):
     # one forward B apply and one A apply for the whole block; an implicit B
     # (lifted DDM) runs its nested PCG column by column
     problem = build_problem("laplace-fem:h=2^-3")
-    ctx = pe.build_rate_context(problem, build_precond(recipe, problem))
+    p = build_precond(recipe, problem)
+    ctx = pe.build_rate_context(problem, p)
     rows = pe.Rng(12).normal(4 * problem.dim).reshape(4, problem.dim)
     rows[1] = ctx.u_star
-    block = pe.check_initial(rows, ctx, u0_b_norm_sq=None)
+    block = pe.check_initial(problem, p, rows, ctx, u0_b_norm_sq=None)
     for j, row in enumerate(rows):
-        one = pe.check_initial(row, ctx, u0_b_norm_sq=None)
+        one = pe.check_initial(problem, p, row[None, :], ctx, u0_b_norm_sq=None)
         assert (one["phi"], one["lambda2"]) == (block["phi"], block["lambda2"])
         for key in ("condition_new", "condition_classic"):
-            assert one[key] == block[key][j]
+            assert one[key][0] == block[key][j]
         # a last-bit change of cos dist_B near 1 moves its arccos by ~1e-8
-        assert abs(one["dist_b"] - block["dist_b"][j]) <= 1e-7, j
-        assert abs(one["lambda_u0"] - block["lambda_u0"][j]) <= 1e-12 * one["lambda_u0"], j
+        assert abs(one["dist_b"][0] - block["dist_b"][j]) <= 1e-7, j
+        assert abs(one["lambda_u0"][0] - block["lambda_u0"][j]) <= 1e-12 * one["lambda_u0"][0], j
     rows[2] = 0.0
     with pytest.raises(ZeroVector):
-        pe.check_initial(rows, ctx, u0_b_norm_sq=None)
+        pe.check_initial(problem, p, rows, ctx, u0_b_norm_sq=None)
 
 
 def test_success_probability_rejects_a_sampler_before_the_context(monkeypatch):
@@ -547,10 +555,10 @@ def test_success_probability_checks_one_start_per_spawned_seed(sampler):
         omega = pe.Rng(spawn_seed(9, t)).normal(11)
         if sampler == "smooth":
             u0 = p.exact().apply_inv(omega)
-            report = pe.check_initial(u0, ctx, u0_b_norm_sq=float(u0 @ omega))
+            report = pe.check_initial(problem, p, u0[None, :], ctx, u0_b_norm_sq=float(u0 @ omega))
         else:
-            report = pe.check_initial(omega, ctx, u0_b_norm_sq=None)
-        hits += [report["condition_new"], report["condition_classic"]]
+            report = pe.check_initial(problem, p, omega[None, :], ctx, u0_b_norm_sq=None)
+        hits += [report["condition_new"][0], report["condition_classic"][0]]
     assert (rep["successes_new"], rep["successes_classic"]) == tuple(hits)
 
 

@@ -294,6 +294,10 @@ def test_reduce_fem_matches_dense_pencil_oracle():
     tmp = sla.solve_triangular(f.l, k.toarray(), lower=True)
     c = sla.solve_triangular(f.l, tmp.T, lower=True).T
     w, _ = pe.dense_sym_eig((c + c.T) / 2.0)
+    # dense() assembles with one apply_a on the identity block, bit for bit
+    # the column-by-column assembly
+    cols = np.column_stack([prob.apply_a(e) for e in np.eye(prob.dim)])
+    assert np.array_equal(prob.dense(), (cols + cols.T) / 2.0)
     assert abs(ref.lam1 - w[0]) <= 1e-10 * w[0]
     assert abs(ref.lam2 - w[1]) <= 1e-9 * w[1]
     assert abs(ref.lamn - w[-1]) <= 1e-9 * w[-1]

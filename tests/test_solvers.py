@@ -66,7 +66,7 @@ def test_rsd_zero_start_raises_zero_vector():
     problem, precond, ctx, _, _, _ = setup_instance(0)
     u0 = np.zeros(problem.dim)
     with pytest.raises(ZeroVector):
-        pe.check_initial(u0, ctx, u0_b_norm_sq=None)
+        pe.check_initial(problem, precond, u0[None, :], ctx, u0_b_norm_sq=None)
     with pytest.raises(ZeroVector):
         pe.rsd_solve(problem, precond, u0, pe.StepPolicy.pinvit(), tol=1e-8, maxit=10, ctx=None)
 
@@ -180,7 +180,8 @@ def xspace_step(a_mats, x, eta):
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-def test_equivalence_theory_steps(seed):
+def test_equivalence_theory_steps(seed, monkeypatch):
+    monkeypatch.setattr(solvers, "_STAGNATION_WINDOW", 31)  # longer than maxit: no guard
     problem, precond, ctx, b_sqrt, b_inv_sqrt, x_star = setup_instance(seed)
     a = problem.matrix
     _, b = dense_pair(seed)
@@ -197,7 +198,6 @@ def test_equivalence_theory_steps(seed):
         tol=0.0,
         maxit=30,
         ctx=ctx,
-        stagnation_window=None,
         callback=lambda t, st: iterates.append(st.u.copy()),
     )
     x = x0.copy()
@@ -439,7 +439,7 @@ def test_classic_convresult_bound_scaled_identity():
 # ---------------------------------------------------------------------------
 
 
-def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx, stagnation_window=30):
+def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx):
     """rsd_solve as it ran before the pencil route: the same loop carried in
     u-space for every (problem, preconditioner) pair, so a mass-reduced step
     applies the reduced A (two R solves) and the lifted B^{-1} (two R
@@ -451,7 +451,8 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx, stagnation_
     trace = solvers.Trace()
     uus = []
     in_basin, flat, prev_lam = True, 0, None
-    window = deque(maxlen=stagnation_window)
+    window_len = solvers._STAGNATION_WINDOW
+    window = deque(maxlen=window_len)
     best_before = math.inf
     reason, iterations = "MaxIters", maxit
     for t in range(maxit + 1):
@@ -467,10 +468,10 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx, stagnation_
         lam_flat = prev_lam is not None and abs(state.lam - prev_lam) <= 1e-15 * abs(state.lam)
         flat = flat + 1 if lam_flat else 0
         prev_lam = state.lam
-        if len(window) == stagnation_window:
+        if len(window) == window_len:
             best_before = min(best_before, window[0])
         window.append(res_rel)
-        if flat >= stagnation_window and min(window) >= 0.9 * best_before:
+        if flat >= window_len and min(window) >= 0.9 * best_before:
             trace.event(
                 t, "StagnatedStep", flat_steps=flat, window_best=min(window), best_before=best_before
             )
@@ -699,7 +700,7 @@ def test_step_constant_arithmetic():
     ctx = pe.RateContext(
         lam1=1.0, lam2=1.5, lamn=2.0, u_star=np.array([1.0]), w_star=np.array([1.0]),
         norm_u_a=1.0, norm_u_b=1.0, norm_u_binv=1.0,
-        sin_phi=1.0, cos_phi=0.0, nu_min=1.0, nu_max=1.0, problem=None, precond=None,
+        sin_phi=1.0, cos_phi=0.0, nu_min=1.0, nu_max=1.0,
     )
     assert abs(step_constant(ctx, 0.25) - 0.5) <= 1e-16
 

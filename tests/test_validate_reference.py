@@ -140,8 +140,7 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
     start_dir /= np.linalg.norm(start_dir)
     u0 = o.b_inv_sqrt @ _exp(o.x_star, (0.6 * o.ctx.phi) * start_dir)
     result = solvers.rsd_solve(
-        problem, precond, u0, solvers.StepPolicy.theory(), tol=1e-13, maxit=25, ctx=ctx,
-        stagnation_window=None,
+        problem, precond, u0, solvers.StepPolicy.theory(), tol=1e-13, maxit=25, ctx=ctx
     )
     rows = result.trace.rows
     for t in range(len(rows) - 1):
