@@ -599,13 +599,18 @@ def make_solver(a):
 class SymFactor:
     """R^T R factorization of an SPD matrix with products and solves for R.
 
-    R is kept once, as its upper band in LAPACK layout
-    (``rab[bw + i - j, j] = R[i, j]``), so memory is O(n * bw); a dense input
-    is a band of full width.  The factor comes from LAPACK's banded Cholesky
-    on the upper triangle of the input; each product is one BLAS ``tbmv``
-    and each solve one BLAS ``tbsv`` on that band.  Lexicographically
-    ordered FEM mass matrices give bw ~ sqrt(n).  Each method also takes an
-    (n, k) block and runs its BLAS routine on one column at a time.
+    R is kept in two LAPACK band layouts: its upper band
+    (``rab[bw + i - j, j] = R[i, j]``) and, for the solves with R^T, the
+    same factor transposed as a lower band (``lab[d, j] = R[j, j + d]``), so
+    memory is O(2 n bw); a dense input is a band of full width.  The factor
+    comes from LAPACK's banded Cholesky on the upper triangle of the input.
+    `mult` and `mult_t` run BLAS ``tbmv`` on rab (no-transpose and
+    transpose), `solve` runs ``tbsv`` on rab, and `solve_t` runs ``tbsv`` on
+    lab without transpose: a forward substitution in axpy form, where the
+    transposed ``tbsv`` on rab takes the slower dot-product form.
+    Lexicographically ordered FEM mass matrices give bw ~ sqrt(n).  Each
+    method also takes an (n, k) block and runs its BLAS routine on one
+    column at a time.
     """
 
     def __init__(self, m):
@@ -624,24 +629,28 @@ class SymFactor:
         bad = np.flatnonzero(~(rab[bw] > 0))
         if bad.size:
             raise NotSpd(int(bad[0]), f"banded cholesky pivot {bad[0]} is not positive")
-        self.n, self.bw, self.rab = n, bw, rab
+        # Fortran order, as the BLAS wrappers would otherwise copy it per call
+        lab = np.zeros((bw + 1, n), order="F")
+        for d in range(bw + 1):
+            lab[d, : n - d] = rab[bw - d, d:]
+        self.n, self.bw, self.rab, self.lab = n, bw, rab, lab
 
-    def _band(self, routine, v, trans):
+    def _band(self, routine, band, v, lower, trans):
         v = np.asarray(v, dtype=np.float64)
-        return _by_column(lambda c: routine(self.bw, self.rab, c, trans=trans), v)
+        return _by_column(lambda c: routine(self.bw, band, c, lower=lower, trans=trans), v)
 
     def mult(self, v):
         """R v"""
-        return self._band(scipy.linalg.blas.dtbmv, v, 0)
+        return self._band(scipy.linalg.blas.dtbmv, self.rab, v, 0, 0)
 
     def mult_t(self, v):
         """R^T v"""
-        return self._band(scipy.linalg.blas.dtbmv, v, 1)
+        return self._band(scipy.linalg.blas.dtbmv, self.rab, v, 0, 1)
 
     def solve(self, v):
         """R x = v"""
-        return self._band(scipy.linalg.blas.dtbsv, v, 0)
+        return self._band(scipy.linalg.blas.dtbsv, self.rab, v, 0, 0)
 
     def solve_t(self, v):
-        """R^T x = v"""
-        return self._band(scipy.linalg.blas.dtbsv, v, 1)
+        """R^T x = v, by forward substitution on the lower band"""
+        return self._band(scipy.linalg.blas.dtbsv, self.lab, v, 1, 0)

@@ -611,7 +611,7 @@ def test_jacobi_raises_no_convergence_after_max_sweeps(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# SymFactor (R^T R on one LAPACK band)
+# SymFactor (R^T R on an upper and a lower LAPACK band)
 # ---------------------------------------------------------------------------
 
 
@@ -639,7 +639,7 @@ def check_symfactor_against_oracle(m):
 def test_symfactor_banded_matches_dense():
     _, mass = pe.fem_p1(1.0 / 8.0)
     f = check_symfactor_against_oracle(mass)
-    assert f.bw == 8 and f.rab.shape == (9, 49)
+    assert f.bw == 8 and f.rab.shape == f.lab.shape == (9, 49)
 
 
 @pytest.mark.parametrize(
@@ -652,13 +652,14 @@ def test_symfactor_full_and_zero_bandwidth(m, bw):
 
 
 def test_symfactor_solves_equal_tbtrs():
-    # tbsv is the substitution tbtrs runs after its zero-pivot test
+    # tbsv is the substitution tbtrs runs after its zero-pivot test; solve_t
+    # is the forward substitution on the lower band lab
     _, mass = pe.fem_p1(1.0 / 16.0)
     for m in (mass, random_spd(22, 12)):
         f = SymFactor(m)
         v = pe.gaussian_vector(pe.Rng(7), f.n)
-        for op, trans in (("solve", "N"), ("solve_t", "T")):
-            x, info = scipy.linalg.lapack.dtbtrs(f.rab, v[:, None], trans=trans)
+        for op, band, uplo in (("solve", f.rab, "U"), ("solve_t", f.lab, "L")):
+            x, info = scipy.linalg.lapack.dtbtrs(band, v[:, None], uplo=uplo, trans="N")
             assert info == 0
             assert np.array_equal(getattr(f, op)(v), x[:, 0]), op
 
