@@ -86,6 +86,12 @@ def kappa_nu(problem, precond):
     cap, Lanczos at tol _KAPPA_TOL on B^{-1} A in the A-inner product, which
     hands apply_t the A q it already holds, so each step applies A once; it
     runs at most 400 steps from a start drawn from Rng(4242).
+
+    A B lifted to a mass-reduced problem (exact.pencil() is not None) runs
+    that Lanczos on the pencil, as rsd_solve does: Bhat^{-1} A = R P^{-1}
+    R^T R^{-T} K R^{-1} is similar through R to P^{-1} K, so the run takes
+    P^{-1} in the K-inner product, one P^{-1} apply and one K matvec per
+    step with no R work.
     """
     n = problem.dim
     exact = precond.exact()
@@ -96,13 +102,13 @@ def kappa_nu(problem, precond):
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
+        pencil = exact.pencil()
+        if pencil is None:
+            apply_t, inner_map = exact.apply_inv, problem.apply_a
+        else:
+            apply_t, inner_map = pencil.apply_inv, problem.pencil[0]
         nu_min, nu_max = lanczos_extremal(
-            exact.apply_inv,
-            dim=n,
-            tol=_KAPPA_TOL,
-            maxit=400,
-            rng=Rng(4242),
-            inner_map=problem.apply_a,
+            apply_t, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242), inner_map=inner_map
         )
     return nu_min, nu_max, nu_max / nu_min
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import precondeig as pe
 from precondeig import diagnostics, problems
@@ -239,19 +240,43 @@ def test_kappa_dense_route_matches_extended_precision_pencil():
     assert abs((kappa - 1.0) - ref) <= 1e-7 * ref
 
 
-def test_kappa_lanczos_route_applies_a_once_per_step():
-    problem = build_problem("laplace-fem:h=2^-4")
-    p = build_precond("ddm:H=2^-2", problem)
-    apply_a, calls = problem.apply_a, []
-
+def counting(fn, calls):
     def counted(v):
         calls.append(1)
-        return apply_a(v)
+        return fn(v)
 
-    problem.apply_a = counted
-    assert problem.dim > 200  # the Lanczos route
+    return counted
+
+
+def test_kappa_lanczos_route_applies_a_once_per_step():
+    problem = build_problem("laplace-fd:h=2^-4")
+    p = build_precond("ddm:H=2^-2", problem)
+    calls = []
+    problem.apply_a = counting(problem.apply_a, calls)
+    assert problem.dim > 200 and p.pencil() is None  # the Lanczos route in u-space
     pe.kappa_nu(problem, p)
     assert len(calls) <= 54
+
+
+def test_kappa_of_a_lifted_ddm_runs_on_the_pencil():
+    """A DDM lifted to the FEM pencil (K, M): Lanczos on P^{-1} K in the
+    K-inner product, one K matvec per step and no reduced A apply, against
+    the dense generalized spectrum of (K, B_P), B_P the inverse of the DDM
+    apply on the identity."""
+    problem = build_problem("laplace-fem:h=2^-4")
+    p = build_precond("ddm:H=2^-2", problem)
+    n = problem.dim
+    assert n > problems._DENSE_CAP and p.pencil() is not None
+    b_p = np.linalg.inv(p.pencil().apply_inv(np.eye(n)))
+    k = problem.pencil[0](np.eye(n))
+    w = scipy.linalg.eigh((k + k.T) / 2.0, (b_p + b_p.T) / 2.0, eigvals_only=True)
+    a_calls, k_calls = [], []
+    problem.apply_a = counting(problem.apply_a, a_calls)
+    problem.pencil = (counting(problem.pencil[0], k_calls), problem.pencil[1])
+    nu_min, nu_max, kappa = pe.kappa_nu(problem, p)
+    assert abs(nu_min - w[0]) <= 1e-10 * w[0] and abs(nu_max - w[-1]) <= 1e-10 * w[-1]
+    assert abs(kappa - w[-1] / w[0]) <= 1e-10 * kappa
+    assert not a_calls and len(k_calls) <= 54
 
 
 # ---------------------------------------------------------------------------
