@@ -209,6 +209,7 @@ def cmd_solve(args):
         "events": [list(e) for e in result.trace.events],
     }
     if ctx is not None:
+        out["basin_iterations"] = result.basin_iterations
         out["lambda_ref"] = ctx.lam1
         out["lambda_rel_err"] = abs(result.lam - ctx.lam1) / ctx.lam1
     if args.trace:

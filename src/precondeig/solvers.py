@@ -100,7 +100,9 @@ class StepPolicy:
 
 class Trace:
     """Per-iteration records plus out-of-band events: (t, name), or
-    (t, name, values) for an event that carries values (StagnatedStep)."""
+    (t, name, values) for an event that carries values (StagnatedStep).
+    BasinExit and BasinEntry mark the steps at which the iterate leaves
+    and re-enters the basin dist_B(u, u*) < phi."""
 
     def __init__(self):
         self.rows = []
@@ -137,6 +139,7 @@ class SolveResult:
     iterations: int
     reason: str  # "ResidualTol" | "MaxIters" | "StagnatedStep"
     trace: Trace
+    basin_iterations: int  # steps taken from inside the basin; None without a RateContext
 
 
 def step_theory(cos_dist, ctx):
@@ -193,7 +196,11 @@ def rsd_solve(
     exit records its trigger values (flat_steps, window_best, best_before)
     as a StagnatedStep event in the trace.
     policies "theory" and "constant" and the trace fields distB/xi need a
-    RateContext ctx; with ctx None distB and xi are NaN.
+    RateContext ctx; with ctx None distB and xi are NaN.  With ctx the
+    trace records a BasinExit event at each step whose iterate has left the
+    basin dist_B(u, u*) < phi and a BasinEntry event at each step whose
+    iterate is back inside, and the result counts the steps taken from
+    inside the basin (basin_iterations; None with ctx None).
     `callback(t, state)` is invoked for every visited iterate, the terminal
     one included; its state.u is the u-space iterate and its scalars are the
     u-space values on either route.  ||u0||_B is measured once (a nested PCG
@@ -237,6 +244,7 @@ def rsd_solve(
     best_before = math.inf  # best residual before the window
     reason = "MaxIters"
     iterations = maxit
+    basin_iterations = None if ctx is None else 0
     state = None
 
     for t in range(maxit + 1):
@@ -279,7 +287,10 @@ def rsd_solve(
                 trace.event(t, "BasinExit")
                 in_basin = False
             elif margin > 0.0:
+                if not in_basin:
+                    trace.event(t, "BasinEntry")
                 in_basin = True
+                basin_iterations += 1
 
         if policy.kind == "pinvit":
             # u - B^{-1} r exactly; eta is its Riemannian step, below the cap
@@ -315,5 +326,12 @@ def rsd_solve(
             x = x / math.sqrt(_b_norm_sq(exact, apply_a, x))
 
     trace.fill_contraction()
-    return SolveResult(u=state.u, lam=state.lam, iterations=iterations, reason=reason, trace=trace)
+    return SolveResult(
+        u=state.u,
+        lam=state.lam,
+        iterations=iterations,
+        reason=reason,
+        trace=trace,
+        basin_iterations=basin_iterations,
+    )
 

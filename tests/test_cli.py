@@ -162,7 +162,7 @@ def test_solve_stagnation_trigger_in_json(tmp_path):
     assert (t, name) == (payload["iterations"], "StagnatedStep")
     assert trigger["flat_steps"] >= 30
     assert trigger["window_best"] >= 0.9 * trigger["best_before"]
-    assert all(len(e) == 2 for e in payload["events"][:-1])  # [t, "BasinExit"]
+    assert all(len(e) == 2 for e in payload["events"][:-1])  # [t, "BasinExit" or "BasinEntry"]
 
 
 def test_solve_mtx_roundtrip(tmp_path):

@@ -485,6 +485,8 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx):
             trace.event(t, "BasinExit")
             in_basin = False
         elif margin > 0.0:
+            if not in_basin:
+                trace.event(t, "BasinEntry")
             in_basin = True
         if policy.kind == "pinvit":
             eta_star = 1.0
@@ -741,6 +743,45 @@ def test_basin_exit_event_recorded():
         problem, precond, u_out, pe.StepPolicy.fixed(1e-3), tol=1e-10, maxit=50, ctx=ctx
     )
     assert any(name == "BasinExit" for _, name in res.trace.events)
+
+
+@functools.lru_cache(maxsize=None)
+def lifted_ddm_solve(seed):
+    """The solve-ddm benchmark's solve one mesh level down: a DDM lifted to
+    laplace-fem:h=2^-5, theory steps from a smooth start."""
+    problem, p, ctx, _ = reference_instance("laplace-fem:h=2^-5", "ddm:H=2^-2")
+    u0 = p.apply_inv(pe.gaussian_vector(pe.Rng(seed), problem.dim))
+    res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=2000, ctx=ctx)
+    return res, ctx
+
+
+@pytest.mark.parametrize("seed, iterations", [(0, 409), (2, 386)])
+def test_lifted_ddm_solve_iterations(seed, iterations):
+    res, _ = lifted_ddm_solve(seed)
+    assert (res.iterations, res.reason) == (iterations, "ResidualTol")
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_basin_exit_then_entry_events_and_steps_inside(seed):
+    """A smooth start lies outside the basin: the run leaves it at t = 0,
+    re-enters once and stays, and counts the steps from the entry on."""
+    res, ctx = lifted_ddm_solve(seed)
+    (t_exit, exit_name), (t_entry, entry_name) = res.trace.events
+    assert (t_exit, exit_name, entry_name) == (0, "BasinExit", "BasinEntry")
+    assert 0 < t_entry < res.iterations
+    assert res.basin_iterations == res.iterations - t_entry
+    dist_b = column(res.trace, "distB")
+    assert dist_b[t_entry - 1] > ctx.phi > dist_b[t_entry]
+
+
+def test_in_basin_run_counts_every_step_and_records_no_event():
+    problem, precond, ctx, _, b_inv_sqrt, x_star = setup_instance(16)
+    u0, _ = in_basin_start(ctx, x_star, b_inv_sqrt, 0.5, 1200)
+    res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.theory(), tol=1e-9, maxit=1000, ctx=ctx)
+    assert res.reason == "ResidualTol" and res.iterations > 0
+    assert res.basin_iterations == res.iterations and res.trace.events == []
+    res = pe.rsd_solve(problem, precond, u0, pe.StepPolicy.pinvit(), tol=1e-9, maxit=1000, ctx=None)
+    assert res.basin_iterations is None
 
 
 # ---------------------------------------------------------------------------
