@@ -226,9 +226,10 @@ class HattedPreconditioner(Preconditioner):
 
     rsd_solve does not apply Bhat: through pencil() it runs the inner B in
     pencil coordinates, one B^{-1} apply and one banded R^T solve (for the
-    residual norm) per step.  apply_inv serves the set-up and the
-    diagnostics, which measure Bhat in u-space; it costs two banded R
-    products around the inner apply.
+    residual norm) per step, and kappa_nu's Lanczos runs on the pencil the
+    same way.  apply_inv serves the rest of the set-up and the diagnostics,
+    which measure Bhat in u-space; it costs two banded R products around
+    the inner apply.
     """
 
     fwd_mode = "iterative"

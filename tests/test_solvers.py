@@ -745,27 +745,16 @@ def test_basin_exit_event_recorded():
     assert any(name == "BasinExit" for _, name in res.trace.events)
 
 
-@functools.lru_cache(maxsize=None)
-def lifted_ddm_solve(seed):
-    """The solve-ddm benchmark's solve one mesh level down: a DDM lifted to
-    laplace-fem:h=2^-5, theory steps from a smooth start."""
+@pytest.mark.parametrize("seed, iterations", [(0, 409), (2, 386)])
+def test_lifted_ddm_solve_leaves_and_reenters_the_basin(seed, iterations):
+    """The solve-ddm benchmark's solve one mesh level down (a DDM lifted to
+    laplace-fem:h=2^-5, theory steps from a smooth start): the start lies
+    outside the basin, so the run leaves it at t = 0, re-enters once and
+    stays, and counts the steps from the entry on."""
     problem, p, ctx, _ = reference_instance("laplace-fem:h=2^-5", "ddm:H=2^-2")
     u0 = p.apply_inv(pe.gaussian_vector(pe.Rng(seed), problem.dim))
     res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=2000, ctx=ctx)
-    return res, ctx
-
-
-@pytest.mark.parametrize("seed, iterations", [(0, 409), (2, 386)])
-def test_lifted_ddm_solve_iterations(seed, iterations):
-    res, _ = lifted_ddm_solve(seed)
     assert (res.iterations, res.reason) == (iterations, "ResidualTol")
-
-
-@pytest.mark.parametrize("seed", [0, 2])
-def test_basin_exit_then_entry_events_and_steps_inside(seed):
-    """A smooth start lies outside the basin: the run leaves it at t = 0,
-    re-enters once and stays, and counts the steps from the entry on."""
-    res, ctx = lifted_ddm_solve(seed)
     (t_exit, exit_name), (t_entry, entry_name) = res.trace.events
     assert (t_exit, exit_name, entry_name) == (0, "BasinExit", "BasinEntry")
     assert 0 < t_entry < res.iterations
