@@ -28,16 +28,31 @@ _DYADIC = re.compile(r"^2\^(-?\d+)$")
 
 
 def parse_dyadic(text):
+    """A number written 2^k, p/q or as a float; RecipeError for anything
+    else, and for a value that is not finite."""
     try:
         m = _DYADIC.match(text.strip())
         if m:
-            return 2.0 ** int(m.group(1))
-        if "/" in text:
+            value = 2.0 ** int(m.group(1))
+        elif "/" in text:
             num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
-    except (ZeroDivisionError, OverflowError) as exc:
+            value = float(num) / float(den)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise RecipeError(f"{text!r} is not a finite number") from exc
+    if not math.isfinite(value):
+        raise RecipeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _number(params, key, kind):
+    """params[key] read by parse_dyadic; RecipeError names the key and the
+    recipe kind."""
+    try:
+        return parse_dyadic(params[key])
+    except RecipeError as exc:
+        raise RecipeError(f"{kind} recipe key {key!r}: {exc}") from None
 
 
 def _parse_params(body, kind="", required=()):
@@ -61,10 +76,10 @@ def build_problem(recipe):
     kind, _, body = recipe.partition(":")
     if kind == "laplace-fd":
         params = _parse_params(body, kind, ("h",))
-        return problems.laplace_fd(parse_dyadic(params["h"]))
+        return problems.laplace_fd(_number(params, "h", kind))
     if kind == "laplace-fem":
         params = _parse_params(body, kind, ("h",))
-        return problems.laplace_fem(parse_dyadic(params["h"]))
+        return problems.laplace_fem(_number(params, "h", kind))
     if kind in ("kernel-laplace", "kernel-poly"):
         params = _parse_params(body, kind, ("n",))
         spec = problems.KernelSpec(
@@ -111,9 +126,9 @@ def build_precond(recipe, problem):
     if kind == "mp-chol":
         return precond.make_mp_cholesky(problem.dense())
     if kind == "ddm":
-        params = _parse_params(body, kind, ("H",))
-        big_h = parse_dyadic(params["H"])
-        ratio = float(params.get("overlap", 0.5))
+        params = {"overlap": "0.5", **_parse_params(body, kind, ("H",))}
+        big_h = _number(params, "H", kind)
+        ratio = _number(params, "overlap", kind)
         stiffness = problem.meta.get("stiffness", problem.matrix)
         h = problem.meta.get("h")
         if stiffness is None or h is None:

@@ -72,6 +72,11 @@ class EmptySubdomain(PrecondEigError):
     pass
 
 
+class NotKroneckerSum(PrecondEigError):
+    """A subdomain block of a DDM stiffness is not I (x) T_x + T_y (x) I on a
+    box of grid nodes, so its local solve has no tensor-product form."""
+
+
 class DegenerateSmallestEigenvalue(PrecondEigError):
     """lambda2 - lambda1 is below resolution; the target eigenvalue is not simple."""
 

@@ -5,7 +5,9 @@ value), a deterministic RNG that can also draw one normal vector per
 spawned seed as a single block, and a pure-Python Jacobi eigensolver that
 reuses a per-size plan of its rounds.  The Cholesky solves and products
 and the banded SymFactor products and solves take an (n, k) block as well
-as a vector.
+as a vector.  SymFactor holds the factor R of a mass matrix M = R^T R
+(problems.generalized_reduce); the DDM local solves do not run on it
+(precond.DdmPreconditioner).
 
 The Jacobi solver is the independent oracle only (tests and the explicit
 x-space evaluation inside validate_properties); production eigenvalue paths
@@ -597,7 +599,8 @@ def make_solver(a):
 
 
 class SymFactor:
-    """R^T R factorization of an SPD matrix with products and solves for R.
+    """R^T R factorization of an SPD matrix with products and solves for R:
+    the mass factor M = R^T R of a mass-reduced problem.
 
     R is kept in two LAPACK band layouts: its upper band
     (``rab[bw + i - j, j] = R[i, j]``) and, for the solves with R^T, the

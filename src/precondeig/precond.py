@@ -5,7 +5,10 @@ wrapper of either) also applies B itself through apply_fwd.  An implicit B
 has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply: its
 forward apply is apply_fwd_iterative, a nested PCG preconditioned by the
 problem's A.  The method needs B v only to measure B (the B-norm of u0 and
-B u* for the distortion angle), so an implicit B loses nothing.
+B u* for the distortion angle), so an implicit B loses nothing.  DDM's
+B^{-1} runs its local solves by fast diagonalization (dense tensor-product
+products) and its coarse solve by sparse LU; the only band factor here is
+the mass factor R that a lifted B applies around its inner B.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
@@ -17,10 +20,11 @@ Every other preconditioner already applies B in binary64 and is its own twin.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
-from .errors import EmptySubdomain, NoForwardApply, NotSpd
-from .linalg import CholFactor, SymFactor, chol_matvec, chol_solve, cholesky, make_solver, pcg
+from .errors import EmptySubdomain, NoForwardApply, NotKroneckerSum, NotSpd
+from .linalg import CholFactor, chol_matvec, chol_solve, cholesky, make_solver, pcg
 
 _U32 = 2.0**-24  # IEEE binary32 unit roundoff
 FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forward apply
@@ -127,20 +131,60 @@ def epsilon_l(n, lambda1, lambdan):
     return value, value < 1.0
 
 
+def _box_tridiagonals(block, j):
+    """The two 1-D operators of a subdomain block, if it is a Kronecker sum.
+
+    block is the CSR submatrix of a subdomain whose nodes form a box of
+    a x b grid nodes with x running fastest, so its first node is a corner
+    and couples to its y-neighbour in column a (a 1-D box, which has no
+    such column, counts as one row).  Returns (T_x, T_y), each a (diagonal,
+    off-diagonal) pair read from the block; T_x and T_y each take half of
+    its first diagonal entry.  Whether I_b (x) T_x + T_y (x) I_a equals the
+    block is for the caller to check.
+    """
+    n = block.shape[0]
+    first = block.data[: block.indptr[1]] != 0
+    a = int(block.indices[: block.indptr[1]][first].max(initial=0))
+    a = a if a > 1 else n
+    if n % a:
+        raise NotKroneckerSum(f"subdomain {j}: {n} nodes are not a box of rows of {a}")
+    d = block.diagonal()
+    half = d[0] / 2.0
+    return (d[:a] - half, block.diagonal(1)[: a - 1]), (d[::a] - half, block.diagonal(a)[::a])
+
+
+def _kron_sum(t_x, t_y):
+    """I_b (x) T_x + T_y (x) I_a for two (diagonal, off-diagonal) pairs."""
+    t_x, t_y = (scipy.sparse.diags([e, d, e], [-1, 0, 1], shape=(len(d),) * 2) for d, e in (t_x, t_y))
+    return scipy.sparse.kronsum(t_x, t_y)
+
+
 class DdmPreconditioner(Preconditioner):
     """Two-level overlapping additive Schwarz:
 
         B^{-1} v = I_H A_H^{-1} I_H^T v + sum_j I_j A_j^{-1} I_j^T v
 
     with A_j the principal submatrix of the fine matrix A on subdomain j and
-    A_H = I_H^T A I_H the coarse (Galerkin) matrix, both formed here.  The
-    local solves run as one: the A_j, each in its natural grid ordering, are
-    stacked block-diagonally and factored once by banded Cholesky, so the sum
-    is a gather of v onto the concatenated subdomain nodes, one pair of
-    banded triangular solves and a scatter-add through the sparse stacked
-    restriction.  B itself is
-    implicit (fwd_mode 'iterative', apply_fwd raises NoForwardApply): B v
-    is apply_fwd_iterative with the problem's A.
+    A_H = I_H^T A I_H the coarse (Galerkin) matrix, both formed here.
+
+    The local solves run by fast diagonalization (Lynch, Rice & Thomas
+    1964).  Each subdomain is a box of a x b grid nodes with x running
+    fastest, and A_j must be the Kronecker sum I_b (x) T_x + T_y (x) I_a of
+    two symmetric tridiagonals, as the 5-point FD and the P1-FEM stiffness
+    are (NotKroneckerSum otherwise).  With T_x = S_x diag(lx) S_x^T and
+    T_y = S_y diag(ly) S_y^T, A_j^{-1} maps the b x a array V of a box to
+
+        S_y ((S_y^T V S_x) / (ly[:, None] + lx[None, :])) S_x^T.
+
+    Subdomains with equal a, b, T_x and T_y form a group that shares one
+    pair of eigendecompositions, and the concatenated subdomain nodes run
+    group by group, so the k boxes of a group are one (k, b, a) slice and
+    their solves are four batched dense products.  An apply is a gather of
+    v onto the concatenated nodes, the group solves and a scatter-add
+    through the sparse stacked restriction; an (n, k) block runs the local
+    solves one column at a time.  B itself is implicit (fwd_mode
+    'iterative', apply_fwd raises NoForwardApply): B v is
+    apply_fwd_iterative with the problem's A.
     """
 
     fwd_mode = "iterative"
@@ -158,22 +202,58 @@ class DdmPreconditioner(Preconditioner):
             p = hierarchy.prolongation
             self._coarse_solve = make_solver((p.T @ a_fine @ p).tocsc())
         csr = scipy.sparse.csr_matrix(a_fine)
-        blocks = []
+        # (T_x, T_y) bytes -> (T_x, T_y, their Kronecker sum, node index arrays)
+        members = {}
         for j, idx in enumerate(hierarchy.subdomains):
             if len(idx) == 0:
                 raise EmptySubdomain(f"subdomain {j} contains no fine nodes")
-            blocks.append(csr[np.ix_(idx, idx)])
-        self._local = SymFactor(scipy.sparse.block_diag(blocks))
-        self._cat = np.concatenate(hierarchy.subdomains)
+            block = csr[np.ix_(idx, idx)]
+            t_x, t_y = _box_tridiagonals(block, j)
+            key = tuple(part.tobytes() for part in (*t_x, *t_y))
+            if key not in members:
+                members[key] = (t_x, t_y, _kron_sum(t_x, t_y), [])
+            if (members[key][2] != block).nnz:
+                raise NotKroneckerSum(f"subdomain {j}: block is not I (x) T_x + T_y (x) I on a box")
+            members[key][3].append(idx)
+        # per group: its slice of the concatenated nodes, k, b, a, S_x, S_x^T,
+        # S_y, S_y^T and the eigenvalues ly[:, None] + lx[None, :] of its A_j;
+        # the factors are stored C-contiguous, which BLAS takes fastest here
+        self._groups = []
+        start = 0
+        for t_x, t_y, _, idxs in members.values():
+            lx, s_x = scipy.linalg.eigh_tridiagonal(*t_x)
+            ly, s_y = scipy.linalg.eigh_tridiagonal(*t_y)
+            lam = ly[:, None] + lx[None, :]
+            if not np.all(lam > 0):
+                raise NotSpd(-1, "a subdomain block is not positive definite")
+            size = len(idxs) * lam.size
+            factors = [np.ascontiguousarray(f) for f in (s_x, s_x.T, s_y, s_y.T)]
+            self._groups.append((slice(start, start + size), len(idxs), *lam.shape, *factors, lam))
+            start += size
+        self._cat = np.concatenate([idx for *_, idxs in members.values() for idx in idxs])
         m = len(self._cat)
         # transpose of the stacked restriction v -> v[cat]
         self._r_t = scipy.sparse.csr_matrix(
             (np.ones(m), (self._cat, np.arange(m))), shape=(self.dim, m)
         )
 
+    def _local_solve(self, w):
+        """A_j^{-1} on every box of the gathered vector w, one group at a time."""
+        out = np.empty_like(w)
+        for part, k, b, a, s_x, s_x_t, s_y, s_y_t, lam in self._groups:
+            t = s_y_t @ (w[part].reshape(k * b, a) @ s_x).reshape(k, b, a)
+            t /= lam
+            t = s_y @ t
+            np.matmul(t.reshape(k * b, a), s_x_t, out=out[part].reshape(k * b, a))
+        return out
+
     def apply_inv(self, v):
         v = np.asarray(v, dtype=np.float64)
-        local = self._local.solve(self._local.solve_t(v[self._cat]))
+        w = v[self._cat]
+        if w.ndim == 1:
+            local = self._local_solve(w)
+        else:
+            local = np.column_stack([self._local_solve(c) for c in w.T])
         # a fixed CSR product: each node sums its local values in one fixed
         # order, so applies are bit-reproducible
         return self.coarse_part(v) + self._r_t @ local

@@ -369,8 +369,9 @@ def generalized_reduce(a, m):
     rsd_solve step with a preconditioner built on the reduced operator
     (identity, exact, mp-chol).  With a lifted preconditioner (ddm,
     scaled:ddm) rsd_solve runs in pencil coordinates on the matvecs kept in
-    `pencil`: an A and an M matvec, the inner B^{-1} and one banded R^T
-    solve per step.  Raises NotSpd when M is not SPD or its size differs
+    `pencil`: an A and an M matvec, the inner B^{-1} (for DDM dense
+    tensor-product local solves and a sparse coarse solve, no banded solve)
+    and one banded R^T solve per step.  Raises NotSpd when M is not SPD or its size differs
     from A's.
     """
     n = a.shape[0]

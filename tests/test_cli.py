@@ -16,6 +16,9 @@ def test_parse_dyadic():
     assert parse_dyadic("2^-4") == 0.0625
     assert parse_dyadic("1/16") == 0.0625
     assert parse_dyadic("0.25") == 0.25
+    for text in ("abc", "1/x", "nan", "1e999", "1/0", "2^99999"):
+        with pytest.raises(RecipeError, match="is not a finite number"):
+            parse_dyadic(text)
 
 
 def test_build_problem_recipes():
@@ -45,6 +48,22 @@ def test_build_precond_recipes():
         build_precond("nope", prob)
     with pytest.raises(RecipeError, match="ddm recipe is missing the key 'H'"):
         build_precond("ddm:overlap=0.5", prob)
+    # a value that is not a number names the recipe kind and the key
+    for recipe, key in [("ddm:H=abc", "H"), ("ddm:H=2^-2,overlap=abc", "overlap")]:
+        with pytest.raises(RecipeError, match=f"ddm recipe key '{key}': 'abc' is not a finite number"):
+            build_precond(recipe, prob)
+
+
+def test_ddm_overlap_takes_a_fraction(capsys):
+    # overlap is read like H, so 1/2 is the same recipe as 0.5
+    payloads = []
+    for recipe in ("ddm:H=2^-2,overlap=1/2", "ddm:H=2^-2,overlap=0.5"):
+        assert main(["phi", "--problem", "laplace-fem:h=2^-4", "--precond", recipe]) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text[: text.rindex("}") + 1])
+        assert payload.pop("precond") == recipe
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_solve_happy_path(tmp_path):
@@ -335,11 +354,14 @@ def test_table_unknown_name():
         ["phi", "--problem", "laplace-fd:h=1/0", "--precond", "identity"],
         ["phi", "--problem", "laplace-fd:h=2^99999", "--precond", "identity"],
         ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=0"],
+        ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=abc"],
+        ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=2^-2,overlap=abc"],
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
         "validate-size-1", "validate-samples-0", "validate-samples-negative", "validate-seeds-0",
         "fd-h-0", "fem-h-0", "fd-h-1-over-0", "fd-h-overflow", "ddm-H-0",
+        "ddm-H-not-a-number", "ddm-overlap-not-a-number",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):

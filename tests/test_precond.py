@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 
 import precondeig as pe
 from precondeig.cli import build_precond, build_problem
-from precondeig.errors import InvalidMeshWidth, NoForwardApply, NotSpdInLowPrecision
+from precondeig.errors import InvalidMeshWidth, NoForwardApply, NotKroneckerSum, NotSpdInLowPrecision
 from precondeig.precond import FWD_TOL, OperatorPreconditioner
 from tests.conftest import dense_problem, dense_roots, tight_fwd
 
@@ -296,6 +296,46 @@ def test_ddm_additivity(h, big_h):
     for idx in pe.mesh_hierarchy(big_h, h, 0.5).subdomains:
         total[idx] += scipy.sparse.linalg.splu(k[np.ix_(idx, idx)].tocsc()).solve(v[idx])
     assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-14 * np.linalg.norm(total)
+
+
+def local_solve_cases():
+    """(kind, h, H, overlap) for every H and overlap that mesh_hierarchy
+    accepts at h = 2^-4 and 2^-5, on the FD and the P1-FEM stiffness."""
+    for kind in ("fd", "fem"):
+        for h in (2.0**-4, 2.0**-5):
+            big_h = 1.0
+            while big_h > h:
+                for overlap in (0.25, 0.5, 1.0):
+                    if (overlap * big_h / h).is_integer():
+                        yield kind, h, big_h, overlap
+                big_h /= 2.0
+
+
+@pytest.mark.parametrize("kind, h, big_h, overlap", list(local_solve_cases()))
+def test_ddm_local_solves_match_sparse_lu(kind, h, big_h, overlap):
+    # oracle: the coarse part plus one sparse LU solve per subdomain
+    a = (pe.laplace_fd(h).matrix if kind == "fd" else pe.fem_p1(h)[0]).tocsr()
+    hier = pe.mesh_hierarchy(big_h, h, overlap)
+    ddm = pe.DdmPreconditioner(hier, a)
+    v = pe.Rng(5).normal(ddm.dim)
+    total = ddm.coarse_part(v)
+    for idx in hier.subdomains:
+        total[idx] += scipy.sparse.linalg.splu(a[np.ix_(idx, idx)].tocsc()).solve(v[idx])
+    assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-13 * np.linalg.norm(total)
+
+
+@pytest.mark.parametrize("coupling", ["diagonal", "off-grid"])
+def test_ddm_refuses_a_block_that_is_not_a_kronecker_sum(coupling):
+    # the local solves need every subdomain block to be I (x) T_x + T_y (x) I
+    h = 2.0**-4
+    k = pe.fem_p1(h)[0].tolil()
+    centre = 7 * 15 + 7  # grid node (8, 8), inside every subdomain that holds it
+    if coupling == "diagonal":
+        k[centre, centre] += 1.0
+    else:  # a symmetric coupling to the diagonal neighbour (9, 9)
+        k[centre, centre + 16] = k[centre + 16, centre] = -0.25
+    with pytest.raises(NotKroneckerSum, match="subdomain"):
+        pe.DdmPreconditioner(pe.mesh_hierarchy(2.0**-2, h, 0.5), k.tocsr())
 
 
 @pytest.mark.parametrize("h, big_h", [(2.0**-4, 2.0**-2), (2.0**-6, 2.0**-2)])
