@@ -155,8 +155,11 @@ def _box_tridiagonals(block, j):
 
 def _kron_sum(t_x, t_y):
     """I_b (x) T_x + T_y (x) I_a for two (diagonal, off-diagonal) pairs."""
-    t_x, t_y = (scipy.sparse.diags([e, d, e], [-1, 0, 1], shape=(len(d),) * 2) for d, e in (t_x, t_y))
-    return scipy.sparse.kronsum(t_x, t_y)
+
+    def tridiag(d, e):
+        return scipy.sparse.diags([e, d, e], [-1, 0, 1], shape=(len(d), len(d)))
+
+    return scipy.sparse.kronsum(tridiag(*t_x), tridiag(*t_y))
 
 
 class DdmPreconditioner(Preconditioner):

@@ -371,8 +371,8 @@ def generalized_reduce(a, m):
     scaled:ddm) rsd_solve runs in pencil coordinates on the matvecs kept in
     `pencil`: an A and an M matvec, the inner B^{-1} (for DDM dense
     tensor-product local solves and a sparse coarse solve, no banded solve)
-    and one banded R^T solve per step.  Raises NotSpd when M is not SPD or its size differs
-    from A's.
+    and one banded R^T solve per step.  Raises NotSpd when M is not SPD or
+    its size differs from A's.
     """
     n = a.shape[0]
     if m.shape[0] != n:

@@ -5,11 +5,18 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 import precondeig as pe
 from precondeig.cli import build_precond, build_problem
-from precondeig.errors import InvalidMeshWidth, NoForwardApply, NotKroneckerSum, NotSpdInLowPrecision
+from precondeig.errors import (
+    InvalidMeshWidth,
+    NoForwardApply,
+    NotKroneckerSum,
+    NotSpd,
+    NotSpdInLowPrecision,
+)
 from precondeig.precond import FWD_TOL, OperatorPreconditioner
 from tests.conftest import dense_problem, dense_roots, tight_fwd
 
@@ -336,6 +343,14 @@ def test_ddm_refuses_a_block_that_is_not_a_kronecker_sum(coupling):
         k[centre, centre + 16] = k[centre + 16, centre] = -0.25
     with pytest.raises(NotKroneckerSum, match="subdomain"):
         pe.DdmPreconditioner(pe.mesh_hierarchy(2.0**-2, h, 0.5), k.tocsr())
+
+
+def test_ddm_refuses_an_indefinite_block():
+    # a shifted stiffness keeps the Kronecker sums but not their definiteness
+    h = 2.0**-4
+    k = pe.fem_p1(h)[0] - 2.0 * scipy.sparse.identity(15 * 15, format="csr")
+    with pytest.raises(NotSpd, match="not positive definite"):
+        pe.DdmPreconditioner(pe.mesh_hierarchy(2.0**-2, h, 0.5), k)
 
 
 @pytest.mark.parametrize("h, big_h", [(2.0**-4, 2.0**-2), (2.0**-6, 2.0**-2)])
