@@ -215,9 +215,10 @@ class DdmPreconditioner(Preconditioner):
             key = tuple(part.tobytes() for part in (*t_x, *t_y))
             if key not in members:
                 members[key] = (t_x, t_y, _kron_sum(t_x, t_y), [])
-            if (members[key][2] != block).nnz:
+            _, _, kron_sum, idxs = members[key]
+            if (kron_sum != block).nnz:
                 raise NotKroneckerSum(f"subdomain {j}: block is not I (x) T_x + T_y (x) I on a box")
-            members[key][3].append(idx)
+            idxs.append(idx)
         # per group: its slice of the concatenated nodes, k, b, a, S_x, S_x^T,
         # S_y, S_y^T and the eigenvalues ly[:, None] + lx[None, :] of its A_j;
         # the factors are stored C-contiguous, which BLAS takes fastest here
