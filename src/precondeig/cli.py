@@ -46,18 +46,27 @@ def parse_dyadic(text):
     return value
 
 
-def _number(params, key, kind):
-    """params[key] read by parse_dyadic; RecipeError names the key and the
-    recipe kind."""
+def _parse_int(text):
+    """An integer written in decimal; RecipeError for anything else."""
     try:
-        return parse_dyadic(params[key])
+        return int(text)
+    except ValueError:
+        raise RecipeError(f"{text!r} is not an integer") from None
+
+
+def _read(text, parse, kind, key):
+    """parse(text) for the value of `key` in a `kind` recipe or step policy;
+    a RecipeError names both."""
+    try:
+        return parse(text)
     except RecipeError as exc:
         raise RecipeError(f"{kind} recipe key {key!r}: {exc}") from None
 
 
-def _parse_params(body, kind="", required=()):
-    """key=value pairs of a recipe body; RecipeError names the recipe kind
-    and the first required key that is missing."""
+def _parse_params(body, kind, required, optional):
+    """key=value pairs of a recipe body that reads the keys `required` and
+    `optional`; RecipeError names the recipe kind and the first key it does
+    not read, or the first required key that is missing."""
     params = {}
     if body:
         for item in body.split(","):
@@ -65,6 +74,10 @@ def _parse_params(body, kind="", required=()):
                 raise RecipeError(f"expected key=value, got {item!r}")
             key, value = item.split("=", 1)
             params[key.strip()] = value.strip()
+    for key in params:
+        if key not in required and key not in optional:
+            reads = ", ".join(repr(k) for k in (*required, *optional)) or "no keys"
+            raise RecipeError(f"{kind} recipe does not read the key {key!r}; it reads {reads}")
     for key in required:
         if key not in params:
             raise RecipeError(f"{kind} recipe is missing the key {key!r}")
@@ -74,39 +87,32 @@ def _parse_params(body, kind="", required=()):
 def build_problem(recipe):
     """Instantiate a problem from its recipe string."""
     kind, _, body = recipe.partition(":")
-    if kind == "laplace-fd":
-        params = _parse_params(body, kind, ("h",))
-        return problems.laplace_fd(_number(params, "h", kind))
-    if kind == "laplace-fem":
-        params = _parse_params(body, kind, ("h",))
-        return problems.laplace_fem(_number(params, "h", kind))
+    if kind in ("laplace-fd", "laplace-fem"):
+        h = _read(_parse_params(body, kind, ("h",), ())["h"], parse_dyadic, kind, "h")
+        return problems.laplace_fd(h) if kind == "laplace-fd" else problems.laplace_fem(h)
     if kind in ("kernel-laplace", "kernel-poly"):
-        params = _parse_params(body, kind, ("n",))
+        params = _parse_params(body, kind, ("n",), ("d", "seed", "tau"))
+        params = {"d": params["n"], "seed": "0", "tau": "0", **params}
         spec = problems.KernelSpec(
             kind="laplacian" if kind == "kernel-laplace" else "poly-complex",
-            n=int(params["n"]),
-            d=int(params.get("d", params["n"])),
-            seed=int(params.get("seed", 0)),
-            tau=float(params.get("tau", 0.0)),
+            n=_read(params["n"], _parse_int, kind, "n"),
+            d=_read(params["d"], _parse_int, kind, "d"),
+            seed=_read(params["seed"], _parse_int, kind, "seed"),
+            tau=_read(params["tau"], parse_dyadic, kind, "tau"),
         )
         return problems.kernel_matrix(spec)
     if kind == "mtx":
         parts = body.split(",") if body else []
         path = parts[0] if parts else ""
-        params = _parse_params(",".join(parts[1:]))
+        params = _parse_params(",".join(parts[1:]), kind, (), ("mass",))
         if not path or not os.path.exists(path):
             raise RecipeError(f"matrix file not found: {path!r}")
         a = read_matrix(path)
         if "mass" in params:
             if not os.path.exists(params["mass"]):
                 raise RecipeError(f"mass matrix file not found: {params['mass']!r}")
-            m = read_matrix(params["mass"])
-            prob = problems.generalized_reduce(a, m)
-            prob.label = recipe
-            return prob
-        return problems.EigenProblem(
-            dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a, label=recipe
-        )
+            return problems.generalized_reduce(a, read_matrix(params["mass"]))
+        return problems.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)
     raise RecipeError(f"unknown problem recipe {recipe!r}")
 
 
@@ -117,24 +123,26 @@ def build_precond(recipe, problem):
     stiffness matrix and lifted; the other kinds act on the reduced operator.
     """
     kind, _, body = recipe.partition(":")
+    if kind in ("identity", "exact", "mp-chol"):
+        _parse_params(body, kind, (), ())
     if kind == "identity":
-        return precond.make_identity(problem.dim)
+        return precond.make_identity()
     if kind == "exact":
-        return precond.OperatorPreconditioner(
-            problem.dim, problem.solver(), problem.apply_a, label="exact"
-        )
+        return precond.OperatorPreconditioner(problem.solver(), problem.apply_a, label="exact")
     if kind == "mp-chol":
         return precond.make_mp_cholesky(problem.dense())
     if kind == "ddm":
-        params = {"overlap": "0.5", **_parse_params(body, kind, ("H",))}
-        big_h = _number(params, "H", kind)
-        ratio = _number(params, "overlap", kind)
+        params = {"overlap": "0.5", **_parse_params(body, kind, ("H",), ("overlap",))}
+        big_h = _read(params["H"], parse_dyadic, kind, "H")
+        ratio = _read(params["overlap"], parse_dyadic, kind, "overlap")
         stiffness = problem.meta.get("stiffness", problem.matrix)
         h = problem.meta.get("h")
         if stiffness is None or h is None:
             raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
-        hier = problems.mesh_hierarchy(big_h, h, ratio)
-        return problem.wrap_precond(precond.DdmPreconditioner(hier, stiffness))
+        ddm = precond.DdmPreconditioner(problems.mesh_hierarchy(big_h, h, ratio), stiffness)
+        if problem.r_factor is None:
+            return ddm
+        return precond.HattedPreconditioner(ddm, problem.r_factor)
     if kind == "scaled":
         inner = build_precond(body, problem)
         nu_min, nu_max, _ = diagnostics.kappa_nu(problem, inner)
@@ -147,9 +155,9 @@ def _parse_step(text):
     if kind == "theory":
         return solvers.StepPolicy.theory()
     if kind in ("const", "constant"):
-        return solvers.StepPolicy.constant(float(arg or 0.25))
+        return solvers.StepPolicy.constant(_read(arg, parse_dyadic, kind, "c") if arg else 0.25)
     if kind == "fixed":
-        return solvers.StepPolicy.fixed(float(arg))
+        return solvers.StepPolicy.fixed(_read(arg, parse_dyadic, kind, "value"))
     if kind == "pinvit":
         return solvers.StepPolicy.pinvit()
     raise RecipeError(f"unknown step policy {text!r}")

@@ -613,7 +613,7 @@ def validate_properties(a, b, n_samples, seed, label, inject_bug):
     # checked in x-space
     from . import solvers  # local import: solvers depends on this module
 
-    problem = problems.EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v, label=label)
+    problem = problems.EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v)
     precond = make_spd(oracle.b)
     start_dir = rng.normal(n)
     start_dir -= float(start_dir @ oracle.x_star) * oracle.x_star

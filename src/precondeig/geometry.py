@@ -78,8 +78,8 @@ def make_state(x, apply_a, apply_b_inv, apply_m, to_u):
     solves.
     With apply_m given, x is the pencil iterate and apply_a, apply_b_inv,
     apply_m are K, B^{-1} and M; to_u maps x to u (R x) for state.u.
-    rsd_solve calls it so for a B lifted by wrap_precond (ddm, scaled:ddm):
-    a K matvec, an M matvec, one B^{-1} apply and no R work.
+    rsd_solve calls it so for a B lifted by HattedPreconditioner (ddm,
+    scaled:ddm): a K matvec, an M matvec, one B^{-1} apply and no R work.
     """
     x = np.asarray(x, dtype=np.float64)
     mx = x if apply_m is None else apply_m(x)

@@ -57,16 +57,6 @@ def _mix64(z):
     return z
 
 
-def _mix64_int(z):
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
 class Rng:
     """Counter-based SplitMix64 stream with a 64-bit seed.
 
@@ -120,9 +110,16 @@ def _box_muller(raw, count):
     return out[:, :count]
 
 
+def _spawn_seeds(seed, streams):
+    """spawn_seed(seed, t) for each stream id t, given as the uint64 array of
+    t + 1 (modulo 2^64)."""
+    with np.errstate(over="ignore"):
+        return _mix64(np.uint64(int(seed) & _MASK64) ^ _mix64(streams * np.uint64(_GAMMA)))
+
+
 def spawn_seed(seed, stream):
     """Derived 64-bit seed for a worker identified by an integer stream id."""
-    return _mix64_int((int(seed) & _MASK64) ^ _mix64_int((int(stream) + 1) * _GAMMA))
+    return int(_spawn_seeds(seed, np.array([(int(stream) + 1) & _MASK64], dtype=np.uint64))[0])
 
 
 def spawn_normal_rows(seed, rows, count):
@@ -130,20 +127,20 @@ def spawn_normal_rows(seed, rows, count):
     bit for bit: the seeds and the raw draws of all rows in one block, then
     the Box-Muller of Rng.normal_rows."""
     pairs = (count + 1) // 2
+    seeds = _spawn_seeds(seed, np.arange(1, rows + 1, dtype=np.uint64))
+    idx = np.arange(1, 2 * pairs + 1, dtype=np.uint64)  # a fresh Rng's counter
     with np.errstate(over="ignore"):
-        streams = np.arange(1, rows + 1, dtype=np.uint64)  # stream t enters as t + 1
-        seeds = _mix64(np.uint64(int(seed) & _MASK64) ^ _mix64(streams * np.uint64(_GAMMA)))
-        idx = np.arange(1, 2 * pairs + 1, dtype=np.uint64)  # a fresh Rng's counter
         raw = _mix64(seeds[:, None] + idx * np.uint64(_GAMMA))
     return _box_muller(raw, count)
 
 
 def hash_label(text):
     """Deterministic 64-bit hash of a short string (stable across runs)."""
-    h = 0x9AE16A3B2F90404F
-    for b in text.encode("utf-8"):
-        h = _mix64_int((h ^ b) * _GAMMA)
-    return h
+    h = np.array([0x9AE16A3B2F90404F], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for b in text.encode("utf-8"):
+            h = _mix64((h ^ np.uint64(b)) * np.uint64(_GAMMA))
+    return int(h[0])
 
 
 def gaussian_vector(rng, n):
@@ -301,18 +298,16 @@ def pcg(apply_a, apply_m_inv, rhs, tol, maxit, x0):
 # ---------------------------------------------------------------------------
 
 
-def _ritz(d, e, j, vector):
-    """j-th smallest eigenvalue of the tridiagonal (d, e) and, if `vector`,
-    the last component of its unit eigenvector: bisection (LAPACK stebz)
-    plus inverse iteration (stein) for this one pair, O(len(d))."""
+def _ritz(d, e, j):
+    """j-th smallest eigenvalue of the tridiagonal (d, e) and the last
+    component of its unit eigenvector: bisection (LAPACK stebz) plus inverse
+    iteration (stein) for this one pair, O(len(d))."""
     # stebz range 2 selects by index; il = iu = j + 1 (one-based), tol 0
     _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
-        d, e, 2, 0.0, 1.0, j + 1, j + 1, 0.0, "B" if vector else "E"
+        d, e, 2, 0.0, 1.0, j + 1, j + 1, 0.0, "B"
     )
     if info != 0:
         raise NoConvergence(f"stebz info {info} at Ritz index {j}")
-    if not vector:
-        return w[0], None
     s, info = scipy.linalg.lapack.dstein(d, e, w[:1], iblock, isplit)
     if info != 0:
         raise NoConvergence(f"stein info {info} at Ritz index {j}")
@@ -331,11 +326,10 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     subtract them.  Without it the three-term recurrence runs on two rows.
     `watch` lists indices into the ascending Ritz values (negative allowed)
     that must pass the residual-plus-stabilization test before the loop
-    stops; each step computes only the Ritz pairs that test needs (the ends
-    for the scale, the watched ones with the last component of their
-    eigenvector).  The scale is max(|theta_0|, |theta_{m-1}|) when theta_0
-    is watched and theta_{m-1} alone otherwise: the callers that watch only
-    the top run on an SPD operator, where |theta_0| <= theta_{m-1}.
+    stops; each step computes only the watched Ritz values and the last
+    component of their eigenvectors.  The scale is the largest |theta| among
+    the watched values; every caller runs on an SPD operator (A^{-1}, A or
+    B^{-1} A) and watches theta_{m-1}, so the scale is theta_{m-1}.
     beta = 0 stops the loop at any step, before it is divided
     by: the Krylov space is invariant and its Ritz values exact.  beta below
     1e-14 * scale stops it only once the watched values exist; before, the
@@ -364,7 +358,6 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     prev = None
     converged = False
     span = max(abs(i) for i in watch) + 1
-    low = 0 in watch  # theta_0 enters the scale only where it is watched
     for k in range(steps):
         cur = k % rows
         w = apply_t(mapped[cur])
@@ -386,14 +379,9 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
             converged = True
             break
         if m >= span:
-            ends = (0, m - 1) if low else (m - 1,)
-            need = dict.fromkeys(ends, False)
-            need.update((i % m, True) for i in watch)
-            d, e = alphas[:m], betas[:k]
-            ritz = {j: _ritz(d, e, j, vec) for j, vec in need.items()}
-            scale = max(abs(ritz[j][0]) for j in ends)
-            res_ok = all(beta * abs(ritz[i % m][1]) <= tol * scale for i in watch)
-            vals = tuple(ritz[i % m][0] for i in watch)
+            vals, lasts = zip(*(_ritz(alphas[:m], betas[:k], i % m) for i in watch))
+            scale = max(abs(v) for v in vals)
+            res_ok = all(beta * abs(s) <= tol * scale for s in lasts)
             stable = prev is not None and all(
                 abs(v - p) <= tol * scale for v, p in zip(vals, prev)
             )

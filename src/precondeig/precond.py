@@ -24,14 +24,14 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import EmptySubdomain, NoForwardApply, NotKroneckerSum, NotSpd
-from .linalg import CholFactor, chol_matvec, chol_solve, cholesky, make_solver, pcg
+from .linalg import CholFactor, _by_column, chol_matvec, chol_solve, cholesky, make_solver, pcg
 
 _U32 = 2.0**-24  # IEEE binary32 unit roundoff
 FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forward apply
 
 
 class Preconditioner:
-    """Interface: dim, label, apply_inv, apply_fwd, fwd_mode, exact(), pencil().
+    """Interface: label, apply_inv, apply_fwd, fwd_mode, exact(), pencil().
 
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
     is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
@@ -43,7 +43,6 @@ class Preconditioner:
     through diagnostics._apply_b one column at a time.
     """
 
-    dim = None
     label = "abstract"
     fwd_mode = "exact"
     # set only when the twin is another object: a self-reference would keep
@@ -74,8 +73,7 @@ class OperatorPreconditioner(Preconditioner):
     """B given directly by binary64 callables for B^{-1} v and B v, each
     taking a vector or an (n, k) block."""
 
-    def __init__(self, dim, apply_inv_fn, apply_fwd_fn, label):
-        self.dim = dim
+    def __init__(self, apply_inv_fn, apply_fwd_fn, label):
         self._inv = apply_inv_fn
         self._fwd = apply_fwd_fn
         self.label = label
@@ -87,13 +85,13 @@ class OperatorPreconditioner(Preconditioner):
         return self._fwd(np.asarray(v, dtype=np.float64))
 
 
-def make_identity(n):
-    return OperatorPreconditioner(n, np.copy, np.copy, label="identity")
+def make_identity():
+    return OperatorPreconditioner(np.copy, np.copy, label="identity")
 
 
 def make_spd(b):
     """Preconditioner from an explicit SPD matrix B, factored once."""
-    return OperatorPreconditioner(b.shape[0], make_solver(b), lambda v: b @ v, "dense-spd")
+    return OperatorPreconditioner(make_solver(b), lambda v: b @ v, "dense-spd")
 
 
 class MpCholPreconditioner(Preconditioner):
@@ -101,7 +99,6 @@ class MpCholPreconditioner(Preconditioner):
     the factor's precision.  make_mp_cholesky computes Lhat in binary32."""
 
     def __init__(self, factor):
-        self.dim = factor.n
         self.label = "mp-chol"
         self.factor = factor
         if factor.precision != "binary64":
@@ -193,11 +190,11 @@ class DdmPreconditioner(Preconditioner):
     fwd_mode = "iterative"
 
     def __init__(self, hierarchy, a_fine):
-        self.dim = a_fine.shape[0]
+        n = a_fine.shape[0]
         self.label = f"ddm:H={hierarchy.coarse_h:g},overlap={hierarchy.overlap_ratio:g}"
         self._i_h = hierarchy.prolongation.tocsr()
         self._i_h_t = self._i_h.T.tocsr()
-        if self._i_h.shape[0] != self.dim:
+        if self._i_h.shape[0] != n:
             raise NotSpd(-1, "prolongation does not match the fine matrix")
         # an empty coarse space (single-cell coarse grid) drops the first term
         self._coarse_solve = None
@@ -238,7 +235,7 @@ class DdmPreconditioner(Preconditioner):
         m = len(self._cat)
         # transpose of the stacked restriction v -> v[cat]
         self._r_t = scipy.sparse.csr_matrix(
-            (np.ones(m), (self._cat, np.arange(m))), shape=(self.dim, m)
+            (np.ones(m), (self._cat, np.arange(m))), shape=(n, m)
         )
 
     def _local_solve(self, w):
@@ -253,11 +250,7 @@ class DdmPreconditioner(Preconditioner):
 
     def apply_inv(self, v):
         v = np.asarray(v, dtype=np.float64)
-        w = v[self._cat]
-        if w.ndim == 1:
-            local = self._local_solve(w)
-        else:
-            local = np.column_stack([self._local_solve(c) for c in w.T])
+        local = _by_column(self._local_solve, v[self._cat])
         # a fixed CSR product: each node sums its local values in one fixed
         # order, so applies are bit-reproducible
         return self.coarse_part(v) + self._r_t @ local
@@ -277,7 +270,6 @@ class ScaledPreconditioner(Preconditioner):
             raise ValueError("eta must be positive")
         self.inner = inner
         self.eta = float(eta)
-        self.dim = inner.dim
         self.label = f"scaled:{inner.label}"
         self.fwd_mode = inner.fwd_mode
         if inner.exact() is not inner:
@@ -321,7 +313,6 @@ class HattedPreconditioner(Preconditioner):
     def __init__(self, inner, r_factor):
         self.inner = inner
         self.r = r_factor
-        self.dim = inner.dim
         self.label = f"hatted:{inner.label}"
         if inner.exact() is not inner:
             self._twin = HattedPreconditioner(inner.exact(), r_factor)

@@ -30,7 +30,6 @@ from .linalg import (
     lanczos_top_pairs,
     make_solver,
 )
-from .precond import HattedPreconditioner
 
 # largest dimension for which reference_eigs and kappa_nu take their dense
 # LAPACK routes
@@ -61,19 +60,21 @@ class EigenProblem:
 
     A mass-reduced problem holds the factor R of M = R^T R in r_factor and
     the matvecs (K v, M v) of its original pencil in pencil; both are None
-    for a standard problem.  apply_a takes an (n, k) block as well as a
-    vector: check_initial applies it to a block of starts and dense() to the
-    identity; the generators here build operators that take one.
+    for a standard problem.  A preconditioner built for the original pencil
+    is lifted to the reduced problem by precond.HattedPreconditioner(p,
+    r_factor), as cli.build_precond does for ddm.  apply_a takes an (n, k)
+    block as well as a vector: check_initial applies it to a block of starts
+    and dense() to the identity; the generators here build operators that
+    take one.
     """
 
     def __init__(
-        self, dim, apply_a, label, matrix=None, solve_a=None, r_factor=None, pencil=None, meta=None
+        self, dim, apply_a, matrix=None, solve_a=None, r_factor=None, pencil=None, meta=None
     ):
         self.dim = dim
         self.apply_a = apply_a
         self.matrix = matrix
         self._solve_a = solve_a
-        self.label = label
         self.r_factor = r_factor
         self.pencil = pencil
         self.meta = meta or {}
@@ -97,12 +98,6 @@ class EigenProblem:
             raise NotSpd(-1, f"refusing to assemble a dense {self.dim}x{self.dim} operator")
         a = self.apply_a(np.eye(self.dim))
         return (a + a.T) / 2.0
-
-    def wrap_precond(self, p):
-        """Lift a preconditioner built for the original pencil to this problem."""
-        if self.r_factor is None:
-            return p
-        return HattedPreconditioner(p, self.r_factor)
 
     def reference(self):
         if self._reference is None:
@@ -130,7 +125,6 @@ def laplace_fd(h):
         dim=n1 * n1,
         apply_a=lambda v: a @ v,
         matrix=a,
-        label=f"laplace-fd:h=1/{inv}",
         meta={"h": 1.0 / inv},
     )
 
@@ -283,7 +277,6 @@ def laplace_fem(h):
     """Generalized Laplace eigenvalue problem (stiffness, mass) in reduced form."""
     k, m = fem_p1(h)
     problem = generalized_reduce(k, m)
-    problem.label = f"laplace-fem:h=1/{_as_inverse_width(h)}"
     problem.meta.update({"h": h, "stiffness": k})
     return problem
 
@@ -349,7 +342,6 @@ def kernel_matrix(spec):
         apply_a=lambda v: a @ v,
         matrix=a,
         solve_a=lambda v: chol_solve(factor, v),
-        label=f"kernel-{'laplace' if spec.kind == 'laplacian' else 'poly'}:n={spec.n},seed={spec.seed}",
     )
 
 
@@ -363,7 +355,8 @@ def generalized_reduce(a, m):
 
     The reduced operator is R^{-T} A R^{-1}; its eigenvalues are the pencil
     eigenvalues and eigenvectors map as w = R u.  Preconditioners for A are
-    lifted with wrap_precond so that Bhat^{-1} v = R (B^{-1} (R^T v)).
+    lifted by precond.HattedPreconditioner so that Bhat^{-1} v = R (B^{-1}
+    (R^T v)).
     The reduced apply_a costs a banded R solve, an A matvec and a banded
     R^T solve; the set-up and the diagnostics run on it, and so does a
     rsd_solve step with a preconditioner built on the reduced operator
@@ -390,7 +383,6 @@ def generalized_reduce(a, m):
         dim=n,
         apply_a=apply_hat,
         solve_a=solve_hat,
-        label="generalized",
         r_factor=r,
         pencil=(lambda v: a @ v, lambda v: m @ v),
     )

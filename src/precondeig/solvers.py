@@ -19,12 +19,13 @@ rsd_solve runs one loop on one of two routes, chosen by precond.pencil():
   a step costs one A apply and one B^{-1} apply.  On a mass-reduced problem
   the A apply is a banded R solve, a K matvec and a banded R^T solve.
 - pencil coordinates, for a mass-reduced problem (K, M), M = R^T R, with a
-  preconditioner lifted by wrap_precond (ddm, and scaled:ddm), whose u-space
-  B^{-1} is R P^{-1} R^T for the pencil's preconditioner P: the loop carries
-  x = R^{-1} u, and a step costs a K matvec, an M matvec, one P^{-1} apply
-  and one banded R^T solve for the Euclidean residual norm ||R^{-T} s||,
-  the step's only banded solve: a DDM P^{-1} apply is a gather, dense
-  tensor-product local solves, a sparse coarse solve and a scatter.
+  preconditioner lifted by precond.HattedPreconditioner (ddm, and
+  scaled:ddm), whose u-space B^{-1} is R P^{-1} R^T for the pencil's
+  preconditioner P: the loop carries x = R^{-1} u, and a step costs a K
+  matvec, an M matvec, one P^{-1} apply and one banded R^T solve for the
+  Euclidean residual norm ||R^{-T} s||, the step's only banded solve: a
+  DDM P^{-1} apply is a gather, dense tensor-product local solves, a
+  sparse coarse solve and a scatter.
   The recurrence is the same, x_{t+1} = beta_{t+1} (x_t - eta*_t P^{-1} s_t)
   with s = K x - lambda M x = R^T r, and every scalar it uses is the u-space
   one (geometry.make_state).  u = R x is formed at exit, and in a callback

@@ -30,9 +30,9 @@ def tight_fwd(p, v, apply_a, tol):
     return z
 
 
-def dense_problem(a, label="dense"):
+def dense_problem(a):
     a = np.asarray(a, dtype=np.float64)
-    return pe.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a, label=label)
+    return pe.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)
 
 
 def dense_pencil(seed, n, kind):

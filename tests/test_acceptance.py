@@ -10,6 +10,7 @@ import pytest
 import precondeig as pe
 from precondeig import problems, solvers
 from precondeig.diagnostics import random_spd_pair
+from precondeig.precond import HattedPreconditioner
 from tests.conftest import column, dense_problem, dense_roots
 
 
@@ -44,7 +45,7 @@ def fem_ddm_setup(h, big_h):
     hier = pe.mesh_hierarchy(big_h, h, 0.5)
     k = problem.meta["stiffness"]
     ddm = pe.DdmPreconditioner(hier, k)
-    return problem, problem.wrap_precond(ddm)
+    return problem, HattedPreconditioner(ddm, problem.r_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_criterion_6_ddm_table():
     cos2_by_H = {}
     for big_h in (2.0**-2, 2.0**-3):
         hier = pe.mesh_hierarchy(big_h, 2.0**-6, 0.5)
-        bh = problem6.wrap_precond(pe.DdmPreconditioner(hier, k6))
+        bh = HattedPreconditioner(pe.DdmPreconditioner(hier, k6), problem6.r_factor)
         cos2_by_H[big_h] = pe.compute_quality(problem6, bh).cos_phi**2
     ratio = cos2_by_H[2.0**-2] / cos2_by_H[2.0**-3]
     elapsed = time.time() - t0

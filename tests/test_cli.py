@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 
 import precondeig as pe
 from precondeig import linalg, precond, problems
-from precondeig.cli import build_problem, build_precond, main, parse_dyadic
+from precondeig.cli import _parse_step, build_problem, build_precond, main, parse_dyadic
 from precondeig.errors import RecipeError
 
 
@@ -35,6 +35,23 @@ def test_build_problem_recipes():
     ]:
         with pytest.raises(RecipeError, match=missing):
             build_problem(recipe)
+    # a key the recipe does not read, and a value that is not a number of the
+    # kind the key takes, name the recipe kind and the key
+    for recipe, message in [
+        ("laplace-fd:h=2^-3,hh=3", "laplace-fd recipe does not read the key 'hh'; it reads 'h'"),
+        ("kernel-laplace:n=16,sed=3", "kernel-laplace recipe does not read the key 'sed'"),
+        ("kernel-laplace:n=abc", "kernel-laplace recipe key 'n': 'abc' is not an integer"),
+        ("kernel-poly:n=16,d=2.5", "kernel-poly recipe key 'd': '2.5' is not an integer"),
+        ("kernel-laplace:n=16,seed=x", "kernel-laplace recipe key 'seed': 'x' is not an integer"),
+        ("kernel-laplace:n=16,tau=x", "kernel-laplace recipe key 'tau': 'x' is not a finite number"),
+    ]:
+        with pytest.raises(RecipeError, match=message):
+            build_problem(recipe)
+    # tau is read like h
+    assert np.array_equal(
+        build_problem("kernel-laplace:n=8,tau=2^-3").matrix,
+        build_problem("kernel-laplace:n=8,tau=0.125").matrix,
+    )
 
 
 def test_build_precond_recipes():
@@ -52,6 +69,26 @@ def test_build_precond_recipes():
     for recipe, key in [("ddm:H=abc", "H"), ("ddm:H=2^-2,overlap=abc", "overlap")]:
         with pytest.raises(RecipeError, match=f"ddm recipe key '{key}': 'abc' is not a finite number"):
             build_precond(recipe, prob)
+    # a key the recipe does not read names the recipe kind and the key
+    for recipe, message in [
+        ("ddm:H=2^-1,overlp=0.25", "ddm recipe does not read the key 'overlp'; it reads 'H', 'overlap'"),
+        ("identity:foo=1", "identity recipe does not read the key 'foo'; it reads no keys"),
+        ("exact:foo=1", "exact recipe does not read the key 'foo'"),
+        ("mp-chol:foo=1", "mp-chol recipe does not read the key 'foo'"),
+    ]:
+        with pytest.raises(RecipeError, match=message):
+            build_precond(recipe, prob)
+
+
+def test_step_arguments_name_the_policy():
+    assert _parse_step("const:1/4").value == _parse_step("const").value == 0.25
+    assert _parse_step("fixed:2^-3").value == 0.125
+    for text, message in [
+        ("const:abc", "const recipe key 'c': 'abc' is not a finite number"),
+        ("fixed:abc", "fixed recipe key 'value': 'abc' is not a finite number"),
+    ]:
+        with pytest.raises(RecipeError, match=message):
+            _parse_step(text)
 
 
 def test_ddm_overlap_takes_a_fraction(capsys):
@@ -356,12 +393,21 @@ def test_table_unknown_name():
         ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=0"],
         ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=abc"],
         ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=2^-2,overlap=abc"],
+        ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=2^-1,overlp=0.25"],
+        ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "identity:foo=1"],
+        ["phi", "--problem", "laplace-fd:h=2^-3,hh=3", "--precond", "identity"],
+        ["phi", "--problem", "kernel-laplace:n=abc", "--precond", "identity"],
+        ["phi", "--problem", "kernel-laplace:n=16,tau=x", "--precond", "identity"],
+        ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "const:abc"],
+        ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "fixed:abc"],
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
         "validate-size-1", "validate-samples-0", "validate-samples-negative", "validate-seeds-0",
         "fd-h-0", "fem-h-0", "fd-h-1-over-0", "fd-h-overflow", "ddm-H-0",
-        "ddm-H-not-a-number", "ddm-overlap-not-a-number",
+        "ddm-H-not-a-number", "ddm-overlap-not-a-number", "ddm-unread-key",
+        "identity-unread-key", "fd-unread-key", "kernel-n-not-an-integer",
+        "kernel-tau-not-a-number", "step-const-not-a-number", "step-fixed-not-a-number",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):

@@ -205,7 +205,7 @@ def test_kappa_exact_is_one():
 
 def test_kappa_identity_diag():
     problem = dense_problem(DIAG)
-    nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_identity(3))
+    nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_identity())
     assert (abs(nu_min - 1.0), abs(nu_max - 4.0), abs(kappa - 4.0)) <= (1e-10, 1e-10, 1e-10)
 
 
@@ -285,7 +285,7 @@ def test_kappa_of_a_lifted_ddm_runs_on_the_pencil():
 
 
 def test_gamma_diag_identity_at_x_star():
-    problem, p, ctx = diag_ctx(lambda pr: pe.make_identity(3))
+    problem, p, ctx = diag_ctx(lambda pr: pe.make_identity())
     state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
     # 2 * numax * (1/l1 - 1/ln) / (u^T A u) = 2*4*(3/4)/1
     assert abs(pe.gamma_x(state.uau, ctx) - 6.0) <= 1e-9
@@ -303,7 +303,7 @@ def test_gamma_global_bound():
 
 
 def test_mu_diag_identity_at_x_star():
-    problem, p, ctx = diag_ctx(lambda pr: pe.make_identity(3))
+    problem, p, ctx = diag_ctx(lambda pr: pe.make_identity())
     state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
     assert abs(pe.mu_x(state.uau, ctx) - 4.0 / math.pi**2) <= 1e-10
 
@@ -552,7 +552,7 @@ def test_success_probability_rejects_a_sampler_before_the_context(monkeypatch):
     monkeypatch.setattr(diagnostics, "build_rate_context", no_context)
     problem = dense_problem(DIAG)
     with pytest.raises(ValueError, match="unknown sampler"):
-        pe.success_probability(problem, pe.make_identity(3), "uniform", 10, 0, ctx=None)
+        pe.success_probability(problem, pe.make_identity(), "uniform", 10, 0, ctx=None)
 
 
 def test_success_probability_exact_preconditioner():

@@ -57,6 +57,22 @@ def test_no_unused_imports(path):
     assert allowed <= unused
 
 
+def relative_imports(path):
+    """Names of the package modules that a module imports from."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules.update([node.module] if node.module else (a.name for a in node.names))
+    return modules
+
+
+def test_problems_sits_below_the_preconditioners():
+    # problems builds operators and reference spectra only; whatever takes a
+    # problem (preconditioners, diagnostics, solvers, the CLI) sits above it
+    above = {"precond", "diagnostics", "solvers", "cli"}
+    assert relative_imports(SRC / "problems.py") & above == set()
+
+
 def public_names():
     """(name, home module) for every name in precondeig.__all__, read from the
     relative imports of __init__.py; a public module is its own home."""

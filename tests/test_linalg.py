@@ -21,6 +21,7 @@ from precondeig.linalg import (
     _lanczos_top_value,
     _ritz,
     _round_robin,
+    hash_label,
     lanczos_top_pairs,
     spawn_normal_rows,
     spawn_seed,
@@ -93,6 +94,16 @@ def test_spawn_seed_deterministic_and_distinct():
     assert spawn_seed(7, 0) == spawn_seed(7, 0)
     assert spawn_seed(7, 0) != spawn_seed(7, 1)
     assert spawn_seed(7, 0) != spawn_seed(8, 0)
+    # literal values pin the streams: a change here changes every seeded run
+    assert spawn_seed(7, 0) == 236966933211079599
+    assert spawn_seed(-1, 2**64 - 1) == 13029008266876403067
+    assert hash_label("prob-kernel:128") == 14047381086774974555
+    assert spawn_seed(0, hash_label("prob-kernel:128")) == 448333765690293265
+    assert hash_label("prob-ddm:0.125") == 5517552435319254165
+    assert spawn_normal_rows(7, 3, 5)[0].tolist() == [
+        1.0197989499362454, 0.6498741162857791, -0.10286861386057643,
+        -0.8976217160398987, 0.4707525063263136,
+    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20])
@@ -445,15 +456,13 @@ def test_lanczos_top_pairs_across_basis_blocks():
         (lambda: pe.lanczos_extremal(lambda v: 2.0 * v, 5, 1e-10, 5, pe.Rng(2024), None), (2.0, 2.0)),
         (
             lambda: pe.kappa_nu(
-                pe.EigenProblem(dim=300, apply_a=lambda v: 2.0 * v, matrix=2.0 * np.eye(300), label=""),
-                pe.make_identity(300),
+                pe.EigenProblem(dim=300, apply_a=lambda v: 2.0 * v, matrix=2.0 * np.eye(300)),
+                pe.make_identity(),
             ),
             (2.0, 2.0, 1.0),
         ),
         (
-            lambda: pe.EigenProblem(
-                dim=5, apply_a=lambda v: 2.0 * v, solve_a=lambda v: 0.5 * v, label=""
-            ).reference(),
+            lambda: pe.EigenProblem(dim=5, apply_a=lambda v: 2.0 * v, solve_a=lambda v: 0.5 * v).reference(),
             DegenerateSmallestEigenvalue,
         ),
     ],
@@ -689,11 +698,7 @@ def test_ritz_equals_eigh_tridiagonal():
         d = rng.normal(m) * 10.0 ** (6 * rng.uniform(1)[0] - 3)
         e = np.abs(rng.normal(m - 1)) + 1e-3
         j = (7 * k) % m
-        theta = scipy.linalg.eigh_tridiagonal(
-            d, e, eigvals_only=True, select="i", select_range=(j, j), check_finite=False
-        )
-        assert _ritz(d, e, j, False) == (theta[0], None)
         theta, s = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(j, j), check_finite=False
         )
-        assert _ritz(d, e, j, True) == (theta[0], s[-1, 0])
+        assert _ritz(d, e, j) == (theta[0], s[-1, 0])

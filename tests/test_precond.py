@@ -17,7 +17,7 @@ from precondeig.errors import (
     NotSpd,
     NotSpdInLowPrecision,
 )
-from precondeig.precond import FWD_TOL, OperatorPreconditioner
+from precondeig.precond import FWD_TOL, HattedPreconditioner, OperatorPreconditioner
 from tests.conftest import dense_problem, dense_roots, tight_fwd
 
 
@@ -27,12 +27,16 @@ def random_spd(seed, n, shift=1.0):
     return (a + a.T) / 2.0
 
 
+def lift(prob, p):
+    return HattedPreconditioner(p, prob.r_factor)
+
+
 def fem_ddm(h, big_h, ratio=0.5):
     hier = pe.mesh_hierarchy(big_h, h, ratio)
     k, m = pe.fem_p1(h)
     prob = pe.generalized_reduce(k, m)
     ddm = pe.DdmPreconditioner(hier, k)
-    return prob, ddm, prob.wrap_precond(ddm)
+    return prob, ddm, lift(prob, ddm)
 
 
 def all_preconditioners():
@@ -41,25 +45,25 @@ def all_preconditioners():
     fd = pe.laplace_fd(1.0 / 8.0)
     prob, _, bhat = fem_ddm(1.0 / 8.0, 1.0 / 2.0)
     out = [
-        ("identity", pe.make_identity(24), a),
+        ("identity", pe.make_identity(), a),
         ("exact-dense", pe.make_spd(a), a),
         ("exact-sparse", pe.make_spd(fd.matrix), fd.matrix.toarray()),
         ("mp-chol", pe.make_mp_cholesky(a), a),
         ("scaled", pe.spectral_scale(pe.make_mp_cholesky(a), 0.9, 1.1), a),
         ("ddm-hatted", bhat, prob.dense()),
-        ("spd-hatted", prob.wrap_precond(pe.make_spd(random_spd(20, prob.dim, shift=4.0))), prob.dense()),
+        ("spd-hatted", lift(prob, pe.make_spd(random_spd(20, prob.dim, shift=4.0))), prob.dense()),
     ]
     return out
 
 
-def spd_probe(p, rng, trials=20):
+def spd_probe(p, n, rng, trials=20):
     """Largest symmetry defect and smallest positivity of p.apply_inv on
-    random probe pairs."""
+    random probe pairs of dimension n."""
     worst_sym = 0.0
     worst_pos = np.inf
     for _ in range(trials):
-        u = rng.normal(p.dim)
-        w = rng.normal(p.dim)
+        u = rng.normal(n)
+        w = rng.normal(n)
         iu = p.apply_inv(u)
         iw = p.apply_inv(w)
         scale = np.linalg.norm(u) * np.linalg.norm(iw) + np.linalg.norm(w) * np.linalg.norm(iu)
@@ -73,21 +77,21 @@ def spd_probe(p, rng, trials=20):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,p,_", all_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
-def test_spd_probe(name, p, _):
+@pytest.mark.parametrize("name,p,a", all_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
+def test_spd_probe(name, p, a):
     # the operator itself (its binary64 twin) is SPD to 1e-8
-    sym, pos = spd_probe(p.exact(), pe.Rng(77), trials=20)
+    sym, pos = spd_probe(p.exact(), a.shape[0], pe.Rng(77), trials=20)
     assert sym <= 1e-8
     assert pos > 0.0
     # the production path may add binary32 substitution noise, nothing more
-    sym32, pos32 = spd_probe(p, pe.Rng(77), trials=20)
+    sym32, pos32 = spd_probe(p, a.shape[0], pe.Rng(77), trials=20)
     assert sym32 <= 1e-6
     assert pos32 > 0.0
 
 
 @pytest.mark.parametrize("name,p,a", all_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
 def test_forward_inverse_consistency(name, p, a):
-    v = pe.Rng(5).normal(p.dim)
+    v = pe.Rng(5).normal(a.shape[0])
     tol = 1e-9
     if name == "mp-chol" or name == "scaled":
         tol = 1e-4  # binary32 substitutions round at 2^-24
@@ -111,29 +115,30 @@ def test_dropped_preconditioners_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("name,p,_", all_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
-def test_exact_twin_contract(name, p, _):
+@pytest.mark.parametrize("name,p,a", all_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
+def test_exact_twin_contract(name, p, a):
     twin = p.exact()
     assert twin.exact() is twin
     # only a binary32 factor needs a separate binary64 twin
     assert (twin is p) == (name not in ("mp-chol", "scaled"))
-    assert (twin.dim, twin.label, twin.fwd_mode) == (p.dim, p.label, p.fwd_mode)
-    v = pe.Rng(9).normal(p.dim)
+    assert (twin.label, twin.fwd_mode) == (p.label, p.fwd_mode)
+    v = pe.Rng(9).normal(a.shape[0])
     assert np.linalg.norm(twin.apply_inv(v) - p.apply_inv(v)) <= 1e-4 * np.linalg.norm(p.apply_inv(v))
 
 
 def block_preconditioners():
     """Every B of all_preconditioners, the exact B of a mass-reduced problem,
     whose applies go through R products and solves, DDM on a finite-difference
-    problem and scaled DDM on a mass-reduced one."""
+    problem and scaled DDM on a mass-reduced one; each with its dimension."""
     reduced = build_problem("laplace-fem:h=2^-3")
     fd = build_problem("laplace-fd:h=2^-3")
-    out = [(name, p) for name, p, _ in all_preconditioners()]
-    return out + [
-        ("exact-reduced", build_precond("exact", reduced)),
-        ("ddm-fd", build_precond("ddm:H=2^-1", fd)),
-        ("scaled-ddm", build_precond("scaled:ddm:H=2^-1", reduced)),
+    out = [(name, p, a.shape[0]) for name, p, a in all_preconditioners()]
+    out += [
+        ("exact-reduced", build_precond("exact", reduced), reduced.dim),
+        ("ddm-fd", build_precond("ddm:H=2^-1", fd), fd.dim),
+        ("scaled-ddm", build_precond("scaled:ddm:H=2^-1", reduced), reduced.dim),
     ]
+    return [pytest.param(*case, id=f"{case[0]}-") for case in out]
 
 
 # dense LAPACK/BLAS kernels (Cholesky substitutions, matrix products) run a
@@ -142,12 +147,12 @@ def block_preconditioners():
 DENSE_KERNELS = ("exact-dense", "mp-chol", "scaled", "spd-hatted")
 
 
-@pytest.mark.parametrize("name,p", block_preconditioners(), ids=lambda v: v if isinstance(v, str) else "")
-def test_explicit_b_applies_a_block(name, p):
+@pytest.mark.parametrize("name,p,n", block_preconditioners())
+def test_explicit_b_applies_a_block(name, p, n):
     # every B takes an (n, k) block in apply_inv, and an explicit B in
     # apply_fwd too: the diagnostics apply it to all trial starts, or to the
     # identity, at once
-    block = pe.Rng(13).normal(3 * p.dim).reshape(p.dim, 3)
+    block = pe.Rng(13).normal(3 * n).reshape(n, 3)
     for q in (p, p.exact()):
         applies = (q.apply_inv, q.apply_fwd) if q.fwd_mode == "exact" else (q.apply_inv,)
         for apply in applies:
@@ -166,7 +171,7 @@ def test_explicit_b_applies_a_block(name, p):
 
 
 def test_identity_is_identity():
-    p = pe.make_identity(5)
+    p = pe.make_identity()
     v = pe.Rng(0).normal(5)
     assert np.array_equal(p.apply_inv(v), v)
     assert np.array_equal(p.apply_fwd(v), v)
@@ -174,7 +179,7 @@ def test_identity_is_identity():
 
 def test_identity_kappa_is_spread():
     prob = dense_problem(np.diag([1.0, 2.0, 4.0]))
-    nu_min, nu_max, kappa = pe.kappa_nu(prob, pe.make_identity(3))
+    nu_min, nu_max, kappa = pe.kappa_nu(prob, pe.make_identity())
     assert abs(nu_min - 1.0) <= 1e-10
     assert abs(nu_max - 4.0) <= 1e-10
     assert abs(kappa - 4.0) <= 1e-10
@@ -183,7 +188,7 @@ def test_identity_kappa_is_spread():
 def test_identity_distortion_is_right_angle():
     # no preconditioning: phi = pi/2 exactly
     prob = dense_problem(np.diag([1.0, 2.0, 4.0]))
-    ctx = pe.build_rate_context(prob, pe.make_identity(3))
+    ctx = pe.build_rate_context(prob, pe.make_identity())
     assert abs(ctx.sin_phi - 1.0) <= 1e-12
     assert ctx.cos_phi <= 1e-6
 
@@ -298,7 +303,7 @@ def test_ddm_additivity(h, big_h):
     # oracle: the coarse part plus one sparse LU solve per subdomain
     _, ddm, _ = fem_ddm(h, big_h)
     k = pe.fem_p1(h)[0].tocsr()
-    v = pe.Rng(4).normal(ddm.dim)
+    v = pe.Rng(4).normal(k.shape[0])
     total = ddm.coarse_part(v)
     for idx in pe.mesh_hierarchy(big_h, h, 0.5).subdomains:
         total[idx] += scipy.sparse.linalg.splu(k[np.ix_(idx, idx)].tocsc()).solve(v[idx])
@@ -324,7 +329,7 @@ def test_ddm_local_solves_match_sparse_lu(kind, h, big_h, overlap):
     a = (pe.laplace_fd(h).matrix if kind == "fd" else pe.fem_p1(h)[0]).tocsr()
     hier = pe.mesh_hierarchy(big_h, h, overlap)
     ddm = pe.DdmPreconditioner(hier, a)
-    v = pe.Rng(5).normal(ddm.dim)
+    v = pe.Rng(5).normal(a.shape[0])
     total = ddm.coarse_part(v)
     for idx in hier.subdomains:
         total[idx] += scipy.sparse.linalg.splu(a[np.ix_(idx, idx)].tocsc()).solve(v[idx])
@@ -361,17 +366,18 @@ def test_ddm_coarse_part_equals_transpose_product(h, big_h):
     a_coarse = (i_h.T @ pe.fem_p1(h)[0] @ i_h).tocsc()
     solve = scipy.sparse.linalg.splu(a_coarse).solve
     for seed in range(3):
-        v = pe.Rng(seed).normal(ddm.dim)
+        v = pe.Rng(seed).normal(i_h.shape[0])
         assert np.array_equal(ddm.coarse_part(v), i_h @ solve(i_h.T @ v))
 
 
 @pytest.mark.parametrize("recipe", ["scaled:ddm:H=2^-2", "ddm:H=2^-2"])
 def test_implicit_b_apply_fwd_raises_typed_error(recipe):
     # laplace-fem is mass-reduced, so ddm is lifted (hatted) onto it
-    p = build_precond(recipe, build_problem("laplace-fem:h=2^-4"))
+    prob = build_problem("laplace-fem:h=2^-4")
+    p = build_precond(recipe, prob)
     assert p.fwd_mode == "iterative"
     with pytest.raises(NoForwardApply) as err:
-        p.apply_fwd(np.ones(p.dim))
+        p.apply_fwd(np.ones(prob.dim))
     assert "ddm:H=0.25" in str(err.value) and "apply_fwd_iterative" in str(err.value)
 
 
@@ -394,7 +400,7 @@ def test_ddm_fwd_iterative_residual_and_stability():
 
 
 def test_apply_fwd_iterative_identity_and_exact():
-    ident = pe.make_identity(6)
+    ident = pe.make_identity()
     v = pe.Rng(5).normal(6)
     assert np.linalg.norm(pe.apply_fwd_iterative(ident, v, apply_a=np.copy) - v) <= 1e-12
     a = random_spd(14, 6)
@@ -410,10 +416,10 @@ def test_apply_fwd_iterative_identity_and_exact():
 
 def test_spectral_scale_trivial_arithmetic():
     # rho_B = max |1 - eta nu| over the spectral bounds = (kappa - 1)/(kappa + 1)
-    p = pe.spectral_scale(pe.make_identity(3), 2.0, 2.0)
+    p = pe.spectral_scale(pe.make_identity(), 2.0, 2.0)
     assert abs(p.eta - 0.5) <= 1e-16
     assert abs(1.0 - p.eta * 2.0) == 0.0
-    p = pe.spectral_scale(pe.make_identity(3), 1.0, 3.0)
+    p = pe.spectral_scale(pe.make_identity(), 1.0, 3.0)
     assert abs(p.eta - 0.5) <= 1e-16
     assert abs(max(abs(1.0 - p.eta * 1.0), abs(1.0 - p.eta * 3.0)) - 0.5) <= 1e-16
 
@@ -454,7 +460,7 @@ def test_spectral_scale_preserves_eigvecs_scales_values():
 
 def test_operator_preconditioner_roundtrip():
     a = random_spd(19, 7)
-    p = OperatorPreconditioner(7, lambda v: np.linalg.solve(a, v), lambda v: a @ v, label="operator")
+    p = OperatorPreconditioner(lambda v: np.linalg.solve(a, v), lambda v: a @ v, label="operator")
     v = pe.Rng(6).normal(7)
     assert np.linalg.norm(p.apply_fwd(p.apply_inv(v)) - v) <= 1e-10 * np.linalg.norm(v)
 
@@ -464,7 +470,7 @@ def test_hatted_wrapper_matches_dense_formula():
     k, m = pe.fem_p1(1.0 / 8.0)
     prob = pe.generalized_reduce(k, m)
     b = random_spd(20, prob.dim, shift=4.0)
-    wrapped = prob.wrap_precond(pe.make_spd(b))
+    wrapped = lift(prob, pe.make_spd(b))
     r = prob.r_factor
     v = pe.Rng(7).normal(prob.dim)
     expected = r.mult(np.linalg.solve(b, r.mult_t(v)))
@@ -475,7 +481,7 @@ def test_hatted_wrapper_lifts_the_twin():
     k, m = pe.fem_p1(1.0 / 8.0)
     prob = pe.generalized_reduce(k, m)
     mp = pe.make_mp_cholesky(random_spd(22, prob.dim, shift=4.0))
-    twin = prob.wrap_precond(mp).exact()
+    twin = lift(prob, mp).exact()
     assert twin.inner is mp.exact()
     assert twin.exact() is twin
     r = prob.r_factor
@@ -489,7 +495,7 @@ def test_lifted_explicit_b_is_implicit():
     k, m = pe.fem_p1(1.0 / 8.0)
     prob = pe.generalized_reduce(k, m)
     inner = pe.make_spd(random_spd(20, prob.dim, shift=4.0))
-    p = prob.wrap_precond(inner)
+    p = lift(prob, inner)
     assert inner.fwd_mode == "exact" and p.fwd_mode == "iterative"
     with pytest.raises(NoForwardApply):
-        p.apply_fwd(np.ones(p.dim))
+        p.apply_fwd(np.ones(prob.dim))

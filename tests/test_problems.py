@@ -19,6 +19,7 @@ from precondeig.errors import (
 )
 from precondeig.diagnostics import random_spd_pair
 from precondeig.linalg import _lanczos_top_value
+from precondeig.precond import HattedPreconditioner
 from precondeig.problems import interior_coords
 from tests.conftest import dense_problem, dense_roots, fd_eigenvalue
 
@@ -326,7 +327,7 @@ def test_hatted_distortion_matches_msqrt_oracle():
     b = g3 @ g3.T / n + np.eye(n)
 
     prob = pe.generalized_reduce(a, m)
-    wrapped = prob.wrap_precond(pe.make_spd(b))
+    wrapped = HattedPreconditioner(pe.make_spd(b), prob.r_factor)
     ctx = pe.build_rate_context(prob, wrapped)
 
     # oracle: explicit M^{1/2} reduction, dense angle formula
@@ -431,7 +432,7 @@ def test_reference_degenerate_smallest():
 def matrix_free(diag):
     """Problem on diag(d) with no matrix: reference_eigs takes its Lanczos route."""
     d = np.asarray(diag, dtype=np.float64)
-    return pe.EigenProblem(dim=len(d), apply_a=lambda v: d * v, solve_a=lambda v: v / d, label="")
+    return pe.EigenProblem(dim=len(d), apply_a=lambda v: d * v, solve_a=lambda v: v / d)
 
 
 def no_lanczos(*args, **kwargs):
@@ -457,7 +458,7 @@ def test_reference_dense_route_sees_a_repeated_lambda1(rotated, monkeypatch):
 @pytest.mark.parametrize("n", [32, 128])
 def test_reference_dense_route_agrees_with_lanczos_route(n, seed, monkeypatch):
     dense = build_problem(f"kernel-laplace:n={n},seed={seed}")
-    twin = pe.EigenProblem(dim=n, apply_a=dense.apply_a, solve_a=dense.solver(), label="")
+    twin = pe.EigenProblem(dim=n, apply_a=dense.apply_a, solve_a=dense.solver())
     ref = pe.reference_eigs(twin)
     monkeypatch.setattr(problems, "lanczos_top_pairs", no_lanczos)
     got = pe.reference_eigs(dense)

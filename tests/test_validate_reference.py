@@ -132,7 +132,7 @@ def reference_validate(a, b, n_samples=500, seed=0, slack=1e-10, label="", injec
             "",
         )
 
-    problem = pe.EigenProblem(dim=n, apply_a=lambda v: o.a @ v, matrix=o.a, label=report.label)
+    problem = pe.EigenProblem(dim=n, apply_a=lambda v: o.a @ v, matrix=o.a)
     precond = pe.make_spd(o.b)
     ctx = pe.build_rate_context(problem, precond)
     start_dir = rng.normal(n)
