@@ -7,7 +7,6 @@ spectral equivalence and the distortion angle at the target eigenvector.
 
 from . import errors
 from .diagnostics import (
-    PrecondQuality,
     RateContext,
     a_x,
     build_rate_context,
@@ -74,7 +73,6 @@ __all__ = [
     "IterateState",
     "KernelSpec",
     "MeshHierarchy",
-    "PrecondQuality",
     "Preconditioner",
     "RateContext",
     "Rng",

@@ -65,15 +65,17 @@ def _read(text, parse, kind, key):
 
 def _parse_params(body, kind, required, optional):
     """key=value pairs of a recipe body that reads the keys `required` and
-    `optional`; RecipeError names the recipe kind and the first key it does
-    not read, or the first required key that is missing."""
+    `optional`; RecipeError names the recipe kind and the first key it
+    repeats or does not read, or the first required key that is missing."""
     params = {}
     if body:
         for item in body.split(","):
             if "=" not in item:
                 raise RecipeError(f"expected key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            params[key.strip()] = value.strip()
+            key, value = (part.strip() for part in item.split("=", 1))
+            if key in params:
+                raise RecipeError(f"{kind} recipe repeats the key {key!r}")
+            params[key] = value
     for key in params:
         if key not in required and key not in optional:
             reads = ", ".join(repr(k) for k in (*required, *optional)) or "no keys"
@@ -128,7 +130,7 @@ def build_precond(recipe, problem):
     if kind == "identity":
         return precond.make_identity()
     if kind == "exact":
-        return precond.OperatorPreconditioner(problem.solver(), problem.apply_a, label="exact")
+        return precond.OperatorPreconditioner(problem.solver(), problem.apply_a)
     if kind == "mp-chol":
         return precond.make_mp_cholesky(problem.dense())
     if kind == "ddm":
@@ -195,7 +197,7 @@ def _emit(text, path):
 
 
 def _phi(problem_recipe, precond_recipe):
-    """PrecondQuality of a (problem, preconditioner) pair given by recipes."""
+    """The phi report of a (problem, preconditioner) pair given by recipes."""
     problem = build_problem(problem_recipe)
     return diagnostics.compute_quality(problem, build_precond(precond_recipe, problem))
 
@@ -213,9 +215,9 @@ def _prob(problem_recipe, precond_recipe, sampler, trials, seed):
 
 
 def cmd_solve(args):
+    policy = _parse_step(args.step)
     problem = build_problem(args.problem)
     p = build_precond(args.precond, problem)
-    policy = _parse_step(args.step)
     ctx = None
     if policy.kind in ("theory", "constant", "pinvit") or args.init == "eigvec":
         ctx = diagnostics.build_rate_context(problem, p)
@@ -243,8 +245,7 @@ def cmd_solve(args):
 
 
 def cmd_phi(args):
-    quality = _phi(args.problem, args.precond)
-    payload = quality.to_json_dict()
+    payload = _phi(args.problem, args.precond)
     payload["problem"] = args.problem
     payload["precond"] = args.precond
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -253,11 +254,12 @@ def cmd_phi(args):
     values = f"{'value':<22}" + "".join(f"{_fmt4(payload[c]):>22}" for c in cols)
     print(header)
     print(values)
-    if quality.epsilon_l is not None:
+    if "epsilon_l" in payload:
+        eps = payload["epsilon_l"]
         print(
-            f"epsilon_l = {_fmt4(quality.epsilon_l)}  sqrt(2 eps) = "
-            f"{_fmt4(math.sqrt(2.0 * quality.epsilon_l))}  measured cos_phi = "
-            f"{_fmt4(quality.cos_phi)}  bound applicable: {quality.epsilon_l_applicable}"
+            f"epsilon_l = {_fmt4(eps)}  sqrt(2 eps) = {_fmt4(math.sqrt(2.0 * eps))}  "
+            f"measured cos_phi = {_fmt4(math.sqrt(payload['cos2_phi']))}  "
+            f"bound applicable: {payload['epsilon_l_applicable']}"
         )
     return 0
 
@@ -325,48 +327,42 @@ def cmd_validate(args):
     return 0
 
 
-def _is_width(value):
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and math.isfinite(value) and value > 0
-    )
-
-
-def _is_int(value):
-    return type(value) is int  # not a bool
-
-
-_WIDTH = (_is_width, "a positive finite number")
-_INT = (_is_int, "an integer")
-# per table, the --config keys it reads: (value test, what it asks), in a list
-# where the key takes a list of such values
+# per table, the --config keys it reads and their defaults, None where the
+# default is --trials; a key whose default is a list takes a list
 _TABLES = {
-    "phi-ddm-fixedH": {"H": _WIDTH, "h": [_WIDTH]},
-    "phi-ddm-fixedh": {"h": _WIDTH, "H": [_WIDTH]},
-    "prob-ddm": {"H": _WIDTH, "h": [_WIDTH], "trials": _INT},
-    "prob-kernel": {"n": [_INT], "kernel_seed": _INT, "trials": _INT},
+    "phi-ddm-fixedH": {"H": 0.25, "h": [2.0**-4, 2.0**-5, 2.0**-6]},
+    "phi-ddm-fixedh": {"h": 2.0**-6, "H": [2.0**-2, 2.0**-3]},
+    "prob-ddm": {"H": 0.25, "h": [2.0**-4], "trials": None},
+    "prob-kernel": {"n": [128, 256], "kernel_seed": 7, "trials": None},
 }
 
 
-def _check_config(cfg, name):
+def _check_config(cfg, defaults, name):
     """Raise ValueError, naming the key and the table, for a --config key the
-    table does not read or a value of the wrong type."""
+    table does not read or a value of another type than its default: an int
+    default takes an integer, a float default a positive finite number."""
     if not isinstance(cfg, dict):
         raise ValueError(f"--config must hold a JSON object, got {cfg!r}")
-    keys = _TABLES[name]
     for key, value in cfg.items():
-        if key not in keys:
+        if key not in defaults:
             raise ValueError(
-                f"--config key {key!r} is not read by {name}; it reads {', '.join(keys)}"
+                f"--config key {key!r} is not read by {name}; it reads {', '.join(defaults)}"
             )
-        spec, items = keys[key], [value]
-        if isinstance(spec, list):
+        default, items = defaults[key], [value]
+        if isinstance(default, list):
             if not isinstance(value, list):
                 raise ValueError(f"--config key {key!r} of {name} must be a list, got {value!r}")
-            spec, items = spec[0], value
-        ok, what = spec
+            default, items = default[0], value
         for item in items:
-            if not ok(item):
+            if type(default) is int:
+                ok, what = type(item) is int, "an integer"  # not a bool
+            else:
+                ok = (
+                    isinstance(item, (int, float)) and not isinstance(item, bool)
+                    and math.isfinite(item) and item > 0
+                )
+                what = "a positive finite number"
+            if not ok:
                 raise ValueError(f"--config key {key!r} of {name} must hold {what}, got {item!r}")
 
 
@@ -394,42 +390,38 @@ def cmd_table(args):
     if args.name not in _TABLES:
         print(f"unknown table {args.name!r}; choose from {', '.join(_TABLES)}", file=sys.stderr)
         return 1
-    cfg = {}
+    cfg = {key: args.trials if v is None else v for key, v in _TABLES[args.name].items()}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        _check_config(cfg, args.name)
+            given = json.load(fh)
+        _check_config(given, cfg, args.name)
+        cfg.update(given)
 
     if args.name.startswith("phi-"):
         if args.name == "phi-ddm-fixedH":
-            big_h = cfg.get("H", 0.25)
-            cells = [(h, big_h) for h in cfg.get("h", [2.0**-4, 2.0**-5, 2.0**-6])]
+            cells = [(h, cfg["H"]) for h in cfg["h"]]
         else:  # phi-ddm-fixedh
-            h = cfg.get("h", 2.0**-6)
-            cells = [(h, big_h) for big_h in cfg.get("H", [2.0**-2, 2.0**-3])]
-        rows = [
-            _cell(lambda: _phi(*_ddm_recipes(h, big_h)).to_json_dict(), h=h, H=big_h)
-            for h, big_h in cells
-        ]
+            cells = [(cfg["h"], big_h) for big_h in cfg["H"]]
+        rows = [_cell(lambda: _phi(*_ddm_recipes(h, big_h)), h=h, H=big_h) for h, big_h in cells]
         header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi"]
     else:
-        trials = cfg.get("trials", args.trials)
+        trials = cfg["trials"]
 
         def seed(value):
             return spawn_seed(args.seed, hash_label(f"{args.name}:{value}"))
 
         if args.name == "prob-ddm":
-            big_h = cfg.get("H", 0.25)
+            big_h = cfg["H"]
             rows = [
                 _cell(lambda: _prob(*_ddm_recipes(h, big_h), "smooth", trials, seed(h)), h=h, H=big_h)
-                for h in cfg.get("h", [2.0**-4])
+                for h in cfg["h"]
             ]
             header = ["h", "H"]
         else:  # prob-kernel
-            problem = "kernel-laplace:n={},seed=" + str(cfg.get("kernel_seed", 7))
+            problem = "kernel-laplace:n={},seed=" + str(cfg["kernel_seed"])
             rows = [
                 _cell(lambda: _prob(problem.format(n), "mp-chol", "gaussian", trials, seed(n)), n=n)
-                for n in cfg.get("n", [128, 256])
+                for n in cfg["n"]
             ]
             header = ["n"]
         header += ["successes_new", "successes_classic", "trials", "p_new", "p_classic"]

@@ -254,42 +254,8 @@ def xi_inf(ctx):
 
 
 # ---------------------------------------------------------------------------
-# preconditioner quality bundle
+# the phi report
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PrecondQuality:
-    nu_min: float
-    nu_max: float
-    kappa_nu: float
-    sin_phi: float
-    cos_phi: float
-    theta_shao: float
-    chi: float  # None when kappa == 1 (0/0)
-    rho_b: float
-    rho: float
-    xi_inf: float
-    epsilon_l: float  # None unless B is a (scaled) mixed-precision Cholesky
-    epsilon_l_applicable: bool
-
-    def to_json_dict(self):
-        out = {
-            "nu_min": self.nu_min,
-            "nu_max": self.nu_max,
-            "kappa_nu": self.kappa_nu,
-            "cos2_phi": self.cos_phi**2,
-            "one_minus_inv_kappa": 1.0 - 1.0 / self.kappa_nu,
-            "chi": self.chi,
-            "theta_shao": self.theta_shao,
-            "rho_B": self.rho_b,
-            "rho": self.rho,
-            "xi_inf": self.xi_inf,
-        }
-        if self.epsilon_l is not None:
-            out["epsilon_l"] = self.epsilon_l
-            out["epsilon_l_applicable"] = self.epsilon_l_applicable
-        return out
 
 
 def _is_mp_cholesky(precond):
@@ -302,30 +268,30 @@ def _is_mp_cholesky(precond):
 
 
 def compute_quality(problem, precond):
-    """Full diagnostics bundle for a (problem, preconditioner) pair."""
+    """The phi report of a (problem, preconditioner) pair, as a dict: the
+    pencil extremes nu_min, nu_max and kappa_nu, cos2_phi set against
+    one_minus_inv_kappa, chi = cos2_phi / (1 - 1/kappa) (None when kappa == 1
+    makes it 0/0), theta_shao, rho_B, rho and xi_inf, and for a (scaled)
+    mixed-precision Cholesky epsilon_l and epsilon_l_applicable."""
     ctx = build_rate_context(problem, precond)
     denom = 1.0 - 1.0 / ctx.kappa
-    # kappa == 1 up to numerics makes chi a 0/0; report it as n/a
-    chi = (ctx.cos_phi**2 / denom) if denom > 1e-9 else None
     rho_b = (ctx.kappa - 1.0) / (ctx.kappa + 1.0)
-    rho = 1.0 - (1.0 - rho_b) * (1.0 - ctx.lam1 / ctx.lam2)
-    eps = eps_ok = None
+    out = {
+        "nu_min": ctx.nu_min,
+        "nu_max": ctx.nu_max,
+        "kappa_nu": ctx.kappa,
+        "cos2_phi": ctx.cos_phi**2,
+        "one_minus_inv_kappa": denom,
+        # kappa == 1 up to numerics makes chi a 0/0; report it as n/a
+        "chi": (ctx.cos_phi**2 / denom) if denom > 1e-9 else None,
+        "theta_shao": theta_shao(ctx.u_star, ctx.w_star),
+        "rho_B": rho_b,
+        "rho": 1.0 - (1.0 - rho_b) * (1.0 - ctx.lam1 / ctx.lam2),
+        "xi_inf": xi_inf(ctx),
+    }
     if _is_mp_cholesky(precond):
-        eps, eps_ok = epsilon_l(problem.dim, ctx.lam1, ctx.lamn)
-    return PrecondQuality(
-        nu_min=ctx.nu_min,
-        nu_max=ctx.nu_max,
-        kappa_nu=ctx.kappa,
-        sin_phi=ctx.sin_phi,
-        cos_phi=ctx.cos_phi,
-        theta_shao=theta_shao(ctx.u_star, ctx.w_star),
-        chi=chi,
-        rho_b=rho_b,
-        rho=rho,
-        xi_inf=xi_inf(ctx),
-        epsilon_l=eps,
-        epsilon_l_applicable=eps_ok,
-    )
+        out["epsilon_l"], out["epsilon_l_applicable"] = epsilon_l(problem.dim, ctx.lam1, ctx.lamn)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -624,7 +624,7 @@ class SymFactor:
         lab = np.zeros((bw + 1, n), order="F")
         for d in range(bw + 1):
             lab[d, : n - d] = rab[bw - d, d:]
-        self.n, self.bw, self.rab, self.lab = n, bw, rab, lab
+        self.bw, self.rab, self.lab = bw, rab, lab
 
     def _band(self, routine, band, v, lower, trans):
         v = np.asarray(v, dtype=np.float64)

@@ -2,9 +2,9 @@
 B^{-1}.  An explicit B (OperatorPreconditioner, mp-chol, and the scaled
 wrapper of either) also applies B itself through apply_fwd.  An implicit B
 (DDM, and every B lifted to a mass-reduced problem by HattedPreconditioner)
-has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply: its
-forward apply is apply_fwd_iterative, a nested PCG preconditioned by the
-problem's A.  The method needs B v only to measure B (the B-norm of u0 and
+has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply, which
+names the class: its forward apply is apply_fwd_iterative, a nested PCG
+preconditioned by the problem's A.  The method needs B v only to measure B (the B-norm of u0 and
 B u* for the distortion angle), so an implicit B loses nothing.  DDM's
 B^{-1} runs its local solves by fast diagonalization (dense tensor-product
 products) and its coarse solve by sparse LU; the only band factor here is
@@ -31,7 +31,7 @@ FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forwa
 
 
 class Preconditioner:
-    """Interface: label, apply_inv, apply_fwd, fwd_mode, exact(), pencil().
+    """Interface: apply_inv, apply_fwd, fwd_mode, exact(), pencil().
 
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
     is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
@@ -43,7 +43,6 @@ class Preconditioner:
     through diagnostics._apply_b one column at a time.
     """
 
-    label = "abstract"
     fwd_mode = "exact"
     # set only when the twin is another object: a self-reference would keep
     # a dropped preconditioner alive until the cyclic garbage collector runs
@@ -54,7 +53,7 @@ class Preconditioner:
 
     def apply_fwd(self, v):
         raise NoForwardApply(
-            f"{self.label} has no forward apply (fwd_mode {self.fwd_mode!r}); "
+            f"{type(self).__name__} has no forward apply (fwd_mode {self.fwd_mode!r}); "
             "apply B through apply_fwd_iterative"
         )
 
@@ -73,10 +72,9 @@ class OperatorPreconditioner(Preconditioner):
     """B given directly by binary64 callables for B^{-1} v and B v, each
     taking a vector or an (n, k) block."""
 
-    def __init__(self, apply_inv_fn, apply_fwd_fn, label):
+    def __init__(self, apply_inv_fn, apply_fwd_fn):
         self._inv = apply_inv_fn
         self._fwd = apply_fwd_fn
-        self.label = label
 
     def apply_inv(self, v):
         return self._inv(np.asarray(v, dtype=np.float64))
@@ -86,12 +84,12 @@ class OperatorPreconditioner(Preconditioner):
 
 
 def make_identity():
-    return OperatorPreconditioner(np.copy, np.copy, label="identity")
+    return OperatorPreconditioner(np.copy, np.copy)
 
 
 def make_spd(b):
     """Preconditioner from an explicit SPD matrix B, factored once."""
-    return OperatorPreconditioner(make_solver(b), lambda v: b @ v, "dense-spd")
+    return OperatorPreconditioner(make_solver(b), lambda v: b @ v)
 
 
 class MpCholPreconditioner(Preconditioner):
@@ -99,7 +97,6 @@ class MpCholPreconditioner(Preconditioner):
     the factor's precision.  make_mp_cholesky computes Lhat in binary32."""
 
     def __init__(self, factor):
-        self.label = "mp-chol"
         self.factor = factor
         if factor.precision != "binary64":
             l64 = factor.l.astype(np.float64)
@@ -191,7 +188,6 @@ class DdmPreconditioner(Preconditioner):
 
     def __init__(self, hierarchy, a_fine):
         n = a_fine.shape[0]
-        self.label = f"ddm:H={hierarchy.coarse_h:g},overlap={hierarchy.overlap_ratio:g}"
         self._i_h = hierarchy.prolongation.tocsr()
         self._i_h_t = self._i_h.T.tocsr()
         if self._i_h.shape[0] != n:
@@ -270,7 +266,6 @@ class ScaledPreconditioner(Preconditioner):
             raise ValueError("eta must be positive")
         self.inner = inner
         self.eta = float(eta)
-        self.label = f"scaled:{inner.label}"
         self.fwd_mode = inner.fwd_mode
         if inner.exact() is not inner:
             self._twin = ScaledPreconditioner(inner.exact(), eta)
@@ -313,7 +308,6 @@ class HattedPreconditioner(Preconditioner):
     def __init__(self, inner, r_factor):
         self.inner = inner
         self.r = r_factor
-        self.label = f"hatted:{inner.label}"
         if inner.exact() is not inner:
             self._twin = HattedPreconditioner(inner.exact(), r_factor)
 

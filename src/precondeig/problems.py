@@ -194,8 +194,6 @@ def interior_coords(h):
 
 @dataclass
 class MeshHierarchy:
-    coarse_h: float
-    overlap_ratio: float
     prolongation: scipy.sparse.csr_matrix  # fine interior x coarse interior
     subdomains: list
 
@@ -265,12 +263,7 @@ def mesh_hierarchy(H, h, overlap_ratio):
     if not covered.all():
         raise MisalignedOverlap("subdomains do not cover all fine nodes")
 
-    return MeshHierarchy(
-        coarse_h=1.0 / inv_H,
-        overlap_ratio=overlap_ratio,
-        prolongation=prol,
-        subdomains=subdomains,
-    )
+    return MeshHierarchy(prolongation=prol, subdomains=subdomains)
 
 
 def laplace_fem(h):

@@ -256,8 +256,8 @@ def test_criterion_6_ddm_table():
     t0 = time.time()
     problem, bhat = fem_ddm_setup(2.0**-4, 2.0**-2)
     q = pe.compute_quality(problem, bhat)
-    cos2 = q.cos_phi**2
-    one_minus = 1.0 - 1.0 / q.kappa_nu
+    cos2 = q["cos2_phi"]
+    one_minus = q["one_minus_inv_kappa"]
     ok_values = abs(cos2 - 0.1961) <= 0.06 and abs(one_minus - 0.8221) <= 0.06
 
     problem6 = pe.laplace_fem(2.0**-6)
@@ -266,7 +266,7 @@ def test_criterion_6_ddm_table():
     for big_h in (2.0**-2, 2.0**-3):
         hier = pe.mesh_hierarchy(big_h, 2.0**-6, 0.5)
         bh = HattedPreconditioner(pe.DdmPreconditioner(hier, k6), problem6.r_factor)
-        cos2_by_H[big_h] = pe.compute_quality(problem6, bh).cos_phi**2
+        cos2_by_H[big_h] = pe.compute_quality(problem6, bh)["cos2_phi"]
     ratio = cos2_by_H[2.0**-2] / cos2_by_H[2.0**-3]
     elapsed = time.time() - t0
     report(

@@ -7,7 +7,7 @@ import scipy.io
 import scipy.sparse.linalg
 
 import precondeig as pe
-from precondeig import linalg, precond, problems
+from precondeig import cli, linalg, precond, problems
 from precondeig.cli import _parse_step, build_problem, build_precond, main, parse_dyadic
 from precondeig.errors import RecipeError
 
@@ -39,6 +39,7 @@ def test_build_problem_recipes():
     # kind the key takes, name the recipe kind and the key
     for recipe, message in [
         ("laplace-fd:h=2^-3,hh=3", "laplace-fd recipe does not read the key 'hh'; it reads 'h'"),
+        ("laplace-fd:h=2^-3, h=2^-2", "laplace-fd recipe repeats the key 'h'"),
         ("kernel-laplace:n=16,sed=3", "kernel-laplace recipe does not read the key 'sed'"),
         ("kernel-laplace:n=abc", "kernel-laplace recipe key 'n': 'abc' is not an integer"),
         ("kernel-poly:n=16,d=2.5", "kernel-poly recipe key 'd': '2.5' is not an integer"),
@@ -56,11 +57,14 @@ def test_build_problem_recipes():
 
 def test_build_precond_recipes():
     prob = build_problem("laplace-fd:h=2^-3")
-    assert build_precond("identity", prob).label == "identity"
-    assert build_precond("exact", prob).label == "exact"
+    v = np.arange(1.0, prob.dim + 1.0)
+    assert np.array_equal(build_precond("identity", prob).apply_inv(v), v)
+    exact = build_precond("exact", prob)
+    assert np.linalg.norm(prob.apply_a(exact.apply_inv(v)) - v) <= 1e-12 * np.linalg.norm(v)
     assert build_precond("ddm:H=2^-1,overlap=0.5", prob).fwd_mode == "iterative"
     scaled = build_precond("scaled:identity", prob)
-    assert scaled.label == "scaled:identity"
+    assert type(scaled) is precond.ScaledPreconditioner
+    assert np.array_equal(scaled.inner.apply_inv(v), v)
     with pytest.raises(RecipeError):
         build_precond("nope", prob)
     with pytest.raises(RecipeError, match="ddm recipe is missing the key 'H'"):
@@ -89,6 +93,17 @@ def test_step_arguments_name_the_policy():
     ]:
         with pytest.raises(RecipeError, match=message):
             _parse_step(text)
+
+
+def test_bad_step_exits_1_before_the_set_up(monkeypatch, capsys):
+    def build_problem(recipe):
+        raise AssertionError(f"built {recipe} before the step was read")
+
+    monkeypatch.setattr(cli, "build_problem", build_problem)
+    argv = ["solve", "--problem", "laplace-fem:h=2^-6", "--precond", "ddm:H=2^-2", "--step", "const:abc"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: const recipe key 'c': 'abc' is not a finite number\n"
 
 
 def test_ddm_overlap_takes_a_fraction(capsys):
@@ -398,6 +413,8 @@ def test_table_unknown_name():
         ["phi", "--problem", "laplace-fd:h=2^-3,hh=3", "--precond", "identity"],
         ["phi", "--problem", "kernel-laplace:n=abc", "--precond", "identity"],
         ["phi", "--problem", "kernel-laplace:n=16,tau=x", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fd:h=2^-3,h=2^-2", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=2^-1,H=2^-2"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "const:abc"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "fixed:abc"],
     ],
@@ -407,7 +424,8 @@ def test_table_unknown_name():
         "fd-h-0", "fem-h-0", "fd-h-1-over-0", "fd-h-overflow", "ddm-H-0",
         "ddm-H-not-a-number", "ddm-overlap-not-a-number", "ddm-unread-key",
         "identity-unread-key", "fd-unread-key", "kernel-n-not-an-integer",
-        "kernel-tau-not-a-number", "step-const-not-a-number", "step-fixed-not-a-number",
+        "kernel-tau-not-a-number", "fd-repeated-key", "ddm-repeated-key",
+        "step-const-not-a-number", "step-fixed-not-a-number",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):

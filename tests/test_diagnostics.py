@@ -219,8 +219,8 @@ def test_kappa_dense_and_lanczos_routes_agree(monkeypatch):
             m.setattr(problems, "_DENSE_CAP", 0)
             m.setattr(diagnostics, "_KAPPA_TOL", 1e-12)
             lanczos = pe.kappa_nu(problem, p)
-        assert abs(dense[0] - lanczos[0]) <= 1e-8 * dense[0], p.label
-        assert abs(dense[1] - lanczos[1]) <= 1e-8 * dense[1], p.label
+        assert abs(dense[0] - lanczos[0]) <= 1e-8 * dense[0], type(p).__name__
+        assert abs(dense[1] - lanczos[1]) <= 1e-8 * dense[1], type(p).__name__
 
 
 def test_kappa_dense_route_matches_extended_precision_pencil():
@@ -455,8 +455,7 @@ def test_xi_inf_comparison_identity(seed):
 
 def test_quality_json_field_names():
     problem, p, _, _, _ = random_ctx(48)
-    q = pe.compute_quality(problem, p)
-    payload = q.to_json_dict()
+    payload = pe.compute_quality(problem, p)
     assert set(payload) == {
         "nu_min",
         "nu_max",
@@ -473,16 +472,15 @@ def test_quality_json_field_names():
 
 def test_quality_mp_chol_includes_epsilon():
     prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=48, d=48, seed=3, tau=0.0))
-    q = pe.compute_quality(prob, pe.make_mp_cholesky(prob.matrix))
-    payload = q.to_json_dict()
+    payload = pe.compute_quality(prob, pe.make_mp_cholesky(prob.matrix))
     assert "epsilon_l" in payload and "epsilon_l_applicable" in payload
 
 
 def test_quality_chi_na_for_exact():
     problem = dense_problem(DIAG)
     q = pe.compute_quality(problem, pe.make_spd(DIAG))
-    assert q.chi is None
-    assert q.cos_phi <= 1e-6
+    assert q["chi"] is None
+    assert q["cos2_phi"] <= 1e-12
 
 
 def test_rho_b_equals_scaled_pencil_extremes():

@@ -1,8 +1,8 @@
 """No module of the package imports a name it never uses, every public name
 and every public class member has a caller inside the package, every
 defaulted parameter is both passed and omitted by production calls, every
-defaulted dataclass field is omitted by some production construction, and
-importing the package stays light.
+defaulted dataclass field is omitted by some production construction, every
+stored attribute is read, and importing the package stays light.
 
 Checked with the standard-library ast module.  An imported name counts as
 used when it is read anywhere in the module or listed in its __all__.  A
@@ -10,7 +10,7 @@ public method, property or classmethod of a class counts as called when an
 attribute of its name is read somewhere in the package outside its own
 body; the check goes by name, so it cannot tell the classes that define the
 same method apart.  The defaulted-parameter check matches calls by name in
-the same way.
+the same way, and so does the check that a stored attribute is read.
 """
 
 import ast
@@ -23,6 +23,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "precondeig"
 WORKLOADS = SRC.parent.parent / "perfbench" / "workloads.py"
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 
 # bindings that perfbench/spans.py patches by module name, so they stay
 # although the module itself never calls them
@@ -261,6 +262,49 @@ def test_every_defaulted_field_is_omitted_in_src():
                 if all(passes(call, position, name) for call in built)
             ]
     assert always_passed == []
+
+
+# stored attributes that nothing here reads, each with its reason
+UNREAD_STORES = {
+    "writeable": "numpy reads its own flag: setting it False makes an array read-only",
+    "best": "the best iterate that MaxIterations carries for a caller that catches it",
+}
+
+
+def stored_attributes(tree):
+    """Names of the attributes a module stores (x.name = ...) and of the
+    fields of its dataclasses."""
+    names = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            names.update(
+                s.target.id for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            )
+    return names
+
+
+def attributes_read_outside_fstrings(tree):
+    """Names of the attributes a module reads, not counting the reads that
+    only format an f-string."""
+    in_fstring = {id(n) for js in ast.walk(tree) if isinstance(js, ast.JoinedStr) for n in ast.walk(js)}
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in in_fstring
+    }
+
+
+def test_every_stored_attribute_is_read():
+    # a value stored only to be formatted into a message, or read only by
+    # tests, is state that production does not need
+    trees = [ast.parse(path.read_text()) for path in [*SRC.glob("*.py"), WORKLOADS, SPANS]]
+    stored = set().union(*(stored_attributes(t) for t in trees[:-2]))
+    read = set().union(*(attributes_read_outside_fstrings(t) for t in trees))
+    assert sorted(stored - read - set(UNREAD_STORES)) == []
+    # an exemption whose attribute is gone or now read is stale
+    assert set(UNREAD_STORES) <= stored - read
 
 
 def test_import_leaves_scipy_io_unloaded():

@@ -666,7 +666,7 @@ def test_symfactor_solves_equal_tbtrs():
     _, mass = pe.fem_p1(1.0 / 16.0)
     for m in (mass, random_spd(22, 12)):
         f = SymFactor(m)
-        v = pe.gaussian_vector(pe.Rng(7), f.n)
+        v = pe.gaussian_vector(pe.Rng(7), m.shape[0])
         for op, band, uplo in (("solve", f.rab, "U"), ("solve_t", f.lab, "L")):
             x, info = scipy.linalg.lapack.dtbtrs(band, v[:, None], uplo=uplo, trans="N")
             assert info == 0
@@ -676,7 +676,8 @@ def test_symfactor_solves_equal_tbtrs():
 def test_symfactor_block_equals_its_columns():
     _, mass = pe.fem_p1(1.0 / 8.0)
     f = SymFactor(mass)
-    block = pe.Rng(8).normal(3 * f.n).reshape(f.n, 3)
+    n = mass.shape[0]
+    block = pe.Rng(8).normal(3 * n).reshape(n, 3)
     for op in ("mult", "mult_t", "solve", "solve_t"):
         want = np.column_stack([getattr(f, op)(c) for c in block.T])
         assert np.array_equal(getattr(f, op)(block), want), op
