@@ -4,11 +4,12 @@ wrapper of either) also applies B itself through apply_fwd.  An implicit B
 (DDM, and every B lifted to a mass-reduced problem by HattedPreconditioner)
 has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply, which
 names the class: its forward apply is apply_fwd_iterative, a nested PCG
-preconditioned by the problem's A.  The method needs B v only to measure B (the B-norm of u0 and
-B u* for the distortion angle), so an implicit B loses nothing.  DDM's
-B^{-1} runs its local solves by fast diagonalization (dense tensor-product
-products) and its coarse solve by sparse LU; the only band factor here is
-the mass factor R that a lifted B applies around its inner B.
+preconditioned by the problem's A.  The method needs B v only to measure B
+(the B-norm of u0 and B u* for the distortion angle), so an implicit B
+loses nothing.  DDM's B^{-1} runs its local solves by fast diagonalization
+(dense tensor-product products) and its coarse solve by sparse LU; the only
+band factor here is the mass factor R that a lifted B applies around its
+inner B.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a

@@ -96,10 +96,10 @@ def test_step_arguments_name_the_policy():
 
 
 def test_bad_step_exits_1_before_the_set_up(monkeypatch, capsys):
-    def build_problem(recipe):
+    def refuse(recipe):
         raise AssertionError(f"built {recipe} before the step was read")
 
-    monkeypatch.setattr(cli, "build_problem", build_problem)
+    monkeypatch.setattr(cli, "build_problem", refuse)
     argv = ["solve", "--problem", "laplace-fem:h=2^-6", "--precond", "ddm:H=2^-2", "--step", "const:abc"]
     assert main(argv) == 1
     captured = capsys.readouterr()
