@@ -6,6 +6,11 @@ Recipes are flat key=value strings (dyadic widths written 2^-k) so a run is
 fully reproducible from shell history.  Floating-point output uses 17
 significant digits in CSV, the shortest repr that round-trips in JSON
 (json.dumps), and 4 significant digits in the human-readable tables.
+
+A table runs its cells in order, and a cell whose problem recipe equals the
+previous cell's reuses that problem instead of building it again; in the
+default grids that is the second cell of phi-ddm-fixedh, whose runtime_s then
+leaves out the build of the h=2^-6 problem and its reference eigenpairs.
 """
 
 import argparse
@@ -196,19 +201,6 @@ def _emit(text, path):
     sys.stdout.write(text)
 
 
-def _phi(problem_recipe, precond_recipe):
-    """The phi report of a (problem, preconditioner) pair given by recipes."""
-    problem = build_problem(problem_recipe)
-    return diagnostics.compute_quality(problem, build_precond(precond_recipe, problem))
-
-
-def _prob(problem_recipe, precond_recipe, sampler, trials, seed):
-    """success_probability report of a pair given by recipes."""
-    problem = build_problem(problem_recipe)
-    p = build_precond(precond_recipe, problem)
-    return diagnostics.success_probability(problem, p, sampler=sampler, trials=trials, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -245,7 +237,8 @@ def cmd_solve(args):
 
 
 def cmd_phi(args):
-    payload = _phi(args.problem, args.precond)
+    problem = build_problem(args.problem)
+    payload = diagnostics.compute_quality(problem, build_precond(args.precond, problem))
     payload["problem"] = args.problem
     payload["precond"] = args.precond
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -265,7 +258,11 @@ def cmd_phi(args):
 
 
 def cmd_prob(args):
-    report = _prob(args.problem, args.precond, args.sampler, args.trials, args.seed)
+    problem = build_problem(args.problem)
+    p = build_precond(args.precond, problem)
+    report = diagnostics.success_probability(
+        problem, p, sampler=args.sampler, trials=args.trials, seed=args.seed
+    )
     lines = ["condition,successes,trials,fraction"]
     lines.append(
         f"dist_B(u0;u*) < phi,{report['successes_new']},{report['trials']},"
@@ -328,7 +325,8 @@ def cmd_validate(args):
 
 
 # per table, the --config keys it reads and their defaults, None where the
-# default is --trials; a key whose default is a list takes a list
+# default is --trials; the one key whose default is a list takes a list, and
+# its entries are the table's cells
 _TABLES = {
     "phi-ddm-fixedH": {"H": 0.25, "h": [2.0**-4, 2.0**-5, 2.0**-6]},
     "phi-ddm-fixedh": {"h": 2.0**-6, "H": [2.0**-2, 2.0**-3]},
@@ -340,7 +338,8 @@ _TABLES = {
 def _check_config(cfg, defaults, name):
     """Raise ValueError, naming the key and the table, for a --config key the
     table does not read or a value of another type than its default: an int
-    default takes an integer, a float default a positive finite number."""
+    default takes an integer, a float default a positive finite number, and
+    neither takes a number that float() cannot hold."""
     if not isinstance(cfg, dict):
         raise ValueError(f"--config must hold a JSON object, got {cfg!r}")
     for key, value in cfg.items():
@@ -354,89 +353,62 @@ def _check_config(cfg, defaults, name):
                 raise ValueError(f"--config key {key!r} of {name} must be a list, got {value!r}")
             default, items = default[0], value
         for item in items:
+            # a JSON number float() can hold; the type test refuses a bool
+            number = type(item) in (int, float) and abs(item) <= sys.float_info.max
             if type(default) is int:
-                ok, what = type(item) is int, "an integer"  # not a bool
+                ok, what = number and type(item) is int, "an integer in float range"
             else:
-                ok = (
-                    isinstance(item, (int, float)) and not isinstance(item, bool)
-                    and math.isfinite(item) and item > 0
-                )
-                what = "a positive finite number"
+                ok, what = number and item > 0, "a positive finite number"
             if not ok:
                 raise ValueError(f"--config key {key!r} of {name} must hold {what}, got {item!r}")
 
 
-def _ddm_recipes(h, big_h):
-    return f"laplace-fem:h={_dyadic_str(h)}", f"ddm:H={_dyadic_str(big_h)},overlap=0.5"
-
-
-def _cell(measure, **keys):
-    """Row of one table cell: the dict measure() returns, with the cell's
-    keys and the measurement's runtime_s."""
-    t0 = time.time()
-    row = measure()
-    row.update(keys, runtime_s=time.time() - t0)
-    return row
-
-
-def _dyadic_str(h):
-    k = round(-math.log2(h))
-    if abs(2.0**-k - h) < 1e-12:
-        return f"2^-{k}"
-    return repr(h)
-
-
 def cmd_table(args):
+    """One CSV row per cell, the cells being the entries of the table's one
+    list-valued key.  A cell whose problem recipe equals the previous cell's
+    reuses that problem, its reference eigenpairs included, and its runtime_s
+    then leaves out the build; the other cells build their own."""
     if args.name not in _TABLES:
-        print(f"unknown table {args.name!r}; choose from {', '.join(_TABLES)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown table {args.name!r}; choose from {', '.join(_TABLES)}")
     cfg = {key: args.trials if v is None else v for key, v in _TABLES[args.name].items()}
     if args.config:
         with open(args.config) as fh:
             given = json.load(fh)
         _check_config(given, cfg, args.name)
         cfg.update(given)
-
-    if args.name.startswith("phi-"):
-        if args.name == "phi-ddm-fixedH":
-            cells = [(h, cfg["H"]) for h in cfg["h"]]
-        else:  # phi-ddm-fixedh
-            cells = [(cfg["h"], big_h) for big_h in cfg["H"]]
-        rows = [_cell(lambda: _phi(*_ddm_recipes(h, big_h)), h=h, H=big_h) for h, big_h in cells]
-        header = ["h", "H", "cos2_phi", "one_minus_inv_kappa", "chi"]
+    [key] = [k for k, v in _TABLES[args.name].items() if isinstance(v, list)]
+    kernel, phi = args.name == "prob-kernel", args.name.startswith("phi-")
+    header = ["n"] if kernel else ["h", "H"]
+    if phi:
+        header += ["cos2_phi", "one_minus_inv_kappa", "chi"]
     else:
-        trials = cfg["trials"]
-
-        def seed(value):
-            return spawn_seed(args.seed, hash_label(f"{args.name}:{value}"))
-
-        if args.name == "prob-ddm":
-            big_h = cfg["H"]
-            rows = [
-                _cell(lambda: _prob(*_ddm_recipes(h, big_h), "smooth", trials, seed(h)), h=h, H=big_h)
-                for h in cfg["h"]
-            ]
-            header = ["h", "H"]
-        else:  # prob-kernel
-            problem = "kernel-laplace:n={},seed=" + str(cfg["kernel_seed"])
-            rows = [
-                _cell(lambda: _prob(problem.format(n), "mp-chol", "gaussian", trials, seed(n)), n=n)
-                for n in cfg["n"]
-            ]
-            header = ["n"]
         header += ["successes_new", "successes_classic", "trials", "p_new", "p_classic"]
     header.append("runtime_s")
-
     lines = [",".join(header)]
-    for row in rows:
-        fields = []
-        for col in header:
-            val = row.get(col)
-            if col in ("successes_new", "successes_classic", "trials", "n"):
-                fields.append(str(int(val)))
-            else:
-                fields.append(_fmt(val))
-        lines.append(",".join(fields))
+    recipe = problem = None  # the previous cell's
+    for value in cfg[key]:
+        t0 = time.time()
+        row = {**cfg, key: value}
+        if kernel:
+            cell, p_recipe = f"kernel-laplace:n={value!r},seed={cfg['kernel_seed']!r}", "mp-chol"
+        else:
+            cell, p_recipe = f"laplace-fem:h={row['h']!r}", f"ddm:H={row['H']!r},overlap=0.5"
+        if cell != recipe:
+            recipe, problem = cell, build_problem(cell)
+        p = build_precond(p_recipe, problem)
+        if phi:
+            row.update(diagnostics.compute_quality(problem, p))
+        else:
+            sampler = "gaussian" if kernel else "smooth"
+            seed = spawn_seed(args.seed, hash_label(f"{args.name}:{value}"))
+            row.update(
+                diagnostics.success_probability(
+                    problem, p, sampler=sampler, trials=cfg["trials"], seed=seed
+                )
+            )
+        row["runtime_s"] = time.time() - t0
+        # _fmt writes an integer below 10^17 (n, trials, successes) in full
+        lines.append(",".join(_fmt(row[col]) for col in header))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

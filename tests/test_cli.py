@@ -417,6 +417,7 @@ def test_table_unknown_name():
         ["phi", "--problem", "laplace-fd:h=2^-3", "--precond", "ddm:H=2^-1,H=2^-2"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "const:abc"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "fixed:abc"],
+        ["table", "--name", "nope"],
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
@@ -425,7 +426,7 @@ def test_table_unknown_name():
         "ddm-H-not-a-number", "ddm-overlap-not-a-number", "ddm-unread-key",
         "identity-unread-key", "fd-unread-key", "kernel-n-not-an-integer",
         "kernel-tau-not-a-number", "fd-repeated-key", "ddm-repeated-key",
-        "step-const-not-a-number", "step-fixed-not-a-number",
+        "step-const-not-a-number", "step-fixed-not-a-number", "table-unknown-name",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
@@ -457,13 +458,16 @@ def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
         ("prob-kernel", {"kernel_seed": False}),
         ("prob-kernel", {"H": 0.25}),
         ("phi-ddm-fixedH", {"trials": 10}),
+        ("phi-ddm-fixedh", {"h": 10**400}),
+        ("prob-kernel", {"n": [10**400]}),
     ],
     ids=[
         "top-level-list", "n-not-a-list", "h-not-a-list", "trials-not-an-integer",
         "H-a-string", "prob-ddm-H-a-string", "h-entry-a-string", "prob-ddm-h-entry-a-string",
         "H-zero", "H-entry-negative", "h-a-bool", "h-entry-infinite", "n-entry-a-float",
         "n-entry-a-bool", "kernel-seed-a-string", "kernel-seed-a-bool",
-        "key-not-read-by-prob-kernel", "key-not-read-by-phi-table",
+        "key-not-read-by-prob-kernel", "key-not-read-by-phi-table", "h-beyond-float-range",
+        "n-entry-beyond-float-range",
     ],
 )
 def test_badly_typed_table_config_exits_1_with_one_error_line(name, config, tmp_path, capsys):
@@ -510,6 +514,35 @@ def _table_cells(tmp_path, name, cfg, seed):
     assert main(argv) == 0
     header, *rows = (line.split(",") for line in out.read_text().splitlines())
     return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "name, cfg, builds",
+    [
+        ("phi-ddm-fixedH", {"h": [0.125, 0.125, 0.0625]}, 2),
+        ("phi-ddm-fixedh", {"h": 0.125, "H": [0.5, 0.25]}, 1),
+        ("prob-ddm", {"h": [0.125, 0.0625, 0.125], "trials": 5}, 3),
+        ("prob-kernel", {"n": [24, 24, 32], "trials": 5}, 2),
+    ],
+)
+def test_table_builds_one_problem_per_run_of_equal_cells(monkeypatch, tmp_path, name, cfg, builds):
+    # a cell on the previous cell's problem recipe reuses that problem and
+    # measures what a cell with its own build measures
+    recipes = []
+
+    def counted(recipe):
+        recipes.append(recipe)
+        return build_problem(recipe)
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    cells = _table_cells(tmp_path, name, cfg, 0)
+    assert len(recipes) == builds, recipes
+    [key] = [k for k, v in cfg.items() if isinstance(v, list)]
+    for cell in cells:
+        cell.pop("runtime_s")
+    for a in cells:
+        for b in cells:
+            assert (a == b) == (a[key] == b[key]), (a, b)
 
 
 def _prob_fields(tmp_path, problem, recipe, sampler, trials, seed):
