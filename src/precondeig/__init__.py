@@ -8,14 +8,11 @@ spectral equivalence and the distortion angle at the target eigenvector.
 from . import errors
 from .diagnostics import (
     RateContext,
-    a_x,
     build_rate_context,
     check_initial,
     compute_quality,
     distortion_angle,
-    gamma_x,
     kappa_nu,
-    mu_x,
     success_probability,
     theta_shao,
     validate_properties,
@@ -52,7 +49,6 @@ from .precond import (
 )
 from .problems import (
     EigenProblem,
-    KernelSpec,
     MeshHierarchy,
     fem_p1,
     generalized_reduce,
@@ -62,7 +58,7 @@ from .problems import (
     mesh_hierarchy,
     reference_eigs,
 )
-from .solvers import SolveResult, StepPolicy, Trace, rsd_solve
+from .solvers import SolveResult, StepPolicy, Trace, a_x, gamma_x, mu_x, rsd_solve
 
 __version__ = "0.1.0"
 
@@ -71,7 +67,6 @@ __all__ = [
     "DdmPreconditioner",
     "EigenProblem",
     "IterateState",
-    "KernelSpec",
     "MeshHierarchy",
     "Preconditioner",
     "RateContext",

@@ -100,14 +100,13 @@ def build_problem(recipe):
     if kind in ("kernel-laplace", "kernel-poly"):
         params = _parse_params(body, kind, ("n",), ("d", "seed", "tau"))
         params = {"d": params["n"], "seed": "0", "tau": "0", **params}
-        spec = problems.KernelSpec(
-            kind="laplacian" if kind == "kernel-laplace" else "poly-complex",
+        return problems.kernel_matrix(
+            "laplacian" if kind == "kernel-laplace" else "poly-complex",
             n=_read(params["n"], _parse_int, kind, "n"),
             d=_read(params["d"], _parse_int, kind, "d"),
             seed=_read(params["seed"], _parse_int, kind, "seed"),
             tau=_read(params["tau"], parse_dyadic, kind, "tau"),
         )
-        return problems.kernel_matrix(spec)
     if kind == "mtx":
         parts = body.split(",") if body else []
         path = parts[0] if parts else ""
@@ -142,11 +141,11 @@ def build_precond(recipe, problem):
         params = {"overlap": "0.5", **_parse_params(body, kind, ("H",), ("overlap",))}
         big_h = _read(params["H"], parse_dyadic, kind, "H")
         ratio = _read(params["overlap"], parse_dyadic, kind, "overlap")
-        stiffness = problem.meta.get("stiffness", problem.matrix)
-        h = problem.meta.get("h")
-        if stiffness is None or h is None:
+        if problem.h is None:
             raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
-        ddm = precond.DdmPreconditioner(problems.mesh_hierarchy(big_h, h, ratio), stiffness)
+        stiffness = problem.matrix if problem.pencil is None else problem.pencil[0]
+        hierarchy = problems.mesh_hierarchy(big_h, problem.h, ratio)
+        ddm = precond.DdmPreconditioner(hierarchy, stiffness)
         if problem.r_factor is None:
             return ddm
         return precond.HattedPreconditioner(ddm, problem.r_factor)
@@ -337,9 +336,10 @@ _TABLES = {
 
 def _check_config(cfg, defaults, name):
     """Raise ValueError, naming the key and the table, for a --config key the
-    table does not read or a value of another type than its default: an int
-    default takes an integer, a float default a positive finite number, and
-    neither takes a number that float() cannot hold."""
+    table does not read or a value of another type than its default: a list
+    default takes a non-empty list of its entries' type, an int default an
+    integer, a float default a positive finite number, and neither takes a
+    number that float() cannot hold."""
     if not isinstance(cfg, dict):
         raise ValueError(f"--config must hold a JSON object, got {cfg!r}")
     for key, value in cfg.items():
@@ -349,8 +349,10 @@ def _check_config(cfg, defaults, name):
             )
         default, items = defaults[key], [value]
         if isinstance(default, list):
-            if not isinstance(value, list):
-                raise ValueError(f"--config key {key!r} of {name} must be a list, got {value!r}")
+            if not isinstance(value, list) or not value:
+                raise ValueError(
+                    f"--config key {key!r} of {name} must be a non-empty list, got {value!r}"
+                )
             default, items = default[0], value
         for item in items:
             # a JSON number float() can hold; the type test refuses a bool
@@ -367,7 +369,8 @@ def cmd_table(args):
     """One CSV row per cell, the cells being the entries of the table's one
     list-valued key.  A cell whose problem recipe equals the previous cell's
     reuses that problem, its reference eigenpairs included, and its runtime_s
-    then leaves out the build; the other cells build their own."""
+    then leaves out the build; the other cells build their own.  A cell that
+    cannot be built raises ValueError naming the table and the cell."""
     if args.name not in _TABLES:
         raise ValueError(f"unknown table {args.name!r}; choose from {', '.join(_TABLES)}")
     cfg = {key: args.trials if v is None else v for key, v in _TABLES[args.name].items()}
@@ -393,9 +396,12 @@ def cmd_table(args):
             cell, p_recipe = f"kernel-laplace:n={value!r},seed={cfg['kernel_seed']!r}", "mp-chol"
         else:
             cell, p_recipe = f"laplace-fem:h={row['h']!r}", f"ddm:H={row['H']!r},overlap=0.5"
-        if cell != recipe:
-            recipe, problem = cell, build_problem(cell)
-        p = build_precond(p_recipe, problem)
+        try:
+            if cell != recipe:
+                recipe, problem = cell, build_problem(cell)
+            p = build_precond(p_recipe, problem)
+        except PrecondEigError as exc:
+            raise ValueError(f"{args.name} cell {key!r}={value!r}: {exc}") from exc
         if phi:
             row.update(diagnostics.compute_quality(problem, p))
         else:

@@ -1,11 +1,11 @@
 """Scalar diagnostics of preconditioner quality and convergence rates.
 
-The distortion angle, spectral-equivalence bounds, the local rate functions
-gamma/mu/a and the asymptotic contraction amount, plus a validator that
-tests every inequality of the convergence analysis numerically on dense
-instances.  Each quantity has one implementation: the validator evaluates
-the same distortion_angle and rate functions that the solver runs, on a
-context built from explicit dense B.
+The distortion angle, spectral-equivalence bounds, the rate context and the
+asymptotic contraction amount, plus a validator that tests every inequality
+of the convergence analysis numerically on dense instances.  Each quantity
+has one implementation: the validator evaluates the same distortion_angle
+here and the same rate functions gamma_x, mu_x and a_x that the solver
+steps by (they live in solvers), on a context built from explicit dense B.
 """
 
 import math
@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import problems
+from . import problems, solvers
 from .errors import DimensionMismatch, PropertyViolation, ZeroVector
 from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
 from .linalg import Rng, _by_column, cholesky, dense_sym_eig, lanczos_extremal, spawn_normal_rows
 from .precond import MpCholPreconditioner, ScaledPreconditioner, apply_fwd_iterative, epsilon_l, make_spd
+from .solvers import a_x, gamma_x, mu_x
 
 _KAPPA_TOL = 1e-10  # tolerance of kappa_nu's Lanczos route
 _SLACK = 1e-10  # absolute slack of validate_properties' checks (i)-(v) against roundoff
@@ -106,7 +107,7 @@ def kappa_nu(problem, precond):
         if pencil is None:
             apply_t, inner_map = exact.apply_inv, problem.apply_a
         else:
-            apply_t, inner_map = pencil.apply_inv, problem.pencil[0]
+            apply_t, inner_map = pencil.apply_inv, lambda v: problem.pencil[0] @ v
         nu_min, nu_max = lanczos_extremal(
             apply_t, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242), inner_map=inner_map
         )
@@ -205,44 +206,6 @@ def build_rate_context(problem, precond):
     return ctx
 
 
-# ---------------------------------------------------------------------------
-# rate functions of the convergence analysis
-# ---------------------------------------------------------------------------
-
-
-def gamma_x(uau, ctx):
-    """Smoothness parameter 2 nu_max (1/l1 - 1/ln) / ||A^{1/2}B^{-1/2}x||^2,
-    with ||A^{1/2}B^{-1/2}x||^2 = u^T A u for x = B^{1/2} u.
-
-    uau is a scalar or an array of values, one per sample.  The sharp
-    geodesic smoothness constant of the sphere Rayleigh quotient of A^{-1} is
-    2(1/l1 - 1/ln): a two-component vector near the minimizer attains it, so
-    the factor 2 is required for the smoothness-type bound
-    f - f* >= ||grad f||^2 / (2 gamma) to hold.
-    """
-    return 2.0 * ctx.nu_max * (1.0 / ctx.lam1 - 1.0 / ctx.lamn) / uau
-
-
-def mu_x(uau, ctx):
-    """Quadratic-growth parameter at u^T A u = uau (scalar or array); bounded
-    below by 8(1/l1-1/l2)/(pi^2 kappa)."""
-    return (
-        8.0
-        * ctx.nu_min
-        * (1.0 / ctx.lam1 - 1.0 / ctx.lam2)
-        * ctx.norm_u_b
-        / (math.pi**2 * np.sqrt(uau) * ctx.norm_u_a)
-    )
-
-
-def a_x(cos_dist, uau, ctx):
-    """Weak-quasi-convexity factor at cos dist_B(u, u*) = cos_dist and
-    u^T A u = uau (scalars or arrays); positive inside the basin, sign
-    reported."""
-    margin = cos_dist - ctx.cos_phi
-    return ctx.lam1 * ctx.norm_u_binv**2 * margin / uau
-
-
 def xi_inf(ctx):
     """Asymptotic contraction amount 4/(pi^2 (1+cos phi)^2) * gap ratio / kappa,
     the limit at u* of the per-step amount eta mu a that rsd_solve traces as
@@ -302,8 +265,8 @@ def compute_quality(problem, precond):
 def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     """Evaluate both starting conditions on a (k, n) block u0 with one start
     per row, for the pair (problem, precond) that ctx was built on.  Every
-    entry of the result but phi and lambda2 is an array with one value per
-    row.
+    entry of the result is an array with one value per row; the thresholds
+    they are set against are ctx.phi and ctx.lam2.
 
     u0_b_norm_sq is u0^T B u0 per row when it is known from the sampler
     identity; when it is None the binary64 twin of B is applied forward to
@@ -323,10 +286,8 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     lam_u0 = np.einsum("ij,ij->i", u0, problem.apply_a(u0.T).T) / np.einsum("ij,ij->i", u0, u0)
     return {
         "dist_b": dist,
-        "phi": ctx.phi,
         "condition_new": dist < ctx.phi,
         "lambda_u0": lam_u0,
-        "lambda2": ctx.lam2,
         "condition_classic": lam_u0 < ctx.lam2,
     }
 
@@ -577,8 +538,6 @@ def validate_properties(a, b, n_samples, seed, label, inject_bug):
 
     # (vii): short locally-stepped run in u-space on the oracle's context,
     # checked in x-space
-    from . import solvers  # local import: solvers depends on this module
-
     problem = problems.EigenProblem(dim=n, apply_a=lambda v: oracle.a @ v)
     precond = make_spd(oracle.b)
     start_dir = rng.normal(n)

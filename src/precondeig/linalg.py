@@ -165,11 +165,10 @@ def as_dense_sym(m):
 
 @dataclass
 class CholFactor:
-    """Lower-triangular Cholesky factor at a declared precision."""
+    """Lower-triangular Cholesky factor l, whose dtype is its precision
+    (float64 for binary64, float32 for binary32)."""
 
-    n: int
     l: np.ndarray  # noqa: E741 - matches the usual factor name
-    precision: str  # "binary64" | "binary32"
 
 
 def cholesky(m, precision="binary64"):
@@ -181,17 +180,16 @@ def cholesky(m, precision="binary64"):
     are exactly representable in binary32.
     """
     a = as_dense_sym(m)
-    n = a.shape[0]
     if precision == "binary64":
         l, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)  # noqa: E741
         if info > 0:  # the leading minor of order info is not positive definite
             raise NotSpd(info - 1)
-        return CholFactor(n=n, l=l, precision=precision)
+        return CholFactor(l)
     if precision != "binary32":
         raise ValueError(f"unknown precision {precision!r}")
     a = a.astype(np.float32)
     l = np.zeros_like(a)  # noqa: E741
-    for j in range(n):
+    for j in range(len(a)):
         c = a[j:, j] - l[j:, :j] @ l[j, :j]
         d = c[0]
         if not d > 0:
@@ -199,7 +197,7 @@ def cholesky(m, precision="binary64"):
         ljj = np.sqrt(d)
         l[j, j] = ljj
         l[j + 1 :, j] = c[1:] / ljj
-    return CholFactor(n=n, l=l, precision=precision)
+    return CholFactor(l)
 
 
 def _trtrs(m, rhs, lower):
@@ -227,8 +225,8 @@ def chol_solve(f, rhs):
     a zero diagonal entry.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != f.n:
-        raise DimensionMismatch(f"rhs has dim {rhs.shape[0]}, factor has {f.n}")
+    if rhs.shape[0] != len(f.l):
+        raise DimensionMismatch(f"rhs has dim {rhs.shape[0]}, factor has {len(f.l)}")
     y = _trtrs(f.l, rhs.astype(f.l.dtype), lower=True)
     return _trtrs(f.l.T, y, lower=False).astype(np.float64)
 
@@ -236,8 +234,8 @@ def chol_solve(f, rhs):
 def chol_matvec(f, v):
     """Product L (L^T v) in the factor's own precision, reported in binary64."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != f.n:
-        raise DimensionMismatch(f"v has dim {v.shape[0]}, factor has {f.n}")
+    if v.shape[0] != len(f.l):
+        raise DimensionMismatch(f"v has dim {v.shape[0]}, factor has {len(f.l)}")
     w = v.astype(f.l.dtype)
     return (f.l @ (f.l.T @ w)).astype(np.float64)
 

@@ -95,13 +95,12 @@ def make_spd(b):
 
 class MpCholPreconditioner(Preconditioner):
     """B = Lhat Lhat^T for a stored Cholesky factor Lhat; both applies run in
-    the factor's precision.  make_mp_cholesky computes Lhat in binary32."""
+    the dtype of factor.l.  make_mp_cholesky computes Lhat in binary32."""
 
     def __init__(self, factor):
         self.factor = factor
-        if factor.precision != "binary64":
-            l64 = factor.l.astype(np.float64)
-            self._twin = MpCholPreconditioner(CholFactor(factor.n, l64, "binary64"))
+        if factor.l.dtype != np.float64:
+            self._twin = MpCholPreconditioner(CholFactor(factor.l.astype(np.float64)))
 
     def apply_inv(self, v):
         return chol_solve(self.factor, v)

@@ -6,6 +6,7 @@ dense kernel matrices from seeded Gaussian point clouds, and the reduction
 of an SPD pencil (A, M) to standard form through the Cholesky factor of M.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,17 @@ from .linalg import (
 # largest dimension for which reference_eigs and kappa_nu take their dense
 # LAPACK routes
 _DENSE_CAP = 200
+# most binary64 entries of an array whose byte count numpy can index
+_MAX_ENTRIES = sys.maxsize // 8
 
 
-def _as_inverse_width(h, minimum=2):
+def _as_inverse_width(h, minimum=2, name="h"):
     try:
         inv = round(1.0 / float(h))
     except (ZeroDivisionError, OverflowError, ValueError):  # h = 0, 1/h = inf, or NaN
         inv = 0
     if inv < minimum or abs(inv * float(h) - 1.0) > 1e-12:
-        raise InvalidMeshWidth(f"1/h must be an integer >= {minimum}, got h={h}")
+        raise InvalidMeshWidth(f"1/{name} must be an integer >= {minimum}, got {name}={h}")
     return inv
 
 
@@ -59,17 +62,19 @@ class EigenProblem:
     optional mass reduction data, and a cached reference spectrum.
 
     A mass-reduced problem holds the factor R of M = R^T R in r_factor and
-    the matvecs (K v, M v) of its original pencil in pencil; both are None
-    for a standard problem.  A preconditioner built for the original pencil
-    is lifted to the reduced problem by precond.HattedPreconditioner(p,
-    r_factor), as cli.build_precond does for ddm.  apply_a takes an (n, k)
-    block as well as a vector: check_initial applies it to a block of starts
-    and dense() to the identity; the generators here build operators that
-    take one.
+    the matrices (K, M) of its original pencil in pencil; both are None for
+    a standard problem.  A preconditioner built for the original pencil is
+    lifted to the reduced problem by precond.HattedPreconditioner(p,
+    r_factor), as cli.build_precond does for ddm.  h is the mesh width of a
+    problem on the unit-square grid (laplace_fd, laplace_fem) and None
+    otherwise; a DDM is built from it and the stiffness pencil[0], or matrix
+    when there is no pencil.  apply_a takes an (n, k) block as well as a
+    vector: check_initial applies it to a block of starts and dense() to the
+    identity; the generators here build operators that take one.
     """
 
     def __init__(
-        self, dim, apply_a, matrix=None, solve_a=None, r_factor=None, pencil=None, meta=None
+        self, dim, apply_a, matrix=None, solve_a=None, r_factor=None, pencil=None, h=None
     ):
         self.dim = dim
         self.apply_a = apply_a
@@ -77,7 +82,7 @@ class EigenProblem:
         self._solve_a = solve_a
         self.r_factor = r_factor
         self.pencil = pencil
-        self.meta = meta or {}
+        self.h = h
         self._reference = None
 
     def solver(self):
@@ -125,7 +130,7 @@ def laplace_fd(h):
         dim=n1 * n1,
         apply_a=lambda v: a @ v,
         matrix=a,
-        meta={"h": 1.0 / inv},
+        h=1.0 / inv,
     )
 
 
@@ -207,7 +212,7 @@ def mesh_hierarchy(H, h, overlap_ratio):
     prolongation onto fine interior nodes.
     """
     inv_h = _as_inverse_width(h)
-    inv_H = _as_inverse_width(H, minimum=1)
+    inv_H = _as_inverse_width(H, minimum=1, name="H")
     if not h < H:
         raise InvalidMeshWidth(f"need h < H, got h={h}, H={H}")
     if inv_h % inv_H != 0:
@@ -268,9 +273,8 @@ def mesh_hierarchy(H, h, overlap_ratio):
 
 def laplace_fem(h):
     """Generalized Laplace eigenvalue problem (stiffness, mass) in reduced form."""
-    k, m = fem_p1(h)
-    problem = generalized_reduce(k, m)
-    problem.meta.update({"h": h, "stiffness": k})
+    problem = generalized_reduce(*fem_p1(h))
+    problem.h = h
     return problem
 
 
@@ -279,32 +283,15 @@ def laplace_fem(h):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KernelSpec:
-    kind: str  # "laplacian" | "poly-complex" (real points: no imaginary term)
-    n: int
-    d: int  # point dimension
-    seed: int
-    tau: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidMeshWidth("kernel matrices need n >= 2")
-        if self.d < 1:
-            raise InvalidMeshWidth(f"kernel points need dimension d >= 1, got d={self.d}")
-        if self.kind not in ("laplacian", "poly-complex"):
-            raise InvalidMeshWidth(f"unknown kernel kind {self.kind!r}")
-
-
 def _pairwise_sq(points):
     g = points @ points.T
     sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
     return np.maximum(sq, 0.0)
 
 
-def kernel_matrix(spec):
-    """Dense SPD kernel matrix of spec.n standard Gaussian points in
-    dimension spec.d, drawn from Rng(spec.seed) as the rows of x (then of y).
+def kernel_matrix(kind, n, d, seed, tau):
+    """Dense SPD kernel matrix of n standard Gaussian points in dimension d,
+    drawn from Rng(seed) as the rows of x (then of y).
 
     laplacian:    A_ij = exp(-||x_i - x_j|| / 2)
     poly-complex: A = K_x + K_y with K(x, y) = (x^T y + 1)^3.  The paper's
@@ -313,25 +300,35 @@ def kernel_matrix(spec):
 
     A diagonal shift tau * I is added; positive definiteness is verified by a
     binary64 Cholesky, whose factor is kept as the problem's solver; a
-    matrix that is not SPD raises NotSpd.
+    matrix that is not SPD raises NotSpd.  Before any work, InvalidMeshWidth
+    for n < 2, d < 1, another kind, or an n and d so large that numpy cannot
+    index an n x max(n, d) binary64 array.
     """
-    rng = Rng(spec.seed)
-    x = rng.normal(spec.n * spec.d).reshape(spec.n, spec.d)
-    if spec.kind == "laplacian":
+    if n < 2:
+        raise InvalidMeshWidth("kernel matrices need n >= 2")
+    if d < 1:
+        raise InvalidMeshWidth(f"kernel points need dimension d >= 1, got d={d}")
+    if kind not in ("laplacian", "poly-complex"):
+        raise InvalidMeshWidth(f"unknown kernel kind {kind!r}")
+    if max(n, d) > _MAX_ENTRIES // n:
+        raise InvalidMeshWidth(f"kernel arrays need n max(n, d) <= {_MAX_ENTRIES}, got n={n}, d={d}")
+    rng = Rng(seed)
+    x = rng.normal(n * d).reshape(n, d)
+    if kind == "laplacian":
         a = np.exp(-np.sqrt(_pairwise_sq(x)) / 2.0)
         np.fill_diagonal(a, 1.0)
     else:
-        y = rng.normal(spec.n * spec.d).reshape(spec.n, spec.d)
+        y = rng.normal(n * d).reshape(n, d)
         a = (x @ x.T + 1.0) ** 3 + (y @ y.T + 1.0) ** 3
     a = (a + a.T) / 2.0
-    if spec.tau:
-        a = a + spec.tau * np.eye(spec.n)
+    if tau:
+        a = a + tau * np.eye(n)
     try:
         factor = cholesky(a, "binary64")
     except NotSpd as exc:
         raise NotSpd(exc.pivot, "kernel matrix is not SPD; increase tau") from exc
     return EigenProblem(
-        dim=spec.n,
+        dim=n,
         apply_a=lambda v: a @ v,
         matrix=a,
         solve_a=lambda v: chol_solve(factor, v),
@@ -354,10 +351,11 @@ def generalized_reduce(a, m):
     R^T solve; the set-up and the diagnostics run on it, and so does a
     rsd_solve step with a preconditioner built on the reduced operator
     (identity, exact, mp-chol).  With a lifted preconditioner (ddm,
-    scaled:ddm) rsd_solve runs in pencil coordinates on the matvecs kept in
-    `pencil`: an A and an M matvec, the inner B^{-1} (for DDM dense
-    tensor-product local solves and a sparse coarse solve, no banded solve)
-    and one banded R^T solve per step.  Raises NotSpd when M is not SPD or
+    scaled:ddm) rsd_solve runs in pencil coordinates: an A and an M
+    matvec, the inner B^{-1} (for DDM dense tensor-product local solves and
+    a sparse coarse solve, no banded solve) and one banded R^T solve per
+    step.  The problem's pencil is (A, M), the matrices as given, which
+    rsd_solve and kappa_nu apply with @.  Raises NotSpd when M is not SPD or
     its size differs from A's.
     """
     n = a.shape[0]
@@ -377,7 +375,7 @@ def generalized_reduce(a, m):
         apply_a=apply_hat,
         solve_a=solve_hat,
         r_factor=r,
-        pencil=(lambda v: a @ v, lambda v: m @ v),
+        pencil=(a, m),
     )
 
 

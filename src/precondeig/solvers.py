@@ -34,6 +34,9 @@ rsd_solve runs one loop on one of two routes, chosen by precond.pencil():
 Classical PINVIT, u <- u - B^{-1} r up to scale, is this recurrence at
 eta* = 1, i.e. the Riemannian step eta = atan(g (u^T A u)^2 / (2 u^T u)) / g,
 which always lies below the cap pi / (2 g); StepPolicy.pinvit() runs it.
+
+The rate functions gamma_x, mu_x and a_x of the convergence analysis live
+here, where the theory step and the traced xi are built from them.
 """
 
 import math
@@ -42,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import a_x, gamma_x, mu_x
 from .errors import (
     InvalidC,
     OutsideBasin,
@@ -145,6 +147,39 @@ class SolveResult:
     basin_iterations: int  # steps taken from inside the basin; None without a RateContext
 
 
+def gamma_x(uau, ctx):
+    """Smoothness parameter 2 nu_max (1/l1 - 1/ln) / ||A^{1/2}B^{-1/2}x||^2,
+    with ||A^{1/2}B^{-1/2}x||^2 = u^T A u for x = B^{1/2} u.
+
+    uau is a scalar or an array of values, one per sample.  The sharp
+    geodesic smoothness constant of the sphere Rayleigh quotient of A^{-1} is
+    2(1/l1 - 1/ln): a two-component vector near the minimizer attains it, so
+    the factor 2 is required for the smoothness-type bound
+    f - f* >= ||grad f||^2 / (2 gamma) to hold.
+    """
+    return 2.0 * ctx.nu_max * (1.0 / ctx.lam1 - 1.0 / ctx.lamn) / uau
+
+
+def mu_x(uau, ctx):
+    """Quadratic-growth parameter at u^T A u = uau (scalar or array); bounded
+    below by 8(1/l1-1/l2)/(pi^2 kappa)."""
+    return (
+        8.0
+        * ctx.nu_min
+        * (1.0 / ctx.lam1 - 1.0 / ctx.lam2)
+        * ctx.norm_u_b
+        / (math.pi**2 * np.sqrt(uau) * ctx.norm_u_a)
+    )
+
+
+def a_x(cos_dist, uau, ctx):
+    """Weak-quasi-convexity factor at cos dist_B(u, u*) = cos_dist and
+    u^T A u = uau (scalars or arrays); positive inside the basin, sign
+    reported."""
+    margin = cos_dist - ctx.cos_phi
+    return ctx.lam1 * ctx.norm_u_binv**2 * margin / uau
+
+
 def step_theory(cos_dist, ctx):
     """Locally optimal step a(x)/gamma(x) at cos dist_B(u, u*) = cos_dist;
     requires dist(x, x*) < phi.  u^T A u cancels from the ratio, so both are
@@ -225,7 +260,8 @@ def rsd_solve(
         res_norm = np.linalg.norm
     else:
         r_factor = problem.r_factor
-        apply_a, apply_m = problem.pencil
+        k, m = problem.pencil
+        apply_a, apply_m = (lambda v: k @ v), (lambda v: m @ v)
         to_u, x = r_factor.mult, r_factor.solve(u0)
 
         def res_norm(s):

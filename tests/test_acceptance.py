@@ -43,7 +43,7 @@ def basin_start(ctx, x_star, b_inv_sqrt, frac, seed):
 def fem_ddm_setup(h, big_h):
     problem = pe.laplace_fem(h)
     hier = pe.mesh_hierarchy(big_h, h, 0.5)
-    k = problem.meta["stiffness"]
+    k = problem.pencil[0]
     ddm = pe.DdmPreconditioner(hier, k)
     return problem, HattedPreconditioner(ddm, problem.r_factor)
 
@@ -261,7 +261,7 @@ def test_criterion_6_ddm_table():
     ok_values = abs(cos2 - 0.1961) <= 0.06 and abs(one_minus - 0.8221) <= 0.06
 
     problem6 = pe.laplace_fem(2.0**-6)
-    k6 = problem6.meta["stiffness"]
+    k6 = problem6.pencil[0]
     cos2_by_H = {}
     for big_h in (2.0**-2, 2.0**-3):
         hier = pe.mesh_hierarchy(big_h, 2.0**-6, 0.5)
@@ -284,7 +284,7 @@ KERNEL_SEED = 7
 def test_criterion_7_mixed_precision_bound():
     """Distortion of the binary32-Cholesky preconditioner on the kernel matrix."""
     t0 = time.time()
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=256, d=256, seed=KERNEL_SEED, tau=0.0))
+    prob = pe.kernel_matrix(kind="laplacian", n=256, d=256, seed=KERNEL_SEED, tau=0.0)
     mp = pe.make_mp_cholesky(prob.matrix)
     ctx = pe.build_rate_context(prob, mp)
     eps, applicable = pe.epsilon_l(256, ctx.lam1, ctx.lamn)
@@ -304,7 +304,7 @@ def test_criterion_7_mixed_precision_bound():
 def test_criterion_8_success_probabilities():
     """Desk-scale versions of the empirical probability tables."""
     t0 = time.time()
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=256, d=256, seed=KERNEL_SEED, tau=0.0))
+    prob = pe.kernel_matrix(kind="laplacian", n=256, d=256, seed=KERNEL_SEED, tau=0.0)
     mp = pe.make_mp_cholesky(prob.matrix)
     ctx = pe.build_rate_context(prob, mp)
     kernel = pe.success_probability(prob, mp, sampler="gaussian", trials=100, seed=3, ctx=ctx)

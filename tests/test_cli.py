@@ -418,6 +418,7 @@ def test_table_unknown_name():
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "const:abc"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "fixed:abc"],
         ["table", "--name", "nope"],
+        ["phi", "--problem", f"kernel-laplace:n={10**30}", "--precond", "identity"],
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
@@ -427,6 +428,7 @@ def test_table_unknown_name():
         "identity-unread-key", "fd-unread-key", "kernel-n-not-an-integer",
         "kernel-tau-not-a-number", "fd-repeated-key", "ddm-repeated-key",
         "step-const-not-a-number", "step-fixed-not-a-number", "table-unknown-name",
+        "kernel-n-beyond-index-range",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
@@ -460,6 +462,8 @@ def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
         ("phi-ddm-fixedH", {"trials": 10}),
         ("phi-ddm-fixedh", {"h": 10**400}),
         ("prob-kernel", {"n": [10**400]}),
+        ("prob-kernel", {"n": [10**30]}),
+        ("prob-kernel", {"n": []}),
     ],
     ids=[
         "top-level-list", "n-not-a-list", "h-not-a-list", "trials-not-an-integer",
@@ -467,7 +471,7 @@ def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
         "H-zero", "H-entry-negative", "h-a-bool", "h-entry-infinite", "n-entry-a-float",
         "n-entry-a-bool", "kernel-seed-a-string", "kernel-seed-a-bool",
         "key-not-read-by-prob-kernel", "key-not-read-by-phi-table", "h-beyond-float-range",
-        "n-entry-beyond-float-range",
+        "n-entry-beyond-float-range", "n-entry-beyond-index-range", "n-empty",
     ],
 )
 def test_badly_typed_table_config_exits_1_with_one_error_line(name, config, tmp_path, capsys):

@@ -248,6 +248,17 @@ def counting(fn, calls):
     return counted
 
 
+class CountingMatmul:
+    """A matrix whose products `self @ v` are counted in calls."""
+
+    def __init__(self, matrix, calls):
+        self.matrix, self.calls = matrix, calls
+
+    def __matmul__(self, v):
+        self.calls.append(1)
+        return self.matrix @ v
+
+
 def test_kappa_lanczos_route_applies_a_once_per_step():
     problem = build_problem("laplace-fd:h=2^-4")
     p = build_precond("ddm:H=2^-2", problem)
@@ -268,11 +279,11 @@ def test_kappa_of_a_lifted_ddm_runs_on_the_pencil():
     n = problem.dim
     assert n > problems._DENSE_CAP and p.pencil() is not None
     b_p = np.linalg.inv(p.pencil().apply_inv(np.eye(n)))
-    k = problem.pencil[0](np.eye(n))
+    k = problem.pencil[0] @ np.eye(n)
     w = scipy.linalg.eigh((k + k.T) / 2.0, (b_p + b_p.T) / 2.0, eigvals_only=True)
     a_calls, k_calls = [], []
     problem.apply_a = counting(problem.apply_a, a_calls)
-    problem.pencil = (counting(problem.pencil[0], k_calls), problem.pencil[1])
+    problem.pencil = (CountingMatmul(problem.pencil[0], k_calls), problem.pencil[1])
     nu_min, nu_max, kappa = pe.kappa_nu(problem, p)
     assert abs(nu_min - w[0]) <= 1e-10 * w[0] and abs(nu_max - w[-1]) <= 1e-10 * w[-1]
     assert abs(kappa - w[-1] / w[0]) <= 1e-10 * kappa
@@ -471,7 +482,7 @@ def test_quality_json_field_names():
 
 
 def test_quality_mp_chol_includes_epsilon():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=48, d=48, seed=3, tau=0.0))
+    prob = pe.kernel_matrix(kind="laplacian", n=48, d=48, seed=3, tau=0.0)
     payload = pe.compute_quality(prob, pe.make_mp_cholesky(prob.matrix))
     assert "epsilon_l" in payload and "epsilon_l_applicable" in payload
 
@@ -532,7 +543,6 @@ def test_check_initial_on_a_block_equals_its_rows(recipe):
     block = pe.check_initial(problem, p, rows, ctx, u0_b_norm_sq=None)
     for j, row in enumerate(rows):
         one = pe.check_initial(problem, p, row[None, :], ctx, u0_b_norm_sq=None)
-        assert (one["phi"], one["lambda2"]) == (block["phi"], block["lambda2"])
         for key in ("condition_new", "condition_classic"):
             assert one[key][0] == block[key][j]
         # a last-bit change of cos dist_B near 1 moves its arccos by ~1e-8

@@ -67,6 +67,20 @@ def relative_imports(path):
     return modules
 
 
+def test_no_function_body_imports_a_package_module():
+    # an import inside a function hides a cycle between two modules: each
+    # module imports the package modules it needs at its top
+    inside = [
+        f"{path.stem}.{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert inside == []
+
+
 def test_problems_sits_below_the_preconditioners():
     # problems builds operators and reference spectra only; whatever takes a
     # problem (preconditioners, diagnostics, solvers, the CLI) sits above it

@@ -233,7 +233,7 @@ def test_chol_solve_equals_solve_triangular_pair_bit_for_bit(kind):
     else:
         f = pe.cholesky(a, "binary32")
         if kind == "binary64-twin":  # the binary64 copy a mixed-precision B is measured on
-            f = pe.CholFactor(f.n, f.l.astype(np.float64), "binary64")
+            f = pe.CholFactor(f.l.astype(np.float64))
         assert f.l.flags.c_contiguous and not f.l.flags.f_contiguous
     for seed in range(3):
         rhs = pe.Rng(seed).normal(40)
@@ -245,7 +245,7 @@ def test_chol_solve_equals_solve_triangular_pair_bit_for_bit(kind):
 def test_chol_solve_zero_pivot_raises_not_spd(precision, dtype, order):
     l = np.tril(np.ones((4, 4), dtype=dtype))  # noqa: E741
     l[2, 2] = 0.0
-    f = pe.CholFactor(4, np.asarray(l, order=order), precision)
+    f = pe.CholFactor(np.asarray(l, order=order))
     with pytest.raises(NotSpd) as err:
         pe.chol_solve(f, np.ones(4))
     assert err.value.pivot == 2

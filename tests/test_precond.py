@@ -243,7 +243,7 @@ def test_mp_chol_twin_applies_the_binary32_factor_in_binary64():
     a = random_spd(21, 12, shift=4.0)
     p = pe.make_mp_cholesky(a)
     twin = p.exact()
-    assert p.factor.precision == "binary32" and twin.factor.precision == "binary64"
+    assert p.factor.l.dtype == np.float32 and twin.factor.l.dtype == np.float64
     l64 = twin.factor.l
     assert np.array_equal(l64, p.factor.l.astype(np.float64))
     v = pe.Rng(10).normal(12)
@@ -268,7 +268,7 @@ def test_epsilon_l_values():
 
 def test_mp_chol_kernel_distortion_bound():
     # desk-scale version of the kernel experiment (acceptance runs n = 256)
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=96, d=96, seed=7, tau=0.0))
+    prob = pe.kernel_matrix(kind="laplacian", n=96, d=96, seed=7, tau=0.0)
     p = pe.make_mp_cholesky(prob.matrix)
     ctx = pe.build_rate_context(prob, p)
     eps, ok = pe.epsilon_l(96, ctx.lam1, ctx.lamn)

@@ -207,6 +207,11 @@ def test_hierarchy_requires_refinement():
         pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 4.0, 0.5)
 
 
+def test_hierarchy_names_the_coarse_width_it_refuses():
+    with pytest.raises(InvalidMeshWidth, match=r"1/H must be an integer >= 1, got H=0\.3"):
+        pe.mesh_hierarchy(0.3, 0.125, 0.5)
+
+
 def test_coarse_galerkin_equals_assembled():
     # nested P1 spaces: I_H^T K_h I_H reproduces the coarse stiffness exactly
     hier = pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 16.0, 0.5)
@@ -222,27 +227,27 @@ def test_coarse_galerkin_equals_assembled():
 
 
 def test_kernel_diagonal_is_ones():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=16, d=16, seed=3, tau=0.0))
+    prob = pe.kernel_matrix(kind="laplacian", n=16, d=16, seed=3, tau=0.0)
     assert np.array_equal(np.diag(prob.matrix), np.ones(16))
 
 
 def test_kernel_tau_shifts_the_diagonal_and_a_non_spd_shift_raises():
-    spec = pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0, tau=0.0)
+    spec = dict(kind="laplacian", n=6, d=4, seed=0, tau=0.0)
     with pytest.raises(NotSpd):
-        pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0, tau=-1.5))
-    base = pe.kernel_matrix(spec).matrix
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=6, d=4, seed=0, tau=0.1))
+        pe.kernel_matrix(kind="laplacian", n=6, d=4, seed=0, tau=-1.5)
+    base = pe.kernel_matrix(**spec).matrix
+    prob = pe.kernel_matrix(kind="laplacian", n=6, d=4, seed=0, tau=0.1)
     assert np.array_equal(prob.matrix, base + 0.1 * np.eye(6))
 
 
 def test_kernel_symmetric_exactly():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=32, d=32, seed=5, tau=0.0))
+    prob = pe.kernel_matrix(kind="laplacian", n=32, d=32, seed=5, tau=0.0)
     assert np.array_equal(prob.matrix, prob.matrix.T)
 
 
 def test_poly_kernel_matches_entrywise_oracle():
-    spec = pe.KernelSpec(kind="poly-complex", n=8, d=8, seed=11, tau=0.0)
-    prob = pe.kernel_matrix(spec)
+    spec = dict(kind="poly-complex", n=8, d=8, seed=11, tau=0.0)
+    prob = pe.kernel_matrix(**spec)
     # rebuild the points exactly as the generator draws them
     rng = pe.Rng(11)
     x = rng.normal(8 * 8).reshape(8, 8)
@@ -256,13 +261,21 @@ def test_poly_kernel_matches_entrywise_oracle():
 
 def test_kernel_rejects_tiny_n():
     with pytest.raises(InvalidMeshWidth):
-        pe.KernelSpec(kind="laplacian", n=1, d=1, seed=0, tau=0.0)
+        pe.kernel_matrix(kind="laplacian", n=1, d=1, seed=0, tau=0.0)
+
+
+@pytest.mark.parametrize("n, d", [(2**31, 1), (10**30, 10**30), (2**20, 2**40)])
+def test_kernel_rejects_arrays_numpy_cannot_index(n, d):
+    # refused before any array is drawn: each case asks for an array of at
+    # least 2^60 binary64 entries, 2^63 bytes
+    with pytest.raises(InvalidMeshWidth, match=f"got n={n}, d={d}"):
+        pe.kernel_matrix(kind="laplacian", n=n, d=d, seed=0, tau=0.0)
 
 
 @pytest.mark.parametrize("d", [0, -1])
 def test_kernel_rejects_point_dimension_below_one(d):
     with pytest.raises(InvalidMeshWidth, match=f"d={d}"):
-        pe.KernelSpec(kind="laplacian", n=8, d=d, seed=0, tau=0.0)
+        pe.kernel_matrix(kind="laplacian", n=8, d=d, seed=0, tau=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +382,7 @@ def test_reference_fd_analytic():
 
 
 def test_reference_kernel_matches_jacobi():
-    prob = pe.kernel_matrix(pe.KernelSpec(kind="laplacian", n=128, d=128, seed=7, tau=0.0))
+    prob = pe.kernel_matrix(kind="laplacian", n=128, d=128, seed=7, tau=0.0)
     ref = prob.reference()
     w, _ = pe.dense_sym_eig(prob.matrix)
     assert abs(ref.lam1 - w[0]) <= 1e-10 * abs(w[0])
