@@ -281,7 +281,10 @@ _VALIDATE_KINDS = ("identity", "random-spd", "mp-chol")
 def cmd_validate(args):
     if args.seeds < 1:
         raise ValueError(f"need at least one seed, got {args.seeds}")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
     checked = Counter()
     violations = []
     t0 = time.time()

@@ -4,6 +4,12 @@ Generators: 5-point finite-difference Laplacian on the unit square, P1
 finite-element stiffness/mass pairs with a two-level overlapping hierarchy,
 dense kernel matrices from seeded Gaussian point clouds, and the reduction
 of an SPD pencil (A, M) to standard form through the Cholesky factor of M.
+
+The unit-square operators are grid stencils on the interior nodes, built by
+one routine: the finite-difference Laplacian is (1/h^2) [-1, -1, 4, -1, -1];
+on the P1 mesh (every square split along its lower-left to upper-right
+diagonal) the stiffness is the same 5-point stencil without the 1/h^2 and
+the mass couples each node to its six mesh neighbours (fem_p1).
 """
 
 import sys
@@ -115,77 +121,65 @@ class EigenProblem:
 # ---------------------------------------------------------------------------
 
 
+def _grid_stencil(h, stencil):
+    """CSR matrix on the interior nodes, in interior_coords(h) order, that
+    couples node (i, j) to (i + di, j + dj) with weight w for every (di, dj, w)
+    in stencil whose target is an interior node.  Zero weights stay stored,
+    and each row's columns come out sorted."""
+    inv = _as_inverse_width(h)
+    ij = interior_coords(h)
+    di, dj, w = (np.array(c) for c in zip(*sorted(stencil, key=lambda s: (s[1], s[0]))))
+    i, j = ij[:, :1] + di, ij[:, 1:] + dj
+    inside = (i > 0) & (i < inv) & (j > 0) & (j < inv)
+    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    cols = (j - 1) * (inv - 1) + i - 1
+    n = len(ij)
+    return scipy.sparse.csr_matrix(
+        (np.broadcast_to(w, inside.shape)[inside], cols[inside], indptr), shape=(n, n)
+    )
+
+
+# (di, dj, w) stencils: 4 at the node and -1 at its four axis neighbours;
+# the two neighbours along the split diagonal of the P1 mesh, weight 0
+_CROSS = [(0, 0, 4.0), (1, 0, -1.0), (-1, 0, -1.0), (0, 1, -1.0), (0, -1, -1.0)]
+_SPLIT = [(1, 1, 0.0), (-1, -1, 0.0)]
+
+
 def laplace_fd(h):
     """5-point finite-difference Laplacian with zero Dirichlet boundary.
 
     Dimension (1/h - 1)^2, stencil (1/h^2) * [-1, -1, 4, -1, -1].
     """
-    inv = _as_inverse_width(h)
-    n1 = inv - 1
-    t = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n1, n1), format="csr")
-    eye = scipy.sparse.identity(n1, format="csr")
-    a = (scipy.sparse.kron(eye, t) + scipy.sparse.kron(t, eye)).tocsr() / h**2
-    a.sort_indices()
+    a = _grid_stencil(h, _CROSS) / h**2
     return EigenProblem(
-        dim=n1 * n1,
+        dim=a.shape[0],
         apply_a=lambda v: a @ v,
         matrix=a,
-        h=1.0 / inv,
+        h=1.0 / _as_inverse_width(h),
     )
-
-
-def _p1_grids(inv):
-    """Triangle vertex index arrays for the uniform right-triangle mesh.
-
-    Every cell is split along the lower-left to upper-right diagonal; node
-    (i, j) on the full grid (boundary included) has index j*(inv+1) + i.
-    """
-    stride = inv + 1
-    ix, iy = np.meshgrid(np.arange(inv), np.arange(inv), indexing="ij")
-    base = (iy * stride + ix).ravel()
-    lower = np.stack([base, base + 1, base + stride + 1], axis=1)
-    upper = np.stack([base, base + stride + 1, base + stride], axis=1)
-    return lower, upper
-
-
-# element matrices on the two triangle orientations (legs h, area h^2/2);
-# stiffness is h-independent, mass scales with h^2
-_K_LOWER = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-_K_UPPER = 0.5 * np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
-_M_UNIT = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
 
 
 def fem_p1(h):
     """P1 stiffness and consistent mass matrices on interior nodes.
 
-    Regular right-triangle mesh on [0,1]^2, all squares split along the same
-    diagonal.  Returns (stiffness, mass) as CSR, both SPD, with rows in the
-    node order of interior_coords(h).
+    Regular right-triangle mesh on [0,1]^2, every square split along its
+    lower-left to upper-right diagonal, so node (i, j) has six neighbours:
+    (i +- 1, j), (i, j +- 1), (i + 1, j + 1) and (i - 1, j - 1).  Stiffness:
+    4 at the node, -1 at the four axis neighbours and a stored 0 at the two
+    split-diagonal ones, so its pattern is the mass matrix's.  Mass:
+    c0+c0+c0+c0+c0+c0 at the node (six triangles) and c1+c1 at each
+    neighbour (two triangles per edge), c0 = 2/24 h^2 and c1 = 1/24 h^2,
+    summed in the order element-by-element assembly sums them.  Returns
+    (stiffness, mass) as CSR, both SPD, with rows in the node order of
+    interior_coords(h).
     """
-    inv = _as_inverse_width(h)
-    stride = inv + 1
-    lower, upper = _p1_grids(inv)
-    ij = interior_coords(h)
-    interior = ij[:, 1] * stride + ij[:, 0]
-
-    def assemble(elem_lower, elem_upper):
-        rows, cols, vals = [], [], []
-        for tri, elem in ((lower, elem_lower), (upper, elem_upper)):
-            for a in range(3):
-                for b in range(3):
-                    rows.append(tri[:, a])
-                    cols.append(tri[:, b])
-                    vals.append(np.full(len(tri), elem[a, b]))
-        full = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(stride * stride, stride * stride),
-        )
-        sub = full[np.ix_(interior, interior)].tocsr()
-        sub.sort_indices()
-        return sub
-
-    stiffness = assemble(_K_LOWER, _K_UPPER)
-    mass = assemble(_M_UNIT * h**2, _M_UNIT * h**2)
+    c0, c1 = 2.0 / 24.0 * h**2, 1.0 / 24.0 * h**2
+    stiffness = _grid_stencil(h, _CROSS + _SPLIT)
+    mass = _grid_stencil(
+        h,
+        [(0, 0, c0 + c0 + c0 + c0 + c0 + c0)]
+        + [(di, dj, c1 + c1) for di, dj, _ in _CROSS[1:] + _SPLIT],
+    )
     return stiffness, mass
 
 
@@ -226,6 +220,10 @@ def mesh_hierarchy(H, h, overlap_ratio):
             f"band width {overlap_ratio}*H is not a multiple of h (H/h={mult})"
         )
     delta_units = int(round(delta_units))
+    if delta_units < 1:
+        raise MisalignedOverlap(
+            f"overlap {overlap_ratio} gives a band narrower than one fine cell h (H/h={mult})"
+        )
 
     ij = interior_coords(h)
     nf = inv_h - 1
@@ -249,24 +247,15 @@ def mesh_hierarchy(H, h, overlap_ratio):
     prol.sort_indices()
 
     # Node set of a subdomain: fine nodes strictly inside the enlarged open
-    # box, i.e. nodes whose basis functions are supported in its closure.
-    subdomains = []
-    for cj in range(inv_H):
-        for ci in range(inv_H):
-            lo_i = ci * mult - delta_units + 1
-            hi_i = (ci + 1) * mult + delta_units - 1
-            lo_j = cj * mult - delta_units + 1
-            hi_j = (cj + 1) * mult + delta_units - 1
-            mask = (
-                (ij[:, 0] >= lo_i) & (ij[:, 0] <= hi_i) & (ij[:, 1] >= lo_j) & (ij[:, 1] <= hi_j)
-            )
-            subdomains.append(np.nonzero(mask)[0])
-
-    covered = np.zeros(nf * nf, dtype=bool)
-    for idx in subdomains:
-        covered[idx] = True
-    if not covered.all():
-        raise MisalignedOverlap("subdomains do not cover all fine nodes")
+    # box, (c mult - delta, (c + 1) mult + delta) on each axis in fine units,
+    # i.e. nodes whose basis functions are supported in its closure; a band
+    # of at least one fine cell makes the boxes cover every node.
+    grid = np.arange(nf * nf).reshape(nf, nf)  # grid[j - 1, i - 1] is node (i, j)
+    box = [
+        slice(max(c * mult - delta_units, 0), (c + 1) * mult + delta_units - 1)
+        for c in range(inv_H)
+    ]
+    subdomains = [grid[bj, bi].ravel() for bj in box for bi in box]
 
     return MeshHierarchy(prolongation=prol, subdomains=subdomains)
 

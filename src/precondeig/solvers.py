@@ -223,11 +223,12 @@ def rsd_solve(
     or pencil coordinates x = R^{-1} u for a preconditioner lifted to a
     mass-reduced problem (see the module docstring for the cost of each).
 
-    Terminates on ||r|| / (lambda ||u||) <= tol, on the iteration budget
-    maxit (ValueError when negative), or on a stagnation guard: lambda has
-    been flat (|dlambda| <= 1e-15 lambda) for the last _STAGNATION_WINDOW
-    steps and the best residual inside that window is not below 0.9 times
-    the best one before it.
+    Terminates on ||r|| / (lambda ||u||) <= tol (ValueError when tol is
+    negative or not finite), on the iteration budget maxit (ValueError when
+    negative), or on a stagnation guard: lambda has been flat (|dlambda| <=
+    1e-15 lambda) for the last _STAGNATION_WINDOW steps and the best
+    residual inside that window is not below 0.9 times the best one before
+    it.
     lambda flattens long before the residual reaches tol (its error scales
     as the residual squared), and the residual zig-zags at about 0.9 per
     step, so the window's best, not each step, has to beat the past.  That
@@ -252,6 +253,8 @@ def rsd_solve(
         raise ZeroVector("u0 is zero")
     if maxit < 0:
         raise ValueError(f"maxit must be >= 0, got {maxit}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if policy.kind in ("theory", "constant") and ctx is None:
         raise OutsideBasin(f"{policy.kind} policy needs a RateContext")
     b = precond.pencil()

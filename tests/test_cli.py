@@ -386,6 +386,11 @@ def test_validate_bug_exits_3(tmp_path):
     assert payload["violations"][0]["check"] in ("iii", "iv")
 
 
+def test_validate_names_the_sizes_option_it_cannot_read(capsys):
+    assert main(["validate", "--sizes", "6,x"]) == 1
+    assert capsys.readouterr().err == "error: --sizes takes comma-separated integers, got '6,x'\n"
+
+
 def test_table_unknown_name():
     assert main(["table", "--name", "nope"]) == 1
 
@@ -397,6 +402,8 @@ def test_table_unknown_name():
         ["prob", "--problem", "kernel-laplace:n=16,seed=3", "--precond", "mp-chol", "--trials", "-3"],
         ["table", "--name", "prob-kernel", "--trials", "0"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--maxit", "-1"],
+        ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--tol", "nan"],
+        ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--tol", "-1"],
         ["validate", "--sizes", "1"],
         ["validate", "--seeds", "1", "--sizes", "6", "--samples", "0"],
         ["validate", "--seeds", "1", "--sizes", "6", "--samples", "-2"],
@@ -422,6 +429,7 @@ def test_table_unknown_name():
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
+        "solve-tol-nan", "solve-tol-negative",
         "validate-size-1", "validate-samples-0", "validate-samples-negative", "validate-seeds-0",
         "fd-h-0", "fem-h-0", "fd-h-1-over-0", "fd-h-overflow", "ddm-H-0",
         "ddm-H-not-a-number", "ddm-overlap-not-a-number", "ddm-unread-key",

@@ -76,6 +76,40 @@ def test_fem_h2_hand_assembled():
     assert abs(m.toarray()[0, 0] - 0.125) <= 2e-17
 
 
+def test_fem_stencils_at_an_interior_node():
+    h = 1.0 / 8.0
+    k, m = pe.fem_p1(h)
+    ij = interior_coords(h)
+    node = int(np.nonzero((ij[:, 0] == 4) & (ij[:, 1] == 4))[0][0])
+
+    def row(mat):
+        span = slice(mat.indptr[node], mat.indptr[node + 1])
+        return {tuple(d): w for d, w in zip((ij[mat.indices[span]] - 4).tolist(), mat.data[span])}
+
+    c0, c1 = 2.0 / 24.0 * h**2, 1.0 / 24.0 * h**2
+    axis = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    split = [(1, 1), (-1, -1)]
+    assert row(k) == {(0, 0): 4.0, **{d: -1.0 for d in axis}, **{d: 0.0 for d in split}}
+    assert row(m) == {(0, 0): c0 + c0 + c0 + c0 + c0 + c0, **{d: c1 + c1 for d in axis + split}}
+
+
+@pytest.mark.parametrize("inv", [2, 3, 8])
+def test_fem_stiffness_and_mass_share_one_pattern(inv):
+    k, m = pe.fem_p1(1.0 / inv)
+    assert np.array_equal(k.indptr, m.indptr) and np.array_equal(k.indices, m.indices)
+
+
+@pytest.mark.parametrize("inv", [4, 8])
+def test_fd_times_h2_is_fem_stiffness_without_its_stored_zeros(inv):
+    # the FD matrix stores no zeros (at 1/h = 4 one built by scipy.sparse.kron stored 30)
+    h = 1.0 / inv
+    k = pe.fem_p1(h)[0].copy()
+    k.eliminate_zeros()
+    a = pe.laplace_fd(h).matrix * h**2
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(k, name)), name
+
+
 def test_fem_interior_row_sums_vanish():
     k, _ = pe.fem_p1(1.0 / 8.0)
     rows = np.asarray(k.sum(axis=1)).ravel()
@@ -200,6 +234,14 @@ def test_hierarchy_prolongation_non_dyadic_within_an_ulp_of_per_node_loop(inv_h,
 def test_hierarchy_misaligned_overlap():
     with pytest.raises(MisalignedOverlap):
         pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 8.0, 0.3)
+
+
+def test_hierarchy_refuses_a_band_below_one_fine_cell():
+    # 1e-13 * H/h rounds to 0 fine cells within the alignment tolerance
+    with pytest.raises(
+        MisalignedOverlap, match=r"overlap 1e-13 gives a band narrower than one fine cell"
+    ):
+        pe.mesh_hierarchy(1.0 / 2.0, 1.0 / 8.0, 1e-13)
 
 
 def test_hierarchy_requires_refinement():
