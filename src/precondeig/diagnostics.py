@@ -63,13 +63,14 @@ def distortion_angle(u, b_u, b_inv_u, apply_b_inv):
 
 def theta_shao(u, b_u):
     """Leading angle arcsin(||u||_B^2 / (||B u|| ||u||)) from b_u = B u, for
-    side-by-side comparison with the distortion angle."""
+    side-by-side comparison with the distortion angle.  Taken as pi/2 minus
+    the angle between u and B u, which sphere_dist resolves near 0, where
+    the arcsine of a ratio near 1 rounds to pi/2."""
     u = np.asarray(u, dtype=np.float64)
-    nb2 = float(u @ b_u)
-    den = np.linalg.norm(b_u) * np.linalg.norm(u)
-    if den == 0.0:
+    nu, nbu = np.linalg.norm(u), np.linalg.norm(b_u)
+    if nu * nbu == 0.0:
         raise ZeroVector("u_star is zero")
-    return math.asin(_clamp(nb2 / den))
+    return math.pi / 2.0 - float(sphere_dist(u / nu, b_u / nbu))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,19 @@ def test_theta_shao_eigenvector_of_b():
     assert abs(pe.theta_shao(u, np.diag([1.0, 3.0]) @ u) - math.pi / 2.0) <= 1e-12
 
 
+def test_theta_shao_resolves_angles_near_pi_over_2():
+    # 40-digit reference for pi/2 - theta, the angle between u* and B u*: on
+    # this pencil it is about 4.8e-9, where asin of the rounded ratio gave 0
+    mpmath = pytest.importorskip("mpmath")
+    problem = build_problem("kernel-poly:n=100,seed=1")
+    ctx = pe.build_rate_context(problem, build_precond("mp-chol", problem))
+    u, w = ctx.u_star, ctx.w_star
+    with mpmath.workdps(40):
+        u_mp, w_mp = mpmath.matrix(u.tolist()), mpmath.matrix(w.tolist())
+        ref = float(mpmath.acos((u_mp.T * w_mp)[0] / (mpmath.norm(u_mp) * mpmath.norm(w_mp))))
+    assert abs((math.pi / 2.0 - pe.theta_shao(u, w)) - ref) <= 1e-6 * ref
+
+
 def test_theta_shao_is_complement_of_euclidean_angle():
     b = random_spd_pair(35, 7)[1]
     u = pe.Rng(2).normal(7)
