@@ -185,7 +185,7 @@ def test_theta_shao_eigenvector_of_b():
 
 def test_theta_shao_resolves_angles_near_pi_over_2():
     # 40-digit reference for pi/2 - theta, the angle between u* and B u*: on
-    # this pencil it is about 4.8e-9, where asin of the rounded ratio gave 0
+    # this pencil it is about 4.8e-9, below what asin of the rounded ratio resolves
     mpmath = pytest.importorskip("mpmath")
     problem = build_problem("kernel-poly:n=100,seed=1")
     ctx = pe.build_rate_context(problem, build_precond("mp-chol", problem))

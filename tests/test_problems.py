@@ -101,7 +101,7 @@ def test_fem_stiffness_and_mass_share_one_pattern(inv):
 
 @pytest.mark.parametrize("inv", [4, 8])
 def test_fd_times_h2_is_fem_stiffness_without_its_stored_zeros(inv):
-    # the FD matrix stores no zeros (at 1/h = 4 one built by scipy.sparse.kron stored 30)
+    # the FD matrix stores no zeros at any width
     h = 1.0 / inv
     k = pe.fem_p1(h)[0].copy()
     k.eliminate_zeros()
