@@ -91,6 +91,17 @@ def _parse_params(body, kind, required, optional):
     return params
 
 
+def _read_symmetric(path, what):
+    """The matrix of a MatrixMarket file; RecipeError naming the file when it
+    is missing or its matrix is not square and symmetric."""
+    if not path or not os.path.exists(path):
+        raise RecipeError(f"{what} file not found: {path!r}")
+    a = read_matrix(path)
+    if a.shape[0] != a.shape[1] or (a != a.T).sum():
+        raise RecipeError(f"{path}: the matrix is not square and symmetric (shape {a.shape})")
+    return a
+
+
 def build_problem(recipe):
     """Instantiate a problem from its recipe string."""
     kind, _, body = recipe.partition(":")
@@ -108,16 +119,11 @@ def build_problem(recipe):
             tau=_read(params["tau"], parse_dyadic, kind, "tau"),
         )
     if kind == "mtx":
-        parts = body.split(",") if body else []
-        path = parts[0] if parts else ""
-        params = _parse_params(",".join(parts[1:]), kind, (), ("mass",))
-        if not path or not os.path.exists(path):
-            raise RecipeError(f"matrix file not found: {path!r}")
-        a = read_matrix(path)
+        path, _, rest = body.partition(",")
+        params = _parse_params(rest, kind, (), ("mass",))
+        a = _read_symmetric(path, "matrix")
         if "mass" in params:
-            if not os.path.exists(params["mass"]):
-                raise RecipeError(f"mass matrix file not found: {params['mass']!r}")
-            return problems.generalized_reduce(a, read_matrix(params["mass"]))
+            return problems.generalized_reduce(a, _read_symmetric(params["mass"], "mass matrix"))
         return problems.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)
     raise RecipeError(f"unknown problem recipe {recipe!r}")
 

@@ -73,8 +73,9 @@ class EmptySubdomain(PrecondEigError):
 
 
 class NotKroneckerSum(PrecondEigError):
-    """A subdomain block of a DDM stiffness is not I (x) T_x + T_y (x) I on a
-    box of grid nodes, so its local solve has no tensor-product form."""
+    """A DDM local solve has no tensor-product form: the stiffness is not
+    I (x) T_x + T_y (x) I on its square grid of nodes, or a subdomain's nodes
+    are not a box of that grid in x-fastest order."""
 
 
 class DegenerateSmallestEigenvalue(PrecondEigError):

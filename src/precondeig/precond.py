@@ -125,37 +125,6 @@ def epsilon_l(n, lambda1, lambdan):
     return value, value < 1.0
 
 
-def _box_tridiagonals(block, j):
-    """The two 1-D operators of a subdomain block, if it is a Kronecker sum.
-
-    block is the CSR submatrix of a subdomain whose nodes form a box of
-    a x b grid nodes with x running fastest, so its first node is a corner
-    and couples to its y-neighbour in column a (a 1-D box, which has no
-    such column, counts as one row).  Returns (T_x, T_y), each a (diagonal,
-    off-diagonal) pair read from the block; T_x and T_y each take half of
-    its first diagonal entry.  Whether I_b (x) T_x + T_y (x) I_a equals the
-    block is for the caller to check.
-    """
-    n = block.shape[0]
-    first = block.data[: block.indptr[1]] != 0
-    a = int(block.indices[: block.indptr[1]][first].max(initial=0))
-    a = a if a > 1 else n
-    if n % a:
-        raise NotKroneckerSum(f"subdomain {j}: {n} nodes are not a box of rows of {a}")
-    d = block.diagonal()
-    half = d[0] / 2.0
-    return (d[:a] - half, block.diagonal(1)[: a - 1]), (d[::a] - half, block.diagonal(a)[::a])
-
-
-def _kron_sum(t_x, t_y):
-    """I_b (x) T_x + T_y (x) I_a for two (diagonal, off-diagonal) pairs."""
-
-    def tridiag(d, e):
-        return scipy.sparse.diags([e, d, e], [-1, 0, 1], shape=(len(d), len(d)))
-
-    return scipy.sparse.kronsum(tridiag(*t_x), tridiag(*t_y))
-
-
 class DdmPreconditioner(Preconditioner):
     """Two-level overlapping additive Schwarz:
 
@@ -165,15 +134,18 @@ class DdmPreconditioner(Preconditioner):
     A_H = I_H^T A I_H the coarse (Galerkin) matrix, both formed here.
 
     The local solves run by fast diagonalization (Lynch, Rice & Thomas
-    1964).  Each subdomain is a box of a x b grid nodes with x running
-    fastest, and A_j must be the Kronecker sum I_b (x) T_x + T_y (x) I_a of
-    two symmetric tridiagonals, as the 5-point FD and the P1-FEM stiffness
-    are (NotKroneckerSum otherwise).  With T_x = S_x diag(lx) S_x^T and
-    T_y = S_y diag(ly) S_y^T, A_j^{-1} maps the b x a array V of a box to
+    1964).  A must be the Kronecker sum I (x) T_x + T_y (x) I of two
+    symmetric tridiagonals on the whole square grid of fine nodes, x running
+    fastest, as the 5-point FD and the P1-FEM stiffness are; T_x and T_y each
+    take half of A's first diagonal entry.  Each subdomain must be a box of
+    a x b grid nodes in x-fastest order, so A_j = I_b (x) T_x' + T_y' (x) I_a
+    for the slices T_x', T_y' of T_x, T_y on the box (NotKroneckerSum when A
+    or a box fails).  With T_x' = S_x diag(lx) S_x^T and
+    T_y' = S_y diag(ly) S_y^T, A_j^{-1} maps the b x a array V of a box to
 
         S_y ((S_y^T V S_x) / (ly[:, None] + lx[None, :])) S_x^T.
 
-    Subdomains with equal a, b, T_x and T_y form a group that shares one
+    Subdomains with equal a, b, T_x' and T_y' form a group that shares one
     pair of eigendecompositions, and the concatenated subdomain nodes run
     group by group, so the k boxes of a group are one (k, b, a) slice and
     their solves are four batched dense products.  An apply is a gather of
@@ -198,26 +170,39 @@ class DdmPreconditioner(Preconditioner):
             p = hierarchy.prolongation
             self._coarse_solve = make_solver((p.T @ a_fine @ p).tocsc())
         csr = scipy.sparse.csr_matrix(a_fine)
-        # (T_x, T_y) bytes -> (T_x, T_y, their Kronecker sum, node index arrays)
+        # the fine nodes, x running fastest, form a side x side grid; T_x and
+        # T_y are read from its first row and column
+        side = round(n**0.5)
+        if side < 1 or side * side != n:
+            raise NotKroneckerSum(f"the stiffness has {n} rows, so its nodes form no square grid")
+        d = csr.diagonal()
+        half = d[0] / 2.0
+        dx, ex = d[:side] - half, csr.diagonal(1)[: side - 1]
+        dy, ey = d[::side] - half, csr.diagonal(side)[::side]
+        tri = [
+            scipy.sparse.diags([e, t, e], [-1, 0, 1], (side, side)) for t, e in [(dx, ex), (dy, ey)]
+        ]
+        if (scipy.sparse.kronsum(*tri) != csr).nnz:
+            raise NotKroneckerSum("subdomain solves need a stiffness I (x) T_x + T_y (x) I")
+        # (T_x', T_y') bytes -> (T_x', T_y', node index arrays)
         members = {}
         for j, idx in enumerate(hierarchy.subdomains):
             if len(idx) == 0:
                 raise EmptySubdomain(f"subdomain {j} contains no fine nodes")
-            block = csr[np.ix_(idx, idx)]
-            t_x, t_y = _box_tridiagonals(block, j)
-            key = tuple(part.tobytes() for part in (*t_x, *t_y))
-            if key not in members:
-                members[key] = (t_x, t_y, _kron_sum(t_x, t_y), [])
-            _, _, kron_sum, idxs = members[key]
-            if (kron_sum != block).nnz:
-                raise NotKroneckerSum(f"subdomain {j}: block is not I (x) T_x + T_y (x) I on a box")
-            idxs.append(idx)
+            # the box from corner (x0, y0) to (x1, y1), if idx is one
+            (y0, x0), (y1, x1) = divmod(int(idx[0]), side), divmod(int(idx[-1]), side)
+            box = np.arange(y0, y1 + 1)[:, None] * side + np.arange(x0, x1 + 1)
+            if idx[0] < 0 or idx[-1] >= n or not np.array_equal(idx, box.ravel()):
+                raise NotKroneckerSum(f"subdomain {j}: nodes are no grid box in x-fastest order")
+            t_j = (dx[x0 : x1 + 1], ex[x0:x1]), (dy[y0 : y1 + 1], ey[y0:y1])
+            key = tuple(part.tobytes() for t in t_j for part in t)
+            members.setdefault(key, (*t_j, []))[2].append(idx)
         # per group: its slice of the concatenated nodes, k, b, a, S_x, S_x^T,
         # S_y, S_y^T and the eigenvalues ly[:, None] + lx[None, :] of its A_j;
         # the factors are stored C-contiguous, which BLAS takes fastest here
         self._groups = []
         start = 0
-        for t_x, t_y, _, idxs in members.values():
+        for t_x, t_y, idxs in members.values():
             lx, s_x = scipy.linalg.eigh_tridiagonal(*t_x)
             ly, s_y = scipy.linalg.eigh_tridiagonal(*t_y)
             lam = ly[:, None] + lx[None, :]

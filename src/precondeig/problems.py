@@ -52,6 +52,9 @@ def _as_inverse_width(h, minimum=2, name="h"):
         inv = 0
     if inv < minimum or abs(inv * float(h) - 1.0) > 1e-12:
         raise InvalidMeshWidth(f"1/{name} must be an integer >= {minimum}, got {name}={h}")
+    # _grid_stencil's arrays: a row of up to 7 entries per interior node
+    if 7 * (inv - 1) ** 2 > _MAX_ENTRIES:
+        raise InvalidMeshWidth(f"grid needs 7 (1/{name} - 1)^2 <= {_MAX_ENTRIES}, got {name}={h}")
     return inv
 
 
@@ -203,7 +206,9 @@ def mesh_hierarchy(H, h, overlap_ratio):
     The (1/H)^2 nonoverlapping cells are each enlarged by a band of width
     delta = overlap_ratio * H, clipped to the domain and aligned with the
     fine mesh; P1 interpolation on the coarse triangulation provides the
-    prolongation onto fine interior nodes.
+    prolongation onto fine interior nodes.  Each subdomain is a box of grid
+    nodes listed with x running fastest, as interior_coords orders them,
+    which DdmPreconditioner checks.
     """
     inv_h = _as_inverse_width(h)
     inv_H = _as_inverse_width(H, minimum=1, name="H")

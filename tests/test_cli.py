@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse.linalg
 
 import precondeig as pe
@@ -45,6 +46,7 @@ def test_build_problem_recipes():
         ("kernel-poly:n=16,d=2.5", "kernel-poly recipe key 'd': '2.5' is not an integer"),
         ("kernel-laplace:n=16,seed=x", "kernel-laplace recipe key 'seed': 'x' is not an integer"),
         ("kernel-laplace:n=16,tau=x", "kernel-laplace recipe key 'tau': 'x' is not a finite number"),
+        ("laplace-fd:h", "expected key=value, got 'h'"),
     ]:
         with pytest.raises(RecipeError, match=message):
             build_problem(recipe)
@@ -90,6 +92,7 @@ def test_step_arguments_name_the_policy():
     for text, message in [
         ("const:abc", "const recipe key 'c': 'abc' is not a finite number"),
         ("fixed:abc", "fixed recipe key 'value': 'abc' is not a finite number"),
+        ("bogus", "unknown step policy 'bogus'"),
     ]:
         with pytest.raises(RecipeError, match=message):
             _parse_step(text)
@@ -250,6 +253,79 @@ def test_solve_mtx_roundtrip(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_solve_from_a_gaussian_start(tmp_path):
+    result = tmp_path / "result.json"
+    argv = ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "exact", "--step", "pinvit"]
+    assert main(argv + ["--init", "gaussian", "--result", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    assert payload["reason"] == "ResidualTol" and payload["lambda_rel_err"] <= 1e-8
+
+
+def test_solve_from_the_reference_eigenvector_stops_at_once(tmp_path):
+    result = tmp_path / "result.json"
+    argv = ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--init", "eigvec"]
+    assert main(argv + ["--result", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    assert (payload["reason"], payload["iterations"]) == ("ResidualTol", 0)
+    assert payload["lambda"] == payload["lambda_ref"]
+
+
+def write_fem_pencil(tmp_path):
+    """The P1 stiffness and mass at h = 2^-3 as two MatrixMarket files."""
+    paths = tmp_path / "k.mtx", tmp_path / "m.mtx"
+    for path, matrix in zip(paths, pe.fem_p1(2.0**-3)):
+        scipy.io.mmwrite(str(path), matrix, symmetry="symmetric", precision=17)
+    return paths
+
+
+def test_mtx_pencil_lambda1_matches_lapack(tmp_path):
+    k_path, m_path = write_fem_pencil(tmp_path)
+    lam1 = build_problem(f"mtx:{k_path},mass={m_path}").reference().lam1
+    k, m = (pe.read_matrix(path).toarray() for path in (k_path, m_path))
+    expected = scipy.linalg.eigh(k, m, eigvals_only=True)[0]
+    assert abs(lam1 - expected) <= 1e-12 * expected
+
+
+def test_ddm_on_an_mtx_problem_exits_1_with_one_error_line(tmp_path, capsys):
+    k_path, _ = write_fem_pencil(tmp_path)
+    assert main(["phi", "--problem", f"mtx:{k_path}", "--precond", "ddm:H=2^-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 1.0\n2 2 2.0\n",
+            r"the matrix is not square and symmetric \(shape \(3, 2\)\)",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 2.0\n2 2 2.0\n1 2 1.0\n",
+            "the matrix is not square and symmetric",
+        ),
+        (
+            "%%MatrixMarket matrix array real general\n2 2\n2.0\n1.0\n0.0\n2.0\n",
+            "the matrix is not square and symmetric",
+        ),
+    ],
+    ids=["not-square", "coordinate-unsymmetric", "array-unsymmetric"],
+)
+@pytest.mark.parametrize("role", ["matrix", "mass"])
+def test_mtx_refuses_a_matrix_that_is_not_square_and_symmetric(tmp_path, body, message, role):
+    # the solvers need an SPD matrix and an SPD mass: a matrix that is not
+    # even square and symmetric is refused by name before any of them runs
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(body)
+    recipe = f"mtx:{bad}"
+    if role == "mass":
+        recipe = f"mtx:{write_fem_pencil(tmp_path)[0]},mass={bad}"
+    with pytest.raises(RecipeError, match=f"{bad}: {message}"):
+        build_problem(recipe)
 
 
 def test_phi_exact_preconditioner(tmp_path, capsys):
@@ -426,6 +502,10 @@ def test_table_unknown_name():
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "fixed:abc"],
         ["table", "--name", "nope"],
         ["phi", "--problem", f"kernel-laplace:n={10**30}", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fd:h=2^-1000", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fem:h=2^-40", "--precond", "identity"],
+        ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "bogus"],
+        ["phi", "--problem", "laplace-fd:h", "--precond", "identity"],
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
@@ -436,7 +516,8 @@ def test_table_unknown_name():
         "identity-unread-key", "fd-unread-key", "kernel-n-not-an-integer",
         "kernel-tau-not-a-number", "fd-repeated-key", "ddm-repeated-key",
         "step-const-not-a-number", "step-fixed-not-a-number", "table-unknown-name",
-        "kernel-n-beyond-index-range",
+        "kernel-n-beyond-index-range", "fd-h-beyond-index-range", "fem-h-beyond-index-range",
+        "step-unknown", "fd-item-without-equals",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):

@@ -269,6 +269,14 @@ def test_pcg_identity_converges_immediately():
     assert it <= 1
 
 
+def test_pcg_zero_rhs_returns_zero_without_applying_a():
+    def refuse(u):
+        raise AssertionError("applied an operator")
+
+    x, it = pe.pcg(refuse, refuse, np.zeros(3), tol=1e-12, maxit=30, x0=np.ones(3))
+    assert np.array_equal(x, np.zeros(3)) and it == 0
+
+
 def test_pcg_diag_exact_in_n_steps():
     d = np.diag([1.0, 2.0, 4.0])
     x, it = pe.pcg(lambda u: d @ u, np.copy, np.ones(3), tol=1e-12, maxit=30, x0=np.zeros(3))
@@ -501,6 +509,13 @@ def test_jacobi_diag_permutation():
     w, v = pe.dense_sym_eig(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0, 3.0], atol=0)
     assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=0)
+
+
+@pytest.mark.parametrize("a", [[[3.5]], np.zeros((4, 4))], ids=["1x1", "zero"])
+def test_jacobi_needs_no_sweep_on_a_1x1_or_zero_matrix(a):
+    a = np.array(a)
+    w, v = pe.dense_sym_eig(a)
+    assert np.array_equal(w, np.diag(a)) and np.array_equal(v, np.eye(len(a)))
 
 
 def test_jacobi_2x2_closed_form():

@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 import precondeig as pe
 from precondeig.cli import build_precond, build_problem
 from precondeig.errors import (
+    EmptySubdomain,
     InvalidMeshWidth,
     NoForwardApply,
     NotKroneckerSum,
@@ -348,6 +349,39 @@ def test_ddm_refuses_a_block_that_is_not_a_kronecker_sum(coupling):
         k[centre, centre + 16] = k[centre + 16, centre] = -0.25
     with pytest.raises(NotKroneckerSum, match="subdomain"):
         pe.DdmPreconditioner(pe.mesh_hierarchy(2.0**-2, h, 0.5), k.tocsr())
+
+
+@pytest.mark.parametrize("change", ["reversed", "holed"])
+def test_ddm_refuses_a_subdomain_that_is_not_a_grid_box(change):
+    # a box's T_x and T_y are slices of the grid's only in x-fastest order
+    h = 2.0**-4
+    hier = pe.mesh_hierarchy(2.0**-2, h, 0.5)
+    idx = hier.subdomains[1]
+    hier.subdomains[1] = idx[::-1] if change == "reversed" else np.delete(idx, len(idx) // 2)
+    with pytest.raises(NotKroneckerSum, match="subdomain 1: nodes are no grid box"):
+        pe.DdmPreconditioner(hier, pe.fem_p1(h)[0])
+
+
+def test_ddm_refuses_a_stiffness_whose_size_is_not_a_square():
+    # a 1-D Laplacian of 6 nodes, one subdomain holding all of them
+    k = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csr")
+    hier = pe.MeshHierarchy(prolongation=scipy.sparse.csr_matrix((6, 0)), subdomains=[np.arange(6)])
+    with pytest.raises(NotKroneckerSum, match="6 rows"):
+        pe.DdmPreconditioner(hier, k)
+
+
+def test_ddm_refuses_a_prolongation_of_another_size():
+    hier = pe.mesh_hierarchy(2.0**-2, 2.0**-3, 0.5)
+    with pytest.raises(NotSpd, match="prolongation does not match"):
+        pe.DdmPreconditioner(hier, pe.fem_p1(2.0**-4)[0])
+
+
+def test_ddm_refuses_an_empty_subdomain():
+    h = 2.0**-4
+    hier = pe.mesh_hierarchy(2.0**-2, h, 0.5)
+    hier.subdomains[2] = np.array([], dtype=np.int64)
+    with pytest.raises(EmptySubdomain, match="subdomain 2 contains no fine nodes"):
+        pe.DdmPreconditioner(hier, pe.fem_p1(h)[0])
 
 
 def test_ddm_refuses_an_indefinite_block():

@@ -64,6 +64,29 @@ def test_fd_rejects_bad_widths():
         pe.laplace_fd(1.0)
 
 
+@pytest.mark.parametrize("build", [pe.laplace_fd, pe.laplace_fem])
+@pytest.mark.parametrize("k", [40, 1000])
+def test_grid_rejects_widths_numpy_cannot_index(build, k):
+    # refused before any array is built: (1/h - 1)^2 rows of 7 entries are
+    # more than numpy can index (at h = 2^-40 interior_coords alone would ask
+    # for 8 TiB)
+    with pytest.raises(InvalidMeshWidth, match=f"got h={2.0**-k}"):
+        build(2.0**-k)
+
+
+def test_problem_without_matrix_or_solver_has_no_solver():
+    with pytest.raises(NotSpd, match="no matrix and no solver"):
+        pe.EigenProblem(dim=3, apply_a=np.copy).solver()
+
+
+def test_dense_refuses_more_than_5000_rows_before_applying_a():
+    def apply_a(v):
+        raise AssertionError("applied A")
+
+    with pytest.raises(NotSpd, match="5001x5001"):
+        pe.EigenProblem(dim=5001, apply_a=apply_a).dense()
+
+
 # ---------------------------------------------------------------------------
 # P1 finite elements
 # ---------------------------------------------------------------------------
