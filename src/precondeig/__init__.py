@@ -49,7 +49,6 @@ from .precond import (
 )
 from .problems import (
     EigenProblem,
-    MeshHierarchy,
     fem_p1,
     generalized_reduce,
     kernel_matrix,
@@ -67,7 +66,6 @@ __all__ = [
     "DdmPreconditioner",
     "EigenProblem",
     "IterateState",
-    "MeshHierarchy",
     "Preconditioner",
     "RateContext",
     "Rng",

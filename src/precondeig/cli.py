@@ -150,8 +150,7 @@ def build_precond(recipe, problem):
         if problem.h is None:
             raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
         stiffness = problem.matrix if problem.pencil is None else problem.pencil[0]
-        hierarchy = problems.mesh_hierarchy(big_h, problem.h, ratio)
-        ddm = precond.DdmPreconditioner(hierarchy, stiffness)
+        ddm = precond.DdmPreconditioner(stiffness, problem.h, big_h, ratio)
         if problem.r_factor is None:
             return ddm
         return precond.HattedPreconditioner(ddm, problem.r_factor)
@@ -497,7 +496,7 @@ def main(argv=None):
     except MaxIterations as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PrecondEigError, OSError, KeyError, ValueError) as exc:
+    except (PrecondEigError, MemoryError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,14 +68,9 @@ class MisalignedOverlap(PrecondEigError):
     """Requested overlap band is not a multiple of the fine mesh width."""
 
 
-class EmptySubdomain(PrecondEigError):
-    pass
-
-
 class NotKroneckerSum(PrecondEigError):
-    """A DDM local solve has no tensor-product form: the stiffness is not
-    I (x) T_x + T_y (x) I on its square grid of nodes, or a subdomain's nodes
-    are not a box of that grid in x-fastest order."""
+    """The DDM local solves have no tensor-product form: the stiffness is
+    not I (x) T_x + T_y (x) I on its grid of interior nodes."""
 
 
 class DegenerateSmallestEigenvalue(PrecondEigError):

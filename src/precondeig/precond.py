@@ -24,8 +24,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import EmptySubdomain, NoForwardApply, NotKroneckerSum, NotSpd
+from .errors import DimensionMismatch, NoForwardApply, NotKroneckerSum, NotSpd
 from .linalg import CholFactor, _by_column, chol_matvec, chol_solve, cholesky, make_solver, pcg
+from .problems import mesh_hierarchy
 
 _U32 = 2.0**-24  # IEEE binary32 unit roundoff
 FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forward apply
@@ -126,27 +127,30 @@ def epsilon_l(n, lambda1, lambdan):
 
 
 class DdmPreconditioner(Preconditioner):
-    """Two-level overlapping additive Schwarz:
+    """Two-level overlapping additive Schwarz for a stiffness A on the
+    interior grid of mesh width h:
 
         B^{-1} v = I_H A_H^{-1} I_H^T v + sum_j I_j A_j^{-1} I_j^T v
 
-    with A_j the principal submatrix of the fine matrix A on subdomain j and
-    A_H = I_H^T A I_H the coarse (Galerkin) matrix, both formed here.
+    DdmPreconditioner(A, h, H, overlap) takes the prolongation I_H and the
+    subdomain boxes from problems.mesh_hierarchy(H, h, overlap); A_j is the
+    principal submatrix of A on box j and A_H = I_H^T A I_H the coarse
+    (Galerkin) matrix, both formed here.  A must have (1/h - 1)^2 rows
+    (DimensionMismatch otherwise).
 
     The local solves run by fast diagonalization (Lynch, Rice & Thomas
     1964).  A must be the Kronecker sum I (x) T_x + T_y (x) I of two
-    symmetric tridiagonals on the whole square grid of fine nodes, x running
-    fastest, as the 5-point FD and the P1-FEM stiffness are; T_x and T_y each
-    take half of A's first diagonal entry.  Each subdomain must be a box of
-    a x b grid nodes in x-fastest order, so A_j = I_b (x) T_x' + T_y' (x) I_a
-    for the slices T_x', T_y' of T_x, T_y on the box (NotKroneckerSum when A
-    or a box fails).  With T_x' = S_x diag(lx) S_x^T and
+    symmetric tridiagonals on the interior grid, x running fastest, as the
+    5-point FD and the P1-FEM stiffness are; T_x and T_y each take half of
+    A's first diagonal entry (NotKroneckerSum otherwise).  A box of a x b
+    grid nodes has A_j = I_b (x) T_x' + T_y' (x) I_a for the slices T_x',
+    T_y' of T_x, T_y on the box.  With T_x' = S_x diag(lx) S_x^T and
     T_y' = S_y diag(ly) S_y^T, A_j^{-1} maps the b x a array V of a box to
 
         S_y ((S_y^T V S_x) / (ly[:, None] + lx[None, :])) S_x^T.
 
-    Subdomains with equal a, b, T_x' and T_y' form a group that shares one
-    pair of eigendecompositions, and the concatenated subdomain nodes run
+    Boxes with equal a, b, T_x' and T_y' form a group that shares one
+    pair of eigendecompositions, and the concatenated box nodes run
     group by group, so the k boxes of a group are one (k, b, a) slice and
     their solves are four batched dense products.  An apply is a gather of
     v onto the concatenated nodes, the group solves and a scatter-add
@@ -158,23 +162,21 @@ class DdmPreconditioner(Preconditioner):
 
     fwd_mode = "iterative"
 
-    def __init__(self, hierarchy, a_fine):
-        n = a_fine.shape[0]
-        self._i_h = hierarchy.prolongation.tocsr()
-        self._i_h_t = self._i_h.T.tocsr()
-        if self._i_h.shape[0] != n:
-            raise NotSpd(-1, "prolongation does not match the fine matrix")
+    def __init__(self, a_fine, h, big_h, overlap):
+        prolongation, boxes = mesh_hierarchy(big_h, h, overlap)
+        n, side = a_fine.shape[0], round(1.0 / h) - 1
+        if n != side * side:
+            raise DimensionMismatch(
+                f"the stiffness has {n} rows, but h={h} gives {side * side} interior nodes"
+            )
+        self._i_h = prolongation
+        self._i_h_t = prolongation.T.tocsr()
         # an empty coarse space (single-cell coarse grid) drops the first term
         self._coarse_solve = None
-        if self._i_h.shape[1] > 0:
-            p = hierarchy.prolongation
-            self._coarse_solve = make_solver((p.T @ a_fine @ p).tocsc())
+        if prolongation.shape[1] > 0:
+            self._coarse_solve = make_solver((prolongation.T @ a_fine @ prolongation).tocsc())
+        # T_x and T_y are read from the first row and column of the grid
         csr = scipy.sparse.csr_matrix(a_fine)
-        # the fine nodes, x running fastest, form a side x side grid; T_x and
-        # T_y are read from its first row and column
-        side = round(n**0.5)
-        if side < 1 or side * side != n:
-            raise NotKroneckerSum(f"the stiffness has {n} rows, so its nodes form no square grid")
         d = csr.diagonal()
         half = d[0] / 2.0
         dx, ex = d[:side] - half, csr.diagonal(1)[: side - 1]
@@ -186,17 +188,11 @@ class DdmPreconditioner(Preconditioner):
             raise NotKroneckerSum("subdomain solves need a stiffness I (x) T_x + T_y (x) I")
         # (T_x', T_y') bytes -> (T_x', T_y', node index arrays)
         members = {}
-        for j, idx in enumerate(hierarchy.subdomains):
-            if len(idx) == 0:
-                raise EmptySubdomain(f"subdomain {j} contains no fine nodes")
-            # the box from corner (x0, y0) to (x1, y1), if idx is one
-            (y0, x0), (y1, x1) = divmod(int(idx[0]), side), divmod(int(idx[-1]), side)
-            box = np.arange(y0, y1 + 1)[:, None] * side + np.arange(x0, x1 + 1)
-            if idx[0] < 0 or idx[-1] >= n or not np.array_equal(idx, box.ravel()):
-                raise NotKroneckerSum(f"subdomain {j}: nodes are no grid box in x-fastest order")
-            t_j = (dx[x0 : x1 + 1], ex[x0:x1]), (dy[y0 : y1 + 1], ey[y0:y1])
+        grid = np.arange(n).reshape(side, side)
+        for ys, xs in boxes:
+            t_j = (dx[xs], ex[xs.start : xs.stop - 1]), (dy[ys], ey[ys.start : ys.stop - 1])
             key = tuple(part.tobytes() for t in t_j for part in t)
-            members.setdefault(key, (*t_j, []))[2].append(idx)
+            members.setdefault(key, (*t_j, []))[2].append(grid[ys, xs].ravel())
         # per group: its slice of the concatenated nodes, k, b, a, S_x, S_x^T,
         # S_y, S_y^T and the eigenvalues ly[:, None] + lx[None, :] of its A_j;
         # the factors are stored C-contiguous, which BLAS takes fastest here

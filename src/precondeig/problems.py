@@ -1,9 +1,11 @@
 """Problem generators and the high-accuracy reference eigensolver.
 
 Generators: 5-point finite-difference Laplacian on the unit square, P1
-finite-element stiffness/mass pairs with a two-level overlapping hierarchy,
-dense kernel matrices from seeded Gaussian point clouds, and the reduction
-of an SPD pencil (A, M) to standard form through the Cholesky factor of M.
+finite-element stiffness/mass pairs, dense kernel matrices from seeded
+Gaussian point clouds, and the reduction of an SPD pencil (A, M) to
+standard form through the Cholesky factor of M.  mesh_hierarchy(H, h,
+overlap) gives the two-level DDM its coarse space and its overlapping
+subdomains, each a box of the interior grid.
 
 The unit-square operators are grid stencils on the interior nodes, built by
 one routine: the finite-difference Laplacian is (1/h^2) [-1, -1, 4, -1, -1];
@@ -21,6 +23,7 @@ import scipy.sparse
 
 from .errors import (
     DegenerateSmallestEigenvalue,
+    DimensionMismatch,
     InvalidMeshWidth,
     MisalignedOverlap,
     NoConvergence,
@@ -76,10 +79,11 @@ class EigenProblem:
     lifted to the reduced problem by precond.HattedPreconditioner(p,
     r_factor), as cli.build_precond does for ddm.  h is the mesh width of a
     problem on the unit-square grid (laplace_fd, laplace_fem) and None
-    otherwise; a DDM is built from it and the stiffness pencil[0], or matrix
-    when there is no pencil.  apply_a takes an (n, k) block as well as a
-    vector: check_initial applies it to a block of starts and dense() to the
-    identity; the generators here build operators that take one.
+    otherwise; a DDM is built from it, H, the overlap and the stiffness
+    pencil[0], or matrix when there is no pencil.  apply_a takes an (n, k)
+    block as well as a vector: check_initial applies it to a block of starts
+    and dense() to the identity; the generators here build operators that
+    take one.
     """
 
     def __init__(
@@ -103,13 +107,14 @@ class EigenProblem:
 
     def dense(self):
         """Dense binary64 form of the operator: its matrix, or else one apply_a
-        on the identity block, symmetrized (up to 5000 rows)."""
+        on the identity block, symmetrized (DimensionMismatch above 5000
+        rows)."""
         if self.matrix is not None:
             if scipy.sparse.issparse(self.matrix):
                 return self.matrix.toarray()
             return np.asarray(self.matrix, dtype=np.float64)
         if self.dim > 5000:
-            raise NotSpd(-1, f"refusing to assemble a dense {self.dim}x{self.dim} operator")
+            raise DimensionMismatch(f"refusing to assemble a dense {self.dim}x{self.dim} operator")
         a = self.apply_a(np.eye(self.dim))
         return (a + a.T) / 2.0
 
@@ -194,21 +199,19 @@ def interior_coords(h):
     return np.column_stack([ii.ravel(order="F"), jj.ravel(order="F")])
 
 
-@dataclass
-class MeshHierarchy:
-    prolongation: scipy.sparse.csr_matrix  # fine interior x coarse interior
-    subdomains: list
-
-
 def mesh_hierarchy(H, h, overlap_ratio):
-    """Coarse/fine hierarchy with overlapping subdomains on the unit square.
+    """Coarse space and overlapping subdomain boxes of the two-level DDM on
+    the unit square: returns (prolongation, boxes).
 
-    The (1/H)^2 nonoverlapping cells are each enlarged by a band of width
-    delta = overlap_ratio * H, clipped to the domain and aligned with the
-    fine mesh; P1 interpolation on the coarse triangulation provides the
-    prolongation onto fine interior nodes.  Each subdomain is a box of grid
-    nodes listed with x running fastest, as interior_coords orders them,
-    which DdmPreconditioner checks.
+    P1 interpolation on the coarse triangulation of width H gives the
+    prolongation, a CSR matrix from the coarse interior nodes onto the fine
+    interior nodes.  The (1/H)^2 nonoverlapping cells are each enlarged by
+    a band of width delta = overlap_ratio * H, clipped to the domain and
+    aligned with the fine mesh; each box is the (y-slice, x-slice) pair of
+    the fine interior nodes strictly inside its enlarged cell, on the
+    (1/h - 1) x (1/h - 1) grid of interior nodes with x running fastest, as
+    interior_coords orders them.  DdmPreconditioner(A, h, H, overlap_ratio)
+    builds its coarse and local solves from these.
     """
     inv_h = _as_inverse_width(h)
     inv_H = _as_inverse_width(H, minimum=1, name="H")
@@ -251,18 +254,16 @@ def mesh_hierarchy(H, h, overlap_ratio):
     )
     prol.sort_indices()
 
-    # Node set of a subdomain: fine nodes strictly inside the enlarged open
-    # box, (c mult - delta, (c + 1) mult + delta) on each axis in fine units,
-    # i.e. nodes whose basis functions are supported in its closure; a band
-    # of at least one fine cell makes the boxes cover every node.
-    grid = np.arange(nf * nf).reshape(nf, nf)  # grid[j - 1, i - 1] is node (i, j)
+    # A box holds the fine nodes strictly inside the enlarged open cell,
+    # (c mult - delta, (c + 1) mult + delta) on each axis in fine units, i.e.
+    # the nodes whose basis functions are supported in its closure; grid
+    # index k stands for node k + 1.  A band of at least one fine cell makes
+    # the boxes cover every node.
     box = [
-        slice(max(c * mult - delta_units, 0), (c + 1) * mult + delta_units - 1)
+        slice(max(c * mult - delta_units, 0), min((c + 1) * mult + delta_units - 1, nf))
         for c in range(inv_H)
     ]
-    subdomains = [grid[bj, bi].ravel() for bj in box for bi in box]
-
-    return MeshHierarchy(prolongation=prol, subdomains=subdomains)
+    return prol, [(ys, xs) for ys in box for xs in box]
 
 
 def laplace_fem(h):
@@ -349,12 +350,12 @@ def generalized_reduce(a, m):
     matvec, the inner B^{-1} (for DDM dense tensor-product local solves and
     a sparse coarse solve, no banded solve) and one banded R^T solve per
     step.  The problem's pencil is (A, M), the matrices as given, which
-    rsd_solve and kappa_nu apply with @.  Raises NotSpd when M is not SPD or
-    its size differs from A's.
+    rsd_solve and kappa_nu apply with @.  Raises NotSpd when M is not SPD and
+    DimensionMismatch when its size differs from A's.
     """
     n = a.shape[0]
     if m.shape[0] != n:
-        raise NotSpd(-1, "pencil matrices differ in size")
+        raise DimensionMismatch("pencil matrices differ in size")
     r = SymFactor(m)
     solve_a = make_solver(a)
 

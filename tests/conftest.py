@@ -30,6 +30,14 @@ def tight_fwd(p, v, apply_a, tol):
     return z
 
 
+def box_nodes(h, boxes):
+    """Node index arrays of mesh_hierarchy's (y-slice, x-slice) boxes on the
+    interior grid of width h, x running fastest."""
+    side = round(1.0 / h) - 1
+    grid = np.arange(side * side).reshape(side, side)
+    return [grid[ys, xs].ravel() for ys, xs in boxes]
+
+
 def dense_problem(a):
     a = np.asarray(a, dtype=np.float64)
     return pe.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)

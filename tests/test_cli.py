@@ -297,6 +297,19 @@ def test_ddm_on_an_mtx_problem_exits_1_with_one_error_line(tmp_path, capsys):
     )
 
 
+def test_an_allocation_refused_by_the_system_exits_1_with_one_error_line(monkeypatch, capsys):
+    # a grid that passes the index-range check but not the memory at hand;
+    # the refusal is faked, since under some overcommit settings a real one
+    # gets the process killed instead
+    def refuse(h):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(problems, "interior_coords", refuse)
+    assert main(["phi", "--problem", "laplace-fd:h=2^-20", "--precond", "identity"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 8.00 TiB for an array\n"
+
+
 @pytest.mark.parametrize(
     "body, message",
     [

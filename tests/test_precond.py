@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 import precondeig as pe
 from precondeig.cli import build_precond, build_problem
 from precondeig.errors import (
-    EmptySubdomain,
+    DimensionMismatch,
     InvalidMeshWidth,
     NoForwardApply,
     NotKroneckerSum,
@@ -19,7 +19,7 @@ from precondeig.errors import (
     NotSpdInLowPrecision,
 )
 from precondeig.precond import FWD_TOL, HattedPreconditioner, OperatorPreconditioner
-from tests.conftest import dense_problem, dense_roots, tight_fwd
+from tests.conftest import box_nodes, dense_problem, dense_roots, tight_fwd
 
 
 def random_spd(seed, n, shift=1.0):
@@ -33,10 +33,9 @@ def lift(prob, p):
 
 
 def fem_ddm(h, big_h, ratio=0.5):
-    hier = pe.mesh_hierarchy(big_h, h, ratio)
     k, m = pe.fem_p1(h)
     prob = pe.generalized_reduce(k, m)
-    ddm = pe.DdmPreconditioner(hier, k)
+    ddm = pe.DdmPreconditioner(k, h, big_h, ratio)
     return prob, ddm, lift(prob, ddm)
 
 
@@ -286,12 +285,11 @@ def test_mp_chol_kernel_distortion_bound():
 def test_ddm_single_subdomain_no_coarse_is_exact():
     # one subdomain covering everything and an empty coarse space: B = A
     h = 1.0 / 8.0
-    hier = pe.mesh_hierarchy(1.0, h, 0.5)
-    assert len(hier.subdomains) == 1
-    assert hier.prolongation.shape[1] == 0
+    prolongation, boxes = pe.mesh_hierarchy(1.0, h, 0.5)
+    assert boxes == [(slice(0, 7), slice(0, 7))]
+    assert prolongation.shape[1] == 0
     prob = pe.laplace_fd(h)
-    a = prob.matrix
-    ddm = pe.DdmPreconditioner(hier, a)
+    ddm = pe.DdmPreconditioner(prob.matrix, h, 1.0, 0.5)
     v = pe.Rng(3).normal(prob.dim)
     direct = prob.solver()(v)
     assert np.linalg.norm(ddm.apply_inv(v) - direct) <= 1e-11 * np.linalg.norm(direct)
@@ -306,7 +304,7 @@ def test_ddm_additivity(h, big_h):
     k = pe.fem_p1(h)[0].tocsr()
     v = pe.Rng(4).normal(k.shape[0])
     total = ddm.coarse_part(v)
-    for idx in pe.mesh_hierarchy(big_h, h, 0.5).subdomains:
+    for idx in box_nodes(h, pe.mesh_hierarchy(big_h, h, 0.5)[1]):
         total[idx] += scipy.sparse.linalg.splu(k[np.ix_(idx, idx)].tocsc()).solve(v[idx])
     assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-14 * np.linalg.norm(total)
 
@@ -328,11 +326,10 @@ def local_solve_cases():
 def test_ddm_local_solves_match_sparse_lu(kind, h, big_h, overlap):
     # oracle: the coarse part plus one sparse LU solve per subdomain
     a = (pe.laplace_fd(h).matrix if kind == "fd" else pe.fem_p1(h)[0]).tocsr()
-    hier = pe.mesh_hierarchy(big_h, h, overlap)
-    ddm = pe.DdmPreconditioner(hier, a)
+    ddm = pe.DdmPreconditioner(a, h, big_h, overlap)
     v = pe.Rng(5).normal(a.shape[0])
     total = ddm.coarse_part(v)
-    for idx in hier.subdomains:
+    for idx in box_nodes(h, pe.mesh_hierarchy(big_h, h, overlap)[1]):
         total[idx] += scipy.sparse.linalg.splu(a[np.ix_(idx, idx)].tocsc()).solve(v[idx])
     assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-13 * np.linalg.norm(total)
 
@@ -348,40 +345,15 @@ def test_ddm_refuses_a_block_that_is_not_a_kronecker_sum(coupling):
     else:  # a symmetric coupling to the diagonal neighbour (9, 9)
         k[centre, centre + 16] = k[centre + 16, centre] = -0.25
     with pytest.raises(NotKroneckerSum, match="subdomain"):
-        pe.DdmPreconditioner(pe.mesh_hierarchy(2.0**-2, h, 0.5), k.tocsr())
+        pe.DdmPreconditioner(k.tocsr(), h, 2.0**-2, 0.5)
 
 
-@pytest.mark.parametrize("change", ["reversed", "holed"])
-def test_ddm_refuses_a_subdomain_that_is_not_a_grid_box(change):
-    # a box's T_x and T_y are slices of the grid's only in x-fastest order
-    h = 2.0**-4
-    hier = pe.mesh_hierarchy(2.0**-2, h, 0.5)
-    idx = hier.subdomains[1]
-    hier.subdomains[1] = idx[::-1] if change == "reversed" else np.delete(idx, len(idx) // 2)
-    with pytest.raises(NotKroneckerSum, match="subdomain 1: nodes are no grid box"):
-        pe.DdmPreconditioner(hier, pe.fem_p1(h)[0])
-
-
-def test_ddm_refuses_a_stiffness_whose_size_is_not_a_square():
-    # a 1-D Laplacian of 6 nodes, one subdomain holding all of them
-    k = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csr")
-    hier = pe.MeshHierarchy(prolongation=scipy.sparse.csr_matrix((6, 0)), subdomains=[np.arange(6)])
-    with pytest.raises(NotKroneckerSum, match="6 rows"):
-        pe.DdmPreconditioner(hier, k)
-
-
-def test_ddm_refuses_a_prolongation_of_another_size():
-    hier = pe.mesh_hierarchy(2.0**-2, 2.0**-3, 0.5)
-    with pytest.raises(NotSpd, match="prolongation does not match"):
-        pe.DdmPreconditioner(hier, pe.fem_p1(2.0**-4)[0])
-
-
-def test_ddm_refuses_an_empty_subdomain():
-    h = 2.0**-4
-    hier = pe.mesh_hierarchy(2.0**-2, h, 0.5)
-    hier.subdomains[2] = np.array([], dtype=np.int64)
-    with pytest.raises(EmptySubdomain, match="subdomain 2 contains no fine nodes"):
-        pe.DdmPreconditioner(hier, pe.fem_p1(h)[0])
+@pytest.mark.parametrize("rows", [6, 225])
+def test_ddm_refuses_a_stiffness_of_another_size(rows):
+    # h = 2^-3 has 7 x 7 interior nodes; 6 is no square and 225 is h = 2^-4's
+    k = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(rows, rows), format="csr")
+    with pytest.raises(DimensionMismatch, match=f"{rows} rows, but h=0.125 gives 49 interior nodes"):
+        pe.DdmPreconditioner(k, 2.0**-3, 2.0**-2, 0.5)
 
 
 def test_ddm_refuses_an_indefinite_block():
@@ -389,14 +361,14 @@ def test_ddm_refuses_an_indefinite_block():
     h = 2.0**-4
     k = pe.fem_p1(h)[0] - 2.0 * scipy.sparse.identity(15 * 15, format="csr")
     with pytest.raises(NotSpd, match="not positive definite"):
-        pe.DdmPreconditioner(pe.mesh_hierarchy(2.0**-2, h, 0.5), k)
+        pe.DdmPreconditioner(k, h, 2.0**-2, 0.5)
 
 
 @pytest.mark.parametrize("h, big_h", [(2.0**-4, 2.0**-2), (2.0**-6, 2.0**-2)])
 def test_ddm_coarse_part_equals_transpose_product(h, big_h):
     # the kept CSR transpose sums each coarse entry in the order i_h.T @ v does
     _, ddm, _ = fem_ddm(h, big_h)
-    i_h = pe.mesh_hierarchy(big_h, h, 0.5).prolongation.tocsr()
+    i_h = pe.mesh_hierarchy(big_h, h, 0.5)[0]
     a_coarse = (i_h.T @ pe.fem_p1(h)[0] @ i_h).tocsc()
     solve = scipy.sparse.linalg.splu(a_coarse).solve
     for seed in range(3):

@@ -12,6 +12,7 @@ from precondeig import problems
 from precondeig.cli import build_problem, parse_dyadic
 from precondeig.errors import (
     DegenerateSmallestEigenvalue,
+    DimensionMismatch,
     InvalidMeshWidth,
     MisalignedOverlap,
     NoConvergence,
@@ -21,7 +22,7 @@ from precondeig.diagnostics import random_spd_pair
 from precondeig.linalg import _lanczos_top_value
 from precondeig.precond import HattedPreconditioner
 from precondeig.problems import interior_coords
-from tests.conftest import dense_problem, dense_roots, fd_eigenvalue
+from tests.conftest import box_nodes, dense_problem, dense_roots, fd_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def test_dense_refuses_more_than_5000_rows_before_applying_a():
     def apply_a(v):
         raise AssertionError("applied A")
 
-    with pytest.raises(NotSpd, match="5001x5001"):
+    with pytest.raises(DimensionMismatch, match="refusing to assemble a dense 5001x5001 operator"):
         pe.EigenProblem(dim=5001, apply_a=apply_a).dense()
 
 
@@ -163,8 +164,8 @@ def test_fd_fem_h2_error_decay():
 
 
 def test_hierarchy_smallest_case_explicit():
-    hier = pe.mesh_hierarchy(1.0 / 2.0, 1.0 / 4.0, 0.5)
-    assert len(hier.subdomains) == 4
+    _, boxes = pe.mesh_hierarchy(1.0 / 2.0, 1.0 / 4.0, 0.5)
+    assert len(boxes) == 4
     ij = interior_coords(1.0 / 4.0)
 
     def nodes(pairs):
@@ -179,28 +180,28 @@ def test_hierarchy_smallest_case_explicit():
         nodes([(1, 2), (2, 2), (1, 3), (2, 3)]),
         nodes([(2, 2), (3, 2), (2, 3), (3, 3)]),
     ]
-    got = [sorted(int(i) for i in idx) for idx in hier.subdomains]
+    got = [sorted(int(i) for i in idx) for idx in box_nodes(1.0 / 4.0, boxes)]
     assert got == expected
 
 
 def test_hierarchy_example_16_subdomains():
-    hier = pe.mesh_hierarchy(2.0**-2, 2.0**-4, 0.5)
-    assert len(hier.subdomains) == 16
+    _, boxes = pe.mesh_hierarchy(2.0**-2, 2.0**-4, 0.5)
+    assert len(boxes) == 16
 
 
 @pytest.mark.parametrize("H,h,ratio", [(0.5, 0.25, 0.5), (0.25, 0.0625, 0.5), (0.25, 0.125, 1.0)])
 def test_hierarchy_coverage(H, h, ratio):
-    hier = pe.mesh_hierarchy(H, h, ratio)
+    _, boxes = pe.mesh_hierarchy(H, h, ratio)
     n = round(1.0 / h) - 1
     covered = np.zeros(n * n, dtype=bool)
-    for idx in hier.subdomains:
+    for idx in box_nodes(h, boxes):
         covered[idx] = True
     assert covered.all()
 
 
 def test_hierarchy_prolongation_partition_of_unity():
-    hier = pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 16.0, 0.5)
-    rows = np.asarray(hier.prolongation.sum(axis=1)).ravel()
+    prolongation, _ = pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 16.0, 0.5)
+    rows = np.asarray(prolongation.sum(axis=1)).ravel()
     coords = interior_coords(1.0 / 16.0) / 16.0
     inside = np.all((coords >= 0.25 - 1e-12) & (coords <= 0.75 + 1e-12), axis=1)
     assert np.abs(rows[inside] - 1.0).max() <= 1e-12
@@ -237,7 +238,7 @@ def loop_prolongation(big_h, h):
 @pytest.mark.parametrize("h", [2.0**-4, 2.0**-5, 2.0**-6])
 @pytest.mark.parametrize("big_h", [2.0**-1, 2.0**-2, 2.0**-3])
 def test_hierarchy_prolongation_matches_per_node_loop(h, big_h):
-    got = pe.mesh_hierarchy(big_h, h, 0.5).prolongation
+    got, _ = pe.mesh_hierarchy(big_h, h, 0.5)
     ref = loop_prolongation(big_h, h)
     for name in ("indptr", "indices", "data"):
         x, y = getattr(got, name), getattr(ref, name)
@@ -248,7 +249,7 @@ def test_hierarchy_prolongation_matches_per_node_loop(h, big_h):
 def test_hierarchy_prolongation_non_dyadic_within_an_ulp_of_per_node_loop(inv_h, inv_big_h):
     # with H/h not a power of two the loop's 1 - xi rounds twice and the
     # closed form (H/h - k)/(H/h) once; weights lie in [0, 1]
-    got = pe.mesh_hierarchy(1.0 / inv_big_h, 1.0 / inv_h, 1.0).prolongation
+    got, _ = pe.mesh_hierarchy(1.0 / inv_big_h, 1.0 / inv_h, 1.0)
     ref = loop_prolongation(1.0 / inv_big_h, 1.0 / inv_h)
     assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
     assert np.abs(got.data - ref.data).max() <= np.finfo(np.float64).eps
@@ -279,10 +280,10 @@ def test_hierarchy_names_the_coarse_width_it_refuses():
 
 def test_coarse_galerkin_equals_assembled():
     # nested P1 spaces: I_H^T K_h I_H reproduces the coarse stiffness exactly
-    hier = pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 16.0, 0.5)
+    prolongation, _ = pe.mesh_hierarchy(1.0 / 4.0, 1.0 / 16.0, 0.5)
     k, _ = pe.fem_p1(1.0 / 16.0)
     k_coarse, _ = pe.fem_p1(1.0 / 4.0)
-    galerkin = (hier.prolongation.T @ k @ hier.prolongation).toarray()
+    galerkin = (prolongation.T @ k @ prolongation).toarray()
     assert np.abs(galerkin - k_coarse.toarray()).max() <= 1e-12
 
 
@@ -383,7 +384,7 @@ def test_reduce_fem_matches_dense_pencil_oracle():
 
 
 def test_reduce_rejects_mismatched_sizes():
-    with pytest.raises(NotSpd):
+    with pytest.raises(DimensionMismatch, match="pencil matrices differ in size"):
         pe.generalized_reduce(np.eye(3), np.eye(4))
 
 
