@@ -21,7 +21,6 @@ from .diagnostics import (
 from .geometry import (
     IterateState,
     make_state,
-    rayleigh,
     sphere_dist,
     sphere_exp,
     sphere_log,
@@ -99,7 +98,6 @@ __all__ = [
     "mesh_hierarchy",
     "mu_x",
     "pcg",
-    "rayleigh",
     "read_matrix",
     "reference_eigs",
     "rsd_solve",

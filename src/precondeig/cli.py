@@ -23,10 +23,11 @@ import time
 from collections import Counter
 
 import numpy as np
+import scipy.sparse.linalg
 
 from . import diagnostics, precond, problems, solvers
 from .errors import MaxIterations, PrecondEigError, RecipeError
-from .linalg import Rng, gaussian_vector, hash_label, spawn_seed
+from .linalg import Rng, cholesky, gaussian_vector, hash_label, spawn_seed
 from .mmio import read_matrix
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
@@ -93,12 +94,22 @@ def _parse_params(body, kind, required, optional):
 
 def _read_symmetric(path, what):
     """The matrix of a MatrixMarket file; RecipeError naming the file when it
-    is missing or its matrix is not square and symmetric."""
+    is missing or its matrix is not symmetric positive definite."""
     if not path or not os.path.exists(path):
         raise RecipeError(f"{what} file not found: {path!r}")
     a = read_matrix(path)
     if a.shape[0] != a.shape[1] or (a != a.T).sum():
         raise RecipeError(f"{path}: the matrix is not square and symmetric (shape {a.shape})")
+    # SuperLU, symmetric mode, no row pivoting: U's diagonal > 0 iff a is SPD (Sylvester)
+    try:
+        lu = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_matrix(a), "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # exactly singular
+        lu = None
+    if lu is None or not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        raise RecipeError(f"{path}: the matrix is not positive definite")
     return a
 
 
@@ -174,16 +185,8 @@ def _parse_step(text):
     raise RecipeError(f"unknown step policy {text!r}")
 
 
-def _fmt(x):
-    if x is None:
-        return "n/a"
-    return f"{x:.17g}"
-
-
-def _fmt4(x):
-    if x is None:
-        return "n/a"
-    return f"{x:.4g}"
+def _fmt(x, spec=".17g"):
+    return "n/a" if x is None else format(x, spec)
 
 
 def _initial_vector(init, problem, precond_obj, seed):
@@ -248,14 +251,14 @@ def cmd_phi(args):
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     cols = ["cos2_phi", "one_minus_inv_kappa", "chi"]
     header = f"{'quantity':<22}" + "".join(f"{c:>22}" for c in cols)
-    values = f"{'value':<22}" + "".join(f"{_fmt4(payload[c]):>22}" for c in cols)
+    values = f"{'value':<22}" + "".join(f"{_fmt(payload[c], '.4g'):>22}" for c in cols)
     print(header)
     print(values)
     if "epsilon_l" in payload:
         eps = payload["epsilon_l"]
         print(
-            f"epsilon_l = {_fmt4(eps)}  sqrt(2 eps) = {_fmt4(math.sqrt(2.0 * eps))}  "
-            f"measured cos_phi = {_fmt4(math.sqrt(payload['cos2_phi']))}  "
+            f"epsilon_l = {_fmt(eps, '.4g')}  sqrt(2 eps) = {_fmt(math.sqrt(2.0 * eps), '.4g')}  "
+            f"measured cos_phi = {_fmt(math.sqrt(payload['cos2_phi']), '.4g')}  "
             f"bound applicable: {payload['epsilon_l_applicable']}"
         )
     return 0
@@ -302,7 +305,7 @@ def cmd_validate(args):
                 elif kind == "random-spd":
                     b = b_rand
                 else:
-                    l64 = precond.make_mp_cholesky(a).exact().factor.l
+                    l64 = cholesky(a, "binary32").l.astype(np.float64)
                     b = l64 @ l64.T
                 label = f"seed={seed},n={n},B={kind}"
                 report = diagnostics.validate_properties(

@@ -26,15 +26,6 @@ def _clamp(c):
     return min(1.0, max(-1.0, c))
 
 
-def rayleigh(u, apply_a):
-    """Rayleigh quotient u^T A u / u^T u; scale invariant."""
-    u = np.asarray(u, dtype=np.float64)
-    uu = float(u @ u)
-    if uu == 0.0:
-        raise ZeroVector("rayleigh of the zero vector")
-    return float(u @ apply_a(u)) / uu
-
-
 @dataclass
 class IterateState:
     """Iterate with ||u||_B = 1 and the derived quantities the solvers reuse.

@@ -29,7 +29,6 @@ from .errors import (
     NoConvergence,
     NotSpd,
 )
-from .geometry import rayleigh
 from .linalg import (
     Rng,
     SymFactor,
@@ -375,17 +374,19 @@ def generalized_reduce(a, m):
 
 
 def _inverse_iteration(problem, solve, v, project, tol, steps, name):
-    """Inverse iteration from v: `project` is applied to each residual and
-    each new iterate.  Returns (lambda, v) once ||project(A v - lambda v)||
-    <= tol |lambda|, or raises NoConvergence naming eigenvalue `name` after
-    `steps` steps."""
-    lam = rayleigh(v, problem.apply_a)
-    for _ in range(steps):
-        if np.linalg.norm(project(problem.apply_a(v) - lam * v)) <= tol * abs(lam):
+    """Inverse iteration from v, one A apply per iterate for its Rayleigh
+    quotient lambda and its residual; `project` maps each residual and new
+    iterate.  Returns (lambda, v) at the first iterate with ||project(A v -
+    lambda v)|| <= tol |lambda|, or raises NoConvergence naming eigenvalue
+    `name` once `steps` solves have made none."""
+    for solves in range(steps + 1):
+        av = problem.apply_a(v)
+        lam = float(v @ av) / float(v @ v)
+        if np.linalg.norm(project(av - lam * v)) <= tol * abs(lam):
             return lam, v
-        v = project(solve(v))
-        v /= np.linalg.norm(v)
-        lam = rayleigh(v, problem.apply_a)
+        if solves < steps:
+            v = project(solve(v))
+            v /= np.linalg.norm(v)
     raise NoConvergence(f"inverse iteration failed to reach the {name} residual target")
 
 
@@ -428,15 +429,16 @@ def _lanczos_reference(problem):
 
     lambda1, lambda2 and u* come from a reorthogonalized Lanczos on A^{-1}
     (top of the spectrum of the inverse is well separated) at tol 1e-12,
-    refined by _inverse_iteration: lambda1 from the first Ritz vector (100
-    steps, residual 1e-10 lambda1), lambda2 from the second deflated against
-    u* (200 steps, deflated residual 1e-11 lambda2).  lambdan comes from a
-    Lanczos on A at tol 1e-11 that watches only the top Ritz value; it needs
-    no vector, so it runs the three-term recurrence with no stored basis.
-    Each Lanczos runs at most min(n, 600) steps from a start drawn from
-    Rng(777) (its spawn(1) for lambdan).  A repeated lambda1 shows here only
-    through roundoff, which lets the reorthogonalization restart in the
-    orthogonal complement.
+    refined by _inverse_iteration at one A apply per iterate: lambda1 from
+    the first Ritz vector (at most 100 solves, residual 1e-10 lambda1),
+    lambda2 from the second deflated against u* (at most 200 solves,
+    deflated residual 1e-11 lambda2).  lambdan comes from a Lanczos on A at
+    tol 1e-11 that watches only the top Ritz value; it needs no vector, so
+    it runs the three-term recurrence with no stored basis.  Each Lanczos
+    runs at most min(n, 600) steps from a start drawn from Rng(777) (its
+    spawn(1) for lambdan).  A repeated lambda1 shows here only through
+    roundoff, which lets the reorthogonalization restart in the orthogonal
+    complement.
     """
     n = problem.dim
     rng = Rng(777)

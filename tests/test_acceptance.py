@@ -338,7 +338,7 @@ def test_criterion_9_classical_pinvit_bound(monkeypatch):
     rho_b = max(abs(1.0 - scaled.eta * nu_min), abs(1.0 - scaled.eta * nu_max))
     rho = 1.0 - (1.0 - rho_b) * (1.0 - ref.lam1 / ref.lam2)
     u0 = ref.u_star + 0.1 * pe.gaussian_vector(pe.Rng(5), problem.dim) / math.sqrt(problem.dim)
-    assert pe.rayleigh(u0, problem.apply_a) < ref.lam2
+    assert float(u0 @ problem.apply_a(u0)) / float(u0 @ u0) < ref.lam2
     res = pe.rsd_solve(problem, scaled, u0, pe.StepPolicy.pinvit(), tol=1e-10, maxit=300, ctx=None)
     lams = column(res.trace, "lambda")
     ratios = (lams - ref.lam1) / (ref.lam2 - lams)

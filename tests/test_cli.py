@@ -341,6 +341,34 @@ def test_mtx_refuses_a_matrix_that_is_not_square_and_symmetric(tmp_path, body, m
         build_problem(recipe)
 
 
+def write_diag(path, d):
+    scipy.io.mmwrite(str(path), scipy.sparse.diags(d).tocoo(), symmetry="symmetric", precision=17)
+
+
+@pytest.mark.parametrize("role", ["matrix", "matrix-with-mass", "mass"])
+def test_mtx_refuses_a_matrix_that_is_not_positive_definite(tmp_path, capsys, role):
+    # D = diag(-1, 1, 2, ..., 299): its LU and the Lanczos on D^{-1} raise
+    # nothing, and prob ran on lambda1 = 1, D's smallest positive eigenvalue
+    d_path, i_path = tmp_path / "d.mtx", tmp_path / "i.mtx"
+    write_diag(d_path, np.r_[-1.0, np.arange(1.0, 300.0)])
+    write_diag(i_path, np.ones(300))
+    recipe = {
+        "matrix": f"mtx:{d_path}",
+        "matrix-with-mass": f"mtx:{d_path},mass={i_path}",
+        "mass": f"mtx:{i_path},mass={d_path}",
+    }[role]
+    assert main(["prob", "--problem", recipe, "--precond", "exact", "--trials", "10"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {d_path}: the matrix is not positive definite\n")
+
+
+def test_mtx_refuses_an_array_file_that_is_not_positive_definite(tmp_path):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n1.0\n")
+    with pytest.raises(RecipeError, match=f"{bad}: the matrix is not positive definite"):
+        build_problem(f"mtx:{bad}")
+
+
 def test_phi_exact_preconditioner(tmp_path, capsys):
     out = tmp_path / "q.json"
     code = main(

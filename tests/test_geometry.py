@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import precondeig as pe
-from precondeig.errors import AntipodalOrEqual, NotTangent, ZeroVector
+from precondeig.errors import AntipodalOrEqual, NotTangent
 from tests.conftest import dense_roots
 
 
@@ -24,27 +24,8 @@ apply_diag = lambda v: DIAG @ v  # noqa: E731
 
 
 # ---------------------------------------------------------------------------
-# Rayleigh quotient and objective value
+# Objective value
 # ---------------------------------------------------------------------------
-
-
-def test_rayleigh_eigenvector():
-    assert pe.rayleigh(np.array([1.0, 0.0, 0.0]), apply_diag) == 1.0
-
-
-def test_rayleigh_direct_arithmetic():
-    assert abs(pe.rayleigh(np.ones(3), apply_diag) - 7.0 / 3.0) <= 1e-15
-
-
-def test_rayleigh_scale_invariant():
-    v = pe.Rng(0).normal(3)
-    for c in (2.0, -0.5, 1e-8):
-        assert abs(pe.rayleigh(c * v, apply_diag) - pe.rayleigh(v, apply_diag)) <= 1e-12
-
-
-def test_rayleigh_zero_vector():
-    with pytest.raises(ZeroVector):
-        pe.rayleigh(np.zeros(3), apply_diag)
 
 
 def test_f_value_minimum_and_direct():

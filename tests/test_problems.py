@@ -600,6 +600,51 @@ def test_reference_lambda2_iteration_raises_when_out_of_steps(monkeypatch):
         pe.reference_eigs(matrix_free([1.0, 2.0, 2.001, 10.0]))
 
 
+def test_inverse_iteration_checks_a_start_on_target_with_one_a_apply():
+    # the Lanczos pairs of the production references already meet their
+    # targets, so a refinement that makes no solve costs one A apply
+    d = np.array([1.0, 2.0, 5.0])
+    calls = []
+
+    def apply_a(v):
+        calls.append("a")
+        return d * v
+
+    def solve(v):
+        calls.append("solve")
+        return v / d
+
+    prob = pe.EigenProblem(dim=3, apply_a=apply_a, solve_a=solve)
+    start = np.array([1.0, 0.0, 0.0])
+    lam, v = problems._inverse_iteration(prob, solve, start, lambda x: x, 1e-10, 100, "lambda1")
+    assert (lam, calls) == (1.0, ["a"])
+    assert np.array_equal(v, start)
+
+
+def test_inverse_iteration_returns_an_iterate_that_meets_its_target_after_the_last_solve():
+    # a run that meets its target at the iterate of its last allowed solve
+    # returns it; one solve fewer raises
+    prob = matrix_free([1.0, 2.0, 5.0])
+    solves = []
+
+    def solve(v):
+        solves.append(v)
+        return prob.solver()(v)
+
+    def run(steps):
+        start = np.ones(3) / math.sqrt(3.0)
+        return problems._inverse_iteration(prob, solve, start, lambda x: x, 1e-10, steps, "lambda1")
+
+    lam, v = run(100)
+    k = len(solves)
+    assert k > 1
+    got = run(k)
+    assert got[0] == lam and np.array_equal(got[1], v)
+    assert len(solves) == 2 * k
+    with pytest.raises(NoConvergence, match="lambda1"):
+        run(k - 1)
+
+
 def test_reference_dimension_one():
     prob = dense_problem(np.array([[3.0]]))
     with pytest.raises(DegenerateSmallestEigenvalue):
