@@ -23,10 +23,9 @@ import time
 from collections import Counter
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import diagnostics, precond, problems, solvers
-from .errors import MaxIterations, PrecondEigError, RecipeError
+from .errors import MaxIterations, NotSpd, PrecondEigError, RecipeError
 from .linalg import Rng, cholesky, gaussian_vector, hash_label, spawn_seed
 from .mmio import read_matrix
 
@@ -94,22 +93,12 @@ def _parse_params(body, kind, required, optional):
 
 def _read_symmetric(path, what):
     """The matrix of a MatrixMarket file; RecipeError naming the file when it
-    is missing or its matrix is not symmetric positive definite."""
+    is missing or not square and symmetric (build_problem checks definiteness)."""
     if not path or not os.path.exists(path):
         raise RecipeError(f"{what} file not found: {path!r}")
     a = read_matrix(path)
     if a.shape[0] != a.shape[1] or (a != a.T).sum():
         raise RecipeError(f"{path}: the matrix is not square and symmetric (shape {a.shape})")
-    # SuperLU, symmetric mode, no row pivoting: U's diagonal > 0 iff a is SPD (Sylvester)
-    try:
-        lu = scipy.sparse.linalg.splu(
-            scipy.sparse.csc_matrix(a), "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # exactly singular
-        lu = None
-    if lu is None or not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
-        raise RecipeError(f"{path}: the matrix is not positive definite")
     return a
 
 
@@ -133,9 +122,16 @@ def build_problem(recipe):
         path, _, rest = body.partition(",")
         params = _parse_params(rest, kind, (), ("mass",))
         a = _read_symmetric(path, "matrix")
-        if "mass" in params:
-            return problems.generalized_reduce(a, _read_symmetric(params["mass"], "mass matrix"))
-        return problems.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)
+        problem = problems.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)
+        culprit = params.get("mass", path)
+        try:
+            if "mass" in params:
+                problem = problems.generalized_reduce(a, _read_symmetric(culprit, "mass matrix"))
+            culprit = path
+            problem.solver()
+        except NotSpd as exc:
+            raise RecipeError(f"{culprit}: the matrix is not positive definite") from exc
+        return problem
     raise RecipeError(f"unknown problem recipe {recipe!r}")
 
 

@@ -6,8 +6,8 @@ spawned seed as a single block, and a pure-Python Jacobi eigensolver that
 reuses a per-size plan of its rounds.  The Cholesky solves and products
 and the banded SymFactor products and solves take an (n, k) block as well
 as a vector.  SymFactor holds the factor R of a mass matrix M = R^T R
-(problems.generalized_reduce); the DDM local solves do not run on it
-(precond.DdmPreconditioner).
+(problems.generalized_reduce).  make_solver factors an SPD matrix once,
+Cholesky if dense, symmetric-mode SuperLU if sparse; that is its NotSpd check.
 
 The Jacobi solver is the independent oracle only (tests and the explicit
 x-space evaluation inside validate_properties); production eigenvalue paths
@@ -576,9 +576,19 @@ def _by_column(apply, v):
 
 
 def make_solver(a):
-    """Exact binary64 solve v -> a^{-1} v for a dense or sparse SPD matrix."""
+    """Exact binary64 solve v -> a^{-1} v for a dense or sparse SPD matrix from
+    its one factorization, which is also its definiteness check (NotSpd): a
+    binary64 Cholesky, or SuperLU in symmetric mode with no row pivoting, where
+    a is SPD iff it needs no row pivot and U's diagonal is positive (Sylvester)."""
     if scipy.sparse.issparse(a):
-        lu = scipy.sparse.linalg.splu(a.tocsc())
+        try:
+            lu = scipy.sparse.linalg.splu(
+                a.tocsc(), "MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            )
+        except RuntimeError as exc:  # exactly singular
+            raise NotSpd(-1, "the sparse matrix is exactly singular") from exc
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+            raise NotSpd(-1, "the sparse matrix is not positive definite")
         return lambda v: lu.solve(np.asarray(v, dtype=np.float64))
     f = cholesky(a, "binary64")
     return lambda v: chol_solve(f, v)

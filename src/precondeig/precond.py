@@ -7,9 +7,9 @@ names the class: its forward apply is apply_fwd_iterative, a nested PCG
 preconditioned by the problem's A.  The method needs B v only to measure B
 (the B-norm of u0 and B u* for the distortion angle), so an implicit B
 loses nothing.  DDM's B^{-1} runs its local solves by fast diagonalization
-(dense tensor-product products) and its coarse solve by sparse LU; the only
-band factor here is the mass factor R that a lifted B applies around its
-inner B.
+(dense tensor-product products) and its coarse solve by linalg.make_solver,
+a symmetric-mode SuperLU; the only band factor here is the mass factor R
+that a lifted B applies around its inner B.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a

@@ -28,6 +28,7 @@ from .errors import (
     MisalignedOverlap,
     NoConvergence,
     NotSpd,
+    PrecondEigError,
 )
 from .linalg import (
     Rng,
@@ -98,10 +99,16 @@ class EigenProblem:
         self._reference = None
 
     def solver(self):
+        """A^{-1} from one make_solver factorization made on first use (NotSpd if
+        not SPD): of the matrix, or of K = pencil[0] as R K^{-1} R^T under a mass."""
         if self._solve_a is None:
-            if self.matrix is None:
-                raise NotSpd(-1, "no matrix and no solver available")
-            self._solve_a = make_solver(self.matrix)
+            if self.pencil is not None:
+                solve_k, r = make_solver(self.pencil[0]), self.r_factor
+                self._solve_a = lambda v: r.mult(solve_k(r.mult_t(v)))
+            elif self.matrix is None:
+                raise PrecondEigError("no matrix and no solver available")
+            else:
+                self._solve_a = make_solver(self.matrix)
         return self._solve_a
 
     def dense(self):
@@ -349,25 +356,20 @@ def generalized_reduce(a, m):
     matvec, the inner B^{-1} (for DDM dense tensor-product local solves and
     a sparse coarse solve, no banded solve) and one banded R^T solve per
     step.  The problem's pencil is (A, M), the matrices as given, which
-    rsd_solve and kappa_nu apply with @.  Raises NotSpd when M is not SPD and
-    DimensionMismatch when its size differs from A's.
+    rsd_solve and kappa_nu apply with @.  Factors only M, by SymFactor (NotSpd
+    unless SPD, DimensionMismatch unless A's size); A in problem.solver().
     """
     n = a.shape[0]
     if m.shape[0] != n:
         raise DimensionMismatch("pencil matrices differ in size")
     r = SymFactor(m)
-    solve_a = make_solver(a)
 
     def apply_hat(v):
         return r.solve_t(a @ r.solve(v))
 
-    def solve_hat(v):
-        return r.mult(solve_a(r.mult_t(v)))
-
     return EigenProblem(
         dim=n,
         apply_a=apply_hat,
-        solve_a=solve_hat,
         r_factor=r,
         pencil=(a, m),
     )

@@ -389,11 +389,17 @@ def test_phi_exact_preconditioner(tmp_path, capsys):
         ("kernel-laplace:n=40,seed=3", "exact", {"binary64": 1}),
         ("laplace-fd:h=2^-4", "exact", {"splu": 1}),
         ("kernel-laplace:n=40,seed=3", "mp-chol", {"binary64": 1, "binary32": 1}),
+        ("mtx:{k}", "exact", {"splu": 1}),
+        ("mtx:{k},mass={m}", "exact", {"splu": 1}),
     ],
 )
-def test_phi_factors_each_matrix_once(monkeypatch, capsys, problem, recipe, counts):
+def test_phi_factors_each_matrix_once(tmp_path, monkeypatch, capsys, problem, recipe, counts):
     # B = A reuses the problem's own factor, which the reference eigensolve
-    # also uses; kernel_matrix keeps the factor of its SPD check
+    # also uses; kernel_matrix keeps the factor of its SPD check, and an mtx
+    # file's definiteness is checked by the factor its problem keeps (the
+    # mass by its banded SymFactor)
+    k_path, m_path = write_fem_pencil(tmp_path)
+    problem = problem.format(k=k_path, m=m_path)
     seen = Counter()
     for module in (linalg, precond, problems):
 
@@ -404,9 +410,9 @@ def test_phi_factors_each_matrix_once(monkeypatch, capsys, problem, recipe, coun
         monkeypatch.setattr(module, "cholesky", cholesky)
     splu = scipy.sparse.linalg.splu
 
-    def counted_splu(a):
+    def counted_splu(*args, **kwargs):
         seen["splu"] += 1
-        return splu(a)
+        return splu(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
     assert main(["phi", "--problem", problem, "--precond", recipe]) == 0

@@ -322,6 +322,24 @@ def test_every_stored_attribute_is_read():
     assert set(UNREAD_STORES) <= stored - read
 
 
+def splu_calls(node):
+    return sum(
+        isinstance(n, ast.Call) and "splu" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))
+        for n in ast.walk(node)
+    )
+
+
+def test_splu_is_called_only_in_make_solver():
+    # a sparse SPD matrix is factored one way, once, and that factorization
+    # is its definiteness check
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    calls = {module: splu_calls(tree) for module, tree in trees.items() if splu_calls(tree)}
+    make_solver = next(
+        fn for fn in trees["linalg"].body if isinstance(fn, ast.FunctionDef) and fn.name == "make_solver"
+    )
+    assert calls == {"linalg": 1} and splu_calls(make_solver) == 1
+
+
 def test_import_leaves_scipy_io_unloaded():
     # scipy.io is imported by the first read_matrix call, not by the package
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))

@@ -707,6 +707,33 @@ def test_symfactor_rejects_a_pivot_that_is_not_positive():
         SymFactor(np.diag([1.0, -1.0]))
 
 
+# ---------------------------------------------------------------------------
+# make_solver (one factorization per SPD matrix, which is its NotSpd check)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        # the pencil's smallest eigenvalue, about 2 pi^2, lies below 30
+        (pe.fem_p1(2.0**-4)[0] - 30.0 * pe.fem_p1(2.0**-4)[1]).tocsr(),
+        scipy.sparse.diags([1.0, -1.0, 2.0]).tocsr(),
+        # a zero diagonal takes a row pivot
+        scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    ],
+    ids=["fem-shifted", "diagonal", "needs-row-pivot"],
+)
+def test_make_solver_refuses_a_sparse_indefinite_matrix(a):
+    # an LU with partial pivoting factors each of these without complaint
+    with pytest.raises(NotSpd, match="the sparse matrix is not positive definite"):
+        linalg.make_solver(a)
+
+
+def test_make_solver_refuses_an_exactly_singular_sparse_matrix():
+    with pytest.raises(NotSpd, match="the sparse matrix is exactly singular"):
+        linalg.make_solver(scipy.sparse.diags([1.0, 0.0, 2.0]).tocsr())
+
+
 def test_ritz_equals_eigh_tridiagonal():
     rng = pe.Rng(17)
     for k in range(200):

@@ -17,6 +17,7 @@ from precondeig.errors import (
     MisalignedOverlap,
     NoConvergence,
     NotSpd,
+    PrecondEigError,
 )
 from precondeig.diagnostics import random_spd_pair
 from precondeig.linalg import _lanczos_top_value
@@ -76,8 +77,10 @@ def test_grid_rejects_widths_numpy_cannot_index(build, k):
 
 
 def test_problem_without_matrix_or_solver_has_no_solver():
-    with pytest.raises(NotSpd, match="no matrix and no solver"):
+    # a misuse, not an indefinite matrix, which is what a caller reads NotSpd as
+    with pytest.raises(PrecondEigError, match="no matrix and no solver") as err:
         pe.EigenProblem(dim=3, apply_a=np.copy).solver()
+    assert not isinstance(err.value, NotSpd)
 
 
 def test_dense_refuses_more_than_5000_rows_before_applying_a():
@@ -393,6 +396,18 @@ def test_reduce_rejects_indefinite_mass(sparse):
     m = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalues -1, 1, 3
     with pytest.raises(NotSpd):
         pe.generalized_reduce(np.eye(3), scipy.sparse.csr_matrix(m) if sparse else m)
+
+
+def test_reduce_factors_the_stiffness_in_the_problems_solver():
+    # generalized_reduce factors M only; K is factored, and its definiteness
+    # checked, on the first solver() call, whose solve inverts apply_a
+    k, m = pe.fem_p1(2.0**-4)
+    prob = pe.generalized_reduce(k, m)
+    v = pe.Rng(3).normal(prob.dim)
+    assert np.linalg.norm(prob.solver()(prob.apply_a(v)) - v) <= 1e-12 * np.linalg.norm(v)
+    shifted = pe.generalized_reduce(k - 30.0 * m, m)
+    with pytest.raises(NotSpd, match="not positive definite"):
+        shifted.solver()
 
 
 def test_hatted_distortion_matches_msqrt_oracle():
