@@ -30,7 +30,6 @@ from .linalg import (
     Rng,
     chol_solve,
     cholesky,
-    dense_sym_eig,
     gaussian_vector,
     lanczos_extremal,
     pcg,
@@ -78,7 +77,6 @@ __all__ = [
     "chol_solve",
     "cholesky",
     "compute_quality",
-    "dense_sym_eig",
     "distortion_angle",
     "epsilon_l",
     "errors",

@@ -369,20 +369,12 @@ class PropertyReport:
 
 class _DenseOracle:
     """Explicit x-space evaluation with dense B^{1/2}, on which
-    validate_properties checks the inequalities.  Built on the Jacobi solver,
-    apart from the LAPACK and Lanczos routes of build_rate_context; ctx comes
-    from the Jacobi spectra of A, B and C = B^{-1/2} A B^{-1/2} and explicit
-    B and B^{-1}, through the same _context.  When C equals A bit for bit
-    (every B = I, where B^{-1/2} comes out exactly I), Jacobi on C would
-    repeat the run on A, and A's spectrum is used for C.
-
-    A's Jacobi spectrum is kept in a one-entry memo (_a_eig), keyed by the
-    shape and bytes of A, with read-only arrays: the validate grid builds an
-    oracle for every kind of B on the same A, and dense_sym_eig is a pure
-    function of its input bytes, so a repeat gets the same bits without the
-    run."""
-
-    _a_eig = None  # (shape, bytes) of the last A, and its (w, V)
+    validate_properties checks the inequalities.  ctx comes from the
+    dense_sym_eig (LAPACK) spectra of A, B and C = B^{-1/2} A B^{-1/2} and
+    explicit B and B^{-1}, through the same _context as build_rate_context,
+    but none of its routes.  u* is signed as reference_eigs signs it (entry
+    of largest magnitude positive), so the sample points depend on the
+    instance and not on the eigensolver."""
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=np.float64)
@@ -393,13 +385,15 @@ class _DenseOracle:
         self.b_sqrt = (vb * np.sqrt(wb)) @ vb.T
         self.b_inv_sqrt = (vb / np.sqrt(wb)) @ vb.T
         self.b_inv = (vb / wb) @ vb.T
-        wa, va = self._spectrum_of_a()
+        wa, va = dense_sym_eig(self.a)
         if wa[0] <= 0:
             raise PropertyViolation("A is not positive definite")
         u = va[:, 0]
+        if u[np.argmax(np.abs(u))] < 0:
+            u = -u
         c = self.b_inv_sqrt @ self.a @ self.b_inv_sqrt
         self.c = (c + c.T) / 2.0
-        wc = wa if self.c.tobytes() == self.a.tobytes() else dense_sym_eig(self.c)[0]
+        wc, _ = dense_sym_eig(self.c)
         self.ctx = _context(
             float(wa[0]), float(wa[1]), float(wa[-1]), u, self.a @ u, self.b @ u,
             self.b_inv @ u, lambda v: self.b_inv @ v, float(wc[0]), float(wc[-1]),
@@ -407,15 +401,6 @@ class _DenseOracle:
         x = self.b_sqrt @ u
         self.x_star = x / np.linalg.norm(x)
         self.f_star = -1.0 / self.ctx.lam1
-
-    def _spectrum_of_a(self):
-        key = (self.a.shape, self.a.tobytes())
-        memo = _DenseOracle._a_eig
-        if memo is None or memo[0] != key:
-            w, v = dense_sym_eig(self.a)
-            w.flags.writeable = v.flags.writeable = False
-            memo = _DenseOracle._a_eig = (key, w, v)
-        return memo[1], memo[2]
 
     def f_grad(self, x):
         """f, the Riemannian gradient and x^T C x for each row x of a block."""

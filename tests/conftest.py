@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import precondeig as pe
-from precondeig.diagnostics import _DenseOracle, random_spd_pair
+from precondeig.diagnostics import random_spd_pair
+from tests import jacobi
 
 
 def fd_eigenvalue(h, k, l):  # noqa: E741 - (k, l) are the classical mode indices
@@ -11,8 +12,10 @@ def fd_eigenvalue(h, k, l):  # noqa: E741 - (k, l) are the classical mode indice
 
 
 def dense_roots(b):
-    """Dense (B^{1/2}, B^{-1/2}, B^{-1}) oracle via the Jacobi eigensolver."""
-    w, v = pe.dense_sym_eig(b)
+    """Dense (B^{1/2}, B^{-1/2}, B^{-1}) from the Jacobi eigensolver of
+    tests/jacobi.py, the reference that shares no code with the LAPACK
+    dense_sym_eig behind validate_properties."""
+    w, v = jacobi.dense_sym_eig(b)
     assert w[0] > 0, "oracle needs an SPD matrix"
     return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T, (v / w) @ v.T
 
@@ -59,10 +62,3 @@ def dense_pencil(seed, n, kind):
 def rng():
     return pe.Rng(1234)
 
-
-@pytest.fixture(autouse=True)
-def empty_oracle_memo():
-    """Start every test with an empty memo of A's spectrum in the validate
-    oracle, so a test that counts Jacobi runs does not depend on the tests
-    that ran before it."""
-    _DenseOracle._a_eig = None

@@ -10,6 +10,7 @@ from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import _DenseOracle, random_spd_pair
 from precondeig.errors import DimensionMismatch, PropertyViolation, ZeroVector
 from precondeig.linalg import spawn_seed
+from tests import jacobi
 from tests.conftest import column, dense_pencil, dense_problem, dense_roots
 
 DIAG = np.diag([1.0, 2.0, 4.0])
@@ -652,7 +653,7 @@ RATE_CONTEXT_SCALARS = (
 
 @pytest.mark.parametrize("kind", ["identity", "random-spd", "mp-chol"])
 def test_dense_oracle_context_matches_build_rate_context(kind):
-    # the Jacobi/explicit-B route against the LAPACK/make_spd route
+    # the explicit-B oracle against the make_spd route of build_rate_context
     for seed in range(5):
         for n in (6, 12, 20):
             a, b = dense_pencil(seed, n, kind)
@@ -669,37 +670,37 @@ def test_dense_oracle_context_matches_build_rate_context(kind):
                 assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y), (label, name)
 
 
-@pytest.mark.parametrize("n", [6, 7, 20])
-def test_identity_b_oracle_equals_one_with_jacobi_on_c(n, monkeypatch):
-    # B = I makes C equal to A bit for bit, so the oracle takes A's spectrum
-    # for C: the same ctx as running dense_sym_eig on C, one Jacobi run fewer
-    a, _ = random_spd_pair(n, n)
-    calls = []
-    monkeypatch.setattr(
-        diagnostics, "dense_sym_eig", lambda m: calls.append(m) or pe.dense_sym_eig(m)
-    )
-    oracle = _DenseOracle(a, np.eye(n))
-    assert len(calls) == 2 and oracle.c.tobytes() == oracle.a.tobytes()
-    wa, va = pe.dense_sym_eig(oracle.a)
-    wc, _ = pe.dense_sym_eig(oracle.c)
-    u = va[:, 0]
-    ref = diagnostics._context(
-        float(wa[0]), float(wa[1]), float(wa[-1]), u, oracle.a @ u, oracle.b @ u,
-        oracle.b_inv @ u, lambda v: oracle.b_inv @ v, float(wc[0]), float(wc[-1]),
-    )
-    for name in RATE_CONTEXT_SCALARS + ("cos_phi",):
-        assert getattr(oracle.ctx, name) == getattr(ref, name), name
-    for name in ("u_star", "w_star"):
-        assert getattr(oracle.ctx, name).tobytes() == getattr(ref, name).tobytes(), name
-    # any other B runs Jacobi on C, and takes A's spectrum from the memo
-    _DenseOracle(a, random_spd_pair(n, n)[1])
-    assert len(calls) == 4
+@pytest.mark.parametrize("inject_bug", [None, "a_x_sign"])
+@pytest.mark.parametrize("kind", ["identity", "random-spd", "mp-chol"])
+def test_validate_on_lapack_agrees_with_the_jacobi_oracle(kind, inject_bug, monkeypatch):
+    # validate_properties on the LAPACK spectra against the same run on the
+    # independent Jacobi solver of tests/jacobi.py: the same checks, the same
+    # violations in the same order, and the same ctx to 1e-12 (cos phi, about
+    # 1e-8 for mp-chol, to 1e-6 as in the test above)
+    def run(a, b, seed, n):
+        ctx = _DenseOracle(a, b).ctx
+        rep = pe.validate_properties(
+            a, b, n_samples=500, seed=spawn_seed(seed, n), label=f"seed={seed},n={n}",
+            inject_bug=inject_bug,
+        )
+        return ctx, rep.checked, [(v["check"], v["label"]) for v in rep.violations]
+
+    cases = [(seed, n, *dense_pencil(seed, n, kind)) for seed in range(2) for n in (6, 12, 20)]
+    lapack = [run(a, b, seed, n) for seed, n, a, b in cases]
+    monkeypatch.setattr(diagnostics, "dense_sym_eig", jacobi.dense_sym_eig)
+    for (seed, n, a, b), (ctx, checked, violations) in zip(cases, lapack):
+        ref_ctx, ref_checked, ref_violations = run(a, b, seed, n)
+        assert checked == ref_checked and violations == ref_violations, (seed, n)
+        for name in RATE_CONTEXT_SCALARS:
+            x, y = getattr(ctx, name), getattr(ref_ctx, name)
+            assert abs(x - y) <= 1e-12 * abs(y), (seed, n, name)
+        assert abs(ctx.cos_phi - ref_ctx.cos_phi) <= 1e-6 * ref_ctx.cos_phi, (seed, n)
 
 
 @pytest.mark.parametrize("seed, n", [(13, 6), (2025, 12), (0, 20)])
 def test_dense_oracle_mp_chol_matches_extended_precision(seed, n):
     # near-exact mixed precision, where kappa - 1 and cos phi are ~1e-7 and
-    # ~1e-8: the Jacobi oracle's values against 40-digit ones, kappa - 1
+    # ~1e-8: the validate oracle's values against 40-digit ones, kappa - 1
     # from the pencil spectrum of (A, B) and cos phi as in
     # test_distortion_angle_matches_extended_precision
     mpmath = pytest.importorskip("mpmath")

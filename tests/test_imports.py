@@ -280,7 +280,6 @@ def test_every_defaulted_field_is_omitted_in_src():
 
 # stored attributes that nothing here reads, each with its reason
 UNREAD_STORES = {
-    "writeable": "numpy reads its own flag: setting it False makes an array read-only",
     "best": "the best iterate that MaxIterations carries for a caller that catches it",
 }
 

@@ -17,16 +17,16 @@ from precondeig.errors import (
 )
 from precondeig.linalg import (
     SymFactor,
-    _jacobi_plan,
     _lanczos_top_value,
     _ritz,
-    _round_robin,
     hash_label,
     lanczos_top_pairs,
     spawn_normal_rows,
     spawn_seed,
 )
+from tests import jacobi
 from tests.conftest import fd_eigenvalue
+from tests.jacobi import _jacobi_plan, _round_robin
 
 
 def random_spd(seed, n, shift=None):
@@ -368,7 +368,7 @@ def _dense_pencil_extremes(a, b):
 
     linv_a = sla.solve_triangular(f.l, a, lower=True)
     c = sla.solve_triangular(f.l, linv_a.T, lower=True).T
-    w, _ = pe.dense_sym_eig((c + c.T) / 2.0)
+    w, _ = jacobi.dense_sym_eig((c + c.T) / 2.0)
     return w[0], w[-1]
 
 
@@ -501,12 +501,13 @@ def test_lanczos_runs_raise_max_iterations():
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric eigendecomposition (Jacobi oracle)
+# dense symmetric eigendecomposition: LAPACK, and the Jacobi oracle of
+# tests/jacobi.py
 # ---------------------------------------------------------------------------
 
 
 def test_jacobi_diag_permutation():
-    w, v = pe.dense_sym_eig(np.diag([3.0, 1.0, 2.0]))
+    w, v = jacobi.dense_sym_eig(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0, 3.0], atol=0)
     assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=0)
 
@@ -514,12 +515,12 @@ def test_jacobi_diag_permutation():
 @pytest.mark.parametrize("a", [[[3.5]], np.zeros((4, 4))], ids=["1x1", "zero"])
 def test_jacobi_needs_no_sweep_on_a_1x1_or_zero_matrix(a):
     a = np.array(a)
-    w, v = pe.dense_sym_eig(a)
+    w, v = jacobi.dense_sym_eig(a)
     assert np.array_equal(w, np.diag(a)) and np.array_equal(v, np.eye(len(a)))
 
 
 def test_jacobi_2x2_closed_form():
-    w, v = pe.dense_sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    w, v = jacobi.dense_sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(w, [1.0, 3.0], atol=1e-15)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(np.abs(v[:, 0]), [s, s], atol=1e-14)
@@ -530,14 +531,14 @@ def test_jacobi_2x2_closed_form():
 def test_jacobi_random_20_reconstruction():
     g = pe.Rng(3).normal(400).reshape(20, 20)
     a = (g + g.T) / 2.0
-    w, v = pe.dense_sym_eig(a)
+    w, v = jacobi.dense_sym_eig(a)
     assert np.linalg.norm(a @ v - v * w) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_jacobi_orthonormality_n100():
     g = pe.Rng(13).normal(10000).reshape(100, 100)
     a = (g + g.T) / 2.0
-    _, v = pe.dense_sym_eig(a)
+    _, v = jacobi.dense_sym_eig(a)
     assert np.linalg.norm(v.T @ v - np.eye(100)) <= 1e-10
 
 
@@ -616,7 +617,7 @@ def jacobi_rotation_loop(m, max_sweeps=60):
 def test_jacobi_round_robin_matches_rotation_loop(n):
     g = pe.Rng(40 + n).normal(n * n).reshape(n, n)
     a = g @ g.T / n + np.diag(np.arange(n, dtype=np.float64))
-    w, v = pe.dense_sym_eig(a)
+    w, v = jacobi.dense_sym_eig(a)
     w_ref, v_ref = jacobi_rotation_loop(a)
     scale = np.linalg.norm(a)
     assert np.max(np.abs(w - w_ref)) <= 1e-14 * scale
@@ -628,10 +629,46 @@ def test_jacobi_round_robin_matches_rotation_loop(n):
 
 
 def test_jacobi_raises_no_convergence_after_max_sweeps(monkeypatch):
-    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(jacobi, "_MAX_SWEEPS", 1)
     a = random_spd(2, 8)
     with pytest.raises(NoConvergence):
-        pe.dense_sym_eig(a)
+        jacobi.dense_sym_eig(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 20, 33])
+def test_dense_sym_eig_matches_jacobi(n):
+    g = pe.Rng(70 + n).normal(n * n).reshape(n, n)
+    a = g @ g.T / n + np.diag(np.arange(n, dtype=np.float64))
+    w, v = linalg.dense_sym_eig(a)
+    w_ref, v_ref = jacobi.dense_sym_eig(a)
+    scale = np.linalg.norm(a)
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - w_ref)) <= 1e-14 * scale
+    assert np.linalg.norm(a @ v - v * w) <= 1e-14 * n * scale
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-14 * n
+    signs = np.sign(np.sum(v * v_ref, axis=0))
+    assert np.linalg.norm(v * signs - v_ref) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_sym_eig_refuses_a_non_finite_entry(bad, monkeypatch):
+    # LAPACK eigh returns a spectrum for eye(6) with a NaN pair without
+    # complaint, so the check comes before any LAPACK call
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: pytest.fail("eigh ran"))
+    a = np.eye(6)
+    a[2, 4] = a[4, 2] = bad
+    with pytest.raises(NoConvergence, match="NaN or inf"):
+        linalg.dense_sym_eig(a)
+
+
+def test_dense_sym_eig_turns_a_lapack_failure_into_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="failed to converge") as err:
+        linalg.dense_sym_eig(np.eye(3))
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------

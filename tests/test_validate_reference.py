@@ -4,7 +4,7 @@
 xi with one Rng.normal call each per sample and evaluates f, grad, gamma,
 mu, a(x), dist, exp and log on single vectors, with its own copies of the
 vector formulas and sphere maps.  It shares only the explicit dense oracle
-(the Jacobi-built B^{-1}, C and RateContext) and the (vii) solve with the
+(the LAPACK-built B^{-1}, C and RateContext) and the (vii) solve with the
 library.
 """
 
