@@ -254,6 +254,25 @@ def test_kappa_dense_route_matches_extended_precision_pencil():
     assert abs((kappa - 1.0) - ref) <= 1e-7 * ref
 
 
+@pytest.mark.parametrize("recipe", ["kernel-laplace:n=256,seed=7", "kernel-poly:n=256,seed=7"])
+def test_kappa_lanczos_route_resolves_one_minus_inverse_kappa(recipe):
+    # near-exact mixed precision above the dense cap, where 1 - 1/kappa is
+    # about 1e-7: against the spectrum of E = Lhat^{-1} (A - Lhat Lhat^T)
+    # Lhat^{-T}, which has no cancellation (nu = 1 + e, so 1 - 1/kappa =
+    # (e_max - e_min) / (1 + e_max))
+    problem = build_problem(recipe)
+    assert problem.dim > problems._DENSE_CAP
+    a = problem.dense()
+    p = pe.make_mp_cholesky(a)
+    lhat = p.exact().factor.l
+    e = scipy.linalg.solve_triangular(lhat, a - lhat @ lhat.T, lower=True)
+    e = scipy.linalg.solve_triangular(lhat, e.T, lower=True)
+    w = scipy.linalg.eigvalsh((e + e.T) / 2.0)
+    ref = (w[-1] - w[0]) / (1.0 + w[-1])
+    _, _, kappa = pe.kappa_nu(problem, p)
+    assert abs((1.0 - 1.0 / kappa) - ref) <= 1e-6 * ref
+
+
 def counting(fn, calls):
     def counted(v):
         calls.append(1)
