@@ -327,10 +327,12 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     component of their eigenvectors.  The scale is the largest |theta| among
     the watched values; every caller runs on an SPD operator (A^{-1}, A or
     B^{-1} A) and watches theta_{m-1}, so the scale is theta_{m-1}.  The
-    extremal watch (0, -1) scales by the spread theta_{m-1} - theta_0
+    extremal watch (0, -1) asks tol times the spread theta_{m-1} - theta_0
     instead, since its readers (kappa - 1, chi, rho_B) read that spread: for
     a near-exact B it is about 1e-7 theta_{m-1}, and a test scaled by
-    theta_{m-1} would resolve them to only about 1e-3 of themselves.
+    theta_{m-1} would resolve them to only about 1e-3 of themselves.  It
+    asks no less than 1e-14 * scale, the roundoff of applying T: for B = A
+    the spread is itself roundoff and tol times it cannot be met.
     beta = 0 stops the loop at any step, before it is divided
     by: the Krylov space is invariant and its Ritz values exact.  beta below
     1e-14 * scale stops it only once the watched values exist; before, the
@@ -381,11 +383,12 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
             break
         if m >= span:
             vals, lasts = zip(*(_ritz(alphas[:m], betas[:k], i % m) for i in watch))
-            scale = vals[1] - vals[0] if watch == (0, -1) else max(abs(v) for v in vals)
-            res_ok = all(beta * abs(s) <= tol * scale for s in lasts)
-            stable = prev is not None and all(
-                abs(v - p) <= tol * scale for v, p in zip(vals, prev)
-            )
+            scale = max(abs(v) for v in vals)
+            need = tol * scale
+            if watch == (0, -1):
+                need = max(tol * (vals[1] - vals[0]), 1e-14 * scale)
+            res_ok = all(beta * abs(s) <= need for s in lasts)
+            stable = prev is not None and all(abs(v - p) <= need for v, p in zip(vals, prev))
             prev = vals
             if (res_ok and stable) or beta <= 1e-14 * scale:  # invariant to roundoff
                 converged = True

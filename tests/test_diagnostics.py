@@ -273,6 +273,21 @@ def test_kappa_lanczos_route_resolves_one_minus_inverse_kappa(recipe):
     assert abs((1.0 - 1.0 / kappa) - ref) <= 1e-6 * ref
 
 
+@pytest.mark.parametrize("recipe", ["laplace-fd:h=2^-5", "laplace-fd:h=2^-6", "laplace-fem:h=2^-5"])
+def test_kappa_lanczos_route_stops_at_once_for_the_exact_preconditioner(recipe):
+    # B = A above the dense cap: B^{-1} A is I up to the solves' roundoff, so
+    # the spread theta_max - theta_min is roundoff too and the stop test may
+    # not ask tol times it; the Krylov space is invariant after one step
+    problem = build_problem(recipe)
+    assert problem.dim > problems._DENSE_CAP
+    p = build_precond("exact", problem)
+    calls = []
+    problem.apply_a = counting(problem.apply_a, calls)
+    _, _, kappa = pe.kappa_nu(problem, p)
+    assert abs(kappa - 1.0) <= 1e-9
+    assert len(calls) <= 3
+
+
 def counting(fn, calls):
     def counted(v):
         calls.append(1)
