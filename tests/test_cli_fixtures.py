@@ -7,7 +7,8 @@ fixtures on purpose, from the repository root:
 
     PYTHONPATH=src python -m tests.test_cli_fixtures
 
-and the diff of tests/fixtures/cli/ then shows what moved.
+which writes only the fixtures whose text differs and prints their names;
+the diff of tests/fixtures/cli/ then shows what moved.
 """
 
 import contextlib
@@ -75,4 +76,7 @@ def test_cli_outputs_match_fixtures():
 if __name__ == "__main__":
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for name, text in outputs().items():
-        (FIXTURES / name).write_text(text)
+        path = FIXTURES / name
+        if not path.exists() or path.read_text() != text:
+            path.write_text(text)
+            print(f"rewrote tests/fixtures/cli/{name}")
