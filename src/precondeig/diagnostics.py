@@ -17,7 +17,7 @@ import scipy.linalg
 from . import problems, solvers
 from .errors import DimensionMismatch, PropertyViolation, ZeroVector
 from .geometry import _clamp, sphere_dist, sphere_exp, sphere_log
-from .linalg import Rng, _by_column, cholesky, dense_sym_eig, lanczos_extremal, spawn_normal_rows
+from .linalg import Rng, cholesky, dense_sym_eig, lanczos_extremal, spawn_normal_rows
 from .precond import MpCholPreconditioner, ScaledPreconditioner, apply_fwd_iterative, epsilon_l, make_spd
 from .solvers import a_x, gamma_x, mu_x
 
@@ -104,13 +104,9 @@ def kappa_nu(problem, precond):
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
-        pencil = exact.pencil()
-        if pencil is None:
-            apply_t, inner_map = exact.apply_inv, problem.apply_a
-        else:
-            apply_t, inner_map = pencil.apply_inv, lambda v: problem.pencil[0] @ v
+        b, apply_a, _ = solvers._coordinates(problem, exact)
         nu_min, nu_max = lanczos_extremal(
-            apply_t, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242), inner_map=inner_map
+            b.apply_inv, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242), inner_map=apply_a
         )
     return nu_min, nu_max, nu_max / nu_min
 
@@ -173,30 +169,26 @@ def _context(lam1, lam2, lamn, u, a_u, b_u, b_inv_u, apply_b_inv, nu_min, nu_max
     )
 
 
-def _apply_b(exact, problem, v):
-    """B v from the binary64 twin `exact`, for a vector or an (n, k) block:
-    its forward apply, or for an implicit B a nested PCG at FWD_TOL
-    preconditioned by the problem's A, one column at a time."""
-    if exact.fwd_mode == "exact":
-        return exact.apply_fwd(v)
-    return _by_column(lambda c: apply_fwd_iterative(exact, c, apply_a=problem.apply_a), v)
-
-
 def build_rate_context(problem, precond):
     """Assemble the RateContext for a (problem, preconditioner) pair, measured
     on the binary64 twin of B: the problem's reference eigenpair, kappa_nu's
     spectral bounds and distortion_angle at u*.
 
-    B u* is computed once: exactly for explicit preconditioners, by nested
-    PCG at FWD_TOL for implicit ones.  cos phi costs one more B^-1
-    application; B^-1 B u* is not replaced by u* because B u* carries the
-    nested-PCG error.
+    B u* is computed once, in u-space: exactly for explicit preconditioners,
+    by nested PCG at FWD_TOL preconditioned by the problem's A for implicit
+    ones, a B lifted to a mass-reduced problem included (the B-norms of
+    rsd_solve and check_initial run on its pencil).  cos phi costs one more
+    B^-1 application; B^-1 B u* is not replaced by u* because B u* carries
+    the nested-PCG error.
     """
     ref = problem.reference()
     u = ref.u_star / np.linalg.norm(ref.u_star)
     exact = precond.exact()
     b_inv_u = exact.apply_inv(u)
-    w = _apply_b(exact, problem, u)
+    if exact.fwd_mode == "exact":
+        w = exact.apply_fwd(u)
+    else:
+        w = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
     a_u = problem.apply_a(u)
     nu_min, nu_max, _ = kappa_nu(problem, precond)
     ctx = _context(
@@ -270,9 +262,13 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     they are set against are ctx.phi and ctx.lam2.
 
     u0_b_norm_sq is u0^T B u0 per row when it is known from the sampler
-    identity; when it is None the binary64 twin of B is applied forward to
-    the block (_apply_b: one apply for an explicit B, one nested PCG per
-    start for an implicit B).  A u0 is one apply_a on the (n, k) transpose.
+    identity; when it is None it is measured on the binary64 twin of B by
+    solvers._b_norm_sq, in the coordinates rsd_solve runs in: one forward
+    apply to the block for an explicit B; for an implicit B one nested PCG
+    per start, in u-space, or for a B lifted to a mass-reduced problem on
+    the pencil (K, M), on x = R^{-1} u0 with K as its preconditioner and no
+    R product.  B u* (in ctx) was measured in u-space.  A u0 is one apply_a
+    on the (n, k) transpose.
     Raises DimensionMismatch when u0 is not 2-D and ZeroVector when a start
     is zero.
     """
@@ -282,7 +278,9 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     if not u0.any(axis=1).all():
         raise ZeroVector("u0 is zero")
     if u0_b_norm_sq is None:
-        u0_b_norm_sq = np.einsum("ij,ij->i", u0, _apply_b(precond.exact(), problem, u0.T).T)
+        b, apply_a, r = solvers._coordinates(problem, precond)
+        x = u0.T if r is None else r.solve(u0.T)
+        u0_b_norm_sq = solvers._b_norm_sq(b.exact(), apply_a, x)
     dist = np.arccos(ctx.cos_dist_b(u0, np.sqrt(u0_b_norm_sq)))
     lam_u0 = np.einsum("ij,ij->i", u0, problem.apply_a(u0.T).T) / np.einsum("ij,ij->i", u0, u0)
     return {
@@ -302,7 +300,9 @@ def success_probability(problem, precond, sampler, trials, seed, ctx=None):
     check_initial checks the whole block at once.  sampler "gaussian" draws
     u0 = omega; "smooth" draws u0 = B^{-1} omega (one apply of the binary64
     twin's inverse to the block), for which ||u0||_B^2 = u0^T omega requires
-    no forward application.  ctx None builds the RateContext here.  Raises
+    no forward application.  Gaussian starts have their B-norms measured by
+    check_initial: on the pencil for a B lifted to a mass-reduced problem,
+    in u-space otherwise.  ctx None builds the RateContext here.  Raises
     ValueError for trials < 1 or an unknown sampler, before any context is
     built.
     """

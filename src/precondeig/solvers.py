@@ -198,15 +198,36 @@ def step_constant(ctx, c):
     return c / (ctx.kappa**2 * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
 
 
-def _b_norm_sq(exact, apply_a, u):
-    """Measurement-grade u^T B u from the binary64 twin `exact` of B.  For
-    implicit B a nested PCG, preconditioned by the operator B approximates
-    (apply_a), gives z ~ B u; 2 u^T z - z^T B^{-1} z peaks at z = B u with
-    value u^T B u, so its error is quadratic in that of z."""
+def _coordinates(problem, precond):
+    """(B, A apply, R) in the coordinates B is applied in: (precond,
+    problem.apply_a, None) in u-space, or for a B lifted to a mass-reduced
+    problem (precond.pencil() is not None) the pencil's B, the K matvec and
+    the mass factor R, with pencil coordinates x = R^{-1} u."""
+    b = precond.pencil()
+    if b is None:
+        return precond, problem.apply_a, None
+    k = problem.pencil[0]
+    return b, (lambda v: k @ v), problem.r_factor
+
+
+def _b_norm_sq(exact, apply_a, x):
+    """Measurement-grade x^T B x from the binary64 twin `exact` of B, in the
+    coordinates B is applied in (_coordinates), for a vector x or one value
+    per column of an (n, k) block.  In pencil coordinates x = R^{-1} u this
+    is u^T Bhat u for the lifted Bhat, with no R work; u-space runs for
+    every other B, and B u* of build_rate_context stays there too.  An
+    explicit B is applied forward.  For an implicit B a nested PCG per
+    column, preconditioned by the operator B approximates (apply_a: A, or K
+    on the pencil), gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at z = B x
+    with value x^T B x, so its error is quadratic in that of z."""
     if exact.fwd_mode == "exact":
-        return float(u @ exact.apply_fwd(u))
-    z = apply_fwd_iterative(exact, u, apply_a=apply_a)
-    return float(2.0 * (u @ z) - z @ exact.apply_inv(z))
+        if x.ndim == 1:
+            return float(x @ exact.apply_fwd(x))
+        return np.einsum("ij,ij->i", x.T, exact.apply_fwd(x).T)
+    if x.ndim == 2:
+        return np.array([_b_norm_sq(exact, apply_a, c) for c in x.T])
+    z = apply_fwd_iterative(exact, x, apply_a=apply_a)
+    return float(2.0 * (x @ z) - z @ exact.apply_inv(z))
 
 
 def rsd_solve(
@@ -242,9 +263,9 @@ def rsd_solve(
     inside the basin (basin_iterations; None with ctx None).
     `callback(t, state)` is invoked for every visited iterate, the terminal
     one included; its state.u is the u-space iterate and its scalars are the
-    u-space values on either route.  ||u0||_B is measured once (a nested PCG
-    for an iterative forward apply; in pencil coordinates as x0^T P x0 =
-    u0^T B u0 with x0 = R^{-1} u0); after that the scalar identity
+    u-space values on either route.  ||u0||_B is measured once by
+    _b_norm_sq in the route's coordinates (in pencil coordinates as
+    x0^T P x0 = u0^T B u0 with x0 = R^{-1} u0); after that the scalar identity
     carries ||u||_B = 1, and it is recomputed each step only when the
     applied preconditioner's twin is another object (binary32 applies).
     """
@@ -257,15 +278,12 @@ def rsd_solve(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if policy.kind in ("theory", "constant") and ctx is None:
         raise OutsideBasin(f"{policy.kind} policy needs a RateContext")
-    b = precond.pencil()
-    if b is None:
-        b, apply_a, apply_m, to_u, x = precond, problem.apply_a, None, None, u0
-        res_norm = np.linalg.norm
+    b, apply_a, r_factor = _coordinates(problem, precond)
+    if r_factor is None:
+        apply_m, to_u, x, res_norm = None, None, u0, np.linalg.norm
     else:
-        r_factor = problem.r_factor
-        k, m = problem.pencil
-        apply_a, apply_m = (lambda v: k @ v), (lambda v: m @ v)
-        to_u, x = r_factor.mult, r_factor.solve(u0)
+        m = problem.pencil[1]
+        apply_m, to_u, x = (lambda v: m @ v), r_factor.mult, r_factor.solve(u0)
 
         def res_norm(s):
             return np.linalg.norm(r_factor.solve_t(s))  # ||r|| = ||R^{-T} s||

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 import scipy.linalg
 
 import precondeig as pe
-from precondeig import diagnostics, problems
+from precondeig import diagnostics, problems, solvers
 from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import _DenseOracle, random_spd_pair
 from precondeig.errors import DimensionMismatch, PropertyViolation, ZeroVector
-from precondeig.linalg import spawn_seed
+from precondeig.linalg import spawn_normal_rows, spawn_seed
 from tests import jacobi
 from tests.conftest import column, dense_pencil, dense_problem, dense_roots
 
@@ -599,6 +600,75 @@ def test_check_initial_on_a_block_equals_its_rows(recipe):
     rows[2] = 0.0
     with pytest.raises(ZeroVector):
         pe.check_initial(problem, p, rows, ctx, u0_b_norm_sq=None)
+
+
+def mixed_starts(problem, ctx):
+    """Eight Gaussian starts, the first four moved near u* so that both
+    conditions hold for some and fail for others."""
+    u0 = spawn_normal_rows(0, 8, problem.dim)
+    for j, scale in enumerate([0.02, 0.05, 0.1, 0.2]):
+        u0[j] = scale * u0[j] / np.linalg.norm(u0[j]) + ctx.u_star
+    return u0
+
+
+@pytest.mark.parametrize("problem_recipe", ["laplace-fem:h=2^-4", "laplace-fd:h=2^-5"])
+def test_check_initial_b_norms_match_the_u_space_nested_pcg(problem_recipe, monkeypatch):
+    """A DDM lifted to the FEM pencil has its starts' B-norms measured on the
+    pencil, the DDM on the FD matrix in u-space; both agree with u^T z for
+    z = B u by a nested PCG in u-space per start (4e-15 and 5e-15 relative
+    measured), and both conditions come out as they do from those norms."""
+    problem = build_problem(problem_recipe)
+    p = build_precond("ddm:H=2^-2", problem)
+    assert (p.pencil() is None) == problem_recipe.startswith("laplace-fd")
+    ctx = pe.build_rate_context(problem, p)
+    u0 = mixed_starts(problem, ctx)
+    blocks = []
+    real_b_norm_sq = solvers._b_norm_sq
+
+    def b_norm_sq(exact, apply_a, x):
+        out = real_b_norm_sq(exact, apply_a, x)
+        if x.ndim == 2:
+            blocks.append(out)
+        return out
+
+    monkeypatch.setattr(solvers, "_b_norm_sq", b_norm_sq)
+    report = pe.check_initial(problem, p, u0, ctx, u0_b_norm_sq=None)
+    exact = p.exact()
+    ref = np.array([u @ pe.apply_fwd_iterative(exact, u, apply_a=problem.apply_a) for u in u0])
+    (norms,) = blocks
+    assert np.all(np.abs(norms - ref) <= 1e-12 * ref)
+    dist = np.arccos(ctx.cos_dist_b(u0, np.sqrt(ref)))
+    assert np.array_equal(report["condition_new"], dist < ctx.phi)
+    assert 0 < np.count_nonzero(report["condition_new"]) < len(u0)
+    lam = np.array([u @ problem.apply_a(u) / (u @ u) for u in u0])
+    assert np.array_equal(report["condition_classic"], lam < ctx.lam2)
+    assert 0 < np.count_nonzero(report["condition_classic"]) < len(u0)
+
+
+def test_check_initial_b_norms_of_a_lifted_b_make_no_r_product(monkeypatch):
+    """On the pencil the B-norms of a block cost one R solve for the block and
+    no R product; A u0 costs one R solve and one R^T solve.  The u-space
+    route made an R product and an R^T product per nested-PCG iteration."""
+    problem = build_problem("laplace-fem:h=2^-4")
+    p = build_precond("ddm:H=2^-2", problem)
+    ctx = pe.build_rate_context(problem, p)
+    u0 = mixed_starts(problem, ctx)
+    r = problem.r_factor
+    calls = collections.Counter()
+
+    def counted(name):
+        method = getattr(r, name)
+
+        def wrapper(v):
+            calls[name] += 1
+            return method(v)
+
+        return wrapper
+
+    for name in ("solve", "solve_t", "mult", "mult_t"):
+        monkeypatch.setattr(r, name, counted(name))
+    pe.check_initial(problem, p, u0, ctx, u0_b_norm_sq=None)
+    assert calls == {"solve": 2, "solve_t": 1}
 
 
 def test_success_probability_rejects_a_sampler_before_the_context(monkeypatch):
