@@ -70,6 +70,10 @@ TRACE_COLUMNS = (
 
 NAN = float("nan")
 _STAGNATION_WINDOW = 30  # steps of rsd_solve's stagnation guard
+# a cosine below 1 rounds to 1 - k 2^-53, so acos resolves an angle d only to
+# about 2^-53 / d^2 relative; below this floor that passes 1% and the trace's
+# distB is NaN
+_DIST_B_FLOOR = math.sqrt(2.0**-53 / 0.01)
 
 
 @dataclass
@@ -256,7 +260,11 @@ def rsd_solve(
     exit records its trigger values (flat_steps, window_best, best_before)
     as a StagnatedStep event in the trace.
     policies "theory" and "constant" and the trace fields distB/xi need a
-    RateContext ctx; with ctx None distB and xi are NaN.  With ctx the
+    RateContext ctx; with ctx None distB and xi are NaN.  distB is acos of
+    cos dist_B(u, u*), whose steps near 0 are about 1.49e-8 sqrt(k); it is
+    NaN below _DIST_B_FLOOR (about 1.05e-7, where its relative resolution
+    2^-53 / distB^2 reaches 1%), so contraction comes only from rows above
+    the floor.  The basin test and xi read the cosine itself.  With ctx the
     trace records a BasinExit event at each step whose iterate has left the
     basin dist_B(u, u*) < phi and a BasinEntry event at each step whose
     iterate is back inside, and the result counts the steps taken from
@@ -317,6 +325,8 @@ def rsd_solve(
         if ctx is not None:
             cos_dist = _clamp(abs(float(state.x @ w_star)) / ctx.norm_u_b)
             dist_b = math.acos(cos_dist)
+            if dist_b < _DIST_B_FLOOR:
+                dist_b = NAN
         trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=dist_b)
         if res_rel <= tol:
             reason, iterations = "ResidualTol", t

@@ -461,7 +461,10 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx):
         resnorm = np.linalg.norm(state.r)
         res_rel = resnorm / (state.lam * math.sqrt(state.uu))
         cos_dist = ctx.cos_dist_b(state.u, u_b_norm=1.0)
-        trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=math.acos(cos_dist))
+        dist_b = math.acos(cos_dist)
+        if dist_b < solvers._DIST_B_FLOOR:
+            dist_b = math.nan
+        trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=dist_b)
         if res_rel <= tol:
             reason, iterations = "ResidualTol", t
             break
@@ -792,6 +795,25 @@ def test_trace_csv_header_and_determinism():
     assert text1 == text2
     assert text1.splitlines()[0] == ",".join(TRACE_COLUMNS)
     assert text1.splitlines()[0] == "t,lambda,f,resnorm,distB,eta,eta_star,beta,xi,contraction"
+
+
+def test_dist_b_is_nan_exactly_below_its_floor():
+    """distB is acos of the cosine that the basin test reads, written as NaN
+    below _DIST_B_FLOOR, and contraction comes only from rows above it."""
+    problem, p, ctx, u0 = reference_instance("laplace-fd:h=2^-4", "ddm:H=2^-2")
+    cos = []
+    res = pe.rsd_solve(
+        problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=1000, ctx=ctx,
+        callback=lambda t, state: cos.append(ctx.cos_dist_b(state.u, u_b_norm=1.0)),
+    )
+    dist = np.array([math.acos(c) for c in cos])
+    below = dist < solvers._DIST_B_FLOOR
+    assert below.any() and not below.all()
+    dist_b = column(res.trace, "distB")
+    assert np.array_equal(np.isnan(dist_b), below)
+    assert np.array_equal(dist_b[~below], dist[~below])
+    contraction = column(res.trace, "contraction")[:-1]
+    assert np.array_equal(np.isfinite(contraction), ~below[:-1] & ~below[1:])
 
 
 def test_trace_contraction_column():
