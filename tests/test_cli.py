@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import precondeig as pe
-from precondeig import cli, linalg, precond, problems
+from precondeig import cli, linalg, precond, problems, solvers
 from precondeig.cli import _parse_step, build_problem, build_precond, main, parse_dyadic
 from precondeig.errors import RecipeError
 
@@ -178,7 +178,10 @@ def test_solve_pinvit_implicit_b_traces_dist_b(tmp_path):
     rows = trace.read_text().splitlines()
     dist_b = np.array([float(line.split(",")[4]) for line in rows[1:]])
     assert len(dist_b) == payload["iterations"] + 1
-    assert np.all(np.isfinite(dist_b))
+    # traced down to its resolution floor, and NaN from there on
+    above = np.count_nonzero(np.isfinite(dist_b))
+    assert 0 < above < len(dist_b) and np.all(np.isfinite(dist_b[:above]))
+    assert np.all(dist_b[:above] >= solvers._DIST_B_FLOOR)
 
 
 def test_solve_missing_matrix_file():
