@@ -89,11 +89,10 @@ def kappa_nu(problem, precond):
     hands apply_t the A q it already holds, so each step applies A once; it
     runs at most 400 steps from a start drawn from Rng(4242).
 
-    A B lifted to a mass-reduced problem (exact.pencil() is not None) runs
-    that Lanczos on the pencil, as rsd_solve does: Bhat^{-1} A = R P^{-1}
-    R^T R^{-T} K R^{-1} is similar through R to P^{-1} K, so the run takes
-    P^{-1} in the K-inner product, one P^{-1} apply and one K matvec per
-    step with no R work.
+    A lifted B runs that Lanczos on the pencil (solvers._coordinates), as
+    rsd_solve does: Bhat^{-1} A = R P^{-1} R^T R^{-T} K R^{-1} is similar
+    through R to P^{-1} K, so the run takes P^{-1} in the K-inner product,
+    one P^{-1} apply and one K matvec per step with no R work.
     """
     n = problem.dim
     exact = precond.exact()
@@ -104,7 +103,7 @@ def kappa_nu(problem, precond):
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
-        b, apply_a, _ = solvers._coordinates(problem, exact)
+        b, apply_a, _, _ = solvers._coordinates(problem, exact)
         nu_min, nu_max = lanczos_extremal(
             b.apply_inv, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242), inner_map=apply_a
         )
@@ -174,21 +173,17 @@ def build_rate_context(problem, precond):
     on the binary64 twin of B: the problem's reference eigenpair, kappa_nu's
     spectral bounds and distortion_angle at u*.
 
-    B u* is computed once, in u-space: exactly for explicit preconditioners,
-    by nested PCG at FWD_TOL preconditioned by the problem's A for implicit
-    ones, a B lifted to a mass-reduced problem included (the B-norms of
-    rsd_solve and check_initial run on its pencil).  cos phi costs one more
-    B^-1 application; B^-1 B u* is not replaced by u* because B u* carries
-    the nested-PCG error.
+    B u* is computed once, in u-space even for a lifted B: exactly for
+    explicit preconditioners, by nested PCG at FWD_TOL for implicit ones.
+    cos phi costs one more B^-1 application; B^-1 B u* is not replaced by
+    u* because B u* carries the nested-PCG error.
     """
     ref = problem.reference()
     u = ref.u_star / np.linalg.norm(ref.u_star)
     exact = precond.exact()
     b_inv_u = exact.apply_inv(u)
-    if exact.fwd_mode == "exact":
-        w = exact.apply_fwd(u)
-    else:
-        w = apply_fwd_iterative(exact, u, apply_a=problem.apply_a)
+    iterative = exact.fwd_mode == "iterative"
+    w = apply_fwd_iterative(exact, u, problem.apply_a) if iterative else exact.apply_fwd(u)
     a_u = problem.apply_a(u)
     nu_min, nu_max, _ = kappa_nu(problem, precond)
     ctx = _context(
@@ -262,13 +257,10 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     they are set against are ctx.phi and ctx.lam2.
 
     u0_b_norm_sq is u0^T B u0 per row when it is known from the sampler
-    identity; when it is None it is measured on the binary64 twin of B by
-    solvers._b_norm_sq, in the coordinates rsd_solve runs in: one forward
-    apply to the block for an explicit B; for an implicit B one nested PCG
-    per start, in u-space, or for a B lifted to a mass-reduced problem on
-    the pencil (K, M), on x = R^{-1} u0 with K as its preconditioner and no
-    R product.  B u* (in ctx) was measured in u-space.  A u0 is one apply_a
-    on the (n, k) transpose.
+    identity; when it is None solvers._b_norm_sq measures it on the binary64
+    twin of B as rsd_solve does: on the pencil for a lifted B (x = R^{-1} u0,
+    no R product), else in u-space, where ctx's B u* always is.  A u0 is one
+    apply_a on the (n, k) transpose.
     Raises DimensionMismatch when u0 is not 2-D and ZeroVector when a start
     is zero.
     """
@@ -278,7 +270,7 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     if not u0.any(axis=1).all():
         raise ZeroVector("u0 is zero")
     if u0_b_norm_sq is None:
-        b, apply_a, r = solvers._coordinates(problem, precond)
+        b, apply_a, _, r = solvers._coordinates(problem, precond)
         x = u0.T if r is None else r.solve(u0.T)
         u0_b_norm_sq = solvers._b_norm_sq(b.exact(), apply_a, x)
     dist = np.arccos(ctx.cos_dist_b(u0, np.sqrt(u0_b_norm_sq)))
@@ -300,9 +292,8 @@ def success_probability(problem, precond, sampler, trials, seed, ctx=None):
     check_initial checks the whole block at once.  sampler "gaussian" draws
     u0 = omega; "smooth" draws u0 = B^{-1} omega (one apply of the binary64
     twin's inverse to the block), for which ||u0||_B^2 = u0^T omega requires
-    no forward application.  Gaussian starts have their B-norms measured by
-    check_initial: on the pencil for a B lifted to a mass-reduced problem,
-    in u-space otherwise.  ctx None builds the RateContext here.  Raises
+    no forward application (check_initial measures a Gaussian start's, on
+    the pencil for a lifted B).  ctx None builds the RateContext here.  Raises
     ValueError for trials < 1 or an unknown sampler, before any context is
     built.
     """

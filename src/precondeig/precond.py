@@ -5,10 +5,9 @@ wrapper of either) also applies B itself through apply_fwd.  An implicit B
 has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply, which
 names the class: its forward apply is apply_fwd_iterative, a nested PCG
 preconditioned by the problem's A.  The method needs B v only to measure B,
-so an implicit B loses nothing: solvers._b_norm_sq measures the B-norms of
-starts (rsd_solve's u0, check_initial's block) in the coordinates B is
-applied in, on the pencil (K, M) for a lifted B, and build_rate_context's
-B u* for the distortion angle runs in u-space.  DDM's B^{-1} runs its local solves by fast diagonalization
+so an implicit B loses nothing: the B-norms of starts (solvers._b_norm_sq)
+run on the pencil (K, M) for a lifted B, and B u* for the distortion angle
+in u-space.  DDM's B^{-1} runs its local solves by fast diagonalization
 (dense tensor-product products) and its coarse solve by linalg.make_solver,
 a symmetric-mode SuperLU; the only band factor here is the mass factor R
 that a lifted B applies around its inner B.
@@ -39,12 +38,9 @@ class Preconditioner:
 
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
     is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
-    B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a).
-
-    apply_inv takes an (n, k) block as well as a vector and applies B^{-1}
-    to each column; so does apply_fwd of a B with fwd_mode 'exact'.  Only the
-    nested PCG of an implicit B's forward apply runs on vectors: the B-norms
-    of a block (solvers._b_norm_sq) run it one column at a time.
+    B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a), on vectors
+    only (solvers._b_norm_sq runs it per column of a block).  apply_inv, and
+    apply_fwd of an explicit B, take an (n, k) block or a vector.
     """
 
     fwd_mode = "exact"
@@ -280,12 +276,10 @@ class HattedPreconditioner(Preconditioner):
 
     rsd_solve does not apply Bhat: through pencil() it runs the inner B in
     pencil coordinates, one B^{-1} apply and one banded R^T solve (for the
-    residual norm) per step.  kappa_nu's Lanczos and the B-norms of starts
-    (solvers._b_norm_sq, for rsd_solve and check_initial) run on the pencil
-    the same way, with no R product.  apply_inv serves what stays in
-    u-space: B u* and cos phi of build_rate_context, and the starts of
-    success_probability's smooth sampler and of the CLI; it costs two
-    banded R products around the inner apply.
+    residual norm) per step; kappa_nu's Lanczos and the B-norms of starts
+    (solvers._b_norm_sq) run on the pencil too.  apply_inv serves what runs
+    in u-space, B u* and cos phi among it; it costs two banded R products
+    around the inner apply.
     """
 
     fwd_mode = "iterative"

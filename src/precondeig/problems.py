@@ -352,12 +352,11 @@ def generalized_reduce(a, m):
     R^T solve; the set-up and the diagnostics run on it, and so does a
     rsd_solve step with a preconditioner built on the reduced operator
     (identity, exact, mp-chol).  With a lifted preconditioner (ddm,
-    scaled:ddm) rsd_solve runs in pencil coordinates: an A and an M
-    matvec, the inner B^{-1} (for DDM dense tensor-product local solves and
-    a sparse coarse solve, no banded solve) and one banded R^T solve per
-    step.  The problem's pencil is (A, M), the matrices as given, which
-    rsd_solve and kappa_nu apply with @.  Factors only M, by SymFactor (NotSpd
-    unless SPD, DimensionMismatch unless A's size); A in problem.solver().
+    scaled:ddm) rsd_solve, kappa_nu's Lanczos and the B-norms of starts run
+    in pencil coordinates (solvers._coordinates) on the problem's pencil
+    (A, M), the matrices as given, with one banded R^T solve per rsd_solve
+    step.  Factors only M, by SymFactor (NotSpd unless SPD,
+    DimensionMismatch unless A's size); A in problem.solver().
     """
     n = a.shape[0]
     if m.shape[0] != n:

@@ -13,19 +13,17 @@ applies are not binary64 (mixed-precision Cholesky) has ||u||_B recomputed
 each step from its binary64 twin, because its B^{-1} r does not realize the
 B being normalized against.
 
-rsd_solve runs one loop on one of two routes, chosen by precond.pencil():
+rsd_solve runs one loop on one of two routes, chosen by _coordinates, which
+the B-norms of _b_norm_sq and diagnostics.kappa_nu share:
 - u-space, for a standard problem and for a mass-reduced problem with a
   preconditioner built on the reduced operator (identity, exact, mp-chol):
   a step costs one A apply and one B^{-1} apply.  On a mass-reduced problem
   the A apply is a banded R solve, a K matvec and a banded R^T solve.
 - pencil coordinates, for a mass-reduced problem (K, M), M = R^T R, with a
-  preconditioner lifted by precond.HattedPreconditioner (ddm, and
-  scaled:ddm), whose u-space B^{-1} is R P^{-1} R^T for the pencil's
-  preconditioner P: the loop carries x = R^{-1} u, and a step costs a K
-  matvec, an M matvec, one P^{-1} apply and one banded R^T solve for the
-  Euclidean residual norm ||R^{-T} s||, the step's only banded solve: a
-  DDM P^{-1} apply is a gather, dense tensor-product local solves, a
-  sparse coarse solve and a scatter.
+  preconditioner lifted by precond.HattedPreconditioner (ddm, scaled:ddm),
+  whose u-space B^{-1} is R P^{-1} R^T for the pencil's preconditioner P:
+  the loop carries x = R^{-1} u, and a step costs a K and an M matvec, one
+  P^{-1} apply and one banded R^T solve, for the residual norm ||R^{-T} s||.
   The recurrence is the same, x_{t+1} = beta_{t+1} (x_t - eta*_t P^{-1} s_t)
   with s = K x - lambda M x = R^T r, and every scalar it uses is the u-space
   one (geometry.make_state).  u = R x is formed at exit, and in a callback
@@ -70,10 +68,7 @@ TRACE_COLUMNS = (
 
 NAN = float("nan")
 _STAGNATION_WINDOW = 30  # steps of rsd_solve's stagnation guard
-# a cosine below 1 rounds to 1 - k 2^-53, so acos resolves an angle d only to
-# about 2^-53 / d^2 relative; below this floor that passes 1% and the trace's
-# distB is NaN
-_DIST_B_FLOOR = math.sqrt(2.0**-53 / 0.01)
+_DIST_B_FLOOR = math.sqrt(2.0**-53 / 0.01)  # distB resolved to 1% (rsd_solve)
 
 
 @dataclass
@@ -203,31 +198,26 @@ def step_constant(ctx, c):
 
 
 def _coordinates(problem, precond):
-    """(B, A apply, R) in the coordinates B is applied in: (precond,
-    problem.apply_a, None) in u-space, or for a B lifted to a mass-reduced
-    problem (precond.pencil() is not None) the pencil's B, the K matvec and
-    the mass factor R, with pencil coordinates x = R^{-1} u."""
+    """(B, A apply, M apply, R) of the route precond.pencil() selects:
+    (precond, problem.apply_a, None, None) in u-space, or the pencil's B, the
+    K and M matvecs and the mass factor R in pencil coordinates x = R^{-1} u."""
     b = precond.pencil()
     if b is None:
-        return precond, problem.apply_a, None
-    k = problem.pencil[0]
-    return b, (lambda v: k @ v), problem.r_factor
+        return precond, problem.apply_a, None, None
+    k, m = problem.pencil
+    return b, (lambda v: k @ v), (lambda v: m @ v), problem.r_factor
 
 
 def _b_norm_sq(exact, apply_a, x):
-    """Measurement-grade x^T B x from the binary64 twin `exact` of B, in the
-    coordinates B is applied in (_coordinates), for a vector x or one value
-    per column of an (n, k) block.  In pencil coordinates x = R^{-1} u this
-    is u^T Bhat u for the lifted Bhat, with no R work; u-space runs for
-    every other B, and B u* of build_rate_context stays there too.  An
-    explicit B is applied forward.  For an implicit B a nested PCG per
-    column, preconditioned by the operator B approximates (apply_a: A, or K
-    on the pencil), gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at z = B x
-    with value x^T B x, so its error is quadratic in that of z."""
+    """Measurement-grade x^T B x from the binary64 twin `exact` of B, for a
+    vector or per column of a block, in _coordinates' terms: on the pencil
+    x = R^{-1} u gives u^T Bhat u of a lifted Bhat.  For implicit B a nested
+    PCG per column, preconditioned by the operator B approximates (apply_a),
+    gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at z = B x with value
+    x^T B x, so its error is quadratic in that of z."""
     if exact.fwd_mode == "exact":
-        if x.ndim == 1:
-            return float(x @ exact.apply_fwd(x))
-        return np.einsum("ij,ij->i", x.T, exact.apply_fwd(x).T)
+        bx = exact.apply_fwd(x)
+        return float(x @ bx) if x.ndim == 1 else np.einsum("ij,ij->i", x.T, bx.T)
     if x.ndim == 2:
         return np.array([_b_norm_sq(exact, apply_a, c) for c in x.T])
     z = apply_fwd_iterative(exact, x, apply_a=apply_a)
@@ -244,9 +234,8 @@ def rsd_solve(
     ctx,
     callback=None,
 ):
-    """Steepest-descent variant on the route precond.pencil() selects: u-space,
-    or pencil coordinates x = R^{-1} u for a preconditioner lifted to a
-    mass-reduced problem (see the module docstring for the cost of each).
+    """Steepest-descent variant on the route _coordinates selects: u-space, or
+    pencil coordinates x = R^{-1} u for a lifted B (module docstring).
 
     Terminates on ||r|| / (lambda ||u||) <= tol (ValueError when tol is
     negative or not finite), on the iteration budget maxit (ValueError when
@@ -260,20 +249,18 @@ def rsd_solve(
     exit records its trigger values (flat_steps, window_best, best_before)
     as a StagnatedStep event in the trace.
     policies "theory" and "constant" and the trace fields distB/xi need a
-    RateContext ctx; with ctx None distB and xi are NaN.  distB is acos of
-    cos dist_B(u, u*), whose steps near 0 are about 1.49e-8 sqrt(k); it is
-    NaN below _DIST_B_FLOOR (about 1.05e-7, where its relative resolution
-    2^-53 / distB^2 reaches 1%), so contraction comes only from rows above
-    the floor.  The basin test and xi read the cosine itself.  With ctx the
+    RateContext ctx; with ctx None distB and xi are NaN.  distB = acos(cos)
+    resolves d to 2^-53 / d^2 relative, so it is NaN below _DIST_B_FLOOR =
+    1.05e-7, where that passes 1%, and contraction skips those rows; the
+    basin test and xi read cos.  With ctx the
     trace records a BasinExit event at each step whose iterate has left the
     basin dist_B(u, u*) < phi and a BasinEntry event at each step whose
     iterate is back inside, and the result counts the steps taken from
     inside the basin (basin_iterations; None with ctx None).
     `callback(t, state)` is invoked for every visited iterate, the terminal
     one included; its state.u is the u-space iterate and its scalars are the
-    u-space values on either route.  ||u0||_B is measured once by
-    _b_norm_sq in the route's coordinates (in pencil coordinates as
-    x0^T P x0 = u0^T B u0 with x0 = R^{-1} u0); after that the scalar identity
+    u-space values on either route.  ||u0||_B is measured once (on the pencil
+    as x0^T P x0 = u0^T B u0 with x0 = R^{-1} u0); after that the scalar identity
     carries ||u||_B = 1, and it is recomputed each step only when the
     applied preconditioner's twin is another object (binary32 applies).
     """
@@ -286,15 +273,10 @@ def rsd_solve(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if policy.kind in ("theory", "constant") and ctx is None:
         raise OutsideBasin(f"{policy.kind} policy needs a RateContext")
-    b, apply_a, r_factor = _coordinates(problem, precond)
-    if r_factor is None:
-        apply_m, to_u, x, res_norm = None, None, u0, np.linalg.norm
-    else:
-        m = problem.pencil[1]
-        apply_m, to_u, x = (lambda v: m @ v), r_factor.mult, r_factor.solve(u0)
-
-        def res_norm(s):
-            return np.linalg.norm(r_factor.solve_t(s))  # ||r|| = ||R^{-T} s||
+    b, apply_a, apply_m, r_factor = _coordinates(problem, precond)
+    to_u, x = None, u0
+    if r_factor is not None:
+        to_u, x = r_factor.mult, r_factor.solve(u0)
 
     exact = b.exact()
     renorm = exact is not b
@@ -319,14 +301,14 @@ def rsd_solve(
         state = make_state(x, apply_a, b.apply_inv, apply_m, to_u)
         if callback is not None:
             callback(t, state)
-        resnorm = res_norm(state.r)
+        # on the pencil state.r is s = R^T r, and ||r|| = ||R^{-T} s||
+        resnorm = np.linalg.norm(state.r if r_factor is None else r_factor.solve_t(state.r))
         res_rel = resnorm / (state.lam * math.sqrt(state.uu))
         dist_b = NAN
         if ctx is not None:
             cos_dist = _clamp(abs(float(state.x @ w_star)) / ctx.norm_u_b)
             dist_b = math.acos(cos_dist)
-            if dist_b < _DIST_B_FLOOR:
-                dist_b = NAN
+            dist_b = dist_b if dist_b >= _DIST_B_FLOOR else NAN
         trace.append(t=t, lam=state.lam, f=state.f, resnorm=resnorm, distB=dist_b)
         if res_rel <= tol:
             reason, iterations = "ResidualTol", t
