@@ -211,10 +211,10 @@ def _coordinates(problem, precond):
 def _b_norm_sq(exact, apply_a, x):
     """Measurement-grade x^T B x from the binary64 twin `exact` of B, for a
     vector or per column of a block, in _coordinates' terms: on the pencil
-    x = R^{-1} u gives u^T Bhat u of a lifted Bhat.  For implicit B a nested
-    PCG per column, preconditioned by the operator B approximates (apply_a),
-    gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at z = B x with value
-    x^T B x, so its error is quadratic in that of z."""
+    x = R^{-1} u gives u^T Bhat u of a lifted Bhat (B u* stays in u-space).
+    For implicit B a nested PCG per column, preconditioned by the operator
+    B approximates (apply_a), gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at
+    z = B x with value x^T B x, so its error is quadratic in that of z."""
     if exact.fwd_mode == "exact":
         bx = exact.apply_fwd(x)
         return float(x @ bx) if x.ndim == 1 else np.einsum("ij,ij->i", x.T, bx.T)
