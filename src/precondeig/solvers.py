@@ -13,8 +13,8 @@ applies are not binary64 (mixed-precision Cholesky) has ||u||_B recomputed
 each step from its binary64 twin, because its B^{-1} r does not realize the
 B being normalized against.
 
-rsd_solve runs one loop on one of two routes, chosen by _coordinates, which
-the B-norms of _b_norm_sq and diagnostics.kappa_nu share:
+rsd_solve runs one loop on one of two routes, chosen by _coordinates, from
+which diagnostics.kappa_nu and check_initial take theirs too:
 - u-space, for a standard problem and for a mass-reduced problem with a
   preconditioner built on the reduced operator (identity, exact, mp-chol):
   a step costs one A apply and one B^{-1} apply.  On a mass-reduced problem
