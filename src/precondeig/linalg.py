@@ -1,14 +1,18 @@
 """Dense/sparse SPD primitives: Cholesky at two precisions with triangular
 solves by direct LAPACK trtrs calls, PCG, Lanczos (fully reorthogonalized
 where Ritz vectors or both ends are wanted, three-term for a lone top
-value), a deterministic RNG that can also draw one normal vector per
-spawned seed as a single block, and dense_sym_eig, all eigenpairs of a
-small dense symmetric matrix by LAPACK eigh, for the explicit x-space
-evaluation inside validate_properties.  The Cholesky solves and products
-and the banded SymFactor products and solves take an (n, k) block as well
-as a vector.  SymFactor holds the factor R of a mass matrix M = R^T R
-(problems.generalized_reduce).  make_solver factors an SPD matrix once,
-Cholesky if dense, symmetric-mode SuperLU if sparse; that is its NotSpd check.
+value; problems' lambdan runs the three-term one on A and, for a pencil,
+on a shift-inverted operator in the M-inner product), a deterministic RNG
+that can also draw one normal vector per spawned seed as a single block,
+and dense_sym_eig, all eigenpairs of a small dense symmetric matrix by
+LAPACK eigh, for the explicit x-space evaluation inside
+validate_properties.  The Cholesky solves and products and the banded
+SymFactor products and solves take an (n, k) block as well as a vector.
+SymFactor holds the factor R of a mass matrix M = R^T R
+(problems.generalized_reduce); its banded Cholesky, _cholesky_band, also
+factors the shifted sigma M - K of that lambdan.  make_solver factors an
+SPD matrix once, Cholesky if dense, symmetric-mode SuperLU if sparse; that
+is its NotSpd check.
 
 Every eigenvalue path here runs Lanczos or LAPACK.  The independent oracle
 the tests check them against is the pure-Python Jacobi solver in
@@ -446,7 +450,11 @@ def _lanczos_top_value(apply_t, dim, tol, maxit, rng):
     """Largest eigenvalue of a Euclidean-self-adjoint operator by the
     three-term recurrence with no stored basis.  Lost orthogonality only
     adds copies of Ritz values that have converged (Paige 1980), so the top
-    value still converges and the beta*|s| bound stays valid."""
+    value still converges and the beta*|s| bound stays valid.  A cluster at
+    the top slows it: on a FEM pencil's A it takes about 300 steps at tol
+    1e-11, so problems runs it there only for a loose estimate, and then
+    the same recurrence on a shift-inverted pencil in the M-inner product
+    (problems._shifted_top_value)."""
     theta, _, _ = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (-1,), reorth=False)
     return float(theta[-1])
 
@@ -505,6 +513,37 @@ def make_solver(a):
     return lambda v: chol_solve(f, v)
 
 
+def _cholesky_band(*terms):
+    """(bw, rab): the upper band ``rab[bw + i - j, j] = R[i, j]``, in
+    Fortran order, of R in S = R^T R, where S is the sum of w m over the
+    (w, m) terms, each m a dense or sparse symmetric matrix, and bw is the
+    largest offset of an entry any m stores in its upper triangle.  The
+    band is summed one stored diagonal at a time, so S is never formed and
+    beside the terms the work holds the band and a diagonal, and LAPACK's
+    banded Cholesky (pbtrf) factors it in place.  Raises NotSpd when pbtrf
+    fails or a pivot is not positive (NaN included), which pbtrf and the
+    triangular band solves do not all test."""
+    terms = [(w, m if scipy.sparse.issparse(m) else as_dense_sym(m)) for w, m in terms]
+    stored = set()
+    for _, m in terms:
+        coo = scipy.sparse.coo_matrix(m)
+        stored.update(np.unique(coo.col - coo.row).tolist())
+    offsets = sorted(d for d in stored if d >= 0)
+    bw = offsets[-1] if offsets else 0
+    ab = np.zeros((bw + 1, terms[0][1].shape[0]), order="F")
+    for d in offsets:
+        for w, m in terms:
+            ab[bw - d, d:] += w * m.diagonal(d)
+    try:
+        rab = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=False, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotSpd(-1, f"banded cholesky failed: {exc}") from exc
+    bad = np.flatnonzero(~(rab[bw] > 0))
+    if bad.size:
+        raise NotSpd(int(bad[0]), f"banded cholesky pivot {bad[0]} is not positive")
+    return bw, rab
+
+
 class SymFactor:
     """R^T R factorization of an SPD matrix with products and solves for R:
     the mass factor M = R^T R of a mass-reduced problem.
@@ -513,7 +552,8 @@ class SymFactor:
     (``rab[bw + i - j, j] = R[i, j]``) and, for the solves with R^T, the
     same factor transposed as a lower band (``lab[d, j] = R[j, j + d]``), so
     memory is O(2 n bw); a dense input is a band of full width.  The factor
-    comes from LAPACK's banded Cholesky on the upper triangle of the input.
+    comes from LAPACK's banded Cholesky on the upper triangle of the input
+    (_cholesky_band).
     `mult` and `mult_t` run BLAS ``tbmv`` on rab (no-transpose and
     transpose), `solve` runs ``tbsv`` on rab, and `solve_t` runs ``tbsv`` on
     lab without transpose: a forward substitution in axpy form, where the
@@ -524,21 +564,8 @@ class SymFactor:
     """
 
     def __init__(self, m):
-        coo = scipy.sparse.coo_matrix(m if scipy.sparse.issparse(m) else as_dense_sym(m))
-        upper = coo.col >= coo.row
-        row, col = coo.row[upper], coo.col[upper]
-        n = coo.shape[0]
-        bw = int(np.max(col - row)) if row.size else 0
-        ab = np.zeros((bw + 1, n))
-        ab[bw + row - col, col] = coo.data[upper]
-        try:
-            rab = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotSpd(-1, f"banded cholesky failed: {exc}") from exc
-        # the solves run tbsv, which does not test for a zero pivot
-        bad = np.flatnonzero(~(rab[bw] > 0))
-        if bad.size:
-            raise NotSpd(int(bad[0]), f"banded cholesky pivot {bad[0]} is not positive")
+        bw, rab = _cholesky_band((1.0, m))
+        n = rab.shape[1]
         # Fortran order, as the BLAS wrappers would otherwise copy it per call
         lab = np.zeros((bw + 1, n), order="F")
         for d in range(bw + 1):

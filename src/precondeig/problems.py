@@ -33,7 +33,9 @@ from .errors import (
 from .linalg import (
     Rng,
     SymFactor,
+    _cholesky_band,
     _lanczos_top_value,
+    _lanczos_tridiag,
     chol_solve,
     cholesky,
     lanczos_extremal,  # noqa: F401 - not called here; perfbench/spans.py patches this name
@@ -44,6 +46,8 @@ from .linalg import (
 # largest dimension for which reference_eigs and kappa_nu take their dense
 # LAPACK routes
 _DENSE_CAP = 200
+# shifts _shifted_top_value tries above its estimate of lambdan
+_SHIFT_TRIES = 5
 # most binary64 entries of an array whose byte count numpy can index
 _MAX_ENTRIES = sys.maxsize // 8
 
@@ -355,8 +359,9 @@ def generalized_reduce(a, m):
     scaled:ddm) rsd_solve, kappa_nu's Lanczos and the B-norms of starts run
     in pencil coordinates (solvers._coordinates) on the problem's pencil
     (A, M), the matrices as given, with one banded R^T solve per rsd_solve
-    step.  Factors only M, by SymFactor (NotSpd unless SPD,
-    DimensionMismatch unless A's size); A in problem.solver().
+    step.  Factors only M here, by SymFactor (NotSpd unless SPD,
+    DimensionMismatch unless A's size); A in problem.solver(), and sigma M -
+    A, for a while, in the reference eigensolve's lambdan.
     """
     n = a.shape[0]
     if m.shape[0] != n:
@@ -397,13 +402,14 @@ def reference_eigs(problem):
     Dense route, for a problem whose matrix is an np.ndarray of dimension
     up to _DENSE_CAP: lambda1, lambda2 and u* from LAPACK eigh on the two
     smallest eigenpairs, lambdan from eigvalsh on the largest eigenvalue.
-    Otherwise the Lanczos route of _lanczos_reference.  Raises
-    DegenerateSmallestEigenvalue for dimension 1 or when lambda2 - lambda1
-    falls below 1e-9 lambdan (on the dense route a repeated lambda1 gives
-    exactly 0), and on the Lanczos route also when its start spans an
+    Otherwise the Lanczos route of _lanczos_reference, where a problem
+    with a pencil (K, M) takes lambdan by shift-invert on the pencil.
+    Raises DegenerateSmallestEigenvalue for dimension 1 or when lambda2 -
+    lambda1 falls below 1e-9 lambdan (on the dense route a repeated lambda1
+    gives exactly 0), and on the Lanczos route also when its start spans an
     invariant subspace of one eigenpair; NoConvergence when either of its
-    inverse iterations misses its target.  u* is signed so that its entry
-    of largest magnitude is positive.
+    inverse iterations misses its target or no shift above lambdan is
+    found.  u* is signed so that its entry of largest magnitude is positive.
     """
     n = problem.dim
     if n == 1:
@@ -433,18 +439,24 @@ def _lanczos_reference(problem):
     refined by _inverse_iteration at one A apply per iterate: lambda1 from
     the first Ritz vector (at most 100 solves, residual 1e-10 lambda1),
     lambda2 from the second deflated against u* (at most 200 solves,
-    deflated residual 1e-11 lambda2).  lambdan comes from a Lanczos on A at
-    tol 1e-11 that watches only the top Ritz value; it needs no vector, so
-    it runs the three-term recurrence with no stored basis.  Each Lanczos
-    runs at most min(n, 600) steps from a start drawn from Rng(777) (its
-    spawn(1) for lambdan).  A repeated lambda1 shows here only through
-    roundoff, which lets the reorthogonalization restart in the orthogonal
-    complement.
+    deflated residual 1e-11 lambda2).  lambdan needs no vector, so it comes
+    from three-term recurrences with no stored basis that watch only the
+    top Ritz value: for a problem with a pencil, _shifted_top_value's
+    Lanczos on (sigma M - K)^{-1} M, and otherwise a Lanczos on A at tol
+    1e-11.  lambdan is computed first, so its shifted band factor is freed
+    before problem.solver() factors K.  Each Lanczos runs at most min(n,
+    600) steps from a start drawn from Rng(777) (its spawn(1) for lambdan).
+    A repeated lambda1 shows here only through roundoff, which lets the
+    reorthogonalization restart in the orthogonal complement.
     """
     n = problem.dim
     rng = Rng(777)
-    solve = problem.solver()
     budget = min(n, 600)
+    if problem.pencil is None:
+        lamn = _lanczos_top_value(problem.apply_a, n, tol=1e-11, maxit=budget, rng=rng.spawn(1))
+    else:
+        lamn = _shifted_top_value(problem, budget, rng.spawn(1))
+    solve = problem.solver()
     vals, vecs = lanczos_top_pairs(solve, n, tol=1e-12, maxit=budget, rng=rng)
     if len(vals) < 2:
         raise DegenerateSmallestEigenvalue("the start spans an invariant subspace of one eigenpair")
@@ -456,5 +468,43 @@ def _lanczos_reference(problem):
     v = deflate(vecs[:, 1])
     v /= np.linalg.norm(v)
     lam2, _ = _inverse_iteration(problem, solve, v, deflate, 1e-11, 200, "lambda2")
-    lamn = _lanczos_top_value(problem.apply_a, n, tol=1e-11, maxit=budget, rng=rng.spawn(1))
     return lam1, lam2, lamn, u
+
+
+def _shifted_top_value(problem, budget, rng):
+    """lambdan of a mass-reduced problem with pencil (K, M), to 1e-11
+    relative, by a spectral transformation (Ericsson & Ruhe 1980).
+
+    A three-term Lanczos on A at tol 1e-2 estimates theta <= lambdan.  The
+    shift sigma = theta (1 + g), g = 3e-2 4^k, is certified above lambdan by
+    the banded Cholesky of sigma M - K, which raises NotSpd when sigma <=
+    lambdan; k then goes up, and after _SHIFT_TRIES shifts NoConvergence is
+    raised.  The three-term Lanczos on T = (sigma M - K)^{-1} M, self-adjoint
+    in the M-inner product, finds T's top value mu = 1 / (sigma - lambdan)
+    at tol 1e-11 / g, with one banded solve and one M product per step, and
+    lambdan = sigma - 1 / mu.  Its error is mu's relative error times sigma -
+    lambdan <= sigma - theta = g theta, so lambdan keeps 1e-11 of itself.
+    At h=2^-6 the top of the FEM pencil is a pair 5.8e-10 apart relative
+    with the next eigenvalue 2.1e-3 below; on A the Lanczos needs about 300
+    steps to resolve them, on T they lie about 35 times as far apart
+    relative to the spectrum and it needs 53.  Both runs draw their starts
+    from rng.  The factor is one band, (bw + 1) n, freed on return."""
+    k, m = problem.pencil
+    theta = _lanczos_top_value(problem.apply_a, problem.dim, tol=1e-2, maxit=budget, rng=rng)
+    for tries in range(_SHIFT_TRIES):
+        g = 3e-2 * 4.0**tries
+        sigma = theta * (1.0 + g)
+        try:
+            _, band = _cholesky_band((sigma, m), (-1.0, k))
+        except NotSpd:
+            continue  # sigma <= lambdan
+
+        def solve(mq):
+            return scipy.linalg.cho_solve_banded((band, False), mq, check_finite=False)
+
+        mu, _, _ = _lanczos_tridiag(
+            solve, problem.dim, 1e-11 / g, budget, rng, (-1,),
+            inner_map=lambda v: m @ v, reorth=False,
+        )
+        return sigma - 1.0 / float(mu[-1])
+    raise NoConvergence(f"no shift above lambdan in {_SHIFT_TRIES} tries from {theta:.6e}")

@@ -291,6 +291,15 @@ def test_mtx_pencil_lambda1_matches_lapack(tmp_path):
     assert abs(lam1 - expected) <= 1e-12 * expected
 
 
+def test_mtx_pencil_lambdan_matches_lapack(tmp_path):
+    # lambdan of a pencil comes from the Lanczos on (sigma M - K)^{-1} M
+    k_path, m_path = write_fem_pencil(tmp_path)
+    lamn = build_problem(f"mtx:{k_path},mass={m_path}").reference().lamn
+    k, m = (pe.read_matrix(path).toarray() for path in (k_path, m_path))
+    expected = scipy.linalg.eigh(k, m, eigvals_only=True)[-1]
+    assert abs(lamn - expected) <= 1e-12 * expected
+
+
 def test_ddm_on_an_mtx_problem_exits_1_with_one_error_line(tmp_path, capsys):
     k_path, _ = write_fem_pencil(tmp_path)
     assert main(["phi", "--problem", f"mtx:{k_path}", "--precond", "ddm:H=2^-1"]) == 1
@@ -393,14 +402,15 @@ def test_phi_exact_preconditioner(tmp_path, capsys):
         ("laplace-fd:h=2^-4", "exact", {"splu": 1}),
         ("kernel-laplace:n=40,seed=3", "mp-chol", {"binary64": 1, "binary32": 1}),
         ("mtx:{k}", "exact", {"splu": 1}),
-        ("mtx:{k},mass={m}", "exact", {"splu": 1}),
+        ("mtx:{k},mass={m}", "exact", {"splu": 1, "banded": 2}),
     ],
 )
 def test_phi_factors_each_matrix_once(tmp_path, monkeypatch, capsys, problem, recipe, counts):
     # B = A reuses the problem's own factor, which the reference eigensolve
     # also uses; kernel_matrix keeps the factor of its SPD check, and an mtx
     # file's definiteness is checked by the factor its problem keeps (the
-    # mass by its banded SymFactor)
+    # mass by its banded SymFactor).  The only other banded factor is the
+    # shifted sigma M - K of the reference's lambdan.
     k_path, m_path = write_fem_pencil(tmp_path)
     problem = problem.format(k=k_path, m=m_path)
     seen = Counter()
@@ -418,6 +428,13 @@ def test_phi_factors_each_matrix_once(tmp_path, monkeypatch, capsys, problem, re
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    cholesky_banded = scipy.linalg.cholesky_banded
+
+    def counted_cholesky_banded(*args, **kwargs):
+        seen["banded"] += 1
+        return cholesky_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted_cholesky_banded)
     assert main(["phi", "--problem", problem, "--precond", recipe]) == 0
     capsys.readouterr()
     assert dict(seen) == counts

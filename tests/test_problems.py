@@ -20,7 +20,6 @@ from precondeig.errors import (
     PrecondEigError,
 )
 from precondeig.diagnostics import random_spd_pair
-from precondeig.linalg import _lanczos_top_value
 from precondeig.precond import HattedPreconditioner
 from precondeig.problems import interior_coords
 from tests import jacobi
@@ -474,8 +473,9 @@ def test_reference_kernel_matches_jacobi():
 
 @pytest.mark.parametrize("h", ["2^-4", "2^-5"], ids=lambda h: f"h={h}")
 def test_reference_fem_matches_scipy_pencil(h):
-    # lambdan comes from a three-term Lanczos that watches only the top Ritz
-    # value: 86 steps at h=2^-4, 157 at h=2^-5, with no stored basis
+    # lambdan comes from two three-term Lanczos runs with no stored basis,
+    # an estimate on A and the shift-inverted run: 20 steps at h=2^-4 and 30
+    # at h=2^-5 after the estimate
     prob = build_problem(f"laplace-fem:h={h}")
     k, m = pe.fem_p1(parse_dyadic(h))
     w = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)
@@ -496,26 +496,100 @@ def test_reference_lamn_matches_eigvalsh_on_random_pairs(n):
         assert abs(lamn - top) <= 1e-13 * top, seed
 
 
-def test_reference_lamn_run_holds_no_basis():
-    # the lambdan run at h=2^-5 takes 157 steps; a stored basis would be
-    # 157 vectors, while the three-term recurrence, the start draw and the
-    # pencil apply's temporaries peak near 10
+@pytest.mark.parametrize("h", ["2^-3", "2^-4", "2^-5"], ids=lambda h: f"h={h}")
+def test_reference_fem_lamn_matches_dense_pencil(h):
+    prob = build_problem(f"laplace-fem:h={h}")
+    k, m = pe.fem_p1(parse_dyadic(h))
+    top = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)[-1]
+    assert abs(prob.reference().lamn - top) <= 1e-12 * top
+
+
+class ShiftedRun:
+    """Wraps problems' bindings of the two Lanczos runs and of the banded
+    Cholesky for one _shifted_top_value call: counts the steps of each run
+    and the shifts refused by NotSpd, and scales the estimate by `scale`."""
+
+    def __init__(self, monkeypatch, scale=1.0):
+        self.estimate_steps = self.shifted_steps = self.refused = 0
+        top_value, tridiag, band = (
+            problems._lanczos_top_value, problems._lanczos_tridiag, problems._cholesky_band
+        )
+
+        def estimate(apply_t, *args, **kwargs):
+            def counted(v):
+                self.estimate_steps += 1
+                return apply_t(v)
+
+            return scale * top_value(counted, *args, **kwargs)
+
+        def shifted(apply_t, *args, **kwargs):
+            def counted(v):
+                self.shifted_steps += 1
+                return apply_t(v)
+
+            return tridiag(counted, *args, **kwargs)
+
+        def factor(*terms):
+            try:
+                return band(*terms)
+            except NotSpd:
+                self.refused += 1
+                raise
+
+        monkeypatch.setattr(problems, "_lanczos_top_value", estimate)
+        monkeypatch.setattr(problems, "_lanczos_tridiag", shifted)
+        monkeypatch.setattr(problems, "_cholesky_band", factor)
+
+
+def shifted_lamn(prob):
+    return problems._shifted_top_value(prob, min(prob.dim, 600), pe.Rng(777).spawn(1))
+
+
+def test_shifted_lamn_step_counts(monkeypatch):
     prob = build_problem("laplace-fem:h=2^-5")
-    n, steps = prob.dim, []
+    lamn = prob.reference().lamn
+    run = ShiftedRun(monkeypatch)
+    assert shifted_lamn(prob) == lamn
+    assert (run.estimate_steps, run.shifted_steps, run.refused) == (25, 30, 0)
 
-    def apply_a(v):
-        steps.append(1)
-        return prob.apply_a(v)
 
+@pytest.mark.parametrize("divisor, refused", [(1.1, 1), (2.0, 3)])
+def test_shifted_lamn_raises_a_refused_shift(monkeypatch, divisor, refused):
+    # theta / 2 needs 1 + 3e-2 4^k > 2, so k = 3; theta / 1.1 needs k = 1
+    prob = build_problem("laplace-fem:h=2^-5")
+    lamn = prob.reference().lamn
+    run = ShiftedRun(monkeypatch, scale=1.0 / divisor)
+    assert abs(shifted_lamn(prob) - lamn) <= 1e-12 * lamn
+    assert run.refused == refused
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_shifted_lamn_gives_up_after_its_tries(monkeypatch, scale):
+    # sigma <= 0 makes sigma M - K negative definite at every try
+    prob = build_problem("laplace-fem:h=2^-4")
+    run = ShiftedRun(monkeypatch, scale=scale)
+    with pytest.raises(NoConvergence, match="lambdan"):
+        shifted_lamn(prob)
+    assert (run.refused, run.shifted_steps) == (problems._SHIFT_TRIES, 0)
+
+
+def test_reference_lamn_run_holds_no_basis(monkeypatch):
+    # the two lambdan runs at h=2^-5 take 25 + 30 steps, so a stored basis
+    # would be 55 vectors; the shifted factor is one band of (bw + 1) n, and
+    # the three-term recurrences, start draws and applies' temporaries peak
+    # near 14 vectors beside it
+    prob = build_problem("laplace-fem:h=2^-5")
+    n, bw, lamn = prob.dim, prob.r_factor.bw, prob.reference().lamn
+    run = ShiftedRun(monkeypatch)
     tracemalloc.start()
     try:
-        lamn = _lanczos_top_value(apply_a, n, tol=1e-11, maxit=600, rng=pe.Rng(777).spawn(1))
+        got = shifted_lamn(prob)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(steps) > 100
-    assert peak <= 16 * 8 * n
-    assert abs(lamn - prob.reference().lamn) <= 1e-14 * lamn
+    assert run.estimate_steps + run.shifted_steps > 50
+    assert peak <= (bw + 1 + 16) * 8 * n
+    assert got == lamn
 
 
 def test_reference_degenerate_smallest():
