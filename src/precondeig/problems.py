@@ -484,8 +484,8 @@ def _shifted_top_value(problem, budget, rng):
     at tol 1e-11 / g, with one banded solve and one M product per step, and
     lambdan = sigma - 1 / mu.  Its error is mu's relative error times sigma -
     lambdan <= sigma - theta = g theta, so lambdan keeps 1e-11 of itself.
-    At h=2^-6 the top of the FEM pencil is a pair 5.8e-10 apart relative
-    with the next eigenvalue 2.1e-3 below; on A the Lanczos needs about 300
+    At h=2^-6 the top of the FEM pencil is a pair 5.8e-10 apart relative,
+    and the next pair lies 2.1e-3 below; on A the Lanczos needs about 300
     steps to resolve them, on T they lie about 35 times as far apart
     relative to the spectrum and it needs 53.  Both runs draw their starts
     from rng.  The factor is one band, (bw + 1) n, freed on return."""
