@@ -471,7 +471,7 @@ def test_reference_kernel_matches_jacobi():
     assert abs(ref.lamn - w[-1]) <= 1e-9 * abs(w[-1])
 
 
-@pytest.mark.parametrize("h", ["2^-4", "2^-5"], ids=lambda h: f"h={h}")
+@pytest.mark.parametrize("h", ["2^-3", "2^-4", "2^-5"], ids=lambda h: f"h={h}")
 def test_reference_fem_matches_scipy_pencil(h):
     # lambdan comes from two three-term Lanczos runs with no stored basis,
     # an estimate on A and the shift-inverted run: 20 steps at h=2^-4 and 30
@@ -482,7 +482,7 @@ def test_reference_fem_matches_scipy_pencil(h):
     ref = pe.reference_eigs(prob)
     assert abs(ref.lam1 - w[0]) <= 1e-10 * w[0]
     assert abs(ref.lam2 - w[1]) <= 1e-10 * w[1]
-    assert abs(ref.lamn - w[-1]) <= 1e-10 * w[-1]
+    assert abs(ref.lamn - w[-1]) <= 1e-12 * w[-1]
 
 
 @pytest.mark.parametrize("n", [6, 12, 20])
@@ -494,14 +494,6 @@ def test_reference_lamn_matches_eigvalsh_on_random_pairs(n):
         lamn = dense_problem(a).reference().lamn
         top = scipy.linalg.eigvalsh(a)[-1]
         assert abs(lamn - top) <= 1e-13 * top, seed
-
-
-@pytest.mark.parametrize("h", ["2^-3", "2^-4", "2^-5"], ids=lambda h: f"h={h}")
-def test_reference_fem_lamn_matches_dense_pencil(h):
-    prob = build_problem(f"laplace-fem:h={h}")
-    k, m = pe.fem_p1(parse_dyadic(h))
-    top = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)[-1]
-    assert abs(prob.reference().lamn - top) <= 1e-12 * top
 
 
 class ShiftedRun:
@@ -577,7 +569,7 @@ def test_reference_lamn_run_holds_no_basis(monkeypatch):
     # the two lambdan runs at h=2^-5 take 25 + 30 steps, so a stored basis
     # would be 55 vectors; the shifted factor is one band of (bw + 1) n, and
     # the three-term recurrences, start draws and applies' temporaries peak
-    # near 14 vectors beside it
+    # near 12 vectors beside it
     prob = build_problem("laplace-fem:h=2^-5")
     n, bw, lamn = prob.dim, prob.r_factor.bw, prob.reference().lamn
     run = ShiftedRun(monkeypatch)
