@@ -1,8 +1,7 @@
 """Dense/sparse SPD primitives: Cholesky at two precisions with triangular
 solves by direct LAPACK trtrs calls, PCG, Lanczos (fully reorthogonalized
 where Ritz vectors or both ends are wanted, three-term for a lone top
-value; problems' lambdan runs the three-term one on A and, for a pencil,
-on a shift-inverted operator in the M-inner product), a deterministic RNG
+value, which is every run of problems' lambdan), a deterministic RNG
 that can also draw one normal vector per spawned seed as a single block,
 and dense_sym_eig, all eigenpairs of a small dense symmetric matrix by
 LAPACK eigh, for the explicit x-space evaluation inside
@@ -315,22 +314,23 @@ def _ritz(d, e, j):
     return w[0], s[-1, 0]
 
 
-def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reorth=True):
+def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None):
     """Shared Lanczos loop from a start drawn from rng.
 
     The inner product is u^T C v with C = inner_map (Euclidean when None).
     apply_t receives the mapped vector C q_k, which the loop already holds,
     and must return T q_k (with no inner_map, C = I and it receives q_k).
-    With `reorth` the basis (and C times it) fills the rows of a (steps + 1,
-    n) array, and each of the two reorthogonalization passes is classical
-    Gram-Schmidt (CGS2): one BLAS-2 product for the coefficients, one to
-    subtract them.  Without it the three-term recurrence runs on two rows.
     `watch` lists indices into the ascending Ritz values (negative allowed)
     that must pass the residual-plus-stabilization test before the loop
     stops; each step computes only the watched Ritz values and the last
-    component of their eigenvectors.  The scale is the largest |theta| among
-    the watched values; every caller runs on an SPD operator (A^{-1}, A or
-    B^{-1} A) and watches theta_{m-1}, so the scale is theta_{m-1}.  The
+    component of their eigenvectors.  It fixes the variant too: one watched
+    value runs the three-term recurrence on two rows (Paige 1980); more keep
+    the basis (and C times it) in a (steps + 1, n) array, reorthogonalized
+    by two classical Gram-Schmidt passes (CGS2), each one BLAS-2 product for
+    the coefficients and one to subtract them.  The scale is the largest
+    |theta| among the watched values; every caller runs on an SPD operator
+    (A^{-1}, A, B^{-1} A, or (sigma M - K)^{-1} M in the M-inner product)
+    and watches theta_{m-1}, so the scale is theta_{m-1}.  The
     extremal watch (0, -1) asks tol times the spread theta_{m-1} - theta_0
     instead, since its readers (kappa - 1, chi, rho_B) read that spread: for
     a near-exact B it is about 1e-7 theta_{m-1}, and a test scaled by
@@ -344,8 +344,8 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
     repeated eigenvalue yields two Ritz values.
     Returns (theta ascending, S, Q), with S the tridiagonal's eigenvectors
     and Q the basis rows, so the Ritz vectors are (S^T Q)^T; S and Q are
-    None without reorth.  Raises MaxIterations carrying the watched Ritz
-    values when maxit steps do not converge.
+    None for one watched value.  Raises MaxIterations carrying the watched
+    Ritz values when maxit steps do not converge.
     """
     q = rng.normal(dim)
     cq = inner_map(q) if inner_map is not None else q
@@ -354,6 +354,7 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None, reort
         raise InnerProductNotPositive("inner(q0, q0) <= 0")
     nrm = np.sqrt(qq)
     steps = min(maxit, dim)
+    reorth = len(watch) > 1
     rows = steps + 1 if reorth else 2  # row k % rows holds q_k
     basis = np.empty((rows, dim))
     basis[0] = q / nrm
@@ -446,16 +447,15 @@ def lanczos_top_pairs(apply_t, dim, tol, maxit, rng):
     return theta[order], vecs
 
 
-def _lanczos_top_value(apply_t, dim, tol, maxit, rng):
-    """Largest eigenvalue of a Euclidean-self-adjoint operator by the
-    three-term recurrence with no stored basis.  Lost orthogonality only
-    adds copies of Ritz values that have converged (Paige 1980), so the top
-    value still converges and the beta*|s| bound stays valid.  A cluster at
-    the top slows it: on a FEM pencil's A it takes about 300 steps at tol
-    1e-11, so problems runs it there only for a loose estimate, and then
-    the same recurrence on a shift-inverted pencil in the M-inner product
-    (problems._shifted_top_value)."""
-    theta, _, _ = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (-1,), reorth=False)
+def _lanczos_top_value(apply_t, dim, tol, maxit, rng, inner_map=None):
+    """Largest eigenvalue of an operator self-adjoint w.r.t. u^T C v, with C
+    = inner_map and apply_t as in _lanczos_tridiag, by the three-term
+    recurrence with no stored basis: the top value still converges and the
+    beta*|s| bound stays valid.  A cluster at the top slows it: on a FEM
+    pencil's A it takes about 300 steps at tol 1e-11, so
+    problems._lanczos_lamn runs it there only for a loose estimate, and
+    then on a shift-inverted pencil in the M-inner product."""
+    theta, _, _ = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (-1,), inner_map=inner_map)
     return float(theta[-1])
 
 

@@ -35,7 +35,6 @@ from .linalg import (
     SymFactor,
     _cholesky_band,
     _lanczos_top_value,
-    _lanczos_tridiag,
     chol_solve,
     cholesky,
     lanczos_extremal,  # noqa: F401 - not called here; perfbench/spans.py patches this name
@@ -46,7 +45,9 @@ from .linalg import (
 # largest dimension for which reference_eigs and kappa_nu take their dense
 # LAPACK routes
 _DENSE_CAP = 200
-# shifts _shifted_top_value tries above its estimate of lambdan
+# most steps of a reference Lanczos run (one on fewer dimensions stops there)
+_LANCZOS_STEPS = 600
+# shifts _lanczos_lamn tries above its estimate of lambdan
 _SHIFT_TRIES = 5
 # most binary64 entries of an array whose byte count numpy can index
 _MAX_ENTRIES = sys.maxsize // 8
@@ -403,7 +404,7 @@ def reference_eigs(problem):
     up to _DENSE_CAP: lambda1, lambda2 and u* from LAPACK eigh on the two
     smallest eigenpairs, lambdan from eigvalsh on the largest eigenvalue.
     Otherwise the Lanczos route of _lanczos_reference, where a problem
-    with a pencil (K, M) takes lambdan by shift-invert on the pencil.
+    with a pencil (K, M) takes lambdan by shift-invert (_lanczos_lamn).
     Raises DegenerateSmallestEigenvalue for dimension 1 or when lambda2 -
     lambda1 falls below 1e-9 lambdan (on the dense route a repeated lambda1
     gives exactly 0), and on the Lanczos route also when its start spans an
@@ -440,24 +441,18 @@ def _lanczos_reference(problem):
     the first Ritz vector (at most 100 solves, residual 1e-10 lambda1),
     lambda2 from the second deflated against u* (at most 200 solves,
     deflated residual 1e-11 lambda2).  lambdan needs no vector, so it comes
-    from three-term recurrences with no stored basis that watch only the
-    top Ritz value: for a problem with a pencil, _shifted_top_value's
-    Lanczos on (sigma M - K)^{-1} M, and otherwise a Lanczos on A at tol
-    1e-11.  lambdan is computed first, so its shifted band factor is freed
-    before problem.solver() factors K.  Each Lanczos runs at most min(n,
-    600) steps from a start drawn from Rng(777) (its spawn(1) for lambdan).
-    A repeated lambda1 shows here only through roundoff, which lets the
+    from _lanczos_lamn's three-term runs, computed first so that a pencil's
+    shifted band factor is freed before problem.solver() factors K.  Each
+    Lanczos runs at most _LANCZOS_STEPS = 600 steps, and at most n, from a
+    start drawn from Rng(777) (its spawn(1) for lambdan).  A repeated
+    lambda1 shows here only through roundoff, which lets the
     reorthogonalization restart in the orthogonal complement.
     """
     n = problem.dim
     rng = Rng(777)
-    budget = min(n, 600)
-    if problem.pencil is None:
-        lamn = _lanczos_top_value(problem.apply_a, n, tol=1e-11, maxit=budget, rng=rng.spawn(1))
-    else:
-        lamn = _shifted_top_value(problem, budget, rng.spawn(1))
+    lamn = _lanczos_lamn(problem, rng.spawn(1))
     solve = problem.solver()
-    vals, vecs = lanczos_top_pairs(solve, n, tol=1e-12, maxit=budget, rng=rng)
+    vals, vecs = lanczos_top_pairs(solve, n, tol=1e-12, maxit=_LANCZOS_STEPS, rng=rng)
     if len(vals) < 2:
         raise DegenerateSmallestEigenvalue("the start spans an invariant subspace of one eigenpair")
     lam1, u = _inverse_iteration(problem, solve, vecs[:, 0], lambda x: x, 1e-10, 100, "lambda1")
@@ -471,26 +466,29 @@ def _lanczos_reference(problem):
     return lam1, lam2, lamn, u
 
 
-def _shifted_top_value(problem, budget, rng):
-    """lambdan of a mass-reduced problem with pencil (K, M), to 1e-11
-    relative, by a spectral transformation (Ericsson & Ruhe 1980).
+def _lanczos_lamn(problem, rng):
+    """lambdan to 1e-11 relative by _lanczos_top_value runs drawing their
+    starts from rng: on A at tol 1e-11 without a pencil, and with a pencil
+    (K, M) by a spectral transformation (Ericsson & Ruhe 1980).
 
-    A three-term Lanczos on A at tol 1e-2 estimates theta <= lambdan.  The
+    A Lanczos on A at tol 1e-2 estimates theta <= lambdan.  The
     shift sigma = theta (1 + g), g = 3e-2 4^k, is certified above lambdan by
     the banded Cholesky of sigma M - K, which raises NotSpd when sigma <=
     lambdan; k then goes up, and after _SHIFT_TRIES shifts NoConvergence is
-    raised.  The three-term Lanczos on T = (sigma M - K)^{-1} M, self-adjoint
-    in the M-inner product, finds T's top value mu = 1 / (sigma - lambdan)
+    raised.  The Lanczos on T = (sigma M - K)^{-1} M, self-adjoint in the
+    M-inner product, finds T's top value mu = 1 / (sigma - lambdan)
     at tol 1e-11 / g, with one banded solve and one M product per step, and
     lambdan = sigma - 1 / mu.  Its error is mu's relative error times sigma -
     lambdan <= sigma - theta = g theta, so lambdan keeps 1e-11 of itself.
     At h=2^-6 the top of the FEM pencil is a pair 5.8e-10 apart relative,
     and the next pair lies 2.1e-3 below; on A the Lanczos needs about 300
     steps to resolve them, on T they lie about 35 times as far apart
-    relative to the spectrum and it needs 53.  Both runs draw their starts
-    from rng.  The factor is one band, (bw + 1) n, freed on return."""
+    relative to the spectrum and it needs 53.  The factor is one band of
+    (bw + 1) n entries, freed on return."""
+    if problem.pencil is None:
+        return _lanczos_top_value(problem.apply_a, problem.dim, 1e-11, _LANCZOS_STEPS, rng)
     k, m = problem.pencil
-    theta = _lanczos_top_value(problem.apply_a, problem.dim, tol=1e-2, maxit=budget, rng=rng)
+    theta = _lanczos_top_value(problem.apply_a, problem.dim, 1e-2, _LANCZOS_STEPS, rng)
     for tries in range(_SHIFT_TRIES):
         g = 3e-2 * 4.0**tries
         sigma = theta * (1.0 + g)
@@ -502,9 +500,8 @@ def _shifted_top_value(problem, budget, rng):
         def solve(mq):
             return scipy.linalg.cho_solve_banded((band, False), mq, check_finite=False)
 
-        mu, _, _ = _lanczos_tridiag(
-            solve, problem.dim, 1e-11 / g, budget, rng, (-1,),
-            inner_map=lambda v: m @ v, reorth=False,
+        mu = _lanczos_top_value(
+            solve, problem.dim, 1e-11 / g, _LANCZOS_STEPS, rng, inner_map=lambda v: m @ v
         )
-        return sigma - 1.0 / float(mu[-1])
+        return sigma - 1.0 / mu
     raise NoConvergence(f"no shift above lambdan in {_SHIFT_TRIES} tries from {theta:.6e}")

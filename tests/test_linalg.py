@@ -18,6 +18,7 @@ from precondeig.errors import (
 from precondeig.linalg import (
     SymFactor,
     _lanczos_top_value,
+    _lanczos_tridiag,
     _ritz,
     hash_label,
     lanczos_top_pairs,
@@ -484,6 +485,29 @@ def test_lanczos_stops_when_the_start_is_an_eigenvector(call, expected):
             call()
     else:
         assert call() == pytest.approx(expected, rel=1e-14)
+
+
+def test_lanczos_variant_follows_the_watch():
+    # a watch of one value runs the three-term recurrence and keeps no basis;
+    # any other watch reorthogonalizes against the stored one
+    a = random_spd(5, 30)
+    for watch, keeps in [((-1,), False), ((0, -1), True), ((-1, -2), True)]:
+        _, svecs, basis = _lanczos_tridiag(lambda v: a @ v, 30, 1e-10, 30, pe.Rng(9), watch)
+        assert (svecs is not None, basis is not None) == (keeps, keeps), watch
+    # the shifted operator (sigma M - K)^{-1} M of the h=2^-5 FEM pencil in
+    # the M-inner product, as problems._lanczos_lamn runs it
+    h = 2.0**-5
+    k, m = pe.fem_p1(h)
+    sigma = 1.03 * pe.laplace_fem(h).reference().lamn
+    _, band = linalg._cholesky_band((sigma, m), (-1.0, k))
+
+    def solve(mq):
+        return scipy.linalg.cho_solve_banded((band, False), mq, check_finite=False)
+
+    n, tol = k.shape[0], 1e-11 / 3e-2
+    top = _lanczos_top_value(solve, n, tol, 600, pe.Rng(777), inner_map=lambda v: m @ v)
+    theta, _, _ = _lanczos_tridiag(solve, n, tol, 600, pe.Rng(777), (-1,), inner_map=lambda v: m @ v)
+    assert top == theta[-1]
 
 
 def test_lanczos_runs_raise_max_iterations():

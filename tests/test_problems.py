@@ -497,29 +497,27 @@ def test_reference_lamn_matches_eigvalsh_on_random_pairs(n):
 
 
 class ShiftedRun:
-    """Wraps problems' bindings of the two Lanczos runs and of the banded
-    Cholesky for one _shifted_top_value call: counts the steps of each run
+    """Wraps problems' bindings of the Lanczos top-value run and of the banded
+    Cholesky for one _lanczos_lamn call on a pencil: tells the estimate on A
+    from the shift-inverted run by its inner_map, counts the steps of each
     and the shifts refused by NotSpd, and scales the estimate by `scale`."""
 
     def __init__(self, monkeypatch, scale=1.0):
         self.estimate_steps = self.shifted_steps = self.refused = 0
-        top_value, tridiag, band = (
-            problems._lanczos_top_value, problems._lanczos_tridiag, problems._cholesky_band
-        )
+        top_value, band = problems._lanczos_top_value, problems._cholesky_band
 
-        def estimate(apply_t, *args, **kwargs):
+        def run(apply_t, *args, inner_map=None, **kwargs):
+            shifted = inner_map is not None
+
             def counted(v):
-                self.estimate_steps += 1
+                if shifted:
+                    self.shifted_steps += 1
+                else:
+                    self.estimate_steps += 1
                 return apply_t(v)
 
-            return scale * top_value(counted, *args, **kwargs)
-
-        def shifted(apply_t, *args, **kwargs):
-            def counted(v):
-                self.shifted_steps += 1
-                return apply_t(v)
-
-            return tridiag(counted, *args, **kwargs)
+            value = top_value(counted, *args, inner_map=inner_map, **kwargs)
+            return value if shifted else scale * value
 
         def factor(*terms):
             try:
@@ -528,13 +526,12 @@ class ShiftedRun:
                 self.refused += 1
                 raise
 
-        monkeypatch.setattr(problems, "_lanczos_top_value", estimate)
-        monkeypatch.setattr(problems, "_lanczos_tridiag", shifted)
+        monkeypatch.setattr(problems, "_lanczos_top_value", run)
         monkeypatch.setattr(problems, "_cholesky_band", factor)
 
 
 def shifted_lamn(prob):
-    return problems._shifted_top_value(prob, min(prob.dim, 600), pe.Rng(777).spawn(1))
+    return problems._lanczos_lamn(prob, pe.Rng(777).spawn(1))
 
 
 def test_shifted_lamn_step_counts(monkeypatch):
