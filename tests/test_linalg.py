@@ -504,9 +504,12 @@ def test_lanczos_variant_follows_the_watch():
     def solve(mq):
         return scipy.linalg.cho_solve_banded((band, False), mq, check_finite=False)
 
+    def mass(v):
+        return m @ v
+
     n, tol = k.shape[0], 1e-11 / 3e-2
-    top = _lanczos_top_value(solve, n, tol, 600, pe.Rng(777), inner_map=lambda v: m @ v)
-    theta, _, _ = _lanczos_tridiag(solve, n, tol, 600, pe.Rng(777), (-1,), inner_map=lambda v: m @ v)
+    top = _lanczos_top_value(solve, n, tol, 600, pe.Rng(777), inner_map=mass)
+    theta, _, _ = _lanczos_tridiag(solve, n, tol, 600, pe.Rng(777), (-1,), inner_map=mass)
     assert top == theta[-1]
 
 
