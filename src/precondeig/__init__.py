@@ -55,7 +55,7 @@ from .problems import (
     mesh_hierarchy,
     reference_eigs,
 )
-from .solvers import SolveResult, StepPolicy, Trace, a_x, gamma_x, mu_x, rsd_solve
+from .solvers import Route, SolveResult, StepPolicy, Trace, a_x, gamma_x, mu_x, rsd_solve
 
 __version__ = "0.1.0"
 
@@ -67,6 +67,7 @@ __all__ = [
     "Preconditioner",
     "RateContext",
     "Rng",
+    "Route",
     "SolveResult",
     "StepPolicy",
     "Trace",

@@ -377,7 +377,8 @@ def cmd_table(args):
     list-valued key.  A cell whose problem recipe equals the previous cell's
     reuses that problem, its reference eigenpairs included, and its runtime_s
     then leaves out the build; the other cells build their own.  A cell that
-    cannot be built raises ValueError naming the table and the cell."""
+    cannot be built raises ValueError naming the table and the values of the
+    keys its recipes read."""
     if args.name not in _TABLES:
         raise ValueError(f"unknown table {args.name!r}; choose from {', '.join(_TABLES)}")
     cfg = {key: args.trials if v is None else v for key, v in _TABLES[args.name].items()}
@@ -408,7 +409,9 @@ def cmd_table(args):
                 recipe, problem = cell, build_problem(cell)
             p = build_precond(p_recipe, problem)
         except PrecondEigError as exc:
-            raise ValueError(f"{args.name} cell {key!r}={value!r}: {exc}") from exc
+            keys = ("n", "kernel_seed") if kernel else ("h", "H")
+            read = ", ".join(f"{k!r}={row[k]!r}" for k in keys)
+            raise ValueError(f"{args.name} cell {read}: {exc}") from exc
         if phi:
             row.update(diagnostics.compute_quality(problem, p))
         else:

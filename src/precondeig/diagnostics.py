@@ -89,10 +89,9 @@ def kappa_nu(problem, precond):
     hands apply_t the A q it already holds, so each step applies A once; it
     runs at most 400 steps from a start drawn from Rng(4242).
 
-    A lifted B runs that Lanczos on the pencil (solvers._coordinates), as
-    rsd_solve does: Bhat^{-1} A = R P^{-1} R^T R^{-T} K R^{-1} is similar
-    through R to P^{-1} K, so the run takes P^{-1} in the K-inner product,
-    one P^{-1} apply and one K matvec per step with no R work.
+    That Lanczos runs in the coordinates of solvers.Route, as rsd_solve
+    does: for a lifted B, P^{-1} in the K-inner product, one P^{-1} apply
+    and one K matvec per step with no R work.
     """
     n = problem.dim
     exact = precond.exact()
@@ -103,9 +102,10 @@ def kappa_nu(problem, precond):
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
-        b, apply_a, _, _ = solvers._coordinates(problem, exact)
+        route = solvers.Route.of(problem, exact)
         nu_min, nu_max = lanczos_extremal(
-            b.apply_inv, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242), inner_map=apply_a
+            route.b.apply_inv, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242),
+            inner_map=route.apply_a,
         )
     return nu_min, nu_max, nu_max / nu_min
 
@@ -257,10 +257,10 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     they are set against are ctx.phi and ctx.lam2.
 
     u0_b_norm_sq is u0^T B u0 per row when it is known from the sampler
-    identity; when it is None solvers._b_norm_sq measures it on the binary64
-    twin of B as rsd_solve does: on the pencil for a lifted B (x = R^{-1} u0,
-    no R product), else in u-space, where ctx's B u* always is.  A u0 is one
-    apply_a on the (n, k) transpose.
+    identity; when it is None solvers.Route.b_norm_sq measures it on the
+    binary64 twin of B as rsd_solve does, in the route's coordinates (ctx's
+    B u* is in u-space on either route).  A u0 is one apply_a on the (n, k)
+    transpose.
     Raises DimensionMismatch when u0 is not 2-D and ZeroVector when a start
     is zero.
     """
@@ -270,9 +270,8 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     if not u0.any(axis=1).all():
         raise ZeroVector("u0 is zero")
     if u0_b_norm_sq is None:
-        b, apply_a, _, r = solvers._coordinates(problem, precond)
-        x = u0.T if r is None else r.solve(u0.T)
-        u0_b_norm_sq = solvers._b_norm_sq(b.exact(), apply_a, x)
+        route = solvers.Route.of(problem, precond)
+        u0_b_norm_sq = route.b_norm_sq(route.to_x(u0.T))
     dist = np.arccos(ctx.cos_dist_b(u0, np.sqrt(u0_b_norm_sq)))
     lam_u0 = np.einsum("ij,ij->i", u0, problem.apply_a(u0.T).T) / np.einsum("ij,ij->i", u0, u0)
     return {
@@ -292,10 +291,9 @@ def success_probability(problem, precond, sampler, trials, seed, ctx=None):
     check_initial checks the whole block at once.  sampler "gaussian" draws
     u0 = omega; "smooth" draws u0 = B^{-1} omega (one apply of the binary64
     twin's inverse to the block), for which ||u0||_B^2 = u0^T omega requires
-    no forward application (check_initial measures a Gaussian start's, on
-    the pencil for a lifted B).  ctx None builds the RateContext here.  Raises
-    ValueError for trials < 1 or an unknown sampler, before any context is
-    built.
+    no forward application (check_initial measures a Gaussian start's).
+    ctx None builds the RateContext here.  Raises ValueError for trials < 1
+    or an unknown sampler, before any context is built.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

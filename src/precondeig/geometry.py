@@ -5,13 +5,8 @@ Riemannian gradient norm g2 from A-matvecs and inverse preconditioner
 applications only.  Square roots of the preconditioner are never formed
 here; the dense-oracle tests form them independently.
 
-It runs in one of two coordinate systems.  In u-space it takes u, A and
-B^{-1}; a mass-reduced problem's u-space operators are Ahat = R^{-T} K R^{-1}
-and Bhat^{-1} = R B^{-1} R^T, where M = R^T R and B preconditions K.  In
-pencil coordinates it takes x = R^{-1} u with K, B^{-1} and M.  The scalars
-are the u-space ones there too, since u^T u = x^T M x, u^T Ahat u = x^T K x
-and r^T Bhat^{-1} r = s^T B^{-1} s with s = K x - lambda M x = R^T r, so a
-pencil state needs no R product or solve.
+It runs in the coordinates of a solvers.Route, u-space or pencil
+coordinates x = R^{-1} u, and its scalars are the u-space ones on either.
 """
 
 from dataclasses import dataclass
@@ -30,12 +25,11 @@ def _clamp(c):
 class IterateState:
     """Iterate with ||u||_B = 1 and the derived quantities the solvers reuse.
 
-    x is the iterate in the coordinates make_state ran in: u itself, or the
-    pencil iterate R^{-1} u.  The scalars uu, uau, lam, f, r_binv_r and g2
-    are u-space values in both.  The vectors r and b_inv_r are in x's
-    coordinates: r = A u - lam u and B^{-1} r in u-space; s = K x - lam M x
-    and B^{-1} s in pencil coordinates.  u is the u-space iterate, formed on
-    first read (one R product for a pencil state).
+    x is the iterate in the coordinates of the route make_state ran on
+    (solvers.Route), and so are the vectors r = apply_a(x) - lam apply_m(x)
+    and B^{-1} r;
+    the scalars uu, uau, lam, f, r_binv_r and g2 are u-space values.  u is
+    the u-space iterate route.to_u(x), formed on first read.
 
     g2 is the squared Riemannian gradient norm of the sphere objective at the
     point B^{1/2} u, computed without ever forming B^{1/2}:
@@ -52,36 +46,28 @@ class IterateState:
     b_inv_r: np.ndarray
     r_binv_r: float
     g2: float
-    to_u: object  # x -> u; None when x is u
+    to_u: object  # x -> u
 
     @cached_property
     def u(self):
-        return self.x if self.to_u is None else self.to_u(self.x)
+        return self.to_u(self.x)
 
 
-def make_state(x, apply_a, apply_b_inv, apply_m, to_u):
-    """Build the cached state for an iterate with ||u||_B = 1.
-
-    With apply_m and to_u None, x is u and apply_a, apply_b_inv are A and
-    B^{-1}: one A apply and one B^{-1} apply.  rsd_solve calls it so for a
-    standard problem, and for a mass-reduced one whose B acts on Ahat
-    (identity, exact, mp-chol), where the Ahat apply costs two banded R
-    solves.
-    With apply_m given, x is the pencil iterate and apply_a, apply_b_inv,
-    apply_m are K, B^{-1} and M; to_u maps x to u (R x) for state.u.
-    rsd_solve calls it so for a B lifted by HattedPreconditioner (ddm,
-    scaled:ddm): a K matvec, an M matvec, one B^{-1} apply and no R work.
+def make_state(x, route):
+    """Build the cached state for an iterate x with ||u||_B = 1 on a
+    solvers.Route: one apply each of route.apply_m, route.apply_a and
+    route.b's B^{-1}.
     """
     x = np.asarray(x, dtype=np.float64)
-    mx = x if apply_m is None else apply_m(x)
+    mx = route.apply_m(x)
     uu = float(x @ mx)
     if uu == 0.0:
         raise ZeroVector("iterate is the zero vector")
-    au = apply_a(x)
+    au = route.apply_a(x)
     uau = float(x @ au)
     lam = uau / uu
     r = au - lam * mx
-    b_inv_r = apply_b_inv(r)
+    b_inv_r = route.b.apply_inv(r)
     r_binv_r = max(0.0, float(r @ b_inv_r))
     coeff = 2.0 * uu / uau**2
     return IterateState(
@@ -94,7 +80,7 @@ def make_state(x, apply_a, apply_b_inv, apply_m, to_u):
         b_inv_r=b_inv_r,
         r_binv_r=r_binv_r,
         g2=coeff**2 * r_binv_r,
-        to_u=to_u,
+        to_u=route.to_u,
     )
 
 

@@ -5,8 +5,8 @@ wrapper of either) also applies B itself through apply_fwd.  An implicit B
 has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply, which
 names the class: its forward apply is apply_fwd_iterative, a nested PCG
 preconditioned by the problem's A.  The method needs B v only to measure B,
-so an implicit B loses nothing: the B-norms of starts (solvers._b_norm_sq)
-run on the pencil (K, M) for a lifted B, and B u* for the distortion angle
+so an implicit B loses nothing: the B-norms of starts run in the coordinates
+of solvers.Route (which pencil() selects), and B u* for the distortion angle
 in u-space.  DDM's B^{-1} runs its local solves by fast diagonalization
 (dense tensor-product products) and its coarse solve by linalg.make_solver,
 a symmetric-mode SuperLU; the only band factor here is the mass factor R
@@ -39,8 +39,8 @@ class Preconditioner:
     apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
     is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
     B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a), on vectors
-    only (solvers._b_norm_sq runs it per column of a block).  apply_inv, and
-    apply_fwd of an explicit B, take an (n, k) block or a vector.
+    only (solvers.Route.b_norm_sq runs it per column of a block).  apply_inv,
+    and apply_fwd of an explicit B, take an (n, k) block or a vector.
     """
 
     fwd_mode = "exact"
@@ -274,12 +274,10 @@ class HattedPreconditioner(Preconditioner):
     forward apply through R solves, and Bhat v is apply_fwd_iterative with
     the reduced problem's A.
 
-    rsd_solve does not apply Bhat: through pencil() it runs the inner B in
-    pencil coordinates, one B^{-1} apply and one banded R^T solve (for the
-    residual norm) per step; kappa_nu's Lanczos and the B-norms of starts
-    (solvers._b_norm_sq) run on the pencil too.  apply_inv serves what runs
-    in u-space, B u* and cos phi among it; it costs two banded R products
-    around the inner apply.
+    Through pencil() solvers.Route runs the inner B in pencil coordinates
+    instead, for rsd_solve, kappa_nu's Lanczos and the B-norms of starts.
+    apply_inv serves what runs in u-space, B u* and cos phi among it; it
+    costs two banded R products around the inner apply.
     """
 
     fwd_mode = "iterative"

@@ -192,8 +192,8 @@ def fem_p1(h):
     (stiffness, mass) as CSR, both SPD, with rows in the node order of
     interior_coords(h).
     """
+    stiffness = _grid_stencil(h, _CROSS + _SPLIT)  # checks h before h**2
     c0, c1 = 2.0 / 24.0 * h**2, 1.0 / 24.0 * h**2
-    stiffness = _grid_stencil(h, _CROSS + _SPLIT)
     mass = _grid_stencil(
         h,
         [(0, 0, c0 + c0 + c0 + c0 + c0 + c0)]
@@ -354,15 +354,12 @@ def generalized_reduce(a, m):
     lifted by precond.HattedPreconditioner so that Bhat^{-1} v = R (B^{-1}
     (R^T v)).
     The reduced apply_a costs a banded R solve, an A matvec and a banded
-    R^T solve; the set-up and the diagnostics run on it, and so does a
-    rsd_solve step with a preconditioner built on the reduced operator
-    (identity, exact, mp-chol).  With a lifted preconditioner (ddm,
-    scaled:ddm) rsd_solve, kappa_nu's Lanczos and the B-norms of starts run
-    in pencil coordinates (solvers._coordinates) on the problem's pencil
-    (A, M), the matrices as given, with one banded R^T solve per rsd_solve
-    step.  Factors only M here, by SymFactor (NotSpd unless SPD,
-    DimensionMismatch unless A's size); A in problem.solver(), and sigma M -
-    A, for a while, in the reference eigensolve's lambdan.
+    R^T solve; the set-up and the diagnostics run on it.  rsd_solve,
+    kappa_nu's Lanczos and the B-norms of starts run on it too, or on the
+    problem's pencil (A, M) as given, as solvers.Route chooses.  Factors
+    only M here, by SymFactor (NotSpd unless SPD, DimensionMismatch unless
+    A's size); A in problem.solver(), and sigma M - A, for a while, in the
+    reference eigensolve's lambdan.
     """
     n = a.shape[0]
     if m.shape[0] != n:

@@ -13,21 +13,9 @@ applies are not binary64 (mixed-precision Cholesky) has ||u||_B recomputed
 each step from its binary64 twin, because its B^{-1} r does not realize the
 B being normalized against.
 
-rsd_solve runs one loop on one of two routes, chosen by _coordinates, from
-which diagnostics.kappa_nu and check_initial take theirs too:
-- u-space, for a standard problem and for a mass-reduced problem with a
-  preconditioner built on the reduced operator (identity, exact, mp-chol):
-  a step costs one A apply and one B^{-1} apply.  On a mass-reduced problem
-  the A apply is a banded R solve, a K matvec and a banded R^T solve.
-- pencil coordinates, for a mass-reduced problem (K, M), M = R^T R, with a
-  preconditioner lifted by precond.HattedPreconditioner (ddm, scaled:ddm),
-  whose u-space B^{-1} is R P^{-1} R^T for the pencil's preconditioner P:
-  the loop carries x = R^{-1} u, and a step costs a K and an M matvec, one
-  P^{-1} apply and one banded R^T solve, for the residual norm ||R^{-T} s||.
-  The recurrence is the same, x_{t+1} = beta_{t+1} (x_t - eta*_t P^{-1} s_t)
-  with s = K x - lambda M x = R^T r, and every scalar it uses is the u-space
-  one (geometry.make_state).  u = R x is formed at exit, and in a callback
-  only when state.u is read.
+rsd_solve runs that loop in the coordinates of a Route, u-space or pencil
+coordinates x = R^{-1} u (Route's docstring), and diagnostics.kappa_nu and
+check_initial take theirs from it too.
 
 Classical PINVIT, u <- u - B^{-1} r up to scale, is this recurrence at
 eta* = 1, i.e. the Riemannian step eta = atan(g (u^T A u)^2 / (2 u^T u)) / g,
@@ -197,31 +185,63 @@ def step_constant(ctx, c):
     return c / (ctx.kappa**2 * (1.0 / ctx.lam1 - 1.0 / ctx.lamn))
 
 
-def _coordinates(problem, precond):
-    """(B, A apply, M apply, R) of the route precond.pencil() selects:
-    (precond, problem.apply_a, None, None) in u-space, or the pencil's B, the
-    K and M matvecs and the mass factor R in pencil coordinates x = R^{-1} u."""
-    b = precond.pencil()
-    if b is None:
-        return precond, problem.apply_a, None, None
-    k, m = problem.pencil
-    return b, (lambda v: k @ v), (lambda v: m @ v), problem.r_factor
+def _identity(v):
+    return v
 
 
-def _b_norm_sq(exact, apply_a, x):
-    """Measurement-grade x^T B x from the binary64 twin `exact` of B, for a
-    vector or per column of a block, in _coordinates' terms: on the pencil
-    x = R^{-1} u gives u^T Bhat u of a lifted Bhat (B u* stays in u-space).
-    For implicit B a nested PCG per column, preconditioned by the operator
-    B approximates (apply_a), gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at
-    z = B x with value x^T B x, so its error is quadratic in that of z."""
-    if exact.fwd_mode == "exact":
-        bx = exact.apply_fwd(x)
-        return float(x @ bx) if x.ndim == 1 else np.einsum("ij,ij->i", x.T, bx.T)
-    if x.ndim == 2:
-        return np.array([_b_norm_sq(exact, apply_a, c) for c in x.T])
-    z = apply_fwd_iterative(exact, x, apply_a=apply_a)
-    return float(2.0 * (x @ z) - z @ exact.apply_inv(z))
+@dataclass(frozen=True)
+class Route:
+    """The coordinates that rsd_solve, kappa_nu's Lanczos and check_initial's
+    B-norms run in for one (problem, preconditioner) pair.  Route.of picks
+    one of two; readers call its maps and never ask which:
+
+    - u-space, for a standard problem and for a mass-reduced problem with a
+      preconditioner built on the reduced operator (identity, exact,
+      mp-chol): b is the preconditioner, apply_a is A, and apply_m, to_x,
+      to_u and residual_to_u return their argument.  On a mass-reduced
+      problem an A apply is a banded R solve, a K matvec and a banded R^T
+      solve.
+    - pencil coordinates x = R^{-1} u, for a mass-reduced problem (K, M),
+      M = R^T R, with a B lifted by precond.HattedPreconditioner (ddm,
+      scaled:ddm) to Bhat^{-1} = R P^{-1} R^T: b is P, apply_a and apply_m
+      are the K and M matvecs, to_x is R^{-1}, to_u is R, and residual_to_u
+      is R^{-T}, which maps s = K x - lambda M x = R^T r to r.  The scalars
+      are the u-space ones (u^T u = x^T M x, u^T A u = x^T K x, r^T Bhat^{-1}
+      r = s^T P^{-1} s, x^T P x = u^T Bhat u), so an rsd_solve step costs a
+      K and an M matvec, one P^{-1} apply and one banded R^T solve (for
+      ||r||), and kappa_nu's Lanczos takes P^{-1} in the K-inner product,
+      Bhat^{-1} A being similar through R to P^{-1} K.
+    """
+
+    b: object  # the preconditioner applied in these coordinates
+    apply_a: object  # A in u-space, K on the pencil
+    apply_m: object  # M on the pencil
+    to_x: object  # u -> x = R^{-1} u
+    to_u: object  # x -> u = R x
+    residual_to_u: object  # s -> r = R^{-T} s
+
+    @classmethod
+    def of(cls, problem, precond):
+        b = precond.pencil()
+        if b is None:
+            return cls(precond, problem.apply_a, _identity, _identity, _identity, _identity)
+        (k, m), r = problem.pencil, problem.r_factor
+        return cls(b, lambda v: k @ v, lambda v: m @ v, r.solve, r.mult, r.solve_t)
+
+    def b_norm_sq(self, x):
+        """Measurement-grade x^T B x in these coordinates from B's binary64
+        twin, for a vector or per column of a block.  For implicit B a nested
+        PCG per column, preconditioned by apply_a (the operator B
+        approximates), gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at z = B x
+        with value x^T B x, so its error is quadratic in that of z."""
+        exact = self.b.exact()
+        if exact.fwd_mode == "exact":
+            bx = exact.apply_fwd(x)
+            return float(x @ bx) if x.ndim == 1 else np.einsum("ij,ij->i", x.T, bx.T)
+        if x.ndim == 2:
+            return np.array([self.b_norm_sq(c) for c in x.T])
+        z = apply_fwd_iterative(exact, x, apply_a=self.apply_a)
+        return float(2.0 * (x @ z) - z @ exact.apply_inv(z))
 
 
 def rsd_solve(
@@ -234,8 +254,8 @@ def rsd_solve(
     ctx,
     callback=None,
 ):
-    """Steepest-descent variant on the route _coordinates selects: u-space, or
-    pencil coordinates x = R^{-1} u for a lifted B (module docstring).
+    """Steepest-descent variant in the coordinates of Route.of(problem,
+    precond).
 
     Terminates on ||r|| / (lambda ||u||) <= tol (ValueError when tol is
     negative or not finite), on the iteration budget maxit (ValueError when
@@ -259,10 +279,10 @@ def rsd_solve(
     inside the basin (basin_iterations; None with ctx None).
     `callback(t, state)` is invoked for every visited iterate, the terminal
     one included; its state.u is the u-space iterate and its scalars are the
-    u-space values on either route.  ||u0||_B is measured once (on the pencil
-    as x0^T P x0 = u0^T B u0 with x0 = R^{-1} u0); after that the scalar identity
-    carries ||u||_B = 1, and it is recomputed each step only when the
-    applied preconditioner's twin is another object (binary32 applies).
+    u-space values on either route.  ||u0||_B is measured once, by
+    Route.b_norm_sq; after that the scalar identity carries ||u||_B = 1, and
+    it is recomputed each step only when the applied preconditioner's twin
+    is another object (binary32 applies).
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if not np.any(u0):
@@ -273,19 +293,15 @@ def rsd_solve(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if policy.kind in ("theory", "constant") and ctx is None:
         raise OutsideBasin(f"{policy.kind} policy needs a RateContext")
-    b, apply_a, apply_m, r_factor = _coordinates(problem, precond)
-    to_u, x = None, u0
-    if r_factor is not None:
-        to_u, x = r_factor.mult, r_factor.solve(u0)
-
-    exact = b.exact()
-    renorm = exact is not b
+    route = Route.of(problem, precond)
+    x = route.to_x(u0)
+    renorm = route.b.exact() is not route.b
     if ctx is not None:
         # cos dist_B(u, u*) = |u^T w*| / ||u*||_B, and u^T w* = x^T R^T w*;
         # R^T w* = M R^{-1} w* keeps the route's R work to solves
-        w_star = ctx.w_star if apply_m is None else apply_m(r_factor.solve(ctx.w_star))
+        w_star = route.apply_m(route.to_x(ctx.w_star))
 
-    x = x / math.sqrt(_b_norm_sq(exact, apply_a, x))
+    x = x / math.sqrt(route.b_norm_sq(x))
     trace = Trace()
     in_basin = True
     flat = 0
@@ -298,11 +314,10 @@ def rsd_solve(
     state = None
 
     for t in range(maxit + 1):
-        state = make_state(x, apply_a, b.apply_inv, apply_m, to_u)
+        state = make_state(x, route)
         if callback is not None:
             callback(t, state)
-        # on the pencil state.r is s = R^T r, and ||r|| = ||R^{-T} s||
-        resnorm = np.linalg.norm(state.r if r_factor is None else r_factor.solve_t(state.r))
+        resnorm = np.linalg.norm(route.residual_to_u(state.r))
         res_rel = resnorm / (state.lam * math.sqrt(state.uu))
         dist_b = NAN
         if ctx is not None:
@@ -375,7 +390,7 @@ def rsd_solve(
         bsq = 1.0 + eta_star**2 * state.r_binv_r  # exact: u^T r = 0
         x = x_new / math.sqrt(bsq)
         if renorm:
-            x = x / math.sqrt(_b_norm_sq(exact, apply_a, x))
+            x = x / math.sqrt(route.b_norm_sq(x))
 
     trace.fill_contraction()
     return SolveResult(

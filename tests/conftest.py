@@ -46,6 +46,14 @@ def dense_problem(a):
     return pe.EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)
 
 
+def u_space_route(apply_a, precond):
+    """The u-space Route that applies A and precond's B^{-1}, built for any
+    pair: for a B lifted to a mass-reduced problem Route.of picks the pencil
+    instead."""
+    same = lambda v: v  # noqa: E731
+    return pe.Route(precond, apply_a, same, same, same, same)
+
+
 def dense_pencil(seed, n, kind):
     """Dense (A, B) with B the identity, a random SPD matrix or the binary64
     product Lhat Lhat^T of A's binary32 Cholesky factor (mp-chol)."""

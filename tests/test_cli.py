@@ -573,6 +573,8 @@ def test_table_unknown_name():
         ["phi", "--problem", "laplace-fem:h=2^-40", "--precond", "identity"],
         ["solve", "--problem", "laplace-fd:h=2^-3", "--precond", "identity", "--step", "bogus"],
         ["phi", "--problem", "laplace-fd:h", "--precond", "identity"],
+        ["phi", "--problem", "laplace-fem:h=1e308", "--precond", "identity"],
+        ["solve", "--problem", "laplace-fem:h=2^1000", "--precond", "identity"],
     ],
     ids=[
         "prob-trials-0", "prob-trials-negative", "table-trials-0", "solve-maxit-negative",
@@ -584,7 +586,8 @@ def test_table_unknown_name():
         "kernel-tau-not-a-number", "fd-repeated-key", "ddm-repeated-key",
         "step-const-not-a-number", "step-fixed-not-a-number", "table-unknown-name",
         "kernel-n-beyond-index-range", "fd-h-beyond-index-range", "fem-h-beyond-index-range",
-        "step-unknown", "fd-item-without-equals",
+        "step-unknown", "fd-item-without-equals", "fem-h-beyond-float-square",
+        "solve-fem-h-beyond-float-square",
     ],
 )
 def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
@@ -620,6 +623,8 @@ def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
         ("prob-kernel", {"n": [10**400]}),
         ("prob-kernel", {"n": [10**30]}),
         ("prob-kernel", {"n": []}),
+        ("phi-ddm-fixedh", {"h": 1e300}),
+        ("prob-ddm", {"h": [1e300]}),
     ],
     ids=[
         "top-level-list", "n-not-a-list", "h-not-a-list", "trials-not-an-integer",
@@ -628,6 +633,7 @@ def test_out_of_range_count_exits_1_with_one_error_line(argv, capsys):
         "n-entry-a-bool", "kernel-seed-a-string", "kernel-seed-a-bool",
         "key-not-read-by-prob-kernel", "key-not-read-by-phi-table", "h-beyond-float-range",
         "n-entry-beyond-float-range", "n-entry-beyond-index-range", "n-empty",
+        "h-beyond-float-square", "prob-ddm-h-entry-beyond-float-square",
     ],
 )
 def test_badly_typed_table_config_exits_1_with_one_error_line(name, config, tmp_path, capsys):

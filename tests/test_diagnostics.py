@@ -346,7 +346,7 @@ def test_kappa_of_a_lifted_ddm_runs_on_the_pencil():
 
 def test_gamma_diag_identity_at_x_star():
     problem, p, ctx = diag_ctx(lambda pr: pe.make_identity())
-    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    state = pe.make_state(ctx.u_star, pe.Route.of(problem, p))
     # 2 * numax * (1/l1 - 1/ln) / (u^T A u) = 2*4*(3/4)/1
     assert abs(pe.gamma_x(state.uau, ctx) - 6.0) <= 1e-9
 
@@ -358,13 +358,13 @@ def test_gamma_global_bound():
     for _ in range(100):
         u = rng.normal(10)
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+        state = pe.make_state(u, pe.Route.of(problem, p))
         assert pe.gamma_x(state.uau, ctx) <= bound + 1e-12
 
 
 def test_mu_diag_identity_at_x_star():
     problem, p, ctx = diag_ctx(lambda pr: pe.make_identity())
-    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    state = pe.make_state(ctx.u_star, pe.Route.of(problem, p))
     assert abs(pe.mu_x(state.uau, ctx) - 4.0 / math.pi**2) <= 1e-10
 
 
@@ -375,7 +375,7 @@ def test_mu_lower_bound():
     for _ in range(100):
         u = rng.normal(10)
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+        state = pe.make_state(u, pe.Route.of(problem, p))
         assert pe.mu_x(state.uau, ctx) >= mu0 - 1e-12
 
 
@@ -386,7 +386,7 @@ def test_mu_matches_dense_x_space_formula():
     rng = pe.Rng(5)
     u = rng.normal(10)
     u /= math.sqrt(u @ b @ u)
-    state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    state = pe.make_state(u, pe.Route.of(problem, p))
     x = b_sqrt @ u
     expected = (
         8.0
@@ -402,7 +402,7 @@ def test_a_positive_at_x_star_zero_at_phi():
     problem, p, ctx, a, b = random_ctx(40)
     b_sqrt, b_inv_sqrt, _ = dense_roots(b)
     u_at = ctx.u_star / math.sqrt(ctx.u_star @ b @ ctx.u_star)
-    state = pe.make_state(u_at, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    state = pe.make_state(u_at, pe.Route.of(problem, p))
     assert pe.a_x(ctx.cos_dist_b(state.u, u_b_norm=1.0), state.uau, ctx) > 0.0
     # construct a state at distance exactly phi
     x_star = b_sqrt @ ctx.u_star
@@ -412,7 +412,7 @@ def test_a_positive_at_x_star_zero_at_phi():
     d /= np.linalg.norm(d)
     x_phi = pe.sphere_exp(x_star, ctx.phi * d)
     u_phi = b_inv_sqrt @ x_phi
-    state_phi = pe.make_state(u_phi, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    state_phi = pe.make_state(u_phi, pe.Route.of(problem, p))
     assert abs(pe.a_x(ctx.cos_dist_b(state_phi.u, u_b_norm=1.0), state_phi.uau, ctx)) <= 1e-8
 
 
@@ -432,7 +432,7 @@ def test_a_lower_bound_under_margin():
         x = pe.sphere_exp(x_star, dist * d)
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+        state = pe.make_state(u, pe.Route.of(problem, p))
         assert pe.a_x(ctx.cos_dist_b(state.u, u_b_norm=1.0), state.uau, ctx) >= c / ctx.kappa - 1e-10
 
 
@@ -623,15 +623,15 @@ def test_check_initial_b_norms_match_the_u_space_nested_pcg(problem_recipe, monk
     ctx = pe.build_rate_context(problem, p)
     u0 = mixed_starts(problem, ctx)
     blocks = []
-    real_b_norm_sq = solvers._b_norm_sq
+    real_b_norm_sq = solvers.Route.b_norm_sq
 
-    def b_norm_sq(exact, apply_a, x):
-        out = real_b_norm_sq(exact, apply_a, x)
+    def b_norm_sq(route, x):
+        out = real_b_norm_sq(route, x)
         if x.ndim == 2:
             blocks.append(out)
         return out
 
-    monkeypatch.setattr(solvers, "_b_norm_sq", b_norm_sq)
+    monkeypatch.setattr(solvers.Route, "b_norm_sq", b_norm_sq)
     report = pe.check_initial(problem, p, u0, ctx, u0_b_norm_sq=None)
     exact = p.exact()
     ref = np.array([u @ pe.apply_fwd_iterative(exact, u, apply_a=problem.apply_a) for u in u0])

@@ -5,7 +5,8 @@ import pytest
 
 import precondeig as pe
 from precondeig.errors import AntipodalOrEqual, NotTangent
-from tests.conftest import dense_roots
+from precondeig.precond import OperatorPreconditioner
+from tests.conftest import dense_roots, u_space_route
 
 
 def random_spd(seed, n):
@@ -23,6 +24,11 @@ DIAG = np.diag([1.0, 2.0, 4.0])
 apply_diag = lambda v: DIAG @ v  # noqa: E731
 
 
+def route(apply_a, apply_b_inv):
+    """The u-space Route of A and B^{-1} given as callables."""
+    return u_space_route(apply_a, OperatorPreconditioner(apply_b_inv, None))
+
+
 # ---------------------------------------------------------------------------
 # Objective value
 # ---------------------------------------------------------------------------
@@ -30,8 +36,8 @@ apply_diag = lambda v: DIAG @ v  # noqa: E731
 
 def test_f_value_minimum_and_direct():
     # f does not depend on B
-    assert pe.make_state(np.array([1.0, 0.0, 0.0]), apply_diag, lambda v: v, None, None).f == -1.0
-    assert abs(pe.make_state(np.ones(3), apply_diag, lambda v: v, None, None).f - (-3.0 / 7.0)) <= 1e-15
+    assert pe.make_state(np.array([1.0, 0.0, 0.0]), route(apply_diag, lambda v: v)).f == -1.0
+    assert abs(pe.make_state(np.ones(3), route(apply_diag, lambda v: v)).f - (-3.0 / 7.0)) <= 1e-15
 
 
 def test_f_value_matches_x_space_oracle():
@@ -45,7 +51,7 @@ def test_f_value_matches_x_space_oracle():
         x = b_sqrt @ u
         x /= np.linalg.norm(x)
         expected = -float(x @ b_inv @ x) / float(x @ c @ x)
-        got = pe.make_state(u, lambda v: a @ v, lambda v: v, apply_m=None, to_u=None).f
+        got = pe.make_state(u, route(lambda v: a @ v, lambda v: v)).f
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
@@ -67,14 +73,14 @@ def _xspace_grad(a, b, x):
 def test_grad_zero_at_eigenvector():
     b = random_spd(30, 3)
     state = pe.make_state(
-        np.array([1.0, 0.0, 0.0]), apply_diag, lambda v: np.linalg.solve(b, v), apply_m=None, to_u=None
+        np.array([1.0, 0.0, 0.0]), route(apply_diag, lambda v: np.linalg.solve(b, v))
     )
     assert state.g2 <= 1e-24
 
 
 def test_grad_matches_dense_oracle_identity_b():
     u = np.ones(3) / math.sqrt(3.0)
-    state = pe.make_state(u, apply_diag, lambda v: v, apply_m=None, to_u=None)
+    state = pe.make_state(u, route(apply_diag, lambda v: v))
     x = u.copy()  # B = I: x = u
     g = _xspace_grad(DIAG, np.eye(3), x)
     assert abs(state.g2 - float(g @ g)) <= 1e-12
@@ -88,7 +94,7 @@ def test_grad_matches_dense_oracle_random(seed):
     b_sqrt, b_inv_sqrt, b_inv = dense_roots(b)
     u = pe.Rng(seed).normal(n)
     u /= math.sqrt(u @ b @ u)  # ||u||_B = 1, as the identity requires
-    state = pe.make_state(u, lambda v: a @ v, lambda v: np.linalg.solve(b, v), apply_m=None, to_u=None)
+    state = pe.make_state(u, route(lambda v: a @ v, lambda v: np.linalg.solve(b, v)))
     x = b_sqrt @ u
     g = _xspace_grad(a, b, x / np.linalg.norm(x))
     assert abs(state.g2 - float(g @ g)) <= 1e-10 * max(1.0, float(g @ g))
@@ -97,10 +103,10 @@ def test_grad_matches_dense_oracle_random(seed):
 def test_grad_zero_iff_residual_zero():
     b = random_spd(31, 3)
     b_inv_apply = lambda v: np.linalg.solve(b, v)  # noqa: E731
-    at_eig = pe.make_state(np.array([1.0, 0.0, 0.0]), apply_diag, b_inv_apply, apply_m=None, to_u=None)
+    at_eig = pe.make_state(np.array([1.0, 0.0, 0.0]), route(apply_diag, b_inv_apply))
     assert np.linalg.norm(at_eig.r) <= 1e-12 * at_eig.lam * math.sqrt(at_eig.uu)
     assert at_eig.g2 <= 1e-24
-    away = pe.make_state(np.ones(3), apply_diag, b_inv_apply, apply_m=None, to_u=None)
+    away = pe.make_state(np.ones(3), route(apply_diag, b_inv_apply))
     assert np.linalg.norm(away.r) > 1e-6
     assert away.g2 > 1e-12
 
@@ -251,9 +257,7 @@ def test_u_x_consistency(seed, n):
         x = b_sqrt @ u
         x /= np.linalg.norm(x)
         f_x = -float(x @ b_inv @ x) / float(x @ c @ x)
-        state = pe.make_state(
-            u, lambda v: a @ v, lambda v: np.linalg.solve(b, v), apply_m=None, to_u=None
-        )
+        state = pe.make_state(u, route(lambda v: a @ v, lambda v: np.linalg.solve(b, v)))
         assert abs(state.f - f_x) <= 1e-10 * abs(f_x)
         g = _xspace_grad(a, b, x)
         g2 = float(g @ g)
@@ -273,7 +277,7 @@ STATE_SCALARS = ("uu", "uau", "lam", "f", "g2", "r_binv_r")
 
 
 def make_state_u_space(u, apply_a, apply_b_inv):
-    """make_state's arithmetic before it took apply_m, field by field."""
+    """make_state's u-space arithmetic, field by field."""
     uu = float(u @ u)
     au = apply_a(u)
     uau = float(u @ au)
@@ -297,20 +301,26 @@ def test_make_state_pencil_matches_u_space(seed):
     b_hat_inv = r @ np.linalg.solve(b, r.T)
     x = pe.Rng(seed).normal(n)
     u = r @ x
-    pencil = pe.make_state(
-        x, lambda v: k @ v, lambda v: np.linalg.solve(b, v), apply_m=lambda v: m @ v,
+    on_pencil = pe.Route(
+        b=OperatorPreconditioner(lambda v: np.linalg.solve(b, v), None),
+        apply_a=lambda v: k @ v,
+        apply_m=lambda v: m @ v,
+        to_x=lambda v: np.linalg.solve(r, v),
         to_u=lambda v: r @ v,
+        residual_to_u=lambda v: np.linalg.solve(r.T, v),
     )
-    reduced = pe.make_state(u, lambda v: a_hat @ v, lambda v: b_hat_inv @ v, apply_m=None, to_u=None)
+    pencil = pe.make_state(x, on_pencil)
+    reduced = pe.make_state(u, route(lambda v: a_hat @ v, lambda v: b_hat_inv @ v))
     for name in STATE_SCALARS:
         want = getattr(reduced, name)
         assert abs(getattr(pencil, name) - want) <= 1e-13 * abs(want), name
     assert np.array_equal(pencil.u, u)
     # the residual maps as r = R^-T s
     assert np.linalg.norm(r_inv.T @ pencil.r - reduced.r) <= 1e-13 * np.linalg.norm(reduced.r)
+    assert np.linalg.norm(on_pencil.residual_to_u(pencil.r) - reduced.r) <= 1e-13 * np.linalg.norm(reduced.r)
 
 
-def test_make_state_without_apply_m_is_the_u_space_call():
+def test_make_state_on_the_u_space_route_is_the_u_space_call():
     n = 12
     a, b = random_spd(63, n), random_spd(64, n)
     u = pe.Rng(65).normal(n)
@@ -321,7 +331,8 @@ def test_make_state_without_apply_m_is_the_u_space_call():
     def apply_b_inv(v):
         return np.linalg.solve(b, v)
 
-    state = pe.make_state(u, apply_a, apply_b_inv, apply_m=None, to_u=None)
+    problem = pe.EigenProblem(dim=n, apply_a=apply_a)
+    state = pe.make_state(u, pe.Route.of(problem, OperatorPreconditioner(apply_b_inv, None)))
     want = make_state_u_space(u, apply_a, apply_b_inv)
     for name, value in want.items():
         if isinstance(value, np.ndarray):

@@ -339,6 +339,24 @@ def test_splu_is_called_only_in_make_solver():
     assert calls == {"linalg": 1} and splu_calls(make_solver) == 1
 
 
+def pencil_calls(node):
+    return sum(
+        isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "pencil" for n in ast.walk(node)
+    )
+
+
+def test_pencil_is_called_only_in_route_of():
+    # which coordinates a (problem, preconditioner) pair runs in is decided
+    # once; every other reader takes the solvers.Route
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py") if path.stem != "precond"}
+    calls = {module: pencil_calls(tree) for module, tree in trees.items() if pencil_calls(tree)}
+    route = next(
+        cls for cls in trees["solvers"].body if isinstance(cls, ast.ClassDef) and cls.name == "Route"
+    )
+    of = next(fn for fn in route.body if isinstance(fn, ast.FunctionDef) and fn.name == "of")
+    assert calls == {"solvers": 1} and pencil_calls(of) == 1
+
+
 def test_import_leaves_scipy_io_unloaded():
     # scipy.io is imported by the first read_matrix call, not by the package
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))

@@ -11,7 +11,7 @@ import precondeig as pe
 from precondeig import cli, precond, solvers
 from precondeig.errors import InvalidC, MaxIterations, OutsideBasin, StepCapViolated, ZeroVector
 from precondeig.solvers import TRACE_COLUMNS, step_constant, step_theory
-from tests.conftest import column, dense_problem, dense_roots, tight_fwd
+from tests.conftest import column, dense_problem, dense_roots, tight_fwd, u_space_route
 
 
 def random_spd(seed, n, spread=3.0):
@@ -231,7 +231,7 @@ def test_equivalence_any_capped_step_sequence():
     u = u0 / math.sqrt(u0 @ b @ u0)
     iterates = [u]
     for t in range(40):
-        g = math.sqrt(pe.make_state(u, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None).g2)
+        g = math.sqrt(pe.make_state(u, pe.Route.of(problem, precond)).g2)
         eta = (0.1 + 0.8 * caps[t]) * math.pi / (2.0 * g)
         u = pe.rsd_solve(problem, precond, u, pe.StepPolicy.fixed(eta), tol=0.0, maxit=1, ctx=None).u
         iterates.append(u)
@@ -314,7 +314,7 @@ def test_u0_b_norm_is_second_order_in_the_nested_pcg(seed):
     p = cli.build_precond("ddm:H=2^-2", problem)
     u = p.apply_inv(pe.Rng(seed).normal(problem.dim))
     tight = float(u @ tight_fwd(p, u, problem.apply_a, 1e-13))
-    assert abs(solvers._b_norm_sq(p, problem.apply_a, u) - tight) <= 1e-14 * tight
+    assert abs(u_space_route(problem.apply_a, p).b_norm_sq(u) - tight) <= 1e-14 * tight
 
 
 def test_rsd_monotone_distance_in_basin():
@@ -445,9 +445,9 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx):
     applies the reduced A (two R solves) and the lifted B^{-1} (two R
     products).  Returns the trace, the iteration count, the stop reason, the
     exit lambda and the u^T u of every visited iterate."""
-    exact = precond.exact()
-    renorm = exact is not precond
-    u = u0 / math.sqrt(solvers._b_norm_sq(exact, problem.apply_a, u0))
+    route = u_space_route(problem.apply_a, precond)
+    renorm = precond.exact() is not precond
+    u = u0 / math.sqrt(route.b_norm_sq(u0))
     trace = solvers.Trace()
     uus = []
     in_basin, flat, prev_lam = True, 0, None
@@ -456,7 +456,7 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx):
     best_before = math.inf
     reason, iterations = "MaxIters", maxit
     for t in range(maxit + 1):
-        state = pe.make_state(u, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None)
+        state = pe.make_state(u, route)
         uus.append(state.uu)
         resnorm = np.linalg.norm(state.r)
         res_rel = resnorm / (state.lam * math.sqrt(state.uu))
@@ -508,7 +508,7 @@ def u_space_reference(problem, precond, u0, policy, tol, maxit, ctx):
         trace.rows[-1].update(eta=eta, eta_star=eta_star, beta=beta, xi=xi)
         u = (state.u - eta_star * state.b_inv_r) / math.sqrt(1.0 + eta_star**2 * state.r_binv_r)
         if renorm:
-            u = u / math.sqrt(solvers._b_norm_sq(exact, problem.apply_a, u))
+            u = u / math.sqrt(route.b_norm_sq(u))
     trace.fill_contraction()
     return trace, iterations, reason, state.lam, np.array(uus)
 
@@ -597,18 +597,60 @@ def test_pencil_route_renormalises_a_lifted_binary32_b(monkeypatch):
         problem, p, u0, pe.StepPolicy.theory(), 1e-8, 1000, ctx
     )
     b_norms = []
-    real_b_norm_sq = solvers._b_norm_sq
+    real_b_norm_sq = solvers.Route.b_norm_sq
 
     def b_norm_sq(*args):
         b_norms.append(args)
         return real_b_norm_sq(*args)
 
-    monkeypatch.setattr(solvers, "_b_norm_sq", b_norm_sq)
+    monkeypatch.setattr(solvers.Route, "b_norm_sq", b_norm_sq)
     res = pe.rsd_solve(problem, p, u0, pe.StepPolicy.theory(), tol=1e-8, maxit=1000, ctx=ctx)
     assert (res.iterations, res.reason) == (ref_iterations, ref_reason)
     assert res.reason == "ResidualTol"
     assert abs(res.lam - ref_lam) <= 1e-12 * ref_lam
     assert len(b_norms) == res.iterations + 1  # u0, then once per step
+
+
+@pytest.mark.parametrize(
+    "problem_recipe, precond_recipe",
+    [
+        ("laplace-fd:h=2^-4", "ddm:H=2^-2"),
+        ("laplace-fem:h=2^-4", "identity"),
+        ("laplace-fem:h=2^-4", "exact"),
+        ("laplace-fem:h=2^-4", "mp-chol"),
+    ],
+)
+def test_route_of_a_b_on_the_operator_is_u_space(problem_recipe, precond_recipe):
+    problem = cli.build_problem(problem_recipe)
+    p = cli.build_precond(precond_recipe, problem)
+    route = pe.Route.of(problem, p)
+    assert route.b is p and route.apply_a is problem.apply_a
+    v = pe.Rng(0).normal(problem.dim)
+    for name in ("apply_m", "to_x", "to_u", "residual_to_u"):
+        assert getattr(route, name)(v) is v, name
+
+
+@pytest.mark.parametrize("precond_recipe", ["ddm:H=2^-2", "scaled:ddm:H=2^-2"])
+def test_route_of_a_lifted_b_is_the_pencil(precond_recipe):
+    problem = cli.build_problem("laplace-fem:h=2^-4")
+    p = cli.build_precond(precond_recipe, problem)
+    route = pe.Route.of(problem, p)
+    # b is the DDM built on K, scaled as p is
+    if isinstance(p, precond.ScaledPreconditioner):
+        assert isinstance(route.b, precond.ScaledPreconditioner) and route.b.eta == p.eta
+        ddm, lifted = route.b.inner, p.inner
+    else:
+        ddm, lifted = route.b, p
+    assert isinstance(ddm, pe.DdmPreconditioner) and ddm is lifted.inner
+    k, m = problem.pencil
+    r = np.linalg.cholesky(m.toarray()).T  # M = R^T R
+    x = pe.Rng(1).normal(problem.dim)
+    assert np.array_equal(route.apply_a(x), k @ x) and np.array_equal(route.apply_m(x), m @ x)
+    u = route.to_u(x)
+    assert np.linalg.norm(u - r @ x) <= 1e-14 * np.linalg.norm(u)
+    assert np.linalg.norm(route.to_x(u) - x) <= 1e-13 * np.linalg.norm(x)
+    s = r.T @ x  # s = R^T r maps back to r
+    assert np.linalg.norm(route.residual_to_u(s) - x) <= 1e-13 * np.linalg.norm(x)
 
 
 def test_pencil_route_r_applies(monkeypatch):
@@ -648,7 +690,7 @@ def test_step_theory_at_minimizer_diag_identity():
     problem = dense_problem(a)
     p = pe.make_identity()
     ctx = pe.build_rate_context(problem, p)
-    state = pe.make_state(ctx.u_star, problem.apply_a, p.apply_inv, apply_m=None, to_u=None)
+    state = pe.make_state(ctx.u_star, pe.Route.of(problem, p))
     eta = step_theory(ctx.cos_dist_b(state.u, u_b_norm=1.0), ctx)
     assert abs(eta - 1.0 / 6.0) <= 1e-9
 
@@ -656,11 +698,7 @@ def test_step_theory_at_minimizer_diag_identity():
 def test_step_theory_positive_finite_at_x_star():
     problem, precond, ctx, _, _, _ = setup_instance(9)
     state = pe.make_state(
-        ctx.u_star / math.sqrt(ctx.u_star @ dense_pair(9)[1] @ ctx.u_star),
-        problem.apply_a,
-        precond.apply_inv,
-        apply_m=None,
-        to_u=None,
+        ctx.u_star / math.sqrt(ctx.u_star @ dense_pair(9)[1] @ ctx.u_star), pe.Route.of(problem, precond)
     )
     eta = step_theory(ctx.cos_dist_b(state.u, u_b_norm=1.0), ctx)
     assert eta > 0.0 and np.isfinite(eta)
@@ -675,7 +713,7 @@ def test_step_theory_outside_basin_raises():
     u_out = b_inv_sqrt @ x_out
     _, b = dense_pair(10)
     u_out /= math.sqrt(u_out @ b @ u_out)
-    state = pe.make_state(u_out, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None)
+    state = pe.make_state(u_out, pe.Route.of(problem, precond))
     with pytest.raises(OutsideBasin):
         step_theory(ctx.cos_dist_b(state.u, u_b_norm=1.0), ctx)
 
@@ -693,7 +731,7 @@ def test_step_theory_cap_monte_carlo():
         x = pe.sphere_exp(x_star, frac * 0.999 * ctx.phi * d)
         u = b_inv_sqrt @ x
         u /= math.sqrt(u @ b @ u)
-        state = pe.make_state(u, problem.apply_a, precond.apply_inv, apply_m=None, to_u=None)
+        state = pe.make_state(u, pe.Route.of(problem, precond))
         g = math.sqrt(state.g2)
         if g == 0.0:
             continue
