@@ -27,9 +27,8 @@ class IterateState:
 
     x is the iterate in the coordinates of the route make_state ran on
     (solvers.Route), and so are the vectors r = apply_a(x) - lam apply_m(x)
-    and B^{-1} r;
-    the scalars uu, uau, lam, f, r_binv_r and g2 are u-space values.  u is
-    the u-space iterate route.to_u(x), formed on first read.
+    and B^{-1} r; the scalars uu, uau, lam, f, r_binv_r and g2 are u-space
+    values.  u is the u-space iterate route.to_u(x), formed on first read.
 
     g2 is the squared Riemannian gradient norm of the sphere objective at the
     point B^{1/2} u, computed without ever forming B^{1/2}:

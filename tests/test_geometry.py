@@ -317,7 +317,6 @@ def test_make_state_pencil_matches_u_space(seed):
     assert np.array_equal(pencil.u, u)
     # the residual maps as r = R^-T s
     assert np.linalg.norm(r_inv.T @ pencil.r - reduced.r) <= 1e-13 * np.linalg.norm(reduced.r)
-    assert np.linalg.norm(on_pencil.residual_to_u(pencil.r) - reduced.r) <= 1e-13 * np.linalg.norm(reduced.r)
 
 
 def test_make_state_on_the_u_space_route_is_the_u_space_call():
