@@ -26,7 +26,7 @@ import numpy as np
 
 from . import diagnostics, precond, problems, solvers
 from .errors import MaxIterations, NotSpd, PrecondEigError, RecipeError
-from .linalg import Rng, cholesky, gaussian_vector, hash_label, spawn_seed
+from .linalg import Rng, gaussian_vector, hash_label, spawn_seed
 from .mmio import read_matrix
 
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
@@ -158,9 +158,9 @@ def build_precond(recipe, problem):
             raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
         stiffness = problem.matrix if problem.pencil is None else problem.pencil[0]
         ddm = precond.DdmPreconditioner(stiffness, problem.h, big_h, ratio)
-        if problem.r_factor is None:
+        if problem.pencil is None:
             return ddm
-        return precond.HattedPreconditioner(ddm, problem.r_factor)
+        return precond.HattedPreconditioner(ddm, problem.pencil[2])
     if kind == "scaled":
         inner = build_precond(body, problem)
         nu_min, nu_max, _ = diagnostics.kappa_nu(problem, inner)
@@ -236,6 +236,8 @@ def cmd_solve(args):
         with open(args.trace, "w") as fh:
             result.trace.write_csv(fh)
     _emit(json.dumps(out, indent=2) + "\n", args.result)
+    if result.reason != "ResidualTol":
+        print(f"error: {result.reason} after {result.iterations} iterations", file=sys.stderr)
     return 0 if result.reason == "ResidualTol" else 2
 
 
@@ -301,7 +303,7 @@ def cmd_validate(args):
                 elif kind == "random-spd":
                     b = b_rand
                 else:
-                    l64 = cholesky(a, "binary32").l.astype(np.float64)
+                    l64 = precond.make_mp_cholesky(a).exact().factor.l
                     b = l64 @ l64.T
                 label = f"seed={seed},n={n},B={kind}"
                 report = diagnostics.validate_properties(

@@ -80,29 +80,25 @@ def theta_shao(u, b_u):
 
 def kappa_nu(problem, precond):
     """(nu_min, nu_max, kappa) of B^{-1} A, measured on the binary64 twin of B.
+    Its applies run on the pair's solvers.Route: for a lifted B on P^{-1} K,
+    with no R work.
 
-    Dense route up to problems._DENSE_CAP: B^{-1} from one apply of the
-    twin's inverse to the identity block (every apply_inv takes a block),
-    A = L L^T by LAPACK Cholesky, and the extreme eigenvalues of the
-    symmetric S = L^T B^{-1} L (similar to B^{-1} A) by LAPACK.  Above the
-    cap, Lanczos at tol _KAPPA_TOL on B^{-1} A in the A-inner product, which
-    hands apply_t the A q it already holds, so each step applies A once; it
-    runs at most 400 steps from a start drawn from Rng(4242).
-
-    That Lanczos runs in the coordinates of solvers.Route, as rsd_solve
-    does: for a lifted B, P^{-1} in the K-inner product, one P^{-1} apply
-    and one K matvec per step with no R work.
+    Dense route up to problems._DENSE_CAP: B^{-1} and A from one apply each
+    to the identity block (every apply takes a block), A = L L^T by LAPACK
+    Cholesky, and the extreme eigenvalues of the symmetric S = L^T B^{-1} L
+    (similar to B^{-1} A) by LAPACK.  Above the cap, Lanczos at tol _KAPPA_TOL on
+    B^{-1} A in the A-inner product, which hands apply_t the A q it already
+    holds, so each step applies A once; it runs at most 400 steps from a
+    start drawn from Rng(4242).
     """
     n = problem.dim
-    exact = precond.exact()
+    route = solvers.Route.of(problem, precond.exact())
     if n <= problems._DENSE_CAP:
-        l_a = cholesky(problem.dense()).l
-        binv = exact.apply_inv(np.eye(n))
-        s = l_a.T @ binv @ l_a
+        l_a = cholesky(route.apply_a(np.eye(n))).l
+        s = l_a.T @ route.b.apply_inv(np.eye(n)) @ l_a
         w = scipy.linalg.eigvalsh((s + s.T) / 2.0, check_finite=False)
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
-        route = solvers.Route.of(problem, exact)
         nu_min, nu_max = lanczos_extremal(
             route.b.apply_inv, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242),
             inner_map=route.apply_a,
@@ -256,11 +252,11 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
     entry of the result is an array with one value per row; the thresholds
     they are set against are ctx.phi and ctx.lam2.
 
-    u0_b_norm_sq is u0^T B u0 per row when it is known from the sampler
-    identity; when it is None solvers.Route.b_norm_sq measures it on the
-    binary64 twin of B as rsd_solve does, in the route's coordinates (ctx's
-    B u* is in u-space on either route).  A u0 is one apply_a on the (n, k)
-    transpose.
+    Its applies run on the pair's solvers.Route: the B-norms and x^T A x /
+    x^T M x are taken from x = route.to_x(u0^T), the B-norms by
+    Route.b_norm_sq on B's binary64 twin unless u0_b_norm_sq gives them
+    (from a sampler identity); only the distance to u* reads ctx's B u*,
+    in u-space on either route.
     Raises DimensionMismatch when u0 is not 2-D and ZeroVector when a start
     is zero.
     """
@@ -269,11 +265,13 @@ def check_initial(problem, precond, u0, ctx, u0_b_norm_sq):
         raise DimensionMismatch(f"u0 must be a (k, n) block of starts, got shape {u0.shape}")
     if not u0.any(axis=1).all():
         raise ZeroVector("u0 is zero")
+    route = solvers.Route.of(problem, precond)
+    x = route.to_x(u0.T)
     if u0_b_norm_sq is None:
-        route = solvers.Route.of(problem, precond)
-        u0_b_norm_sq = route.b_norm_sq(route.to_x(u0.T))
+        u0_b_norm_sq = route.b_norm_sq(x)
     dist = np.arccos(ctx.cos_dist_b(u0, np.sqrt(u0_b_norm_sq)))
-    lam_u0 = np.einsum("ij,ij->i", u0, problem.apply_a(u0.T).T) / np.einsum("ij,ij->i", u0, u0)
+    lam_u0 = np.einsum("ij,ij->i", x.T, route.apply_a(x).T)
+    lam_u0 /= np.einsum("ij,ij->i", x.T, route.apply_m(x).T)
     return {
         "dist_b": dist,
         "condition_new": dist < ctx.phi,

@@ -177,9 +177,10 @@ def cholesky(m, precision="binary64"):
     """Cholesky factorization m = L L^T carried out entirely at `precision`.
 
     binary64 runs LAPACK's dpotrf.  For binary32 the input is converted to
-    binary32 first and every operation of the factorization (inner products,
-    subtraction, sqrt, division) runs in binary32; the stored factor values
-    are exactly representable in binary32.
+    binary32 first (NotSpdInLowPrecision if an entry lies beyond its range)
+    and every operation of the factorization (inner products, subtraction,
+    sqrt, division) runs in binary32; the stored factor values are exactly
+    representable in binary32.
     """
     a = as_dense_sym(m)
     if precision == "binary64":
@@ -189,7 +190,10 @@ def cholesky(m, precision="binary64"):
         return CholFactor(l)
     if precision != "binary32":
         raise ValueError(f"unknown precision {precision!r}")
-    a = a.astype(np.float32)
+    with np.errstate(over="ignore"):
+        a = a.astype(np.float32)
+    if np.isinf(a).any():
+        raise NotSpdInLowPrecision(-1, "an entry lies beyond the binary32 range")
     l = np.zeros_like(a)  # noqa: E741
     for j in range(len(a)):
         c = a[j:, j] - l[j:, :j] @ l[j, :j]

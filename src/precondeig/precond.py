@@ -274,10 +274,10 @@ class HattedPreconditioner(Preconditioner):
     forward apply through R solves, and Bhat v is apply_fwd_iterative with
     the reduced problem's A.
 
-    Through pencil() solvers.Route runs the inner B in pencil coordinates
-    instead, for rsd_solve, kappa_nu's Lanczos and the B-norms of starts.
-    apply_inv serves what runs in u-space, B u* and cos phi among it; it
-    costs two banded R products around the inner apply.
+    A pair's applies run on its solvers.Route, which takes the inner B in
+    pencil coordinates through pencil().  apply_inv serves only the rate
+    context (B u*, cos phi) and the smooth starts, which apply a lifted B
+    in u-space, at two banded R products around the inner apply.
     """
 
     fwd_mode = "iterative"

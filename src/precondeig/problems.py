@@ -78,27 +78,23 @@ class EigenProblem:
     """Operator A with dimension, matvec access, optional explicit matrix,
     optional mass reduction data, and a cached reference spectrum.
 
-    A mass-reduced problem holds the factor R of M = R^T R in r_factor and
-    the matrices (K, M) of its original pencil in pencil; both are None for
-    a standard problem.  A preconditioner built for the original pencil is
-    lifted to the reduced problem by precond.HattedPreconditioner(p,
-    r_factor), as cli.build_precond does for ddm.  h is the mesh width of a
-    problem on the unit-square grid (laplace_fd, laplace_fem) and None
-    otherwise; a DDM is built from it, H, the overlap and the stiffness
-    pencil[0], or matrix when there is no pencil.  apply_a takes an (n, k)
-    block as well as a vector: check_initial applies it to a block of starts
-    and dense() to the identity; the generators here build operators that
-    take one.
+    A mass-reduced problem holds its original pencil as the triple (K, M, R)
+    in pencil, with R the factor of M = R^T R; pencil is None for a standard
+    problem.  A preconditioner built for the original pencil is lifted to
+    the reduced problem by precond.HattedPreconditioner(p, R), as
+    cli.build_precond does for ddm, and a pair's applies run on its
+    solvers.Route.  h is the mesh width of a problem on the unit-square grid
+    (laplace_fd, laplace_fem) and None otherwise; a DDM is built from it, H,
+    the overlap and the stiffness pencil[0], or matrix when there is no
+    pencil.  apply_a takes an (n, k) block as well as a vector, as kappa_nu,
+    check_initial and dense() apply it; the generators here build such ones.
     """
 
-    def __init__(
-        self, dim, apply_a, matrix=None, solve_a=None, r_factor=None, pencil=None, h=None
-    ):
+    def __init__(self, dim, apply_a, matrix=None, solve_a=None, pencil=None, h=None):
         self.dim = dim
         self.apply_a = apply_a
         self.matrix = matrix
         self._solve_a = solve_a
-        self.r_factor = r_factor
         self.pencil = pencil
         self.h = h
         self._reference = None
@@ -108,7 +104,7 @@ class EigenProblem:
         not SPD): of the matrix, or of K = pencil[0] as R K^{-1} R^T under a mass."""
         if self._solve_a is None:
             if self.pencil is not None:
-                solve_k, r = make_solver(self.pencil[0]), self.r_factor
+                solve_k, r = make_solver(self.pencil[0]), self.pencil[2]
                 self._solve_a = lambda v: r.mult(solve_k(r.mult_t(v)))
             elif self.matrix is None:
                 raise PrecondEigError("no matrix and no solver available")
@@ -307,13 +303,15 @@ def kernel_matrix(kind, n, d, seed, tau):
     A diagonal shift tau * I is added; positive definiteness is verified by a
     binary64 Cholesky, whose factor is kept as the problem's solver; a
     matrix that is not SPD raises NotSpd.  Before any work, InvalidMeshWidth
-    for n < 2, d < 1, another kind, or an n and d so large that numpy cannot
-    index an n x max(n, d) binary64 array.
+    for n < 2, d < 1, |tau| > 1e150, another kind, or an n and d so large
+    that numpy cannot index an n x max(n, d) binary64 array.
     """
     if n < 2:
         raise InvalidMeshWidth("kernel matrices need n >= 2")
     if d < 1:
         raise InvalidMeshWidth(f"kernel points need dimension d >= 1, got d={d}")
+    if not abs(tau) <= 1e150:  # keeps the (u^T A u)^2 of an rsd_solve step finite
+        raise InvalidMeshWidth(f"kernel shifts need |tau| <= 1e150, got tau={tau}")
     if kind not in ("laplacian", "poly-complex"):
         raise InvalidMeshWidth(f"unknown kernel kind {kind!r}")
     if max(n, d) > _MAX_ENTRIES // n:
@@ -353,10 +351,9 @@ def generalized_reduce(a, m):
     eigenvalues and eigenvectors map as w = R u.  Preconditioners for A are
     lifted by precond.HattedPreconditioner so that Bhat^{-1} v = R (B^{-1}
     (R^T v)).
-    The reduced apply_a costs a banded R solve, an A matvec and a banded
-    R^T solve; the set-up and the diagnostics run on it.  rsd_solve,
-    kappa_nu's Lanczos and the B-norms of starts run on it too, or on the
-    problem's pencil (A, M) as given, as solvers.Route chooses.  Factors
+    The problem keeps (A, M, R) in pencil.  The reduced apply_a costs a
+    banded R solve, an A matvec and a banded R^T solve; the rate context
+    runs on it, and a pair's other applies on its solvers.Route.  Factors
     only M here, by SymFactor (NotSpd unless SPD, DimensionMismatch unless
     A's size); A in problem.solver(), and sigma M - A, for a while, in the
     reference eigensolve's lambdan.
@@ -369,12 +366,7 @@ def generalized_reduce(a, m):
     def apply_hat(v):
         return r.solve_t(a @ r.solve(v))
 
-    return EigenProblem(
-        dim=n,
-        apply_a=apply_hat,
-        r_factor=r,
-        pencil=(a, m),
-    )
+    return EigenProblem(dim=n, apply_a=apply_hat, pencil=(a, m, r))
 
 
 def _inverse_iteration(problem, solve, v, project, tol, steps, name):
@@ -484,7 +476,7 @@ def _lanczos_lamn(problem, rng):
     (bw + 1) n entries, freed on return."""
     if problem.pencil is None:
         return _lanczos_top_value(problem.apply_a, problem.dim, 1e-11, _LANCZOS_STEPS, rng)
-    k, m = problem.pencil
+    k, m, _ = problem.pencil
     theta = _lanczos_top_value(problem.apply_a, problem.dim, 1e-2, _LANCZOS_STEPS, rng)
     for tries in range(_SHIFT_TRIES):
         g = 3e-2 * 4.0**tries

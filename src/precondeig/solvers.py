@@ -15,7 +15,7 @@ B being normalized against.
 
 rsd_solve runs that loop in the coordinates of a Route, u-space or pencil
 coordinates x = R^{-1} u (Route's docstring), and diagnostics.kappa_nu and
-check_initial take theirs from it too.
+check_initial take every coordinate from it too.
 
 Classical PINVIT, u <- u - B^{-1} r up to scale, is this recurrence at
 eta* = 1, i.e. the Riemannian step eta = atan(g (u^T A u)^2 / (2 u^T u)) / g,
@@ -191,9 +191,10 @@ def _identity(v):
 
 @dataclass(frozen=True)
 class Route:
-    """The coordinates that rsd_solve, kappa_nu's Lanczos and check_initial's
-    B-norms run in for one (problem, preconditioner) pair.  Route.of picks
-    one of two; readers call its maps and never ask which:
+    """The coordinates of one (problem, preconditioner) pair: its applies, in
+    rsd_solve, kappa_nu and check_initial, run on its Route, and only the
+    rate context and the smooth starts apply a lifted B in u-space.
+    Route.of picks one of two; readers call its maps and never ask which:
 
     - u-space, for a standard problem and for a mass-reduced problem with a
       preconditioner built on the reduced operator (identity, exact,
@@ -209,8 +210,7 @@ class Route:
       are the u-space ones (u^T u = x^T M x, u^T A u = x^T K x, r^T Bhat^{-1}
       r = s^T P^{-1} s, x^T P x = u^T Bhat u), so an rsd_solve step costs a
       K and an M matvec, one P^{-1} apply and one banded R^T solve (for
-      ||r||), and kappa_nu's Lanczos takes P^{-1} in the K-inner product,
-      Bhat^{-1} A being similar through R to P^{-1} K.
+      ||r||), and kappa_nu takes P^{-1} K, similar through R to Bhat^{-1} A.
     """
 
     b: object  # the preconditioner applied in these coordinates
@@ -225,7 +225,7 @@ class Route:
         b = precond.pencil()
         if b is None:
             return cls(precond, problem.apply_a, _identity, _identity, _identity, _identity)
-        (k, m), r = problem.pencil, problem.r_factor
+        k, m, r = problem.pencil
         return cls(b, lambda v: k @ v, lambda v: m @ v, r.solve, r.mult, r.solve_t)
 
     def b_norm_sq(self, x):

@@ -44,7 +44,7 @@ def basin_start(ctx, x_star, b_inv_sqrt, frac, seed):
 def fem_ddm_setup(h, big_h):
     problem = pe.laplace_fem(h)
     ddm = pe.DdmPreconditioner(problem.pencil[0], h, big_h, 0.5)
-    return problem, HattedPreconditioner(ddm, problem.r_factor)
+    return problem, HattedPreconditioner(ddm, problem.pencil[2])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_criterion_6_ddm_table():
     k6 = problem6.pencil[0]
     cos2_by_H = {}
     for big_h in (2.0**-2, 2.0**-3):
-        bh = HattedPreconditioner(pe.DdmPreconditioner(k6, 2.0**-6, big_h, 0.5), problem6.r_factor)
+        bh = HattedPreconditioner(pe.DdmPreconditioner(k6, 2.0**-6, big_h, 0.5), problem6.pencil[2])
         cos2_by_H[big_h] = pe.compute_quality(problem6, bh)["cos2_phi"]
     ratio = cos2_by_H[2.0**-2] / cos2_by_H[2.0**-3]
     elapsed = time.time() - t0

@@ -318,25 +318,30 @@ def test_kappa_lanczos_route_applies_a_once_per_step():
     assert len(calls) <= 54
 
 
-def test_kappa_of_a_lifted_ddm_runs_on_the_pencil():
-    """A DDM lifted to the FEM pencil (K, M): Lanczos on P^{-1} K in the
-    K-inner product, one K matvec per step and no reduced A apply, against
-    the dense generalized spectrum of (K, B_P), B_P the inverse of the DDM
-    apply on the identity."""
-    problem = build_problem("laplace-fem:h=2^-4")
+@pytest.mark.parametrize("recipe", ["laplace-fem:h=2^-4", "laplace-fem:h=2^-3"])
+def test_kappa_of_a_lifted_ddm_runs_on_the_pencil(recipe, monkeypatch):
+    """A DDM lifted to the FEM pencil (K, M): above the dense cap Lanczos on
+    P^{-1} K in the K-inner product, one K matvec per step, and at or below
+    it LAPACK on K and P^{-1} applied to the identity; on either route no
+    reduced A apply and no R call, against the dense generalized spectrum of
+    (K, B_P), B_P the inverse of the DDM apply on the identity."""
+    problem = build_problem(recipe)
     p = build_precond("ddm:H=2^-2", problem)
     n = problem.dim
-    assert n > problems._DENSE_CAP and p.pencil() is not None
+    assert (n > problems._DENSE_CAP) == recipe.endswith("2^-4") and p.pencil() is not None
     b_p = np.linalg.inv(p.pencil().apply_inv(np.eye(n)))
     k = problem.pencil[0] @ np.eye(n)
     w = scipy.linalg.eigh((k + k.T) / 2.0, (b_p + b_p.T) / 2.0, eigvals_only=True)
-    a_calls, k_calls = [], []
+    a_calls, k_calls, r_calls = [], [], []
     problem.apply_a = counting(problem.apply_a, a_calls)
-    problem.pencil = (CountingMatmul(problem.pencil[0], k_calls), problem.pencil[1])
+    problem.pencil = (CountingMatmul(problem.pencil[0], k_calls), *problem.pencil[1:])
+    r = problem.pencil[2]
+    for name in ("solve", "solve_t", "mult", "mult_t"):
+        monkeypatch.setattr(r, name, counting(getattr(r, name), r_calls))
     nu_min, nu_max, kappa = pe.kappa_nu(problem, p)
     assert abs(nu_min - w[0]) <= 1e-10 * w[0] and abs(nu_max - w[-1]) <= 1e-10 * w[-1]
     assert abs(kappa - w[-1] / w[0]) <= 1e-10 * kappa
-    assert not a_calls and len(k_calls) <= 54
+    assert not a_calls and not r_calls and 1 <= len(k_calls) <= 54
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +651,15 @@ def test_check_initial_b_norms_match_the_u_space_nested_pcg(problem_recipe, monk
 
 
 def test_check_initial_b_norms_of_a_lifted_b_make_no_r_product(monkeypatch):
-    """On the pencil the B-norms of a block cost one R solve for the block and
-    no R product; A u0 costs one R solve and one R^T solve.  The u-space
-    route made an R product and an R^T product per nested-PCG iteration."""
+    """On the pencil the B-norms and the Rayleigh quotients of a block cost
+    one R solve for the block, x = R^{-1} u0, and no other R work.  The
+    u-space route made an R product and an R^T product per nested-PCG
+    iteration, and A u0 an R solve and an R^T solve."""
     problem = build_problem("laplace-fem:h=2^-4")
     p = build_precond("ddm:H=2^-2", problem)
     ctx = pe.build_rate_context(problem, p)
     u0 = mixed_starts(problem, ctx)
-    r = problem.r_factor
+    r = problem.pencil[2]
     calls = collections.Counter()
 
     def counted(name):
@@ -668,7 +674,7 @@ def test_check_initial_b_norms_of_a_lifted_b_make_no_r_product(monkeypatch):
     for name in ("solve", "solve_t", "mult", "mult_t"):
         monkeypatch.setattr(r, name, counted(name))
     pe.check_initial(problem, p, u0, ctx, u0_b_norm_sq=None)
-    assert calls == {"solve": 2, "solve_t": 1}
+    assert calls == {"solve": 1}
 
 
 def test_success_probability_rejects_a_sampler_before_the_context(monkeypatch):

@@ -31,7 +31,7 @@ def random_spd(seed, n, shift=1.0):
 
 
 def lift(prob, p):
-    return HattedPreconditioner(p, prob.r_factor)
+    return HattedPreconditioner(p, prob.pencil[2])
 
 
 def fem_ddm(h, big_h, ratio=0.5):
@@ -479,7 +479,7 @@ def test_hatted_wrapper_matches_dense_formula():
     prob = pe.generalized_reduce(k, m)
     b = random_spd(20, prob.dim, shift=4.0)
     wrapped = lift(prob, pe.make_spd(b))
-    r = prob.r_factor
+    r = prob.pencil[2]
     v = pe.Rng(7).normal(prob.dim)
     expected = r.mult(np.linalg.solve(b, r.mult_t(v)))
     assert np.linalg.norm(wrapped.apply_inv(v) - expected) <= 1e-11 * np.linalg.norm(expected)
@@ -492,7 +492,7 @@ def test_hatted_wrapper_lifts_the_twin():
     twin = lift(prob, mp).exact()
     assert twin.inner is mp.exact()
     assert twin.exact() is twin
-    r = prob.r_factor
+    r = prob.pencil[2]
     v = pe.Rng(8).normal(prob.dim)
     assert np.array_equal(twin.apply_inv(v), r.mult(mp.exact().apply_inv(r.mult_t(v))))
 

@@ -421,7 +421,7 @@ def test_hatted_distortion_matches_msqrt_oracle():
     b = g3 @ g3.T / n + np.eye(n)
 
     prob = pe.generalized_reduce(a, m)
-    wrapped = HattedPreconditioner(pe.make_spd(b), prob.r_factor)
+    wrapped = HattedPreconditioner(pe.make_spd(b), prob.pencil[2])
     ctx = pe.build_rate_context(prob, wrapped)
 
     # oracle: explicit M^{1/2} reduction, dense angle formula
@@ -568,7 +568,7 @@ def test_reference_lamn_run_holds_no_basis(monkeypatch):
     # the three-term recurrences, start draws and applies' temporaries peak
     # near 12 vectors beside it
     prob = build_problem("laplace-fem:h=2^-5")
-    n, bw, lamn = prob.dim, prob.r_factor.bw, prob.reference().lamn
+    n, bw, lamn = prob.dim, prob.pencil[2].bw, prob.reference().lamn
     run = ShiftedRun(monkeypatch)
     tracemalloc.start()
     try:

@@ -589,7 +589,7 @@ def test_standard_problem_trace_is_the_u_space_loop(policy):
 def test_pencil_route_renormalises_a_lifted_binary32_b(monkeypatch):
     k, m = pe.fem_p1(2.0**-4)
     problem = pe.generalized_reduce(k, m)
-    p = precond.HattedPreconditioner(pe.make_mp_cholesky(k.toarray()), problem.r_factor)
+    p = precond.HattedPreconditioner(pe.make_mp_cholesky(k.toarray()), problem.pencil[2])
     assert p.pencil().exact() is not p.pencil()
     ctx = pe.build_rate_context(problem, p)
     u0 = p.apply_inv(pe.gaussian_vector(pe.Rng(0), problem.dim))
@@ -642,7 +642,7 @@ def test_route_of_a_lifted_b_is_the_pencil(precond_recipe):
     else:
         ddm, lifted = route.b, p
     assert isinstance(ddm, pe.DdmPreconditioner) and ddm is lifted.inner
-    k, m = problem.pencil
+    k, m, _ = problem.pencil
     r = np.linalg.cholesky(m.toarray()).T  # M = R^T R
     x = pe.Rng(1).normal(problem.dim)
     assert np.array_equal(route.apply_a(x), k @ x) and np.array_equal(route.apply_m(x), m @ x)
@@ -657,7 +657,7 @@ def test_pencil_route_r_applies(monkeypatch):
     """On the pencil route a step makes one R^T solve (the residual norm) and
     no other R work; R^{-1} u0, R^T w* and the exit u = R x are made once."""
     problem, p, ctx, u0 = reference_instance("laplace-fem:h=2^-4", "ddm:H=2^-2")
-    r = problem.r_factor
+    r = problem.pencil[2]
     calls = collections.Counter()
 
     def counted(name):
