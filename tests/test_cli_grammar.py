@@ -33,7 +33,8 @@ ODD = [
 ]
 
 # valid tokens of each key; those of h, n, d, trials and maxit keep the work
-# small, and ODD holds no valid token of theirs that does not
+# small, and ODD holds no valid token of theirs that does not, but for the
+# maxit 10^39, which token() leaves out
 VALID = {
     "h": ["2^-1", "2^-2", "2^-3", "2^-4", "1/4", "0.125", "1/16", " 2^-2 "],
     "n": ["2", "3", "16", "32", "٣"],
