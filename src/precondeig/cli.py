@@ -93,12 +93,16 @@ def _parse_params(body, kind, required, optional):
 
 def _read_symmetric(path, what):
     """The matrix of a MatrixMarket file; RecipeError naming the file when it
-    is missing or not square and symmetric (build_problem checks definiteness)."""
+    is missing, not square and symmetric, or of largest |entry| outside
+    [1e-150, 1e150] as kernel_matrix's tau (build_problem checks definiteness)."""
     if not path or not os.path.exists(path):
         raise RecipeError(f"{what} file not found: {path!r}")
     a = read_matrix(path)
     if a.shape[0] != a.shape[1] or (a != a.T).sum():
         raise RecipeError(f"{path}: the matrix is not square and symmetric (shape {a.shape})")
+    scale = abs(a).max() if a.size else 0.0
+    if not 1e-150 <= scale <= 1e150:
+        raise RecipeError(f"{path}: the largest |entry| {scale:g} lies outside [1e-150, 1e150]")
     return a
 
 

@@ -169,17 +169,16 @@ def build_rate_context(problem, precond):
     on the binary64 twin of B: the problem's reference eigenpair, kappa_nu's
     spectral bounds and distortion_angle at u*.
 
-    B u* is computed once, in u-space even for a lifted B: exactly for
-    explicit preconditioners, by nested PCG at FWD_TOL for implicit ones.
-    cos phi costs one more B^-1 application; B^-1 B u* is not replaced by
-    u* because B u* carries the nested-PCG error.
+    B u* is B's apply_fwd, computed once: exact for an explicit B, a nested
+    PCG at FWD_TOL for an implicit one, on the pencil for a lifted DDM.
+    B^-1 u* and cos phi's one more B^-1 apply run in u-space; B^-1 B u* is
+    not replaced by u* because B u* carries the nested-PCG error.
     """
     ref = problem.reference()
     u = ref.u_star / np.linalg.norm(ref.u_star)
     exact = precond.exact()
     b_inv_u = exact.apply_inv(u)
-    iterative = exact.fwd_mode == "iterative"
-    w = apply_fwd_iterative(exact, u, problem.apply_a) if iterative else exact.apply_fwd(u)
+    w = exact.apply_fwd(u)
     a_u = problem.apply_a(u)
     nu_min, nu_max, _ = kappa_nu(problem, precond)
     ctx = _context(

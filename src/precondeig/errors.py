@@ -42,12 +42,6 @@ class NoConvergence(PrecondEigError):
     pass
 
 
-class NoForwardApply(PrecondEigError):
-    """B is implicit (fwd_mode 'iterative': DDM, or any B lifted to a
-    mass-reduced problem): it has no apply_fwd, and B v goes through
-    apply_fwd_iterative."""
-
-
 class ZeroVector(PrecondEigError):
     pass
 

@@ -1,16 +1,15 @@
-"""SPD preconditioners behind one interface.  Every preconditioner applies
-B^{-1}.  An explicit B (OperatorPreconditioner, mp-chol, and the scaled
-wrapper of either) also applies B itself through apply_fwd.  An implicit B
-(DDM, and every B lifted to a mass-reduced problem by HattedPreconditioner)
-has fwd_mode 'iterative' and its apply_fwd raises NoForwardApply, which
-names the class: its forward apply is apply_fwd_iterative, a nested PCG
-preconditioned by the problem's A.  The method needs B v only to measure B,
-so an implicit B loses nothing: the B-norms of starts run in the coordinates
-of solvers.Route (which pencil() selects), and B u* for the distortion angle
-in u-space.  DDM's B^{-1} runs its local solves by fast diagonalization
-(dense tensor-product products) and its coarse solve by linalg.make_solver,
-a symmetric-mode SuperLU; the only band factor here is the mass factor R
-that a lifted B applies around its inner B.
+"""SPD preconditioners behind one interface.  The method applies only
+B^{-1}; B itself only measures (||u||_B, and B u* for the distortion
+angle), through apply_fwd, which every preconditioner has.  An explicit B
+(OperatorPreconditioner, mp-chol, and the scaled wrapper of either) applies
+B directly (fwd_mode 'exact').  A DDM's apply_fwd is apply_fwd_iterative, a
+nested PCG preconditioned by the stiffness it was built on (fwd_mode
+'iterative'), and a B lifted by HattedPreconditioner applies R^{-T} B R^{-1},
+so a lifted DDM's nested PCG always runs on the pencil (P, K).  DDM's B^{-1}
+runs its local solves by fast diagonalization (dense tensor-product
+products) and its coarse solve by linalg.make_solver, a symmetric-mode
+SuperLU; the only band factor here is the mass factor R that a lifted B
+applies around its inner B.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
@@ -25,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import DimensionMismatch, NoForwardApply, NotKroneckerSum, NotSpd
+from .errors import DimensionMismatch, NotKroneckerSum, NotSpd
 from .linalg import CholFactor, _by_column, chol_matvec, chol_solve, cholesky, make_solver, pcg
 from .problems import mesh_hierarchy
 
@@ -36,11 +35,11 @@ FWD_TOL = 1e-10  # relative residual of the nested PCG behind an iterative forwa
 class Preconditioner:
     """Interface: apply_inv, apply_fwd, fwd_mode, exact(), pencil().
 
-    apply_fwd exists when fwd_mode is 'exact'; with fwd_mode 'iterative' B
-    is implicit (DDM, and any lifted B), apply_fwd raises NoForwardApply and
-    B v is apply_fwd_iterative(p, v, apply_a=problem.apply_a), on vectors
-    only (solvers.Route.b_norm_sq runs it per column of a block).  apply_inv,
-    and apply_fwd of an explicit B, take an (n, k) block or a vector.
+    fwd_mode 'exact' means apply_fwd is B v to roundoff; 'iterative' means
+    it is a nested PCG to FWD_TOL (a DDM, or a B lifted around one), which
+    solvers.Route.b_norm_sq measures by a second-order formula.  apply_inv,
+    and apply_fwd of an explicit B, take an (n, k) block or a vector; an
+    iterative apply_fwd takes a vector only.
     """
 
     fwd_mode = "exact"
@@ -52,10 +51,7 @@ class Preconditioner:
         raise NotImplementedError
 
     def apply_fwd(self, v):
-        raise NoForwardApply(
-            f"{type(self).__name__} has no forward apply (fwd_mode {self.fwd_mode!r}); "
-            "apply B through apply_fwd_iterative"
-        )
+        raise NotImplementedError
 
     def exact(self):
         """Binary64 twin realizing the same B; self when the applies already
@@ -154,8 +150,8 @@ class DdmPreconditioner(Preconditioner):
     v onto the concatenated nodes, the group solves and a scatter-add
     through the sparse stacked restriction; an (n, k) block runs the local
     solves one column at a time.  B itself is implicit (fwd_mode
-    'iterative', apply_fwd raises NoForwardApply): B v is
-    apply_fwd_iterative with the problem's A.
+    'iterative'): apply_fwd is apply_fwd_iterative preconditioned by the
+    stiffness A it was built on.
     """
 
     fwd_mode = "iterative"
@@ -167,6 +163,7 @@ class DdmPreconditioner(Preconditioner):
             raise DimensionMismatch(
                 f"the stiffness has {n} rows, but h={h} gives {side * side} interior nodes"
             )
+        self._a = a_fine
         self._i_h = prolongation
         self._i_h_t = prolongation.T.tocsr()
         # an empty coarse space (single-cell coarse grid) drops the first term
@@ -230,6 +227,9 @@ class DdmPreconditioner(Preconditioner):
         # order, so applies are bit-reproducible
         return self.coarse_part(v) + self._r_t @ local
 
+    def apply_fwd(self, v):
+        return apply_fwd_iterative(self, v, lambda w: self._a @ w)
+
     def coarse_part(self, v):
         v = np.asarray(v, dtype=np.float64)
         if self._coarse_solve is None:
@@ -269,34 +269,35 @@ def spectral_scale(p, nu_min, nu_max):
 
 
 class HattedPreconditioner(Preconditioner):
-    """Preconditioner for the mass-reduced pencil: Bhat^{-1} v = R B^{-1} R^T v,
-    where M = R^T R.  Bhat is implicit whatever the inner B: there is no
-    forward apply through R solves, and Bhat v is apply_fwd_iterative with
-    the reduced problem's A.
+    """Preconditioner for the mass-reduced pencil: Bhat^{-1} v = R B^{-1} R^T v
+    and Bhat v = R^{-T} B R^{-1} v, where M = R^T R, with the inner B's
+    fwd_mode; a lifted DDM's nested PCG thus runs on the pencil (P, K).
 
     A pair's applies run on its solvers.Route, which takes the inner B in
-    pencil coordinates through pencil().  apply_inv serves only the rate
-    context (B u*, cos phi) and the smooth starts, which apply a lifted B
-    in u-space, at two banded R products around the inner apply.
+    pencil coordinates through pencil().  Only the rate context's B^{-1}
+    applies (B^{-1} u*, cos phi) and the smooth starts apply Bhat^{-1} in
+    u-space, at two banded R products around the inner apply.
     """
-
-    fwd_mode = "iterative"
 
     def __init__(self, inner, r_factor):
         self.inner = inner
         self.r = r_factor
+        self.fwd_mode = inner.fwd_mode
         if inner.exact() is not inner:
             self._twin = HattedPreconditioner(inner.exact(), r_factor)
 
     def apply_inv(self, v):
         return self.r.mult(self.inner.apply_inv(self.r.mult_t(v)))
 
+    def apply_fwd(self, v):
+        return self.r.solve_t(self.inner.apply_fwd(self.r.solve(v)))
+
     def pencil(self):
         return self.inner
 
 
 def apply_fwd_iterative(p, v, apply_a):
-    """Forward application z = B v for a preconditioner exposing only B^{-1}.
+    """z = B v from B^{-1} alone: DdmPreconditioner's apply_fwd.
 
     Runs PCG from z = v on the SPD system B^{-1} z = v, to relative
     residual FWD_TOL in at most 500 iterations.  The preconditioning step

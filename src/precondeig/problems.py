@@ -349,11 +349,11 @@ def generalized_reduce(a, m):
 
     The reduced operator is R^{-T} A R^{-1}; its eigenvalues are the pencil
     eigenvalues and eigenvectors map as w = R u.  Preconditioners for A are
-    lifted by precond.HattedPreconditioner so that Bhat^{-1} v = R (B^{-1}
-    (R^T v)).
+    lifted by precond.HattedPreconditioner to Bhat^{-1} v = R (B^{-1} (R^T v)).
     The problem keeps (A, M, R) in pencil.  The reduced apply_a costs a
-    banded R solve, an A matvec and a banded R^T solve; the rate context
-    runs on it, and a pair's other applies on its solvers.Route.  Factors
+    banded R solve, an A matvec and a banded R^T solve; the rate context's
+    A u* and reference spectrum run on it, and a pair's other applies on its
+    solvers.Route (a lifted B's nested PCG on the pencil).  Factors
     only M here, by SymFactor (NotSpd unless SPD, DimensionMismatch unless
     A's size); A in problem.solver(), and sigma M - A, for a while, in the
     reference eigensolve's lambdan.

@@ -192,8 +192,9 @@ def _identity(v):
 @dataclass(frozen=True)
 class Route:
     """The coordinates of one (problem, preconditioner) pair: its applies, in
-    rsd_solve, kappa_nu and check_initial, run on its Route, and only the
-    rate context and the smooth starts apply a lifted B in u-space.
+    rsd_solve, kappa_nu and check_initial, run on its Route; only the rate
+    context's B^{-1} applies and the smooth starts apply a lifted B in
+    u-space, and its nested PCG always runs on the pencil.
     Route.of picks one of two; readers call its maps and never ask which:
 
     - u-space, for a standard problem and for a mass-reduced problem with a
@@ -230,9 +231,8 @@ class Route:
 
     def b_norm_sq(self, x):
         """Measurement-grade x^T B x in these coordinates from B's binary64
-        twin, for a vector or per column of a block.  For implicit B a nested
-        PCG per column, preconditioned by apply_a (the operator B
-        approximates), gives z ~ B x; 2 x^T z - z^T B^{-1} z peaks at z = B x
+        twin, for a vector or per column of a block.  An iterative apply_fwd
+        gives z ~ B x per column; 2 x^T z - z^T B^{-1} z peaks at z = B x
         with value x^T B x, so its error is quadratic in that of z."""
         exact = self.b.exact()
         if exact.fwd_mode == "exact":
@@ -240,7 +240,7 @@ class Route:
             return float(x @ bx) if x.ndim == 1 else np.einsum("ij,ij->i", x.T, bx.T)
         if x.ndim == 2:
             return np.array([self.b_norm_sq(c) for c in x.T])
-        z = apply_fwd_iterative(exact, x, apply_a=self.apply_a)
+        z = exact.apply_fwd(x)
         return float(2.0 * (x @ z) - z @ exact.apply_inv(z))
 
 

@@ -381,6 +381,34 @@ def test_mtx_refuses_an_array_file_that_is_not_positive_definite(tmp_path):
         build_problem(f"mtx:{bad}")
 
 
+DIAG_3 = "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 {0}\n2 2 {1}\n3 3 {2}\n"
+SOLVE_5 = ["solve", "--step", "fixed:0.01", "--init", "gaussian", "--maxit", "5"]
+
+
+@pytest.mark.parametrize(
+    "body, command",
+    [
+        (DIAG_3.format("1e200", "2e200", "3e200"), SOLVE_5),
+        (DIAG_3.format("1e200", "2e200", "3e200"), ["phi"]),
+        (DIAG_3.format("1e-200", "2e-200", "3e-200"), SOLVE_5),
+        (DIAG_3.format("1e-200", "2e-200", "3e-200"), ["phi"]),
+        ("%%MatrixMarket matrix array real symmetric\n0 0\n", ["phi"]),
+    ],
+    ids=["solve-huge", "phi-huge", "solve-tiny", "phi-tiny", "phi-zero-size"],
+)
+def test_mtx_of_a_scale_outside_1e150_exits_1_with_one_error_line(tmp_path, capsys, body, command):
+    # each ended in a traceback (OverflowError, ZeroDivisionError, IndexError)
+    # or a RuntimeWarning and a foreign LAPACK message; the file is refused
+    # as kernel_matrix refuses a shift |tau| > 1e150
+    path = tmp_path / "d.mtx"
+    path.write_text(body)
+    assert main([*command, "--problem", f"mtx:{path}", "--precond", "identity"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: the largest |entry| ")
+    assert captured.err.endswith(" lies outside [1e-150, 1e150]\n") and captured.err.count("\n") == 1
+
+
 def test_phi_exact_preconditioner(tmp_path, capsys):
     out = tmp_path / "q.json"
     code = main(

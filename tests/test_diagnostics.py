@@ -12,7 +12,7 @@ from precondeig.diagnostics import _DenseOracle, random_spd_pair
 from precondeig.errors import DimensionMismatch, PropertyViolation, ZeroVector
 from precondeig.linalg import spawn_normal_rows, spawn_seed
 from tests import jacobi
-from tests.conftest import column, dense_pencil, dense_problem, dense_roots
+from tests.conftest import column, dense_pencil, dense_problem, dense_roots, tight_fwd
 
 DIAG = np.diag([1.0, 2.0, 4.0])
 
@@ -675,6 +675,21 @@ def test_check_initial_b_norms_of_a_lifted_b_make_no_r_product(monkeypatch):
         monkeypatch.setattr(r, name, counted(name))
     pe.check_initial(problem, p, u0, ctx, u0_b_norm_sq=None)
     assert calls == {"solve": 1}
+
+
+def test_lifted_ddm_rate_context_matches_the_u_space_nested_pcg():
+    """A lifted DDM's B u* is its nested PCG on the pencil, R^{-T} of the PCG
+    on (P, K) from R^{-1} u*.  It agrees with a nested PCG in u-space on
+    (Bhat, A) run to 1e-13, and so does cos phi (2.1e-10 and 2.4e-14
+    relative measured)."""
+    problem = build_problem("laplace-fem:h=2^-4")
+    p = build_precond("ddm:H=2^-2", problem)
+    ctx = pe.build_rate_context(problem, p)
+    exact, u = p.exact(), ctx.u_star
+    w = tight_fwd(exact, u, problem.apply_a, 1e-13)
+    _, cos_phi = pe.distortion_angle(u, w, exact.apply_inv(u), exact.apply_inv)
+    assert np.linalg.norm(ctx.w_star - w) <= 1e-9 * np.linalg.norm(w)
+    assert abs(ctx.cos_phi - cos_phi) <= 1e-12 * cos_phi
 
 
 def test_success_probability_rejects_a_sampler_before_the_context(monkeypatch):

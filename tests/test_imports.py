@@ -27,7 +27,11 @@ SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 
 # bindings that perfbench/spans.py patches by module name, so they stay
 # although the module itself never calls them
-PATCHED_ONLY = {("problems", "lanczos_extremal")}
+PATCHED_ONLY = {
+    ("problems", "lanczos_extremal"),
+    ("diagnostics", "apply_fwd_iterative"),
+    ("solvers", "apply_fwd_iterative"),
+}
 
 
 def unused_imports(path):
@@ -355,6 +359,25 @@ def test_pencil_is_called_only_in_route_of():
     )
     of = next(fn for fn in route.body if isinstance(fn, ast.FunctionDef) and fn.name == "of")
     assert calls == {"solvers": 1} and pencil_calls(of) == 1
+
+
+def fwd_iterative_calls(node):
+    return sum(
+        isinstance(n, ast.Call)
+        and "apply_fwd_iterative" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))
+        for n in ast.walk(node)
+    )
+
+
+def test_apply_fwd_iterative_is_called_only_in_precond():
+    # every B applies itself through apply_fwd; only a DDM chooses the
+    # preconditioner of its nested PCG, the stiffness it was built on
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    calls = {module: fwd_iterative_calls(tree) for module, tree in trees.items() if fwd_iterative_calls(tree)}
+    ddm = next(
+        cls for cls in trees["precond"].body if isinstance(cls, ast.ClassDef) and cls.name == "DdmPreconditioner"
+    )
+    assert calls == {"precond": 1} and fwd_iterative_calls(ddm) == 1
 
 
 def test_import_leaves_scipy_io_unloaded():
