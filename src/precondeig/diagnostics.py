@@ -88,8 +88,9 @@ def kappa_nu(problem, precond):
     Cholesky, and the extreme eigenvalues of the symmetric S = L^T B^{-1} L
     (similar to B^{-1} A) by LAPACK.  Above the cap, Lanczos at tol _KAPPA_TOL on
     B^{-1} A in the A-inner product, which hands apply_t the A q it already
-    holds, so each step applies A once; it runs at most 400 steps from a
-    start drawn from Rng(4242).
+    holds, so each step applies A once; it runs at most
+    problems._LANCZOS_STEPS steps, the reference runs' cap, from a start
+    drawn from Rng(4242).
     """
     n = problem.dim
     route = solvers.Route.of(problem, precond.exact())
@@ -100,7 +101,7 @@ def kappa_nu(problem, precond):
         nu_min, nu_max = float(w[0]), float(w[-1])
     else:
         nu_min, nu_max = lanczos_extremal(
-            route.b.apply_inv, dim=n, tol=_KAPPA_TOL, maxit=400, rng=Rng(4242),
+            route.b.apply_inv, dim=n, tol=_KAPPA_TOL, maxit=problems._LANCZOS_STEPS, rng=Rng(4242),
             inner_map=route.apply_a,
         )
     return nu_min, nu_max, nu_max / nu_min

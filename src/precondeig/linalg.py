@@ -7,9 +7,9 @@ and dense_sym_eig, all eigenpairs of a small dense symmetric matrix by
 LAPACK eigh, for the explicit x-space evaluation inside
 validate_properties.  The Cholesky solves and products and the banded
 SymFactor products and solves take an (n, k) block as well as a vector.
-SymFactor holds the factor R of a mass matrix M = R^T R
-(problems.generalized_reduce); its banded Cholesky, _cholesky_band, also
-factors the shifted sigma M - K of that lambdan.  make_solver factors an
+SymFactor is the one banded Cholesky S = R^T R, kept as the one lower band
+R^T: of a mass matrix M (problems.generalized_reduce) and of the shifted
+sigma M - K of problems' lambdan.  make_solver factors an
 SPD matrix once, Cholesky if dense, symmetric-mode SuperLU if sparse; that
 is its NotSpd check.
 
@@ -517,81 +517,65 @@ def make_solver(a):
     return lambda v: chol_solve(f, v)
 
 
-def _cholesky_band(*terms):
-    """(bw, rab): the upper band ``rab[bw + i - j, j] = R[i, j]``, in
-    Fortran order, of R in S = R^T R, where S is the sum of w m over the
-    (w, m) terms, each m a dense or sparse symmetric matrix, and bw is the
-    largest offset of an entry any m stores in its upper triangle.  The
-    band is summed one stored diagonal at a time, so S is never formed and
-    beside the terms the work holds the band and a diagonal, and LAPACK's
-    banded Cholesky (pbtrf) factors it in place.  Raises NotSpd when pbtrf
-    fails or a pivot is not positive (NaN included), which pbtrf and the
-    triangular band solves do not all test."""
-    terms = [(w, m if scipy.sparse.issparse(m) else as_dense_sym(m)) for w, m in terms]
-    stored = set()
-    for _, m in terms:
-        coo = scipy.sparse.coo_matrix(m)
-        stored.update(np.unique(coo.col - coo.row).tolist())
-    offsets = sorted(d for d in stored if d >= 0)
-    bw = offsets[-1] if offsets else 0
-    ab = np.zeros((bw + 1, terms[0][1].shape[0]), order="F")
-    for d in offsets:
-        for w, m in terms:
-            ab[bw - d, d:] += w * m.diagonal(d)
-    try:
-        rab = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=False, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSpd(-1, f"banded cholesky failed: {exc}") from exc
-    bad = np.flatnonzero(~(rab[bw] > 0))
-    if bad.size:
-        raise NotSpd(int(bad[0]), f"banded cholesky pivot {bad[0]} is not positive")
-    return bw, rab
-
-
 class SymFactor:
-    """R^T R factorization of an SPD matrix with products and solves for R:
-    the mass factor M = R^T R of a mass-reduced problem.
+    """Banded Cholesky S = R^T R, with products and solves for R, of the sum
+    S of w m over the (w, m) terms, each m a dense or sparse symmetric
+    matrix: a mass matrix M (problems.generalized_reduce) or the shifted
+    sigma M - K of problems' lambdan.
 
-    R is kept in two LAPACK band layouts: its upper band
-    (``rab[bw + i - j, j] = R[i, j]``) and, for the solves with R^T, the
-    same factor transposed as a lower band (``lab[d, j] = R[j, j + d]``), so
-    memory is O(2 n bw); a dense input is a band of full width.  The factor
-    comes from LAPACK's banded Cholesky on the upper triangle of the input
-    (_cholesky_band).
-    `mult` and `mult_t` run BLAS ``tbmv`` on rab (no-transpose and
-    transpose), `solve` runs ``tbsv`` on rab, and `solve_t` runs ``tbsv`` on
-    lab without transpose: a forward substitution in axpy form, where the
-    transposed ``tbsv`` on rab takes the slower dot-product form.
-    Lexicographically ordered FEM mass matrices give bw ~ sqrt(n).  Each
-    method also takes an (n, k) block and runs its BLAS routine on one
-    column at a time.
+    The band is summed one stored diagonal of the upper triangles at a time,
+    so S is never formed, and LAPACK's banded Cholesky (pbtrf) factors it in
+    place into the one lower band ``lab[d, j] = R[j, j + d]`` of L = R^T, in
+    Fortran order, with bw the largest offset any m stores; a dense input is
+    a band of full width, FEM mass matrices give bw ~ sqrt(n).  Raises
+    NotSpd when pbtrf fails or a pivot is not positive (NaN included),
+    which pbtrf and the band solves do not all test.
+    `mult`, `mult_t`, `solve` and `solve_t` run BLAS tbmv, tbmv, tbsv and
+    tbsv on lab with trans 1, 0, 1 and 0, one column at a time for an (n, k)
+    block.  solve_t, a solve's residual map, is a forward substitution in
+    axpy form; solve takes the dot-product form, alone slower than the axpy
+    form on a second, upper band (about 130 against 96 us at h=2^-6), but a
+    u-space step, which applies it once, is not slower, as one band streams
+    half the bytes.
     """
 
-    def __init__(self, m):
-        bw, rab = _cholesky_band((1.0, m))
-        n = rab.shape[1]
-        # Fortran order, as the BLAS wrappers would otherwise copy it per call
-        lab = np.zeros((bw + 1, n), order="F")
-        for d in range(bw + 1):
-            lab[d, : n - d] = rab[bw - d, d:]
-        self.bw, self.rab, self.lab = bw, rab, lab
+    def __init__(self, *terms):
+        terms = [(w, m if scipy.sparse.issparse(m) else as_dense_sym(m)) for w, m in terms]
+        stored = set()
+        for _, m in terms:
+            coo = scipy.sparse.coo_matrix(m)
+            stored.update(np.unique(coo.col - coo.row).tolist())
+        offsets = sorted(d for d in stored if d >= 0)
+        bw = offsets[-1] if offsets else 0
+        ab = np.zeros((bw + 1, terms[0][1].shape[0]), order="F")
+        for d in offsets:
+            for w, m in terms:
+                ab[d, : ab.shape[1] - d] += w * m.diagonal(d)
+        try:
+            lab = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSpd(-1, f"banded cholesky failed: {exc}") from exc
+        bad = np.flatnonzero(~(lab[0] > 0))
+        if bad.size:
+            raise NotSpd(int(bad[0]), f"banded cholesky pivot {bad[0]} is not positive")
+        self.bw, self.lab = bw, lab
 
-    def _band(self, routine, band, v, lower, trans):
+    def _band(self, routine, v, trans):
         v = np.asarray(v, dtype=np.float64)
-        return _by_column(lambda c: routine(self.bw, band, c, lower=lower, trans=trans), v)
+        return _by_column(lambda c: routine(self.bw, self.lab, c, lower=1, trans=trans), v)
 
     def mult(self, v):
         """R v"""
-        return self._band(scipy.linalg.blas.dtbmv, self.rab, v, 0, 0)
+        return self._band(scipy.linalg.blas.dtbmv, v, 1)
 
     def mult_t(self, v):
         """R^T v"""
-        return self._band(scipy.linalg.blas.dtbmv, self.rab, v, 0, 1)
+        return self._band(scipy.linalg.blas.dtbmv, v, 0)
 
     def solve(self, v):
-        """R x = v"""
-        return self._band(scipy.linalg.blas.dtbsv, self.rab, v, 0, 0)
+        """R x = v, by back substitution in dot-product form"""
+        return self._band(scipy.linalg.blas.dtbsv, v, 1)
 
     def solve_t(self, v):
-        """R^T x = v, by forward substitution on the lower band"""
-        return self._band(scipy.linalg.blas.dtbsv, self.lab, v, 1, 0)
+        """R^T x = v, by forward substitution in axpy form"""
+        return self._band(scipy.linalg.blas.dtbsv, v, 0)

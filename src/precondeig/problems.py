@@ -33,7 +33,6 @@ from .errors import (
 from .linalg import (
     Rng,
     SymFactor,
-    _cholesky_band,
     _lanczos_top_value,
     chol_solve,
     cholesky,
@@ -354,14 +353,14 @@ def generalized_reduce(a, m):
     banded R solve, an A matvec and a banded R^T solve; the rate context's
     A u* and reference spectrum run on it, and a pair's other applies on its
     solvers.Route (a lifted B's nested PCG on the pencil).  Factors
-    only M here, by SymFactor (NotSpd unless SPD, DimensionMismatch unless
-    A's size); A in problem.solver(), and sigma M - A, for a while, in the
-    reference eigensolve's lambdan.
+    only M here, as SymFactor((1, M)), one lower band (NotSpd unless SPD,
+    DimensionMismatch unless A's size); A in problem.solver(), and sigma M -
+    A, for a while, as a SymFactor of its own in the reference's lambdan.
     """
     n = a.shape[0]
     if m.shape[0] != n:
         raise DimensionMismatch("pencil matrices differ in size")
-    r = SymFactor(m)
+    r = SymFactor((1.0, m))
 
     def apply_hat(v):
         return r.solve_t(a @ r.solve(v))
@@ -462,18 +461,19 @@ def _lanczos_lamn(problem, rng):
 
     A Lanczos on A at tol 1e-2 estimates theta <= lambdan.  The
     shift sigma = theta (1 + g), g = 3e-2 4^k, is certified above lambdan by
-    the banded Cholesky of sigma M - K, which raises NotSpd when sigma <=
-    lambdan; k then goes up, and after _SHIFT_TRIES shifts NoConvergence is
-    raised.  The Lanczos on T = (sigma M - K)^{-1} M, self-adjoint in the
-    M-inner product, finds T's top value mu = 1 / (sigma - lambdan)
-    at tol 1e-11 / g, with one banded solve and one M product per step, and
-    lambdan = sigma - 1 / mu.  Its error is mu's relative error times sigma -
-    lambdan <= sigma - theta = g theta, so lambdan keeps 1e-11 of itself.
+    SymFactor((sigma, M), (-1, K)), the banded Cholesky R^T R of sigma M - K,
+    which raises NotSpd when sigma <= lambdan; k then goes up, and after
+    _SHIFT_TRIES shifts NoConvergence is raised.  The Lanczos on T = (sigma
+    M - K)^{-1} M, self-adjoint in the M-inner product, finds T's top value
+    mu = 1 / (sigma - lambdan) at tol 1e-11 / g, with one solve_t, one solve
+    and one M product per step, and lambdan = sigma - 1 / mu.  Its error is
+    mu's relative error times sigma - lambdan <= sigma - theta = g theta, so
+    lambdan keeps 1e-11 of itself.
     At h=2^-6 the top of the FEM pencil is a pair 5.8e-10 apart relative,
     and the next pair lies 2.1e-3 below; on A the Lanczos needs about 300
     steps to resolve them, on T they lie about 35 times as far apart
     relative to the spectrum and it needs 53.  The factor is one band of
-    (bw + 1) n entries, freed on return."""
+    (bw + 1) n entries, as the mass factor's, freed on return."""
     if problem.pencil is None:
         return _lanczos_top_value(problem.apply_a, problem.dim, 1e-11, _LANCZOS_STEPS, rng)
     k, m, _ = problem.pencil
@@ -482,15 +482,12 @@ def _lanczos_lamn(problem, rng):
         g = 3e-2 * 4.0**tries
         sigma = theta * (1.0 + g)
         try:
-            _, band = _cholesky_band((sigma, m), (-1.0, k))
+            f = SymFactor((sigma, m), (-1.0, k))
         except NotSpd:
             continue  # sigma <= lambdan
-
-        def solve(mq):
-            return scipy.linalg.cho_solve_banded((band, False), mq, check_finite=False)
-
         mu = _lanczos_top_value(
-            solve, problem.dim, 1e-11 / g, _LANCZOS_STEPS, rng, inner_map=lambda v: m @ v
+            lambda mq: f.solve(f.solve_t(mq)), problem.dim, 1e-11 / g, _LANCZOS_STEPS, rng,
+            inner_map=lambda v: m @ v,
         )
         return sigma - 1.0 / mu
     raise NoConvergence(f"no shift above lambdan in {_SHIFT_TRIES} tries from {theta:.6e}")

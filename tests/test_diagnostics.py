@@ -224,6 +224,18 @@ def test_kappa_identity_diag():
     assert (abs(nu_min - 1.0), abs(nu_max - 4.0), abs(kappa - 4.0)) <= (1e-10, 1e-10, 1e-10)
 
 
+def test_kappa_lanczos_route_runs_to_the_reference_cap():
+    # identity on the h=2^-6 FEM pencil needs 442 steps, past the 400 the
+    # route once stopped at; B^{-1} A = A, so nu_min and nu_max are the
+    # pencil's lambda1 and lambdan (2.5e-13 and 1e-16 relative off them)
+    problem = build_problem("laplace-fem:h=2^-6")
+    nu_min, nu_max, kappa = pe.kappa_nu(problem, pe.make_identity())
+    ref = problem.reference()
+    assert abs(nu_min - ref.lam1) <= 1e-12 * ref.lam1
+    assert abs(nu_max - ref.lamn) <= 1e-12 * ref.lamn
+    assert kappa == nu_max / nu_min
+
+
 def test_kappa_dense_and_lanczos_routes_agree(monkeypatch):
     # mp-chol: both routes must measure B = Lhat Lhat^T, not its binary32 applies
     a, b = random_spd_pair(36, 40)

@@ -332,15 +332,30 @@ def splu_calls(node):
     )
 
 
+BANDED = {"cholesky_banded", "cho_solve_banded", "dtbsv", "dtbmv"}
+
+
+def banded_names(node):
+    return {
+        name
+        for n in ast.walk(node)
+        for name in (getattr(n, "attr", None), getattr(n, "id", None))
+        if name in BANDED
+    }
+
+
 def test_splu_is_called_only_in_make_solver():
     # a sparse SPD matrix is factored one way, once, and that factorization
-    # is its definiteness check
+    # is its definiteness check; every banded Cholesky factor and its
+    # products and solves live in linalg, in one band layout
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     calls = {module: splu_calls(tree) for module, tree in trees.items() if splu_calls(tree)}
     make_solver = next(
         fn for fn in trees["linalg"].body if isinstance(fn, ast.FunctionDef) and fn.name == "make_solver"
     )
     assert calls == {"linalg": 1} and splu_calls(make_solver) == 1
+    banded = {module: banded_names(tree) for module, tree in trees.items() if banded_names(tree)}
+    assert banded == {"linalg": BANDED - {"cho_solve_banded"}}
 
 
 def pencil_calls(node):

@@ -499,10 +499,10 @@ def test_lanczos_variant_follows_the_watch():
     h = 2.0**-5
     k, m = pe.fem_p1(h)
     sigma = 1.03 * pe.laplace_fem(h).reference().lamn
-    _, band = linalg._cholesky_band((sigma, m), (-1.0, k))
+    f = SymFactor((sigma, m), (-1.0, k))
 
     def solve(mq):
-        return scipy.linalg.cho_solve_banded((band, False), mq, check_finite=False)
+        return f.solve(f.solve_t(mq))
 
     def mass(v):
         return m @ v
@@ -699,15 +699,16 @@ def test_dense_sym_eig_turns_a_lapack_failure_into_no_convergence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# SymFactor (R^T R on an upper and a lower LAPACK band)
+# SymFactor (R^T R on one lower LAPACK band L = R^T)
 # ---------------------------------------------------------------------------
 
 
 def check_symfactor_against_oracle(m):
-    """Products and solves of SymFactor(m) against R = L^T from the binary64
-    Cholesky and scipy's dense triangular solves; R^T R reconstructs m."""
+    """Products and solves of SymFactor((1, m)) against R = L^T from the
+    binary64 Cholesky and scipy's dense triangular solves; R^T R
+    reconstructs m."""
     dense = m.toarray() if scipy.sparse.issparse(m) else m
-    f = SymFactor(m)
+    f = SymFactor((1.0, m))
     r = pe.cholesky(dense).l.T
     v = pe.gaussian_vector(pe.Rng(6), dense.shape[0])
     expected = {
@@ -727,7 +728,8 @@ def check_symfactor_against_oracle(m):
 def test_symfactor_banded_matches_dense():
     _, mass = pe.fem_p1(1.0 / 8.0)
     f = check_symfactor_against_oracle(mass)
-    assert f.bw == 8 and f.rab.shape == f.lab.shape == (9, 49)
+    assert f.bw == 8 and f.lab.shape == (9, 49)
+    assert [name for name in vars(f) if isinstance(getattr(f, name), np.ndarray)] == ["lab"]
 
 
 @pytest.mark.parametrize(
@@ -740,21 +742,31 @@ def test_symfactor_full_and_zero_bandwidth(m, bw):
 
 
 def test_symfactor_solves_equal_tbtrs():
-    # tbsv is the substitution tbtrs runs after its zero-pivot test; solve_t
-    # is the forward substitution on the lower band lab
+    # tbsv is the substitution tbtrs runs after its zero-pivot test: solve is
+    # L^T x = v and solve_t is L x = v on the one lower band lab
     _, mass = pe.fem_p1(1.0 / 16.0)
     for m in (mass, random_spd(22, 12)):
-        f = SymFactor(m)
+        f = SymFactor((1.0, m))
         v = pe.gaussian_vector(pe.Rng(7), m.shape[0])
-        for op, band, uplo in (("solve", f.rab, "U"), ("solve_t", f.lab, "L")):
-            x, info = scipy.linalg.lapack.dtbtrs(band, v[:, None], uplo=uplo, trans="N")
+        for op, trans in (("solve", "T"), ("solve_t", "N")):
+            x, info = scipy.linalg.lapack.dtbtrs(f.lab, v[:, None], uplo="L", trans=trans)
             assert info == 0
             assert np.array_equal(getattr(f, op)(v), x[:, 0]), op
 
 
+def test_symfactor_sums_its_terms():
+    # the band of sigma M - K, summed diagonal by diagonal, is the band of
+    # the matrix formed first
+    k, m = pe.fem_p1(1.0 / 8.0)
+    summed = SymFactor((3.0e3, m), (-1.0, k))
+    formed = SymFactor((1.0, (3.0e3 * m - k).tocsr()))
+    assert summed.bw == formed.bw == 8
+    assert np.array_equal(summed.lab, formed.lab)
+
+
 def test_symfactor_block_equals_its_columns():
     _, mass = pe.fem_p1(1.0 / 8.0)
-    f = SymFactor(mass)
+    f = SymFactor((1.0, mass))
     n = mass.shape[0]
     block = pe.Rng(8).normal(3 * n).reshape(n, 3)
     for op in ("mult", "mult_t", "solve", "solve_t"):
@@ -765,10 +777,14 @@ def test_symfactor_block_equals_its_columns():
 def test_symfactor_rejects_a_pivot_that_is_not_positive():
     # banded Cholesky passes a NaN pivot through; the check in __init__ stops it
     with pytest.raises(NotSpd) as err:
-        SymFactor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        SymFactor((1.0, np.array([[1.0, np.nan], [np.nan, 1.0]])))
     assert err.value.pivot == 1
     with pytest.raises(NotSpd):
-        SymFactor(np.diag([1.0, -1.0]))
+        SymFactor((1.0, np.diag([1.0, -1.0])))
+    # a shifted pencil below its top eigenvalue is indefinite
+    k, m = pe.fem_p1(1.0 / 8.0)
+    with pytest.raises(NotSpd):
+        SymFactor((1.0, m), (-1.0, k))
 
 
 # ---------------------------------------------------------------------------

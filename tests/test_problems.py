@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -497,14 +498,16 @@ def test_reference_lamn_matches_eigvalsh_on_random_pairs(n):
 
 
 class ShiftedRun:
-    """Wraps problems' bindings of the Lanczos top-value run and of the banded
-    Cholesky for one _lanczos_lamn call on a pencil: tells the estimate on A
-    from the shift-inverted run by its inner_map, counts the steps of each
-    and the shifts refused by NotSpd, and scales the estimate by `scale`."""
+    """Wraps problems' bindings of the Lanczos top-value run and of SymFactor
+    for one _lanczos_lamn call on a pencil: tells the estimate on A from the
+    shift-inverted run by its inner_map, counts the steps of each, the
+    shifts refused by NotSpd and the solves and solve_ts of the shifted
+    factor, and scales the estimate by `scale`."""
 
     def __init__(self, monkeypatch, scale=1.0):
         self.estimate_steps = self.shifted_steps = self.refused = 0
-        top_value, band = problems._lanczos_top_value, problems._cholesky_band
+        self.solves = Counter()
+        top_value, symfactor = problems._lanczos_top_value, problems.SymFactor
 
         def run(apply_t, *args, inner_map=None, **kwargs):
             shifted = inner_map is not None
@@ -521,13 +524,23 @@ class ShiftedRun:
 
         def factor(*terms):
             try:
-                return band(*terms)
+                f = symfactor(*terms)
             except NotSpd:
                 self.refused += 1
                 raise
+            for op in ("solve", "solve_t"):
+                setattr(f, op, self.counted(op, getattr(f, op)))
+            return f
 
         monkeypatch.setattr(problems, "_lanczos_top_value", run)
-        monkeypatch.setattr(problems, "_cholesky_band", factor)
+        monkeypatch.setattr(problems, "SymFactor", factor)
+
+    def counted(self, op, method):
+        def call(v):
+            self.solves[op] += 1
+            return method(v)
+
+        return call
 
 
 def shifted_lamn(prob):
@@ -540,6 +553,9 @@ def test_shifted_lamn_step_counts(monkeypatch):
     run = ShiftedRun(monkeypatch)
     assert shifted_lamn(prob) == lamn
     assert (run.estimate_steps, run.shifted_steps, run.refused) == (25, 30, 0)
+    # each shift-inverted step is one forward and one back substitution on
+    # the shifted factor
+    assert run.solves == {"solve_t": 30, "solve": 30}
 
 
 @pytest.mark.parametrize("divisor, refused", [(1.1, 1), (2.0, 3)])
