@@ -532,11 +532,12 @@ class SymFactor:
     which pbtrf and the band solves do not all test.
     `mult`, `mult_t`, `solve` and `solve_t` run BLAS tbmv, tbmv, tbsv and
     tbsv on lab with trans 1, 0, 1 and 0, one column at a time for an (n, k)
-    block.  solve_t, a solve's residual map, is a forward substitution in
-    axpy form; solve takes the dot-product form, alone slower than the axpy
-    form on a second, upper band (about 130 against 96 us at h=2^-6), but a
-    u-space step, which applies it once, is not slower, as one band streams
-    half the bytes.
+    block.  solve_t, the residual map of a solve on the pencil, is a forward
+    substitution in axpy form.  solve takes the dot-product form, the price
+    of one band: at h=2^-6 (2-vCPU Xeon, one BLAS thread) it measured about
+    106 us against 76 us for the axpy form on a second, upper band, and a
+    u-space step that applies it once about 5% slower; at h=2^-7 neither
+    was slower.
     """
 
     def __init__(self, *terms):
@@ -546,11 +547,11 @@ class SymFactor:
             coo = scipy.sparse.coo_matrix(m)
             stored.update(np.unique(coo.col - coo.row).tolist())
         offsets = sorted(d for d in stored if d >= 0)
-        bw = offsets[-1] if offsets else 0
-        ab = np.zeros((bw + 1, terms[0][1].shape[0]), order="F")
+        bw, n = (offsets[-1] if offsets else 0), terms[0][1].shape[0]
+        ab = np.zeros((bw + 1, n), order="F")
         for d in offsets:
             for w, m in terms:
-                ab[d, : ab.shape[1] - d] += w * m.diagonal(d)
+                ab[d, : n - d] += w * m.diagonal(d)
         try:
             lab = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
