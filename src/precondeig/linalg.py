@@ -1,17 +1,21 @@
 """Dense/sparse SPD primitives: Cholesky at two precisions with triangular
 solves by direct LAPACK trtrs calls, PCG, Lanczos (fully reorthogonalized
-where Ritz vectors or both ends are wanted, three-term for a lone top
-value, which is every run of problems' lambdan), a deterministic RNG
-that can also draw one normal vector per spawned seed as a single block,
-and dense_sym_eig, all eigenpairs of a small dense symmetric matrix by
-LAPACK eigh, for the explicit x-space evaluation inside
-validate_properties.  The Cholesky solves and products and the banded
-SymFactor products and solves take an (n, k) block as well as a vector.
-SymFactor is the one banded Cholesky S = R^T R, kept as the one lower band
-R^T: of a mass matrix M (problems.generalized_reduce) and of the shifted
-sigma M - K of problems' lambdan.  make_solver factors an
-SPD matrix once, Cholesky if dense, symmetric-mode SuperLU if sparse; that
-is its NotSpd check.
+where Ritz vectors are wanted, or both ends in a run that can reach the
+operator's dimension; three-term for a lone top value, which is every run
+of problems' lambdan, and for both ends in a shorter run, which is
+diagnostics.kappa_nu above 600 rows), a deterministic RNG that can also
+draw one normal vector per spawned seed as a single block, and
+dense_sym_eig, all eigenpairs of a small dense symmetric matrix by LAPACK
+eigh, for the explicit x-space evaluation inside validate_properties.  The
+Cholesky solves and products and the banded SymFactor products and solves
+take an (n, k) block as well as a vector.  SymFactor is the one banded
+Cholesky S = R^T R, kept as the one lower band R^T: of a mass matrix M
+(problems.generalized_reduce) and of the shifted sigma M - K of problems'
+lambdan.  FastDiagSolve solves a Kronecker sum I (x) T_x + T_y (x) I by
+fast diagonalization: a grid problem's stiffness (EigenProblem.solver) and
+the DDM's local blocks.  make_solver factors any other SPD matrix once,
+Cholesky if dense, symmetric-mode SuperLU if sparse (an mtx problem's
+matrix, the DDM's coarse matrix); that is its NotSpd check.
 
 Every eigenvalue path here runs Lanczos or LAPACK.  The independent oracle
 the tests check them against is the pure-Python Jacobi solver in
@@ -34,6 +38,7 @@ from .errors import (
     InnerProductNotPositive,
     MaxIterations,
     NoConvergence,
+    NotKroneckerSum,
     NotSpd,
     NotSpdInLowPrecision,
 )
@@ -327,11 +332,16 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None):
     `watch` lists indices into the ascending Ritz values (negative allowed)
     that must pass the residual-plus-stabilization test before the loop
     stops; each step computes only the watched Ritz values and the last
-    component of their eigenvectors.  It fixes the variant too: one watched
-    value runs the three-term recurrence on two rows (Paige 1980); more keep
-    the basis (and C times it) in a (steps + 1, n) array, reorthogonalized
-    by two classical Gram-Schmidt passes (CGS2), each one BLAS-2 product for
-    the coefficients and one to subtract them.  The scale is the largest
+    component of their eigenvectors.  It fixes the variant too, with maxit
+    and dim.  One watched value, and the extremal watch (0, -1) when maxit <
+    dim, run the three-term recurrence on two rows: the extreme Ritz values
+    converge without reorthogonalization (Paige 1980), at the price of a few
+    more steps (solve-ddm's kappa_nu: 56 -> 68).  The top pairs (-1, -2),
+    and (0, -1) when the run can reach m = dim, keep the basis (and C times
+    it) in a (steps + 1, n) array, reorthogonalized by two classical
+    Gram-Schmidt passes (CGS2), each one BLAS-2 product for the coefficients
+    and one to subtract them: Ritz vectors need it, and only a kept basis
+    makes m = dim prove an invariant Krylov space.  The scale is the largest
     |theta| among the watched values; every caller runs on an SPD operator
     (A^{-1}, A, B^{-1} A, or (sigma M - K)^{-1} M in the M-inner product)
     and watches theta_{m-1}, so the scale is theta_{m-1}.  The
@@ -348,7 +358,7 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None):
     repeated eigenvalue yields two Ritz values.
     Returns (theta ascending, S, Q), with S the tridiagonal's eigenvectors
     and Q the basis rows, so the Ritz vectors are (S^T Q)^T; S and Q are
-    None for one watched value.  Raises MaxIterations carrying the watched
+    None for a three-term run.  Raises MaxIterations carrying the watched
     Ritz values when maxit steps do not converge.
     """
     q = rng.normal(dim)
@@ -358,7 +368,8 @@ def _lanczos_tridiag(apply_t, dim, tol, maxit, rng, watch, inner_map=None):
         raise InnerProductNotPositive("inner(q0, q0) <= 0")
     nrm = np.sqrt(qq)
     steps = min(maxit, dim)
-    reorth = len(watch) > 1
+    # the extremal watch keeps its basis only when it can reach m = dim
+    reorth = len(watch) > 1 and not (watch == (0, -1) and maxit < dim)
     rows = steps + 1 if reorth else 2  # row k % rows holds q_k
     basis = np.empty((rows, dim))
     basis[0] = q / nrm
@@ -427,9 +438,10 @@ def lanczos_extremal(apply_t, dim, tol, maxit, rng, inner_map):
     C is `inner_map` (the Euclidean inner product when None).  With
     inner_map, apply_t is called on C q rather than q and must return T q:
     for T = B^{-1} A in the A-inner product, apply_t is B^{-1} alone, so A is
-    applied once per step.  Full reorthogonalization against the stored
-    basis; convergence is judged by the Ritz residual bound beta*|s_k| plus
-    value stabilization.
+    applied once per step.  The three-term recurrence when maxit < dim, else
+    full reorthogonalization against the stored basis (see
+    _lanczos_tridiag); convergence is judged by the Ritz residual bound
+    beta*|s_k| plus value stabilization.
     """
     theta, _, _ = _lanczos_tridiag(apply_t, dim, tol, maxit, rng, (0, -1), inner_map=inner_map)
     return float(theta[0]), float(theta[-1])
@@ -515,6 +527,85 @@ def make_solver(a):
         return lambda v: lu.solve(np.asarray(v, dtype=np.float64))
     f = cholesky(a, "binary64")
     return lambda v: chol_solve(f, v)
+
+
+def kron_sum_tridiagonals(a, side):
+    """(T_x, T_y), each as its (diagonal, off-diagonal), of a stiffness a on a
+    side x side grid, x running fastest, that is the Kronecker sum
+    I (x) T_x + T_y (x) I of two symmetric tridiagonals, as the 5-point FD
+    and the P1-FEM stiffness are.  T_x and T_y are read from a's first row
+    and column, each taking half of its first diagonal entry
+    (NotKroneckerSum when a is not their sum)."""
+    csr = scipy.sparse.csr_matrix(a)
+    d = csr.diagonal()
+    half = d[0] / 2.0
+    t_x = d[:side] - half, csr.diagonal(1)[: side - 1]
+    t_y = d[::side] - half, csr.diagonal(side)[::side]
+    # the sum's five diagonals; T_x's couplings break between grid rows
+    n = side * side
+    e_x = np.tile(np.append(t_x[1], 0.0), side)[: n - 1]
+    e_y = np.repeat(t_y[1], side)
+    diagonal = np.tile(t_x[0], side) + np.repeat(t_y[0], side)
+    kron_sum = scipy.sparse.diags([e_x, diagonal, e_x], [-1, 0, 1], (n, n)) + scipy.sparse.diags(
+        [e_y, e_y], [-side, side], (n, n)
+    )
+    if (kron_sum != csr).nnz:
+        raise NotKroneckerSum("subdomain and grid solves need a stiffness I (x) T_x + T_y (x) I")
+    return t_x, t_y
+
+
+def pd_tridiagonal_eigh(d, e):
+    """(eigenvalues, eigenvectors as columns) of the positive definite
+    tridiagonal with diagonal d and off-diagonal e, by LAPACK pteqr, which
+    keeps small eigenvalues to high relative accuracy (NotSpd unless
+    positive definite).  On the 1-D Laplacian of 63 nodes its smallest is
+    7.9e-15 off relative, against 5.6e-13 by eigh_tridiagonal."""
+    n = len(d)
+    e = e if n > 1 else np.zeros(1)  # scipy's wrapper takes one entry at n = 1
+    w, _, z, info = scipy.linalg.lapack.dpteqr(d, e, np.zeros((n, n)), compute_z=2)
+    if info > 0:
+        raise NotSpd(-1, "the tridiagonal is not positive definite")
+    return w, z
+
+
+class FastDiagSolve:
+    """A^{-1} for the Kronecker sum A = I_b (x) T_x + T_y (x) I_a of two
+    symmetric tridiagonals T_x (a x a) and T_y (b x b), given by their
+    eigenpairs T_x = S_x diag(lx) S_x^T and T_y = S_y diag(ly) S_y^T as
+    (lx, S_x) and (ly, S_y), by fast diagonalization (Lynch, Rice & Thomas
+    1964): A^{-1} maps the b x a array V of a vector, x running fastest, to
+
+        S_y ((S_y^T V S_x) / (ly[:, None] + lx[None, :])) S_x^T,
+
+    four dense products.  NotSpd unless every ly + lx is positive.  The
+    factors are stored C-contiguous, which BLAS takes fastest here.
+    """
+
+    def __init__(self, eig_x, eig_y):
+        (lx, s_x), (ly, s_y) = eig_x, eig_y
+        self.lam = ly[:, None] + lx[None, :]
+        if not np.all(self.lam > 0):
+            raise NotSpd(-1, "a Kronecker sum block is not positive definite")
+        self.s_x, self.s_x_t, self.s_y, self.s_y_t = (
+            np.ascontiguousarray(f) for f in (s_x, s_x.T, s_y, s_y.T)
+        )
+
+    def solve_into(self, w, k, out):
+        """A^{-1} on each of the k consecutive b x a arrays that the C-ordered
+        w holds, written into out, of w's size: the k solves as one batch of
+        four products."""
+        b, a = self.lam.shape
+        t = self.s_y_t @ (w.reshape(k * b, a) @ self.s_x).reshape(k, b, a)
+        t /= self.lam
+        t = self.s_y @ t
+        np.matmul(t.reshape(k * b, a), self.s_x_t, out=out.reshape(k * b, a))
+
+    def __call__(self, v):
+        """A^{-1} v for a vector, or for an (n, k) block as one batch of k."""
+        w = np.ascontiguousarray(np.asarray(v, dtype=np.float64).T)
+        out = np.empty_like(w)
+        self.solve_into(w, 1 if w.ndim == 1 else len(w), out)
+        return out.T
 
 
 class SymFactor:

@@ -6,10 +6,11 @@ B directly (fwd_mode 'exact').  A DDM's apply_fwd is apply_fwd_iterative, a
 nested PCG preconditioned by the stiffness it was built on (fwd_mode
 'iterative'), and a B lifted by HattedPreconditioner applies R^{-T} B R^{-1},
 so a lifted DDM's nested PCG always runs on the pencil (P, K).  DDM's B^{-1}
-runs its local solves by fast diagonalization (dense tensor-product
-products) and its coarse solve by linalg.make_solver, a symmetric-mode
-SuperLU; the only band factor here is the mass factor R that a lifted B
-applies around its inner B.
+runs its local solves by linalg.FastDiagSolve, the fast diagonalization
+that also solves a grid problem's whole stiffness (EigenProblem.solver),
+and its coarse solve by linalg.make_solver, a symmetric-mode SuperLU; the
+only band factor here is the mass factor R that a lifted B applies around
+its inner B.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
@@ -24,8 +25,18 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import DimensionMismatch, NotKroneckerSum, NotSpd
-from .linalg import CholFactor, _by_column, chol_matvec, chol_solve, cholesky, make_solver, pcg
+from .errors import DimensionMismatch, NotSpd
+from .linalg import (
+    CholFactor,
+    FastDiagSolve,
+    _by_column,
+    chol_matvec,
+    chol_solve,
+    cholesky,
+    kron_sum_tridiagonals,
+    make_solver,
+    pcg,
+)
 from .problems import mesh_hierarchy
 
 _U32 = 2.0**-24  # IEEE binary32 unit roundoff
@@ -132,21 +143,18 @@ class DdmPreconditioner(Preconditioner):
     (Galerkin) matrix, both formed here.  A must have (1/h - 1)^2 rows
     (DimensionMismatch otherwise).
 
-    The local solves run by fast diagonalization (Lynch, Rice & Thomas
-    1964).  A must be the Kronecker sum I (x) T_x + T_y (x) I of two
-    symmetric tridiagonals on the interior grid, x running fastest, as the
-    5-point FD and the P1-FEM stiffness are; T_x and T_y each take half of
-    A's first diagonal entry (NotKroneckerSum otherwise).  A box of a x b
-    grid nodes has A_j = I_b (x) T_x' + T_y' (x) I_a for the slices T_x',
-    T_y' of T_x, T_y on the box.  With T_x' = S_x diag(lx) S_x^T and
-    T_y' = S_y diag(ly) S_y^T, A_j^{-1} maps the b x a array V of a box to
-
-        S_y ((S_y^T V S_x) / (ly[:, None] + lx[None, :])) S_x^T.
-
-    Boxes with equal a, b, T_x' and T_y' form a group that shares one
-    pair of eigendecompositions, and the concatenated box nodes run
-    group by group, so the k boxes of a group are one (k, b, a) slice and
-    their solves are four batched dense products.  An apply is a gather of
+    The local solves run by fast diagonalization (linalg.FastDiagSolve).
+    A must be the Kronecker sum I (x) T_x + T_y (x) I of two symmetric
+    tridiagonals on the interior grid, as linalg.kron_sum_tridiagonals reads
+    them (NotKroneckerSum otherwise).  A box of a x b grid nodes has
+    A_j = I_b (x) T_x' + T_y' (x) I_a for the slices T_x', T_y' of T_x, T_y
+    on the box, whose eigenpairs come from eigh_tridiagonal: B only has to
+    approximate A, where EigenProblem.solver's grid solve stands for A^{-1}
+    itself and takes relatively accurate ones.  Boxes with
+    equal a, b, T_x' and T_y' form a group that shares one FastDiagSolve,
+    and the concatenated box nodes run group by group, so the k boxes of a
+    group are one (k, b, a) slice and their solves are four batched dense
+    products.  An apply is a gather of
     v onto the concatenated nodes, the group solves and a scatter-add
     through the sparse stacked restriction; an (n, k) block runs the local
     solves one column at a time.  B itself is implicit (fwd_mode
@@ -170,17 +178,7 @@ class DdmPreconditioner(Preconditioner):
         self._coarse_solve = None
         if prolongation.shape[1] > 0:
             self._coarse_solve = make_solver((prolongation.T @ a_fine @ prolongation).tocsc())
-        # T_x and T_y are read from the first row and column of the grid
-        csr = scipy.sparse.csr_matrix(a_fine)
-        d = csr.diagonal()
-        half = d[0] / 2.0
-        dx, ex = d[:side] - half, csr.diagonal(1)[: side - 1]
-        dy, ey = d[::side] - half, csr.diagonal(side)[::side]
-        tri = [
-            scipy.sparse.diags([e, t, e], [-1, 0, 1], (side, side)) for t, e in [(dx, ex), (dy, ey)]
-        ]
-        if (scipy.sparse.kronsum(*tri) != csr).nnz:
-            raise NotKroneckerSum("subdomain solves need a stiffness I (x) T_x + T_y (x) I")
+        (dx, ex), (dy, ey) = kron_sum_tridiagonals(a_fine, side)
         # (T_x', T_y') bytes -> (T_x', T_y', node index arrays)
         members = {}
         grid = np.arange(n).reshape(side, side)
@@ -188,20 +186,14 @@ class DdmPreconditioner(Preconditioner):
             t_j = (dx[xs], ex[xs.start : xs.stop - 1]), (dy[ys], ey[ys.start : ys.stop - 1])
             key = tuple(part.tobytes() for t in t_j for part in t)
             members.setdefault(key, (*t_j, []))[2].append(grid[ys, xs].ravel())
-        # per group: its slice of the concatenated nodes, k, b, a, S_x, S_x^T,
-        # S_y, S_y^T and the eigenvalues ly[:, None] + lx[None, :] of its A_j;
-        # the factors are stored C-contiguous, which BLAS takes fastest here
+        # per group: its slice of the concatenated nodes, k and the solve of
+        # its A_j
         self._groups = []
         start = 0
         for t_x, t_y, idxs in members.values():
-            lx, s_x = scipy.linalg.eigh_tridiagonal(*t_x)
-            ly, s_y = scipy.linalg.eigh_tridiagonal(*t_y)
-            lam = ly[:, None] + lx[None, :]
-            if not np.all(lam > 0):
-                raise NotSpd(-1, "a subdomain block is not positive definite")
-            size = len(idxs) * lam.size
-            factors = [np.ascontiguousarray(f) for f in (s_x, s_x.T, s_y, s_y.T)]
-            self._groups.append((slice(start, start + size), len(idxs), *lam.shape, *factors, lam))
+            solve = FastDiagSolve(*(scipy.linalg.eigh_tridiagonal(*t) for t in (t_x, t_y)))
+            size = len(idxs) * solve.lam.size
+            self._groups.append((slice(start, start + size), len(idxs), solve))
             start += size
         self._cat = np.concatenate([idx for *_, idxs in members.values() for idx in idxs])
         m = len(self._cat)
@@ -213,11 +205,8 @@ class DdmPreconditioner(Preconditioner):
     def _local_solve(self, w):
         """A_j^{-1} on every box of the gathered vector w, one group at a time."""
         out = np.empty_like(w)
-        for part, k, b, a, s_x, s_x_t, s_y, s_y_t, lam in self._groups:
-            t = s_y_t @ (w[part].reshape(k * b, a) @ s_x).reshape(k, b, a)
-            t /= lam
-            t = s_y @ t
-            np.matmul(t.reshape(k * b, a), s_x_t, out=out[part].reshape(k * b, a))
+        for part, k, solve in self._groups:
+            solve.solve_into(w[part], k, out[part])
         return out
 
     def apply_inv(self, v):

@@ -31,14 +31,17 @@ from .errors import (
     PrecondEigError,
 )
 from .linalg import (
+    FastDiagSolve,
     Rng,
     SymFactor,
     _lanczos_top_value,
     chol_solve,
     cholesky,
+    kron_sum_tridiagonals,
     lanczos_extremal,  # noqa: F401 - not called here; perfbench/spans.py patches this name
     lanczos_top_pairs,
     make_solver,
+    pd_tridiagonal_eigh,
 )
 
 # largest dimension for which reference_eigs and kappa_nu take their dense
@@ -47,7 +50,7 @@ _DENSE_CAP = 200
 # most steps of a reference Lanczos run (one on fewer dimensions stops there)
 _LANCZOS_STEPS = 600
 # shifts _lanczos_lamn tries above its estimate of lambdan
-_SHIFT_TRIES = 5
+_SHIFT_TRIES = 6
 # most binary64 entries of an array whose byte count numpy can index
 _MAX_ENTRIES = sys.maxsize // 8
 
@@ -85,7 +88,7 @@ class EigenProblem:
     solvers.Route.  h is the mesh width of a problem on the unit-square grid
     (laplace_fd, laplace_fem) and None otherwise; a DDM is built from it, H,
     the overlap and the stiffness pencil[0], or matrix when there is no
-    pencil.  apply_a takes an (n, k) block as well as a vector, as kappa_nu,
+    pencil, and solver() solves that stiffness by fast diagonalization.  apply_a takes an (n, k) block as well as a vector, as kappa_nu,
     check_initial and dense() apply it; the generators here build such ones.
     """
 
@@ -99,16 +102,25 @@ class EigenProblem:
         self._reference = None
 
     def solver(self):
-        """A^{-1} from one make_solver factorization made on first use (NotSpd if
-        not SPD): of the matrix, or of K = pencil[0] as R K^{-1} R^T under a mass."""
+        """A^{-1}, made on first use (NotSpd if not SPD): of the matrix, or of
+        K = pencil[0] as R K^{-1} R^T under a mass.  On the unit-square grid
+        (h not None) the stiffness is a Kronecker sum, solved by
+        linalg.FastDiagSolve, the DDM's local solve on one box that covers
+        the grid (NotKroneckerSum otherwise); any other matrix by one
+        make_solver factorization."""
         if self._solve_a is None:
-            if self.pencil is not None:
-                solve_k, r = make_solver(self.pencil[0]), self.pencil[2]
-                self._solve_a = lambda v: r.mult(solve_k(r.mult_t(v)))
-            elif self.matrix is None:
+            k = self.matrix if self.pencil is None else self.pencil[0]
+            if self.h is not None:
+                tridiagonals = kron_sum_tridiagonals(k, round(1.0 / self.h) - 1)
+                solve_k = FastDiagSolve(*(pd_tridiagonal_eigh(*t) for t in tridiagonals))
+            elif k is None:
                 raise PrecondEigError("no matrix and no solver available")
             else:
-                self._solve_a = make_solver(self.matrix)
+                solve_k = make_solver(k)
+            self._solve_a = solve_k
+            if self.pencil is not None:
+                r = self.pencil[2]
+                self._solve_a = lambda v: r.mult(solve_k(r.mult_t(v)))
         return self._solve_a
 
     def dense(self):
@@ -354,8 +366,10 @@ def generalized_reduce(a, m):
     A u* and reference spectrum run on it, and a pair's other applies on its
     solvers.Route (a lifted B's nested PCG on the pencil).  Factors
     only M here, as SymFactor((1, M)), one lower band (NotSpd unless SPD,
-    DimensionMismatch unless A's size); A in problem.solver(), and sigma M -
-    A, for a while, as a SymFactor of its own in the reference's lambdan.
+    DimensionMismatch unless A's size); A in problem.solver() (by fast
+    diagonalization once laplace_fem has set h, else by make_solver), and
+    sigma M - A, for a while, as a SymFactor of its own in the reference's
+    lambdan.
     """
     n = a.shape[0]
     if m.shape[0] != n:
@@ -430,7 +444,7 @@ def _lanczos_reference(problem):
     lambda2 from the second deflated against u* (at most 200 solves,
     deflated residual 1e-11 lambda2).  lambdan needs no vector, so it comes
     from _lanczos_lamn's three-term runs, computed first so that a pencil's
-    shifted band factor is freed before problem.solver() factors K.  Each
+    shifted band factor is freed before problem.solver() is made.  Each
     Lanczos runs at most _LANCZOS_STEPS = 600 steps, and at most n, from a
     start drawn from Rng(777) (its spawn(1) for lambdan).  A repeated
     lambda1 shows here only through roundoff, which lets the
@@ -460,10 +474,11 @@ def _lanczos_lamn(problem, rng):
     (K, M) by a spectral transformation (Ericsson & Ruhe 1980).
 
     A Lanczos on A at tol 1e-2 estimates theta <= lambdan.  The
-    shift sigma = theta (1 + g), g = 3e-2 4^k, is certified above lambdan by
+    shift sigma = theta (1 + g), g = 1e-2 4^k, is certified above lambdan by
     SymFactor((sigma, M), (-1, K)), the banded Cholesky R^T R of sigma M - K,
     which raises NotSpd when sigma <= lambdan; k then goes up, and after
-    _SHIFT_TRIES shifts NoConvergence is raised.  The Lanczos on T = (sigma
+    _SHIFT_TRIES = 6 shifts (the last at g = 10.24) NoConvergence is
+    raised.  The Lanczos on T = (sigma
     M - K)^{-1} M, self-adjoint in the M-inner product, finds T's top value
     mu = 1 / (sigma - lambdan) at tol 1e-11 / g, with one solve_t, one solve
     and one M product per step, and lambdan = sigma - 1 / mu.  Its error is
@@ -471,15 +486,16 @@ def _lanczos_lamn(problem, rng):
     lambdan keeps 1e-11 of itself.
     At h=2^-6 the top of the FEM pencil is a pair 5.8e-10 apart relative,
     and the next pair lies 2.1e-3 below; on A the Lanczos needs about 300
-    steps to resolve them, on T they lie about 35 times as far apart
-    relative to the spectrum and it needs 53.  The factor is one band of
-    (bw + 1) n entries, as the mass factor's, freed on return."""
+    steps to resolve them, on T it needs 30 (53 at g = 3e-2, as the
+    closer shift spreads the top of T further apart relative to the rest;
+    56 against 111 at h=2^-8).  The factor is one band of (bw + 1) n
+    entries, as the mass factor's, freed on return."""
     if problem.pencil is None:
         return _lanczos_top_value(problem.apply_a, problem.dim, 1e-11, _LANCZOS_STEPS, rng)
     k, m, _ = problem.pencil
     theta = _lanczos_top_value(problem.apply_a, problem.dim, 1e-2, _LANCZOS_STEPS, rng)
     for tries in range(_SHIFT_TRIES):
-        g = 3e-2 * 4.0**tries
+        g = 1e-2 * 4.0**tries
         sigma = theta * (1.0 + g)
         try:
             f = SymFactor((sigma, m), (-1.0, k))

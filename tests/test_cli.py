@@ -427,18 +427,21 @@ def test_phi_exact_preconditioner(tmp_path, capsys):
     "problem, recipe, counts",
     [
         ("kernel-laplace:n=40,seed=3", "exact", {"binary64": 1}),
-        ("laplace-fd:h=2^-4", "exact", {"splu": 1}),
+        ("laplace-fd:h=2^-4", "exact", {}),
         ("kernel-laplace:n=40,seed=3", "mp-chol", {"binary64": 1, "binary32": 1}),
         ("mtx:{k}", "exact", {"splu": 1}),
         ("mtx:{k},mass={m}", "exact", {"splu": 1, "banded": 2}),
+        ("laplace-fem:h=2^-4", "ddm:H=2^-2", {"splu": 1, "banded": 2}),
     ],
 )
 def test_phi_factors_each_matrix_once(tmp_path, monkeypatch, capsys, problem, recipe, counts):
-    # B = A reuses the problem's own factor, which the reference eigensolve
+    # B = A reuses the problem's own solve, which the reference eigensolve
     # also uses; kernel_matrix keeps the factor of its SPD check, and an mtx
     # file's definiteness is checked by the factor its problem keeps (the
-    # mass by its banded SymFactor).  The only other banded factor is the
-    # shifted sigma M - K of the reference's lambdan.
+    # mass by its banded SymFactor).  A grid stiffness is solved by fast
+    # diagonalization with no factor, so a grid problem's one SuperLU is its
+    # DDM's coarse matrix.  The only other banded factor is the shifted
+    # sigma M - K of the reference's lambdan.
     k_path, m_path = write_fem_pencil(tmp_path)
     problem = problem.format(k=k_path, m=m_path)
     seen = Counter()

@@ -10,7 +10,7 @@ from precondeig import diagnostics, problems, solvers
 from precondeig.cli import build_precond, build_problem
 from precondeig.diagnostics import _DenseOracle, random_spd_pair
 from precondeig.errors import DimensionMismatch, PropertyViolation, ZeroVector
-from precondeig.linalg import spawn_normal_rows, spawn_seed
+from precondeig.linalg import _lanczos_tridiag, spawn_normal_rows, spawn_seed
 from tests import jacobi
 from tests.conftest import column, dense_pencil, dense_problem, dense_roots, tight_fwd
 
@@ -286,11 +286,16 @@ def test_kappa_lanczos_route_resolves_one_minus_inverse_kappa(recipe):
     assert abs((1.0 - 1.0 / kappa) - ref) <= 1e-6 * ref
 
 
-@pytest.mark.parametrize("recipe", ["laplace-fd:h=2^-5", "laplace-fd:h=2^-6", "laplace-fem:h=2^-5"])
+@pytest.mark.parametrize(
+    "recipe", ["laplace-fd:h=2^-5", "laplace-fd:h=2^-6", "laplace-fd:h=2^-7", "laplace-fem:h=2^-5"]
+)
 def test_kappa_lanczos_route_stops_at_once_for_the_exact_preconditioner(recipe):
     # B = A above the dense cap: B^{-1} A is I up to the solves' roundoff, so
     # the spread theta_max - theta_min is roundoff too and the stop test may
-    # not ask tol times it; the Krylov space is invariant after one step
+    # not ask tol times it; the Krylov space is invariant after one step.  The
+    # grid solve keeps that roundoff near 1e-14 only because its tridiagonal
+    # eigenvalues are relatively accurate: with eigh_tridiagonal's, h=2^-7
+    # ran out of its 600 steps
     problem = build_problem(recipe)
     assert problem.dim > problems._DENSE_CAP
     p = build_precond("exact", problem)
@@ -299,6 +304,24 @@ def test_kappa_lanczos_route_stops_at_once_for_the_exact_preconditioner(recipe):
     _, _, kappa = pe.kappa_nu(problem, p)
     assert abs(kappa - 1.0) <= 1e-9
     assert len(calls) <= 3
+
+
+def test_kappa_three_term_lanczos_matches_the_kept_basis():
+    # above _LANCZOS_STEPS rows kappa_nu's extremal Lanczos keeps no basis
+    # (Paige 1980: the extreme Ritz values still converge); a run that may
+    # reach m = dim keeps it, and both find the same ends
+    problem = build_problem("laplace-fem:h=2^-5")
+    assert problem.dim > problems._LANCZOS_STEPS
+    p = build_precond("ddm:H=2^-2", problem)
+    nu_min, nu_max, _ = pe.kappa_nu(problem, p)
+    route = solvers.Route.of(problem, p.exact())
+    theta, svecs, basis = _lanczos_tridiag(
+        route.b.apply_inv, problem.dim, diagnostics._KAPPA_TOL, problem.dim, pe.Rng(4242), (0, -1),
+        inner_map=route.apply_a,
+    )
+    assert basis is not None
+    assert abs(nu_min - theta[0]) <= 1e-13 * theta[0]
+    assert abs(nu_max - theta[-1]) <= 1e-13 * theta[-1]
 
 
 def counting(fn, calls):
