@@ -150,16 +150,15 @@ class DdmPreconditioner(Preconditioner):
     A_j = I_b (x) T_x' + T_y' (x) I_a for the slices T_x', T_y' of T_x, T_y
     on the box, whose eigenpairs come from eigh_tridiagonal: B only has to
     approximate A, where EigenProblem.solver's grid solve stands for A^{-1}
-    itself and takes relatively accurate ones.  Boxes with
-    equal a, b, T_x' and T_y' form a group that shares one FastDiagSolve,
-    and the concatenated box nodes run group by group, so the k boxes of a
-    group are one (k, b, a) slice and their solves are four batched dense
-    products.  An apply is a gather of
-    v onto the concatenated nodes, the group solves and a scatter-add
-    through the sparse stacked restriction; an (n, k) block runs the local
-    solves one column at a time.  B itself is implicit (fwd_mode
-    'iterative'): apply_fwd is apply_fwd_iterative preconditioned by the
-    stiffness A it was built on.
+    itself and takes relatively accurate ones.  Boxes with equal a, b, T_x'
+    and T_y' form a group that shares one FastDiagSolve, and the
+    concatenated box nodes run group by group, so the k boxes of a group are
+    one (k, b, a) slice and their solves are four batched dense products.
+    An apply is a gather of v onto the concatenated nodes, the group solves
+    and a scatter-add through the sparse stacked restriction; an (n, k)
+    block runs the local solves one column at a time.  B itself is implicit
+    (fwd_mode 'iterative'): apply_fwd is apply_fwd_iterative preconditioned
+    by the stiffness A it was built on.
     """
 
     fwd_mode = "iterative"

@@ -88,7 +88,8 @@ class EigenProblem:
     solvers.Route.  h is the mesh width of a problem on the unit-square grid
     (laplace_fd, laplace_fem) and None otherwise; a DDM is built from it, H,
     the overlap and the stiffness pencil[0], or matrix when there is no
-    pencil, and solver() solves that stiffness by fast diagonalization.  apply_a takes an (n, k) block as well as a vector, as kappa_nu,
+    pencil, and solver() solves that stiffness by fast diagonalization.
+    apply_a takes an (n, k) block as well as a vector, as kappa_nu,
     check_initial and dense() apply it; the generators here build such ones.
     """
 
@@ -106,7 +107,11 @@ class EigenProblem:
         K = pencil[0] as R K^{-1} R^T under a mass.  On the unit-square grid
         (h not None) the stiffness is a Kronecker sum, solved by
         linalg.FastDiagSolve, the DDM's local solve on one box that covers
-        the grid (NotKroneckerSum otherwise); any other matrix by one
+        the grid (NotKroneckerSum otherwise), with the tridiagonals'
+        eigenpairs by pd_tridiagonal_eigh: their relative accuracy keeps B =
+        A of an exact preconditioner equivalent to A to about 1e-14 (at
+        h=2^-6 eigh_tridiagonal's left 8e-14, and at h=2^-7 kappa_nu's
+        Lanczos ran out of steps).  Any other matrix is solved by one
         make_solver factorization."""
         if self._solve_a is None:
             k = self.matrix if self.pencil is None else self.pencil[0]
@@ -478,10 +483,10 @@ def _lanczos_lamn(problem, rng):
     SymFactor((sigma, M), (-1, K)), the banded Cholesky R^T R of sigma M - K,
     which raises NotSpd when sigma <= lambdan; k then goes up, and after
     _SHIFT_TRIES = 6 shifts (the last at g = 10.24) NoConvergence is
-    raised.  The Lanczos on T = (sigma
-    M - K)^{-1} M, self-adjoint in the M-inner product, finds T's top value
-    mu = 1 / (sigma - lambdan) at tol 1e-11 / g, with one solve_t, one solve
-    and one M product per step, and lambdan = sigma - 1 / mu.  Its error is
+    raised.  The Lanczos on T = (sigma M - K)^{-1} M, self-adjoint in the
+    M-inner product, finds T's top value mu = 1 / (sigma - lambdan) at tol
+    1e-11 / g, with one solve_t, one solve and one M product per step, and
+    lambdan = sigma - 1 / mu.  Its error is
     mu's relative error times sigma - lambdan <= sigma - theta = g theta, so
     lambdan keeps 1e-11 of itself.
     At h=2^-6 the top of the FEM pencil is a pair 5.8e-10 apart relative,

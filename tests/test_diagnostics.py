@@ -315,7 +315,7 @@ def test_kappa_three_term_lanczos_matches_the_kept_basis():
     p = build_precond("ddm:H=2^-2", problem)
     nu_min, nu_max, _ = pe.kappa_nu(problem, p)
     route = solvers.Route.of(problem, p.exact())
-    theta, svecs, basis = _lanczos_tridiag(
+    theta, _, basis = _lanczos_tridiag(
         route.b.apply_inv, problem.dim, diagnostics._KAPPA_TOL, problem.dim, pe.Rng(4242), (0, -1),
         inner_map=route.apply_a,
     )
