@@ -491,8 +491,8 @@ def test_lanczos_variant_follows_the_watch():
     # a watch of one value runs the three-term recurrence and keeps no basis;
     # the extremal watch does too when it cannot reach m = dim, and keeps the
     # basis, which alone makes m = dim prove invariance, when it can; the top
-    # pairs always reorthogonalize against the stored basis
-    # well separated ends, so that every watch converges within 29 steps
+    # pairs always reorthogonalize against the stored basis.  The operator
+    # has well separated ends, so that every watch converges within 29 steps
     q = np.linalg.qr(pe.Rng(31).normal(900).reshape(30, 30))[0]
     a = (q * np.concatenate([[0.5], np.linspace(1.0, 2.0, 27), [2.5, 3.0]])) @ q.T
     a = (a + a.T) / 2.0
