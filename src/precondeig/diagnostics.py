@@ -92,8 +92,9 @@ def kappa_nu(problem, precond):
     problems._LANCZOS_STEPS steps, the reference runs' cap, from a start
     drawn from Rng(4242).  Above that cap in rows it keeps no basis (the
     three-term recurrence of linalg._lanczos_tridiag): solve-ddm's pair
-    takes 68 steps where a kept basis took 56, in about 60% of the time,
-    with nu_min and nu_max within 3e-15 relative of the kept-basis run.
+    takes 68 steps where a kept basis took 56, in about 60% of the time
+    (2-vCPU Xeon, one BLAS thread), with nu_min and nu_max within 3e-15
+    relative of the kept-basis run.
     """
     n = problem.dim
     route = solvers.Route.of(problem, precond.exact())
