@@ -158,10 +158,7 @@ def build_precond(recipe, problem):
         params = {"overlap": "0.5", **_parse_params(body, kind, ("H",), ("overlap",))}
         big_h = _read(params["H"], parse_dyadic, kind, "H")
         ratio = _read(params["overlap"], parse_dyadic, kind, "overlap")
-        if problem.h is None:
-            raise RecipeError("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
-        stiffness = problem.matrix if problem.pencil is None else problem.pencil[0]
-        ddm = precond.DdmPreconditioner(stiffness, problem.h, big_h, ratio)
+        ddm = precond.DdmPreconditioner(problem, big_h, ratio)
         if problem.pencil is None:
             return ddm
         return precond.HattedPreconditioner(ddm, problem.pencil[2])

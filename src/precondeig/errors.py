@@ -62,9 +62,9 @@ class MisalignedOverlap(PrecondEigError):
     """Requested overlap band is not a multiple of the fine mesh width."""
 
 
-class NotKroneckerSum(PrecondEigError):
-    """The DDM local solves have no tensor-product form: the stiffness is
-    not I (x) T_x + T_y (x) I on its grid of interior nodes."""
+class NotAGridProblem(PrecondEigError):
+    """The two-level DDM needs a problem on the unit-square grid, one whose
+    EigenProblem.grid is set (laplace_fd, laplace_fem)."""
 
 
 class DegenerateSmallestEigenvalue(PrecondEigError):

@@ -12,10 +12,11 @@ take an (n, k) block as well as a vector.  SymFactor is the one banded
 Cholesky S = R^T R, kept as the one lower band R^T: of a mass matrix M
 (problems.generalized_reduce) and of the shifted sigma M - K of problems'
 lambdan.  FastDiagSolve solves a Kronecker sum I (x) T_x + T_y (x) I by
-fast diagonalization: a grid problem's stiffness (EigenProblem.solver) and
-the DDM's local blocks.  make_solver factors any other SPD matrix once,
-Cholesky if dense, symmetric-mode SuperLU if sparse (an mtx problem's
-matrix, the DDM's coarse matrix); that is its NotSpd check.
+fast diagonalization, given the tridiagonals' eigenpairs: a grid problem's
+stiffness (EigenProblem.solver, T_x = T_y = the problem's grid) and the
+DDM's local blocks (slices of that T).  make_solver factors any other SPD
+matrix once, Cholesky if dense, symmetric-mode SuperLU if sparse (an mtx
+problem's matrix, the DDM's coarse matrix); that is its NotSpd check.
 
 Every eigenvalue path here runs Lanczos or LAPACK.  The independent oracle
 the tests check them against is the pure-Python Jacobi solver in
@@ -38,7 +39,6 @@ from .errors import (
     InnerProductNotPositive,
     MaxIterations,
     NoConvergence,
-    NotKroneckerSum,
     NotSpd,
     NotSpdInLowPrecision,
 )
@@ -527,31 +527,6 @@ def make_solver(a):
         return lambda v: lu.solve(np.asarray(v, dtype=np.float64))
     f = cholesky(a, "binary64")
     return lambda v: chol_solve(f, v)
-
-
-def kron_sum_tridiagonals(a, side):
-    """(T_x, T_y), each as its (diagonal, off-diagonal), of a stiffness a on a
-    side x side grid, x running fastest, that is the Kronecker sum
-    I (x) T_x + T_y (x) I of two symmetric tridiagonals, as the 5-point FD
-    and the P1-FEM stiffness are.  T_x and T_y are read from a's first row
-    and column, each taking half of its first diagonal entry
-    (NotKroneckerSum when a is not their sum)."""
-    csr = scipy.sparse.csr_matrix(a)
-    d = csr.diagonal()
-    half = d[0] / 2.0
-    t_x = d[:side] - half, csr.diagonal(1)[: side - 1]
-    t_y = d[::side] - half, csr.diagonal(side)[::side]
-    # the sum's five diagonals; T_x's couplings break between grid rows
-    n = side * side
-    e_x = np.tile(np.append(t_x[1], 0.0), side)[: n - 1]
-    e_y = np.repeat(t_y[1], side)
-    diagonal = np.tile(t_x[0], side) + np.repeat(t_y[0], side)
-    kron_sum = scipy.sparse.diags([e_x, diagonal, e_x], [-1, 0, 1], (n, n)) + scipy.sparse.diags(
-        [e_y, e_y], [-side, side], (n, n)
-    )
-    if (kron_sum != csr).nnz:
-        raise NotKroneckerSum("subdomain and grid solves need a stiffness I (x) T_x + T_y (x) I")
-    return t_x, t_y
 
 
 def pd_tridiagonal_eigh(d, e):

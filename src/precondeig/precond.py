@@ -5,12 +5,13 @@ angle), through apply_fwd, which every preconditioner has.  An explicit B
 B directly (fwd_mode 'exact').  A DDM's apply_fwd is apply_fwd_iterative, a
 nested PCG preconditioned by the stiffness it was built on (fwd_mode
 'iterative'), and a B lifted by HattedPreconditioner applies R^{-T} B R^{-1},
-so a lifted DDM's nested PCG always runs on the pencil (P, K).  DDM's B^{-1}
-runs its local solves by linalg.FastDiagSolve, the fast diagonalization
-that also solves a grid problem's whole stiffness (EigenProblem.solver),
-and its coarse solve by linalg.make_solver, a symmetric-mode SuperLU; the
-only band factor here is the mass factor R that a lifted B applies around
-its inner B.
+so a lifted DDM's nested PCG always runs on the pencil (P, K).  A DDM is
+built on a grid problem and runs its local solves on slices of the
+problem's tridiagonal T (EigenProblem.grid) by linalg.FastDiagSolve, the
+fast diagonalization that also solves the whole stiffness
+(EigenProblem.solver), and its coarse solve by linalg.make_solver, a
+symmetric-mode SuperLU; the only band factor here is the mass factor R
+that a lifted B applies around its inner B.
 
 The mixed-precision preconditioner follows the two-precision model: the
 factorization and the triangular substitutions run in binary32 inside a
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import DimensionMismatch, NotSpd
+from .errors import NotAGridProblem, NotSpd
 from .linalg import (
     CholFactor,
     FastDiagSolve,
@@ -33,7 +34,6 @@ from .linalg import (
     chol_matvec,
     chol_solve,
     cholesky,
-    kron_sum_tridiagonals,
     make_solver,
     pcg,
 )
@@ -132,57 +132,55 @@ def epsilon_l(n, lambda1, lambdan):
 
 
 class DdmPreconditioner(Preconditioner):
-    """Two-level overlapping additive Schwarz for a stiffness A on the
-    interior grid of mesh width h:
+    """Two-level overlapping additive Schwarz for the stiffness A of a
+    problem on the unit-square grid of mesh width h:
 
         B^{-1} v = I_H A_H^{-1} I_H^T v + sum_j I_j A_j^{-1} I_j^T v
 
-    DdmPreconditioner(A, h, H, overlap) takes the prolongation I_H and the
-    subdomain boxes from problems.mesh_hierarchy(H, h, overlap); A_j is the
-    principal submatrix of A on box j and A_H = I_H^T A I_H the coarse
-    (Galerkin) matrix, both formed here.  A must have (1/h - 1)^2 rows
-    (DimensionMismatch otherwise).
+    DdmPreconditioner(problem, H, overlap) takes A = problem.stiffness and
+    h = 1/(side + 1) from the side of problem.grid (NotAGridProblem when
+    grid is None), and the prolongation I_H and the subdomain boxes from
+    problems.mesh_hierarchy(H, h, overlap); A_H = I_H^T A I_H is the coarse
+    (Galerkin) matrix, formed here and solved by make_solver.
 
     The local solves run by fast diagonalization (linalg.FastDiagSolve).
-    A must be the Kronecker sum I (x) T_x + T_y (x) I of two symmetric
-    tridiagonals on the interior grid, as linalg.kron_sum_tridiagonals reads
-    them (NotKroneckerSum otherwise).  A box of a x b grid nodes has
-    A_j = I_b (x) T_x' + T_y' (x) I_a for the slices T_x', T_y' of T_x, T_y
-    on the box, whose eigenpairs come from eigh_tridiagonal: B only has to
-    approximate A, where EigenProblem.solver's grid solve stands for A^{-1}
-    itself and takes relatively accurate ones.  Boxes with equal a, b, T_x'
-    and T_y' form a group that shares one FastDiagSolve, and the
-    concatenated box nodes run group by group, so the k boxes of a group are
-    one (k, b, a) slice and their solves are four batched dense products.
-    An apply is a gather of v onto the concatenated nodes, the group solves
-    and a scatter-add through the sparse stacked restriction; an (n, k)
-    block runs the local solves one column at a time.  B itself is implicit
+    A = I (x) T + T (x) I for the tridiagonal T of problem.grid, so a box
+    of a x b grid nodes has the principal submatrix A_j = I_b (x) T_x' +
+    T_y' (x) I_a for the slices T_x', T_y' of T on the box, whose
+    eigenpairs come from eigh_tridiagonal: B only has to approximate A,
+    where EigenProblem.solver's grid solve stands for A^{-1} itself and
+    takes relatively accurate ones.  Boxes with equal a, b, T_x' and T_y'
+    form a group that shares one FastDiagSolve, and the concatenated box
+    nodes run group by group, so the k boxes of a group are one (k, b, a)
+    slice and their solves are four batched dense products.  An apply is a
+    gather of v onto the concatenated nodes, the group solves and a
+    scatter-add through the sparse stacked restriction; an (n, k) block
+    runs the local solves one column at a time.  B itself is implicit
     (fwd_mode 'iterative'): apply_fwd is apply_fwd_iterative preconditioned
     by the stiffness A it was built on.
     """
 
     fwd_mode = "iterative"
 
-    def __init__(self, a_fine, h, big_h, overlap):
-        prolongation, boxes = mesh_hierarchy(big_h, h, overlap)
-        n, side = a_fine.shape[0], round(1.0 / h) - 1
-        if n != side * side:
-            raise DimensionMismatch(
-                f"the stiffness has {n} rows, but h={h} gives {side * side} interior nodes"
-            )
-        self._a = a_fine
+    def __init__(self, problem, big_h, overlap):
+        if problem.grid is None:
+            raise NotAGridProblem("ddm preconditioner needs a mesh problem (laplace-fd/laplace-fem)")
+        d, e = problem.grid
+        side = len(d)
+        n = side * side
+        prolongation, boxes = mesh_hierarchy(big_h, 1.0 / (side + 1), overlap)
+        self._a = problem.stiffness
         self._i_h = prolongation
         self._i_h_t = prolongation.T.tocsr()
         # an empty coarse space (single-cell coarse grid) drops the first term
         self._coarse_solve = None
         if prolongation.shape[1] > 0:
-            self._coarse_solve = make_solver((prolongation.T @ a_fine @ prolongation).tocsc())
-        (dx, ex), (dy, ey) = kron_sum_tridiagonals(a_fine, side)
+            self._coarse_solve = make_solver((prolongation.T @ self._a @ prolongation).tocsc())
         # (T_x', T_y') bytes -> (T_x', T_y', node index arrays)
         members = {}
         grid = np.arange(n).reshape(side, side)
         for ys, xs in boxes:
-            t_j = (dx[xs], ex[xs.start : xs.stop - 1]), (dy[ys], ey[ys.start : ys.stop - 1])
+            t_j = (d[xs], e[xs.start : xs.stop - 1]), (d[ys], e[ys.start : ys.stop - 1])
             key = tuple(part.tobytes() for t in t_j for part in t)
             members.setdefault(key, (*t_j, []))[2].append(grid[ys, xs].ravel())
         # per group: its slice of the concatenated nodes, k and the solve of

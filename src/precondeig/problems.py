@@ -37,7 +37,6 @@ from .linalg import (
     _lanczos_top_value,
     chol_solve,
     cholesky,
-    kron_sum_tridiagonals,
     lanczos_extremal,  # noqa: F401 - not called here; perfbench/spans.py patches this name
     lanczos_top_pairs,
     make_solver,
@@ -85,43 +84,47 @@ class EigenProblem:
     problem.  A preconditioner built for the original pencil is lifted to
     the reduced problem by precond.HattedPreconditioner(p, R), as
     cli.build_precond does for ddm, and a pair's applies run on its
-    solvers.Route.  h is the mesh width of a problem on the unit-square grid
-    (laplace_fd, laplace_fem) and None otherwise; a DDM is built from it, H,
-    the overlap and the stiffness pencil[0], or matrix when there is no
-    pencil, and solver() solves that stiffness by fast diagonalization.
+    solvers.Route.  The stiffness is pencil[0], or matrix when there is no
+    pencil.  On the unit-square grid (laplace_fd, laplace_fem, the only
+    code that sets it) grid is the (diagonal, off-diagonal) of the one
+    symmetric tridiagonal T with stiffness I (x) T + T (x) I on the
+    (1/h - 1)^2 interior nodes, x running fastest; it is None for every
+    other problem.  solver() and precond.DdmPreconditioner take T from it.
     apply_a takes an (n, k) block as well as a vector, as kappa_nu,
     check_initial and dense() apply it; the generators here build such ones.
     """
 
-    def __init__(self, dim, apply_a, matrix=None, solve_a=None, pencil=None, h=None):
+    def __init__(self, dim, apply_a, matrix=None, solve_a=None, pencil=None):
         self.dim = dim
         self.apply_a = apply_a
         self.matrix = matrix
         self._solve_a = solve_a
         self.pencil = pencil
-        self.h = h
+        self.grid = None
         self._reference = None
 
+    @property
+    def stiffness(self):
+        """K: pencil[0] under a mass, else the matrix (None when there is none)."""
+        return self.matrix if self.pencil is None else self.pencil[0]
+
     def solver(self):
-        """A^{-1}, made on first use (NotSpd if not SPD): of the matrix, or of
-        K = pencil[0] as R K^{-1} R^T under a mass.  On the unit-square grid
-        (h not None) the stiffness is a Kronecker sum, solved by
-        linalg.FastDiagSolve, the DDM's local solve on one box that covers
-        the grid (NotKroneckerSum otherwise), with the tridiagonals'
-        eigenpairs by pd_tridiagonal_eigh: their relative accuracy keeps B =
-        A of an exact preconditioner equivalent to A to about 1e-14 (at
-        h=2^-6 eigh_tridiagonal's left 8e-14, and at h=2^-7 kappa_nu's
-        Lanczos ran out of steps).  Any other matrix is solved by one
+        """A^{-1}, made on first use (NotSpd if not SPD): of the stiffness K,
+        or R K^{-1} R^T under a mass.  On the unit-square grid K = I (x) T +
+        T (x) I is solved by linalg.FastDiagSolve, the DDM's local solve on
+        one box that covers the grid, with T's eigenpairs by
+        pd_tridiagonal_eigh, whose relative accuracy keeps B = A of the exact
+        preconditioner equivalent to A to about 1e-14, so that kappa_nu's
+        Lanczos stops at once on it.  Any other matrix is solved by one
         make_solver factorization."""
         if self._solve_a is None:
-            k = self.matrix if self.pencil is None else self.pencil[0]
-            if self.h is not None:
-                tridiagonals = kron_sum_tridiagonals(k, round(1.0 / self.h) - 1)
-                solve_k = FastDiagSolve(*(pd_tridiagonal_eigh(*t) for t in tridiagonals))
-            elif k is None:
+            if self.grid is not None:
+                eig = pd_tridiagonal_eigh(*self.grid)
+                solve_k = FastDiagSolve(eig, eig)
+            elif self.stiffness is None:
                 raise PrecondEigError("no matrix and no solver available")
             else:
-                solve_k = make_solver(k)
+                solve_k = make_solver(self.stiffness)
             self._solve_a = solve_k
             if self.pencil is not None:
                 r = self.pencil[2]
@@ -176,18 +179,23 @@ _CROSS = [(0, 0, 4.0), (1, 0, -1.0), (-1, 0, -1.0), (0, 1, -1.0), (0, -1, -1.0)]
 _SPLIT = [(1, 1, 0.0), (-1, -1, 0.0)]
 
 
+def _cross_tridiagonal(h, scale):
+    """(diagonal, off-diagonal) of T = scale * [-1, 2, -1] on the 1/h - 1
+    interior nodes of a grid line: I (x) T + T (x) I is _CROSS times
+    scale, entry for entry."""
+    side = _as_inverse_width(h) - 1
+    return np.full(side, 2.0) * scale, np.full(side - 1, -1.0) * scale
+
+
 def laplace_fd(h):
     """5-point finite-difference Laplacian with zero Dirichlet boundary.
 
     Dimension (1/h - 1)^2, stencil (1/h^2) * [-1, -1, 4, -1, -1].
     """
     a = _grid_stencil(h, _CROSS) / h**2
-    return EigenProblem(
-        dim=a.shape[0],
-        apply_a=lambda v: a @ v,
-        matrix=a,
-        h=1.0 / _as_inverse_width(h),
-    )
+    problem = EigenProblem(dim=a.shape[0], apply_a=lambda v: a @ v, matrix=a)
+    problem.grid = _cross_tridiagonal(h, 1.0 / h**2)
+    return problem
 
 
 def fem_p1(h):
@@ -233,8 +241,9 @@ def mesh_hierarchy(H, h, overlap_ratio):
     aligned with the fine mesh; each box is the (y-slice, x-slice) pair of
     the fine interior nodes strictly inside its enlarged cell, on the
     (1/h - 1) x (1/h - 1) grid of interior nodes with x running fastest, as
-    interior_coords orders them.  DdmPreconditioner(A, h, H, overlap_ratio)
-    builds its coarse and local solves from these.
+    interior_coords orders them.  DdmPreconditioner(problem, H, overlap_ratio)
+    builds its coarse and local solves from these, on a grid problem of
+    width h.
     """
     inv_h = _as_inverse_width(h)
     inv_H = _as_inverse_width(H, minimum=1, name="H")
@@ -292,7 +301,7 @@ def mesh_hierarchy(H, h, overlap_ratio):
 def laplace_fem(h):
     """Generalized Laplace eigenvalue problem (stiffness, mass) in reduced form."""
     problem = generalized_reduce(*fem_p1(h))
-    problem.h = h
+    problem.grid = _cross_tridiagonal(h, 1.0)
     return problem
 
 
@@ -372,7 +381,7 @@ def generalized_reduce(a, m):
     solvers.Route (a lifted B's nested PCG on the pencil).  Factors
     only M here, as SymFactor((1, M)), one lower band (NotSpd unless SPD,
     DimensionMismatch unless A's size); A in problem.solver() (by fast
-    diagonalization once laplace_fem has set h, else by make_solver), and
+    diagonalization on the grid laplace_fem sets, else by make_solver), and
     sigma M - A, for a while, as a SymFactor of its own in the reference's
     lambdan.
     """

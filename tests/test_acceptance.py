@@ -43,7 +43,7 @@ def basin_start(ctx, x_star, b_inv_sqrt, frac, seed):
 
 def fem_ddm_setup(h, big_h):
     problem = pe.laplace_fem(h)
-    ddm = pe.DdmPreconditioner(problem.pencil[0], h, big_h, 0.5)
+    ddm = pe.DdmPreconditioner(problem, big_h, 0.5)
     return problem, HattedPreconditioner(ddm, problem.pencil[2])
 
 
@@ -264,10 +264,9 @@ def test_criterion_6_ddm_table():
     ok_values = abs(cos2 - 0.1961) <= 0.06 and abs(one_minus - 0.8221) <= 0.06
 
     problem6 = pe.laplace_fem(2.0**-6)
-    k6 = problem6.pencil[0]
     cos2_by_H = {}
     for big_h in (2.0**-2, 2.0**-3):
-        bh = HattedPreconditioner(pe.DdmPreconditioner(k6, 2.0**-6, big_h, 0.5), problem6.pencil[2])
+        bh = HattedPreconditioner(pe.DdmPreconditioner(problem6, big_h, 0.5), problem6.pencil[2])
         cos2_by_H[big_h] = pe.compute_quality(problem6, bh)["cos2_phi"]
     ratio = cos2_by_H[2.0**-2] / cos2_by_H[2.0**-3]
     elapsed = time.time() - t0
@@ -336,7 +335,7 @@ def test_criterion_9_classical_pinvit_bound(monkeypatch):
     t0 = time.time()
     h, big_h = 2.0**-4, 2.0**-2
     problem = pe.laplace_fd(h)
-    ddm = pe.DdmPreconditioner(problem.matrix, h, big_h, 0.5)
+    ddm = pe.DdmPreconditioner(problem, big_h, 0.5)
     nu_min, nu_max, kappa = pe.kappa_nu(problem, ddm)
     scaled = pe.spectral_scale(ddm, nu_min, nu_max)
     ref = problem.reference()

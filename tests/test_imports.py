@@ -358,6 +358,24 @@ def test_splu_is_called_only_in_make_solver():
     assert banded == {"linalg": BANDED - {"cho_solve_banded"}}
 
 
+def grid_stores(node):
+    return sum(
+        isinstance(n, ast.Attribute) and n.attr == "grid" and isinstance(n.ctx, ast.Store) for n in ast.walk(node)
+    )
+
+
+def test_grid_is_assigned_only_in_problems():
+    # that the unit-square stiffness is I (x) T + T (x) I is stated once, by
+    # the two generators; the grid solve and the DDM read it from the problem
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    stores = {module: grid_stores(tree) for module, tree in trees.items() if grid_stores(tree)}
+    assert stores == {"problems": 3}
+    setters = {
+        fn.name for fn in ast.walk(trees["problems"]) if isinstance(fn, ast.FunctionDef) and grid_stores(fn)
+    }
+    assert setters == {"__init__", "laplace_fd", "laplace_fem"}
+
+
 def pencil_calls(node):
     return sum(
         isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "pencil" for n in ast.walk(node)

@@ -12,9 +12,8 @@ import precondeig as pe
 from precondeig import linalg
 from precondeig.cli import build_precond, build_problem
 from precondeig.errors import (
-    DimensionMismatch,
     InvalidMeshWidth,
-    NotKroneckerSum,
+    NotAGridProblem,
     NotSpd,
     NotSpdInLowPrecision,
 )
@@ -34,9 +33,8 @@ def lift(prob, p):
 
 
 def fem_ddm(h, big_h, ratio=0.5):
-    k, m = pe.fem_p1(h)
-    prob = pe.generalized_reduce(k, m)
-    ddm = pe.DdmPreconditioner(k, h, big_h, ratio)
+    prob = pe.laplace_fem(h)
+    ddm = pe.DdmPreconditioner(prob, big_h, ratio)
     return prob, ddm, lift(prob, ddm)
 
 
@@ -287,7 +285,7 @@ def test_ddm_single_subdomain_no_coarse_is_exact():
     assert boxes == [(slice(0, 7), slice(0, 7))]
     assert prolongation.shape[1] == 0
     prob = pe.laplace_fd(h)
-    ddm = pe.DdmPreconditioner(prob.matrix, h, 1.0, 0.5)
+    ddm = pe.DdmPreconditioner(prob, 1.0, 0.5)
     v = pe.Rng(3).normal(prob.dim)
     direct = prob.solver()(v)
     assert np.linalg.norm(ddm.apply_inv(v) - direct) <= 1e-11 * np.linalg.norm(direct)
@@ -323,8 +321,9 @@ def local_solve_cases():
 @pytest.mark.parametrize("kind, h, big_h, overlap", list(local_solve_cases()))
 def test_ddm_local_solves_match_sparse_lu(kind, h, big_h, overlap):
     # oracle: the coarse part plus one sparse LU solve per subdomain
-    a = (pe.laplace_fd(h).matrix if kind == "fd" else pe.fem_p1(h)[0]).tocsr()
-    ddm = pe.DdmPreconditioner(a, h, big_h, overlap)
+    prob = pe.laplace_fd(h) if kind == "fd" else pe.laplace_fem(h)
+    a = prob.stiffness.tocsr()
+    ddm = pe.DdmPreconditioner(prob, big_h, overlap)
     v = pe.Rng(5).normal(a.shape[0])
     total = ddm.coarse_part(v)
     for idx in box_nodes(h, pe.mesh_hierarchy(big_h, h, overlap)[1]):
@@ -332,34 +331,23 @@ def test_ddm_local_solves_match_sparse_lu(kind, h, big_h, overlap):
     assert np.linalg.norm(total - ddm.apply_inv(v)) <= 1e-13 * np.linalg.norm(total)
 
 
-@pytest.mark.parametrize("coupling", ["diagonal", "off-grid"])
-def test_ddm_refuses_a_block_that_is_not_a_kronecker_sum(coupling):
-    # the local solves need every subdomain block to be I (x) T_x + T_y (x) I
-    h = 2.0**-4
-    k = pe.fem_p1(h)[0].tolil()
-    centre = 7 * 15 + 7  # grid node (8, 8), inside every subdomain that holds it
-    if coupling == "diagonal":
-        k[centre, centre] += 1.0
-    else:  # a symmetric coupling to the diagonal neighbour (9, 9)
-        k[centre, centre + 16] = k[centre + 16, centre] = -0.25
-    with pytest.raises(NotKroneckerSum, match="subdomain"):
-        pe.DdmPreconditioner(k.tocsr(), h, 2.0**-2, 0.5)
+def test_ddm_refuses_a_problem_off_the_grid():
+    # the local solves slice the tridiagonal of a grid problem; a problem
+    # that has none gets one typed error before any work
+    prob = dense_problem(random_spd(7, 49))
+    with pytest.raises(NotAGridProblem, match="needs a mesh problem"):
+        pe.DdmPreconditioner(prob, 2.0**-2, 0.5)
 
 
-@pytest.mark.parametrize("rows", [6, 225])
-def test_ddm_refuses_a_stiffness_of_another_size(rows):
-    # h = 2^-3 has 7 x 7 interior nodes; 6 is no square and 225 is h = 2^-4's
-    k = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(rows, rows), format="csr")
-    with pytest.raises(DimensionMismatch, match=f"{rows} rows, but h=0.125 gives 49 interior nodes"):
-        pe.DdmPreconditioner(k, 2.0**-3, 2.0**-2, 0.5)
-
-
-def test_ddm_refuses_an_indefinite_block():
-    # a shifted stiffness keeps the Kronecker sums but not their definiteness
-    h = 2.0**-4
-    k = pe.fem_p1(h)[0] - 2.0 * scipy.sparse.identity(15 * 15, format="csr")
+def test_fast_diag_solve_refuses_an_indefinite_pair():
+    # a shifted 1-D Laplacian keeps the Kronecker-sum form but not its
+    # definiteness: the smallest ly + lx is negative
+    n = 15
+    d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
+    eig_x = scipy.linalg.eigh_tridiagonal(d, e)
+    eig_y = scipy.linalg.eigh_tridiagonal(d - 2.0, e)
     with pytest.raises(NotSpd, match="not positive definite"):
-        pe.DdmPreconditioner(k, h, 2.0**-2, 0.5)
+        linalg.FastDiagSolve(eig_x, eig_y)
 
 
 @pytest.mark.parametrize("h, big_h", [(2.0**-4, 2.0**-2), (2.0**-6, 2.0**-2)])

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg
 import scipy.sparse
 
@@ -419,8 +420,7 @@ def test_grid_solver_matches_a_dense_solve(kind, e, monkeypatch):
     # factor: against a dense Cholesky solve of K, R K^{-1} R^T under a mass
     monkeypatch.setattr(problems, "make_solver", no_make_solver)
     prob = build_problem(f"{kind}:h=2^-{e}")
-    k = prob.matrix if prob.pencil is None else prob.pencil[0]
-    factor = scipy.linalg.cho_factor(k.toarray())
+    factor = scipy.linalg.cho_factor(prob.stiffness.toarray())
     v = pe.Rng(6).normal(prob.dim)
     if prob.pencil is None:
         ref = scipy.linalg.cho_solve(factor, v)
@@ -451,6 +451,30 @@ def test_grid_solver_takes_the_small_eigenvalues_to_relative_accuracy():
     assert np.abs(z.T @ z - np.eye(n)).max() <= 1e-13
     with pytest.raises(NotSpd, match="not positive definite"):
         pd_tridiagonal_eigh(np.array([1.0, 1.0]), np.array([-2.0]))
+
+
+@pytest.mark.parametrize("h", [2.0**-3, 2.0**-4, 2.0**-6, 1.0 / 12.0])
+@pytest.mark.parametrize("kind", ["laplace-fd", "laplace-fem"])
+def test_grid_states_the_stiffness_as_a_kronecker_sum(kind, h):
+    # the grid solve and the DDM take T from grid and never read the
+    # matrix for it: I (x) T + T (x) I is the assembled stiffness, entry for
+    # entry (the P1 stiffness's stored zeros included)
+    prob = pe.laplace_fd(h) if kind == "laplace-fd" else pe.laplace_fem(h)
+    d, e = prob.grid
+    side = round(1.0 / h) - 1
+    assert d.shape == (side,) and e.shape == (side - 1,)
+    t = scipy.sparse.diags([e, d, e], [-1, 0, 1])
+    kron_sum = scipy.sparse.kronsum(t, t, format="csr")
+    assert prob.stiffness.shape == kron_sum.shape and (kron_sum != prob.stiffness).nnz == 0
+
+
+def test_grid_is_none_off_the_unit_square(tmp_path):
+    k, m = pe.fem_p1(2.0**-3)
+    path = tmp_path / "k.mtx"
+    scipy.io.mmwrite(str(path), k, symmetry="symmetric", precision=17)
+    kernel = pe.kernel_matrix(kind="laplacian", n=6, d=4, seed=0, tau=0.1)
+    for prob in (kernel, build_problem(f"mtx:{path}"), pe.generalized_reduce(k, m)):
+        assert prob.grid is None
 
 
 def test_hatted_distortion_matches_msqrt_oracle():

@@ -257,7 +257,7 @@ def test_equivalence_any_capped_step_sequence():
 def test_rsd_fd_ddm_converges_to_reference():
     h, big_h = 1.0 / 16.0, 1.0 / 4.0
     problem = pe.laplace_fd(h)
-    ddm = pe.DdmPreconditioner(problem.matrix, h, big_h, 0.5)
+    ddm = pe.DdmPreconditioner(problem, big_h, 0.5)
     ctx = pe.build_rate_context(problem, ddm)
     # in-basin start: lean the eigenvector slightly
     u0 = ctx.u_star + 0.05 * pe.gaussian_vector(pe.Rng(5), problem.dim) / math.sqrt(problem.dim)
