@@ -825,6 +825,17 @@ def test_make_solver_refuses_an_exactly_singular_sparse_matrix():
         linalg.make_solver(scipy.sparse.diags([1.0, 0.0, 2.0]).tocsr())
 
 
+def test_fast_diag_solve_refuses_an_indefinite_pair():
+    # a shifted 1-D Laplacian keeps the Kronecker-sum form but not its
+    # definiteness: the smallest ly + lx is negative
+    n = 15
+    d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
+    eig_x = scipy.linalg.eigh_tridiagonal(d, e)
+    eig_y = scipy.linalg.eigh_tridiagonal(d - 2.0, e)
+    with pytest.raises(NotSpd, match="not positive definite"):
+        linalg.FastDiagSolve(eig_x, eig_y)
+
+
 def test_ritz_equals_eigh_tridiagonal():
     rng = pe.Rng(17)
     for k in range(200):

@@ -14,7 +14,6 @@ from precondeig.cli import build_precond, build_problem
 from precondeig.errors import (
     InvalidMeshWidth,
     NotAGridProblem,
-    NotSpd,
     NotSpdInLowPrecision,
 )
 from precondeig.precond import FWD_TOL, HattedPreconditioner, OperatorPreconditioner
@@ -337,17 +336,6 @@ def test_ddm_refuses_a_problem_off_the_grid():
     prob = dense_problem(random_spd(7, 49))
     with pytest.raises(NotAGridProblem, match="needs a mesh problem"):
         pe.DdmPreconditioner(prob, 2.0**-2, 0.5)
-
-
-def test_fast_diag_solve_refuses_an_indefinite_pair():
-    # a shifted 1-D Laplacian keeps the Kronecker-sum form but not its
-    # definiteness: the smallest ly + lx is negative
-    n = 15
-    d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
-    eig_x = scipy.linalg.eigh_tridiagonal(d, e)
-    eig_y = scipy.linalg.eigh_tridiagonal(d - 2.0, e)
-    with pytest.raises(NotSpd, match="not positive definite"):
-        linalg.FastDiagSolve(eig_x, eig_y)
 
 
 @pytest.mark.parametrize("h, big_h", [(2.0**-4, 2.0**-2), (2.0**-6, 2.0**-2)])
